@@ -31,7 +31,7 @@ from .core import (
     InvalidMeanError,
     MeanFunction,
     POSITIVE_REALS,
-    is_builtin,
+    common_domain,
     make_arithmetic,
 )
 
@@ -80,9 +80,7 @@ class AsymmetricFunction:
 
     def _combine(self, other: "AsymmetricFunction", cx: float, co: float,
                  name: str) -> "AsymmetricFunction":
-        dom = self.domain.intersect(other.domain)
-        if dom is None:
-            raise DomainError(f"domains {self.domain} and {other.domain} do not overlap")
+        dom = common_domain(self.domain, other.domain)
         f, g = self, other
         return AsymmetricFunction(dom, lambda x, y: cx * f(x, y) + co * g(x, y), name)
 
@@ -166,13 +164,6 @@ def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFuncti
     return MeanFunction(name or f"phi_inv({f.name})", f.domain, fn, maps_into_domain=True)
 
 
-def _common_domain(m1: MeanFunction, m2: MeanFunction) -> Interval:
-    dom = m1.domain.intersect(m2.domain)
-    if dom is None:
-        raise DomainError(f"domains {m1.domain} and {m2.domain} do not overlap")
-    return dom
-
-
 def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     """Group law on means: phi_inverse(phi(m1) + phi(m2)).
 
@@ -183,7 +174,7 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     whose two denominator terms are both positive off the diagonal, so no
     cancellation occurs. Both operands are evaluated once per point.
     """
-    dom = _common_domain(m1, m2)
+    dom = common_domain(m1.domain, m2.domain)
 
     def fn(x: float, y: float) -> float:
         if _near_diagonal(x, y):
@@ -208,32 +199,28 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     """Reflection of m1 through m0 in the group: phi_inverse(2 phi(m0) - phi(m1)).
 
-    When m0 is recognized as a built-in the short closed forms are used
-    (x + y - M for A, xy/M for G, xyM/((x+y)M - xy) for H), which behave
-    better near the diagonal than the general rational form.
-    """
-    dom = _common_domain(m0, m1)
+    Evaluated for every m0 through the equivalent rational form
 
-    if is_builtin(m0, "A"):
-        def fn(x, y):
-            return x + y - m1(x, y)
-    elif is_builtin(m0, "G"):
-        def fn(x, y):
-            return x * y / m1(x, y)
-    elif is_builtin(m0, "H"):
-        def fn(x, y):
-            v = m1(x, y)
-            return x * y * v / ((x + y) * v - x * y)
-    else:
-        def fn(x, y):
-            if _near_diagonal(x, y):
-                return 0.5 * (x + y)
-            v0 = m0(x, y)
-            v1 = m1(x, y)
-            # both denominator terms have the same sign off the diagonal
-            a = (v1 - x) * (v0 - y) ** 2
-            b = (v0 - x) ** 2 * (v1 - y)
-            return (x * a - y * b) / (a - b)
+        [x (M1-x)(M0-y)^2 - y (M0-x)^2 (M1-y)] / [(M1-x)(M0-y)^2 - (M0-x)^2 (M1-y)],
+
+    whose two denominator terms have the same sign off the diagonal, so no
+    cancellation occurs. With m0 = A, G or H it reduces to x + y - M,
+    xy/M and xyM/((x+y)M - xy). The differences are scaled by a power of
+    two before they are cubed, which is exact and keeps the products in
+    range for any finite arguments. Within a relative band of 1e-12 around
+    the diagonal the midpoint is returned, as in ``star``.
+    """
+    dom = common_domain(m0.domain, m1.domain)
+
+    def fn(x: float, y: float) -> float:
+        if _near_diagonal(x, y):
+            return 0.5 * (x + y)
+        v0 = m0(x, y)
+        v1 = m1(x, y)
+        k = -math.frexp(y - x)[1]
+        a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
+        b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
+        return (x * a - y * b) / (a - b)
 
     return MeanFunction(f"S[{m0.name}]({m1.name})", dom, fn)
 

@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
@@ -23,6 +23,7 @@ from .core import (
     DomainError,
     Interval,
     NumericalError,
+    common_domain,
     default_window,
     verify_axioms,
 )
@@ -171,7 +172,7 @@ class _Resolver:
         self.diagnostics.extend(build.diagnostics)
         m = build.mean
         if monotone and m.is_monotone is not True:
-            m = type(m)(m.name, m.domain, m.fn, True, m.is_continuous, m.maps_into_domain)
+            m = replace(m, is_monotone=True)
         return m
 
     def weight(self, text: str):
@@ -330,14 +331,11 @@ def _dispatch(args, resolver: _Resolver, seed: int) -> dict:
     if cmd == "distance":
         m1 = resolver.mean(args.m1)
         m2 = resolver.mean(args.m2)
-        dom = m1.domain.intersect(m2.domain)
-        if dom is None:
-            raise DomainError(f"domains {m1.domain} and {m2.domain} do not overlap")
-        win = window or default_window(dom)
+        win = window or default_window(common_domain(m1.domain, m2.domain))
         est = (distance_via_phi if args.via_phi else distance)(m1, m2, win, args.grid)
         return {"command": cmd, "m1": m1.name, "m2": m2.name, "via_phi": args.via_phi,
                 "window": [win.lo, win.hi], "grid": est.grid_size, "value": est.value,
-                "argmax": list(est.argmax), "refined": est.refined}
+                "argmax": list(est.argmax)}
 
     if cmd == "dist-to-a":
         m = resolver.mean(args.mean)

@@ -33,6 +33,7 @@ __all__ = [
     "Interval",
     "POSITIVE_REALS",
     "ALL_REALS",
+    "common_domain",
     "MeanFunction",
     "AxiomReport",
     "make_arithmetic",
@@ -143,6 +144,14 @@ class Interval:
 
 POSITIVE_REALS = Interval(0.0, math.inf)
 ALL_REALS = Interval(-math.inf, math.inf)
+
+
+def common_domain(a: Interval, b: Interval) -> Interval:
+    """Intersection of two domains; DomainError when they do not overlap."""
+    dom = a.intersect(b)
+    if dom is None:
+        raise DomainError(f"domains {a} and {b} do not overlap")
+    return dom
 
 
 @dataclass(frozen=True)

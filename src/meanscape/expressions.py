@@ -14,15 +14,16 @@ therefore yields either a tree or a positioned error, never a crash.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import functools
-
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
+from .core import make_arithmetic, make_geometric, make_harmonic
 from .algebra import WeightFunction
+from .middle import make_agm
 
 __all__ = [
     "ExpressionError",
@@ -46,7 +47,8 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
-_BUILTIN_MEANS = ("A", "G", "H", "AGM")
+_BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic,
+                  "AGM": make_agm}
 # each nesting level costs several interpreter frames; stay well below the
 # default recursion limit so malformed input errors out instead of crashing
 _MAX_DEPTH = 120
@@ -310,23 +312,16 @@ def format_expression(e: Expression) -> str:
 
 
 @functools.cache
-def _cached_agm():
-    from .middle import make_agm
-    return make_agm()
+def _builtin(name: str) -> MeanFunction:
+    return _BUILTIN_MEANS[name]()
 
 
 def _builtin_value(name: str, x: float, y: float) -> float:
-    if name == "A":
-        return (x + y) / 2.0
-    if name == "G":
-        if x * y < 0.0:
-            raise EvaluationError(f"G of a negative product at ({x}, {y})")
-        return math.sqrt(x * y)
-    if name == "H":
-        return 2.0 * x * y / (x + y)
-    if not (x > 0.0 and y > 0.0):
-        raise EvaluationError(f"AGM needs positive arguments, got ({x}, {y})")
-    return _cached_agm()(x, y)
+    """A built-in atom: the built-in's own kernel, without its domain check."""
+    try:
+        return _builtin(name).fn(x, y)
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"{name} is undefined at ({x}, {y}): {exc}") from None
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:
@@ -449,14 +444,9 @@ def expr_to_weight(e: Expression, domain: Interval) -> WeightFunction:
 def mean_from_source(src: str, domain: Optional[Interval] = None, *,
                      verify_samples: int = 256, seed: int = DEFAULT_SEED) -> MeanBuild:
     """Mean from source text; bare builtin names yield the exact built-ins."""
-    from .core import make_arithmetic, make_geometric, make_harmonic
-    from .middle import make_agm
-
     name = src.strip()
     if name in _BUILTIN_MEANS:
-        builders = {"A": make_arithmetic, "G": make_geometric,
-                    "H": make_harmonic, "AGM": make_agm}
-        return MeanBuild(builders[name](), None, ())
+        return MeanBuild(_builtin(name), None, ())
     tree = parse_mean_expr(src)
     return expr_to_mean(tree, domain or POSITIVE_REALS,
                         verify_samples=verify_samples, seed=seed)

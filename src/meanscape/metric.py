@@ -90,14 +90,12 @@ class DistanceEstimate:
     """A certified lower bound for a sup over a bounded window.
 
     ``value`` lies in [0, 1]; ``argmax`` is the off-diagonal point where it
-    was attained; ``refined`` records whether golden-section refinement ran
-    after the grid stage.
+    was attained; ``grid_size`` is the number of grid points per axis.
     """
 
     value: float
     argmax: tuple[float, float]
     window: Interval
-    refined: bool
     grid_size: int
 
 
@@ -124,11 +122,13 @@ def _axis_points(window: Interval, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _sup2d(f: Callable[[float, float], float], window: Interval, grid: int,
-           refine_tol: float = 1e-10) -> tuple[float, tuple[float, float], bool]:
+           refine_tol: float = 1e-10) -> tuple[float, tuple[float, float]]:
     """Grid + coordinate-wise golden-section estimate of sup f over window^2.
 
-    ``f`` may return -inf to mask points (the diagonal band). The returned
-    value is the best point actually evaluated.
+    ``f`` may return -inf to mask points (the diagonal band). Returns the
+    best value actually evaluated and the point, inside the window, where
+    it was evaluated; refinement replaces the grid maximum only on strict
+    improvement.
     """
     pts, log_spaced = _axis_points(window, grid)
     best_v = -math.inf
@@ -142,29 +142,30 @@ def _sup2d(f: Callable[[float, float], float], window: Interval, grid: int,
         raise DomainError("no admissible grid points in the window")
 
     # refine around the best cell, working in log coordinates when the
-    # grid is log-spaced so the tolerance is relative
-    if log_spaced:
-        coords = np.log(pts)
-        def eval_at(u, w):
-            return f(math.exp(u), math.exp(w))
-    else:
-        coords = pts
-        eval_at = f
+    # grid is log-spaced so the tolerance is relative; exp(log(t)) may
+    # round out of the window, so coordinates are clamped before use
+    coords = np.log(pts) if log_spaced else pts
+    best = (best_v, float(pts[bi]), float(pts[bj]))
+
+    def to_point(s: float) -> float:
+        t = math.exp(s) if log_spaced else float(s)
+        return min(max(t, window.lo), window.hi)
+
+    def eval_at(u: float, w: float) -> float:
+        nonlocal best
+        x, y = to_point(u), to_point(w)
+        v = f(x, y)
+        if v > best[0]:
+            best = (v, x, y)
+        return v
+
     ax, bx = coords[max(bi - 1, 0)], coords[min(bi + 1, grid - 1)]
     ay, by = coords[max(bj - 1, 0)], coords[min(bj + 1, grid - 1)]
     u, w = coords[bi], coords[bj]
-    val = best_v
     for _ in range(3):
-        u, vx = golden_section_max(lambda s: eval_at(s, w), ax, bx, refine_tol)
-        w, vy = golden_section_max(lambda s: eval_at(u, s), ay, by, refine_tol)
-        val = max(val, vx, vy)
-    if log_spaced:
-        u, w = math.exp(u), math.exp(w)
-    if val > best_v:
-        arg = (float(u), float(w))
-    else:
-        arg = (float(pts[bi]), float(pts[bj]))
-    return max(val, best_v), arg, True
+        u, _ = golden_section_max(lambda s: eval_at(s, w), ax, bx, refine_tol)
+        w, _ = golden_section_max(lambda s: eval_at(u, s), ay, by, refine_tol)
+    return best[0], (best[1], best[2])
 
 
 def _check_window(m1: MeanFunction, m2: MeanFunction | None, window: Interval,
@@ -203,15 +204,15 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
         u, v = golden_section_max(lambda s: _gh_slope(math.exp(s)), 0.0, math.log(t_max), 1e-12)
         t = math.exp(u)
         c = math.sqrt(window.lo * window.hi)
-        return DistanceEstimate(v, (c * t, c / t), window, True, grid)
+        return DistanceEstimate(v, (c * t, c / t), window, grid)
 
     def quotient(x: float, y: float) -> float:
         if abs(x - y) <= _DIAG_BAND * max(1.0, abs(x), abs(y)):
             return -math.inf
         return (m1(x, y) - m2(x, y)) / (x - y)
 
-    value, arg, refined = _sup2d(quotient, window, grid)
-    return DistanceEstimate(value, arg, window, refined, grid)
+    value, arg = _sup2d(quotient, window, grid)
+    return DistanceEstimate(value, arg, window, grid)
 
 
 def _logistic(f: float) -> float:
@@ -242,14 +243,12 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     def integrand(x: float, y: float) -> float:
         return _logistic(f2(x, y)) - _logistic(f1(x, y))
 
-    value, arg, refined = _sup2d(integrand, window, grid)
-    return DistanceEstimate(value, arg, window, refined, grid)
+    value, arg = _sup2d(integrand, window, grid)
+    return DistanceEstimate(value, arg, window, grid)
 
 
 def _sup_phi(m: MeanFunction, window: Interval, grid: int) -> tuple[float, tuple[float, float]]:
-    f = phi(m)
-    value, arg, _ = _sup2d(lambda x, y: f(x, y), window, grid)
-    return value, arg
+    return _sup2d(phi(m), window, grid)
 
 
 def distance_to_arithmetic(m: MeanFunction, window: Interval,
@@ -262,7 +261,7 @@ def distance_to_arithmetic(m: MeanFunction, window: Interval,
         value = 0.5
     else:
         value = 0.5 * math.tanh(0.5 * s)
-    return DistanceEstimate(value, arg, window, True, grid)
+    return DistanceEstimate(value, arg, window, grid)
 
 
 def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],

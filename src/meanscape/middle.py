@@ -19,7 +19,7 @@ never shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     Interval,
     MeanFunction,
     DEFAULT_SEED,
+    common_domain,
     default_window,
     make_arithmetic,
     make_geometric,
@@ -149,9 +150,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     """
     if m1.maps_into_domain is False or m2.maps_into_domain is False:
         raise ValueError("compound operands must map into their domain interval")
-    dom = m1.domain.intersect(m2.domain)
-    if dom is None:
-        raise DomainError(f"domains {m1.domain} and {m2.domain} do not overlap")
+    dom = common_domain(m1.domain, m2.domain)
 
     d_est = None
     if estimate_distance:
@@ -189,9 +188,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     every recorded step. Non-convergence raises ConvergenceError carrying
     the partial trace.
     """
-    dom = m1.domain.intersect(m2.domain)
-    if dom is None:
-        raise DomainError(f"domains {m1.domain} and {m2.domain} do not overlap")
+    dom = common_domain(m1.domain, m2.domain)
 
     converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance,
                                                  max_iterations, True)
@@ -222,11 +219,8 @@ def make_agm(tolerance: float = DEFAULT_TOLERANCE,
     agm = compound(make_arithmetic(), make_geometric(), tolerance, max_iterations,
                    estimate_distance=False)
     # d(G, A) <= 1/2 holds for every mean against A; no estimate needed
-    return CompoundMean(
-        name="AGM", domain=agm.domain, fn=agm.fn,
-        is_monotone=True, is_continuous=True, maps_into_domain=True,
-        m1=agm.m1, m2=agm.m2, tolerance=tolerance, max_iterations=max_iterations,
-        d_estimate=0.5, guaranteed=True)
+    return replace(agm, name="AGM", is_monotone=True, is_continuous=True,
+                   d_estimate=0.5, guaranteed=True)
 
 
 def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
@@ -240,14 +234,15 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
 
 
 def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
-                         *, rel_tol: float = 1e-12, fast: bool = False) -> float:
+                         *, rel_tol: float = 1e-12) -> float:
     """The value t with m0(m1(x, y), t) = m0(x, y), solved on [min, max].
 
     Requires m0 to be declared monotone (is_monotone=True): monotonicity
     both guarantees the root is unique and puts it inside the bracket
-    [min(x,y), max(x,y)]. Baseline solver is bisection; ``fast=True``
-    switches to Brent's method on the same bracket. A missing sign change
-    raises BracketError with the endpoint values.
+    [min(x,y), max(x,y)]. The root is found by bisection until the bracket
+    is narrower than rel_tol * max(1, |x|, |y|); the midpoint of the final
+    bracket is returned. A missing sign change raises BracketError with
+    the endpoint values.
     """
     if m0.is_monotone is not True:
         raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
@@ -271,10 +266,6 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
             f"no sign change for the functional symmetric of {m1.name} with respect to "
             f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
 
-    if fast:
-        from scipy.optimize import brentq
-        return float(brentq(g, lo, hi, xtol=rel_tol * max(1.0, abs(lo), abs(hi))))
-
     increasing = g_hi > 0.0
     tol = rel_tol * max(1.0, abs(lo), abs(hi))
     for _ in range(256):
@@ -291,43 +282,34 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     return 0.5 * (lo + hi)
 
 
-def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction, *,
-                              fast: bool = False) -> MeanFunction:
+def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     """The functional symmetric of m1 with respect to m0, as a mean."""
-    dom = m0.domain.intersect(m1.domain)
-    if dom is None:
-        raise DomainError(f"domains {m0.domain} and {m1.domain} do not overlap")
+    dom = common_domain(m0.domain, m1.domain)
     return MeanFunction(
         f"sigma[{m0.name}]({m1.name})", dom,
-        lambda x, y: functional_symmetric(m0, m1, x, y, fast=fast),
+        lambda x, y: functional_symmetric(m0, m1, x, y),
         maps_into_domain=True)
+
+
+_CLOSED_FORM_BASES = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}
 
 
 def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     """Closed-form functional symmetric with respect to A, G or H.
 
-    Solving the functional equation directly gives x + y - M for A,
-    xy/M for G and xyM/((x+y)M - xy) for H; the latter two need a
-    positive domain.
+    For these three the functional symmetric equals the group reflection
+    through the same mean (x + y - M, xy/M and xyM/((x+y)M - xy)), so the
+    result is ``group_symmetry`` with the built-in as m0. The domain of
+    ``m`` must lie inside the domain of that built-in: (0, inf) for G and H.
     """
-    if which == "A":
-        return MeanFunction(f"sigma[A]({m.name})", m.domain,
-                            lambda x, y: x + y - m(x, y), maps_into_domain=True)
-    if which not in ("G", "H"):
+    if which not in _CLOSED_FORM_BASES:
         raise ValueError(f"unknown closed form {which!r}; expected 'A', 'G' or 'H'")
-    if m.domain.lo < 0.0:
-        raise DomainError(f"sigma with respect to {which} needs a domain within (0, inf), "
-                          f"got {m.domain}")
-    if which == "G":
-        return MeanFunction(f"sigma[G]({m.name})", m.domain,
-                            lambda x, y: x * y / m(x, y), maps_into_domain=True)
-
-    def harmonic_reflect(x: float, y: float) -> float:
-        v = m(x, y)
-        return x * y * v / ((x + y) * v - x * y)
-
-    return MeanFunction(f"sigma[H]({m.name})", m.domain, harmonic_reflect,
-                        maps_into_domain=True)
+    base = _CLOSED_FORM_BASES[which]()
+    if not base.domain.contains_interval(m.domain):
+        raise DomainError(f"sigma with respect to {which} needs a domain within "
+                          f"{base.domain}, got {m.domain}")
+    return replace(group_symmetry(base, m), name=f"sigma[{which}]({m.name})",
+                   maps_into_domain=True)
 
 
 def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -192,6 +194,61 @@ class TestGroupSymmetry:
             rhs = ms.group_symmetry(G, ms.group_symmetry(A, ms.group_symmetry(G, m)))
             for x, y in ms.sample_pairs(unit_window, 40, seed=12):
                 assert abs(lhs(x, y) - rhs(x, y)) <= 1e-9 * max(1.0, abs(lhs(x, y)))
+
+
+def _oracle_reflection(which, x, y, v1):
+    """phi_inverse(2 phi(M0) - phi(M1)) at 60 digits, M0 exact, M1 = v1."""
+    with mpmath.workdps(60):
+        x, y, v1 = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(v1)
+        v0 = {"A": (x + y) / 2, "G": mpmath.sqrt(x * y), "H": 2 * x * y / (x + y)}[which]
+        e = mpmath.exp(2 * mpmath.log(-(v0 - x) / (v0 - y))
+                       - mpmath.log(-(v1 - x) / (v1 - y)))
+        return float((x + y * e) / (e + 1))
+
+
+def _oracle_points(seed):
+    """Wide-ratio pairs on [1e-6, 1e6] and pairs at relative gaps 1e-11..1e-3."""
+    rng = np.random.default_rng(seed)
+    wide = 10.0 ** rng.uniform(-6.0, 6.0, size=(120, 2))
+    x = 10.0 ** rng.uniform(-6.0, 6.0, size=80)
+    gap = rng.choice([-1.0, 1.0], size=80) * 10.0 ** rng.uniform(-11.0, -3.0, size=80)
+    near = np.column_stack([x, x * (1.0 + gap)])
+    return [(float(p), float(q)) for p, q in np.vstack([wide, near])]
+
+
+class TestReflectionOracle:
+    """Reflections through the built-ins against a 60-digit evaluation of
+    the defining formula, fed the same M1 value the code computed."""
+
+    # on (0, inf), so that sigma_closed_form accepts them for G and H too
+    M1S = [
+        ms.MeanFunction("A", ms.POSITIVE_REALS, lambda x, y: (x + y) / 2),
+        ms.make_geometric(), ms.make_harmonic(),
+        ms.MeanFunction("C", ms.POSITIVE_REALS, lambda x, y: (x * x + y * y) / (x + y)),
+        ms.MeanFunction("Q", ms.POSITIVE_REALS, lambda x, y: math.sqrt((x * x + y * y) / 2)),
+        ms.MeanFunction("P", ms.POSITIVE_REALS,
+                        lambda x, y: ((math.sqrt(x) + math.sqrt(y)) / 2) ** 2),
+    ]
+
+    @pytest.mark.parametrize("which", ["A", "G", "H"])
+    def test_group_symmetry_and_sigma(self, which):
+        m0 = {"A": ms.make_arithmetic, "G": ms.make_geometric, "H": ms.make_harmonic}[which]()
+        for m1 in self.M1S:
+            reflected = ms.group_symmetry(m0, m1)
+            sigma = ms.sigma_closed_form(which, m1)
+            for x, y in _oracle_points(seed=13):
+                want = _oracle_reflection(which, x, y, m1(x, y))
+                tol = 1e-14 * max(1.0, abs(want))
+                assert abs(reflected(x, y) - want) <= tol, (m1.name, x, y)
+                assert abs(sigma(x, y) - want) <= tol, (m1.name, x, y)
+
+    def test_large_arguments_stay_finite(self):
+        A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+        for scale in (1e80, 1e150):
+            x, y = scale, 4.0 * scale
+            assert ms.group_symmetry(A, G)(x, y) == pytest.approx(3.0 * scale, rel=1e-14)
+            assert ms.group_symmetry(G, A)(x, y) == pytest.approx(1.6 * scale, rel=1e-14)
+            assert ms.group_symmetry(H, G)(x, y) == pytest.approx(4.0 / 3.0 * scale, rel=1e-14)
 
 
 class TestNormalMeans:

@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import meanscape
 from meanscape.cli import cli_run, main
 
 
@@ -173,6 +177,12 @@ class TestErrorHandling:
         result = cli_run(["eval", "--mean", "A", "--at", "1;2"])
         assert result.exit_code == 1
 
+    def test_builtin_atom_fault_is_user_error(self):
+        result = cli_run(["eval", "--mean", "H+0", "--domain", "reals", "--at", "1,-1"])
+        assert result.exit_code == 1
+        doc = json.loads(result.rendered)
+        assert doc["status"] == "error" and doc["diagnostics"]
+
     def test_error_envelope_has_diagnostic(self):
         result = cli_run(["eval", "--mean", "log(", "--at", "1,2"])
         doc = json.loads(result.rendered)
@@ -221,6 +231,15 @@ class TestOutputContract:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["status"] == "ok"
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "meanscape", "eval", "--mean", "A",
+                               "--at", "2,4"], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["payload"]["value"] == 3.0
 
     def test_main_prints_to_stdout(self, capsys):
         code = main(["eval", "--mean", "A", "--at", "2,4"])

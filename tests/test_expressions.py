@@ -124,6 +124,11 @@ class TestEvaluationFaults:
         with pytest.raises(EvaluationError):
             ev("exp(x)", 1e4, 0.0)
 
+    def test_builtin_atom_faults(self):
+        for src, x, y in [("H", 1.0, -1.0), ("G", -1.0, 2.0), ("AGM", -1.0, 2.0)]:
+            with pytest.raises(EvaluationError):
+                ev(src, x, y)
+
 
 class TestBuiltinsInExpressions:
     def test_bare_names(self):

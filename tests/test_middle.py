@@ -37,13 +37,6 @@ class TestFunctionalSymmetric:
         for x, y in ms.sample_pairs(unit_window, 30, seed=22):
             assert abs(back(x, y) - m1(x, y)) <= 1e-9 * max(1.0, abs(m1(x, y)))
 
-    def test_fast_mode_agrees(self, builtins, unit_window):
-        A, G, _ = builtins
-        for x, y in ms.sample_pairs(unit_window, 20, seed=23):
-            slow = ms.functional_symmetric(G, A, x, y)
-            quick = ms.functional_symmetric(G, A, x, y, fast=True)
-            assert quick == pytest.approx(slow, rel=1e-9)
-
     def test_monotone_flag_required(self, mean_family):
         not_flagged = mean_family[3]  # random normal mean, flag unknown
         assert not_flagged.is_monotone is not True
