@@ -50,8 +50,9 @@ __all__ = [
     "classify_vs_arithmetic",
 ]
 
-# Relative half-width of the diagonal guard band used by phi and by the
-# closed forms whose factors vanish on the diagonal.
+# Half-width of the diagonal guard band used by phi and by the closed forms
+# whose factors vanish on the diagonal: relative to max(1, |x|, |y|) in phi
+# and star, relative to max(|x|, |y|) in group_symmetry.
 _DIAG_GUARD = 1e-12
 
 # Beyond this magnitude e^f saturates the mean at an endpoint.
@@ -207,13 +208,14 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     cancellation occurs. With m0 = A, G or H it reduces to x + y - M,
     xy/M and xyM/((x+y)M - xy). The differences are scaled by a power of
     two before they are cubed, which is exact and keeps the products in
-    range for any finite arguments. Within a relative band of 1e-12 around
-    the diagonal the midpoint is returned, as in ``star``.
+    range for any finite arguments, large or small. Where |x - y| is within
+    1e-12 of max(|x|, |y|) the midpoint is returned; the band is purely
+    relative, so the result scales with its arguments at every magnitude.
     """
     dom = common_domain(m0.domain, m1.domain)
 
     def fn(x: float, y: float) -> float:
-        if _near_diagonal(x, y):
+        if abs(x - y) <= _DIAG_GUARD * max(abs(x), abs(y)):
             return 0.5 * (x + y)
         v0 = m0(x, y)
         v1 = m1(x, y)

@@ -210,10 +210,13 @@ def make_harmonic() -> MeanFunction:
                         is_monotone=True, is_continuous=True, maps_into_domain=True)
 
 
+BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}
+
+
 def is_builtin(m: MeanFunction, name: str) -> bool:
     """Identity-based recognition of the built-in A, G and H means."""
-    table = {"A": _arithmetic_eval, "G": _geometric_eval, "H": _harmonic_eval}
-    return table.get(name) is getattr(m, "fn", None)
+    make = BUILTIN_MEANS.get(name)
+    return make is not None and make().fn is getattr(m, "fn", None)
 
 
 def default_window(domain: Interval) -> Interval:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
-from .core import make_arithmetic, make_geometric, make_harmonic
+from .core import BUILTIN_MEANS
 from .algebra import WeightFunction
 from .middle import make_agm
 
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
-_BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic,
-                  "AGM": make_agm}
+_BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
 # each nesting level costs several interpreter frames; stay well below the
 # default recursion limit so malformed input errors out instead of crashing
 _MAX_DEPTH = 120

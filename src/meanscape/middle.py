@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
+    BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
     DomainError,
@@ -291,9 +292,6 @@ def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunctio
         maps_into_domain=True)
 
 
-_CLOSED_FORM_BASES = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}
-
-
 def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     """Closed-form functional symmetric with respect to A, G or H.
 
@@ -302,9 +300,9 @@ def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     result is ``group_symmetry`` with the built-in as m0. The domain of
     ``m`` must lie inside the domain of that built-in: (0, inf) for G and H.
     """
-    if which not in _CLOSED_FORM_BASES:
+    if which not in BUILTIN_MEANS:
         raise ValueError(f"unknown closed form {which!r}; expected 'A', 'G' or 'H'")
-    base = _CLOSED_FORM_BASES[which]()
+    base = BUILTIN_MEANS[which]()
     if not base.domain.contains_interval(m.domain):
         raise DomainError(f"sigma with respect to {which} needs a domain within "
                           f"{base.domain}, got {m.domain}")

@@ -207,13 +207,20 @@ def _oracle_reflection(which, x, y, v1):
 
 
 def _oracle_points(seed):
-    """Wide-ratio pairs on [1e-6, 1e6] and pairs at relative gaps 1e-11..1e-3."""
+    """Wide-ratio pairs on [1e-6, 1e6], wide-ratio pairs on [1e-150, 1e-12]
+    and pairs at relative gaps 1e-11..1e-3 at magnitudes 1e-150..1e6.
+
+    Below about 1e-150 the products in the G and H kernels leave the normal
+    range, so smaller magnitudes would test the kernels, not the reflection.
+    """
     rng = np.random.default_rng(seed)
     wide = 10.0 ** rng.uniform(-6.0, 6.0, size=(120, 2))
-    x = 10.0 ** rng.uniform(-6.0, 6.0, size=80)
-    gap = rng.choice([-1.0, 1.0], size=80) * 10.0 ** rng.uniform(-11.0, -3.0, size=80)
+    low = rng.uniform(-144.0, -18.0, size=(80, 1))
+    small = 10.0 ** (low + rng.uniform(-6.0, 6.0, size=(80, 2)))
+    x = 10.0 ** rng.uniform(-150.0, 6.0, size=120)
+    gap = rng.choice([-1.0, 1.0], size=120) * 10.0 ** rng.uniform(-11.0, -3.0, size=120)
     near = np.column_stack([x, x * (1.0 + gap)])
-    return [(float(p), float(q)) for p, q in np.vstack([wide, near])]
+    return [(float(p), float(q)) for p, q in np.vstack([wide, small, near])]
 
 
 class TestReflectionOracle:
@@ -238,7 +245,7 @@ class TestReflectionOracle:
             sigma = ms.sigma_closed_form(which, m1)
             for x, y in _oracle_points(seed=13):
                 want = _oracle_reflection(which, x, y, m1(x, y))
-                tol = 1e-14 * max(1.0, abs(want))
+                tol = 1e-14 * abs(want) + 4.0 * math.ulp(want)
                 assert abs(reflected(x, y) - want) <= tol, (m1.name, x, y)
                 assert abs(sigma(x, y) - want) <= tol, (m1.name, x, y)
 
@@ -249,6 +256,17 @@ class TestReflectionOracle:
             assert ms.group_symmetry(A, G)(x, y) == pytest.approx(3.0 * scale, rel=1e-14)
             assert ms.group_symmetry(G, A)(x, y) == pytest.approx(1.6 * scale, rel=1e-14)
             assert ms.group_symmetry(H, G)(x, y) == pytest.approx(4.0 / 3.0 * scale, rel=1e-14)
+
+    def test_small_arguments_keep_relative_accuracy(self):
+        A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+        for scale in (1e-13, 1e-100):
+            x, y = scale, 4.0 * scale
+            assert ms.group_symmetry(G, A)(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
+            assert ms.group_symmetry(A, G)(x, y) == pytest.approx(3.0 * scale, rel=1e-14, abs=0.0)
+            assert ms.group_symmetry(H, G)(x, y) == pytest.approx(4.0 / 3.0 * scale,
+                                                                  rel=1e-14, abs=0.0)
+            sigma = ms.sigma_closed_form("G", self.M1S[0])
+            assert sigma(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
 
 
 class TestNormalMeans:
