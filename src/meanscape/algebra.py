@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 # Half-width of the diagonal guard band used by phi and by the closed forms
-# whose factors vanish on the diagonal: relative to max(1, |x|, |y|) in phi
-# and star, relative to max(|x|, |y|) in group_symmetry.
+# whose factors vanish on the diagonal, relative to max(|x|, |y|), so every
+# guarded result scales with its arguments at every magnitude.
 _DIAG_GUARD = 1e-12
 
 # Beyond this magnitude e^f saturates the mean at an endpoint.
@@ -60,7 +60,7 @@ _EXP_CLIP = 700.0
 
 
 def _near_diagonal(x: float, y: float) -> bool:
-    return abs(x - y) <= _DIAG_GUARD * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= _DIAG_GUARD * max(abs(x), abs(y))
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,8 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
         [x (M1-y)(M2-y) + y (M1-x)(M2-x)] / [(M1-y)(M2-y) + (M1-x)(M2-x)],
 
     whose two denominator terms are both positive off the diagonal, so no
-    cancellation occurs. Both operands are evaluated once per point.
+    cancellation occurs. Both operands are evaluated once per point; the
+    differences are scaled by an exact power of two, as in group_symmetry.
     """
     dom = common_domain(m1.domain, m2.domain)
 
@@ -182,8 +183,9 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
             return 0.5 * (x + y)
         a = m1(x, y)
         b = m2(x, y)
-        w_y = (a - y) * (b - y)
-        w_x = (a - x) * (b - x)
+        k = -math.frexp(y - x)[1]
+        w_y = math.ldexp(a - y, k) * math.ldexp(b - y, k)
+        w_x = math.ldexp(a - x, k) * math.ldexp(b - x, k)
         return (x * w_y + y * w_x) / (w_y + w_x)
 
     return MeanFunction(f"({m1.name}*{m2.name})", dom, fn)
@@ -209,13 +211,12 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     xy/M and xyM/((x+y)M - xy). The differences are scaled by a power of
     two before they are cubed, which is exact and keeps the products in
     range for any finite arguments, large or small. Where |x - y| is within
-    1e-12 of max(|x|, |y|) the midpoint is returned; the band is purely
-    relative, so the result scales with its arguments at every magnitude.
+    1e-12 of max(|x|, |y|) the midpoint is returned.
     """
     dom = common_domain(m0.domain, m1.domain)
 
     def fn(x: float, y: float) -> float:
-        if abs(x - y) <= _DIAG_GUARD * max(abs(x), abs(y)):
+        if _near_diagonal(x, y):
             return 0.5 * (x + y)
         v0 = m0(x, y)
         v1 = m1(x, y)

@@ -428,6 +428,8 @@ def cli_run(argv: list[str]) -> CommandResult:
                 seed = int(env) if env is not None else DEFAULT_SEED
             except ValueError:
                 raise _UsageError(f"MEANSCAPE_SEED must be an integer, got {env!r}") from None
+        if seed < 0:
+            raise _UsageError(f"--seed/MEANSCAPE_SEED must be a non-negative integer, got {seed}")
         resolver = _Resolver(_parse_domain(args.domain), seed)
     except _UsageError as exc:
         result = CommandResult("error", {}, [str(exc)], 1)

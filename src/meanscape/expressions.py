@@ -51,6 +51,7 @@ _BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
 # each nesting level costs several interpreter frames; stay well below the
 # default recursion limit so malformed input errors out instead of crashing
 _MAX_DEPTH = 120
+_VERIFY_SAMPLES = 256  # seeded pairs on which a parsed mean's axioms are sampled
 
 
 class ExpressionError(ValueError):
@@ -401,8 +402,7 @@ class MeanBuild(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def expr_to_mean(e: Expression, domain: Interval, *,
-                 verify_samples: int = 256, seed: int = DEFAULT_SEED) -> MeanBuild:
+def expr_to_mean(e: Expression, domain: Interval, *, seed: int = DEFAULT_SEED) -> MeanBuild:
     """Wrap a parsed tree as a MeanFunction and sample the mean axioms.
 
     The axiom report is attached to the result; a failing report does not
@@ -418,7 +418,7 @@ def expr_to_mean(e: Expression, domain: Interval, *,
     diagnostics = []
     report = None
     try:
-        report = verify_axioms(mean, default_window(domain), verify_samples, seed)
+        report = verify_axioms(mean, default_window(domain), _VERIFY_SAMPLES, seed)
         if not report.axiom_i_ok:
             diagnostics.append(f"symmetry (axiom i) fails for {src}")
         if not report.axiom_ii_ok:
@@ -441,14 +441,13 @@ def expr_to_weight(e: Expression, domain: Interval) -> WeightFunction:
 
 
 def mean_from_source(src: str, domain: Optional[Interval] = None, *,
-                     verify_samples: int = 256, seed: int = DEFAULT_SEED) -> MeanBuild:
+                     seed: int = DEFAULT_SEED) -> MeanBuild:
     """Mean from source text; bare builtin names yield the exact built-ins."""
     name = src.strip()
     if name in _BUILTIN_MEANS:
         return MeanBuild(_builtin(name), None, ())
     tree = parse_mean_expr(src)
-    return expr_to_mean(tree, domain or POSITIVE_REALS,
-                        verify_samples=verify_samples, seed=seed)
+    return expr_to_mean(tree, domain or POSITIVE_REALS, seed=seed)
 
 
 def weight_from_source(src: str, domain: Optional[Interval] = None) -> WeightFunction:

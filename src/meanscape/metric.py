@@ -121,8 +121,8 @@ def _axis_points(window: Interval, n: int) -> tuple[np.ndarray, bool]:
     return np.linspace(window.lo, window.hi, n), False
 
 
-def _sup2d(f: Callable[[float, float], float], window: Interval, grid: int,
-           refine_tol: float = 1e-10) -> tuple[float, tuple[float, float]]:
+def _sup2d(f: Callable[[float, float], float], window: Interval,
+           grid: int) -> tuple[float, tuple[float, float]]:
     """Grid + coordinate-wise golden-section estimate of sup f over window^2.
 
     ``f`` may return -inf to mask points (the diagonal band). Returns the
@@ -163,8 +163,8 @@ def _sup2d(f: Callable[[float, float], float], window: Interval, grid: int,
     ay, by = coords[max(bj - 1, 0)], coords[min(bj + 1, grid - 1)]
     u, w = coords[bi], coords[bj]
     for _ in range(3):
-        u, _ = golden_section_max(lambda s: eval_at(s, w), ax, bx, refine_tol)
-        w, _ = golden_section_max(lambda s: eval_at(u, s), ay, by, refine_tol)
+        u, _ = golden_section_max(lambda s: eval_at(s, w), ax, bx)
+        w, _ = golden_section_max(lambda s: eval_at(u, s), ay, by)
     return best[0], (best[1], best[2])
 
 

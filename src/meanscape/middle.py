@@ -63,6 +63,8 @@ DEFAULT_MAX_ITERATIONS = 200
 
 # Envelope checks allow this much multiplicative slack over k^n * gap(0).
 _ENVELOPE_SLACK = 1e-9
+# Grid of the operand distance estimated by compound and compound_trace.
+_DISTANCE_GRID = 48
 
 
 class TraceStep(NamedTuple):
@@ -139,7 +141,7 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 def compound(m1: MeanFunction, m2: MeanFunction,
              tolerance: float = DEFAULT_TOLERANCE,
              max_iterations: int = DEFAULT_MAX_ITERATIONS, *,
-             estimate_distance: bool = True, grid: int = 48) -> CompoundMean:
+             estimate_distance: bool = True) -> CompoundMean:
     """Compound mean of m1 and m2.
 
     Convergence is guaranteed when the estimated distance between the
@@ -155,7 +157,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
 
     d_est = None
     if estimate_distance:
-        d_est = distance(m1, m2, default_window(dom), grid).value
+        d_est = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
     continuous = bool(m1.is_continuous) and bool(m2.is_continuous)
     guaranteed = (d_est is not None and d_est < 1.0) or continuous
 
@@ -179,8 +181,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
 def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                    tolerance: float = DEFAULT_TOLERANCE,
                    max_iterations: int = DEFAULT_MAX_ITERATIONS, *,
-                   estimate_contraction: bool = True,
-                   grid: int = 48) -> IterationTrace:
+                   estimate_contraction: bool = True) -> IterationTrace:
     """Full per-step trace of the coupled iteration started at (x, y).
 
     When a contraction factor k < 1 can be estimated (distance of the
@@ -197,7 +198,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     k = None
     envelope_ok = None
     if estimate_contraction:
-        k = distance(m1, m2, default_window(dom), grid).value
+        k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
         if x != y:
             k = max(k, abs(m1(x, y) - m2(x, y)) / abs(x - y))
         if k < 1.0:

@@ -259,7 +259,7 @@ class TestReflectionOracle:
 
     def test_small_arguments_keep_relative_accuracy(self):
         A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
-        for scale in (1e-13, 1e-100):
+        for scale in (1e-13, 1e-100, 1e-110):
             x, y = scale, 4.0 * scale
             assert ms.group_symmetry(G, A)(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
             assert ms.group_symmetry(A, G)(x, y) == pytest.approx(3.0 * scale, rel=1e-14, abs=0.0)
@@ -267,6 +267,14 @@ class TestReflectionOracle:
                                                                   rel=1e-14, abs=0.0)
             sigma = ms.sigma_closed_form("G", self.M1S[0])
             assert sigma(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
+            # star and phi share the relative diagonal band: G*G is H here
+            assert ms.star(G, G)(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
+            assert ms.star(A, A)(x, y) == pytest.approx(2.5 * scale, rel=1e-14, abs=0.0)
+            assert ms.phi(G)(x, y) == pytest.approx(-math.log(2.0), rel=1e-14)
+            assert ms.phi(G)(x, x * (1.0 + 1e-14)) == 0.0
+        # below 1e-155 the unscaled star weights would underflow to 0/0
+        x, y = 1e-170, 4e-170
+        assert ms.star(A, A)(x, y) == pytest.approx(2.5e-170, rel=1e-14, abs=0.0)
 
 
 class TestNormalMeans:

@@ -35,6 +35,10 @@ class TestPointCommands:
         p = payload(["star", "--m1", "G", "--m2", "H", "--at", "1,4"])
         assert p["value"] == pytest.approx(4.0 / 3.0, rel=1e-14)
 
+    def test_star_tiny_arguments(self):
+        p = payload(["star", "--m1", "A", "--m2", "A", "--at", "1e-170,4e-170"])
+        assert p["value"] == pytest.approx(2.5e-170, rel=1e-14, abs=0.0)
+
     def test_inverse(self):
         p = payload(["inverse", "--mean", "G", "--at", "1,4"])
         assert p["value"] == pytest.approx(3.0)
@@ -220,6 +224,17 @@ class TestOutputContract:
         monkeypatch.setenv("MEANSCAPE_SEED", "not-an-int")
         assert cli_run(argv).exit_code == 1
 
+    @pytest.mark.parametrize("argv", [["eval", "--mean", "sqrt(x*y)", "--at", "1,2"],
+                                      ["eval", "--mean", "G", "--at", "1,2"]])
+    def test_negative_seed_is_usage_error(self, monkeypatch, argv):
+        # rejected for every command, whether or not it samples
+        message = ["--seed/MEANSCAPE_SEED must be a non-negative integer, got -5"]
+        monkeypatch.delenv("MEANSCAPE_SEED", raising=False)
+        flagged = cli_run(argv + ["--seed", "-5"])
+        monkeypatch.setenv("MEANSCAPE_SEED", "-5")
+        for result in (flagged, cli_run(argv)):
+            assert (result.status, result.exit_code, result.diagnostics) == ("error", 1, message)
+
     def test_stdin_expression(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("(x+y)/2"))
         p = payload(["eval", "--mean", "-", "--at", "2,4"])
@@ -231,6 +246,14 @@ class TestOutputContract:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["status"] == "ok"
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, meanscape; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
