@@ -69,6 +69,13 @@ from .expressions import (
     parse_weight_expr,
     weight_from_source,
 )
-from .cli import cli_run
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # loaded on first use: ``python -m meanscape.cli`` warns if the package imported it
+    if name == "cli_run":
+        from .cli import cli_run
+        return cli_run
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

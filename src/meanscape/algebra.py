@@ -33,6 +33,7 @@ from .core import (
     POSITIVE_REALS,
     common_domain,
     make_arithmetic,
+    near,
 )
 
 __all__ = [
@@ -50,17 +51,12 @@ __all__ = [
     "classify_vs_arithmetic",
 ]
 
-# Half-width of the diagonal guard band used by phi and by the closed forms
-# whose factors vanish on the diagonal, relative to max(|x|, |y|), so every
-# guarded result scales with its arguments at every magnitude.
+# Relative half-width of the diagonal band of phi and of the closed forms
+# whose factors vanish on the diagonal.
 _DIAG_GUARD = 1e-12
 
 # Beyond this magnitude e^f saturates the mean at an endpoint.
 _EXP_CLIP = 700.0
-
-
-def _near_diagonal(x: float, y: float) -> bool:
-    return abs(x - y) <= _DIAG_GUARD * max(abs(x), abs(y))
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
     1e-12 around the diagonal the value 0 is returned without evaluating M.
     """
     def fn(x: float, y: float) -> float:
-        if _near_diagonal(x, y):
+        if near(x, y, _DIAG_GUARD):
             return 0.0
         v = m(x, y)
         p = v - x
@@ -179,7 +175,7 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     dom = common_domain(m1.domain, m2.domain)
 
     def fn(x: float, y: float) -> float:
-        if _near_diagonal(x, y):
+        if near(x, y, _DIAG_GUARD):
             return 0.5 * (x + y)
         a = m1(x, y)
         b = m2(x, y)
@@ -216,7 +212,7 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     dom = common_domain(m0.domain, m1.domain)
 
     def fn(x: float, y: float) -> float:
-        if _near_diagonal(x, y):
+        if near(x, y, _DIAG_GUARD):
             return 0.5 * (x + y)
         v0 = m0(x, y)
         v1 = m1(x, y)

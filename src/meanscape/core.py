@@ -36,6 +36,7 @@ __all__ = [
     "POSITIVE_REALS",
     "ALL_REALS",
     "common_domain",
+    "near",
     "MeanFunction",
     "AxiomReport",
     "make_arithmetic",
@@ -156,6 +157,11 @@ def common_domain(a: Interval, b: Interval) -> Interval:
     return dom
 
 
+def near(x: float, y: float, rel: float) -> bool:
+    """|x - y| <= rel * max(|x|, |y|): the closeness test of every band and stop."""
+    return abs(x - y) <= rel * max(abs(x), abs(y))
+
+
 @dataclass(frozen=True)
 class MeanFunction:
     """An evaluable symmetric two-variable function on a square domain.
@@ -187,11 +193,21 @@ def _arithmetic_eval(x: float, y: float) -> float:
 
 
 def _geometric_eval(x: float, y: float) -> float:
-    return math.sqrt(x * y)
+    p = x * y
+    if 1e-300 < p < 1e300:  # a normal float, so nothing was lost to range
+        return math.sqrt(p)
+    # scale x and y by the same power of two 2^-k, exactly, so that x*y is near 1
+    k = (math.frexp(x)[1] + math.frexp(y)[1]) // 2
+    return math.ldexp(math.sqrt(math.ldexp(x, -k) * math.ldexp(y, -k)), k)
 
 
 def _harmonic_eval(x: float, y: float) -> float:
-    return 2.0 * x * y / (x + y)
+    p = 2.0 * x * y
+    if 1e-300 < p < 1e300:
+        return p / (x + y)
+    k = (math.frexp(x)[1] + math.frexp(y)[1]) // 2  # as in _geometric_eval
+    x, y = math.ldexp(x, -k), math.ldexp(y, -k)
+    return math.ldexp(2.0 * x * y / (x + y), k)
 
 
 def make_arithmetic() -> MeanFunction:
@@ -213,12 +229,6 @@ def make_harmonic() -> MeanFunction:
 
 
 BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}
-
-
-def is_builtin(m: MeanFunction, name: str) -> bool:
-    """Identity-based recognition of the built-in A, G and H means."""
-    make = BUILTIN_MEANS.get(name)
-    return make is not None and make().fn is getattr(m, "fn", None)
 
 
 def default_window(domain: Interval) -> Interval:
@@ -268,8 +278,8 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     """Deterministic quasi-random pairs in ``window``^2, shape (n, 2).
 
     The pairs are a Halton sequence with seeded digit permutations (``_halton``).
-    ``min_gap`` discards pairs with |x - y| <= min_gap * max(1, |x|, |y|),
-    which identity tests use to stay clear of diagonal cancellation.
+    ``min_gap`` discards pairs with ``near(x, y, min_gap)``, which identity
+    tests use to stay clear of diagonal cancellation at any scale.
     """
     if not window.bounded:
         raise DomainError("sampling window must be bounded")
@@ -283,7 +293,7 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
         drawn += len(block)
         pts = window.lo + (window.hi - window.lo) * block
         for x, y in pts:
-            if abs(x - y) > min_gap * max(1.0, abs(x), abs(y)):
+            if not near(x, y, min_gap):
                 out.append((x, y))
                 if len(out) == n:
                     break
@@ -314,10 +324,10 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
     """Check the three mean axioms on seeded quasi-random pairs in ``window``^2.
 
     This is a sampled verifier, not a proof: the betweenness and symmetry
-    checks allow floating-point slack, and the strictness check only flags
-    |M(x,y) - x| < _STRICT_EPS when |x - y| > 100 * _STRICT_EPS. Results are
-    deterministic for a fixed seed and independent of any partitioning of
-    the sample set across workers.
+    checks allow slack relative to max(|x|, |y|), and the strictness check
+    flags ``near(M(x,y), x, _STRICT_EPS)`` only off ``near(x, y, 100 * _STRICT_EPS)``.
+    Results are deterministic for a fixed seed and independent of any
+    partitioning of the sample set across workers.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -337,7 +347,7 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
         x, y = float(x), float(y)
         mxy = m(x, y)
         myx = m(y, x)
-        scale = max(1.0, abs(x), abs(y))
+        scale = max(abs(x), abs(y))
         if abs(mxy - myx) > _SYMMETRY_TOL * scale:
             i_ok = False
             note("i", x, y, mxy - myx)
@@ -345,8 +355,8 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
         if mxy < lo - _BETWEENNESS_SLACK * scale or mxy > hi + _BETWEENNESS_SLACK * scale:
             ii_ok = False
             note("ii", x, y, mxy)
-        if abs(x - y) > 100.0 * _STRICT_EPS:
-            if abs(mxy - x) < _STRICT_EPS or abs(mxy - y) < _STRICT_EPS:
+        if not near(x, y, 100.0 * _STRICT_EPS):
+            if near(mxy, x, _STRICT_EPS) or near(mxy, y, _STRICT_EPS):
                 iii_ok = False
                 note("iii", x, y, mxy)
     return AxiomReport(i_ok, ii_ok, iii_ok, tuple(counterexamples), len(pairs))

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DomainError, Interval, MeanFunction, is_builtin
+from .core import DomainError, Interval, MeanFunction, near
 from .algebra import phi
 
 __all__ = [
@@ -179,35 +179,19 @@ def _check_window(m1: MeanFunction, m2: MeanFunction | None, window: Interval,
             raise DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
 
 
-def _gh_slope(t: float) -> float:
-    """Slope profile of G against H along the ratio coordinate t = sqrt(x/y)."""
-    return (t * t - t) / ((t + 1.0) * (t * t + 1.0))
-
-
 def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
              grid: int = 64) -> DistanceEstimate:
     """Lower-bound estimate of d(m1, m2) over a bounded window.
 
     The signed quotient (M1 - M2)/(x - y) suffices: it is asymmetric, so
     its sup over the square window equals the sup of its absolute value.
-    Points with |x - y| <= 1e-9 * max(1, |x|, |y|) are excluded. The pair
-    (G, H) is homogeneous and reduces to a one-dimensional search along
-    the ratio coordinate, which is used when both operands are the
-    built-ins.
+    Points with ``near(x, y, 1e-9)`` are excluded, a band relative to the
+    arguments, so the estimate does not depend on the scale of the window.
     """
     _check_window(m1, m2, window, grid)
 
-    gh = (is_builtin(m1, "G") and is_builtin(m2, "H")) or \
-         (is_builtin(m1, "H") and is_builtin(m2, "G"))
-    if gh and window.lo > 0.0:
-        t_max = math.sqrt(window.hi / window.lo)
-        u, v = golden_section_max(lambda s: _gh_slope(math.exp(s)), 0.0, math.log(t_max), 1e-12)
-        t = math.exp(u)
-        c = math.sqrt(window.lo * window.hi)
-        return DistanceEstimate(v, (c * t, c / t), window, grid)
-
     def quotient(x: float, y: float) -> float:
-        if abs(x - y) <= _DIAG_BAND * max(1.0, abs(x), abs(y)):
+        if near(x, y, _DIAG_BAND):
             return -math.inf
         return (m1(x, y) - m2(x, y)) / (x - y)
 
@@ -303,8 +287,11 @@ def distance_gh_certificate() -> GhCertificate:
     over t > 0 by golden-section on log t, and evaluates the degree-4
     polynomial v^4 + 10v^3 + 3v^2 - 14v + 2 at the maximum as a residual.
     """
-    u, value = golden_section_max(lambda s: _gh_slope(math.exp(s)),
-                                  0.0, math.log(1e6), 1e-12)
+    def slope(s: float) -> float:
+        t = math.exp(s)
+        return (t * t - t) / ((t + 1.0) * (t * t + 1.0))
+
+    u, value = golden_section_max(slope, 0.0, math.log(1e6), 1e-12)
     t = math.exp(u)
     v = value
     residual = abs(v ** 4 + 10.0 * v ** 3 + 3.0 * v ** 2 - 14.0 * v + 2.0)

@@ -37,6 +37,7 @@ from .core import (
     make_arithmetic,
     make_geometric,
     make_harmonic,
+    near,
     sample_pairs,
 )
 from .algebra import group_inverse, group_symmetry, random_normal_mean
@@ -111,10 +112,6 @@ class CompoundMean(MeanFunction):
     guaranteed: bool = True
 
 
-def _relative_gap_done(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
-
-
 def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                    tol: float, max_iter: int, record: bool):
     """Coupled iteration with envelope clamping.
@@ -126,7 +123,7 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     xn, yn = float(x), float(y)
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
-    while not _relative_gap_done(xn, yn, tol) and n < max_iter:
+    while not near(xn, yn, tol) and n < max_iter:
         lo, hi = min(xn, yn), max(xn, yn)
         nx = m1(xn, yn)
         ny = m2(xn, yn)
@@ -135,7 +132,7 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
         n += 1
         if record:
             steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
-    return _relative_gap_done(xn, yn, tol), xn, yn, n, steps
+    return near(xn, yn, tol), xn, yn, n, steps
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -147,9 +144,9 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     Convergence is guaranteed when the estimated distance between the
     operands is below 1 or both are flagged continuous; otherwise the
     compound is still constructed but flagged ``guaranteed=False``.
-    Evaluation iterates until |x_n - y_n| <= tolerance * max(1, |x_n|,
-    |y_n|) and returns the midpoint; running out of iterations raises
-    ConvergenceError carrying the trace.
+    Evaluation iterates until ``near(x_n, y_n, tolerance)``, a gap relative
+    to the iterates, and returns the midpoint; running out of iterations
+    raises ConvergenceError carrying the trace.
     """
     if m1.maps_into_domain is False or m2.maps_into_domain is False:
         raise ValueError("compound operands must map into their domain interval")
@@ -242,7 +239,7 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     Requires m0 to be declared monotone (is_monotone=True): monotonicity
     both guarantees the root is unique and puts it inside the bracket
     [min(x,y), max(x,y)]. The root is found by bisection until the bracket
-    is narrower than rel_tol * max(1, |x|, |y|); the midpoint of the final
+    is narrower than rel_tol * max(|x|, |y|); the midpoint of the final
     bracket is returned. A missing sign change raises BracketError with
     the endpoint values.
     """
@@ -269,7 +266,7 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
             f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
 
     increasing = g_hi > 0.0
-    tol = rel_tol * max(1.0, abs(lo), abs(hi))
+    tol = rel_tol * max(abs(lo), abs(hi))
     for _ in range(256):
         if hi - lo <= tol:
             break
@@ -324,7 +321,7 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     g = make_geometric()
     reference = agm(x, y)
     shifted = agm(a(x, y), g(x, y))
-    return abs(shifted - reference) <= tolerance * abs(reference)
+    return near(shifted, reference, tolerance)
 
 
 def _probe_family(seed: int) -> list[MeanFunction]:
@@ -397,7 +394,7 @@ def counterexample_check(window: Optional[Interval] = None, grid: int = 64,
     for x, y in sample_pairs(Interval.closed(0.1, 10.0), samples, seed):
         x, y = float(x), float(y)
         expect = a(x, y)
-        if abs(c(x, y) - expect) > 1e-9 * max(1.0, abs(expect)):
+        if not near(c(x, y), expect, 1e-9):
             is_a = False
             break
     return CounterexampleResult(d_est, is_a)

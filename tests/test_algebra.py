@@ -276,6 +276,17 @@ class TestReflectionOracle:
         x, y = 1e-170, 4e-170
         assert ms.star(A, A)(x, y) == pytest.approx(2.5e-170, rel=1e-14, abs=0.0)
 
+    def test_builtins_where_the_product_leaves_the_float_range(self):
+        # x*y underflows at 1e-170 and overflows at 1e200 and 1e300
+        G, H = ms.make_geometric(), ms.make_harmonic()
+        for scale in (1e-170, 1e200, 1e300):
+            x, y = scale, 4.0 * scale
+            assert G(x, y) == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+            assert H(x, y) == pytest.approx(1.6 * scale, rel=1e-15, abs=0.0)
+            assert ms.star(G, G)(x, y) == pytest.approx(1.6 * scale, rel=1e-14, abs=0.0)
+            assert ms.group_symmetry(H, G)(x, y) == pytest.approx(4.0 / 3.0 * scale,
+                                                                  rel=1e-14, abs=0.0)
+
 
 class TestNormalMeans:
     def test_constant_weight_is_arithmetic(self, unit_window):

@@ -116,6 +116,35 @@ class TestAnalysisCommands:
         assert p["compound_is_A"] is True
 
 
+class TestSmallScales:
+    """Below 1e-9 the commands answer as at scale 1: every band and stop is relative."""
+
+    def test_compound(self):
+        want = payload(["compound", "--m1", "A", "--m2", "G", "--at", "1,4"])["value"]
+        p = payload(["compound", "--m1", "A", "--m2", "G", "--at", "1e-14,4e-14"])
+        assert p["value"] == pytest.approx(want * 1e-14, rel=1e-13, abs=0.0)
+
+    def test_sigma(self):
+        p = payload(["sigma", "--m0", "G", "--m1", "A", "--at", "1e-14,4e-14"])
+        assert p["value"] == pytest.approx(1.6e-14, rel=1e-11, abs=0.0)
+
+    def test_distance(self):
+        window = ["--window", "1e-12,1e-10"]
+        p = payload(["distance", "--m1", "A", "--m2", "G"] + window)
+        want = payload(["dist-to-a", "--mean", "G"] + window)["value"]
+        assert p["value"] == pytest.approx(want, rel=1e-12)
+
+    def test_coincide(self):
+        p = payload(["coincide", "--m0", "G", "--window", "1e-14,1e-12"])
+        assert p["max_discrepancy"] < 1e-9 * 1e-12
+
+    def test_verify(self):
+        window = ["--window", "1e-14,1e-12"]
+        p = payload(["verify", "--mean", "x"] + window)
+        assert (p["axiom_i_ok"], p["axiom_ii_ok"], p["axiom_iii_ok"]) == (False, True, False)
+        assert payload(["verify", "--mean", "G"] + window)["counterexamples"] == []
+
+
 class TestCompoundCommand:
     def test_compound_value(self):
         p = payload(["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)",
@@ -250,7 +279,8 @@ class TestOutputContract:
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, meanscape; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        code = ("import sys, meanscape; print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy') or m == 'meanscape.cli'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
@@ -258,11 +288,15 @@ class TestOutputContract:
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "meanscape", "eval", "--mean", "A",
-                               "--at", "2,4"], capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert json.loads(proc.stdout)["payload"]["value"] == 3.0
+        # the package must not import meanscape.cli, or runpy warns before running it
+        for entry in (["-m", "meanscape"], ["-W", "error", "-m", "meanscape.cli"]):
+            proc = subprocess.run([sys.executable] + entry + ["eval", "--mean", "A", "--at", "2,4"],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0 and proc.stderr == "", entry
+            assert json.loads(proc.stdout)["payload"]["value"] == 3.0
+
+    def test_package_exposes_cli_run(self):
+        assert meanscape.cli_run is cli_run
 
     def test_main_prints_to_stdout(self, capsys):
         code = main(["eval", "--mean", "A", "--at", "2,4"])

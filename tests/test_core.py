@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.core import _halton, is_builtin
+from meanscape.core import _halton
 
 
 class TestInterval:
@@ -80,12 +80,6 @@ class TestBuiltins:
             return
         A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
         assert A(x, y) > G(x, y) > H(x, y)
-
-    def test_builtin_recognition(self, builtins):
-        A, G, H = builtins
-        assert is_builtin(A, "A") and is_builtin(G, "G") and is_builtin(H, "H")
-        assert not is_builtin(A, "G")
-        assert not is_builtin(ms.star(G, G), "H")
 
 
 class TestVerifyAxioms:

@@ -60,7 +60,7 @@ class TestDistance:
         assert (g(x, y) - h(x, y)) / (x - y) == pytest.approx(est.value, rel=1e-9)
 
     def test_gh_generic_estimator_agrees(self, unit_window):
-        # defeat the built-in recognition so the 2-D grid route runs
+        # hand-written operands, so the estimate does not rest on the core kernels
         g = ms.MeanFunction("g", ms.POSITIVE_REALS, lambda x, y: math.sqrt(x * y))
         h = ms.MeanFunction("h", ms.POSITIVE_REALS, lambda x, y: 2 * x * y / (x + y))
         est = ms.distance(g, h, unit_window, 64)
