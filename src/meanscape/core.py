@@ -193,21 +193,21 @@ def _arithmetic_eval(x: float, y: float) -> float:
 
 
 def _geometric_eval(x: float, y: float) -> float:
-    p = x * y
-    if 1e-300 < p < 1e300:  # a normal float, so nothing was lost to range
-        return math.sqrt(p)
-    # scale x and y by the same power of two 2^-k, exactly, so that x*y is near 1
-    k = (math.frexp(x)[1] + math.frexp(y)[1]) // 2
-    return math.ldexp(math.sqrt(math.ldexp(x, -k) * math.ldexp(y, -k)), k)
+    # exactly x = mx 2^ex, y = my 2^ey, mx and my in [0.5, 1): mx*my cannot under- or
+    # overflow and, where x*y is normal, rounds as x*y does (an odd ex+ey moves a 2 into it)
+    mx, ex = math.frexp(x)
+    my, ey = math.frexp(y)
+    e = ex + ey
+    return math.ldexp(math.sqrt(math.ldexp(mx * my, e & 1)), e >> 1)
 
 
 def _harmonic_eval(x: float, y: float) -> float:
-    p = 2.0 * x * y
-    if 1e-300 < p < 1e300:
-        return p / (x + y)
-    k = (math.frexp(x)[1] + math.frexp(y)[1]) // 2  # as in _geometric_eval
-    x, y = math.ldexp(x, -k), math.ldexp(y, -k)
-    return math.ldexp(2.0 * x * y / (x + y), k)
+    # as in _geometric_eval; the sum, scaled by the larger exponent, rounds as x + y does
+    mx, ex = math.frexp(x)
+    my, ey = math.frexp(y)
+    e = max(ex, ey)
+    return math.ldexp(2.0 * mx * my / (math.ldexp(mx, ex - e) + math.ldexp(my, ey - e)),
+                      ex + ey - e)
 
 
 def make_arithmetic() -> MeanFunction:

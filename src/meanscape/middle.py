@@ -118,12 +118,14 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 
     Each update lies inside the current [min, max] envelope by the mean
     axioms; clamping removes half-ulp rounding drift so the envelope is
-    monotone in floating point too.
+    monotone in floating point too. From a pair of opposite signs, which may
+    converge to 0, the gap is also compared with tol * max(|x|, |y|).
     """
     xn, yn = float(x), float(y)
+    floor = tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
-    while not near(xn, yn, tol) and n < max_iter:
+    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
         lo, hi = min(xn, yn), max(xn, yn)
         nx = m1(xn, yn)
         ny = m2(xn, yn)
@@ -132,7 +134,7 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
         n += 1
         if record:
             steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
-    return near(xn, yn, tol), xn, yn, n, steps
+    return done, xn, yn, n, steps
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -144,9 +146,9 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     Convergence is guaranteed when the estimated distance between the
     operands is below 1 or both are flagged continuous; otherwise the
     compound is still constructed but flagged ``guaranteed=False``.
-    Evaluation iterates until ``near(x_n, y_n, tolerance)``, a gap relative
-    to the iterates, and returns the midpoint; running out of iterations
-    raises ConvergenceError carrying the trace.
+    Evaluation iterates until ``near(x_n, y_n, tolerance)`` (or, from a pair
+    of opposite signs, a gap within tolerance of that pair) and returns the
+    midpoint; running out of iterations raises ConvergenceError with the trace.
     """
     if m1.maps_into_domain is False or m2.maps_into_domain is False:
         raise ValueError("compound operands must map into their domain interval")

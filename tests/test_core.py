@@ -58,6 +58,16 @@ class TestBuiltins:
         for make in (ms.make_arithmetic, ms.make_geometric, ms.make_harmonic):
             assert make()(x, x) == x
 
+    @given(st.floats(min_value=1e-150, max_value=1e150),
+           st.floats(min_value=1e-150, max_value=1e150))
+    def test_scaled_kernels_give_the_textbook_bits(self, x, y):
+        # G and H scale their arguments by a power of two; where x*y is a
+        # normal float that is exact and rounds like the textbook formulas
+        G, H = ms.make_geometric(), ms.make_harmonic()
+        for a, b in ((x, y), (3e-308, 1.5e308)):  # the second: exponents 2045 apart
+            assert G.fn(a, b) == math.sqrt(a * b)
+            assert H.fn(a, b) == 2.0 * a * b / (a + b)
+
     def test_domain_enforced(self, builtins):
         _, G, H = builtins
         with pytest.raises(ms.DomainError):

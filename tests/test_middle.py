@@ -135,6 +135,17 @@ class TestCompound:
         assert trace is not None and not trace.converged
         assert trace.iterations_used == 2
 
+    def test_reals_domain_compound_at_a_zero(self):
+        # the quartile means halve the gap around 0 on every step and never land on 0
+        lower = ms.MeanFunction("L", ms.ALL_REALS, lambda x, y: (3 * min(x, y) + max(x, y)) / 4)
+        upper = ms.MeanFunction("U", ms.ALL_REALS, lambda x, y: (min(x, y) + 3 * max(x, y)) / 4)
+        c = ms.compound(lower, upper, estimate_distance=False)
+        for k in (-600, 0, 600):
+            s = math.ldexp(1.0, k)
+            assert c(-s, s) == 0.0
+            assert c(-3 * s, 2 * s) == s * c(-3.0, 2.0)
+        assert abs(c(-1.0, 1.0 + 2.0 ** -52)) <= 1e-13
+
     def test_domain_restriction(self, builtins):
         A, G, _ = builtins
         c = ms.compound(A, G)

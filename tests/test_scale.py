@@ -43,9 +43,11 @@ def test_power_of_two_scaling_is_exact(name, k, x, y):
 def test_distances_do_not_depend_on_the_window_scale(scale, m1, m2):
     unit_window = ms.Interval.closed(0.01, 100.0)
     window = ms.Interval.closed(scale / 100.0, 100.0 * scale)
+    # the values agree to rounding; the argmax is not compared, since the
+    # refinement stops at a width relative to max(1, |log x|)
     for estimate in (ms.distance, ms.distance_via_phi):
         want = estimate(m1, m2, unit_window, 32).value
-        assert estimate(m1, m2, window, 32).value == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert estimate(m1, m2, window, 32).value == pytest.approx(want, rel=1e-14, abs=0.0)
     want = ms.distance_to_arithmetic(m2, unit_window, 32).value
-    assert ms.distance_to_arithmetic(m2, window, 32).value == pytest.approx(want, rel=0.0,
-                                                                            abs=1e-12)
+    assert ms.distance_to_arithmetic(m2, window, 32).value == pytest.approx(want, rel=1e-14,
+                                                                            abs=0.0)
