@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
@@ -48,8 +49,9 @@ __all__ = [
 
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
 _BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
-# each nesting level costs several interpreter frames; stay well below the
-# default recursion limit so malformed input errors out instead of crashing
+# bounds the parser's nesting and the height of the tree it builds; parsing costs up to
+# five interpreter frames per level, formatting, compiling and calling a tree one or two,
+# so every stage stays below the default recursion limit and deep input errors out
 _MAX_DEPTH = 120
 _VERIFY_SAMPLES = 256  # seeded pairs on which a parsed mean's axioms are sampled
 
@@ -106,6 +108,9 @@ class Call(Expression):
     args: tuple[Expression, ...]
 
 
+_SINGLE_CHAR_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
+
+
 class _Token(NamedTuple):
     kind: str  # num ident op lparen rparen comma end
     text: str
@@ -148,20 +153,8 @@ def _tokenize(src: str) -> list[_Token]:
             tokens.append(_Token("ident", src[i:j], i, j))
             i = j
             continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i, i + 1))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i, i + 1))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i, i + 1))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, i, i + 1))
+        if c in _SINGLE_CHAR_TOKENS:
+            tokens.append(_Token(_SINGLE_CHAR_TOKENS[c], c, i, i + 1))
             i += 1
             continue
         raise ExpressionError(f"unexpected character {c!r}", (i, i + 1))
@@ -170,7 +163,9 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent with the fixed precedence ladder."""
+    """Recursive descent with the fixed precedence ladder; each rule returns
+    its node and that node's height. A parse error ends the parse, so the
+    nesting depth is not restored on the error path."""
 
     def __init__(self, src: str, variables: tuple[str, ...], allow_builtins: bool):
         self.tokens = _tokenize(src)
@@ -195,7 +190,7 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expression:
-        tree = self.sum()
+        tree, _ = self.sum()
         tok = self.current
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r}", (tok.start, tok.end))
@@ -206,43 +201,52 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             raise ExpressionError("expression too deeply nested", (tok.start, tok.end))
 
-    def sum(self) -> Expression:
+    @staticmethod
+    def _height(tok: _Token, *children: int) -> int:
+        """Height of a node over children of these heights; tok is its operator."""
+        height = 1 + max(children)
+        if height > _MAX_DEPTH:
+            raise ExpressionError("expression too deeply nested", (tok.start, tok.end))
+        return height
+
+    def sum(self) -> tuple[Expression, int]:
         self._enter(self.current)
-        try:
-            node = self.term()
-            while self.current.kind == "op" and self.current.text in "+-":
-                op = self.advance().text
-                node = Binary(op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
+        node, h = self.term()
+        while self.current.kind == "op" and self.current.text in "+-":
+            tok = self.advance()
+            right, rh = self.term()
+            node, h = Binary(tok.text, node, right), self._height(tok, h, rh)
+        self.depth -= 1
+        return node, h
 
-    def term(self) -> Expression:
-        node = self.unary()
+    def term(self) -> tuple[Expression, int]:
+        node, h = self.unary()
         while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, rh = self.unary()
+            node, h = Binary(tok.text, node, right), self._height(tok, h, rh)
+        return node, h
 
-    def unary(self) -> Expression:
+    def unary(self) -> tuple[Expression, int]:
         if self.current.kind == "op" and self.current.text == "-":
             tok = self.advance()
             self._enter(tok)
-            try:
-                return Unary("-", self.unary())
-            finally:
-                self.depth -= 1
+            operand, h = self.unary()
+            self.depth -= 1
+            return Unary("-", operand), self._height(tok, h)
         return self.power()
 
-    def power(self) -> Expression:
-        node = self.atom()
+    def power(self) -> tuple[Expression, int]:
+        node, h = self.atom()
         if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            # right-associative; the exponent may carry a unary minus
-            node = Binary("^", node, self.unary())
-        return node
+            tok = self.advance()
+            self._enter(tok)
+            exponent, eh = self.unary()  # right-associative; may carry a unary minus
+            self.depth -= 1
+            node, h = Binary("^", node, exponent), self._height(tok, h, eh)
+        return node, h
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         tok = self.current
         if tok.kind == "num":
             self.advance()
@@ -254,12 +258,12 @@ class _Parser:
                                       (tok.start, tok.end)) from None
             if not math.isfinite(value):
                 raise ExpressionError("number literal out of range", (tok.start, tok.end))
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "lparen":
             self.advance()
-            node = self.sum()
+            parsed = self.sum()
             self.expect("rparen", "')'")
-            return node
+            return parsed
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -275,11 +279,12 @@ class _Parser:
                     raise ExpressionError(
                         f"{name} takes {arity} argument{'s' if arity > 1 else ''}",
                         (tok.start, tok.end))
-                return Call(name, tuple(args))
+                nodes, heights = zip(*args)
+                return Call(name, nodes), self._height(tok, *heights)
             if name in self.variables:
-                return Var(name)
+                return Var(name), 1
             if self.allow_builtins and name in _BUILTIN_MEANS:
-                return BuiltinMean(name)
+                return BuiltinMean(name), 1
             raise ExpressionError(f"unknown identifier {name!r}", (tok.start, tok.end))
         raise ExpressionError(
             f"expected a number, name or '(', got {tok.text!r}" if tok.kind != "end"
@@ -316,84 +321,98 @@ def _builtin(name: str) -> MeanFunction:
     return _BUILTIN_MEANS[name]()
 
 
-def _builtin_value(name: str, x: float, y: float) -> float:
-    """A built-in atom: the built-in's own kernel, without its domain check."""
-    try:
-        return _builtin(name).fn(x, y)
-    except (ArithmeticError, ValueError) as exc:
-        raise EvaluationError(f"{name} is undefined at ({x}, {y}): {exc}") from None
+class _Fault(Exception):
+    """A domain fault inside a compiled tree; the root adds the variable binding."""
 
 
-def evaluate(e: Expression, env: dict[str, float]) -> float:
-    """Evaluate a tree at a variable binding; domain faults raise
-    EvaluationError, and non-finite results count as faults."""
-    v = _eval(e, env)
-    if not math.isfinite(v):
-        raise EvaluationError(f"expression produced a non-finite value at {env}")
-    return v
+def _fail(message: str) -> float:
+    raise _Fault(message)
 
 
-def _eval(e: Expression, env: dict[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, BuiltinMean):
-        return _builtin_value(e.name, env["x"], env["y"])
-    if isinstance(e, Unary):
-        return -_eval(e.operand, env)
-    if isinstance(e, Binary):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise EvaluationError(f"division by zero at {env}")
-            return a / b
-        return _power(a, b, env)
-    if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        return _call(e.func, args, env)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _power(a: float, b: float, env: dict) -> float:
+def _power(a: float, b: float) -> float:
     if a < 0.0 and b != math.floor(b):
-        raise EvaluationError(f"negative base {a} with non-integer exponent {b} at {env}")
+        return _fail(f"negative base {a} with non-integer exponent {b}")
     if a == 0.0 and b < 0.0:
-        raise EvaluationError(f"zero base with negative exponent at {env}")
+        return _fail("zero base with negative exponent")
     try:
         return a ** b
     except OverflowError:
-        raise EvaluationError(f"overflow in power at {env}") from None
+        return _fail("overflow in power")
 
 
-def _call(func: str, args: list[float], env: dict) -> float:
-    if func == "sqrt":
-        if args[0] < 0.0:
-            raise EvaluationError(f"sqrt of negative value {args[0]} at {env}")
-        return math.sqrt(args[0])
-    if func == "exp":
+def _exp(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return _fail("overflow in exp")
+
+
+# The operation of every operator and function, with its fault check; unary
+# minus is "neg". This table is the only place where the grammar meets arithmetic.
+_SCALAR_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
+    "/": lambda a, b: _fail("division by zero") if b == 0.0 else a / b,
+    "^": _power, "pow": _power, "exp": _exp,
+    "sqrt": lambda a: _fail(f"sqrt of negative value {a}") if a < 0.0 else math.sqrt(a),
+    "log": lambda a: _fail(f"log of non-positive value {a}") if a <= 0.0 else math.log(a),
+    "abs": abs, "min": min, "max": max,
+}
+
+
+def _closure(e: Expression) -> Callable[[float, float], float]:
+    """One closure per node, each calling its children's closures. Every closure
+    takes x and y positionally; a weight tree's t takes the place of x."""
+    if isinstance(e, Num):
+        value = e.value
+        return lambda x, y: value
+    if isinstance(e, Var):
+        return (lambda x, y: y) if e.name == "y" else (lambda x, y: x)
+    if isinstance(e, BuiltinMean):
+        name, kernel = e.name, _builtin(e.name).fn
+
+        def atom(x: float, y: float) -> float:
+            # the built-in's own kernel, without its domain check
+            try:
+                return kernel(x, y)
+            except (ArithmeticError, ValueError) as exc:
+                raise EvaluationError(f"{name} is undefined at ({x}, {y}): {exc}") from None
+        return atom
+    if isinstance(e, Unary):
+        op, args = "neg", (e.operand,)
+    elif isinstance(e, Binary):
+        op, args = e.op, (e.left, e.right)
+    elif isinstance(e, Call):
+        op, args = e.func, e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    kernel = _SCALAR_OPS[op]
+    if len(args) == 1:
+        a = _closure(args[0])
+        return lambda x, y: kernel(a(x, y))
+    a, b = map(_closure, args)
+    return lambda x, y: kernel(a(x, y), b(x, y))
+
+
+def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable[..., float]:
+    """Compile a tree once into ``fn(x, y)``, or ``fn(t)`` for a weight tree;
+    ``binding(x, y)`` is the variable binding that fault messages show."""
+    body = _closure(e)
+
+    def fn(x: float, y: Optional[float] = None) -> float:
         try:
-            return math.exp(args[0])
-        except OverflowError:
-            raise EvaluationError(f"overflow in exp at {env}") from None
-    if func == "log":
-        if args[0] <= 0.0:
-            raise EvaluationError(f"log of non-positive value {args[0]} at {env}")
-        return math.log(args[0])
-    if func == "abs":
-        return abs(args[0])
-    if func == "min":
-        return min(args)
-    if func == "max":
-        return max(args)
-    return _power(args[0], args[1], env)
+            v = body(x, y)
+        except _Fault as fault:
+            raise EvaluationError(f"{fault} at {binding(x, y)}") from None
+        if not math.isfinite(v):
+            raise EvaluationError(f"expression produced a non-finite value at {binding(x, y)}")
+        return v
+    return fn
+
+
+def evaluate(e: Expression, env: dict[str, float]) -> float:
+    """Compile a tree, then call it at a binding of x and y, or of t; domain
+    faults raise EvaluationError, and non-finite results count as faults."""
+    return _compile(e, lambda x, y: env)(env.get("x", env.get("t")), env.get("y"))
 
 
 class MeanBuild(NamedTuple):
@@ -410,11 +429,7 @@ def expr_to_mean(e: Expression, domain: Interval, *, seed: int = DEFAULT_SEED) -
     fault hit while sampling.
     """
     src = format_expression(e)
-
-    def fn(x: float, y: float) -> float:
-        return evaluate(e, {"x": x, "y": y})
-
-    mean = MeanFunction(src, domain, fn)
+    mean = MeanFunction(src, domain, _compile(e, lambda x, y: {"x": x, "y": y}))
     diagnostics = []
     report = None
     try:
@@ -432,12 +447,7 @@ def expr_to_mean(e: Expression, domain: Interval, *, seed: int = DEFAULT_SEED) -
 
 def expr_to_weight(e: Expression, domain: Interval) -> WeightFunction:
     """Wrap a parsed single-variable tree as a weight function."""
-    src = format_expression(e)
-
-    def fn(t: float) -> float:
-        return evaluate(e, {"t": t})
-
-    return WeightFunction(domain, fn, name=src)
+    return WeightFunction(domain, _compile(e, lambda t, _: {"t": t}), name=format_expression(e))
 
 
 def mean_from_source(src: str, domain: Optional[Interval] = None, *,

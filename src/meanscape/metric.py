@@ -165,7 +165,8 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     for _ in range(3):
         u, _ = golden_section_max(lambda s: eval_at(s, w), ax, bx)
         w, _ = golden_section_max(lambda s: eval_at(u, s), ay, by)
-    return best[0], (best[1], best[2])
+    # + 0.0 turns a zero sup into +0: equal means give 0 / (x - y), signed by x - y
+    return best[0] + 0.0, (best[1], best[2])
 
 
 def _check_window(m1: MeanFunction, m2: MeanFunction | None, window: Interval,

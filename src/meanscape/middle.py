@@ -81,9 +81,11 @@ class IterationTrace:
 
     Gaps are non-increasing (the min/max envelope of the iterates
     contracts). ``limit`` is the midpoint of the final bracket, whose
-    half-width bounds the error; when ``k_estimate`` < 1 was available,
-    ``envelope_ok`` records whether gap(n) <= k^n * gap(0) held with
-    relative slack 1e-9 at every recorded step.
+    half-width bounds the error. ``k_estimate`` is a grid lower bound on
+    the operands' distance, not an upper bound on the contraction factor;
+    when it is below 1, ``envelope_ok`` records whether gap(n) <= k^n * gap(0)
+    held with relative slack 1e-9 at every recorded step. That checks the
+    run for consistency with the lower bound and proves no contraction.
     """
 
     steps: tuple[TraceStep, ...]
@@ -183,11 +185,14 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                    estimate_contraction: bool = True) -> IterationTrace:
     """Full per-step trace of the coupled iteration started at (x, y).
 
-    When a contraction factor k < 1 can be estimated (distance of the
-    operands over the default window, sharpened with the starting point
-    itself), the geometric envelope gap(n) <= k^n * gap(0) is checked for
-    every recorded step. Non-convergence raises ConvergenceError carrying
-    the partial trace.
+    With ``estimate_contraction``, k is a grid lower bound on the distance
+    of the operands over the default window, or the difference quotient
+    |M1 - M2| / |x - y| at the starting point if that is larger; both are
+    attained values, so k is at most the true distance, up to rounding.
+    When k < 1, the geometric envelope gap(n) <= k^n * gap(0) is checked at
+    every recorded step. A pass means the run is consistent with that lower
+    bound; it proves no contraction, which would need an upper bound.
+    Non-convergence raises ConvergenceError carrying the partial trace.
     """
     dom = common_domain(m1.domain, m2.domain)
 

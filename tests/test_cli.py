@@ -202,6 +202,15 @@ class TestErrorHandling:
         assert result.exit_code == 1
         assert any("position 6" in d for d in result.diagnostics)
 
+    @pytest.mark.parametrize("src", ["2" + "^1" * 600, "x" + "+x" * 1200],
+                             ids=["power-chain", "sum-chain"])
+    def test_over_deep_expression_is_user_error(self, src):
+        result = cli_run(["eval", "--mean", src, "--at", "1,2"])
+        assert result.exit_code == 1
+        doc = json.loads(result.rendered)
+        assert doc["status"] == "error"
+        assert "expression too deeply nested" in doc["diagnostics"][0]
+
     def test_domain_error_is_user_error(self):
         result = cli_run(["eval", "--mean", "G", "--at", "-1,2"])
         assert result.exit_code == 1

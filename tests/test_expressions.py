@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
 from meanscape.expressions import (
+    _MAX_DEPTH,
     Binary,
     BuiltinMean,
     Call,
@@ -12,8 +15,10 @@ from meanscape.expressions import (
     Num,
     Unary,
     Var,
+    _builtin,
     evaluate,
     expr_to_mean,
+    expr_to_weight,
     format_expression,
     parse_mean_expr,
     parse_weight_expr,
@@ -97,6 +102,29 @@ class TestParseErrors:
         src = "(" * 5000 + "x" + ")" * 5000
         with pytest.raises(ExpressionError, match="deeply nested"):
             parse_mean_expr(src)
+
+    def test_long_power_chain_is_an_error_not_a_crash(self):
+        with pytest.raises(ExpressionError, match="deeply nested"):
+            parse_mean_expr("2" + "^1" * 600)
+
+    def test_long_sum_chain_is_rejected_at_the_operator_past_the_bound(self):
+        # the k-th "+" builds a node of height k + 1
+        with pytest.raises(ExpressionError, match="deeply nested") as err:
+            parse_mean_expr("x" + "+x" * 1200)
+        assert err.value.span == (2 * _MAX_DEPTH - 1, 2 * _MAX_DEPTH)
+
+    def test_tree_at_the_bound_evaluates_inside_a_compound_inside_distance(self):
+        src = "(x+y)/2" + "*1" * (_MAX_DEPTH - 3)  # (x+y)/2 has height 3
+        with pytest.raises(ExpressionError, match="deeply nested"):
+            parse_mean_expr(src + "*1")
+        tree = parse_mean_expr(src)
+        assert format_expression(tree).startswith("(" * (_MAX_DEPTH - 1))
+        mean = expr_to_mean(tree, ms.POSITIVE_REALS).mean
+        window = ms.Interval.closed(1.0, 4.0)
+        est = ms.distance(ms.compound(mean, ms.make_arithmetic()), ms.make_geometric(),
+                          window, 8)
+        # the compound is A itself; d(A, G) on [1, r] is (sqrt(r)-1) / (2 (sqrt(r)+1))
+        assert 0.0 < est.value <= 1.0 / 6.0 + 1e-15
 
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
@@ -191,6 +219,120 @@ class TestRoundTrip:
         for src in ["²", ".²", "x+①"]:
             with pytest.raises(ExpressionError):
                 parse_mean_expr(src)
+
+
+def _oracle_power(a, b, env):
+    if a < 0.0 and b != math.floor(b):
+        raise EvaluationError(f"negative base {a} with non-integer exponent {b} at {env}")
+    if a == 0.0 and b < 0.0:
+        raise EvaluationError(f"zero base with negative exponent at {env}")
+    try:
+        return a ** b
+    except OverflowError:
+        raise EvaluationError(f"overflow in power at {env}") from None
+
+
+def _oracle_call(func, args, env):
+    if func == "sqrt":
+        if args[0] < 0.0:
+            raise EvaluationError(f"sqrt of negative value {args[0]} at {env}")
+        return math.sqrt(args[0])
+    if func == "exp":
+        try:
+            return math.exp(args[0])
+        except OverflowError:
+            raise EvaluationError(f"overflow in exp at {env}") from None
+    if func == "log":
+        if args[0] <= 0.0:
+            raise EvaluationError(f"log of non-positive value {args[0]} at {env}")
+        return math.log(args[0])
+    if func == "abs":
+        return abs(args[0])
+    if func == "min":
+        return min(args)
+    if func == "max":
+        return max(args)
+    return _oracle_power(args[0], args[1], env)
+
+
+def _oracle_walk(e, env):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, BuiltinMean):
+        x, y = env["x"], env["y"]
+        try:
+            return _builtin(e.name).fn(x, y)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError(f"{e.name} is undefined at ({x}, {y}): {exc}") from None
+    if isinstance(e, Unary):
+        return -_oracle_walk(e.operand, env)
+    if isinstance(e, Binary):
+        a = _oracle_walk(e.left, env)
+        b = _oracle_walk(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise EvaluationError(f"division by zero at {env}")
+            return a / b
+        return _oracle_power(a, b, env)
+    return _oracle_call(e.func, [_oracle_walk(a, env) for a in e.args], env)
+
+
+def oracle_evaluate(e, env):
+    """The reference semantics: a recursive walk of the tree at each call."""
+    v = _oracle_walk(e, env)
+    if not math.isfinite(v):
+        raise EvaluationError(f"expression produced a non-finite value at {env}")
+    return v
+
+
+def _outcome(f, *args):
+    """The value's exact bits, or the exception's type and message."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_weight_trees = st.recursive(
+    st.one_of(st.builds(Num, st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
+              st.just(Var("t"))),
+    _compound_exprs, max_leaves=25)
+# zeros, both signs, and magnitudes from 1e-300 to 1e300
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.builds(lambda sign, m, k: sign * m * 10.0 ** k, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=1.0, max_value=9.99), st.integers(-300, 299)))
+
+
+class TestCompiledAgainstTreeWalk:
+    @given(_trees, _coords, _coords)
+    @settings(max_examples=300)
+    def test_mean_trees(self, tree, x, y):
+        env = {"x": x, "y": y}
+        assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    @given(_weight_trees, _coords)
+    @settings(max_examples=300)
+    def test_weight_trees(self, tree, t):
+        want = _outcome(oracle_evaluate, tree, {"t": t})
+        assert _outcome(evaluate, tree, {"t": t}) == want
+        assert _outcome(expr_to_weight(tree, ms.ALL_REALS).fn, t) == want
+
+    def test_fault_messages_show_the_binding(self):
+        tree = parse_mean_expr("log(x-y)")
+        for f in (lambda: evaluate(tree, {"x": 2.0, "y": 2.5}),
+                  lambda: expr_to_mean(tree, ms.ALL_REALS).mean(2.0, 2.5)):
+            with pytest.raises(EvaluationError) as err:
+                f()
+            assert str(err.value) == "log of non-positive value -0.5 at {'x': 2.0, 'y': 2.5}"
 
 
 class TestExprToMean:

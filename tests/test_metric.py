@@ -50,6 +50,11 @@ class TestDistance:
             x, y = est.argmax
             assert x != y and unit_window.contains(x) and unit_window.contains(y)
 
+    def test_equal_means_give_positive_zero(self):
+        parsed = ms.mean_from_source("(x+y)/2", ms.ALL_REALS).mean
+        est = ms.distance(ms.make_arithmetic(), parsed, ms.default_window(ms.ALL_REALS), 48)
+        assert est.value == 0.0 and math.copysign(1.0, est.value) == 1.0
+
     def test_gh_against_oracle(self):
         est = ms.distance(ms.make_geometric(), ms.make_harmonic(), WIDE, 512)
         assert est.value == pytest.approx(D_GH, abs=1e-12)
