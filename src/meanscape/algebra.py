@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core import (
     DomainError,
     Interval,
@@ -238,8 +236,12 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
                         is_continuous=None, maps_into_domain=True)
 
 
-def random_normal_mean(rng: np.random.Generator, name: Optional[str] = None) -> MeanFunction:
-    """A seeded random normal mean on (0, inf), weight t^a (1+t)^b."""
+def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
+    """A seeded random normal mean on (0, inf), weight t^a (1+t)^b.
+
+    ``rng`` is any generator with ``uniform(low, high)``, such as numpy's ``default_rng``;
+    ``coincidence_probe`` draws from ``core._PCG64``, which gives the same numbers per seed.
+    """
     a = float(rng.uniform(-1.0, 1.0))
     b = float(rng.uniform(-1.0, 1.0))
     weight = WeightFunction(POSITIVE_REALS, lambda t: t ** a * (1.0 + t) ** b,
@@ -247,7 +249,17 @@ def random_normal_mean(rng: np.random.Generator, name: Optional[str] = None) -> 
     return make_normal_mean(weight, name=name or f"N[{a:.3f},{b:.3f}]")
 
 
-def _classify_ratio(values: np.ndarray, rel_tol: float = 1e-10) -> OrderRelation:
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``numpy.linspace(lo, hi, n)`` point for point, n >= 2: lo + i*step, then hi.
+
+    Once the step underflows to 0, numpy scales i/(n-1) by the width instead.
+    """
+    delta, div = hi - lo, n - 1
+    step = delta / div
+    return [lo + (i * step if step else i / div * delta) for i in range(div)] + [hi]
+
+
+def _classify_ratio(values: list[float], rel_tol: float = 1e-10) -> OrderRelation:
     """Monotonicity class of a sampled sequence, with a flatness band.
 
     Consecutive differences within rel_tol (relative to the larger
@@ -255,11 +267,12 @@ def _classify_ratio(values: np.ndarray, rel_tol: float = 1e-10) -> OrderRelation
     INCOMPARABLE. The sequence is read as the weight ratio P1/P2, so a
     falling ratio means the first mean is the smaller one.
     """
-    diffs = np.diff(values)
-    scale = np.maximum(1e-300, np.maximum(np.abs(values[1:]), np.abs(values[:-1])))
-    up = bool(np.any(diffs > rel_tol * scale))
-    down = bool(np.any(diffs < -rel_tol * scale))
-    flat = bool(np.any(np.abs(diffs) <= rel_tol * scale))
+    up = down = flat = False
+    for a, b in zip(values, values[1:]):
+        diff, band = b - a, rel_tol * max(1e-300, abs(a), abs(b))
+        up |= diff > band
+        down |= diff < -band
+        flat |= abs(diff) <= band
     if up and down:
         return OrderRelation.INCOMPARABLE
     if not up and not down:
@@ -284,9 +297,8 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
     for p in (p1, p2):
         if not p.domain.contains_interval(window):
             raise DomainError(f"window {window} is not inside the domain of weight {p.name}")
-    grid = np.linspace(window.lo, window.hi, samples)
-    ratio = np.array([p1(float(t)) / p2(float(t)) for t in grid])
-    return _classify_ratio(ratio)
+    grid = _linspace(window.lo, window.hi, samples)
+    return _classify_ratio([p1(t) / p2(t) for t in grid])
 
 
 def classify_vs_arithmetic(p: WeightFunction, window: Interval,

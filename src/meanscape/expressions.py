@@ -302,18 +302,37 @@ def parse_weight_expr(src: str) -> Expression:
 
 
 def format_expression(e: Expression) -> str:
-    """Fully parenthesized source form; reparsing yields an identical tree."""
+    """Source form with parentheses only where precedence or associativity needs them.
+
+    Reparsing yields an identical tree. Every node adds at most one level of the
+    parser's nesting, so the text nests no deeper than the tree is high.
+    """
+    return _format(e, _SUM)
+
+
+# binding strength of each rule of the parser's ladder, loosest first
+_SUM, _TERM, _UNARY, _POWER, _ATOM = range(5)
+_OP_LEVEL = {"+": _SUM, "-": _SUM, "*": _TERM, "/": _TERM, "^": _POWER}
+
+
+def _format(e: Expression, need: int) -> str:
+    """``e`` as the operand of a rule that parses level ``need`` or tighter."""
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, (Var, BuiltinMean)):
-        return e.name
-    if isinstance(e, Unary):
-        return f"(-{format_expression(e.operand)})"
-    if isinstance(e, Binary):
-        return f"({format_expression(e.left)} {e.op} {format_expression(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(format_expression(a) for a in e.args)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        text, level = repr(e.value), _ATOM
+    elif isinstance(e, (Var, BuiltinMean)):
+        text, level = e.name, _ATOM
+    elif isinstance(e, Unary):
+        text, level = f"-{_format(e.operand, _UNARY)}", _UNARY
+    elif isinstance(e, Binary):
+        level = _OP_LEVEL[e.op]
+        # + - * / associate to the left; ^ to the right, over an atom as its base
+        left, right = (_ATOM, _UNARY) if e.op == "^" else (level, level + 1)
+        text = f"{_format(e.left, left)} {e.op} {_format(e.right, right)}"
+    elif isinstance(e, Call):
+        text, level = f"{e.func}({', '.join(_format(a, _SUM) for a in e.args)})", _ATOM
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if level < need else text
 
 
 @functools.cache
@@ -330,7 +349,7 @@ def _fail(message: str) -> float:
 
 
 def _power(a: float, b: float) -> float:
-    if a < 0.0 and b != math.floor(b):
+    if a < 0.0 and not (math.isfinite(b) and b == math.floor(b)):
         return _fail(f"negative base {a} with non-integer exponent {b}")
     if a == 0.0 and b < 0.0:
         return _fail("zero base with negative exponent")

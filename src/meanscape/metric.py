@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .core import DomainError, Interval, MeanFunction, near
 from .algebra import phi
 
@@ -114,8 +112,10 @@ class BorderDiagnostic:
     trend: str
 
 
-def _axis_points(window: Interval, n: int) -> tuple[np.ndarray, bool]:
+def _axis_points(window: Interval, n: int) -> tuple["np.ndarray", bool]:
     """Grid points over a window, log-spaced when it sits in (0, inf)."""
+    import numpy as np  # here, not at module level: only the grid needs it
+
     if window.lo > 0.0:
         return np.geomspace(window.lo, window.hi, n), True
     return np.linspace(window.lo, window.hi, n), False
@@ -144,6 +144,8 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     # refine around the best cell, working in log coordinates when the
     # grid is log-spaced so the tolerance is relative; exp(log(t)) may
     # round out of the window, so coordinates are clamped before use
+    import numpy as np
+
     coords = np.log(pts) if log_spaced else pts
     best = (best_v, float(pts[bi]), float(pts[bj]))
 

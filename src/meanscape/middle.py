@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .core import (
+    _PCG64,
     BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
@@ -332,7 +331,7 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
 
 
 def _probe_family(seed: int) -> list[MeanFunction]:
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     family = [make_arithmetic(), make_geometric(), make_harmonic()]
     family += [random_normal_mean(rng) for _ in range(2)]
     return family

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.algebra import OrderRelation
+from meanscape.algebra import OrderRelation, _classify_ratio, _linspace
 
 points = st.tuples(st.floats(min_value=0.1, max_value=10.0),
                    st.floats(min_value=0.1, max_value=10.0))
@@ -372,3 +372,35 @@ class TestCompare:
         one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")
         with pytest.raises(ms.DomainError):
             ms.compare_normal(inv, one, ms.Interval.closed(-1.0, 1.0))
+
+    @given(st.floats(-1e300, 1e300), st.floats(0, 1e300), st.integers(2, 300))
+    def test_grid_is_numpy_linspace(self, lo, width, n):
+        hi = lo + width
+        if lo < hi:
+            assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.1, 10.0, 256), (-3.0, 1e5, 7), (1e-323, 5e-322, 256),
+                                           (0.0, 5e-324, 3), (1e300, 1.0000000001e300, 256)])
+    def test_grid_is_numpy_linspace_at_fixed_windows(self, lo, hi, n):
+        # the subnormal windows take numpy's branch for a step that underflows to 0
+        assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+    @given(st.lists(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-9, 2.0, 0.5, 0.0, -1.0, 1e-300,
+                                     math.inf, -math.inf, math.nan]), min_size=2, max_size=8))
+    def test_classify_ratio_matches_numpy_oracle(self, values):
+        arr, rel_tol = np.array(values), 1e-10
+        with np.errstate(invalid="ignore"):
+            diffs = np.diff(arr)
+            scale = np.maximum(1e-300, np.maximum(np.abs(arr[1:]), np.abs(arr[:-1])))
+            up = bool(np.any(diffs > rel_tol * scale))
+            down = bool(np.any(diffs < -rel_tol * scale))
+            flat = bool(np.any(np.abs(diffs) <= rel_tol * scale))
+        if up and down:
+            expect = OrderRelation.INCOMPARABLE
+        elif not up and not down:
+            expect = OrderRelation.EQUAL
+        elif down:
+            expect = OrderRelation.LESS_OR_EQUAL if flat else OrderRelation.STRICTLY_LESS
+        else:
+            expect = OrderRelation.GREATER_OR_EQUAL if flat else OrderRelation.STRICTLY_GREATER
+        assert _classify_ratio(values) is expect

@@ -289,10 +289,30 @@ class TestOutputContract:
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, meanscape; print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy') or m == 'meanscape.cli'))")
+                "if m.startswith(('scipy', 'numpy')) or m == 'meanscape.cli'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+    # a fresh interpreter per command; only the grid commands may load numpy
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        (["eval", "--mean", "sqrt(x*y)", "--at", "2,8"], False),
+        (["verify", "--mean", "sqrt(x*y)"], False),
+        (["coincide", "--m0", "G", "--grid", "20"], False),
+        (["compare", "--p1", "1/t"], False),
+        (["gh-cert"], False),
+        (["distance", "--m1", "G", "--m2", "H", "--grid", "16"], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_numpy_loads_only_for_the_grid(self, argv, loads_numpy):
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from meanscape.cli import main; code = main(sys.argv[1:]); "
+                "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "ok"
+        assert proc.stderr.strip() == str(loads_numpy)
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
@@ -118,7 +118,7 @@ class TestParseErrors:
         with pytest.raises(ExpressionError, match="deeply nested"):
             parse_mean_expr(src + "*1")
         tree = parse_mean_expr(src)
-        assert format_expression(tree).startswith("(" * (_MAX_DEPTH - 1))
+        assert parse_mean_expr(format_expression(tree)) == tree
         mean = expr_to_mean(tree, ms.POSITIVE_REALS).mean
         window = ms.Interval.closed(1.0, 4.0)
         est = ms.distance(ms.compound(mean, ms.make_arithmetic()), ms.make_geometric(),
@@ -151,6 +151,17 @@ class TestEvaluationFaults:
     def test_overflow_is_a_fault(self):
         with pytest.raises(EvaluationError):
             ev("exp(x)", 1e4, 0.0)
+
+    # nan and inf are not integers: the same fault as any other fractional exponent
+    @pytest.mark.parametrize("src, exponent", [("(0-x)^(x*1e300*1e300-y*1e300*1e300)", "nan"),
+                                               ("(0-x)^(1e300*1e300)", "inf")])
+    def test_negative_base_non_finite_exponent(self, src, exponent):
+        with pytest.raises(EvaluationError) as err:
+            ev(src, 2.0, 3.0)
+        assert str(err.value).startswith(f"negative base -2.0 with non-integer exponent {exponent} at")
+        build = ms.mean_from_source(src)
+        assert build.report is None
+        assert "non-integer exponent" in build.diagnostics[0]
 
     def test_builtin_atom_faults(self):
         for src, x, y in [("H", 1.0, -1.0), ("G", -1.0, 2.0), ("AGM", -1.0, 2.0)]:
@@ -194,9 +205,49 @@ def _compound_exprs(children):
 _trees = st.recursive(_leaves, _compound_exprs, max_leaves=25)
 
 
+def _height(e):
+    if isinstance(e, Unary):
+        return 1 + _height(e.operand)
+    if isinstance(e, Binary):
+        return 1 + max(_height(e.left), _height(e.right))
+    if isinstance(e, Call):
+        return 1 + max(map(_height, e.args))
+    return 1
+
+
+@st.composite
+def _trees_at_the_bound(draw):
+    """A random tree grown one level at a time, by a random kind of node, to height _MAX_DEPTH."""
+    tree = draw(_trees)
+    for _ in range(_MAX_DEPTH - _height(tree)):  # over a leaf, each new node adds one level
+        kind, other = draw(st.sampled_from(["-", "+", "*", "/", "^", "pow", "sqrt"])), draw(_leaves)
+        if kind == "-" and draw(st.booleans()):
+            tree = Unary("-", tree)
+        elif kind in ("pow", "sqrt"):
+            tree = Call(kind, (tree, other) if kind == "pow" else (tree,))
+        else:
+            tree = Binary(kind, *((tree, other) if draw(st.booleans()) else (other, tree)))
+    return tree
+
+
 class TestRoundTrip:
     @given(_trees)
     def test_print_then_parse_is_identity(self, tree):
+        assert parse_mean_expr(format_expression(tree)) == tree
+
+    @given(_trees_at_the_bound())
+    @settings(phases=[Phase.explicit, Phase.generate])  # shrinking 120-level trees takes minutes
+    def test_print_then_parse_is_identity_at_the_height_bound(self, tree):
+        assert _height(tree) == _MAX_DEPTH
+        assert parse_mean_expr(format_expression(tree)) == tree
+
+    @pytest.mark.parametrize("src", ["-" * (_MAX_DEPTH - 1) + "x",
+                                     "x" + "^x" * (_MAX_DEPTH - 1),
+                                     "(" * (_MAX_DEPTH - 1) + "x" + ")^x" * (_MAX_DEPTH - 1),
+                                     "x" + "^-x" * (_MAX_DEPTH // 2 - 1)],
+                             ids=["unary", "power", "power-of-power", "power-of-minus"])
+    def test_unary_and_power_chains_at_the_bound_round_trip(self, src):
+        tree = parse_mean_expr(src)
         assert parse_mean_expr(format_expression(tree)) == tree
 
     @given(st.text(max_size=80))
@@ -222,7 +273,7 @@ class TestRoundTrip:
 
 
 def _oracle_power(a, b, env):
-    if a < 0.0 and b != math.floor(b):
+    if a < 0.0 and (math.isnan(b) or math.isinf(b) or b != math.floor(b)):
         raise EvaluationError(f"negative base {a} with non-integer exponent {b} at {env}")
     if a == 0.0 and b < 0.0:
         raise EvaluationError(f"zero base with negative exponent at {env}")
