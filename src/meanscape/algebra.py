@@ -59,7 +59,12 @@ _EXP_CLIP = 700.0
 
 @dataclass(frozen=True)
 class AsymmetricFunction:
-    """An evaluable map with f(x, y) = -f(y, x) on a square domain."""
+    """An evaluable map with f(x, y) = -f(y, x) on a square domain.
+
+    Calling it checks the point and returns 0.0 on the diagonal. ``fn`` keeps
+    the kernel contract of ``core.MeanFunction``: Python floats inside
+    ``domain``, never x == y. The combinators call their operands' ``fn``.
+    """
 
     domain: Interval
     fn: Callable[[float, float], float] = field(repr=False)
@@ -76,7 +81,7 @@ class AsymmetricFunction:
     def _combine(self, other: "AsymmetricFunction", cx: float, co: float,
                  name: str) -> "AsymmetricFunction":
         dom = common_domain(self.domain, other.domain)
-        f, g = self, other
+        f, g = self.fn, other.fn
         return AsymmetricFunction(dom, lambda x, y: cx * f(x, y) + co * g(x, y), name)
 
     def __add__(self, other: "AsymmetricFunction") -> "AsymmetricFunction":
@@ -86,18 +91,23 @@ class AsymmetricFunction:
         return self._combine(other, 1.0, -1.0, f"({self.name}-{other.name})")
 
     def __neg__(self) -> "AsymmetricFunction":
-        f = self
+        f = self.fn
         return AsymmetricFunction(self.domain, lambda x, y: -f(x, y), f"(-{self.name})")
 
     def __rmul__(self, c: float) -> "AsymmetricFunction":
-        f = self
+        f = self.fn
         c = float(c)
         return AsymmetricFunction(self.domain, lambda x, y: c * f(x, y), f"({c:g}*{self.name})")
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A positive function of one variable; defines a normal mean."""
+    """A positive function of one variable; defines a normal mean.
+
+    Calling it checks the point. ``fn`` keeps the kernel contract of
+    ``core.MeanFunction``: it is only called with a Python float inside
+    ``domain``, and a normal mean calls it directly.
+    """
 
     domain: Interval
     fn: Callable[[float], float] = field(repr=False)
@@ -127,10 +137,12 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
     axiom violation and raises InvalidMeanError. Within a relative band of
     1e-12 around the diagonal the value 0 is returned without evaluating M.
     """
+    kernel = m.fn
+
     def fn(x: float, y: float) -> float:
         if near(x, y, _DIAG_GUARD):
             return 0.0
-        v = m(x, y)
+        v = kernel(x, y)
         p = v - x
         q = v - y
         if p == 0.0 or q == 0.0 or (p > 0.0) == (q > 0.0):
@@ -147,8 +159,10 @@ def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFuncti
     For |f| > 700 the exponential saturates and the exact limit value
     (y for +inf, x for -inf) is returned.
     """
+    kernel = f.fn
+
     def fn(x: float, y: float) -> float:
-        v = f(x, y)
+        v = kernel(x, y)
         if v > _EXP_CLIP:
             return y
         if v < -_EXP_CLIP:
@@ -171,12 +185,13 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     differences are scaled by an exact power of two, as in group_symmetry.
     """
     dom = common_domain(m1.domain, m2.domain)
+    f1, f2 = m1.fn, m2.fn
 
     def fn(x: float, y: float) -> float:
         if near(x, y, _DIAG_GUARD):
             return 0.5 * (x + y)
-        a = m1(x, y)
-        b = m2(x, y)
+        a = f1(x, y)
+        b = f2(x, y)
         k = -math.frexp(y - x)[1]
         w_y = math.ldexp(a - y, k) * math.ldexp(b - y, k)
         w_x = math.ldexp(a - x, k) * math.ldexp(b - x, k)
@@ -187,8 +202,10 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
 
 def group_inverse(m: MeanFunction) -> MeanFunction:
     """Inverse for the group law: the mean x + y - M with phi = -phi(M)."""
+    kernel = m.fn
+
     def fn(x: float, y: float) -> float:
-        return x + y - m(x, y)
+        return x + y - kernel(x, y)
 
     return MeanFunction(f"(2A-{m.name})", m.domain, fn, maps_into_domain=True)
 
@@ -208,12 +225,13 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     1e-12 of max(|x|, |y|) the midpoint is returned.
     """
     dom = common_domain(m0.domain, m1.domain)
+    f0, f1 = m0.fn, m1.fn
 
     def fn(x: float, y: float) -> float:
         if near(x, y, _DIAG_GUARD):
             return 0.5 * (x + y)
-        v0 = m0(x, y)
-        v1 = m1(x, y)
+        v0 = f0(x, y)
+        v1 = f1(x, y)
         k = -math.frexp(y - x)[1]
         a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
         b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
@@ -224,9 +242,11 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
     """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight."""
+    weight = p.fn
+
     def fn(x: float, y: float) -> float:
-        px = p(x)
-        py = p(y)
+        px = weight(x)
+        py = weight(y)
         if not (px > 0.0 and py > 0.0) or math.isinf(px) or math.isinf(py):
             bad = x if not (px > 0.0 and math.isfinite(px)) else y
             raise InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")

@@ -165,8 +165,25 @@ def near(x: float, y: float, rel: float) -> bool:
 class MeanFunction:
     """An evaluable symmetric two-variable function on a square domain.
 
-    ``fn`` is only consulted off the diagonal; exactly equal arguments
-    return ``x`` without calling user code, which keeps the diagonal exact.
+    Calling the mean checks the point once: both arguments become floats and
+    must lie in ``domain``, and exactly equal arguments return ``x`` without
+    calling ``fn``, which keeps the diagonal exact. ``fn`` is the kernel
+    behind that check. Its contract, which ``algebra.AsymmetricFunction`` and
+    ``algebra.WeightFunction`` share:
+
+    - ``fn`` is only called with Python floats inside ``domain`` and, for the
+      two-variable types, never with x == y. It returns a float.
+    - A composite (compound, ``star``, ``group_symmetry``, ``group_inverse``,
+      ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
+      check has passed, and calls its operands' ``fn`` there. That relies on
+      ``common_domain`` keeping the composite's domain inside each operand's.
+    - No code may widen a domain with ``dataclasses.replace``; only names and
+      flags are replaced.
+    - One caller is outside the contract: a parsed expression's ``A``, ``G``,
+      ``H`` or ``AGM`` atom calls that kernel at any point of the parsed
+      mean's domain. The A, G and H kernels take any pair of floats, and a
+      compound's kernel checks its start point.
+
     Metadata flags use None for "unknown".
     """
 
@@ -434,7 +451,6 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
             counterexamples.append((axiom, x, y, observed))
 
     for x, y in pairs:
-        x, y = float(x), float(y)
         mxy = m(x, y)
         myx = m(y, x)
         scale = max(abs(x), abs(y))

@@ -113,25 +113,34 @@ class CompoundMean(MeanFunction):
     guaranteed: bool = True
 
 
-def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
+def _run_iteration(m1: MeanFunction, m2: MeanFunction, dom: Interval, x: float, y: float,
                    tol: float, max_iter: int, record: bool):
-    """Coupled iteration with envelope clamping.
+    """Coupled iteration with envelope clamping, on the operands' kernels.
 
-    Each update lies inside the current [min, max] envelope by the mean
-    axioms; clamping removes half-ulp rounding drift so the envelope is
-    monotone in floating point too. From a pair of opposite signs, which may
-    converge to 0, the gap is also compared with tol * max(|x|, |y|).
+    A start of floats in the common domain ``dom`` runs on ``m1.fn`` and
+    ``m2.fn``, any other start on the checked means, which raise their
+    DomainError. (The compound's own call has checked its start; a parsed
+    ``AGM`` atom has not.) Each update lies inside the current [min, max]
+    envelope by the mean axioms; clamping removes half-ulp rounding drift, so
+    the envelope is monotone in floating point too and every iterate stays in
+    the domain. The loop runs only while x(n) != y(n), off the diagonal. A NaN
+    iterate survives the clamp and goes to the checked ``m1``. From a pair of
+    opposite signs, which may converge to 0, the gap is also compared with
+    tol * max(|x|, |y|).
     """
-    xn, yn = float(x), float(y)
-    floor = tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0
+    f1, f2 = (m1.fn, m2.fn) if dom.contains(x) and dom.contains(y) else (m1, m2)
+    xn, yn = x, y
+    floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
     while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
-        lo, hi = min(xn, yn), max(xn, yn)
-        nx = m1(xn, yn)
-        ny = m2(xn, yn)
-        xn = min(max(nx, lo), hi)
-        yn = min(max(ny, lo), hi)
+        if xn != xn or yn != yn:
+            m1(xn, yn)  # NaN: the checked call raises m1's DomainError
+        lo, hi = (xn, yn) if xn < yn else (yn, xn)
+        nx = f1(xn, yn)
+        ny = f2(xn, yn)
+        xn = lo if nx < lo else hi if nx > hi else nx
+        yn = lo if ny < lo else hi if ny > hi else ny
         n += 1
         if record:
             steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
@@ -162,9 +171,10 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     guaranteed = (d_est is not None and d_est < 1.0) or continuous
 
     def fn(x: float, y: float) -> float:
-        ok, xn, yn, n, _ = _run_iteration(m1, m2, x, y, tolerance, max_iterations, False)
+        ok, xn, yn, n, _ = _run_iteration(m1, m2, dom, x, y, tolerance, max_iterations, False)
         if not ok:
-            _, _, _, _, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
+            _, _, _, _, steps = _run_iteration(m1, m2, dom, x, y, tolerance, max_iterations,
+                                               True)
             trace = IterationTrace(tuple(steps), False, 0.5 * (xn + yn), n)
             raise ConvergenceError(
                 f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
@@ -194,8 +204,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     Non-convergence raises ConvergenceError carrying the partial trace.
     """
     dom = common_domain(m1.domain, m2.domain)
-
-    converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance,
+    converged, xn, yn, n, steps = _run_iteration(m1, m2, dom, float(x), float(y), tolerance,
                                                  max_iterations, True)
 
     k = None
@@ -364,7 +373,6 @@ def coincidence_probe(m: MeanFunction, window: Interval, samples: int,
                               f"{m.name} and {test_mean.name}")
         reflected = group_symmetry(m, test_mean)
         for x, y in pairs:
-            x, y = float(x), float(y)
             s_val = reflected(x, y)
             f_val = functional_symmetric(m, test_mean, x, y)
             gap = abs(s_val - f_val)
@@ -398,7 +406,6 @@ def counterexample_check(window: Optional[Interval] = None, grid: int = 64,
     a = make_arithmetic()
     is_a = True
     for x, y in sample_pairs(Interval.closed(0.1, 10.0), samples, seed):
-        x, y = float(x), float(y)
         expect = a(x, y)
         if not near(c(x, y), expect, 1e-9):
             is_a = False

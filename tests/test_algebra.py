@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.algebra import OrderRelation, _classify_ratio, _linspace
+from meanscape.algebra import _DIAG_GUARD, _EXP_CLIP, OrderRelation, _classify_ratio, _linspace
+from meanscape.core import common_domain, near
 
 points = st.tuples(st.floats(min_value=0.1, max_value=10.0),
                    st.floats(min_value=0.1, max_value=10.0))
@@ -404,3 +406,136 @@ class TestCompare:
         else:
             expect = OrderRelation.GREATER_OR_EQUAL if flat else OrderRelation.STRICTLY_GREATER
         assert _classify_ratio(values) is expect
+
+
+# The composites as they were before they called their operands' kernels: every
+# operand goes through its checked __call__. The kernels must give the same bits.
+def _checked_star(m1, m2):
+    def fn(x, y):
+        if near(x, y, _DIAG_GUARD):
+            return 0.5 * (x + y)
+        a, b = m1(x, y), m2(x, y)
+        k = -math.frexp(y - x)[1]
+        w_y = math.ldexp(a - y, k) * math.ldexp(b - y, k)
+        w_x = math.ldexp(a - x, k) * math.ldexp(b - x, k)
+        return (x * w_y + y * w_x) / (w_y + w_x)
+
+    return ms.MeanFunction("star", common_domain(m1.domain, m2.domain), fn)
+
+
+def _checked_group_symmetry(m0, m1):
+    def fn(x, y):
+        if near(x, y, _DIAG_GUARD):
+            return 0.5 * (x + y)
+        v0, v1 = m0(x, y), m1(x, y)
+        k = -math.frexp(y - x)[1]
+        a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
+        b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
+        return (x * a - y * b) / (a - b)
+
+    return ms.MeanFunction("S", common_domain(m0.domain, m1.domain), fn)
+
+
+def _checked_group_inverse(m):
+    return ms.MeanFunction("inv", m.domain, lambda x, y: x + y - m(x, y))
+
+
+def _checked_phi(m):
+    def fn(x, y):
+        if near(x, y, _DIAG_GUARD):
+            return 0.0
+        v = m(x, y)
+        p, q = v - x, v - y
+        if p == 0.0 or q == 0.0 or (p > 0.0) == (q > 0.0):
+            raise ms.InvalidMeanError(
+                f"{m.name}({x}, {y}) = {v} is not strictly between its arguments")
+        return math.log(-p / q)
+
+    return ms.AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
+
+
+def _checked_phi_inverse(f):
+    def fn(x, y):
+        v = f(x, y)
+        if v > _EXP_CLIP:
+            return y
+        if v < -_EXP_CLIP:
+            return x
+        e = math.exp(v)
+        return (x + y * e) / (e + 1.0)
+
+    return ms.MeanFunction("phi_inv", f.domain, fn)
+
+
+def _checked_normal(p):
+    def fn(x, y):
+        px, py = p(x), p(y)
+        if not (px > 0.0 and py > 0.0) or math.isinf(px) or math.isinf(py):
+            bad = x if not (px > 0.0 and math.isfinite(px)) else y
+            raise ms.InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
+        return (x * px + y * py) / (px + py)
+
+    return ms.MeanFunction("normal", p.domain, fn)
+
+
+def _checked_combine(f, g, cx, co):
+    return ms.AsymmetricFunction(common_domain(f.domain, g.domain),
+                                 lambda x, y: cx * f(x, y) + co * g(x, y))
+
+
+def _checked_neg(f):
+    return ms.AsymmetricFunction(f.domain, lambda x, y: -f(x, y))
+
+
+def _checked_scale(c, f):
+    return ms.AsymmetricFunction(f.domain, lambda x, y: c * f(x, y))
+
+
+def _outcome(m, x, y):
+    """The value as a hex string (bit for bit), or the exception's type and message."""
+    try:
+        return m(x, y).hex()
+    except Exception as exc:  # compared, never swallowed: both sides must raise alike
+        return type(exc), str(exc)
+
+
+def _composite_pairs(family):
+    """(kernel form, checked form) of each composite, on the built-ins, seeded normal
+    means, a parsed power mean and a weight that is not positive everywhere."""
+    A, G, H, N0, N1, N2 = family
+    power = ms.mean_from_source("((x^1.778+y^1.778)/2)^(1/1.778)").mean
+    weight = ms.weight_from_source("t^(0.371)*(1+t)^(0.471)")
+    signed = ms.WeightFunction(ms.ALL_REALS, lambda t: t, "t")
+    return [
+        (ms.star(G, N0), _checked_star(G, N0)),
+        (ms.star(power, H), _checked_star(power, H)),
+        (ms.star(A, ms.star(N1, G)), _checked_star(A, _checked_star(N1, G))),
+        (ms.group_symmetry(N1, H), _checked_group_symmetry(N1, H)),
+        (ms.group_symmetry(G, power), _checked_group_symmetry(G, power)),
+        (ms.group_inverse(N2), _checked_group_inverse(N2)),
+        (ms.make_normal_mean(weight), _checked_normal(weight)),
+        (ms.make_normal_mean(signed), _checked_normal(signed)),
+        (ms.phi_inverse(ms.phi(N0)), _checked_phi_inverse(_checked_phi(N0))),
+        (ms.phi_inverse(0.5 * ms.phi(G) - 2.0 * ms.phi(power)),
+         _checked_phi_inverse(_checked_combine(_checked_scale(0.5, _checked_phi(G)),
+                                               _checked_scale(2.0, _checked_phi(power)),
+                                               1.0, -1.0))),
+        (ms.phi_inverse(-ms.phi(H) + ms.phi(N2)),
+         _checked_phi_inverse(_checked_combine(_checked_neg(_checked_phi(H)),
+                                               _checked_phi(N2), 1.0, 1.0))),
+    ]
+
+
+scaled = st.floats(min_value=1e-300, max_value=1e300)
+
+
+class TestKernelCompositesMatchCheckedForms:
+    @given(st.data())
+    def test_values_and_exceptions_bit_for_bit(self, mean_family, data):
+        x = data.draw(scaled)
+        y = data.draw(st.one_of(scaled, st.just(x), st.just(math.nextafter(x, math.inf)),
+                                st.floats(min_value=-1e3, max_value=0.0)))
+        for fast, slow in _composite_pairs(tuple(mean_family)):
+            slow = dataclasses.replace(slow, name=fast.name)
+            assert _outcome(fast, x, y) == _outcome(slow, x, y)
+            assert _outcome(fast, y, x) == _outcome(slow, y, x)

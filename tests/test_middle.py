@@ -1,8 +1,13 @@
+import dataclasses
+import functools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import meanscape as ms
+from meanscape.core import common_domain, near
 
 # Reference values frozen from a 60-digit run of the classical coupled
 # iteration, independent of the code under test.
@@ -275,3 +280,259 @@ class TestCounterexample:
         narrow = ms.distance(G, partner, ms.Interval.closed(0.1, 10.0), 64).value
         wide = ms.distance(G, partner, ms.Interval.closed(1e-6, 1e6), 64).value
         assert narrow < wide < 1.0
+
+
+# The coupled iteration with every step calling both operands through their checked
+# __call__, as compound and compound_trace ran before they called the kernels. It is
+# the reference path: the kernels must give the same values, traces and exceptions.
+def _checked_iteration(m1, m2, x, y, tol, max_iter, record):
+    xn, yn = float(x), float(y)
+    floor = tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0
+    steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
+    n = 0
+    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
+        lo, hi = min(xn, yn), max(xn, yn)
+        nx = m1(xn, yn)
+        ny = m2(xn, yn)
+        xn = min(max(nx, lo), hi)
+        yn = min(max(ny, lo), hi)
+        n += 1
+        if record:
+            steps.append(ms.TraceStep(n, xn, yn, abs(xn - yn)))
+    return done, xn, yn, n, steps
+
+
+def _checked_compound(m1, m2, tolerance=1e-13, max_iterations=200):
+    def fn(x, y):
+        ok, xn, yn, n, _ = _checked_iteration(m1, m2, x, y, tolerance, max_iterations, False)
+        if not ok:
+            _, _, _, _, steps = _checked_iteration(m1, m2, x, y, tolerance, max_iterations, True)
+            trace = ms.IterationTrace(tuple(steps), False, 0.5 * (xn + yn), n)
+            raise ms.ConvergenceError(
+                f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
+                f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
+        return 0.5 * (xn + yn)
+
+    return ms.MeanFunction(f"mid({m1.name},{m2.name})",
+                           common_domain(m1.domain, m2.domain), fn)
+
+
+def _checked_trace(m1, m2, x, y, tolerance=1e-13, max_iterations=200):
+    common_domain(m1.domain, m2.domain)
+    converged, xn, yn, n, steps = _checked_iteration(m1, m2, x, y, tolerance,
+                                                     max_iterations, True)
+    trace = ms.IterationTrace(tuple(steps), converged, 0.5 * (xn + yn), n)
+    if not converged:
+        raise ms.ConvergenceError(
+            f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
+            f"within {max_iterations} iterations", trace)
+    return trace
+
+
+def _kernel_compound(m1, m2, tolerance=1e-13, max_iterations=200):
+    return ms.compound(m1, m2, tolerance, max_iterations, estimate_distance=False)
+
+
+def _bits(v):
+    """Floats as hex strings, through tuples and traces, so == compares bit patterns."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, ms.IterationTrace):
+        v = dataclasses.astuple(v)
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    return v
+
+
+def _outcome(f, *args):
+    """The value's bits, or the exception's type, message and trace."""
+    try:
+        return "value", _bits(f(*args))
+    except Exception as exc:  # compared, never swallowed: both sides must raise alike
+        return type(exc), str(exc), _bits(getattr(exc, "trace", None))
+
+
+def _quartile(lower: bool):
+    if lower:
+        return ms.MeanFunction("L", ms.ALL_REALS, lambda x, y: (3 * min(x, y) + max(x, y)) / 4)
+    return ms.MeanFunction("U", ms.ALL_REALS, lambda x, y: (min(x, y) + 3 * max(x, y)) / 4)
+
+
+def _nan_near_diagonal(x, y):
+    # the lower quartile mean, until the gap is relatively small; then NaN
+    return math.nan if near(x, y, 1e-6) else (3 * min(x, y) + max(x, y)) / 4
+
+
+@functools.cache
+def _operand_pairs():
+    """Operand pairs by kind: the four compound-iter compounds, a nested compound
+    (built by the compound function under test), a reals pair, and pairs with an
+    operand that returns NaN or steps an ulp outside [min(x, y), max(x, y)]."""
+    A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+
+    def parse(src):
+        return ms.mean_from_source(src).mean
+
+    power = parse("((x^1.778+y^1.778)/2)^(1/1.778)")
+    normal = ms.make_normal_mean(ms.weight_from_source("t^(0.371)*(1+t)^(0.471)"))
+    nan_mean = ms.MeanFunction("Lnan", ms.ALL_REALS, _nan_near_diagonal)
+    # an ulp past the envelope, as rounding may put a mean: the clamp takes it back
+    over = ms.MeanFunction("over", ms.POSITIVE_REALS,
+                           lambda x, y: math.nextafter(max(x, y), math.inf))
+    under = ms.MeanFunction("under", ms.POSITIVE_REALS,
+                            lambda x, y: math.nextafter(min(x, y), 0.0))
+    return {
+        "agm": (False, lambda c: (A, G)),
+        "agm-parsed": (False, lambda c: (parse("(x+y)/2"), parse("sqrt(x*y)"))),
+        "g-inverse": (False, lambda c: (G, ms.group_inverse(G))),
+        "power-normal": (False, lambda c: (power, normal)),
+        "nested": (False, lambda c: (c(A, G), H)),
+        "reals": (True, lambda c: (_quartile(True), _quartile(False))),
+        "nan-second": (True, lambda c: (A, nan_mean)),
+        "nan-first": (True, lambda c: (nan_mean, A)),
+        "drift-first": (False, lambda c: (over, G)),
+        "drift-second": (False, lambda c: (G, under)),
+    }
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+reals = st.one_of(positive, positive.map(lambda t: -t), st.just(0.0))
+
+
+@st.composite
+def compound_cases(draw, anywhere=False):
+    kind = draw(st.sampled_from(sorted(_operand_pairs())))
+    on_reals, _ = _operand_pairs()[kind]
+    coordinate = reals if on_reals else positive
+    if anywhere:
+        coordinate = st.one_of(coordinate, st.floats())
+    x, y = draw(coordinate), draw(coordinate)
+    if on_reals and draw(st.booleans()):
+        x, y = -abs(x), abs(y)  # opposite signs, which may converge to 0
+    max_iterations = draw(st.sampled_from([200, 0, 1, 3]))
+    return kind, x, y, max_iterations
+
+
+class TestKernelIterationMatchesCheckedReference:
+    @given(compound_cases())
+    def test_compound_values_and_exceptions(self, case):
+        kind, x, y, max_iterations = case
+        _, operands = _operand_pairs()[kind]
+        fast = _kernel_compound(*operands(_kernel_compound), max_iterations=max_iterations)
+        slow = _checked_compound(*operands(_checked_compound), max_iterations=max_iterations)
+        assert _outcome(fast, x, y) == _outcome(slow, x, y)
+
+    @given(compound_cases(anywhere=True))
+    def test_traces_and_exceptions(self, case):
+        # compound_trace is a public entry: its start may lie outside the domain
+        kind, x, y, max_iterations = case
+        _, operands = _operand_pairs()[kind]
+        m1, m2 = operands(_kernel_compound)
+        r1, r2 = operands(_checked_compound)
+        fast = _outcome(lambda: ms.compound_trace(m1, m2, x, y, max_iterations=max_iterations,
+                                                  estimate_contraction=False))
+        slow = _outcome(lambda: _checked_trace(r1, r2, x, y, max_iterations=max_iterations))
+        assert fast == slow
+
+    def test_nan_from_an_operand_is_the_checked_domain_error(self):
+        nan_mean = ms.MeanFunction("nan", ms.ALL_REALS, lambda x, y: math.nan)
+        A = ms.make_arithmetic()
+        with pytest.raises(ms.DomainError) as err:
+            _kernel_compound(A, nan_mean)(1.0, 2.0)
+        assert str(err.value) == "(1.5, nan) is outside the domain (-inf, inf) of A"
+        assert _outcome(_kernel_compound(A, nan_mean), 1.0, 2.0) == \
+            _outcome(_checked_compound(A, nan_mean), 1.0, 2.0)
+
+    def test_exhaustion_carries_the_same_trace(self):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        fast = _outcome(_kernel_compound(A, G, max_iterations=2), 1.0, 1e6)
+        assert fast[0] is ms.ConvergenceError and fast[2][3] == 2
+        assert fast == _outcome(_checked_compound(A, G, max_iterations=2), 1.0, 1e6)
+
+    def test_trace_from_outside_the_domain(self):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        for x, y in [(-1.0, 2.0), (2.0, -1.0), (-1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0)]:
+            fast = _outcome(lambda: ms.compound_trace(G, A, x, y, estimate_contraction=False))
+            assert fast == _outcome(lambda: _checked_trace(G, A, x, y))
+        with pytest.raises(ms.DomainError, match="of G"):
+            ms.compound_trace(G, A, -1.0, 2.0, estimate_contraction=False)
+
+
+    def test_parsed_agm_atom_outside_its_domain(self):
+        # the atom calls the compound's kernel at any point of the parsed mean's domain
+        agm = ms.expr_to_mean(ms.parse_mean_expr("AGM"), ms.ALL_REALS).mean
+        for x, y in [(-1.0, 2.0), (-2.0, -1.0), (2.0, -0.5), (0.0, 3.0)]:
+            with pytest.raises(ms.EvaluationError) as err:
+                agm(x, y)
+            assert str(err.value) == (f"AGM is undefined at ({x}, {y}): "
+                                      f"({x}, {y}) is outside the domain (0, inf) of G")
+        assert agm(1.0, 2.0) == ms.make_agm()(1.0, 2.0)
+
+
+class _ContractSpy:
+    """Kernels that record every call breaking the kernel contract of core.MeanFunction:
+    an argument that is not a Python float or lies outside the domain, and, for a mean,
+    two equal arguments."""
+
+    def __init__(self):
+        self.calls = 0
+        self.violations = []
+
+    def mean(self, name, domain, kernel):
+        def fn(x, y):
+            self.calls += 1
+            if (type(x) is not float or type(y) is not float or x == y
+                    or not (domain.contains(x) and domain.contains(y))):
+                self.violations.append((name, x, y))
+            return kernel(x, y)
+
+        return ms.MeanFunction(name, domain, fn, is_continuous=True)
+
+    def weight(self, name, domain, kernel):
+        def fn(t):
+            self.calls += 1
+            if type(t) is not float or not domain.contains(t):
+                self.violations.append((name, t))
+            return kernel(t)
+
+        return ms.WeightFunction(domain, fn, name)
+
+
+def _spied_points(window, seed):
+    pairs = ms.sample_pairs(window, 150, seed)
+    x = pairs[0][0]
+    # the diagonal and its neighbours, which the composites must not pass on
+    return pairs + [(x, x), (x, math.nextafter(x, math.inf)), (math.nextafter(x, 0.0), x)]
+
+
+class TestKernelContract:
+    def test_composites_call_kernels_only_within_the_contract(self):
+        spy = _ContractSpy()
+        pos, reals = ms.POSITIVE_REALS, ms.ALL_REALS
+        A = spy.mean("A", reals, ms.make_arithmetic().fn)
+        G = spy.mean("G", pos, ms.make_geometric().fn)
+        H = spy.mean("H", pos, ms.make_harmonic().fn)
+        L = spy.mean("L", reals, _quartile(True).fn)
+        U = spy.mean("U", reals, _quartile(False).fn)
+        P = spy.weight("P", pos, lambda t: t ** -0.5)
+        f = ms.phi(G)
+        positive_means = [
+            ms.compound(A, G), ms.compound(ms.compound(A, G), H),
+            ms.compound(G, ms.group_inverse(G)), ms.star(G, H), ms.group_symmetry(G, A),
+            ms.group_inverse(G), ms.phi_inverse(f), ms.make_normal_mean(P),
+            ms.phi_inverse(f + ms.phi(H)), ms.phi_inverse(-f), ms.phi_inverse(2.0 * f),
+        ]
+        windows = [ms.Interval.closed(1e-3, 1e3), ms.Interval.closed(1e-300, 1e-290)]
+        for seed, window in enumerate(windows, start=41):
+            for x, y in _spied_points(window, seed):
+                for m in positive_means:
+                    m(x, y)
+                f(x, y)
+                ms.compound_trace(A, G, x, y, estimate_contraction=False)
+        reals_compound = ms.compound(L, U)
+        for x, y in _spied_points(ms.Interval.closed(-1e3, 1e3), 43):
+            reals_compound(x, y)
+            reals_compound(-abs(x), abs(y))
+            ms.compound_trace(L, U, -abs(x), abs(y), estimate_contraction=False)
+        assert spy.calls > 10_000
+        assert spy.violations == []
