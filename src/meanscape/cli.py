@@ -362,13 +362,10 @@ def _dispatch(args, resolver: _Resolver, seed: int) -> dict:
 
     if cmd in ("compound", "m-arith"):
         if cmd == "compound":
-            m1 = resolver.mean(args.m1)
-            m2 = resolver.mean(args.m2)
-            c = compound(m1, m2, tol, args.max_iter)
+            c = compound(resolver.mean(args.m1), resolver.mean(args.m2), tol, args.max_iter)
         else:
-            m = resolver.mean(args.mean)
-            c = m_arithmetic(m, tol, args.max_iter)
-            m1, m2 = c.m1, c.m2
+            c = m_arithmetic(resolver.mean(args.mean), tol, args.max_iter)
+        m1, m2 = c.m1, c.m2
         x, y = _parse_pair(args.at, "--at")
         trace = compound_trace(m1, m2, x, y, tol, args.max_iter,
                                estimate_contraction=False)
@@ -376,7 +373,7 @@ def _dispatch(args, resolver: _Resolver, seed: int) -> dict:
                    "tolerance": tol, "max_iterations": args.max_iter,
                    "value": trace.limit, "iterations": trace.iterations_used,
                    "converged": trace.converged, "guaranteed": c.guaranteed,
-                   "d_estimate": c.d_estimate}
+                   "guaranteed_by": c.guaranteed_by, "d_upper": c.d_upper}
         if getattr(args, "trace", False):
             payload["trace"] = [{"n": s.n, "x": s.x, "y": s.y, "gap": s.gap}
                                 for s in trace.steps]

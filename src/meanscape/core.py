@@ -158,7 +158,12 @@ def common_domain(a: Interval, b: Interval) -> Interval:
 
 def near(x: float, y: float, rel: float) -> bool:
     """|x - y| <= rel * max(|x|, |y|): the closeness test of every band and stop."""
-    return abs(x - y) <= rel * max(abs(x), abs(y))
+    a, b = abs(x), abs(y)
+    return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
+
+
+def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
+    return DomainError(f"({x}, {y}) is outside the domain {domain} of {name}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,8 @@ class MeanFunction:
       flags are replaced.
     - One caller is outside the contract: a parsed expression's ``A``, ``G``,
       ``H`` or ``AGM`` atom calls that kernel at any point of the parsed
-      mean's domain. The A, G and H kernels take any pair of floats, and a
-      compound's kernel checks its start point.
+      mean's domain, the diagonal included. The A, G and H atoms first check
+      the built-in's domain, and a compound's kernel checks its start point.
 
     Metadata flags use None for "unknown".
     """
@@ -198,7 +203,7 @@ class MeanFunction:
         x = float(x)
         y = float(y)
         if not (self.domain.contains(x) and self.domain.contains(y)):
-            raise DomainError(f"({x}, {y}) is outside the domain {self.domain} of {self.name}")
+            raise _outside_domain(x, y, self.domain, self.name)
         if x == y:
             return x
         return self.fn(x, y)

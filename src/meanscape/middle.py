@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     _PCG64,
+    _outside_domain,
     BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
@@ -63,7 +64,7 @@ DEFAULT_MAX_ITERATIONS = 200
 
 # Envelope checks allow this much multiplicative slack over k^n * gap(0).
 _ENVELOPE_SLACK = 1e-9
-# Grid of the operand distance estimated by compound and compound_trace.
+# Grid of the operand distance estimated by compound_trace.
 _DISTANCE_GRID = 48
 
 
@@ -99,18 +100,22 @@ class IterationTrace:
 class CompoundMean(MeanFunction):
     """The unique mean fixed by M(M1, M2) = M, evaluated by iteration.
 
-    Substitutable for a MeanFunction everywhere. ``guaranteed`` is False
-    when neither convergence route applied at construction: the distance
-    estimate between the operands was not below 1 and the operands were
-    not both flagged continuous.
+    Substitutable for a MeanFunction everywhere. ``guaranteed_by`` names the
+    theorem that makes the iteration converge: "distance" (``d_upper``, an upper
+    bound on d(m1, m2), is below 1), "continuity" (both operands are declared
+    continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
     """
 
     m1: Optional[MeanFunction] = None
     m2: Optional[MeanFunction] = None
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    d_estimate: Optional[float] = None
-    guaranteed: bool = True
+    d_upper: Optional[float] = None
+    guaranteed_by: Optional[str] = None
+
+    @property
+    def guaranteed(self) -> bool:
+        return self.guaranteed_by is not None
 
 
 def _run_iteration(m1: MeanFunction, m2: MeanFunction, dom: Interval, x: float, y: float,
@@ -119,8 +124,8 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, dom: Interval, x: float, 
 
     A start of floats in the common domain ``dom`` runs on ``m1.fn`` and
     ``m2.fn``, any other start on the checked means, which raise their
-    DomainError. (The compound's own call has checked its start; a parsed
-    ``AGM`` atom has not.) Each update lies inside the current [min, max]
+    DomainError. (The compound's call and ``compound_trace`` check the start; a
+    parsed ``AGM`` atom does not.) Each update lies inside the current [min, max]
     envelope by the mean axioms; clamping removes half-ulp rounding drift, so
     the envelope is monotone in floating point too and every iterate stays in
     the domain. The loop runs only while x(n) != y(n), off the diagonal. A NaN
@@ -149,13 +154,12 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, dom: Interval, x: float, 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
              tolerance: float = DEFAULT_TOLERANCE,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS, *,
-             estimate_distance: bool = True) -> CompoundMean:
-    """Compound mean of m1 and m2.
+             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CompoundMean:
+    """Compound mean of m1 and m2, built in O(1) without sampling anything.
 
-    Convergence is guaranteed when the estimated distance between the
-    operands is below 1 or both are flagged continuous; otherwise the
-    compound is still constructed but flagged ``guaranteed=False``.
+    Convergence is guaranteed by continuity when both operands are declared
+    continuous, and otherwise not known (``guaranteed_by=None``): a sampled
+    distance is a lower bound and cannot show d(m1, m2) < 1.
     Evaluation iterates until ``near(x_n, y_n, tolerance)`` (or, from a pair
     of opposite signs, a gap within tolerance of that pair) and returns the
     midpoint; running out of iterations raises ConvergenceError with the trace.
@@ -163,12 +167,6 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     if m1.maps_into_domain is False or m2.maps_into_domain is False:
         raise ValueError("compound operands must map into their domain interval")
     dom = common_domain(m1.domain, m2.domain)
-
-    d_est = None
-    if estimate_distance:
-        d_est = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
-    continuous = bool(m1.is_continuous) and bool(m2.is_continuous)
-    guaranteed = (d_est is not None and d_est < 1.0) or continuous
 
     def fn(x: float, y: float) -> float:
         ok, xn, yn, n, _ = _run_iteration(m1, m2, dom, x, y, tolerance, max_iterations, False)
@@ -185,7 +183,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
         name=f"mid({m1.name},{m2.name})", domain=dom, fn=fn,
         is_monotone=None, is_continuous=None, maps_into_domain=True,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
-        d_estimate=d_est, guaranteed=guaranteed)
+        guaranteed_by="continuity" if m1.is_continuous and m2.is_continuous else None)
 
 
 def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
@@ -201,14 +199,17 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     When k < 1, the geometric envelope gap(n) <= k^n * gap(0) is checked at
     every recorded step. A pass means the run is consistent with that lower
     bound; it proves no contraction, which would need an upper bound.
-    Non-convergence raises ConvergenceError carrying the partial trace.
+    A start outside the domain raises the compound's own DomainError, and
+    non-convergence a ConvergenceError carrying the partial trace.
     """
     dom = common_domain(m1.domain, m2.domain)
-    converged, xn, yn, n, steps = _run_iteration(m1, m2, dom, float(x), float(y), tolerance,
+    x, y = float(x), float(y)
+    if not (dom.contains(x) and dom.contains(y)):
+        raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
+    converged, xn, yn, n, steps = _run_iteration(m1, m2, dom, x, y, tolerance,
                                                  max_iterations, True)
 
-    k = None
-    envelope_ok = None
+    k = envelope_ok = None
     if estimate_contraction:
         k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
         if x != y:
@@ -230,11 +231,8 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 def make_agm(tolerance: float = DEFAULT_TOLERANCE,
              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CompoundMean:
     """The classical AGM: compound of the arithmetic and geometric means."""
-    agm = compound(make_arithmetic(), make_geometric(), tolerance, max_iterations,
-                   estimate_distance=False)
-    # d(G, A) <= 1/2 holds for every mean against A; no estimate needed
-    return replace(agm, name="AGM", is_monotone=True, is_continuous=True,
-                   d_estimate=0.5, guaranteed=True)
+    agm = m_arithmetic(make_geometric(), tolerance, max_iterations)
+    return replace(agm, name="AGM", is_monotone=True, is_continuous=True)
 
 
 def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
@@ -244,7 +242,8 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
     Always applicable: every mean is within distance 1/2 of A, so the
     coupled iteration contracts with factor below 1.
     """
-    return compound(make_arithmetic(), frak_m, tolerance, max_iterations)
+    return replace(compound(make_arithmetic(), frak_m, tolerance, max_iterations),
+                   d_upper=0.5, guaranteed_by="distance")
 
 
 def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
@@ -401,13 +400,7 @@ def counterexample_check(window: Optional[Interval] = None, grid: int = 64,
     partner = group_inverse(g)
     win = window or Interval.closed(1e-6, 1e6)
     d_est = distance(g, partner, win, grid).value
-
-    c = compound(g, partner, estimate_distance=False)
-    a = make_arithmetic()
-    is_a = True
-    for x, y in sample_pairs(Interval.closed(0.1, 10.0), samples, seed):
-        expect = a(x, y)
-        if not near(c(x, y), expect, 1e-9):
-            is_a = False
-            break
+    c, a = compound(g, partner), make_arithmetic()
+    is_a = all(near(c(x, y), a(x, y), 1e-9)
+               for x, y in sample_pairs(Interval.closed(0.1, 10.0), samples, seed))
     return CounterexampleResult(d_est, is_a)

@@ -66,6 +66,8 @@ class TestPointCommands:
         p = payload(["m-arith", "--mean", "G", "--at", "1,2"])
         assert p["value"] == pytest.approx(1.4567910310469069, abs=1e-13)
         assert p["guaranteed"] is True
+        assert p["guaranteed_by"] == "distance" and p["d_upper"] == 0.5
+        assert "d_estimate" not in p
 
 
 class TestAnalysisCommands:
@@ -151,6 +153,20 @@ class TestCompoundCommand:
                      "--at", "1,2"])
         assert p["value"] == pytest.approx(1.4567910310469069, abs=1e-12)
         assert p["converged"] is True
+        # parsed operands declare no continuity, and no theorem bounds their distance
+        assert p["guaranteed"] is False
+        assert p["guaranteed_by"] is None and p["d_upper"] is None
+
+    def test_compound_builtins_guaranteed_by_continuity(self):
+        p = payload(["compound", "--m1", "A", "--m2", "G", "--at", "1,2"])
+        assert p["guaranteed"] is True
+        assert p["guaranteed_by"] == "continuity" and p["d_upper"] is None
+
+    def test_start_outside_the_domain_is_the_compound_domain_error(self):
+        result = cli_run(["compound", "--m1", "A", "--m2", "G", "--at=-1,-1", "--trace"])
+        assert result.exit_code == 1
+        assert json.loads(result.rendered)["diagnostics"] == [
+            "(-1.0, -1.0) is outside the domain (0, inf) of mid(A,G)"]
 
     def test_trace_rows(self):
         p = payload(["compound", "--m1", "A", "--m2", "G", "--at", "1,2", "--trace"])
@@ -224,6 +240,14 @@ class TestErrorHandling:
         assert result.exit_code == 1
         doc = json.loads(result.rendered)
         assert doc["status"] == "error" and doc["diagnostics"]
+
+    def test_builtin_atom_outside_its_domain_is_user_error(self):
+        # G's kernel answers 1.414 here, outside [-2, -1]; the atom refuses the point
+        result = cli_run(["eval", "--mean", "G+0*x", "--domain", "reals", "--at=-2,-1"])
+        assert result.exit_code == 1
+        doc = json.loads(result.rendered)
+        assert doc["status"] == "error"
+        assert "G is undefined at (-2.0, -1.0)" in doc["diagnostics"][0]
 
     def test_error_envelope_has_diagnostic(self):
         result = cli_run(["eval", "--mean", "log(", "--at", "1,2"])
@@ -301,6 +325,8 @@ class TestOutputContract:
         (["coincide", "--m0", "G", "--grid", "20"], False),
         (["compare", "--p1", "1/t"], False),
         (["gh-cert"], False),
+        (["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)", "--at", "1,2", "--trace"], False),
+        (["m-arith", "--mean", "G", "--at", "1,2"], False),
         (["distance", "--m1", "G", "--m2", "H", "--grid", "16"], True),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_numpy_loads_only_for_the_grid(self, argv, loads_numpy):

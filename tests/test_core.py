@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.core import _PCG64, _halton
+from meanscape.core import _PCG64, _halton, near
 
 
 class TestInterval:
@@ -238,3 +238,15 @@ def test_default_window():
     assert ms.default_window(ms.ALL_REALS) == ms.Interval.closed(-1e3, 1e3)
     small = ms.Interval.closed(2.0, 3.0)
     assert ms.default_window(small) == small
+
+
+# zeros and infinities of both signs, NaN, subnormals and the smallest normal
+_edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                2.225073858507201e-308, -2.2250738585072014e-308, 1.0])
+_any_float = st.one_of(_edge_floats, st.floats(), st.floats(allow_subnormal=True,
+                                                            max_value=1e-300, min_value=-1e-300))
+
+
+@given(_any_float, _any_float, _any_float)
+def test_near_is_the_max_formula(x, y, rel):
+    assert near(x, y, rel) is (abs(x - y) <= rel * max(abs(x), abs(y)))

@@ -5,6 +5,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
+from meanscape.core import BUILTIN_MEANS
 from meanscape.expressions import (
     _MAX_DEPTH,
     Binary,
@@ -168,6 +169,17 @@ class TestEvaluationFaults:
             with pytest.raises(EvaluationError):
                 ev(src, x, y)
 
+    # the G and H kernels answer at these points (1.414 and -4); the atoms refuse them
+    @pytest.mark.parametrize("src, x, y", [("G", -2.0, -1.0), ("H", -1.0, 2.0),
+                                           ("G", 0.0, 1.0)])
+    def test_builtin_atom_checks_the_builtin_domain(self, src, x, y):
+        mean = expr_to_mean(parse_mean_expr(f"{src}+0*x"), ms.ALL_REALS).mean
+        for f in (lambda: ev(src, x, y), lambda: mean(x, y)):
+            with pytest.raises(EvaluationError) as err:
+                f()
+            assert str(err.value) == (f"{src} is undefined at ({x}, {y}): "
+                                      f"({x}, {y}) is outside the domain (0, inf) of {src}")
+
 
 class TestBuiltinsInExpressions:
     def test_bare_names(self):
@@ -313,8 +325,13 @@ def _oracle_walk(e, env):
         return env[e.name]
     if isinstance(e, BuiltinMean):
         x, y = env["x"], env["y"]
+        mean = _builtin(e.name)
         try:
-            return _builtin(e.name).fn(x, y)
+            if e.name in BUILTIN_MEANS and not (mean.domain.contains(x)
+                                                   and mean.domain.contains(y)):
+                raise ms.DomainError(f"({x}, {y}) is outside the domain {mean.domain} "
+                                     f"of {e.name}")
+            return mean.fn(x, y)
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationError(f"{e.name} is undefined at ({x}, {y}): {exc}") from None
     if isinstance(e, Unary):

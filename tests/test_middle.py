@@ -1,6 +1,9 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -119,21 +122,21 @@ class TestCompound:
 
     def test_tolerance_independence(self):
         A, G = ms.make_arithmetic(), ms.make_geometric()
-        coarse = ms.compound(A, G, tolerance=1e-8, estimate_distance=False)(1.0, 2.0)
-        fine = ms.compound(A, G, tolerance=1e-13, estimate_distance=False)(1.0, 2.0)
+        coarse = ms.compound(A, G, tolerance=1e-8)(1.0, 2.0)
+        fine = ms.compound(A, G, tolerance=1e-13)(1.0, 2.0)
         assert abs(coarse - fine) <= 1e-7
 
     def test_m_arithmetic(self, builtins, unit_window):
         A, G, H = builtins
         ga = ms.m_arithmetic(G)
-        assert ga.guaranteed and ga.d_estimate <= 0.5 + 1e-12
+        assert ga.guaranteed and ga.guaranteed_by == "distance" and ga.d_upper == 0.5
         assert ga(1.0, 2.0) == pytest.approx(AGM_1_2, abs=1e-13)
         assert ms.m_arithmetic(A)(0.5, 7.5) == 4.0
         assert ms.m_arithmetic(H)(1.0, 4.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_non_convergence_carries_trace(self, builtins):
         A, G, _ = builtins
-        c = ms.compound(A, G, max_iterations=2, estimate_distance=False)
+        c = ms.compound(A, G, max_iterations=2)
         with pytest.raises(ms.ConvergenceError) as err:
             c(1.0, 1e6)
         trace = err.value.trace
@@ -144,7 +147,7 @@ class TestCompound:
         # the quartile means halve the gap around 0 on every step and never land on 0
         lower = ms.MeanFunction("L", ms.ALL_REALS, lambda x, y: (3 * min(x, y) + max(x, y)) / 4)
         upper = ms.MeanFunction("U", ms.ALL_REALS, lambda x, y: (min(x, y) + 3 * max(x, y)) / 4)
-        c = ms.compound(lower, upper, estimate_distance=False)
+        c = ms.compound(lower, upper)
         for k in (-600, 0, 600):
             s = math.ldexp(1.0, k)
             assert c(-s, s) == 0.0
@@ -158,19 +161,43 @@ class TestCompound:
         with pytest.raises(ms.DomainError):
             c(-1.0, 2.0)
 
-    def test_guaranteed_flag_routes(self, builtins, mean_family):
-        A, G, _ = builtins
-        # distance route: the estimate sits below 1
-        c = ms.compound(A, mean_family[3])
-        assert c.guaranteed and c.d_estimate is not None and c.d_estimate < 1.0
-        # continuity route: no estimate, both operands flagged continuous
-        c = ms.compound(A, G, estimate_distance=False)
-        assert c.d_estimate is None and c.guaranteed
-        # neither route: unflagged operand and no estimate
+    def test_guaranteed_flag_routes(self, builtins):
+        A, G, H = builtins
+        # distance route: every mean lies within 1/2 of A, an upper bound below 1
+        for c in (ms.make_agm(), ms.m_arithmetic(G), ms.m_arithmetic(H)):
+            assert c.d_upper == 0.5 and c.guaranteed_by == "distance" and c.guaranteed
+        # continuity route: both operands flagged continuous, and no distance bound
+        c = ms.compound(A, G)
+        assert c.guaranteed_by == "continuity" and c.d_upper is None and c.guaranteed
+        # neither route: an unflagged operand, or parsed operands, which declare nothing
         unflagged = ms.MeanFunction("g2", ms.POSITIVE_REALS,
                                     lambda x, y: math.sqrt(x * y))
-        c = ms.compound(A, unflagged, estimate_distance=False)
-        assert not c.guaranteed
+        parsed = [ms.mean_from_source(src).mean for src in ("(x+y)/2", "sqrt(x*y)")]
+        for c in (ms.compound(A, unflagged), ms.compound(*parsed)):
+            assert c.guaranteed is False and c.guaranteed_by is None and c.d_upper is None
+        # guaranteed is derived from guaranteed_by and cannot be set apart from it
+        with pytest.raises(TypeError):
+            dataclasses.replace(c, guaranteed=True)
+
+    def test_building_loads_no_numpy(self):
+        # a fresh interpreter: the test session itself has numpy loaded
+        code = (
+            "import sys, meanscape as ms\n"
+            "A, G = ms.make_arithmetic(), ms.make_geometric()\n"
+            "def parse(src):\n"
+            "    return ms.mean_from_source(src).mean\n"
+            "normal = ms.make_normal_mean(ms.weight_from_source('t^(0.371)*(1+t)^(0.471)'))\n"
+            "built = [ms.compound(A, G), ms.compound(parse('(x+y)/2'), parse('sqrt(x*y)')),\n"
+            "         ms.compound(G, ms.group_inverse(G)),\n"
+            "         ms.compound(parse('((x^1.778+y^1.778)/2)^(1/1.778)'), normal),\n"
+            "         ms.make_agm(), ms.m_arithmetic(G)]\n"
+            "assert all(1.0 < c(1.0, 2.0) < 2.0 for c in built)\n"
+            "print('numpy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ms.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCompoundTrace:
@@ -271,7 +298,7 @@ class TestCounterexample:
     def test_compound_value(self):
         G = ms.make_geometric()
         partner = ms.group_inverse(G)
-        c = ms.compound(G, partner, estimate_distance=False)
+        c = ms.compound(G, partner)
         assert c(1.0, 4.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_estimate_grows_with_window(self):
@@ -318,7 +345,10 @@ def _checked_compound(m1, m2, tolerance=1e-13, max_iterations=200):
 
 
 def _checked_trace(m1, m2, x, y, tolerance=1e-13, max_iterations=200):
-    common_domain(m1.domain, m2.domain)
+    dom = common_domain(m1.domain, m2.domain)
+    if not (dom.contains(x) and dom.contains(y)):
+        raise ms.DomainError(f"({x}, {y}) is outside the domain {dom} of "
+                             f"mid({m1.name},{m2.name})")
     converged, xn, yn, n, steps = _checked_iteration(m1, m2, x, y, tolerance,
                                                      max_iterations, True)
     trace = ms.IterationTrace(tuple(steps), converged, 0.5 * (xn + yn), n)
@@ -330,7 +360,7 @@ def _checked_trace(m1, m2, x, y, tolerance=1e-13, max_iterations=200):
 
 
 def _kernel_compound(m1, m2, tolerance=1e-13, max_iterations=200):
-    return ms.compound(m1, m2, tolerance, max_iterations, estimate_distance=False)
+    return ms.compound(m1, m2, tolerance, max_iterations)
 
 
 def _bits(v):
@@ -450,12 +480,13 @@ class TestKernelIterationMatchesCheckedReference:
         assert fast == _outcome(_checked_compound(A, G, max_iterations=2), 1.0, 1e6)
 
     def test_trace_from_outside_the_domain(self):
+        # the start is checked first, equal coordinates included, as the compound checks it
         A, G = ms.make_arithmetic(), ms.make_geometric()
         for x, y in [(-1.0, 2.0), (2.0, -1.0), (-1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0)]:
             fast = _outcome(lambda: ms.compound_trace(G, A, x, y, estimate_contraction=False))
             assert fast == _outcome(lambda: _checked_trace(G, A, x, y))
-        with pytest.raises(ms.DomainError, match="of G"):
-            ms.compound_trace(G, A, -1.0, 2.0, estimate_contraction=False)
+            assert fast == _outcome(ms.compound(G, A), x, y) == (
+                ms.DomainError, f"({x}, {y}) is outside the domain (0, inf) of mid(G,A)", None)
 
 
     def test_parsed_agm_atom_outside_its_domain(self):
