@@ -170,7 +170,7 @@ def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFuncti
         e = math.exp(v)
         return (x + y * e) / (e + 1.0)
 
-    return MeanFunction(name or f"phi_inv({f.name})", f.domain, fn, maps_into_domain=True)
+    return MeanFunction(name or f"phi_inv({f.name})", f.domain, fn)
 
 
 def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
@@ -207,7 +207,7 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
     def fn(x: float, y: float) -> float:
         return x + y - kernel(x, y)
 
-    return MeanFunction(f"(2A-{m.name})", m.domain, fn, maps_into_domain=True)
+    return MeanFunction(f"(2A-{m.name})", m.domain, fn)
 
 
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
@@ -252,8 +252,7 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
             raise InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
         return (x * px + y * py) / (px + py)
 
-    return MeanFunction(name or f"normal({p.name})", p.domain, fn,
-                        is_continuous=None, maps_into_domain=True)
+    return MeanFunction(name or f"normal({p.name})", p.domain, fn)
 
 
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:

@@ -174,7 +174,7 @@ class MeanFunction:
     must lie in ``domain``, and exactly equal arguments return ``x`` without
     calling ``fn``, which keeps the diagonal exact. ``fn`` is the kernel
     behind that check. Its contract, which ``algebra.AsymmetricFunction`` and
-    ``algebra.WeightFunction`` share:
+    ``algebra.WeightFunction`` share, has no exceptions:
 
     - ``fn`` is only called with Python floats inside ``domain`` and, for the
       two-variable types, never with x == y. It returns a float.
@@ -182,12 +182,11 @@ class MeanFunction:
       ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
       check has passed, and calls its operands' ``fn`` there. That relies on
       ``common_domain`` keeping the composite's domain inside each operand's.
+    - The grids of ``metric`` check their window once and then call kernels.
+    - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
+      checked built-in, whose domain the parsed mean's need not lie in.
     - No code may widen a domain with ``dataclasses.replace``; only names and
       flags are replaced.
-    - One caller is outside the contract: a parsed expression's ``A``, ``G``,
-      ``H`` or ``AGM`` atom calls that kernel at any point of the parsed
-      mean's domain, the diagonal included. The A, G and H atoms first check
-      the built-in's domain, and a compound's kernel checks its start point.
 
     Metadata flags use None for "unknown".
     """
@@ -197,7 +196,6 @@ class MeanFunction:
     fn: Callable[[float, float], float] = field(repr=False)
     is_monotone: Optional[bool] = None
     is_continuous: Optional[bool] = None
-    maps_into_domain: Optional[bool] = None
 
     def __call__(self, x: float, y: float) -> float:
         x = float(x)
@@ -234,19 +232,19 @@ def _harmonic_eval(x: float, y: float) -> float:
 def make_arithmetic() -> MeanFunction:
     """The arithmetic mean (x + y)/2 on all of R."""
     return MeanFunction("A", ALL_REALS, _arithmetic_eval,
-                        is_monotone=True, is_continuous=True, maps_into_domain=True)
+                        is_monotone=True, is_continuous=True)
 
 
 def make_geometric() -> MeanFunction:
     """The geometric mean sqrt(x*y) on (0, +inf)."""
     return MeanFunction("G", POSITIVE_REALS, _geometric_eval,
-                        is_monotone=True, is_continuous=True, maps_into_domain=True)
+                        is_monotone=True, is_continuous=True)
 
 
 def make_harmonic() -> MeanFunction:
     """The harmonic mean 2xy/(x + y) on (0, +inf)."""
     return MeanFunction("H", POSITIVE_REALS, _harmonic_eval,
-                        is_monotone=True, is_continuous=True, maps_into_domain=True)
+                        is_monotone=True, is_continuous=True)
 
 
 BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
-from .core import BUILTIN_MEANS, _outside_domain
+from .core import BUILTIN_MEANS
 from .algebra import WeightFunction
 from .middle import make_agm
 
@@ -387,14 +387,11 @@ def _closure(e: Expression) -> Callable[[float, float], float]:
     if isinstance(e, Var):
         return (lambda x, y: y) if e.name == "y" else (lambda x, y: x)
     if isinstance(e, BuiltinMean):
-        name, kernel, dom = e.name, _builtin(e.name).fn, _builtin(e.name).domain
-        checked = name in BUILTIN_MEANS  # A, G, H kernels take any floats; AGM's checks its start
+        name, mean = e.name, _builtin(e.name)
 
         def atom(x: float, y: float) -> float:
             try:
-                if checked and not (dom.contains(x) and dom.contains(y)):
-                    raise _outside_domain(x, y, dom, name)
-                return kernel(x, y)
+                return mean(x, y)
             except (ArithmeticError, ValueError) as exc:
                 raise EvaluationError(f"{name} is undefined at ({x}, {y}): {exc}") from None
         return atom

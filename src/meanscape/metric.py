@@ -11,6 +11,7 @@ Sups over a continuum are not computable, so every estimator here reports
 a certified lower bound: the best value actually evaluated on a coarse
 grid over a bounded window, sharpened by coordinate-wise golden-section
 refinement around the best cell. The window is always part of the result.
+Each entry point checks its window once; the grid then calls the kernels.
 
 Grid evaluation is embarrassingly parallel and the refinement stage is
 sequential; results depend only on (window, grid), never on scheduling.
@@ -39,9 +40,6 @@ __all__ = [
 # Relative half-width of the excluded band around the diagonal, where the
 # difference quotient is 0/0.
 _DIAG_BAND = 1e-9
-
-# Above this sup estimate the distance-to-A formula saturates at 1/2.
-_EXP_SAT = 700.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -192,14 +190,21 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
     arguments, so the estimate does not depend on the scale of the window.
     """
     _check_window(m1, m2, window, grid)
+    f1, f2 = m1.fn, m2.fn
 
     def quotient(x: float, y: float) -> float:
         if near(x, y, _DIAG_BAND):
             return -math.inf
-        return (m1(x, y) - m2(x, y)) / (x - y)
+        return (f1(x, y) - f2(x, y)) / (x - y)
 
     value, arg = _sup2d(quotient, window, grid)
     return DistanceEstimate(value, arg, window, grid)
+
+
+def _phi_kernel(m: MeanFunction) -> Callable[[float, float], float]:
+    """phi(m)'s kernel, for a checked window; 0 on the diagonal, as phi(m) gives."""
+    kernel = phi(m).fn
+    return lambda x, y: 0.0 if x == y else kernel(x, y)
 
 
 def _logistic(f: float) -> float:
@@ -224,8 +229,7 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     singularity to dodge.
     """
     _check_window(m1, m2, window, grid)
-    f1 = phi(m1)
-    f2 = phi(m2)
+    f1, f2 = _phi_kernel(m1), _phi_kernel(m2)
 
     def integrand(x: float, y: float) -> float:
         return _logistic(f2(x, y)) - _logistic(f1(x, y))
@@ -234,28 +238,21 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     return DistanceEstimate(value, arg, window, grid)
 
 
-def _sup_phi(m: MeanFunction, window: Interval, grid: int) -> tuple[float, tuple[float, float]]:
-    return _sup2d(phi(m), window, grid)
-
-
 def distance_to_arithmetic(m: MeanFunction, window: Interval,
                            grid: int = 64) -> DistanceEstimate:
     """d(M, A) through the bound s = sup phi(M): the distance is
-    (e^s - 1) / (2(e^s + 1)), saturating at 1/2 for s above 700."""
+    (e^s - 1) / (2(e^s + 1)) = tanh(s/2) / 2, which rounds to 1/2 for s above 39."""
     _check_window(m, None, window, grid)
-    s, arg = _sup_phi(m, window, grid)
-    if s > _EXP_SAT:
-        value = 0.5
-    else:
-        value = 0.5 * math.tanh(0.5 * s)
-    return DistanceEstimate(value, arg, window, grid)
+    s, arg = _sup2d(_phi_kernel(m), window, grid)
+    return DistanceEstimate(0.5 * math.tanh(0.5 * s), arg, window, grid)
 
 
 def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],
                       grid: int = 48) -> BorderDiagnostic:
     """sup phi(M) across nested, increasing windows, with a trend verdict.
 
-    Windows must be nested (each contains the previous). The verdict is
+    Windows must be nested (each contains the previous), so checking the
+    last one checks them all before any is sampled. The verdict is
     "growing" when every enlargement strictly increased the estimate,
     "bounded" when the estimates are flat, and "inconclusive" otherwise.
     """
@@ -264,8 +261,9 @@ def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],
     for small, large in zip(windows, windows[1:]):
         if not large.contains_interval(small):
             raise DomainError(f"windows are not nested: {large} does not contain {small}")
+    _check_window(m, None, windows[-1], grid)
 
-    sups = [_sup_phi(m, w, grid)[0] for w in windows]
+    sups = [_sup2d(_phi_kernel(m), w, grid)[0] for w in windows]
     eps = 1e-9 * max(1.0, abs(sups[-1]))
     diffs = [b - a for a, b in zip(sups, sups[1:])]
     if diffs and all(d > eps for d in diffs):

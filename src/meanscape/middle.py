@@ -19,7 +19,7 @@ never shared mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -106,8 +106,8 @@ class CompoundMean(MeanFunction):
     continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
     """
 
-    m1: Optional[MeanFunction] = None
-    m2: Optional[MeanFunction] = None
+    m1: MeanFunction = field(kw_only=True)
+    m2: MeanFunction = field(kw_only=True)
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     d_upper: Optional[float] = None
@@ -118,22 +118,20 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-def _run_iteration(m1: MeanFunction, m2: MeanFunction, dom: Interval, x: float, y: float,
+def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                    tol: float, max_iter: int, record: bool):
     """Coupled iteration with envelope clamping, on the operands' kernels.
 
-    A start of floats in the common domain ``dom`` runs on ``m1.fn`` and
-    ``m2.fn``, any other start on the checked means, which raise their
-    DomainError. (The compound's call and ``compound_trace`` check the start; a
-    parsed ``AGM`` atom does not.) Each update lies inside the current [min, max]
-    envelope by the mean axioms; clamping removes half-ulp rounding drift, so
-    the envelope is monotone in floating point too and every iterate stays in
-    the domain. The loop runs only while x(n) != y(n), off the diagonal. A NaN
-    iterate survives the clamp and goes to the checked ``m1``. From a pair of
-    opposite signs, which may converge to 0, the gap is also compared with
-    tol * max(|x|, |y|).
+    The start is a pair of floats in the operands' common domain: the compound's
+    call and ``compound_trace`` check it. Each update lies inside the current
+    [min, max] envelope by the mean axioms; clamping removes half-ulp rounding
+    drift, so the envelope is monotone in floating point too and every iterate
+    stays in the domain. The loop runs only while x(n) != y(n), off the
+    diagonal. A NaN iterate survives the clamp and goes to the checked ``m1``,
+    which raises its DomainError. From a pair of opposite signs, which may
+    converge to 0, the gap is also compared with tol * max(|x|, |y|).
     """
-    f1, f2 = (m1.fn, m2.fn) if dom.contains(x) and dom.contains(y) else (m1, m2)
+    f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
     floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
@@ -159,20 +157,23 @@ def compound(m1: MeanFunction, m2: MeanFunction,
 
     Convergence is guaranteed by continuity when both operands are declared
     continuous, and otherwise not known (``guaranteed_by=None``): a sampled
-    distance is a lower bound and cannot show d(m1, m2) < 1.
+    distance is a lower bound and cannot show d(m1, m2) < 1. The compound of
+    continuous means is declared continuous, so nesting keeps that route: the
+    gap |x_n - y_n| is a non-increasing sequence of continuous functions of the
+    start that tends to 0 pointwise, so by Dini's theorem uniformly on compacts;
+    the limit lies within that gap of x_n, so it is a uniform limit of
+    continuous functions, and therefore continuous.
     Evaluation iterates until ``near(x_n, y_n, tolerance)`` (or, from a pair
     of opposite signs, a gap within tolerance of that pair) and returns the
     midpoint; running out of iterations raises ConvergenceError with the trace.
     """
-    if m1.maps_into_domain is False or m2.maps_into_domain is False:
-        raise ValueError("compound operands must map into their domain interval")
     dom = common_domain(m1.domain, m2.domain)
+    continuous = True if m1.is_continuous and m2.is_continuous else None
 
     def fn(x: float, y: float) -> float:
-        ok, xn, yn, n, _ = _run_iteration(m1, m2, dom, x, y, tolerance, max_iterations, False)
+        ok, xn, yn, n, _ = _run_iteration(m1, m2, x, y, tolerance, max_iterations, False)
         if not ok:
-            _, _, _, _, steps = _run_iteration(m1, m2, dom, x, y, tolerance, max_iterations,
-                                               True)
+            _, _, _, _, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
             trace = IterationTrace(tuple(steps), False, 0.5 * (xn + yn), n)
             raise ConvergenceError(
                 f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
@@ -181,9 +182,9 @@ def compound(m1: MeanFunction, m2: MeanFunction,
 
     return CompoundMean(
         name=f"mid({m1.name},{m2.name})", domain=dom, fn=fn,
-        is_monotone=None, is_continuous=None, maps_into_domain=True,
+        is_monotone=None, is_continuous=continuous,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
-        guaranteed_by="continuity" if m1.is_continuous and m2.is_continuous else None)
+        guaranteed_by="continuity" if continuous else None)
 
 
 def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
@@ -206,8 +207,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
-    converged, xn, yn, n, steps = _run_iteration(m1, m2, dom, x, y, tolerance,
-                                                 max_iterations, True)
+    converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
 
     k = envelope_ok = None
     if estimate_contraction:
@@ -232,7 +232,7 @@ def make_agm(tolerance: float = DEFAULT_TOLERANCE,
              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CompoundMean:
     """The classical AGM: compound of the arithmetic and geometric means."""
     agm = m_arithmetic(make_geometric(), tolerance, max_iterations)
-    return replace(agm, name="AGM", is_monotone=True, is_continuous=True)
+    return replace(agm, name="AGM", is_monotone=True)
 
 
 def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
@@ -255,16 +255,17 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     [min(x,y), max(x,y)]. The root is found by bisection until the bracket
     is narrower than rel_tol * max(|x|, |y|); the midpoint of the final
     bracket is returned. A missing sign change raises BracketError with
-    the endpoint values.
+    the endpoint values, and a point outside a domain, on the diagonal too,
+    raises DomainError.
     """
     if m0.is_monotone is not True:
         raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
     x, y = float(x), float(y)
+    target = m0(x, y)
+    a = m1(x, y)  # both checked calls come first, so the diagonal is checked too
     if x == y:
         return x
     lo, hi = min(x, y), max(x, y)
-    target = m0(x, y)
-    a = m1(x, y)
 
     def g(t: float) -> float:
         return m0(a, t) - target
@@ -300,8 +301,7 @@ def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunctio
     dom = common_domain(m0.domain, m1.domain)
     return MeanFunction(
         f"sigma[{m0.name}]({m1.name})", dom,
-        lambda x, y: functional_symmetric(m0, m1, x, y),
-        maps_into_domain=True)
+        lambda x, y: functional_symmetric(m0, m1, x, y))
 
 
 def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
@@ -318,8 +318,7 @@ def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     if not base.domain.contains_interval(m.domain):
         raise DomainError(f"sigma with respect to {which} needs a domain within "
                           f"{base.domain}, got {m.domain}")
-    return replace(group_symmetry(base, m), name=f"sigma[{which}]({m.name})",
-                   maps_into_domain=True)
+    return replace(group_symmetry(base, m), name=f"sigma[{which}]({m.name})")
 
 
 def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:

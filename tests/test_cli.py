@@ -51,6 +51,12 @@ class TestPointCommands:
         p = payload(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4"])
         assert p["value"] == pytest.approx(3.0, abs=1e-10)
 
+    def test_sigma_on_the_diagonal_outside_the_domain(self):
+        result = cli_run(["sigma", "--m0", "G", "--m1", "A", "--at=-1,-1"])
+        assert result.exit_code == 1
+        doc = json.loads(result.rendered)
+        assert doc["diagnostics"] == ["(-1.0, -1.0) is outside the domain (0, inf) of G"]
+
     def test_sigma_expression_needs_monotone_flag(self):
         argv = ["sigma", "--m0", "(x+y)/2", "--m1", "G", "--at", "1,4"]
         result = cli_run(argv)
@@ -97,6 +103,16 @@ class TestAnalysisCommands:
         assert p["trend"] == "growing"
         p = payload(["border", "--mean", "A", "--domain", "reals"])
         assert p["trend"] == "bounded"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "1", "--windows", "1,2"], "grid must be >= 8"),
+        (["--grid", "8", "--windows=1,2;-1,5"],
+         "window [-1, 5] is not inside the domain (0, inf) of G"),
+    ])
+    def test_border_rejects_grid_and_window(self, argv, message):
+        result = cli_run(["border", "--mean", "G", *argv])
+        assert result.exit_code == 1
+        assert json.loads(result.rendered)["diagnostics"] == [message]
 
     def test_gh_cert(self):
         p = payload(["gh-cert"])

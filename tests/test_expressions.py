@@ -5,7 +5,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.core import BUILTIN_MEANS
 from meanscape.expressions import (
     _MAX_DEPTH,
     Binary,
@@ -169,9 +168,10 @@ class TestEvaluationFaults:
             with pytest.raises(EvaluationError):
                 ev(src, x, y)
 
-    # the G and H kernels answer at these points (1.414 and -4); the atoms refuse them
+    # the G and H kernels answer at these points (1.414 and -4); the atoms refuse them,
+    # and AGM's as its own, not as an operand's
     @pytest.mark.parametrize("src, x, y", [("G", -2.0, -1.0), ("H", -1.0, 2.0),
-                                           ("G", 0.0, 1.0)])
+                                           ("G", 0.0, 1.0), ("AGM", -2.0, -1.0)])
     def test_builtin_atom_checks_the_builtin_domain(self, src, x, y):
         mean = expr_to_mean(parse_mean_expr(f"{src}+0*x"), ms.ALL_REALS).mean
         for f in (lambda: ev(src, x, y), lambda: mean(x, y)):
@@ -190,6 +190,12 @@ class TestBuiltinsInExpressions:
 
     def test_composed(self):
         assert ev("(A+H)/2", 1.0, 3.0) == pytest.approx((2.0 + 1.5) / 2)
+
+    @pytest.mark.parametrize("src", ["A", "G", "H", "AGM"])
+    def test_diagonal_is_exact(self, src):
+        # the checked built-in returns x there; (x + x) / 2 would overflow
+        assert ev(src, 1.5e308, 1.5e308) == 1.5e308
+        assert ev(src, 0.1, 0.1) == 0.1
 
     def test_not_available_in_weights(self):
         with pytest.raises(ExpressionError, match="unknown identifier"):
@@ -327,11 +333,10 @@ def _oracle_walk(e, env):
         x, y = env["x"], env["y"]
         mean = _builtin(e.name)
         try:
-            if e.name in BUILTIN_MEANS and not (mean.domain.contains(x)
-                                                   and mean.domain.contains(y)):
+            if not (mean.domain.contains(x) and mean.domain.contains(y)):
                 raise ms.DomainError(f"({x}, {y}) is outside the domain {mean.domain} "
                                      f"of {e.name}")
-            return mean.fn(x, y)
+            return x if x == y else mean.fn(x, y)
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationError(f"{e.name} is undefined at ({x}, {y}): {exc}") from None
     if isinstance(e, Unary):

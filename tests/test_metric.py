@@ -197,6 +197,15 @@ class TestBorderDiagnostic:
         assert diag.trend == "bounded"
         assert diag.sup_f_estimate == pytest.approx(1.0, abs=1e-9)
 
+    def test_every_window_is_checked_before_sampling(self):
+        G, inner = ms.make_geometric(), ms.Interval.closed(1.0, 2.0)
+        with pytest.raises(ValueError, match="grid must be >= 8"):
+            ms.border_diagnostic(G, [inner], 1)
+        wide = ms.Interval.closed(-1.0, 5.0)
+        with pytest.raises(ms.DomainError) as err:
+            ms.border_diagnostic(G, [inner, wide], 8)
+        assert str(err.value) == "window [-1, 5] is not inside the domain (0, inf) of G"
+
     def test_non_nested_windows_rejected(self):
         with pytest.raises(ms.DomainError):
             ms.border_diagnostic(ms.make_geometric(),

@@ -30,6 +30,14 @@ class TestFunctionalSymmetric:
         A, G, _ = builtins
         assert ms.functional_symmetric(A, G, 3.0, 3.0) == 3.0
 
+    def test_diagonal_is_checked(self, builtins):
+        # the diagonal gets the domain check of every other point
+        A, G, _ = builtins
+        for m0, m1 in ((G, A), (A, G)):
+            with pytest.raises(ms.DomainError) as err:
+                ms.functional_symmetric(m0, m1, -1.0, -1.0)
+            assert str(err.value) == "(-1.0, -1.0) is outside the domain (0, inf) of G"
+
     def test_defining_equation(self, builtins, mean_family, unit_window):
         for m0 in builtins:
             for m1 in mean_family[3:]:
@@ -169,15 +177,28 @@ class TestCompound:
         # continuity route: both operands flagged continuous, and no distance bound
         c = ms.compound(A, G)
         assert c.guaranteed_by == "continuity" and c.d_upper is None and c.guaranteed
+        # a compound of continuous means is continuous, so nesting keeps the route
+        assert c.is_continuous is True and ms.make_agm().is_continuous is True
+        nested = ms.compound(c, H)
+        assert nested.guaranteed_by == "continuity" and nested.is_continuous is True
         # neither route: an unflagged operand, or parsed operands, which declare nothing
         unflagged = ms.MeanFunction("g2", ms.POSITIVE_REALS,
                                     lambda x, y: math.sqrt(x * y))
         parsed = [ms.mean_from_source(src).mean for src in ("(x+y)/2", "sqrt(x*y)")]
         for c in (ms.compound(A, unflagged), ms.compound(*parsed)):
             assert c.guaranteed is False and c.guaranteed_by is None and c.d_upper is None
+            assert c.is_continuous is None
         # guaranteed is derived from guaranteed_by and cannot be set apart from it
         with pytest.raises(TypeError):
             dataclasses.replace(c, guaranteed=True)
+
+    def test_operands_are_required(self, builtins):
+        A, G, _ = builtins
+        c = ms.compound(A, G)
+        with pytest.raises(TypeError):
+            ms.CompoundMean("c", c.domain, c.fn, m1=A)
+        with pytest.raises(TypeError):
+            ms.CompoundMean("c", c.domain, c.fn, m2=G)
 
     def test_building_loads_no_numpy(self):
         # a fresh interpreter: the test session itself has numpy loaded
@@ -490,13 +511,13 @@ class TestKernelIterationMatchesCheckedReference:
 
 
     def test_parsed_agm_atom_outside_its_domain(self):
-        # the atom calls the compound's kernel at any point of the parsed mean's domain
+        # the atom calls the checked AGM, whose domain the parsed mean's need not lie in
         agm = ms.expr_to_mean(ms.parse_mean_expr("AGM"), ms.ALL_REALS).mean
         for x, y in [(-1.0, 2.0), (-2.0, -1.0), (2.0, -0.5), (0.0, 3.0)]:
             with pytest.raises(ms.EvaluationError) as err:
                 agm(x, y)
             assert str(err.value) == (f"AGM is undefined at ({x}, {y}): "
-                                      f"({x}, {y}) is outside the domain (0, inf) of G")
+                                      f"({x}, {y}) is outside the domain (0, inf) of AGM")
         assert agm(1.0, 2.0) == ms.make_agm()(1.0, 2.0)
 
 
@@ -566,4 +587,20 @@ class TestKernelContract:
             reals_compound(-abs(x), abs(y))
             ms.compound_trace(L, U, -abs(x), abs(y), estimate_contraction=False)
         assert spy.calls > 10_000
+        assert spy.violations == []
+
+    def test_grids_call_kernels_only_within_the_contract(self):
+        spy = _ContractSpy()
+        pos = ms.POSITIVE_REALS
+        G = spy.mean("G", pos, ms.make_geometric().fn)
+        H = spy.mean("H", pos, ms.make_harmonic().fn)
+        agm = ms.compound(spy.mean("A", ms.ALL_REALS, ms.make_arithmetic().fn), G)
+        windows = [ms.Interval.closed(1e-3, 1e3), ms.Interval.closed(1e-300, 1e-290)]
+        for window in windows:
+            for m1, m2 in ((G, H), (agm, G)):
+                ms.distance(m1, m2, window, 8)
+                ms.distance_via_phi(m1, m2, window, 8)
+                ms.distance_to_arithmetic(m1, window, 8)
+                ms.border_diagnostic(m1, [window], 8)
+        assert spy.calls > 5_000
         assert spy.violations == []
