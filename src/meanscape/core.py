@@ -36,6 +36,7 @@ __all__ = [
     "ALL_REALS",
     "common_domain",
     "near",
+    "diagonal_safe",
     "MeanFunction",
     "AxiomReport",
     "make_arithmetic",
@@ -162,6 +163,18 @@ def near(x: float, y: float, rel: float) -> bool:
     return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
 
 
+def diagonal_safe(fn: Callable[[float, float], float],
+                  on_diagonal: Optional[float] = None) -> Callable[[float, float], float]:
+    """A kernel for points that are already checked, with the diagonal the checked call gives.
+
+    x == y returns ``on_diagonal``, or x itself when that is None, as ``MeanFunction.__call__``
+    does; elsewhere ``fn`` is called. ``metric`` passes 0.0 for the transforms of ``phi``.
+    """
+    if on_diagonal is None:
+        return lambda x, y: x if x == y else fn(x, y)
+    return lambda x, y: on_diagonal if x == y else fn(x, y)
+
+
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
     return DomainError(f"({x}, {y}) is outside the domain {domain} of {name}")
 
@@ -182,7 +195,10 @@ class MeanFunction:
       ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
       check has passed, and calls its operands' ``fn`` there. That relies on
       ``common_domain`` keeping the composite's domain inside each operand's.
-    - The grids of ``metric`` check their window once and then call kernels.
+    - The grids of ``metric`` check their window once and then call kernels;
+      ``middle.functional_symmetric`` checks its point and the value of m1
+      there, then bisects on m0's kernel. Where such a call can land on the
+      diagonal, ``diagonal_safe`` returns there what the checked call would.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
     - No code may widen a domain with ``dataclasses.replace``; only names and

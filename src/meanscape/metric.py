@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .core import DomainError, Interval, MeanFunction, near
-from .algebra import phi
+from .core import DomainError, Interval, MeanFunction, diagonal_safe, near
+from .algebra import _linspace, phi
 
 __all__ = [
     "DistanceEstimate",
@@ -110,13 +110,26 @@ class BorderDiagnostic:
     trend: str
 
 
-def _axis_points(window: Interval, n: int) -> tuple["np.ndarray", bool]:
-    """Grid points over a window, log-spaced when it sits in (0, inf)."""
-    import numpy as np  # here, not at module level: only the grid needs it
+def _axis_points(window: Interval, n: int) -> tuple[list[float], list[float], bool]:
+    """Grid points over a window, and the coordinates refinement works in.
 
-    if window.lo > 0.0:
-        return np.geomspace(window.lo, window.hi, n), True
-    return np.linspace(window.lo, window.hi, n), False
+    A window in (0, inf) gets ``numpy.geomspace``'s points, computed as it
+    computes them: 10 ** t over ``_linspace`` of the log10 endpoints, with
+    the endpoints pinned to ``lo`` and ``hi``. A t that rounds up to
+    log10(hi) gives hi, where 10 ** t could overflow, and every other point
+    is clamped into the window, which a pow less accurate than correctly
+    rounded can leave on narrow windows (numpy's SIMD power does). Refinement
+    works in natural-log coordinates, so its tolerance is relative. Other
+    windows are linearly spaced throughout.
+    """
+    lo, hi = window.lo, window.hi
+    if lo > 0.0:
+        top = math.log10(hi)
+        inner = _linspace(math.log10(lo), top, n)[1:-1]
+        pts = [lo] + [min(max(10.0 ** t, lo), hi) if t < top else hi for t in inner] + [hi]
+        return pts, [math.log(p) for p in pts], True
+    pts = _linspace(lo, hi, n)
+    return pts, pts, False
 
 
 def _sup2d(f: Callable[[float, float], float], window: Interval,
@@ -128,27 +141,24 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     it was evaluated; refinement replaces the grid maximum only on strict
     improvement.
     """
-    pts, log_spaced = _axis_points(window, grid)
+    pts, coords, log_spaced = _axis_points(window, grid)
     best_v = -math.inf
     bi = bj = 0
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
-            v = f(float(x), float(y))
+            v = f(x, y)
             if v > best_v:
                 best_v, bi, bj = v, i, j
     if not math.isfinite(best_v):
         raise DomainError("no admissible grid points in the window")
 
-    # refine around the best cell, working in log coordinates when the
-    # grid is log-spaced so the tolerance is relative; exp(log(t)) may
-    # round out of the window, so coordinates are clamped before use
-    import numpy as np
-
-    coords = np.log(pts) if log_spaced else pts
-    best = (best_v, float(pts[bi]), float(pts[bj]))
+    # refine around the best cell, in log coordinates when the grid is
+    # log-spaced; exp(log(t)) may round out of the window, so coordinates
+    # are clamped before use
+    best = (best_v, pts[bi], pts[bj])
 
     def to_point(s: float) -> float:
-        t = math.exp(s) if log_spaced else float(s)
+        t = math.exp(s) if log_spaced else s
         return min(max(t, window.lo), window.hi)
 
     def eval_at(u: float, w: float) -> float:
@@ -201,12 +211,6 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
     return DistanceEstimate(value, arg, window, grid)
 
 
-def _phi_kernel(m: MeanFunction) -> Callable[[float, float], float]:
-    """phi(m)'s kernel, for a checked window; 0 on the diagonal, as phi(m) gives."""
-    kernel = phi(m).fn
-    return lambda x, y: 0.0 if x == y else kernel(x, y)
-
-
 def _logistic(f: float) -> float:
     """1 / (1 + e^f), computed without overflow."""
     if f >= 0.0:
@@ -229,7 +233,7 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     singularity to dodge.
     """
     _check_window(m1, m2, window, grid)
-    f1, f2 = _phi_kernel(m1), _phi_kernel(m2)
+    f1, f2 = diagonal_safe(phi(m1).fn, 0.0), diagonal_safe(phi(m2).fn, 0.0)
 
     def integrand(x: float, y: float) -> float:
         return _logistic(f2(x, y)) - _logistic(f1(x, y))
@@ -243,7 +247,7 @@ def distance_to_arithmetic(m: MeanFunction, window: Interval,
     """d(M, A) through the bound s = sup phi(M): the distance is
     (e^s - 1) / (2(e^s + 1)) = tanh(s/2) / 2, which rounds to 1/2 for s above 39."""
     _check_window(m, None, window, grid)
-    s, arg = _sup2d(_phi_kernel(m), window, grid)
+    s, arg = _sup2d(diagonal_safe(phi(m).fn, 0.0), window, grid)
     return DistanceEstimate(0.5 * math.tanh(0.5 * s), arg, window, grid)
 
 
@@ -263,7 +267,8 @@ def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],
             raise DomainError(f"windows are not nested: {large} does not contain {small}")
     _check_window(m, None, windows[-1], grid)
 
-    sups = [_sup2d(_phi_kernel(m), w, grid)[0] for w in windows]
+    f = diagonal_safe(phi(m).fn, 0.0)
+    sups = [_sup2d(f, w, grid)[0] for w in windows]
     eps = 1e-9 * max(1.0, abs(sups[-1]))
     diffs = [b - a for a, b in zip(sups, sups[1:])]
     if diffs and all(d > eps for d in diffs):

@@ -34,6 +34,7 @@ from .core import (
     DEFAULT_SEED,
     common_domain,
     default_window,
+    diagonal_safe,
     make_arithmetic,
     make_geometric,
     make_harmonic,
@@ -266,11 +267,14 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     if x == y:
         return x
     lo, hi = min(x, y), max(x, y)
+    # the one checked call with a; every later t lies in [lo, hi], inside m0's domain
+    g_lo = m0(a, lo) - target
+    a, kernel = float(a), diagonal_safe(m0.fn)
 
     def g(t: float) -> float:
-        return m0(a, t) - target
+        return kernel(a, t) - target
 
-    g_lo, g_hi = g(lo), g(hi)
+    g_hi = g(hi)
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:

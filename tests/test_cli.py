@@ -334,7 +334,15 @@ class TestOutputContract:
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
-    # a fresh interpreter per command; only the grid commands may load numpy
+    def test_metric_import_loads_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, meanscape.metric; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    # a fresh interpreter per command; no command loads numpy, the grid commands included
     @pytest.mark.parametrize("argv, loads_numpy", [
         (["eval", "--mean", "sqrt(x*y)", "--at", "2,8"], False),
         (["verify", "--mean", "sqrt(x*y)"], False),
@@ -343,7 +351,10 @@ class TestOutputContract:
         (["gh-cert"], False),
         (["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)", "--at", "1,2", "--trace"], False),
         (["m-arith", "--mean", "G", "--at", "1,2"], False),
-        (["distance", "--m1", "G", "--m2", "H", "--grid", "16"], True),
+        (["distance", "--m1", "G", "--m2", "H", "--grid", "16"], False),
+        (["dist-to-a", "--mean", "G", "--grid", "16"], False),
+        (["border", "--mean", "G"], False),
+        (["counterexample", "--grid", "16"], False),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_numpy_loads_only_for_the_grid(self, argv, loads_numpy):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))

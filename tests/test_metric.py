@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape.metric import _sup2d, golden_section_max
+from meanscape.metric import _axis_points, _sup2d, golden_section_max
 
 # Frozen reference values, computed beforehand with 60-digit arithmetic
 # (stationary point of the ratio profile and its exact elimination).
@@ -40,6 +42,69 @@ class TestSup2d:
             value, (x, y) = _sup2d(f, window, 32)
             assert f(x, y) == value
             assert window.contains(x) and window.contains(y)
+
+
+@st.composite
+def log_windows(draw):
+    """Windows in [1e-300, 1e300], from a ratio hi/lo of about 1.002 up to 1e600."""
+    lo = draw(st.floats(1e-300, 1e299))
+    span = draw(st.floats(1e-3, 600.0))  # log10(hi / lo) before the cap
+    return ms.Interval.closed(lo, 10.0 ** min(math.log10(lo) + span, 300.0))
+
+
+class TestAxisPoints:
+    # numpy is the oracle here, in the tests only
+    @given(log_windows(), st.integers(8, 512))
+    def test_log_grid_is_numpy_geomspace(self, window, n):
+        pts, coords, log_spaced = _axis_points(window, n)
+        assert log_spaced and len(pts) == n
+        assert pts[0] == window.lo and pts[-1] == window.hi
+        assert all(type(p) is float and window.contains(p) for p in pts)
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+        ref = np.geomspace(window.lo, window.hi, n)
+        assert all(abs(p - r) <= 1e-12 * r for p, r in zip(pts, ref.tolist()))
+        assert coords == [math.log(p) for p in pts]
+
+    @given(st.floats(-1e300, 0.0), st.floats(1e-300, 1e300), st.integers(8, 512))
+    def test_linear_grid_is_numpy_linspace(self, lo, width, n):
+        assume(lo < lo + width)
+        window = ms.Interval.closed(lo, lo + width)
+        pts, coords, log_spaced = _axis_points(window, n)
+        assert not log_spaced and coords == pts
+        assert pts == np.linspace(window.lo, window.hi, n).tolist()
+
+    @pytest.mark.parametrize("lo, hi", [
+        # inner t round up to log10(hi), and np.geomspace's points leave the window
+        (1.839803268078821e158, 1.8398032680788835e158),
+        (3.4196045280945803e-228, 3.419604528094919e-228),
+        # 10 ** log10(hi) overflows; np.geomspace gives inf there
+        (1.79769313486231e308, 1.7976931348623157e308),
+    ])
+    def test_narrow_windows_keep_every_point_inside(self, lo, hi):
+        window = ms.Interval.closed(lo, hi)
+        pts, _, _ = _axis_points(window, 8)
+        assert pts[0] == lo and pts[-1] == hi
+        assert all(window.contains(p) for p in pts)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-3, 1e3), (0.25, 4.0), (1e-300, 1e-290)])
+    def test_ag_closed_form(self, lo, hi):
+        # (A - G)/(x - y) = (sqrt x - sqrt y)/(2(sqrt x + sqrt y)), largest at a corner
+        est = ms.distance(ms.make_arithmetic(), ms.make_geometric(),
+                          ms.Interval.closed(lo, hi), 16)
+        exact = (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * (math.sqrt(hi) + math.sqrt(lo)))
+        assert abs(est.value - exact) <= 1e-12
+        assert est.argmax == (hi, lo)
+
+    @pytest.mark.parametrize("lo, hi, grid", [(1e-3, 1e3, 8), (0.1, 10.0, 64),
+                                              (1e-300, 1e-290, 16)])
+    def test_gh_closed_form(self, lo, hi, grid):
+        window = ms.Interval.closed(lo, hi)
+        G, H = ms.make_geometric(), ms.make_harmonic()
+        est = ms.distance(G, H, window, grid)
+        assert abs(est.value - math.sqrt((5.0 * math.sqrt(5.0) - 11.0) / 8.0)) <= 1e-12
+        x, y = est.argmax
+        assert window.contains(x) and window.contains(y)
+        assert (G(x, y) - H(x, y)) / (x - y) == est.value
 
 
 class TestDistance:

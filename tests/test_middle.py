@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
+from meanscape import middle
 from meanscape.core import common_domain, near
 
 # Reference values frozen from a 60-digit run of the classical coupled
@@ -521,6 +522,104 @@ class TestKernelIterationMatchesCheckedReference:
         assert agm(1.0, 2.0) == ms.make_agm()(1.0, 2.0)
 
 
+def _checked_functional_symmetric(m0, m1, x, y, *, rel_tol=1e-12):
+    """functional_symmetric with every m0 call through its checked __call__, as the bisection
+    ran before it called the kernel: the reference for values and exceptions."""
+    if m0.is_monotone is not True:
+        raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
+    x, y = float(x), float(y)
+    target = m0(x, y)
+    a = m1(x, y)
+    if x == y:
+        return x
+    lo, hi = min(x, y), max(x, y)
+
+    def g(t):
+        return m0(a, t) - target
+
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        raise ms.BracketError(
+            f"no sign change for the functional symmetric of {m1.name} with respect to "
+            f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
+    increasing = g_hi > 0.0
+    tol = rel_tol * max(abs(lo), abs(hi))
+    for _ in range(256):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm > 0.0) == increasing:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@functools.cache
+def _symmetric_operands():
+    """m0 candidates (declared monotone) and m1 candidates, the latter with maps that are
+    not means: a sum with no sign change, values outside (0, inf), NaN, and an int."""
+    A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+
+    def monotone(m):
+        return dataclasses.replace(m, is_monotone=True)
+
+    power = monotone(ms.mean_from_source("((x^1.778+y^1.778)/2)^(1/1.778)").mean)
+    normal = monotone(ms.make_normal_mean(ms.weight_from_source("t^(0.371)*(1+t)^(0.471)")))
+    lower = monotone(_quartile(True))
+    m0s = {"A": A, "G": G, "H": H, "power": power, "normal": normal, "L": lower}
+    m1s = dict(m0s, U=_quartile(False),
+               sum=ms.MeanFunction("sum", ms.ALL_REALS, lambda x, y: x + y),
+               neg=ms.MeanFunction("neg", ms.ALL_REALS, lambda x, y: -abs(x) - 1.0),
+               nan=ms.MeanFunction("nan", ms.ALL_REALS, lambda x, y: math.nan),
+               int=ms.MeanFunction("int", ms.ALL_REALS, lambda x, y: 1))
+    return m0s, m1s
+
+
+@st.composite
+def symmetric_cases(draw):
+    m0s, m1s = _symmetric_operands()
+    m0, m1 = draw(st.sampled_from(sorted(m0s))), draw(st.sampled_from(sorted(m1s)))
+    x = draw(st.one_of(reals, st.floats()))
+    y = draw(st.one_of(reals, st.floats(), st.just(x),
+                       st.just(math.nextafter(x, math.inf)), st.just(x * 4.0)))
+    return m0s[m0], m1s[m1], x, y
+
+
+class TestFunctionalSymmetricMatchesCheckedReference:
+    @given(symmetric_cases())
+    def test_values_and_exceptions(self, case):
+        m0, m1, x, y = case
+        assert (_outcome(lambda: ms.functional_symmetric(m0, m1, x, y))
+                == _outcome(lambda: _checked_functional_symmetric(m0, m1, x, y)))
+
+    def test_messages(self):
+        m0s, m1s = _symmetric_operands()
+        G = m0s["G"]
+        cases = [(G, m1s["neg"], 1.0, 4.0), (G, m1s["nan"], 1.0, 4.0), (G, m1s["A"], -1.0, -1.0),
+                 (m0s["A"], m1s["sum"], 1.0, 2.0)]
+        for m0, m1, x, y in cases:
+            fast = _outcome(lambda: ms.functional_symmetric(m0, m1, x, y))
+            assert fast == _outcome(lambda: _checked_functional_symmetric(m0, m1, x, y))
+            assert fast[0] in (ms.DomainError, ms.BracketError)
+        assert str(_outcome(lambda: ms.functional_symmetric(G, m1s["neg"], 1.0, 4.0))[1]) == \
+            "(-2.0, 1.0) is outside the domain (0, inf) of G"
+
+    @pytest.mark.parametrize("m0", ["A", "G", "H", "power"])
+    def test_coincidence_probe(self, m0, monkeypatch, unit_window):
+        m = _symmetric_operands()[0][m0]
+        fast = _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
+        monkeypatch.setattr(middle, "functional_symmetric", _checked_functional_symmetric)
+        assert fast == _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
+
+
 class _ContractSpy:
     """Kernels that record every call breaking the kernel contract of core.MeanFunction:
     an argument that is not a Python float or lies outside the domain, and, for a mean,
@@ -538,7 +637,7 @@ class _ContractSpy:
                 self.violations.append((name, x, y))
             return kernel(x, y)
 
-        return ms.MeanFunction(name, domain, fn, is_continuous=True)
+        return ms.MeanFunction(name, domain, fn, is_monotone=True, is_continuous=True)
 
     def weight(self, name, domain, kernel):
         def fn(t):
@@ -586,6 +685,25 @@ class TestKernelContract:
             reals_compound(x, y)
             reals_compound(-abs(x), abs(y))
             ms.compound_trace(L, U, -abs(x), abs(y), estimate_contraction=False)
+        assert spy.calls > 10_000
+        assert spy.violations == []
+
+    def test_functional_symmetric_calls_kernels_only_within_the_contract(self):
+        spy = _ContractSpy()
+        pos = ms.POSITIVE_REALS
+        A = spy.mean("A", ms.ALL_REALS, ms.make_arithmetic().fn)
+        G = spy.mean("G", pos, ms.make_geometric().fn)
+        H = spy.mean("H", pos, ms.make_harmonic().fn)
+        windows = [ms.Interval.closed(1e-3, 1e3), ms.Interval.closed(1e-300, 1e-290)]
+        for seed, window in enumerate(windows, start=44):
+            for x, y in _spied_points(window, seed):
+                for m0 in (A, G, H):
+                    for m1 in (A, G, H):
+                        ms.functional_symmetric(m0, m1, x, y)
+        for m0 in (A, G, H):
+            ms.coincidence_probe(m0, windows[0], 20, seed=44)
+        for x, y in _spied_points(ms.Interval.closed(-1e3, 1e3), 46):
+            ms.functional_symmetric(A, A, x, y)
         assert spy.calls > 10_000
         assert spy.violations == []
 
