@@ -19,6 +19,7 @@ never shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -267,7 +268,7 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     if x == y:
         return x
     lo, hi = min(x, y), max(x, y)
-    # the one checked call with a; every later t lies in [lo, hi], inside m0's domain
+    # the one checked call with a; every later finite t lies in [lo, hi], inside m0's domain
     g_lo = m0(a, lo) - target
     a, kernel = float(a), diagonal_safe(m0.fn)
 
@@ -290,7 +291,8 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
+        # lo + hi overflows near the top of the float range: the checked call raises there
+        gm = g(mid) if math.isfinite(mid) else m0(a, mid) - target
         if gm == 0.0:
             return mid
         if (gm > 0.0) == increasing:

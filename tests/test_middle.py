@@ -588,8 +588,9 @@ def symmetric_cases(draw):
     m0s, m1s = _symmetric_operands()
     m0, m1 = draw(st.sampled_from(sorted(m0s))), draw(st.sampled_from(sorted(m1s)))
     x = draw(st.one_of(reals, st.floats()))
-    y = draw(st.one_of(reals, st.floats(), st.just(x),
-                       st.just(math.nextafter(x, math.inf)), st.just(x * 4.0)))
+    # x * 1.5 near the top of the float range puts the bisection's lo + hi past it
+    y = draw(st.one_of(reals, st.floats(), st.just(x), st.just(math.nextafter(x, math.inf)),
+                       st.just(x * 4.0), st.just(x * 1.5)))
     return m0s[m0], m1s[m1], x, y
 
 
@@ -604,13 +605,17 @@ class TestFunctionalSymmetricMatchesCheckedReference:
         m0s, m1s = _symmetric_operands()
         G = m0s["G"]
         cases = [(G, m1s["neg"], 1.0, 4.0), (G, m1s["nan"], 1.0, 4.0), (G, m1s["A"], -1.0, -1.0),
-                 (m0s["A"], m1s["sum"], 1.0, 2.0)]
+                 (m0s["A"], m1s["sum"], 1.0, 2.0), (G, m1s["G"], 1e308, 1.5e308),
+                 (m0s["H"], m1s["H"], 1.5e308, 1e308), (m0s["L"], m1s["L"], -1e308, -1.5e308)]
         for m0, m1, x, y in cases:
             fast = _outcome(lambda: ms.functional_symmetric(m0, m1, x, y))
             assert fast == _outcome(lambda: _checked_functional_symmetric(m0, m1, x, y))
             assert fast[0] in (ms.DomainError, ms.BracketError)
         assert str(_outcome(lambda: ms.functional_symmetric(G, m1s["neg"], 1.0, 4.0))[1]) == \
             "(-2.0, 1.0) is outside the domain (0, inf) of G"
+        # the midpoint of [1e308, 1.5e308] overflows to inf, which no domain contains
+        assert str(_outcome(lambda: ms.functional_symmetric(G, G, 1e308, 1.5e308))[1]) == \
+            "(1.224744871391589e+308, inf) is outside the domain (0, inf) of G"
 
     @pytest.mark.parametrize("m0", ["A", "G", "H", "power"])
     def test_coincidence_probe(self, m0, monkeypatch, unit_window):
@@ -704,6 +709,9 @@ class TestKernelContract:
             ms.coincidence_probe(m0, windows[0], 20, seed=44)
         for x, y in _spied_points(ms.Interval.closed(-1e3, 1e3), 46):
             ms.functional_symmetric(A, A, x, y)
+        for m0 in (G, H):
+            with pytest.raises(ms.DomainError, match=r", inf\) is outside the domain"):
+                ms.functional_symmetric(m0, G, 1e308, 1.5e308)
         assert spy.calls > 10_000
         assert spy.violations == []
 
