@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import sys
 from typing import Callable, Optional
 
 from .core import (
+    _Frozen,
+    _set,
     DomainError,
     Interval,
     InvalidMeanError,
@@ -56,9 +58,11 @@ _DIAG_GUARD = 1e-12
 # Beyond this magnitude e^f saturates the mean at an endpoint.
 _EXP_CLIP = 700.0
 
+# The smallest positive normal float; a ratio below it has lost digits to underflow.
+_MIN_NORMAL = sys.float_info.min
 
-@dataclass(frozen=True)
-class AsymmetricFunction:
+
+class AsymmetricFunction(_Frozen):
     """An evaluable map with f(x, y) = -f(y, x) on a square domain.
 
     Calling it checks the point and returns 0.0 on the diagonal. ``fn`` keeps
@@ -66,9 +70,12 @@ class AsymmetricFunction:
     ``domain``, never x == y. The combinators call their operands' ``fn``.
     """
 
-    domain: Interval
-    fn: Callable[[float, float], float] = field(repr=False)
-    name: str = "f"
+    __slots__ = ("domain", "fn", "name")
+
+    def __init__(self, domain: Interval, fn: Callable[[float, float], float], name: str = "f"):
+        _set(self, "domain", domain)
+        _set(self, "fn", fn)
+        _set(self, "name", name)
 
     def __call__(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
@@ -100,8 +107,7 @@ class AsymmetricFunction:
         return AsymmetricFunction(self.domain, lambda x, y: c * f(x, y), f"({c:g}*{self.name})")
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Frozen):
     """A positive function of one variable; defines a normal mean.
 
     Calling it checks the point. ``fn`` keeps the kernel contract of
@@ -109,9 +115,12 @@ class WeightFunction:
     ``domain``, and a normal mean calls it directly.
     """
 
-    domain: Interval
-    fn: Callable[[float], float] = field(repr=False)
-    name: str = "P"
+    __slots__ = ("domain", "fn", "name")
+
+    def __init__(self, domain: Interval, fn: Callable[[float], float], name: str = "P"):
+        _set(self, "domain", domain)
+        _set(self, "fn", fn)
+        _set(self, "name", name)
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -136,6 +145,8 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
     positive; a value of M equal to x or y (or outside [min, max]) is an
     axiom violation and raises InvalidMeanError. Within a relative band of
     1e-12 around the diagonal the value 0 is returned without evaluating M.
+    Where the ratio leaves the normal float range, which takes M - x and M - y
+    far apart in scale, the log is log|M - x| - log|M - y|.
     """
     kernel = m.fn
 
@@ -148,7 +159,11 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
         if p == 0.0 or q == 0.0 or (p > 0.0) == (q > 0.0):
             raise InvalidMeanError(
                 f"{m.name}({x}, {y}) = {v} is not strictly between its arguments")
-        return math.log(-p / q)
+        r = -p / q
+        if _MIN_NORMAL <= r < math.inf:
+            return math.log(r)
+        # p and q differ by more than the float range, so the ratio over- or underflowed
+        return math.log(abs(p)) - math.log(abs(q))
 
     return AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
 

@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
@@ -58,14 +57,19 @@ from .expressions import ExpressionError, mean_from_source, weight_from_source
 __all__ = ["CommandResult", "cli_run", "main"]
 
 
-@dataclass
 class CommandResult:
-    status: str
-    payload: dict
-    diagnostics: list[str] = field(default_factory=list)
-    exit_code: int = 0
-    rendered: str = ""
-    out_path: Optional[str] = None
+    """What one invocation printed, or would print, and its exit code."""
+
+    __slots__ = ("status", "payload", "diagnostics", "exit_code", "rendered", "out_path")
+
+    def __init__(self, status: str, payload: dict, diagnostics: Optional[list[str]] = None,
+                 exit_code: int = 0, rendered: str = "", out_path: Optional[str] = None):
+        self.status = status
+        self.payload = payload
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.exit_code = exit_code
+        self.rendered = rendered
+        self.out_path = out_path
 
 
 class _UsageError(Exception):
@@ -172,7 +176,7 @@ class _Resolver:
         self.diagnostics.extend(build.diagnostics)
         m = build.mean
         if monotone and m.is_monotone is not True:
-            m = replace(m, is_monotone=True)
+            m = m.replace(is_monotone=True)
         return m
 
     def weight(self, text: str):

@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+from .core import _Frozen, _set
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
 from .core import BUILTIN_MEANS
@@ -69,43 +69,57 @@ class EvaluationError(DomainError):
     """A well-formed expression hit a domain fault (log/sqrt/0-division)."""
 
 
-@dataclass(frozen=True)
-class Expression:
-    pass
+class Expression(_Frozen):
+    """A node of a parsed tree: read-only, equal to a node of the same type with
+    equal fields, so ``Var("G") != BuiltinMean("G")``, and hashable."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expression):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expression):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class BuiltinMean(Expression):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Unary(Expression):
-    op: str
-    operand: Expression
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expression):
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Binary(Expression):
-    op: str
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expression, right: Expression):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(Expression):
-    func: str
-    args: tuple[Expression, ...]
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple[Expression, ...]):
+        _set(self, "func", func)
+        _set(self, "args", args)
 
 
 _SINGLE_CHAR_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}

@@ -20,7 +20,6 @@ sequential; results depend only on (window, grid), never on scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .core import DomainError, Interval, MeanFunction, diagonal_safe, near
@@ -81,8 +80,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return best_x, best_v
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(NamedTuple):
     """A certified lower bound for a sup over a bounded window.
 
     ``value`` lies in [0, 1]; ``argmax`` is the off-diagonal point where it
@@ -95,8 +93,7 @@ class DistanceEstimate:
     grid_size: int
 
 
-@dataclass(frozen=True)
-class BorderDiagnostic:
+class BorderDiagnostic(NamedTuple):
     """Trend of sup phi(M) across nested windows.
 
     ``trend`` is "growing" only when the estimate strictly increased at

@@ -20,12 +20,12 @@ never shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     _PCG64,
     _outside_domain,
+    _set,
     BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
@@ -77,8 +77,7 @@ class TraceStep(NamedTuple):
     gap: float
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Per-step record of a coupled mean iteration.
 
     Gaps are non-increasing (the min/max envelope of the iterates
@@ -98,7 +97,6 @@ class IterationTrace:
     envelope_ok: Optional[bool] = None
 
 
-@dataclass(frozen=True)
 class CompoundMean(MeanFunction):
     """The unique mean fixed by M(M1, M2) = M, evaluated by iteration.
 
@@ -106,14 +104,24 @@ class CompoundMean(MeanFunction):
     theorem that makes the iteration converge: "distance" (``d_upper``, an upper
     bound on d(m1, m2), is below 1), "continuity" (both operands are declared
     continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
+    The operands ``m1`` and ``m2`` are keyword-only.
     """
 
-    m1: MeanFunction = field(kw_only=True)
-    m2: MeanFunction = field(kw_only=True)
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    d_upper: Optional[float] = None
-    guaranteed_by: Optional[str] = None
+    __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by")
+
+    def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
+                 is_monotone: Optional[bool] = None, is_continuous: Optional[bool] = None,
+                 tolerance: float = DEFAULT_TOLERANCE,
+                 max_iterations: int = DEFAULT_MAX_ITERATIONS,
+                 d_upper: Optional[float] = None, guaranteed_by: Optional[str] = None, *,
+                 m1: MeanFunction, m2: MeanFunction):
+        super().__init__(name, domain, fn, is_monotone, is_continuous)
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
+        _set(self, "tolerance", tolerance)
+        _set(self, "max_iterations", max_iterations)
+        _set(self, "d_upper", d_upper)
+        _set(self, "guaranteed_by", guaranteed_by)
 
     @property
     def guaranteed(self) -> bool:
@@ -234,7 +242,7 @@ def make_agm(tolerance: float = DEFAULT_TOLERANCE,
              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CompoundMean:
     """The classical AGM: compound of the arithmetic and geometric means."""
     agm = m_arithmetic(make_geometric(), tolerance, max_iterations)
-    return replace(agm, name="AGM", is_monotone=True)
+    return agm.replace(name="AGM", is_monotone=True)
 
 
 def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
@@ -244,8 +252,8 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
     Always applicable: every mean is within distance 1/2 of A, so the
     coupled iteration contracts with factor below 1.
     """
-    return replace(compound(make_arithmetic(), frak_m, tolerance, max_iterations),
-                   d_upper=0.5, guaranteed_by="distance")
+    return compound(make_arithmetic(), frak_m, tolerance, max_iterations).replace(
+        d_upper=0.5, guaranteed_by="distance")
 
 
 def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
@@ -324,7 +332,7 @@ def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     if not base.domain.contains_interval(m.domain):
         raise DomainError(f"sigma with respect to {which} needs a domain within "
                           f"{base.domain}, got {m.domain}")
-    return replace(group_symmetry(base, m), name=f"sigma[{which}]({m.name})")
+    return group_symmetry(base, m).replace(name=f"sigma[{which}]({m.name})")
 
 
 def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:

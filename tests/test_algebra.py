@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -53,6 +52,30 @@ class TestPhi:
         fake = ms.MeanFunction("min", ms.ALL_REALS, lambda x, y: min(x, y))
         with pytest.raises(ms.InvalidMeanError):
             ms.phi(fake)(1.0, 2.0)
+
+    @pytest.mark.parametrize("x, y", [(1e300, 1e-300), (1e-300, 1e300), (1e160, 1e-160),
+                                      (1e308, 5e-324), (1e-10, 1e300)])
+    def test_ratio_out_of_float_range(self, x, y):
+        # -(H - x)/(H - y) over- or underflows here; the log is the difference of the logs
+        H = ms.make_harmonic()
+        f = ms.phi(H)
+        v = H(x, y)
+        want = math.log(abs(v - x)) - math.log(abs(v - y))
+        assert math.isfinite(want) and f(x, y) == want
+        assert f(y, x) == -want
+        # mpmath at 50 digits, from the same value of H
+        exact = mpmath.log(-(mpmath.mpf(v) - x) / (mpmath.mpf(v) - y))
+        assert f(x, y) == pytest.approx(float(exact), rel=1e-15)
+
+    @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
+    def test_normal_ratio_keeps_its_bits(self, x, y):
+        for m in (ms.make_geometric(), ms.make_harmonic()):
+            if near(x, y, _DIAG_GUARD):
+                continue
+            v = m(x, y)
+            r = -(v - x) / (v - y)
+            if 2.2250738585072014e-308 <= r < math.inf:
+                assert ms.phi(m)(x, y) == math.log(r)
 
 
 class TestPhiInverse:
@@ -449,7 +472,10 @@ def _checked_phi(m):
         if p == 0.0 or q == 0.0 or (p > 0.0) == (q > 0.0):
             raise ms.InvalidMeanError(
                 f"{m.name}({x}, {y}) = {v} is not strictly between its arguments")
-        return math.log(-p / q)
+        r = -p / q
+        if 2.2250738585072014e-308 <= r < math.inf:
+            return math.log(r)
+        return math.log(abs(p)) - math.log(abs(q))  # the ratio left the normal range
 
     return ms.AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
 
@@ -536,6 +562,6 @@ class TestKernelCompositesMatchCheckedForms:
         y = data.draw(st.one_of(scaled, st.just(x), st.just(math.nextafter(x, math.inf)),
                                 st.floats(min_value=-1e3, max_value=0.0)))
         for fast, slow in _composite_pairs(tuple(mean_family)):
-            slow = dataclasses.replace(slow, name=fast.name)
+            slow = slow.replace(name=fast.name)
             assert _outcome(fast, x, y) == _outcome(slow, x, y)
             assert _outcome(fast, y, x) == _outcome(slow, y, x)

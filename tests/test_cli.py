@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import meanscape
-from meanscape.cli import cli_run, main
+from meanscape.cli import CommandResult, cli_run, main
 
 
 def run_ok(argv):
@@ -20,6 +20,11 @@ def run_ok(argv):
 
 def payload(argv):
     return run_ok(argv).payload
+
+
+# imported by nothing meanscape runs: numpy is a test oracle, and dataclasses, with the
+# inspect it loads, cost a fresh process about 20 ms
+_HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
 
 
 class TestPointCommands:
@@ -97,6 +102,13 @@ class TestAnalysisCommands:
         p = payload(["dist-to-a", "--mean", "G", "--window", "0.01,100"])
         assert 0.0 < p["value"] < 0.5
         assert p["sup_phi"] == pytest.approx(0.5 * math.log(1e4), rel=1e-9)
+
+    def test_dist_to_a_across_the_float_range(self):
+        # phi(H) at (1e300, 1e-300) is log(1e300) - log(1e-300): the ratio overflows
+        p = payload(["dist-to-a", "--mean", "H", "--window=1e-300,1e300"])
+        assert p["value"] == 0.5
+        assert p["argmax"] == [1e300, 1e-300]
+        assert p["sup_phi"] == pytest.approx(600 * math.log(10.0), rel=1e-15)
 
     def test_border(self):
         p = payload(["border", "--mean", "G"])
@@ -328,8 +340,9 @@ class TestOutputContract:
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        unwanted = _HEAVY_MODULES + ("meanscape.cli",)
         code = ("import sys, meanscape; print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy', 'numpy')) or m == 'meanscape.cli'))")
+                f"if m.startswith(('scipy', 'numpy')) or m in {unwanted!r}))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
@@ -342,7 +355,8 @@ class TestOutputContract:
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
-    # a fresh interpreter per command; no command loads numpy, the grid commands included
+    # a fresh interpreter per command; no command loads numpy, the grid commands included,
+    # nor the stdlib modules that only a dataclass needs (the ids keep an old False column)
     @pytest.mark.parametrize("argv, loads_numpy", [
         (["eval", "--mean", "sqrt(x*y)", "--at", "2,8"], False),
         (["verify", "--mean", "sqrt(x*y)"], False),
@@ -360,12 +374,13 @@ class TestOutputContract:
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys; from meanscape.cli import main; code = main(sys.argv[1:]); "
-                "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+                f"print([m for m in {_HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr); "
+                "sys.exit(code)")
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["status"] == "ok"
-        assert proc.stderr.strip() == str(loads_numpy)
+        assert not loads_numpy and proc.stderr.strip() == "[]"
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
@@ -376,6 +391,15 @@ class TestOutputContract:
                                   capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 0 and proc.stderr == "", entry
             assert json.loads(proc.stdout)["payload"]["value"] == 3.0
+
+    def test_command_result_defaults(self):
+        first, second = CommandResult("ok", {}), CommandResult("ok", {})
+        assert (first.diagnostics, first.exit_code, first.rendered, first.out_path) == (
+            [], 0, "", None)
+        first.diagnostics.append("note")
+        assert second.diagnostics == []
+        with pytest.raises(AttributeError):
+            first.colour = "red"
 
     def test_package_exposes_cli_run(self):
         assert meanscape.cli_run is cli_run

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
+from meanscape import core
 from meanscape.core import _PCG64, _halton, near
 
 
@@ -140,6 +141,125 @@ class TestVerifyAxioms:
         assert r1 == r2
 
 
+def _checked_verify_axioms(m, window, samples, seed=ms.DEFAULT_SEED):
+    """``verify_axioms`` with every sample through the checked call, as it was before it
+    called kernels; the oracle of its values, counterexamples and messages."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not m.domain.contains_interval(window):
+        raise ms.DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
+    pairs = core.sample_pairs(window, samples, seed)
+    i_ok = ii_ok = iii_ok = True
+    counterexamples = []
+
+    def note(axiom, x, y, observed):
+        if sum(1 for c in counterexamples if c[0] == axiom) < 8:
+            counterexamples.append((axiom, x, y, observed))
+
+    for x, y in pairs:
+        mxy = m(x, y)
+        myx = m(y, x)
+        scale = max(abs(x), abs(y))
+        if abs(mxy - myx) > core._SYMMETRY_TOL * scale:
+            i_ok = False
+            note("i", x, y, mxy - myx)
+        lo, hi = min(x, y), max(x, y)
+        if (mxy < lo - core._BETWEENNESS_SLACK * scale
+                or mxy > hi + core._BETWEENNESS_SLACK * scale):
+            ii_ok = False
+            note("ii", x, y, mxy)
+        if not near(x, y, 100.0 * core._STRICT_EPS):
+            if near(mxy, x, core._STRICT_EPS) or near(mxy, y, core._STRICT_EPS):
+                iii_ok = False
+                note("iii", x, y, mxy)
+    return ms.AxiomReport(i_ok, ii_ok, iii_ok, tuple(counterexamples), len(pairs))
+
+
+def _bits(v):
+    """Floats as hex strings, through tuples, so == compares bit patterns."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    return v
+
+
+def _report_outcome(verify, m, window, samples, seed):
+    try:
+        return _bits(verify(m, window, samples, seed))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _positive_means(mean_family):
+    parsed = [ms.mean_from_source(src).mean for src in (
+        "sqrt(x*y)", "((x^1.5+y^1.5)/2)^(1/1.5)", "x", "min(x,y)", "x+y", "x*y",
+        "log(x-1)+y", "1/(x-y)", "(x+y)/2+1e-9*x", "x/y")]
+    return list(mean_family) + parsed + [ms.make_agm(), ms.compound(*mean_family[1:3])]
+
+
+def _real_means():
+    fakes = [ms.MeanFunction(name, ms.ALL_REALS, fn) for name, fn in (
+        ("min", min), ("max", max), ("left", lambda x, y: x), ("sum", lambda x, y: x + y),
+        ("nan", lambda x, y: math.nan))]
+    return [ms.make_arithmetic(), ms.mean_from_source("(x+y)/2", ms.ALL_REALS).mean] + fakes
+
+
+class TestVerifyAxiomsMatchesCheckedReference:
+    """verify_axioms calls kernels; the checked form above is its oracle, bit for bit."""
+
+    @pytest.mark.parametrize("window", [(0.1, 10.0), (1e-6, 1e6), (1e-300, 1e300),
+                                        (1e-300, 1e-290), (1e300, 1.7e308), (1.0, 2.0)])
+    def test_positive_means(self, mean_family, window):
+        window = ms.Interval.closed(*window)
+        for m in _positive_means(mean_family):
+            for seed, samples in ((7, 256), (15, 40), (3, 1)):
+                assert (_report_outcome(ms.verify_axioms, m, window, samples, seed)
+                        == _report_outcome(_checked_verify_axioms, m, window, samples, seed))
+
+    @pytest.mark.parametrize("window", [(-1e3, 1e3), (0.0, 10.0), (-5e-324, 5e-324),
+                                        (-1e308, 1e308), (-1.7e308, 1.7e308)])
+    def test_means_on_the_reals(self, window):
+        # a span past the float range samples inf and NaN, which the checked call rejects
+        window = ms.Interval.closed(*window)
+        for m in _real_means():
+            for seed, samples in ((7, 256), (15, 40)):
+                assert (_report_outcome(ms.verify_axioms, m, window, samples, seed)
+                        == _report_outcome(_checked_verify_axioms, m, window, samples, seed))
+
+    @given(st.floats(min_value=1e-300, max_value=1e300),
+           st.floats(min_value=1e-300, max_value=1e300),
+           st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=64))
+    def test_random_windows(self, mean_family, a, b, seed, samples):
+        if a == b:
+            return
+        window = ms.Interval.closed(min(a, b), max(a, b))
+        for m in _positive_means(mean_family)[::3]:
+            assert (_report_outcome(ms.verify_axioms, m, window, samples, seed)
+                    == _report_outcome(_checked_verify_axioms, m, window, samples, seed))
+
+    def test_sample_past_the_window_goes_through_the_check(self, monkeypatch):
+        # a sample that rounds past a closed end of the domain gets the checked call's error
+        top = math.nextafter(2.0, math.inf)
+        monkeypatch.setattr(core, "sample_pairs", lambda *args: [(1.5, 1.25), (1.25, top)])
+        m = ms.MeanFunction("M", ms.Interval.closed(1.0, 2.0), lambda x, y: (x + y) / 2)
+        window = ms.Interval.closed(1.0, 2.0)
+        want = (ms.DomainError, f"(1.25, {top}) is outside the domain [1, 2] of M")
+        assert _report_outcome(ms.verify_axioms, m, window, 2, 7) == want
+        assert _report_outcome(_checked_verify_axioms, m, window, 2, 7) == want
+
+    def test_checked_call_is_not_used_inside_the_domain(self):
+        class Unchecked(ms.MeanFunction):
+            __slots__ = ()
+
+            def __call__(self, x, y):
+                raise AssertionError("checked call")
+
+        m = Unchecked("G", ms.POSITIVE_REALS, ms.make_geometric().fn)
+        report = ms.verify_axioms(m, ms.Interval.closed(1e-6, 1e6), 256, 7)
+        assert report.all_ok and report.samples_used == 256
+
+
 def test_sample_pairs_deterministic_and_bounded():
     w = ms.Interval.closed(0.1, 10.0)
     a = ms.sample_pairs(w, 64, seed=5)
@@ -231,6 +351,78 @@ class TestPCG64AgainstNumpy:
             assert ours.name == theirs.name
             for x, y in [(0.5, 2.0), (1.0, 3.0), (1e-3, 7.0), (4.0, 4.5), (9.0, 0.1)]:
                 assert ours(x, y) == theirs(x, y)
+
+
+def _frozen_values():
+    """One instance of every read-only type of the package."""
+    A, G = ms.make_arithmetic(), ms.make_geometric()
+    w = ms.Interval.closed(0.5, 2.0)
+    trace = ms.compound_trace(A, G, 1.0, 2.0, estimate_contraction=False)
+    return [w, G, ms.make_agm(), ms.phi(G), ms.weight_from_source("1/t"),
+            ms.verify_axioms(G, w, 8), ms.distance(A, G, w, 8),
+            ms.border_diagnostic(G, [w], 8), trace, trace.steps[0],
+            ms.parse_mean_expr("-min(x, y) + A ^ 2.0")]
+
+
+class TestValueTypes:
+    def test_every_field_is_read_only(self):
+        for value in _frozen_values():
+            for name in value._fields + ("new_attribute",):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 1.0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+
+    def test_interval_equality_and_hash(self):
+        iv = ms.Interval(1, 2)
+        assert iv == ms.Interval(1.0, 2.0) and type(iv.lo) is float
+        assert hash(iv) == hash(ms.Interval(1.0, 2.0)) == hash((1.0, 2.0, False, False))
+        assert iv != ms.Interval.closed(1.0, 2.0) and iv != ms.Interval(1.0, 2.0, True)
+        assert iv != (1.0, 2.0, False, False)
+        assert {iv: "open"}[ms.Interval(1.0, 2.0)] == "open"
+        assert ms.Interval(0.0, math.inf) == ms.POSITIVE_REALS
+        assert repr(ms.Interval.closed(0, 1)) == (
+            "Interval(lo=0.0, hi=1.0, lo_closed=True, hi_closed=True)")
+
+    def test_replace_rebuilds_through_the_constructor(self):
+        G = ms.make_geometric()
+        named = G.replace(name="G2", is_monotone=None)
+        assert (named.name, named.is_monotone, named.domain, named.fn) == (
+            "G2", None, G.domain, G.fn)
+        assert G.name == "G" and G.is_monotone is True
+        assert G.replace() == G and G.replace() is not G and named != G
+        with pytest.raises(TypeError):
+            G.replace(colour="red")
+
+        class Checked(ms.MeanFunction):
+            __slots__ = ()
+
+            def __init__(self, name, domain, fn, is_monotone=None, is_continuous=None):
+                if not name:
+                    raise ValueError("a mean needs a name")
+                super().__init__(name, domain, fn, is_monotone, is_continuous)
+
+        m = Checked("m", G.domain, G.fn)
+        assert type(m.replace(name="n")) is Checked
+        with pytest.raises(ValueError, match="needs a name"):
+            m.replace(name="")
+
+    def test_replace_keeps_a_compound(self):
+        c = ms.m_arithmetic(ms.make_harmonic())
+        named = c.replace(name="AHM")
+        assert type(named) is ms.CompoundMean and named.name == "AHM"
+        assert (named.m1, named.m2, named.d_upper, named.guaranteed_by) == (
+            c.m1, c.m2, 0.5, "distance")
+        assert named(1.0, 4.0) == c(1.0, 4.0)
+        with pytest.raises(TypeError):
+            c.replace(guaranteed=True)
+
+    def test_compound_signature(self):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        c = ms.CompoundMean("c", G.domain, G.fn, None, True, 1e-10, 50, m1=A, m2=G)
+        assert (c.tolerance, c.max_iterations, c.d_upper, c.guaranteed) == (1e-10, 50, None, False)
+        with pytest.raises(TypeError):
+            ms.CompoundMean("c", G.domain, G.fn, None, True, 1e-10, 50, None, None, A, G)
 
 
 def test_default_window():

@@ -248,6 +248,34 @@ def _trees_at_the_bound(draw):
     return tree
 
 
+class TestTreeValues:
+    def test_equality_is_type_strict(self):
+        assert Var("G") != BuiltinMean("G") and BuiltinMean("G") != Var("G")
+        assert parse_mean_expr("G") == BuiltinMean("G") and parse_mean_expr("x") == Var("x")
+        assert Num(2.0) == Num(2) and Num(2.0) != Num(3.0)
+        assert Unary("-", Var("x")) != Binary("-", Num(0.0), Var("x"))
+        assert Call("min", (Var("x"), Var("y"))) != Call("max", (Var("x"), Var("y")))
+        assert Var("x") != "x" and Num(2.0) != 2.0
+
+    @given(_trees)
+    def test_equal_trees_hash_equal(self, tree):
+        again = parse_mean_expr(format_expression(tree))
+        assert again == tree and hash(again) == hash(tree)
+        assert len({tree, again}) == 1
+
+    def test_nodes_are_read_only(self):
+        tree = parse_mean_expr("-min(x, y) + sqrt(A) * 2.0 ^ G")
+        nodes = [tree, tree.left, tree.left.operand, tree.right, tree.right.left,
+                 tree.right.left.args[0], tree.right.right.left, tree.right.right.right]
+        assert [type(n) for n in nodes] == [Binary, Unary, Call, Binary, Call, BuiltinMean,
+                                            Num, BuiltinMean]
+        for node in nodes:
+            for name in node._fields:
+                with pytest.raises(AttributeError):
+                    setattr(node, name, Var("y"))
+        assert tree == parse_mean_expr("-min(x, y) + sqrt(A) * 2.0 ^ G")
+
+
 class TestRoundTrip:
     @given(_trees)
     def test_print_then_parse_is_identity(self, tree):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import os
@@ -191,7 +190,7 @@ class TestCompound:
             assert c.is_continuous is None
         # guaranteed is derived from guaranteed_by and cannot be set apart from it
         with pytest.raises(TypeError):
-            dataclasses.replace(c, guaranteed=True)
+            c.replace(guaranteed=True)
 
     def test_operands_are_required(self, builtins):
         A, G, _ = builtins
@@ -389,9 +388,7 @@ def _bits(v):
     """Floats as hex strings, through tuples and traces, so == compares bit patterns."""
     if isinstance(v, float):
         return v.hex()
-    if isinstance(v, ms.IterationTrace):
-        v = dataclasses.astuple(v)
-    if isinstance(v, tuple):
+    if isinstance(v, tuple):  # an IterationTrace is one, and so is each of its steps
         return tuple(_bits(u) for u in v)
     return v
 
@@ -569,7 +566,7 @@ def _symmetric_operands():
     A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
 
     def monotone(m):
-        return dataclasses.replace(m, is_monotone=True)
+        return m.replace(is_monotone=True)
 
     power = monotone(ms.mean_from_source("((x^1.778+y^1.778)/2)^(1/1.778)").mean)
     normal = monotone(ms.make_normal_mean(ms.weight_from_source("t^(0.371)*(1+t)^(0.471)")))
@@ -729,4 +726,21 @@ class TestKernelContract:
                 ms.distance_to_arithmetic(m1, window, 8)
                 ms.border_diagnostic(m1, [window], 8)
         assert spy.calls > 5_000
+        assert spy.violations == []
+
+    def test_verify_axioms_calls_kernels_only_within_the_contract(self):
+        spy = _ContractSpy()
+        pos = ms.POSITIVE_REALS
+        A = spy.mean("A", ms.ALL_REALS, ms.make_arithmetic().fn)
+        G = spy.mean("G", pos, ms.make_geometric().fn)
+        edge = spy.mean("edge", ms.Interval.closed(1.0, 2.0), ms.make_geometric().fn)
+        for window in (ms.Interval.closed(1e-3, 1e3), ms.Interval.closed(1e-300, 1e-290),
+                       ms.Interval.closed(1e300, 1.7e308)):
+            for m in (A, G, ms.compound(A, G)):
+                ms.verify_axioms(m, window, 200, seed=47)
+        ms.verify_axioms(edge, ms.Interval.closed(1.0, 2.0), 200, seed=47)
+        # samples of inf and NaN from a span past the float range go to the checked call
+        with pytest.raises(ms.DomainError):
+            ms.verify_axioms(A, ms.Interval.closed(-1e308, 1e308), 200, seed=47)
+        assert spy.calls > 2_000
         assert spy.violations == []
