@@ -234,10 +234,12 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
 
     whose two denominator terms have the same sign off the diagonal, so no
     cancellation occurs. With m0 = A, G or H it reduces to x + y - M,
-    xy/M and xyM/((x+y)M - xy). The differences are scaled by a power of
-    two before they are cubed, which is exact and keeps the products in
-    range for any finite arguments, large or small. Where |x - y| is within
-    1e-12 of max(|x|, |y|) the midpoint is returned.
+    xy/M and xyM/((x+y)M - xy). The differences are scaled by one power of
+    two before they are cubed, which is exact. Where both products still
+    underflow, because x and y span the float range, each difference is
+    scaled by its own power of two and the products are brought back to
+    one scale. Where |x - y| is within 1e-12 of max(|x|, |y|) the midpoint
+    is returned.
     """
     dom = common_domain(m0.domain, m1.domain)
     f0, f1 = m0.fn, m1.fn
@@ -250,9 +252,20 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
         k = -math.frexp(y - x)[1]
         a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
         b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
+        if a == b:  # both products underflow where x and y span the float range
+            a, b = _renormalized(v1 - x, v0 - y, v0 - x, v1 - y)
         return (x * a - y * b) / (a - b)
 
     return MeanFunction(f"S[{m0.name}]({m1.name})", dom, fn)
+
+
+def _renormalized(p: float, q: float, r: float, s: float) -> tuple[float, float]:
+    """``p q^2`` and ``r^2 s`` times one power of two: each factor is scaled by its own
+    exact power of two, and the smaller product is brought to the larger one's scale."""
+    (mp, ep), (mq, eq), (mr, er), (ms, es) = map(math.frexp, (p, q, r, s))
+    ea, eb = ep + 2 * eq, 2 * er + es
+    top = max(ea, eb)
+    return math.ldexp(mp * mq ** 2, ea - top), math.ldexp(mr ** 2 * ms, eb - top)
 
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:

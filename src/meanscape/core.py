@@ -14,6 +14,7 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, NamedTuple, Optional
@@ -428,6 +429,13 @@ def _halton(seed: int, start: int, n: int) -> list[tuple[float, float]]:
     Owen's random permutations (arXiv:1706.02808), weights b^-(j+1) by repeated division
     and SciPy's summation order: equal to ``qmc.Halton(d=2, scramble=True, seed=seed)``.
     """
+    return list(_halton_block(seed, start, n))
+
+
+# every parsed mean built in a process samples the same seeded block
+@functools.lru_cache(maxsize=8)
+def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], ...]:
+    """``_halton`` as a tuple, drawn once per (seed, start, n)."""
     rng = _PCG64(seed)
     dims = []
     for base in (2, 3):
@@ -444,7 +452,7 @@ def _halton(seed: int, start: int, n: int) -> list[tuple[float, float]]:
                 acc += row[digit]
             coords.append(acc)
         dims.append(coords)
-    return list(zip(*dims))
+    return tuple(zip(*dims))
 
 
 def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
@@ -464,7 +472,7 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     while len(out) < n:
         if drawn > 1000 * (n + 64):
             raise ValueError(f"min_gap={min_gap} rejects almost every pair in {window}")
-        block = _halton(seed, drawn, max(n, 64))
+        block = _halton_block(seed, drawn, max(n, 64))
         drawn += len(block)
         for u, v in block:
             x, y = lo + span * u, lo + span * v

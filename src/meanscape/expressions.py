@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Callable, NamedTuple, Optional
 
 from .core import _Frozen, _set
@@ -50,8 +49,9 @@ __all__ = [
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
 _BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
 # bounds the parser's nesting and the height of the tree it builds; parsing costs up to
-# five interpreter frames per level, formatting, compiling and calling a tree one or two,
-# so every stage stays below the default recursion limit and deep input errors out
+# five interpreter frames per level, formatting a tree or generating its code one, and a
+# compiled tree runs as one flat function in one frame, so every stage stays below the
+# default recursion limit and deep input errors out
 _MAX_DEPTH = 120
 _VERIFY_SAMPLES = 256  # seeded pairs on which a parsed mean's axioms are sampled
 
@@ -358,92 +358,115 @@ class _Fault(Exception):
     """A domain fault inside a compiled tree; the root adds the variable binding."""
 
 
-def _fail(message: str) -> float:
-    raise _Fault(message)
-
-
-def _power(a: float, b: float) -> float:
-    if a < 0.0 and not (math.isfinite(b) and b == math.floor(b)):
-        return _fail(f"negative base {a} with non-integer exponent {b}")
-    if a == 0.0 and b < 0.0:
-        return _fail("zero base with negative exponent")
-    try:
-        return a ** b
-    except OverflowError:
-        return _fail("overflow in power")
-
-
-def _exp(a: float) -> float:
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return _fail("overflow in exp")
-
-
-# The operation of every operator and function, with its fault check; unary
-# minus is "neg". This table is the only place where the grammar meets arithmetic.
+# The statements that compute each operator and function from its operands' values {a}
+# and {b} into the node's own local {v}, each fault check before its operation; unary
+# minus is "neg". This table is the only place where the grammar meets arithmetic. As
+# Python's min and max do, the templates keep the first argument unless the second is
+# strictly smaller (larger), so NaN arguments give the same result.
+_POW = """\
+if {a} < 0.0 and not (isfinite({b}) and {b} == floor({b})):
+    raise Fault(f'negative base {{{a}}} with non-integer exponent {{{b}}}')
+if {a} == 0.0 and {b} < 0.0:
+    raise Fault('zero base with negative exponent')
+try:
+    {v} = {a} ** {b}
+except OverflowError:
+    raise Fault('overflow in power')"""
 _SCALAR_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg,
-    "/": lambda a, b: _fail("division by zero") if b == 0.0 else a / b,
-    "^": _power, "pow": _power, "exp": _exp,
-    "sqrt": lambda a: _fail(f"sqrt of negative value {a}") if a < 0.0 else math.sqrt(a),
-    "log": lambda a: _fail(f"log of non-positive value {a}") if a <= 0.0 else math.log(a),
-    "abs": abs, "min": min, "max": max,
+    "+": "{v} = {a} + {b}",
+    "-": "{v} = {a} - {b}",
+    "*": "{v} = {a} * {b}",
+    "neg": "{v} = -{a}",
+    "/": "if {b} == 0.0:\n    raise Fault('division by zero')\n{v} = {a} / {b}",
+    "^": _POW,
+    "pow": _POW,
+    "exp": "try:\n    {v} = exp({a})\nexcept OverflowError:\n    raise Fault('overflow in exp')",
+    "sqrt": "if {a} < 0.0:\n    raise Fault(f'sqrt of negative value {{{a}}}')\n{v} = sqrt({a})",
+    "log": "if {a} <= 0.0:\n    raise Fault(f'log of non-positive value {{{a}}}')\n{v} = log({a})",
+    "abs": "{v} = abs({a})",
+    "min": "{v} = {b} if {b} < {a} else {a}",
+    "max": "{v} = {b} if {b} > {a} else {a}",
 }
-
-
-def _closure(e: Expression) -> Callable[[float, float], float]:
-    """One closure per node, each calling its children's closures. Every closure
-    takes x and y positionally; a weight tree's t takes the place of x."""
-    if isinstance(e, Num):
-        value = e.value
-        return lambda x, y: value
-    if isinstance(e, Var):
-        return (lambda x, y: y) if e.name == "y" else (lambda x, y: x)
-    if isinstance(e, BuiltinMean):
-        name, mean = e.name, _builtin(e.name)
-
-        def atom(x: float, y: float) -> float:
-            try:
-                return mean(x, y)
-            except (ArithmeticError, ValueError) as exc:
-                raise EvaluationError(f"{name} is undefined at ({x}, {y}): {exc}") from None
-        return atom
-    if isinstance(e, Unary):
-        op, args = "neg", (e.operand,)
-    elif isinstance(e, Binary):
-        op, args = e.op, (e.left, e.right)
-    elif isinstance(e, Call):
-        op, args = e.func, e.args
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    kernel = _SCALAR_OPS[op]
-    if len(args) == 1:
-        a = _closure(args[0])
-        return lambda x, y: kernel(a(x, y))
-    a, b = map(_closure, args)
-    return lambda x, y: kernel(a(x, y), b(x, y))
+# a built-in atom: the checked built-in {mean}, whose faults show its name {name}
+_BUILTIN_ATOM = """\
+try:
+    {v} = {mean}(x, y)
+except (ArithmeticError, ValueError) as exc:
+    raise EvaluationError(f'{{{name}}} is undefined at ({{x}}, {{y}}): {{exc}}') from None"""
+# the helpers that the templates name, passed to every factory as its first arguments
+_HELPERS = {"Fault": _Fault, "EvaluationError": EvaluationError, "isfinite": math.isfinite,
+            "floor": math.floor, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
+            "abs": abs}
+_FACTORY = """\
+def factory({params}):
+    def fn(x, y=None):
+        try:
+{body}
+        except Fault as fault:
+            raise EvaluationError(f'{{fault}} at {{binding(x, y)}}') from None
+        if not isfinite({root}):
+            raise EvaluationError(f'expression produced a non-finite value at {{binding(x, y)}}')
+        return {root}
+    return fn
+"""
 
 
 def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable[..., float]:
     """Compile a tree once into ``fn(x, y)``, or ``fn(t)`` for a weight tree;
-    ``binding(x, y)`` is the variable binding that fault messages show."""
-    body = _closure(e)
+    ``binding(x, y)`` is the variable binding that fault messages show.
 
-    def fn(x: float, y: Optional[float] = None) -> float:
-        try:
-            v = body(x, y)
-        except _Fault as fault:
-            raise EvaluationError(f"{fault} at {binding(x, y)}") from None
-        if not math.isfinite(v):
-            raise EvaluationError(f"expression produced a non-finite value at {binding(x, y)}")
+    The tree becomes the source of one straight-line function: a block of statements
+    per node, children before parents and left before right, each into its own local;
+    a weight tree's t takes the place of x. Constants, built-in atoms and their names
+    are arguments of the factory that returns ``fn``, so the source holds only the
+    fixed templates and generated names, never text from the input.
+    """
+    params, values, blocks = [*_HELPERS, "binding"], [*_HELPERS.values(), binding], []
+
+    def argument(value: object) -> str:
+        params.append(f"c{len(params)}")
+        values.append(value)
+        return params[-1]
+
+    def emit(node: Expression) -> str:
+        """Append the blocks that compute ``node``; return the name of its value."""
+        if isinstance(node, Num):
+            return argument(node.value)
+        if isinstance(node, Var):
+            return "y" if node.name == "y" else "x"
+        if isinstance(node, BuiltinMean):
+            template = _BUILTIN_ATOM
+            fields = {"mean": argument(_builtin(node.name)), "name": argument(node.name)}
+        else:
+            if isinstance(node, Unary):
+                op, args = "neg", (node.operand,)
+            elif isinstance(node, Binary):
+                op, args = node.op, (node.left, node.right)
+            elif isinstance(node, Call):
+                op, args = node.func, node.args
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            template = _SCALAR_OPS[op]
+            fields = dict(zip("ab", map(emit, args)))
+        v = f"v{len(blocks)}"
+        blocks.append(template.format(v=v, **fields))
         return v
-    return fn
+
+    root = emit(e)
+    body = "\n".join(" " * 12 + line for block in blocks or ["pass"]
+                     for line in block.splitlines())
+    namespace: dict = {}
+    source = _FACTORY.format(params=", ".join(params), body=body, root=root)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["factory"](*values)
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:
     """Compile a tree, then call it at a binding of x and y, or of t; domain
-    faults raise EvaluationError, and non-finite results count as faults."""
+    faults raise EvaluationError, and non-finite results count as faults.
+
+    Compiling costs 0.1-0.5 ms, so to evaluate many points build the mean or
+    weight once (``expr_to_mean``, ``expr_to_weight``) and call it."""
     return _compile(e, lambda x, y: env)(env.get("x", env.get("t")), env.get("y"))
 
 

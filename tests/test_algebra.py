@@ -454,6 +454,12 @@ def _checked_group_symmetry(m0, m1):
         k = -math.frexp(y - x)[1]
         a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
         b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
+        if a == b:  # both underflow: each difference on its own scale, then one scale
+            (mp, ep), (mq, eq), (mr, er), (ms_, es) = (
+                math.frexp(d) for d in (v1 - x, v0 - y, v0 - x, v1 - y))
+            top = max(ep + 2 * eq, 2 * er + es)
+            a = math.ldexp(mp * mq ** 2, ep + 2 * eq - top)
+            b = math.ldexp(mr ** 2 * ms_, 2 * er + es - top)
         return (x * a - y * b) / (a - b)
 
     return ms.MeanFunction("S", common_domain(m0.domain, m1.domain), fn)

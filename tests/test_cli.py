@@ -22,9 +22,10 @@ def payload(argv):
     return run_ok(argv).payload
 
 
-# imported by nothing meanscape runs: numpy is a test oracle, and dataclasses, with the
-# inspect it loads, cost a fresh process about 20 ms
-_HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+# imported by nothing meanscape runs: numpy is a test oracle, dataclasses, with the
+# inspect it loads, cost a fresh process about 20 ms, and the expression compiler
+# generates source text, so it needs no ast
+_HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "ast")
 
 
 class TestPointCommands:
@@ -51,6 +52,15 @@ class TestPointCommands:
     def test_symmetry(self):
         p = payload(["symmetry", "--m0", "G", "--m1", "A", "--at", "1,4"])
         assert p["value"] == pytest.approx(1.6, rel=1e-14)
+
+    # both scaled products of the reflection underflow there; S[G](H) is A
+    @pytest.mark.parametrize("at", ["1e-300,1e300", "1e300,1e-300", "5e-324,1e308"])
+    def test_symmetry_where_the_arguments_span_the_float_range(self, capsys, at):
+        assert main(["symmetry", "--m0", "G", "--m1", "H", "--at", at]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "ok"
+        x, y = doc["payload"]["at"]
+        assert doc["payload"]["value"] == pytest.approx((x + y) / 2, rel=1e-15, abs=0.0)
 
     def test_sigma(self):
         p = payload(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4"])

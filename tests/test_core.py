@@ -270,6 +270,22 @@ def test_sample_pairs_deterministic_and_bounded():
     assert all(abs(x - y) > 0 for x, y in gapped)
 
 
+def test_halton_blocks_are_drawn_once_and_handed_out_as_fresh_lists():
+    core._halton_block.cache_clear()
+    first = ms.mean_from_source("sqrt(x*y)", seed=3)
+    drawn = core._halton_block.cache_info().misses
+    second = ms.mean_from_source("sqrt(x*y)", seed=3)
+    assert drawn >= 1 and core._halton_block.cache_info().misses == drawn
+    assert first.report == second.report and first.report.all_ok
+    w = ms.Interval.closed(0.1, 10.0)
+    pairs, points = ms.sample_pairs(w, 64, seed=5), _halton(5, 0, 64)
+    want_pairs, want_points = list(pairs), list(points)
+    pairs[0], points[0] = (0.0, 0.0), (0.0, 0.0)
+    pairs.pop(), points.pop()
+    assert ms.sample_pairs(w, 64, seed=5) == want_pairs
+    assert _halton(5, 0, 64) == want_points
+
+
 def test_sample_pairs_golden():
     # the exact pairs of the seeded scrambled Halton sequence; any change to
     # the generator changes every seeded verify/coincide/counterexample output

@@ -436,6 +436,78 @@ class TestCompiledAgainstTreeWalk:
             assert str(err.value) == "log of non-positive value -0.5 at {'x': 2.0, 'y': 2.5}"
 
 
+class TestGeneratedCode:
+    """Cases of the code generator that the random trees above rarely or never reach."""
+
+    _inf, _nan = Num(math.inf), Num(math.nan)
+
+    @pytest.mark.parametrize("tree", [
+        Binary("*", Var("x"), _inf),  # x*1e999, had the parser taken the literal
+        Binary("/", Var("x"), _inf),
+        Binary("^", Var("x"), Unary("-", _inf)),
+        Call("exp", (Unary("-", _inf),)),
+        Call("min", (Var("x"), _inf)),
+        Call("max", (Var("x"), _nan)),
+        Call("max", (_nan, Var("x"))),
+        Call("min", (_nan, Var("y"))),
+        Binary("+", Var("x"), _nan),
+    ], ids=format_expression)
+    def test_constants_without_a_python_literal(self, tree):
+        for x, y in [(2.0, 3.0), (0.5, -1.0), (0.0, 0.0)]:
+            env = {"x": x, "y": y}
+            assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    def test_constants_and_atoms_are_arguments_not_source(self):
+        mean = expr_to_mean(parse_mean_expr("x*1234.5 + G"), ms.POSITIVE_REALS).mean
+        assert mean(1.0, 4.0) == 1236.5
+        code = mean.fn.__code__
+        assert 1234.5 not in code.co_consts and "G" not in code.co_consts
+
+    def test_min_and_max_of_signed_zeros_keep_pythons_choice(self):
+        for x, y in [(0.0, -0.0), (-0.0, 0.0)]:
+            for func, python in [("min", min), ("max", max)]:
+                got = ev(f"{func}(x, y)", x, y)
+                assert math.copysign(1.0, got) == math.copysign(1.0, python(x, y))
+
+    @pytest.mark.parametrize("src, x, y, first", [
+        ("log(x-y)+sqrt(y-x)", 1.0, 1.0, "log of non-positive value 0.0"),
+        ("log(x-y)+sqrt(x-y)", 1.0, 2.0, "log of non-positive value -1.0"),
+        ("sqrt(x-y)+log(x-y)", 1.0, 2.0, "sqrt of negative value -1.0"),
+        ("log(sqrt(x-y))", 1.0, 2.0, "sqrt of negative value -1.0"),
+        ("(x-y)^0.5/(x-x)", 1.0, 2.0, "negative base -1.0 with non-integer exponent 0.5"),
+        ("1/(x-x) + exp(y)", 1.0, 1e4, "division by zero"),
+        ("G + log(x)", -1.0, 2.0, "G is undefined at (-1.0, 2.0)"),
+    ])
+    def test_the_first_fault_in_evaluation_order_is_named(self, src, x, y, first):
+        env = {"x": x, "y": y}
+        tree = parse_mean_expr(src)
+        with pytest.raises(EvaluationError) as err:
+            evaluate(tree, env)
+        assert str(err.value).startswith(first)
+        assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    def test_longest_sum_chain_matches_the_tree_walk(self):
+        src = "+".join(["x", "y", "0.1", "sqrt(x)"][i % 4] for i in range(_MAX_DEPTH - 1))
+        tree = parse_mean_expr(src)
+        assert _height(tree) == _MAX_DEPTH - 1
+        for x, y in [(2.0, 3.0), (1e300, 1e-300), (-1.0, 4.0)]:
+            env = {"x": x, "y": y}
+            assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    def test_nested_calls_at_the_bound_match_the_tree_walk(self):
+        tree = parse_mean_expr("sqrt(" * (_MAX_DEPTH - 1) + "x" + ")" * (_MAX_DEPTH - 1))
+        assert _height(tree) == _MAX_DEPTH
+        for x in (0.0, 2.0, 1e308, -1.0):
+            env = {"x": x, "y": 1.0}
+            assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    @given(_trees_at_the_bound(), _coords, _coords)
+    @settings(max_examples=50, phases=[Phase.explicit, Phase.generate])
+    def test_trees_at_the_bound_match_the_tree_walk(self, tree, x, y):
+        env = {"x": x, "y": y}
+        assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+
 class TestExprToMean:
     def test_valid_mean_reports_clean(self):
         build = expr_to_mean(parse_mean_expr("(x+y)/2"), ms.ALL_REALS)
