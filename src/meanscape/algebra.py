@@ -60,6 +60,7 @@ _EXP_CLIP = 700.0
 
 # The smallest positive normal float; a ratio below it has lost digits to underflow.
 _MIN_NORMAL = sys.float_info.min
+_INF = math.inf
 
 
 class AsymmetricFunction(_Frozen):
@@ -269,16 +270,25 @@ def _renormalized(p: float, q: float, r: float, s: float) -> tuple[float, float]
 
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
-    """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight."""
+    """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight.
+
+    Where the numerator leaves the normal float range, which takes x and y near
+    either end of it, x and y are scaled by one exact power of two first and the
+    quotient is scaled back; elsewhere the plain formula is the value.
+    """
     weight = p.fn
 
     def fn(x: float, y: float) -> float:
         px = weight(x)
         py = weight(y)
-        if not (px > 0.0 and py > 0.0) or math.isinf(px) or math.isinf(py):
-            bad = x if not (px > 0.0 and math.isfinite(px)) else y
+        if not (0.0 < px < _INF and 0.0 < py < _INF):
+            bad = x if not 0.0 < px < _INF else y
             raise InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
-        return (x * px + y * py) / (px + py)
+        num = x * px + y * py
+        if _MIN_NORMAL <= num < _INF or -_INF < num <= -_MIN_NORMAL:
+            return num / (px + py)
+        k = -max(math.frexp(x)[1], math.frexp(y)[1])
+        return math.ldexp((math.ldexp(x, k) * px + math.ldexp(y, k) * py) / (px + py), -k)
 
     return MeanFunction(name or f"normal({p.name})", p.domain, fn)
 
@@ -337,7 +347,9 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
     ratio means M1 <= M2 everywhere, strictly decreasing means M1 < M2 off
     the diagonal, and symmetrically for the other direction. A constant
     ratio means the means are equal (weights are defined up to a positive
-    factor), and mixed behavior returns INCOMPARABLE.
+    factor), and mixed behavior returns INCOMPARABLE. The window is checked
+    once, and the grid goes to the weights' kernels unless a point of it
+    lies outside a domain (an open end of the window, or an infinite width).
     """
     if samples < 2:
         raise ValueError("need at least two samples to compare")
@@ -345,7 +357,13 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
         if not p.domain.contains_interval(window):
             raise DomainError(f"window {window} is not inside the domain of weight {p.name}")
     grid = _linspace(window.lo, window.hi, samples)
-    return _classify_ratio([p1(t) / p2(t) for t in grid])
+    # a finite width gives a finite grid, whose least and largest points decide
+    ends = (min(grid), max(grid))
+    w1, w2 = p1, p2
+    if math.isfinite(window.hi - window.lo) and all(
+            p.domain.contains(t) for p in (p1, p2) for t in ends):
+        w1, w2 = p1.fn, p2.fn
+    return _classify_ratio([w1(t) / w2(t) for t in grid])
 
 
 def classify_vs_arithmetic(p: WeightFunction, window: Interval,

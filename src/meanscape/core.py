@@ -151,6 +151,8 @@ class Interval(_Frozen):
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def contains(self, t: float) -> bool:
+        if self.lo < t < self.hi:
+            return True
         if math.isnan(t):
             return False
         lo_ok = t > self.lo or (self.lo_closed and t == self.lo)
@@ -198,7 +200,11 @@ def common_domain(a: Interval, b: Interval) -> Interval:
 
 
 def near(x: float, y: float, rel: float) -> bool:
-    """|x - y| <= rel * max(|x|, |y|): the closeness test of every band and stop."""
+    """|x - y| <= rel * max(|x|, |y|): the closeness test of every band.
+
+    The coupled iteration of ``middle`` does not call it: it writes the same test out
+    from its sorted envelope, as gap <= rel * max(hi, -lo).
+    """
     a, b = abs(x), abs(y)
     return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
 
@@ -235,9 +241,11 @@ class MeanFunction(_Frozen):
       check has passed, and calls its operands' ``fn`` there. That relies on
       ``common_domain`` keeping the composite's domain inside each operand's.
     - The grids of ``metric`` check their window once and then call kernels;
-      ``middle.functional_symmetric`` checks its point and the value of m1
-      there, then bisects on m0's kernel. Where such a call can land on the
-      diagonal, ``diagonal_safe`` returns there what the checked call would.
+      so do ``verify_axioms``, ``algebra.compare_normal`` and
+      ``middle.coincidence_probe``'s reflections, unless a sample leaves the
+      domain. ``middle.functional_symmetric`` checks its point and the value
+      of m1 there, then bisects on m0's kernel. Where such a call can land on
+      the diagonal, ``diagonal_safe`` returns there what the checked call would.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
     - No code may widen a domain with ``replace``; only names and flags are
@@ -277,7 +285,26 @@ def _arithmetic_eval(x: float, y: float) -> float:
     return (x + y) / 2.0
 
 
+# Where both arguments lie in (2^-500, 2^500), every product, sum and quotient of the G and
+# H kernels is a normal float, so the plain formulas round exactly as the scaled forms do.
+# Elsewhere the scaled forms run. ``_sqrt`` spares the hot path an attribute lookup.
+_PLAIN_LO, _PLAIN_HI = 2.0 ** -500, 2.0 ** 500
+_sqrt = math.sqrt
+
+
 def _geometric_eval(x: float, y: float) -> float:
+    if _PLAIN_LO < x < _PLAIN_HI and _PLAIN_LO < y < _PLAIN_HI:
+        return _sqrt(x * y)
+    return _geometric_scaled(x, y)
+
+
+def _harmonic_eval(x: float, y: float) -> float:
+    if _PLAIN_LO < x < _PLAIN_HI and _PLAIN_LO < y < _PLAIN_HI:
+        return 2.0 * x * y / (x + y)
+    return _harmonic_scaled(x, y)
+
+
+def _geometric_scaled(x: float, y: float) -> float:
     # exactly x = mx 2^ex, y = my 2^ey, mx and my in [0.5, 1): mx*my cannot under- or
     # overflow and, where x*y is normal, rounds as x*y does (an odd ex+ey moves a 2 into it)
     mx, ex = math.frexp(x)
@@ -286,8 +313,8 @@ def _geometric_eval(x: float, y: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(mx * my, e & 1)), e >> 1)
 
 
-def _harmonic_eval(x: float, y: float) -> float:
-    # as in _geometric_eval; the sum, scaled by the larger exponent, rounds as x + y does
+def _harmonic_scaled(x: float, y: float) -> float:
+    # as in _geometric_scaled; the sum, scaled by the larger exponent, rounds as x + y does
     mx, ex = math.frexp(x)
     my, ey = math.frexp(y)
     e = max(ex, ey)
@@ -483,6 +510,17 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     return out
 
 
+def _samples_inside(domain: Interval, window: Interval, pairs) -> bool:
+    """Whether every pair ``sample_pairs`` drew in ``window``, a window inside ``domain``,
+    lies in ``domain`` too, so the samples may go to kernels.
+
+    Every sample is lo + span * u with u >= 0, so none lies below lo; one that rounds past
+    hi may leave the domain, and then the checked call must raise there. An infinite span
+    (-1e308, 1e308) gives inf or NaN, which max could skip, so it is checked.
+    """
+    return math.isfinite(window.hi - window.lo) and domain.contains(max(map(max, pairs)))
+
+
 class AxiomReport(NamedTuple):
     """Outcome of sampling the three mean axioms.
 
@@ -518,12 +556,7 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
         raise DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
 
     pairs = sample_pairs(window, samples, seed)
-    # every sample is lo + span * u with u >= 0, so none lies below lo; one that rounds past
-    # hi may leave the domain, and then the checked call raises there, as it always did. An
-    # infinite span (-1e308, 1e308) gives inf or NaN, which max could skip, so it is checked
-    span = window.hi - window.lo
-    inside = math.isfinite(span) and m.domain.contains(max(map(max, pairs)))
-    mean = diagonal_safe(m.fn) if inside else m
+    mean = diagonal_safe(m.fn) if _samples_inside(m.domain, window, pairs) else m
     i_ok = ii_ok = iii_ok = True
     counterexamples: list = []
     cap = 8  # per axiom, keeps reports small

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Optional
 from .core import (
     _PCG64,
     _outside_domain,
+    _samples_inside,
     _set,
     BUILTIN_MEANS,
     BracketError,
@@ -134,22 +135,30 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 
     The start is a pair of floats in the operands' common domain: the compound's
     call and ``compound_trace`` check it. Each update lies inside the current
-    [min, max] envelope by the mean axioms; clamping removes half-ulp rounding
+    [lo, hi] envelope by the mean axioms; clamping removes half-ulp rounding
     drift, so the envelope is monotone in floating point too and every iterate
-    stays in the domain. The loop runs only while x(n) != y(n), off the
-    diagonal. A NaN iterate survives the clamp and goes to the checked ``m1``,
-    which raises its DomainError. From a pair of opposite signs, which may
-    converge to 0, the gap is also compared with tol * max(|x|, |y|).
+    stays in the domain. The stop test is taken from that envelope: with
+    gap = hi - lo, ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
+    written out. From a pair of opposite signs, which may converge to 0, the
+    gap is also compared with tol * max(|x|, |y|) of the start. The loop runs
+    only while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN;
+    it survives the clamp and goes to the checked ``m1``, which raises its
+    DomainError.
     """
     f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
     floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
-    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
-        if xn != xn or yn != yn:
-            m1(xn, yn)  # NaN: the checked call raises m1's DomainError
+    while True:
         lo, hi = (xn, yn) if xn < yn else (yn, xn)
+        gap = hi - lo
+        if gap <= tol * (hi if hi > -lo else -lo) or gap <= floor:
+            return True, xn, yn, n, steps
+        if n >= max_iter:
+            return False, xn, yn, n, steps
+        if gap != gap:
+            m1(xn, yn)  # NaN: the checked call raises m1's DomainError
         nx = f1(xn, yn)
         ny = f2(xn, yn)
         xn = lo if nx < lo else hi if nx > hi else nx
@@ -157,7 +166,6 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
         n += 1
         if record:
             steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
-    return done, xn, yn, n, steps
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -173,9 +181,10 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     start that tends to 0 pointwise, so by Dini's theorem uniformly on compacts;
     the limit lies within that gap of x_n, so it is a uniform limit of
     continuous functions, and therefore continuous.
-    Evaluation iterates until ``near(x_n, y_n, tolerance)`` (or, from a pair
-    of opposite signs, a gap within tolerance of that pair) and returns the
-    midpoint; running out of iterations raises ConvergenceError with the trace.
+    Evaluation iterates until |x_n - y_n| <= tolerance * max(|x_n|, |y_n|),
+    the test of ``near`` (or, from a pair of opposite signs, a gap within
+    tolerance of that pair) and returns the midpoint; running out of
+    iterations raises ConvergenceError with the trace.
     """
     dom = common_domain(m1.domain, m2.domain)
     continuous = True if m1.is_continuous and m2.is_continuous else None
@@ -371,7 +380,9 @@ def coincidence_probe(m: MeanFunction, window: Interval, samples: int,
     means), compares the group reflection S_m(T) with the functional
     symmetric of T with respect to m on sampled points. Purely
     exploratory: a small discrepancy suggests the two symmetries agree
-    for m, it proves nothing.
+    for m, it proves nothing. The window is checked once per test mean, and
+    the samples go to the reflection's kernel through ``diagonal_safe``
+    unless one rounds out of the domain.
     """
     if m.is_monotone is not True:
         raise ValueError(f"{m.name} must be declared monotone for the functional solve")
@@ -384,6 +395,8 @@ def coincidence_probe(m: MeanFunction, window: Interval, samples: int,
             raise DomainError(f"window {window} not inside the shared domain of "
                               f"{m.name} and {test_mean.name}")
         reflected = group_symmetry(m, test_mean)
+        if _samples_inside(dom, window, pairs):
+            reflected = diagonal_safe(reflected.fn)
         for x, y in pairs:
             s_val = reflected(x, y)
             f_val = functional_symmetric(m, test_mean, x, y)

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
+from meanscape import middle
 from meanscape.algebra import _DIAG_GUARD, _EXP_CLIP, OrderRelation, _classify_ratio, _linspace
-from meanscape.core import common_domain, near
+from meanscape.core import _PCG64, common_domain, near
 
+scaled = st.floats(min_value=1e-300, max_value=1e300)
 points = st.tuples(st.floats(min_value=0.1, max_value=10.0),
                    st.floats(min_value=0.1, max_value=10.0))
 
@@ -313,6 +315,13 @@ class TestReflectionOracle:
                                                                   rel=1e-14, abs=0.0)
 
 
+def _probe_weight():
+    """The weight of ``coincidence_probe``'s first normal mean at seed 45, t^0.146 (1+t)^0.057."""
+    rng = _PCG64(45)
+    a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    return ms.WeightFunction(ms.POSITIVE_REALS, lambda t: t ** a * (1.0 + t) ** b, "probe")
+
+
 class TestNormalMeans:
     def test_constant_weight_is_arithmetic(self, unit_window):
         w = ms.WeightFunction(ms.ALL_REALS, lambda t: 1.0, "1")
@@ -342,6 +351,71 @@ class TestNormalMeans:
         m = ms.make_normal_mean(w)
         with pytest.raises(ms.InvalidMeanError):
             m(-2.0, 1.0)
+        for t in (math.inf, math.nan, 0.0):
+            flat = ms.make_normal_mean(ms.WeightFunction(ms.ALL_REALS, lambda _, t=t: t, "c"))
+            with pytest.raises(ms.InvalidMeanError) as err:
+                flat(1.0, 2.0)
+            assert str(err.value) == "weight c is not positive and finite at 1.0"
+
+    @pytest.mark.parametrize("x, y", [(1e-300, 2e-300), (1e300, 2e300), (2e300, 1e300),
+                                      (5.59158320477008e-291, 5.988338143126397e-291),
+                                      (5e-324, 1.5e-323), (1e-300, 1e300)])
+    def test_numerator_past_the_float_range(self, x, y):
+        # x P(x) + y P(y) under- or overflows here; the kernel scales x and y first
+        for w in (ms.WeightFunction(ms.POSITIVE_REALS, lambda t: t ** 0.5, "t^0.5"),
+                  _probe_weight()):
+            px, py = w(x), w(y)
+            with mpmath.workdps(50):
+                exact = (x * mpmath.mpf(px) + y * mpmath.mpf(py)) / (mpmath.mpf(px) + py)
+            v = ms.make_normal_mean(w)(x, y)
+            assert min(x, y) <= v <= max(x, y)
+            # one ulp where the value is subnormal
+            assert v == pytest.approx(float(exact), rel=4e-16, abs=5e-324)
+
+    def test_probe_mean_at_the_probe_point(self):
+        # the coincidence probe's first normal mean, whose numerator underflowed to 0 here
+        x, y = 5.59158320477008e-291, 5.988338143126397e-291
+        probe = middle._probe_family(45)[3]
+        assert probe.name == "N[0.146,0.057]"
+        assert probe(x, y) == ms.make_normal_mean(_probe_weight())(x, y)
+        assert x < probe(x, y) < y
+
+    @given(scaled, scaled)
+    def test_plain_form_inside_the_normal_range(self, x, y):
+        # where the numerator is a normal float the kernel is the plain formula, bit for bit
+        w = _probe_weight()
+        px, py = w(x), w(y)
+        num = x * px + y * py
+        if x != y and 2.2250738585072014e-308 <= num < math.inf:
+            assert ms.make_normal_mean(w)(x, y) == num / (px + py)
+
+
+def _checked_compare_normal(p1, p2, window, samples=256):
+    """compare_normal with every grid point through the weights' checked calls, as it ran
+    before it called their kernels: the reference for results and messages."""
+    if samples < 2:
+        raise ValueError("need at least two samples to compare")
+    for p in (p1, p2):
+        if not p.domain.contains_interval(window):
+            raise ms.DomainError(f"window {window} is not inside the domain of weight {p.name}")
+    grid = _linspace(window.lo, window.hi, samples)
+    return _classify_ratio([p1(t) / p2(t) for t in grid])
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must raise alike
+        return type(exc), str(exc)
+
+
+def _compare_weights():
+    """Weights on (0, inf), on [1, 2] and on all of R, one of them 0 at 0."""
+    pos, reals = ms.POSITIVE_REALS, ms.ALL_REALS
+    return [ms.WeightFunction(pos, lambda t: t ** -0.5, "t^-0.5"),
+            ms.WeightFunction(ms.Interval.closed(1.0, 2.0), lambda t: 3.0 - t, "3-t"),
+            ms.WeightFunction(reals, lambda t: 1.0 + t * t, "1+t^2"),
+            ms.WeightFunction(reals, lambda t: t * t, "t^2")]
 
 
 class TestCompare:
@@ -397,6 +471,39 @@ class TestCompare:
         one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")
         with pytest.raises(ms.DomainError):
             ms.compare_normal(inv, one, ms.Interval.closed(-1.0, 1.0))
+
+    @given(st.sampled_from([(0.1, 10.0), (0.0, 1.0), (1.0, 2.0), (-1.0, 1.0), (1e-300, 1e-290),
+                            (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)]),
+           st.booleans(), st.booleans(), st.sampled_from([0, 1, 2, 3]),
+           st.sampled_from([0, 1, 2, 3]), st.sampled_from([2, 3, 64]))
+    def test_matches_the_checked_form(self, ends, lo_closed, hi_closed, i, j, samples):
+        lo, hi = ends
+        window = ms.Interval(lo, hi, lo_closed and math.isfinite(lo),
+                             hi_closed and math.isfinite(hi))
+        weights = _compare_weights()
+        fast = _value_or_error(ms.compare_normal, weights[i], weights[j], window, samples)
+        assert fast == _value_or_error(_checked_compare_normal, weights[i], weights[j],
+                                       window, samples)
+
+    def test_open_window_end_gets_the_checked_message(self):
+        inv = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0 / t, "1/t")
+        one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")
+        # the grid of an infinite window starts at 0 * inf, which is NaN
+        for window, t in ((ms.Interval(0.0, 1.0), 0.0), (ms.Interval(0.0, math.inf), math.nan)):
+            want = (ms.DomainError, f"{t} is outside the domain (0, inf) of weight 1")
+            assert _value_or_error(ms.compare_normal, one, inv, window, 8) == want
+            assert _value_or_error(_checked_compare_normal, one, inv, window, 8) == want
+
+    def test_checked_call_is_not_used_inside_the_domain(self, unit_window):
+        class Unchecked(ms.WeightFunction):
+            __slots__ = ()
+
+            def __call__(self, t):
+                raise AssertionError("checked call")
+
+        inv = Unchecked(ms.POSITIVE_REALS, lambda t: 1.0 / t, "1/t")
+        one = Unchecked(ms.POSITIVE_REALS, lambda t: 1.0, "1")
+        assert ms.compare_normal(inv, one, unit_window) is OrderRelation.STRICTLY_LESS
 
     @given(st.floats(-1e300, 1e300), st.floats(0, 1e300), st.integers(2, 300))
     def test_grid_is_numpy_linspace(self, lo, width, n):
@@ -505,7 +612,12 @@ def _checked_normal(p):
         if not (px > 0.0 and py > 0.0) or math.isinf(px) or math.isinf(py):
             bad = x if not (px > 0.0 and math.isfinite(px)) else y
             raise ms.InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
-        return (x * px + y * py) / (px + py)
+        num = x * px + y * py
+        if 2.2250738585072014e-308 <= abs(num) < math.inf:
+            return num / (px + py)
+        # the numerator left the normal range: x and y on one scale, the quotient back
+        k = -max(math.frexp(x)[1], math.frexp(y)[1])
+        return math.ldexp((math.ldexp(x, k) * px + math.ldexp(y, k) * py) / (px + py), -k)
 
     return ms.MeanFunction("normal", p.domain, fn)
 
@@ -557,8 +669,6 @@ def _composite_pairs(family):
                                                _checked_phi(N2), 1.0, 1.0))),
     ]
 
-
-scaled = st.floats(min_value=1e-300, max_value=1e300)
 
 
 class TestKernelCompositesMatchCheckedForms:

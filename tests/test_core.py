@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
@@ -18,6 +18,18 @@ class TestInterval:
         assert closed_iv.contains(0.0) and closed_iv.contains(1.0)
         assert open_iv.contains(0.5)
         assert not open_iv.contains(float("nan"))
+
+    @given(st.sampled_from([(-math.inf, math.inf), (0.0, math.inf), (-1.0, 2.0),
+                            (5e-324, 1e-300), (-math.inf, -1e300)]),
+           st.booleans(), st.booleans(), st.data())
+    def test_membership_is_the_flag_formula(self, ends, lo_closed, hi_closed, data):
+        lo, hi = ends
+        iv = ms.Interval(lo, hi, lo_closed and math.isfinite(lo), hi_closed and math.isfinite(hi))
+        t = data.draw(st.one_of(st.floats(), st.sampled_from(
+            [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 0.0), -0.0, math.nan])))
+        want = not math.isnan(t) and (t > iv.lo or (iv.lo_closed and t == iv.lo)) and (
+            t < iv.hi or (iv.hi_closed and t == iv.hi))
+        assert iv.contains(t) is want
 
     def test_point_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -44,6 +56,18 @@ class TestInterval:
         assert a.intersect(ms.Interval.closed(5.0, 6.0)) is None
 
 
+# positive floats of every binade, subnormals included, and the neighbours of the ends
+# 2^-500 and 2^500 of the G and H kernels' plain range
+_PLAIN_ENDS = [2.0 ** -500, 2.0 ** 500]
+_mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+_kernel_floats = st.one_of(
+    st.builds(math.ldexp, _mantissas, st.integers(min_value=-1073, max_value=1024)),
+    st.sampled_from(_PLAIN_ENDS + [math.nextafter(e, d) for e in _PLAIN_ENDS
+                                   for d in (0.0, math.inf)]),
+    st.floats(min_value=2.0 ** -500, max_value=2.0 ** 500),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
+
+
 class TestBuiltins:
     def test_textbook_values(self, builtins):
         A, G, H = builtins
@@ -68,6 +92,27 @@ class TestBuiltins:
         for a, b in ((x, y), (3e-308, 1.5e308)):  # the second: exponents 2045 apart
             assert G.fn(a, b) == math.sqrt(a * b)
             assert H.fn(a, b) == 2.0 * a * b / (a + b)
+
+    @given(_kernel_floats, _kernel_floats)
+    def test_plain_range_gives_the_scaled_bits(self, x, y):
+        # inside (2^-500, 2^500) the kernels take the plain formulas, elsewhere the
+        # scaled forms: both must give the same bits everywhere
+        for kernel, scaled in ((core._geometric_eval, core._geometric_scaled),
+                               (core._harmonic_eval, core._harmonic_scaled)):
+            assert kernel(x, y).hex() == scaled(x, y).hex()
+            assert kernel(y, x).hex() == scaled(y, x).hex()
+
+    @given(st.sampled_from([-1, 1]), st.integers(min_value=-8, max_value=30),
+           st.integers(min_value=-2, max_value=2), _mantissas, _mantissas)
+    @example(1, 13, 0, 0.7512345678, 0.8712345)
+    @example(-1, 13, 0, 0.7512345678, 0.8712345)
+    def test_plain_range_ends_give_the_scaled_bits(self, side, d, dy, mx, my):
+        # both arguments on one scale near an end of the plain range, mostly past it,
+        # where a product of the plain formulas would leave the normal range
+        x, y = math.ldexp(mx, side * (500 + d)), math.ldexp(my, side * (500 + d) + dy)
+        for kernel, scaled in ((core._geometric_eval, core._geometric_scaled),
+                               (core._harmonic_eval, core._harmonic_scaled)):
+            assert kernel(x, y).hex() == scaled(x, y).hex()
 
     def test_domain_enforced(self, builtins):
         _, G, H = builtins

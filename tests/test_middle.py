@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -309,6 +310,27 @@ class TestCoincidence:
         with pytest.raises(ValueError):
             ms.coincidence_probe(mean_family[3], unit_window, 10)
 
+    @pytest.mark.parametrize("which", ["A", "G", "H"])
+    def test_tiny_window(self, which):
+        # the family's first normal mean once returned 0.0 at (5.59e-291, 5.99e-291),
+        # which left no sign change for A and a point outside the domain for G and H
+        m0 = middle.BUILTIN_MEANS[which]()
+        window = ms.Interval.closed(1e-300, 1e-290)
+        result = ms.coincidence_probe(m0, window, 20, seed=45)
+        assert result.max_discrepancy < 1e-11 * window.hi
+        x, y = result.worst_point
+        assert window.contains(x) and window.contains(y)
+
+    def test_sample_past_the_window_goes_through_the_check(self, monkeypatch):
+        # a sample that rounds past a closed end of the domain gets the checked call's error
+        top = math.nextafter(2.0, math.inf)
+        monkeypatch.setattr(middle, "sample_pairs", lambda *args, **kw: [(1.5, 1.25), (1.25, top)])
+        m = ms.MeanFunction("M", ms.Interval.closed(1.0, 2.0), lambda x, y: (x + y) / 2,
+                            is_monotone=True)
+        with pytest.raises(ms.DomainError) as err:
+            ms.coincidence_probe(m, ms.Interval.closed(1.0, 2.0), 2)
+        assert str(err.value) == f"(1.25, {top}) is outside the domain [1, 2] of S[M](A)"
+
 
 class TestCounterexample:
     def test_distance_one_pair_still_compounds_to_arithmetic(self):
@@ -519,6 +541,111 @@ class TestKernelIterationMatchesCheckedReference:
         assert agm(1.0, 2.0) == ms.make_agm()(1.0, 2.0)
 
 
+def _near_iteration(m1, m2, x, y, tol, max_iter, record):
+    """The kernel iteration with ``near`` as its stop test, as it ran before the test was
+    taken from the sorted envelope: the oracle of ``middle._run_iteration``."""
+    f1, f2 = m1.fn, m2.fn
+    xn, yn = x, y
+    floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
+    steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
+    n = 0
+    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
+        if xn != xn or yn != yn:
+            m1(xn, yn)  # NaN: the checked call raises m1's DomainError
+        lo, hi = (xn, yn) if xn < yn else (yn, xn)
+        nx = f1(xn, yn)
+        ny = f2(xn, yn)
+        xn = lo if nx < lo else hi if nx > hi else nx
+        yn = lo if ny < lo else hi if ny > hi else ny
+        n += 1
+        if record:
+            steps.append(ms.TraceStep(n, xn, yn, abs(xn - yn)))
+    return done, xn, yn, n, steps
+
+
+def _loop_outcome(run, *args):
+    """``_outcome`` of one run of an iteration loop, its list of steps as a tuple."""
+    def loop():
+        done, xn, yn, n, steps = run(*args)
+        return done, xn, yn, n, None if steps is None else tuple(steps)
+
+    return _outcome(loop)
+
+
+@functools.cache
+def _loop_operands():
+    """Operand pairs by the kind of start they take: positive, of opposite signs or both
+    negative (operands on all of R), NaN from an operand, and min/max, which swap the
+    envelope's ends forever."""
+    pairs = _operand_pairs()
+    A, L, U = ms.make_arithmetic(), _quartile(True), _quartile(False)
+    low = ms.MeanFunction("min", ms.ALL_REALS, min)
+    high = ms.MeanFunction("max", ms.ALL_REALS, max)
+    return {
+        "positive": [pairs[k][1](ms.compound) for k in sorted(pairs) if not pairs[k][0]],
+        "opposite": [(L, U), (A, L), (U, A), (A, A)],
+        "nan": [pairs["nan-first"][1](ms.compound), pairs["nan-second"][1](ms.compound)],
+        "min-max": [(low, high), (high, low)],
+    }
+
+
+@st.composite
+def loop_cases(draw):
+    kind = draw(st.sampled_from(sorted(_loop_operands())))
+    m1, m2 = draw(st.sampled_from(_loop_operands()[kind]))
+    x, y = draw(positive), draw(positive)
+    if kind != "positive":
+        x = -x  # opposite signs, which may converge to 0, or both negative
+        y = -y if draw(st.booleans()) else y
+        if draw(st.booleans()):
+            x, y = y, x
+    tol = draw(st.sampled_from([1e-13, 1e-8, 0.0]))
+    max_iterations = draw(st.sampled_from([200, 0, 1, 3]))
+    return kind, m1, m2, x, y, tol, max_iterations
+
+
+def _entry_outcomes(m1, m2, x, y, tol, max_iterations):
+    """Outcomes of the compound's call and of its trace at one start."""
+    return (_outcome(ms.compound(m1, m2, tol, max_iterations), x, y),
+            _outcome(lambda: ms.compound_trace(m1, m2, x, y, tol, max_iterations,
+                                               estimate_contraction=False)))
+
+
+class TestIterationMatchesTheNearLoop:
+    @given(loop_cases(), st.booleans())
+    def test_loop_results_and_exceptions(self, case, record):
+        _, m1, m2, x, y, tol, max_iterations = case
+        args = (m1, m2, x, y, tol, max_iterations, record)
+        assert (_loop_outcome(middle._run_iteration, *args)
+                == _loop_outcome(_near_iteration, *args))
+
+    @given(loop_cases())
+    def test_compound_values_traces_and_messages(self, case):
+        kind, m1, m2, x, y, tol, max_iterations = case
+        fast = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
+        with mock.patch.object(middle, "_run_iteration", _near_iteration):
+            slow = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
+        assert fast == slow
+        if kind == "min-max" and max_iterations == 200 and x != y:
+            assert [f[0] for f in fast] == [ms.ConvergenceError] * 2
+
+    def test_nan_and_exhaustion_raise_as_before(self):
+        low, high = _loop_operands()["min-max"][0]
+        nan_mean = ms.MeanFunction("nan", ms.ALL_REALS, lambda x, y: math.nan)
+        A = ms.make_arithmetic()
+        for m1, m2, want in [(low, high, ms.ConvergenceError), (A, nan_mean, ms.DomainError)]:
+            fast = _entry_outcomes(m1, m2, -1.0, 2.0, 1e-13, 200)
+            with mock.patch.object(middle, "_run_iteration", _near_iteration):
+                assert fast == _entry_outcomes(m1, m2, -1.0, 2.0, 1e-13, 200)
+            assert [f[0] for f in fast] == [want] * 2
+        call, trace = _entry_outcomes(low, high, -1.0, 2.0, 1e-13, 200)
+        assert call[1] == ("compound(min,max) did not converge at (-1.0, 2.0) within 200 "
+                           "iterations (gap 3.000e+00)")
+        assert len(trace[2][0]) == 201  # every step of the trace, the start included
+        call, _ = _entry_outcomes(A, nan_mean, -1.0, 2.0, 1e-13, 200)
+        assert call[1] == "(0.5, nan) is outside the domain (-inf, inf) of A"
+
+
 def _checked_functional_symmetric(m0, m1, x, y, *, rel_tol=1e-12):
     """functional_symmetric with every m0 call through its checked __call__, as the bisection
     ran before it called the kernel: the reference for values and exceptions."""
@@ -618,7 +745,9 @@ class TestFunctionalSymmetricMatchesCheckedReference:
     def test_coincidence_probe(self, m0, monkeypatch, unit_window):
         m = _symmetric_operands()[0][m0]
         fast = _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
+        # the checked forms: every functional solve and every reflection through __call__
         monkeypatch.setattr(middle, "functional_symmetric", _checked_functional_symmetric)
+        monkeypatch.setattr(middle, "_samples_inside", lambda *args: False)
         assert fast == _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
 
 
