@@ -31,6 +31,7 @@ from .core import (
     InvalidMeanError,
     MeanFunction,
     POSITIVE_REALS,
+    check_window,
     common_domain,
     make_arithmetic,
     near,
@@ -236,11 +237,10 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     whose two denominator terms have the same sign off the diagonal, so no
     cancellation occurs. With m0 = A, G or H it reduces to x + y - M,
     xy/M and xyM/((x+y)M - xy). The differences are scaled by one power of
-    two before they are cubed, which is exact. Where both products still
-    underflow, because x and y span the float range, each difference is
-    scaled by its own power of two and the products are brought back to
-    one scale. Where |x - y| is within 1e-12 of max(|x|, |y|) the midpoint
-    is returned.
+    two before they are cubed, which is exact. Where a product or a numerator
+    term is still not a normal float, which takes x and y far apart in scale,
+    every factor is split into mantissa and exponent (``_far_apart``). Where
+    |x - y| is within 1e-12 of max(|x|, |y|) the midpoint is returned.
     """
     dom = common_domain(m0.domain, m1.domain)
     f0, f1 = m0.fn, m1.fn
@@ -253,20 +253,31 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
         k = -math.frexp(y - x)[1]
         a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
         b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
-        if a == b:  # both products underflow where x and y span the float range
-            a, b = _renormalized(v1 - x, v0 - y, v0 - x, v1 - y)
-        return (x * a - y * b) / (a - b)
+        xa, yb = x * a, y * b
+        if (_MIN_NORMAL <= abs(a) < _INF and _MIN_NORMAL <= abs(b) < _INF
+                and _MIN_NORMAL <= abs(xa) < _INF and _MIN_NORMAL <= abs(yb) < _INF):
+            return (xa - yb) / (a - b)
+        return _far_apart(x, y, v1 - x, v0 - y, v0 - x, v1 - y)
 
     return MeanFunction(f"S[{m0.name}]({m1.name})", dom, fn)
 
 
-def _renormalized(p: float, q: float, r: float, s: float) -> tuple[float, float]:
-    """``p q^2`` and ``r^2 s`` times one power of two: each factor is scaled by its own
-    exact power of two, and the smaller product is brought to the larger one's scale."""
-    (mp, ep), (mq, eq), (mr, er), (ms, es) = map(math.frexp, (p, q, r, s))
-    ea, eb = ep + 2 * eq, 2 * er + es
-    top = max(ea, eb)
-    return math.ldexp(mp * mq ** 2, ea - top), math.ldexp(mr ** 2 * ms, eb - top)
+def _far_apart(x: float, y: float, p: float, q: float, r: float, s: float) -> float:
+    """(x p q^2 - y r^2 s) / (p q^2 - r^2 s) with every factor split into mantissa and
+    exponent (``frexp``), so no product under- or overflows. Each difference is formed
+    on the scale of its larger term, and the quotient is scaled back once."""
+    (mx, ex), (my, ey), (mp, ep), (mq, eq), (mr, er), (ms, es) = map(
+        math.frexp, (x, y, p, q, r, s))
+    ma, ea = mp * mq ** 2, ep + 2 * eq
+    mb, eb = mr ** 2 * ms, 2 * er + es
+    # a mean equal to an argument zeroes its product, whose exponent means nothing: the
+    # form is x or y then, and 0/0, which raises, where both products are 0
+    if (not ma) != (not mb):
+        return x if ma else y
+    top_num, top_den = max(ex + ea, ey + eb), max(ea, eb)
+    num = math.ldexp(mx * ma, ex + ea - top_num) - math.ldexp(my * mb, ey + eb - top_num)
+    den = math.ldexp(ma, ea - top_den) - math.ldexp(mb, eb - top_den)
+    return math.ldexp(num / den, top_num - top_den)
 
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
@@ -348,22 +359,13 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
     the diagonal, and symmetrically for the other direction. A constant
     ratio means the means are equal (weights are defined up to a positive
     factor), and mixed behavior returns INCOMPARABLE. The window is checked
-    once, and the grid goes to the weights' kernels unless a point of it
-    lies outside a domain (an open end of the window, or an infinite width).
+    once (``core.check_window``), and the grid goes to the weights' kernels.
     """
     if samples < 2:
         raise ValueError("need at least two samples to compare")
-    for p in (p1, p2):
-        if not p.domain.contains_interval(window):
-            raise DomainError(f"window {window} is not inside the domain of weight {p.name}")
-    grid = _linspace(window.lo, window.hi, samples)
-    # a finite width gives a finite grid, whose least and largest points decide
-    ends = (min(grid), max(grid))
-    w1, w2 = p1, p2
-    if math.isfinite(window.hi - window.lo) and all(
-            p.domain.contains(t) for p in (p1, p2) for t in ends):
-        w1, w2 = p1.fn, p2.fn
-    return _classify_ratio([w1(t) / w2(t) for t in grid])
+    check_window(window, (p1.domain, f"weight {p1.name}"), (p2.domain, f"weight {p2.name}"))
+    w1, w2 = p1.fn, p2.fn
+    return _classify_ratio([w1(t) / w2(t) for t in _linspace(window.lo, window.hi, samples)])
 
 
 def classify_vs_arithmetic(p: WeightFunction, window: Interval,

@@ -10,6 +10,14 @@ lies between its arguments, and touches an argument only on the diagonal:
 Means are represented behaviorally: an evaluation callable plus metadata.
 All values in this package are immutable and evaluation is pure, so means
 are safe to share across threads.
+
+The sampled entry points (``verify_axioms``, ``algebra.compare_normal``,
+``middle.coincidence_probe`` and the distance grids of ``metric``) work on a
+window inside the domain. A window is accepted when its width ``hi - lo`` is
+a finite float and both of its ends lie in the domain of every mean or weight
+it is sampled for. Its open or closed flags do not matter: every sample and
+grid point lies in the closed window [lo, hi]. ``check_window`` is that test;
+each entry point runs it once, before any kernel, and then calls kernels only.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "common_domain",
     "near",
     "diagonal_safe",
+    "check_window",
     "MeanFunction",
     "AxiomReport",
     "make_arithmetic",
@@ -146,10 +155,6 @@ class Interval(_Frozen):
     def open(lo: float, hi: float) -> "Interval":
         return Interval(lo, hi)
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def contains(self, t: float) -> bool:
         if self.lo < t < self.hi:
             return True
@@ -209,16 +214,24 @@ def near(x: float, y: float, rel: float) -> bool:
     return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
 
 
-def diagonal_safe(fn: Callable[[float, float], float],
-                  on_diagonal: Optional[float] = None) -> Callable[[float, float], float]:
-    """A kernel for points that are already checked, with the diagonal the checked call gives.
+def diagonal_safe(fn: Callable[[float, float], float]) -> Callable[[float, float], float]:
+    """A mean kernel for points that are already checked, with the diagonal the checked call
+    gives: x == y returns x, as ``MeanFunction.__call__`` does; elsewhere ``fn`` is called."""
+    return lambda x, y: x if x == y else fn(x, y)
 
-    x == y returns ``on_diagonal``, or x itself when that is None, as ``MeanFunction.__call__``
-    does; elsewhere ``fn`` is called. ``metric`` passes 0.0 for the transforms of ``phi``.
+
+def check_window(window: Interval, *domains: tuple[Interval, str]) -> None:
+    """The window check of every sampled entry point, run once before any kernel.
+
+    ``window`` must have a finite width ``hi - lo`` and both of its ends inside each
+    ``(domain, name)`` given; the samples and grids then lie in [lo, hi], inside
+    every domain. ``sample_pairs`` passes no domain and checks the width only.
     """
-    if on_diagonal is None:
-        return lambda x, y: x if x == y else fn(x, y)
-    return lambda x, y: on_diagonal if x == y else fn(x, y)
+    if not math.isfinite(window.hi - window.lo):
+        raise DomainError(f"window {window} has no finite width")
+    for domain, name in domains:
+        if not (domain.contains(window.lo) and domain.contains(window.hi)):
+            raise DomainError(f"window {window} is not inside the domain {domain} of {name}")
 
 
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
@@ -240,12 +253,14 @@ class MeanFunction(_Frozen):
       ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
       check has passed, and calls its operands' ``fn`` there. That relies on
       ``common_domain`` keeping the composite's domain inside each operand's.
-    - The grids of ``metric`` check their window once and then call kernels;
-      so do ``verify_axioms``, ``algebra.compare_normal`` and
-      ``middle.coincidence_probe``'s reflections, unless a sample leaves the
-      domain. ``middle.functional_symmetric`` checks its point and the value
+    - The sampled entry points (the grids of ``metric``, ``verify_axioms``,
+      ``algebra.compare_normal``, ``middle.coincidence_probe``) run
+      ``check_window`` once and then call kernels, at points of the closed
+      window. ``middle.functional_symmetric`` checks its point and the value
       of m1 there, then bisects on m0's kernel. Where such a call can land on
-      the diagonal, ``diagonal_safe`` returns there what the checked call would.
+      the diagonal, ``diagonal_safe`` returns there what the checked call would;
+      the grids pass ``phi``'s kernel on as it is, since its diagonal band
+      returns 0.0 there without calling the mean.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
     - No code may widen a domain with ``replace``; only names and flags are
@@ -450,19 +465,15 @@ class _PCG64:
         return low + (high - low) * ((self._next64() >> 11) * (1.0 / 9007199254740992.0))
 
 
-def _halton(seed: int, start: int, n: int) -> list[tuple[float, float]]:
+# every parsed mean built in a process samples the same seeded block
+@functools.lru_cache(maxsize=8)
+def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], ...]:
     """Points start..start+n-1 of the 2D Halton sequence, digits scrambled per seed.
 
     Owen's random permutations (arXiv:1706.02808), weights b^-(j+1) by repeated division
     and SciPy's summation order: equal to ``qmc.Halton(d=2, scramble=True, seed=seed)``.
+    Drawn once per (seed, start, n) and returned as a tuple, which no caller can change.
     """
-    return list(_halton_block(seed, start, n))
-
-
-# every parsed mean built in a process samples the same seeded block
-@functools.lru_cache(maxsize=8)
-def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], ...]:
-    """``_halton`` as a tuple, drawn once per (seed, start, n)."""
     rng = _PCG64(seed)
     dims = []
     for base in (2, 3):
@@ -484,17 +495,18 @@ def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], .
 
 def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
                  min_gap: float = 0.0) -> list[tuple[float, float]]:
-    """Deterministic quasi-random pairs in ``window``^2: a list of n ``(x, y)`` tuples.
+    """Deterministic quasi-random pairs in [lo, hi]^2: a list of n ``(x, y)`` tuples.
 
-    The pairs are a Halton sequence with seeded digit permutations (``_halton``).
-    ``min_gap`` discards pairs with ``near(x, y, min_gap)``, which identity
-    tests use to stay clear of diagonal cancellation at any scale.
+    The pairs are a Halton sequence with seeded digit permutations (``_halton_block``),
+    scaled into the window; a coordinate that rounds past hi is hi. The window's
+    width must be finite (``check_window``). ``min_gap`` discards pairs with
+    ``near(x, y, min_gap)``, which identity tests use to stay clear of diagonal
+    cancellation at any scale.
     """
-    if not window.bounded:
-        raise DomainError("sampling window must be bounded")
+    check_window(window)
     if n < 1:
         raise ValueError("need at least one sample")
-    lo, span = window.lo, window.hi - window.lo
+    lo, hi, span = window.lo, window.hi, window.hi - window.lo
     out, drawn = [], 0
     while len(out) < n:
         if drawn > 1000 * (n + 64):
@@ -502,23 +514,14 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
         block = _halton_block(seed, drawn, max(n, 64))
         drawn += len(block)
         for u, v in block:
-            x, y = lo + span * u, lo + span * v
+            x, y = lo + span * u, lo + span * v  # never below lo, as u, v >= 0
+            if x > hi or y > hi:
+                x, y = min(x, hi), min(y, hi)
             if not near(x, y, min_gap):
                 out.append((x, y))
                 if len(out) == n:
                     break
     return out
-
-
-def _samples_inside(domain: Interval, window: Interval, pairs) -> bool:
-    """Whether every pair ``sample_pairs`` drew in ``window``, a window inside ``domain``,
-    lies in ``domain`` too, so the samples may go to kernels.
-
-    Every sample is lo + span * u with u >= 0, so none lies below lo; one that rounds past
-    hi may leave the domain, and then the checked call must raise there. An infinite span
-    (-1e308, 1e308) gives inf or NaN, which max could skip, so it is checked.
-    """
-    return math.isfinite(window.hi - window.lo) and domain.contains(max(map(max, pairs)))
 
 
 class AxiomReport(NamedTuple):
@@ -546,17 +549,14 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
     This is a sampled verifier, not a proof: the betweenness and symmetry
     checks allow slack relative to max(|x|, |y|), and the strictness check
     flags ``near(M(x,y), x, _STRICT_EPS)`` only off ``near(x, y, 100 * _STRICT_EPS)``.
-    Results are deterministic for a fixed seed and independent of any
-    partitioning of the sample set across workers. The window is checked once
-    and the samples go to ``m``'s kernel through ``diagonal_safe``.
+    Results are deterministic for a fixed seed. The window is checked once
+    (``check_window``) and the samples go to ``m``'s kernel through ``diagonal_safe``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not m.domain.contains_interval(window):
-        raise DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
-
+    check_window(window, (m.domain, m.name))
     pairs = sample_pairs(window, samples, seed)
-    mean = diagonal_safe(m.fn) if _samples_inside(m.domain, window, pairs) else m
+    mean = diagonal_safe(m.fn)
     i_ok = ii_ok = iii_ok = True
     counterexamples: list = []
     cap = 8  # per axiom, keeps reports small

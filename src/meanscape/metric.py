@@ -11,10 +11,8 @@ Sups over a continuum are not computable, so every estimator here reports
 a certified lower bound: the best value actually evaluated on a coarse
 grid over a bounded window, sharpened by coordinate-wise golden-section
 refinement around the best cell. The window is always part of the result.
-Each entry point checks its window once; the grid then calls the kernels.
-
-Grid evaluation is embarrassingly parallel and the refinement stage is
-sequential; results depend only on (window, grid), never on scheduling.
+Each entry point checks its window once (``core.check_window``); the grid,
+which samples the closed window, then calls the kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .core import DomainError, Interval, MeanFunction, diagonal_safe, near
+from .core import DomainError, Interval, MeanFunction, check_window, near
 from .algebra import _linspace, phi
 
 __all__ = [
@@ -176,15 +174,10 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     return best[0] + 0.0, (best[1], best[2])
 
 
-def _check_window(m1: MeanFunction, m2: MeanFunction | None, window: Interval,
-                  grid: int) -> None:
+def _check_window(window: Interval, grid: int, *means: MeanFunction) -> None:
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    if not window.bounded:
-        raise DomainError("window must be bounded")
-    for m in (m1, m2) if m2 is not None else (m1,):
-        if not m.domain.contains_interval(window):
-            raise DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
+    check_window(window, *[(m.domain, m.name) for m in means])
 
 
 def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
@@ -196,7 +189,7 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
     Points with ``near(x, y, 1e-9)`` are excluded, a band relative to the
     arguments, so the estimate does not depend on the scale of the window.
     """
-    _check_window(m1, m2, window, grid)
+    _check_window(window, grid, m1, m2)
     f1, f2 = m1.fn, m2.fn
 
     def quotient(x: float, y: float) -> float:
@@ -229,8 +222,9 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     over the square window is the same distance, with no diagonal
     singularity to dodge.
     """
-    _check_window(m1, m2, window, grid)
-    f1, f2 = diagonal_safe(phi(m1).fn, 0.0), diagonal_safe(phi(m2).fn, 0.0)
+    _check_window(window, grid, m1, m2)
+    # phi's kernel returns 0.0 in its diagonal band, as the checked call does on x == y
+    f1, f2 = phi(m1).fn, phi(m2).fn
 
     def integrand(x: float, y: float) -> float:
         return _logistic(f2(x, y)) - _logistic(f1(x, y))
@@ -243,8 +237,8 @@ def distance_to_arithmetic(m: MeanFunction, window: Interval,
                            grid: int = 64) -> DistanceEstimate:
     """d(M, A) through the bound s = sup phi(M): the distance is
     (e^s - 1) / (2(e^s + 1)) = tanh(s/2) / 2, which rounds to 1/2 for s above 39."""
-    _check_window(m, None, window, grid)
-    s, arg = _sup2d(diagonal_safe(phi(m).fn, 0.0), window, grid)
+    _check_window(window, grid, m)
+    s, arg = _sup2d(phi(m).fn, window, grid)
     return DistanceEstimate(0.5 * math.tanh(0.5 * s), arg, window, grid)
 
 
@@ -262,9 +256,9 @@ def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],
     for small, large in zip(windows, windows[1:]):
         if not large.contains_interval(small):
             raise DomainError(f"windows are not nested: {large} does not contain {small}")
-    _check_window(m, None, windows[-1], grid)
+    _check_window(windows[-1], grid, m)
 
-    f = diagonal_safe(phi(m).fn, 0.0)
+    f = phi(m).fn
     sups = [_sup2d(f, w, grid)[0] for w in windows]
     eps = 1e-9 * max(1.0, abs(sups[-1]))
     diffs = [b - a for a, b in zip(sups, sups[1:])]

@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple, Optional
 from .core import (
     _PCG64,
     _outside_domain,
-    _samples_inside,
     _set,
     BUILTIN_MEANS,
     BracketError,
@@ -34,6 +33,7 @@ from .core import (
     Interval,
     MeanFunction,
     DEFAULT_SEED,
+    check_window,
     common_domain,
     default_window,
     diagonal_safe,
@@ -380,23 +380,19 @@ def coincidence_probe(m: MeanFunction, window: Interval, samples: int,
     means), compares the group reflection S_m(T) with the functional
     symmetric of T with respect to m on sampled points. Purely
     exploratory: a small discrepancy suggests the two symmetries agree
-    for m, it proves nothing. The window is checked once per test mean, and
-    the samples go to the reflection's kernel through ``diagonal_safe``
-    unless one rounds out of the domain.
+    for m, it proves nothing. The window is checked once for ``m`` and every
+    test mean (``core.check_window``), and the samples go to the reflections'
+    kernels; ``min_gap`` keeps them off the diagonal.
     """
     if m.is_monotone is not True:
         raise ValueError(f"{m.name} must be declared monotone for the functional solve")
+    family = _probe_family(seed)
+    check_window(window, (m.domain, m.name), *[(t.domain, t.name) for t in family])
     worst = 0.0
     worst_point = (window.lo, window.hi)
     pairs = sample_pairs(window, samples, seed, min_gap=1e-9)
-    for test_mean in _probe_family(seed):
-        dom = m.domain.intersect(test_mean.domain)
-        if dom is None or not dom.contains_interval(window):
-            raise DomainError(f"window {window} not inside the shared domain of "
-                              f"{m.name} and {test_mean.name}")
-        reflected = group_symmetry(m, test_mean)
-        if _samples_inside(dom, window, pairs):
-            reflected = diagonal_safe(reflected.fn)
+    for test_mean in family:
+        reflected = group_symmetry(m, test_mean).fn
         for x, y in pairs:
             s_val = reflected(x, y)
             f_val = functional_symmetric(m, test_mean, x, y)

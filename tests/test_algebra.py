@@ -3,11 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape import middle
+from meanscape import core, middle
 from meanscape.algebra import _DIAG_GUARD, _EXP_CLIP, OrderRelation, _classify_ratio, _linspace
 from meanscape.core import _PCG64, common_domain, near
 
@@ -49,6 +49,16 @@ class TestPhi:
         f = ms.phi(ms.make_geometric())
         assert f(1.0, 1.0) == 0.0
         assert f(1.0, 1.0 + 1e-14) == 0.0
+
+    @given(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)))
+    @example(0.0)
+    def test_kernel_is_zero_on_the_diagonal_without_a_mean_call(self, x):
+        # the distance grids call phi's kernel at x == y, where its diagonal band answers
+        def kernel(x, y):
+            raise AssertionError("mean kernel called")
+
+        f = ms.phi(ms.MeanFunction("M", ms.ALL_REALS, kernel)).fn
+        assert f(x, x) == 0.0 and f(-x, -x) == 0.0
 
     def test_invalid_mean_detected(self):
         fake = ms.MeanFunction("min", ms.ALL_REALS, lambda x, y: min(x, y))
@@ -276,6 +286,33 @@ class TestReflectionOracle:
                 assert abs(reflected(x, y) - want) <= tol, (m1.name, x, y)
                 assert abs(sigma(x, y) - want) <= tol, (m1.name, x, y)
 
+    @given(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+           st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+           st.sampled_from("AGH"), st.sampled_from("AGH"))
+    @example(1e-200, 1e200, "H", "G")
+    @example(1e-300, 1e300, "H", "G")
+    @example(3e-320, 1e300, "H", "G")
+    @example(1e-160, 1e160, "H", "G")
+    @example(1e-160, 1e160, "G", "H")
+    @example(1e-115, 5e235, "H", "H")
+    @example(2e-323, 1.5e-323, "A", "G")  # A rounds to x and G to y: the form is x
+    def test_arguments_far_apart_in_scale(self, x, y, which0, which1):
+        # a scaled product or a numerator term leaves the normal range here, mostly
+        builtins = {"A": ms.make_arithmetic, "G": ms.make_geometric, "H": ms.make_harmonic}
+        m0, m1 = builtins[which0](), builtins[which1]()
+        if near(x, y, _DIAG_GUARD):
+            return
+        for p, q in ((x, y), (y, x)):
+            v0, v1 = m0(p, q), m1(p, q)
+            if (v1 == p or v0 == q) and (v0 == p or v1 == q):
+                return  # both products are 0 where both means round to an argument: 0/0
+            with mpmath.workdps(50):  # the rational form, from the same values of M0 and M1
+                p_, q_, v0_, v1_ = map(mpmath.mpf, (p, q, v0, v1))
+                a, b = (v1_ - p_) * (v0_ - q_) ** 2, (v0_ - p_) ** 2 * (v1_ - q_)
+                want = float((p_ * a - q_ * b) / (a - b))
+            got = ms.group_symmetry(m0, m1)(p, q)
+            assert abs(got - want) <= 1e-14 * abs(want) + 4.0 * math.ulp(want), (p, q, got, want)
+
     def test_large_arguments_stay_finite(self):
         A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
         for scale in (1e80, 1e150):
@@ -395,9 +432,7 @@ def _checked_compare_normal(p1, p2, window, samples=256):
     before it called their kernels: the reference for results and messages."""
     if samples < 2:
         raise ValueError("need at least two samples to compare")
-    for p in (p1, p2):
-        if not p.domain.contains_interval(window):
-            raise ms.DomainError(f"window {window} is not inside the domain of weight {p.name}")
+    core.check_window(window, (p1.domain, f"weight {p1.name}"), (p2.domain, f"weight {p2.name}"))
     grid = _linspace(window.lo, window.hi, samples)
     return _classify_ratio([p1(t) / p2(t) for t in grid])
 
@@ -485,14 +520,18 @@ class TestCompare:
         assert fast == _value_or_error(_checked_compare_normal, weights[i], weights[j],
                                        window, samples)
 
-    def test_open_window_end_gets_the_checked_message(self):
-        inv = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0 / t, "1/t")
-        one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")
-        # the grid of an infinite window starts at 0 * inf, which is NaN
-        for window, t in ((ms.Interval(0.0, 1.0), 0.0), (ms.Interval(0.0, math.inf), math.nan)):
-            want = (ms.DomainError, f"{t} is outside the domain (0, inf) of weight 1")
-            assert _value_or_error(ms.compare_normal, one, inv, window, 8) == want
-            assert _value_or_error(_checked_compare_normal, one, inv, window, 8) == want
+    def test_open_window_end_is_rejected_before_any_weight_call(self):
+        calls = []
+        inv = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: calls.append(t) or 1.0 / t, "1/t")
+        one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: calls.append(t) or 1.0, "1")
+        for window, message in (
+                (ms.Interval(0.0, 1.0), "window (0, 1) is not inside the domain (0, inf) of weight 1"),
+                (ms.Interval(0.0, math.inf), "window (0, inf) has no finite width"),
+                (ms.Interval.closed(-1e308, 1e308), "window [-1e+308, 1e+308] has no finite width")):
+            assert _value_or_error(ms.compare_normal, one, inv, window, 8) == (ms.DomainError, message)
+            assert _value_or_error(_checked_compare_normal, one, inv, window, 8) == (
+                ms.DomainError, message)
+        assert calls == []
 
     def test_checked_call_is_not_used_inside_the_domain(self, unit_window):
         class Unchecked(ms.WeightFunction):
@@ -561,13 +600,18 @@ def _checked_group_symmetry(m0, m1):
         k = -math.frexp(y - x)[1]
         a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
         b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
-        if a == b:  # both underflow: each difference on its own scale, then one scale
-            (mp, ep), (mq, eq), (mr, er), (ms_, es) = (
-                math.frexp(d) for d in (v1 - x, v0 - y, v0 - x, v1 - y))
-            top = max(ep + 2 * eq, 2 * er + es)
-            a = math.ldexp(mp * mq ** 2, ep + 2 * eq - top)
-            b = math.ldexp(mr ** 2 * ms_, 2 * er + es - top)
-        return (x * a - y * b) / (a - b)
+        if all(2.2250738585072014e-308 <= abs(t) < math.inf for t in (a, b, x * a, y * b)):
+            return (x * a - y * b) / (a - b)
+        # a product or a numerator term is not normal: every factor on its own scale
+        (mx, ex), (my, ey), (mp, ep), (mq, eq), (mr, er), (ms_, es) = (
+            math.frexp(d) for d in (x, y, v1 - x, v0 - y, v0 - x, v1 - y))
+        ma, ea, mb, eb = mp * mq ** 2, ep + 2 * eq, mr ** 2 * ms_, 2 * er + es
+        if (ma == 0.0) != (mb == 0.0):  # a mean equal to an argument: x or y
+            return x if mb == 0.0 else y
+        top_num, top_den = max(ex + ea, ey + eb), max(ea, eb)
+        num = math.ldexp(mx * ma, ex + ea - top_num) - math.ldexp(my * mb, ey + eb - top_num)
+        den = math.ldexp(ma, ea - top_den) - math.ldexp(mb, eb - top_den)
+        return math.ldexp(num / den, top_num - top_den)
 
     return ms.MeanFunction("S", common_domain(m0.domain, m1.domain), fn)
 

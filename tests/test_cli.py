@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import meanscape
@@ -61,6 +62,16 @@ class TestPointCommands:
         assert doc["status"] == "ok"
         x, y = doc["payload"]["at"]
         assert doc["payload"]["value"] == pytest.approx((x + y) / 2, rel=1e-15, abs=0.0)
+
+    # one scaled product of S[H](G) underflows and the other does not, or x * a does
+    @pytest.mark.parametrize("at", ["1e-200,1e200", "1e-300,1e300", "3e-320,1e300"])
+    def test_symmetry_through_h_where_one_product_underflows(self, at):
+        p = payload(["symmetry", "--m0", "H", "--m1", "G", "--at", at])
+        x, y = p["at"]
+        with mpmath.workdps(50):
+            g = mpmath.sqrt(mpmath.mpf(x) * y)
+            want = float(x * mpmath.mpf(y) * g / ((mpmath.mpf(x) + y) * g - x * mpmath.mpf(y)))
+        assert p["value"] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_sigma(self):
         p = payload(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4"])

@@ -1,13 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
 from meanscape import core
-from meanscape.core import _PCG64, _halton, near
+from meanscape.algebra import _linspace
+from meanscape.core import _PCG64, _halton_block, near
+from meanscape.metric import _axis_points
 
 
 class TestInterval:
@@ -191,8 +194,7 @@ def _checked_verify_axioms(m, window, samples, seed=ms.DEFAULT_SEED):
     called kernels; the oracle of its values, counterexamples and messages."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not m.domain.contains_interval(window):
-        raise ms.DomainError(f"window {window} is not inside the domain {m.domain} of {m.name}")
+    core.check_window(window, (m.domain, m.name))
     pairs = core.sample_pairs(window, samples, seed)
     i_ok = ii_ok = iii_ok = True
     counterexamples = []
@@ -265,7 +267,7 @@ class TestVerifyAxiomsMatchesCheckedReference:
     @pytest.mark.parametrize("window", [(-1e3, 1e3), (0.0, 10.0), (-5e-324, 5e-324),
                                         (-1e308, 1e308), (-1.7e308, 1.7e308)])
     def test_means_on_the_reals(self, window):
-        # a span past the float range samples inf and NaN, which the checked call rejects
+        # a width past the float range is rejected before any sample
         window = ms.Interval.closed(*window)
         for m in _real_means():
             for seed, samples in ((7, 256), (15, 40)):
@@ -283,15 +285,19 @@ class TestVerifyAxiomsMatchesCheckedReference:
             assert (_report_outcome(ms.verify_axioms, m, window, samples, seed)
                     == _report_outcome(_checked_verify_axioms, m, window, samples, seed))
 
-    def test_sample_past_the_window_goes_through_the_check(self, monkeypatch):
-        # a sample that rounds past a closed end of the domain gets the checked call's error
-        top = math.nextafter(2.0, math.inf)
-        monkeypatch.setattr(core, "sample_pairs", lambda *args: [(1.5, 1.25), (1.25, top)])
-        m = ms.MeanFunction("M", ms.Interval.closed(1.0, 2.0), lambda x, y: (x + y) / 2)
-        window = ms.Interval.closed(1.0, 2.0)
-        want = (ms.DomainError, f"(1.25, {top}) is outside the domain [1, 2] of M")
-        assert _report_outcome(ms.verify_axioms, m, window, 2, 7) == want
-        assert _report_outcome(_checked_verify_axioms, m, window, 2, 7) == want
+    def test_sample_that_rounds_past_hi_is_hi(self, monkeypatch):
+        # lo + (hi - lo) * 1.0 rounds past hi here; the closed domain ends at hi
+        lo, hi = -0.9601064608346761, 3.0164058039938824
+        assert lo + (hi - lo) * 1.0 > hi
+        monkeypatch.setattr(core, "_halton_block", lambda *args: ((1.0, 0.5), (0.25, 1.0)) * 32)
+        window = ms.Interval.closed(lo, hi)
+        assert ms.sample_pairs(window, 2) == [(hi, lo + (hi - lo) * 0.5), (lo + (hi - lo) * 0.25, hi)]
+        calls = []
+        m = ms.MeanFunction("M", window, lambda x, y: calls.append((x, y)) or (x + y) / 2)
+        report = ms.verify_axioms(m, window, 2, 7)
+        assert report.all_ok and len(calls) == 4
+        assert all(lo <= t <= hi for pair in calls for t in pair)
+        assert _report_outcome(_checked_verify_axioms, m, window, 2, 7) == _bits(report)
 
     def test_checked_call_is_not_used_inside_the_domain(self):
         class Unchecked(ms.MeanFunction):
@@ -315,6 +321,49 @@ def test_sample_pairs_deterministic_and_bounded():
     assert all(abs(x - y) > 0 for x, y in gapped)
 
 
+_TOP = sys.float_info.max
+
+
+@st.composite
+def finite_windows(draw):
+    """Windows with a finite width: any ends, widths of a few ulps, ends near the float maximum."""
+    kind = draw(st.sampled_from(["any", "ulps", "top"]))
+    if kind == "ulps":
+        lo = hi = draw(st.floats(allow_nan=False, allow_infinity=False))
+        for _ in range(draw(st.integers(1, 4))):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        ends = st.floats(allow_nan=False, allow_infinity=False) if kind == "any" else \
+            st.builds(math.copysign, st.floats(1e307, _TOP), st.sampled_from([-1.0, 1.0]))
+        lo, hi = sorted((draw(ends), draw(ends)))
+    assume(lo < hi and math.isfinite(hi - lo))
+    return ms.Interval.closed(lo, hi)
+
+
+@given(finite_windows(), st.integers(2, 70), st.integers(0, 2**32))
+def test_samples_and_grid_points_lie_in_the_closed_window(window, n, seed):
+    lo, hi = window.lo, window.hi
+    points = [t for pair in ms.sample_pairs(window, n, seed) for t in pair]
+    points += _axis_points(window, n)[0] + _linspace(lo, hi, n)
+    assert all(lo <= t <= hi for t in points)
+
+
+def test_check_window_wants_a_finite_width_and_both_ends_in_each_domain():
+    G, A = ms.make_geometric(), ms.make_arithmetic()
+    cases = [(ms.Interval.open(0.0, 1.0), "window (0, 1) is not inside the domain (0, inf) of G"),
+             (ms.Interval.closed(1.0, 3.0), "window [1, 3] is not inside the domain [1, 2] of M"),
+             (ms.Interval.closed(-1e308, 1e308), "window [-1e+308, 1e+308] has no finite width"),
+             (ms.Interval.open(0.0, math.inf), "window (0, inf) has no finite width")]
+    domains = [(A.domain, "A"), (G.domain, "G"), (ms.Interval.closed(1.0, 2.0), "M")]
+    for window, message in cases:
+        with pytest.raises(ms.DomainError) as err:
+            core.check_window(window, *domains)
+        assert str(err.value) == message
+    # the flags of the window do not matter, only where its ends lie
+    core.check_window(ms.Interval.open(1.0, 2.0), *domains)
+    core.check_window(ms.Interval.closed(1e300, _TOP), (G.domain, "G"))
+
+
 def test_halton_blocks_are_drawn_once_and_handed_out_as_fresh_lists():
     core._halton_block.cache_clear()
     first = ms.mean_from_source("sqrt(x*y)", seed=3)
@@ -323,12 +372,12 @@ def test_halton_blocks_are_drawn_once_and_handed_out_as_fresh_lists():
     assert drawn >= 1 and core._halton_block.cache_info().misses == drawn
     assert first.report == second.report and first.report.all_ok
     w = ms.Interval.closed(0.1, 10.0)
-    pairs, points = ms.sample_pairs(w, 64, seed=5), _halton(5, 0, 64)
-    want_pairs, want_points = list(pairs), list(points)
-    pairs[0], points[0] = (0.0, 0.0), (0.0, 0.0)
-    pairs.pop(), points.pop()
+    pairs = ms.sample_pairs(w, 64, seed=5)
+    want_pairs = list(pairs)
+    pairs[0] = (0.0, 0.0)
+    pairs.pop()
     assert ms.sample_pairs(w, 64, seed=5) == want_pairs
-    assert _halton(5, 0, 64) == want_points
+    assert type(_halton_block(5, 0, 64)) is tuple
 
 
 def test_sample_pairs_golden():
@@ -343,8 +392,8 @@ def test_sample_pairs_golden():
 
 def test_halton_golden_at_nonzero_start():
     # sample_pairs draws later blocks with start > 0 when it rejects pairs
-    assert _halton(7, 100, 2) == [(0.23505483015287731, 0.2268794561606111),
-                                  (0.7350548301528773, 0.5602127894939446)]
+    assert _halton_block(7, 100, 2) == ((0.23505483015287731, 0.2268794561606111),
+                                        (0.7350548301528773, 0.5602127894939446))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -352,12 +401,12 @@ def test_halton_matches_scipy(seed):
     qmc = pytest.importorskip("scipy.stats.qmc")
     engine = qmc.Halton(d=2, scramble=True, seed=seed)
     head, tail = engine.random(100), engine.random(700)
-    assert np.array_equal(_halton(seed, 0, 100), head)
-    assert np.array_equal(_halton(seed, 100, 700), tail)
+    assert np.array_equal(_halton_block(seed, 0, 100), head)
+    assert np.array_equal(_halton_block(seed, 100, 700), tail)
 
 
 def _numpy_halton(seed, start, n):
-    """The ndarray form of ``_halton``, kept as its oracle: numpy's generator and arrays."""
+    """The ndarray form of ``_halton_block``, kept as its oracle: numpy's generator and arrays."""
     rng = np.random.default_rng(seed)
     out = np.zeros((2, n))
     for dim, base in enumerate((2, 3)):
@@ -373,7 +422,7 @@ def _numpy_halton(seed, start, n):
 @pytest.mark.parametrize("seed", [0, 1, 7, 99, 2**40 + 3, 2**128])
 @pytest.mark.parametrize("start, n", [(0, 64), (64, 64), (100, 2), (1000, 300)])
 def test_halton_matches_numpy_oracle(seed, start, n):
-    assert np.array_equal(_halton(seed, start, n), _numpy_halton(seed, start, n))
+    assert np.array_equal(_halton_block(seed, start, n), _numpy_halton(seed, start, n))
 
 
 class TestPCG64AgainstNumpy:

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape import middle
+from meanscape import core, middle
 from meanscape.core import common_domain, near
 
 # Reference values frozen from a 60-digit run of the classical coupled
@@ -321,15 +321,18 @@ class TestCoincidence:
         x, y = result.worst_point
         assert window.contains(x) and window.contains(y)
 
-    def test_sample_past_the_window_goes_through_the_check(self, monkeypatch):
-        # a sample that rounds past a closed end of the domain gets the checked call's error
-        top = math.nextafter(2.0, math.inf)
-        monkeypatch.setattr(middle, "sample_pairs", lambda *args, **kw: [(1.5, 1.25), (1.25, top)])
-        m = ms.MeanFunction("M", ms.Interval.closed(1.0, 2.0), lambda x, y: (x + y) / 2,
-                            is_monotone=True)
-        with pytest.raises(ms.DomainError) as err:
-            ms.coincidence_probe(m, ms.Interval.closed(1.0, 2.0), 2)
-        assert str(err.value) == f"(1.25, {top}) is outside the domain [1, 2] of S[M](A)"
+    def test_sample_that_rounds_past_hi_is_hi(self, monkeypatch):
+        # lo + (hi - lo) * 1.0 rounds past hi here; the closed domain of M ends at hi
+        lo, hi = 0.5208952119493915, 3.3361078431061473
+        assert lo + (hi - lo) * 1.0 > hi
+        monkeypatch.setattr(core, "_halton_block", lambda *args: ((0.5, 1.0), (1.0, 0.25)) * 32)
+        window = ms.Interval.closed(lo, hi)
+        spy = _ContractSpy()
+        m = spy.mean("M", window, lambda x, y: (x + y) / 2)
+        result = ms.coincidence_probe(m, window, 2)
+        assert result == _checked_coincidence_probe(m, window, 2, ms.DEFAULT_SEED)
+        assert result.max_discrepancy < 1e-9 and hi in result.worst_point
+        assert spy.calls > 0 and spy.violations == []
 
 
 class TestCounterexample:
@@ -742,13 +745,30 @@ class TestFunctionalSymmetricMatchesCheckedReference:
             "(1.224744871391589e+308, inf) is outside the domain (0, inf) of G"
 
     @pytest.mark.parametrize("m0", ["A", "G", "H", "power"])
-    def test_coincidence_probe(self, m0, monkeypatch, unit_window):
+    def test_coincidence_probe(self, m0):
         m = _symmetric_operands()[0][m0]
-        fast = _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
-        # the checked forms: every functional solve and every reflection through __call__
-        monkeypatch.setattr(middle, "functional_symmetric", _checked_functional_symmetric)
-        monkeypatch.setattr(middle, "_samples_inside", lambda *args: False)
-        assert fast == _outcome(lambda: ms.coincidence_probe(m, unit_window, 30, seed=5))
+        for window in ((0.1, 10.0), (1e-300, 1e-290), (1e300, 1e301)):
+            window = ms.Interval.closed(*window)
+            assert (_outcome(lambda: ms.coincidence_probe(m, window, 30, seed=5))
+                    == _outcome(lambda: _checked_coincidence_probe(m, window, 30, seed=5)))
+
+
+def _checked_coincidence_probe(m, window, samples, seed):
+    """coincidence_probe with every reflection and every functional solve through checked
+    calls, as it ran before it called kernels: the reference for values and messages."""
+    if m.is_monotone is not True:
+        raise ValueError(f"{m.name} must be declared monotone for the functional solve")
+    family = middle._probe_family(seed)
+    core.check_window(window, (m.domain, m.name), *[(t.domain, t.name) for t in family])
+    worst, worst_point = 0.0, (window.lo, window.hi)
+    pairs = ms.sample_pairs(window, samples, seed, min_gap=1e-9)
+    for test_mean in family:
+        reflected = ms.group_symmetry(m, test_mean)
+        for x, y in pairs:
+            gap = abs(reflected(x, y) - _checked_functional_symmetric(m, test_mean, x, y))
+            if gap > worst:
+                worst, worst_point = gap, (x, y)
+    return middle.CoincidenceResult(worst, worst_point)
 
 
 class _ContractSpy:
@@ -868,8 +888,77 @@ class TestKernelContract:
             for m in (A, G, ms.compound(A, G)):
                 ms.verify_axioms(m, window, 200, seed=47)
         ms.verify_axioms(edge, ms.Interval.closed(1.0, 2.0), 200, seed=47)
-        # samples of inf and NaN from a span past the float range go to the checked call
-        with pytest.raises(ms.DomainError):
-            ms.verify_axioms(A, ms.Interval.closed(-1e308, 1e308), 200, seed=47)
         assert spy.calls > 2_000
+        assert spy.violations == []
+
+
+def _sampled_entry_points(m1, m2, p1, p2, window):
+    """Every sampled entry point on ``window``: the grids on m1 and m2, verify_axioms and
+    coincidence_probe on m1, compare_normal on the weights p1 and p2."""
+    return {
+        "distance": lambda: ms.distance(m1, m2, window, 8),
+        "distance_via_phi": lambda: ms.distance_via_phi(m1, m2, window, 8),
+        "distance_to_arithmetic": lambda: ms.distance_to_arithmetic(m1, window, 8),
+        "border_diagnostic": lambda: ms.border_diagnostic(m1, [window], 8),
+        "verify_axioms": lambda: ms.verify_axioms(m1, window, 64, seed=48),
+        "compare_normal": lambda: ms.compare_normal(p1, p2, window, 16),
+        "coincidence_probe": lambda: ms.coincidence_probe(m1, window, 8, seed=48),
+    }
+
+
+_ONE_TWO = ms.Interval(1.0, 2.0)
+
+
+def _spied_operands(spy, domain):
+    """Two means and two weights on ``domain`` whose kernels report to ``spy``."""
+    return (spy.mean("M", domain, ms.make_geometric().fn),
+            spy.mean("N", domain, ms.make_harmonic().fn),
+            spy.weight("P", domain, lambda t: 1.0 + t * t),
+            spy.weight("Q", domain, lambda t: 2.0 + t * t))
+
+
+class TestSampledEntryPointsCheckTheirWindow:
+    """One window check in every sampled entry point: a window with a finite width and both
+    ends in each domain is sampled on kernels only, inside the domain; any other window
+    raises the check's DomainError before a kernel runs."""
+
+    @pytest.mark.parametrize("domain, window, message", [
+        # open windows at open domain ends: the grids sample the closed window
+        (ms.POSITIVE_REALS, ms.Interval.open(0.0, 1.0), "is not inside the domain (0, inf) of"),
+        (ms.Interval(-1.0, 0.0), ms.Interval.open(-1.0, 0.0), "is not inside the domain (-1, 0) of"),
+        (_ONE_TWO, ms.Interval.open(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+         "is not inside the domain (1, 2) of"),
+        (ms.ALL_REALS, ms.Interval.closed(-1e308, 1e308), "has no finite width"),
+        (ms.POSITIVE_REALS, ms.Interval.open(1.0, math.inf), "has no finite width"),
+    ], ids=["open-(0,1)", "open-(-1,0)", "open-(1,1+2ulp)", "width-overflow", "unbounded"])
+    def test_rejected_windows_raise_before_any_kernel(self, domain, window, message):
+        spy = _ContractSpy()
+        m1, m2, p1, p2 = _spied_operands(spy, domain)
+        for name, call in _sampled_entry_points(m1, m2, p1, p2, window).items():
+            with pytest.raises(ms.DomainError) as err:
+                call()
+            owner = "weight P" if name == "compare_normal" else "M"
+            want = f"window {window} {message}" + (f" {owner}" if "domain" in message else "")
+            assert str(err.value) == want, name
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("domain, window", [
+        (ms.POSITIVE_REALS, ms.Interval.closed(1e-300, 1e-290)),
+        (ms.POSITIVE_REALS, ms.Interval.closed(1e300, 1.7e308)),
+        (ms.POSITIVE_REALS, ms.Interval.open(1e-3, 1e3)),
+        (ms.Interval.closed(1.0, 2.0), ms.Interval.closed(1.0, 2.0)),
+        (_ONE_TWO, ms.Interval.open(math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0))),
+    ], ids=["tiny", "huge", "open-inside", "closed-ends", "open-(1,2)-next-to-its-ends"])
+    def test_accepted_windows_call_kernels_only_inside_the_domain(self, domain, window):
+        spy = _ContractSpy()
+        m1, m2, p1, p2 = _spied_operands(spy, domain)
+        for name, call in _sampled_entry_points(m1, m2, p1, p2, window).items():
+            try:
+                call()
+            except ms.DomainError as exc:
+                # near the float maximum the functional solve's checked calls refuse the
+                # inf of an overflowed bisection midpoint or value of A, by name
+                assert name == "coincidence_probe" and "inf" in str(exc), str(exc)
+                assert str(exc).endswith("is outside the domain (0, inf) of M")
+        assert spy.calls > 1_000
         assert spy.violations == []
