@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from .core import (
     _Frozen,
+    _arithmetic_eval,
     _set,
     DomainError,
     Interval,
@@ -55,9 +56,6 @@ __all__ = [
 # Relative half-width of the diagonal band of phi and of the closed forms
 # whose factors vanish on the diagonal.
 _DIAG_GUARD = 1e-12
-
-# Beyond this magnitude e^f saturates the mean at an endpoint.
-_EXP_CLIP = 700.0
 
 # The smallest positive normal float; a ratio below it has lost digits to underflow.
 _MIN_NORMAL = sys.float_info.min
@@ -173,48 +171,48 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
 def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFunction:
     """Mean with log-ratio transform ``f``.
 
-    For |f| > 700 the exponential saturates and the exact limit value
-    (y for +inf, x for -inf) is returned.
+    The endpoint-weighted form with U = 1 and V = e^f, mirrored where f > 0
+    (x and y swap, f changes sign), so e^f <= 1 and nothing overflows. An e^f
+    that is not a normal float goes in as e^(f/2) squared, which keeps its digits.
     """
     kernel = f.fn
+    name = name or f"phi_inv({f.name})"
 
     def fn(x: float, y: float) -> float:
         v = kernel(x, y)
-        if v > _EXP_CLIP:
-            return y
-        if v < -_EXP_CLIP:
-            return x
+        if v > 0.0:
+            x, y, v = y, x, -v
         e = math.exp(v)
-        return (x + y * e) / (e + 1.0)
+        h = 1.0
+        if e < _MIN_NORMAL:
+            e = h = math.exp(0.5 * v)
+        return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, h, 1.0)
 
-    return MeanFunction(name or f"phi_inv({f.name})", f.domain, fn)
+    return MeanFunction(name, f.domain, fn)
 
 
 def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     """Group law on means: phi_inverse(phi(m1) + phi(m2)).
 
-    Evaluated through the equivalent closed form
+    Evaluated as the endpoint-weighted form with the weights
 
-        [x (M1-y)(M2-y) + y (M1-x)(M2-x)] / [(M1-y)(M2-y) + (M1-x)(M2-x)],
+        U = (M1-y)(M2-y),   V = (M1-x)(M2-x),
 
-    whose two denominator terms are both positive off the diagonal, so no
-    cancellation occurs. Both operands are evaluated once per point; the
-    differences are scaled by an exact power of two, as in group_symmetry.
+    which are both positive off the diagonal, so no cancellation occurs.
+    Both operands are evaluated once per point.
     """
     dom = common_domain(m1.domain, m2.domain)
     f1, f2 = m1.fn, m2.fn
+    name = f"({m1.name}*{m2.name})"
 
     def fn(x: float, y: float) -> float:
         if near(x, y, _DIAG_GUARD):
-            return 0.5 * (x + y)
+            return _arithmetic_eval(x, y)
         a = f1(x, y)
         b = f2(x, y)
-        k = -math.frexp(y - x)[1]
-        w_y = math.ldexp(a - y, k) * math.ldexp(b - y, k)
-        w_x = math.ldexp(a - x, k) * math.ldexp(b - x, k)
-        return (x * w_y + y * w_x) / (w_y + w_x)
+        return _endpoint_weighted(name, x, y, a - y, b - y, 1.0, a - x, b - x, 1.0)
 
-    return MeanFunction(f"({m1.name}*{m2.name})", dom, fn)
+    return MeanFunction(name, dom, fn)
 
 
 def group_inverse(m: MeanFunction) -> MeanFunction:
@@ -230,64 +228,71 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     """Reflection of m1 through m0 in the group: phi_inverse(2 phi(m0) - phi(m1)).
 
-    Evaluated for every m0 through the equivalent rational form
+    Evaluated for every m0 as the endpoint-weighted form with the weights
 
-        [x (M1-x)(M0-y)^2 - y (M0-x)^2 (M1-y)] / [(M1-x)(M0-y)^2 - (M0-x)^2 (M1-y)],
+        U = (M0-y)^2 (M1-x),   V = (M0-x)^2 (y-M1),
 
-    whose two denominator terms have the same sign off the diagonal, so no
-    cancellation occurs. With m0 = A, G or H it reduces to x + y - M,
-    xy/M and xyM/((x+y)M - xy). The differences are scaled by one power of
-    two before they are cubed, which is exact. Where a product or a numerator
-    term is still not a normal float, which takes x and y far apart in scale,
-    every factor is split into mantissa and exponent (``_far_apart``). Where
-    |x - y| is within 1e-12 of max(|x|, |y|) the midpoint is returned.
+    which have the same sign off the diagonal, so no cancellation occurs.
+    With m0 = A, G or H it reduces to x + y - M, xy/M and
+    xyM/((x+y)M - xy). Where |x - y| is within 1e-12 of max(|x|, |y|) the
+    midpoint is returned.
     """
     dom = common_domain(m0.domain, m1.domain)
     f0, f1 = m0.fn, m1.fn
+    name = f"S[{m0.name}]({m1.name})"
 
     def fn(x: float, y: float) -> float:
         if near(x, y, _DIAG_GUARD):
-            return 0.5 * (x + y)
+            return _arithmetic_eval(x, y)
         v0 = f0(x, y)
         v1 = f1(x, y)
-        k = -math.frexp(y - x)[1]
-        a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
-        b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
-        xa, yb = x * a, y * b
-        if (_MIN_NORMAL <= abs(a) < _INF and _MIN_NORMAL <= abs(b) < _INF
-                and _MIN_NORMAL <= abs(xa) < _INF and _MIN_NORMAL <= abs(yb) < _INF):
-            return (xa - yb) / (a - b)
-        return _far_apart(x, y, v1 - x, v0 - y, v0 - x, v1 - y)
+        return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
 
-    return MeanFunction(f"S[{m0.name}]({m1.name})", dom, fn)
+    return MeanFunction(name, dom, fn)
 
 
-def _far_apart(x: float, y: float, p: float, q: float, r: float, s: float) -> float:
-    """(x p q^2 - y r^2 s) / (p q^2 - r^2 s) with every factor split into mantissa and
-    exponent (``frexp``), so no product under- or overflows. Each difference is formed
-    on the scale of its larger term, and the quotient is scaled back once."""
-    (mx, ex), (my, ey), (mp, ep), (mq, eq), (mr, er), (ms, es) = map(
-        math.frexp, (x, y, p, q, r, s))
-    ma, ea = mp * mq ** 2, ep + 2 * eq
-    mb, eb = mr ** 2 * ms, 2 * er + es
-    # a mean equal to an argument zeroes its product, whose exponent means nothing: the
-    # form is x or y then, and 0/0, which raises, where both products are 0
-    if (not ma) != (not mb):
-        return x if ma else y
-    top_num, top_den = max(ex + ea, ey + eb), max(ea, eb)
-    num = math.ldexp(mx * ma, ex + ea - top_num) - math.ldexp(my * mb, ey + eb - top_num)
-    den = math.ldexp(ma, ea - top_den) - math.ldexp(mb, eb - top_den)
-    return math.ldexp(num / den, top_num - top_den)
+def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: float,
+                       v1: float, v2: float, v3: float) -> float:
+    """(x U + y V) / (U + V) for the weights U = u1 u2 u3 and V = v1 v2 v3 of one sign.
+
+    The plain formula where every product, both terms and both sums are normal
+    floats. Elsewhere every factor is split into mantissa and exponent, so no
+    product under- or overflows, and each sum is formed on the scale of its
+    larger term. U = 0 gives y and V = 0 gives x, exactly; both 0 is 0/0, and
+    InvalidMeanError names the mean ``name`` and the point.
+    """
+    uu, vv = u1 * u2, v1 * v2
+    u, v = uu * u3, vv * v3
+    xu, yv = x * u, y * v
+    num, den = xu + yv, u + v
+    if (_MIN_NORMAL <= min(abs(uu), abs(u), abs(vv), abs(v), abs(xu), abs(yv), abs(num))
+            and abs(num) < _INF and abs(den) < _INF):
+        return num / den
+    (mx, ex), (my, ey), (a, ea), (b, eb), (c, ec), (d, ed), (g, eg), (h, eh) = map(
+        math.frexp, (x, y, u1, u2, u3, v1, v2, v3))
+    mu, eu, mv, ev = a * b * c, ea + eb + ec, d * g * h, ed + eg + eh
+    if not (mu and mv):
+        if mu or mv:
+            return x if mu else y
+        raise InvalidMeanError(f"{name}({x}, {y}) is 0/0: both endpoint weights vanish")
+    tx, ty, ex, ey = mx * mu, my * mv, ex + eu, ey + ev
+    # a zero term has no scale; the other one sets it
+    top = max(ex, ey) if tx and ty else ex if tx else ey
+    num = math.ldexp(tx, ex - top) + math.ldexp(ty, ey - top)
+    top_den = max(eu, ev)
+    den = math.ldexp(mu, eu - top_den) + math.ldexp(mv, ev - top_den)
+    return math.ldexp(num / den, top - top_den)
 
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
     """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight.
 
-    Where the numerator leaves the normal float range, which takes x and y near
-    either end of it, x and y are scaled by one exact power of two first and the
-    quotient is scaled back; elsewhere the plain formula is the value.
+    Where the numerator is a normal float the plain formula is the value.
+    Elsewhere, which takes x and y near either end of the float range, it is
+    the endpoint-weighted form with U = P(x) and V = P(y).
     """
     weight = p.fn
+    name = name or f"normal({p.name})"
 
     def fn(x: float, y: float) -> float:
         px = weight(x)
@@ -298,10 +303,9 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
         num = x * px + y * py
         if _MIN_NORMAL <= num < _INF or -_INF < num <= -_MIN_NORMAL:
             return num / (px + py)
-        k = -max(math.frexp(x)[1], math.frexp(y)[1])
-        return math.ldexp((math.ldexp(x, k) * px + math.ldexp(y, k) * py) / (px + py), -k)
+        return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
 
-    return MeanFunction(name or f"normal({p.name})", p.domain, fn)
+    return MeanFunction(name, p.domain, fn)
 
 
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:

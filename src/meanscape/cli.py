@@ -441,10 +441,7 @@ def cli_run(argv: list[str]) -> CommandResult:
     try:
         payload = _dispatch(args, resolver, seed)
         result = CommandResult("ok", payload, resolver.diagnostics, 0, out_path=out_path)
-    except _UsageError as exc:
-        result = CommandResult("error", {"command": args.command}, [str(exc)], 1,
-                               out_path=out_path)
-    except (ExpressionError, DomainError, ValueError) as exc:
+    except (_UsageError, ExpressionError, DomainError, ValueError) as exc:
         result = CommandResult("error", {"command": args.command}, [str(exc)], 1,
                                out_path=out_path)
     except NumericalError as exc:

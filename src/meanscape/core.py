@@ -296,15 +296,16 @@ class MeanFunction(_Frozen):
         return self.fn(x, y)
 
 
-def _arithmetic_eval(x: float, y: float) -> float:
-    return (x + y) / 2.0
-
-
 # Where both arguments lie in (2^-500, 2^500), every product, sum and quotient of the G and
 # H kernels is a normal float, so the plain formulas round exactly as the scaled forms do.
-# Elsewhere the scaled forms run. ``_sqrt`` spares the hot path an attribute lookup.
+# Elsewhere the scaled forms run. ``_sqrt`` and ``_INF`` spare the hot paths a lookup.
 _PLAIN_LO, _PLAIN_HI = 2.0 ** -500, 2.0 ** 500
-_sqrt = math.sqrt
+_sqrt, _INF = math.sqrt, math.inf
+
+
+def _arithmetic_eval(x: float, y: float) -> float:
+    s = x + y  # halved first only where it overflows, where the halves are exact
+    return s / 2.0 if -_INF < s < _INF else x / 2.0 + y / 2.0
 
 
 def _geometric_eval(x: float, y: float) -> float:

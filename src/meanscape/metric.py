@@ -105,26 +105,29 @@ class BorderDiagnostic(NamedTuple):
     trend: str
 
 
-def _axis_points(window: Interval, n: int) -> tuple[list[float], list[float], bool]:
-    """Grid points over a window, and the coordinates refinement works in.
+def _axis_points(window: Interval, n: int) -> tuple[list[float], float, Callable[[float], float]]:
+    """Grid points over a window, the grid step, and the map from a coordinate to a point.
 
-    A window in (0, inf) gets ``numpy.geomspace``'s points, computed as it
-    computes them: 10 ** t over ``_linspace`` of the log10 endpoints, with
-    the endpoints pinned to ``lo`` and ``hi``. A t that rounds up to
-    log10(hi) gives hi, where 10 ** t could overflow, and every other point
-    is clamped into the window, which a pow less accurate than correctly
-    rounded can leave on narrow windows (numpy's SIMD power does). Refinement
-    works in natural-log coordinates, so its tolerance is relative. Other
-    windows are linearly spaced throughout.
+    A window in (0, inf) is log-spaced, with t in log2 units from lo = m 2^e
+    giving ldexp(m 2^frac(t), e + floor(t)): no step under- or overflows, a
+    window scaled by a power of two has exactly scaled points, and the points
+    agree with ``numpy.geomspace``'s to about 1e-13. Other windows are
+    ``numpy.linspace``'s points, with lo + t. Points are clamped into the window.
     """
     lo, hi = window.lo, window.hi
-    if lo > 0.0:
-        top = math.log10(hi)
-        inner = _linspace(math.log10(lo), top, n)[1:-1]
-        pts = [lo] + [min(max(10.0 ** t, lo), hi) if t < top else hi for t in inner] + [hi]
-        return pts, [math.log(p) for p in pts], True
-    pts = _linspace(lo, hi, n)
-    return pts, pts, False
+    if lo <= 0.0:
+        return _linspace(lo, hi, n), (hi - lo) / (n - 1), lambda t: min(max(lo + t, lo), hi)
+    (ml, el), (mh, eh) = math.frexp(lo), math.frexp(hi)
+    step = (math.log2(mh / ml) + (eh - el)) / (n - 1)
+
+    def to_point(t: float) -> float:
+        k = math.floor(t)
+        try:
+            return min(max(math.ldexp(ml * 2.0 ** (t - k), el + k), lo), hi)
+        except OverflowError:  # rounded past the float maximum, so past hi
+            return hi
+
+    return [lo] + [to_point(i * step) for i in range(1, n - 1)] + [hi], step, to_point
 
 
 def _sup2d(f: Callable[[float, float], float], window: Interval,
@@ -136,7 +139,7 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     it was evaluated; refinement replaces the grid maximum only on strict
     improvement.
     """
-    pts, coords, log_spaced = _axis_points(window, grid)
+    pts, step, to_point = _axis_points(window, grid)
     best_v = -math.inf
     bi = bj = 0
     for i, x in enumerate(pts):
@@ -147,29 +150,23 @@ def _sup2d(f: Callable[[float, float], float], window: Interval,
     if not math.isfinite(best_v):
         raise DomainError("no admissible grid points in the window")
 
-    # refine around the best cell, in log coordinates when the grid is
-    # log-spaced; exp(log(t)) may round out of the window, so coordinates
-    # are clamped before use
+    # refine around the best cell on offsets from the best grid point, so on a
+    # log-spaced grid the search stops at a width relative to x, wherever the
+    # window lies; offsets past an end of the window give that end
     best = (best_v, pts[bi], pts[bj])
-
-    def to_point(s: float) -> float:
-        t = math.exp(s) if log_spaced else s
-        return min(max(t, window.lo), window.hi)
 
     def eval_at(u: float, w: float) -> float:
         nonlocal best
-        x, y = to_point(u), to_point(w)
+        x, y = to_point(bi * step + u), to_point(bj * step + w)
         v = f(x, y)
         if v > best[0]:
             best = (v, x, y)
         return v
 
-    ax, bx = coords[max(bi - 1, 0)], coords[min(bi + 1, grid - 1)]
-    ay, by = coords[max(bj - 1, 0)], coords[min(bj + 1, grid - 1)]
-    u, w = coords[bi], coords[bj]
+    u = w = 0.0
     for _ in range(3):
-        u, _ = golden_section_max(lambda s: eval_at(s, w), ax, bx)
-        w, _ = golden_section_max(lambda s: eval_at(u, s), ay, by)
+        u, _ = golden_section_max(lambda s: eval_at(s, w), -step, step)
+        w, _ = golden_section_max(lambda s: eval_at(u, s), -step, step)
     # + 0.0 turns a zero sup into +0: equal means give 0 / (x - y), signed by x - y
     return best[0] + 0.0, (best[1], best[2])
 

@@ -19,11 +19,11 @@ never shared mutable state.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
     _PCG64,
+    _arithmetic_eval,
     _outside_domain,
     _set,
     BUILTIN_MEANS,
@@ -193,11 +193,11 @@ def compound(m1: MeanFunction, m2: MeanFunction,
         ok, xn, yn, n, _ = _run_iteration(m1, m2, x, y, tolerance, max_iterations, False)
         if not ok:
             _, _, _, _, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
-            trace = IterationTrace(tuple(steps), False, 0.5 * (xn + yn), n)
+            trace = IterationTrace(tuple(steps), False, _arithmetic_eval(xn, yn), n)
             raise ConvergenceError(
                 f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
                 f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
-        return 0.5 * (xn + yn)
+        return _arithmetic_eval(xn, yn)
 
     return CompoundMean(
         name=f"mid({m1.name},{m2.name})", domain=dom, fn=fn,
@@ -239,7 +239,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                 step.gap <= k ** step.n * gap0 * (1.0 + _ENVELOPE_SLACK)
                 for step in steps[1:])
 
-    trace = IterationTrace(tuple(steps), converged, 0.5 * (xn + yn), n, k, envelope_ok)
+    trace = IterationTrace(tuple(steps), converged, _arithmetic_eval(xn, yn), n, k, envelope_ok)
     if not converged:
         raise ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
@@ -307,16 +307,15 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     for _ in range(256):
         if hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        # lo + hi overflows near the top of the float range: the checked call raises there
-        gm = g(mid) if math.isfinite(mid) else m0(a, mid) - target
+        mid = _arithmetic_eval(lo, hi)
+        gm = g(mid)
         if gm == 0.0:
             return mid
         if (gm > 0.0) == increasing:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return _arithmetic_eval(lo, hi)
 
 
 def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:

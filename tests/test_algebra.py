@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import meanscape as ms
 from meanscape import core, middle
-from meanscape.algebra import _DIAG_GUARD, _EXP_CLIP, OrderRelation, _classify_ratio, _linspace
+from meanscape.algebra import (_DIAG_GUARD, OrderRelation, _classify_ratio, _endpoint_weighted,
+                               _linspace)
 from meanscape.core import _PCG64, common_domain, near
 
 scaled = st.floats(min_value=1e-300, max_value=1e300)
@@ -286,8 +287,9 @@ class TestReflectionOracle:
                 assert abs(reflected(x, y) - want) <= tol, (m1.name, x, y)
                 assert abs(sigma(x, y) - want) <= tol, (m1.name, x, y)
 
-    @given(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
-           st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+    # from 2^-1074 up: ldexp(0.5, -1074) rounds to 0, outside the domain of G and H
+    @given(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1023)),
+           st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, 1023)),
            st.sampled_from("AGH"), st.sampled_from("AGH"))
     @example(1e-200, 1e200, "H", "G")
     @example(1e-300, 1e300, "H", "G")
@@ -296,6 +298,7 @@ class TestReflectionOracle:
     @example(1e-160, 1e160, "G", "H")
     @example(1e-115, 5e235, "H", "H")
     @example(2e-323, 1.5e-323, "A", "G")  # A rounds to x and G to y: the form is x
+    @example(2e-323, 1.5e-323, "A", "A")  # A rounds to x: both weights are 0
     def test_arguments_far_apart_in_scale(self, x, y, which0, which1):
         # a scaled product or a numerator term leaves the normal range here, mostly
         builtins = {"A": ms.make_arithmetic, "G": ms.make_geometric, "H": ms.make_harmonic}
@@ -305,7 +308,10 @@ class TestReflectionOracle:
         for p, q in ((x, y), (y, x)):
             v0, v1 = m0(p, q), m1(p, q)
             if (v1 == p or v0 == q) and (v0 == p or v1 == q):
-                return  # both products are 0 where both means round to an argument: 0/0
+                # both products are 0 where both means round to an argument: 0/0
+                with pytest.raises(ms.InvalidMeanError, match=r"is 0/0: both endpoint"):
+                    ms.group_symmetry(m0, m1)(p, q)
+                continue
             with mpmath.workdps(50):  # the rational form, from the same values of M0 and M1
                 p_, q_, v0_, v1_ = map(mpmath.mpf, (p, q, v0, v1))
                 a, b = (v1_ - p_) * (v0_ - q_) ** 2, (v0_ - p_) ** 2 * (v1_ - q_)
@@ -357,6 +363,110 @@ def _probe_weight():
     rng = _PCG64(45)
     a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
     return ms.WeightFunction(ms.POSITIVE_REALS, lambda t: t ** a * (1.0 + t) ** b, "probe")
+
+
+def _form_cases():
+    """Each composite that evaluates the endpoint-weighted form (x U + y V)/(U + V), with
+    its weights at mpmath's working precision from the operand values the composite
+    computes, and those of the values that must lie between x and y."""
+    A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+    weight = _probe_weight()
+    N = ms.make_normal_mean(weight, "N")
+    mpf = mpmath.mpf
+
+    def star_weights(m1, m2):
+        def weights(x, y):
+            a, b = mpf(m1(x, y)), mpf(m2(x, y))
+            return (a, b), (a - y) * (b - y), (a - x) * (b - x)
+        return weights
+
+    def reflection_weights(m0, m1):
+        def weights(x, y):
+            a, b = mpf(m0(x, y)), mpf(m1(x, y))
+            return (a, b), (a - y) ** 2 * (b - x), (a - x) ** 2 * (y - b)
+        return weights
+
+    def transform_weights(f):
+        return lambda x, y: ((), mpf(1), mpmath.exp(f(x, y)))
+
+    cases = {f"star({m1.name},{m2.name})": (ms.star(m1, m2), star_weights(m1, m2))
+             for m1, m2 in ((A, H), (G, G), (H, N), (N, A))}
+    cases.update({f"S[{m0.name}]({m1.name})": (ms.group_symmetry(m0, m1),
+                                               reflection_weights(m0, m1))
+                  for m0, m1 in ((A, N), (G, A), (H, G), (N, H))})
+    cases["N"] = (N, lambda x, y: ((), mpf(weight(x)), mpf(weight(y))))
+    for name, f in (("phi(G)", ms.phi(G)), ("-phi(H)", -ms.phi(H)),
+                    ("phi(G)-phi(H)", ms.phi(G) - ms.phi(H)), ("1.02*phi(G)", 1.02 * ms.phi(G)),
+                    ("-1.0*phi(G)", -1.0 * ms.phi(G))):
+        cases[f"phi_inv({name})"] = (ms.phi_inverse(f), transform_weights(f))
+    return cases
+
+
+def _form_points():
+    """8000 seeded points, log-uniform on [1e-307, 1e307]^2 and within 3 decades of a
+    scale log-uniform on [1e-8, 1e8], and points that were faults at extreme scales."""
+    rng = np.random.default_rng(16)
+    wide = 10.0 ** rng.uniform(-307.0, 307.0, size=(4000, 2))
+    scale = rng.uniform(-8.0, 8.0, size=(4000, 1))
+    close = 10.0 ** (scale + rng.uniform(-3.0, 3.0, size=(4000, 2)))
+    quoted = [(1e-300, 1e300), (1e300, 1e-300), (1e307, 1e-307), (6.07e110, 2.9e86)]
+    return [(float(p), float(q)) for p, q in np.vstack([wide, close])] + quoted
+
+
+def _assert_form(m, weights, x, y):
+    """m(x, y) is within 4 ulps of the form at 60 digits, 4 * 2^-1074 where that is
+    subnormal, wherever the operand values lie between x and y; both weights 0 raise,
+    and so does a fault of an operand."""
+    if near(x, y, _DIAG_GUARD):
+        return
+    with mpmath.workdps(60):
+        try:
+            values, u, v = weights(x, y)
+        except ms.InvalidMeanError as exc:  # an operand's own fault, which the composite raises
+            assert _value_or_error(m, x, y) == (ms.InvalidMeanError, str(exc))
+            return
+        if not all(min(x, y) <= t <= max(x, y) for t in values):
+            return
+        if u == 0 and v == 0:
+            with pytest.raises(ms.InvalidMeanError, match=r"is 0/0: both endpoint weights vanish"):
+                m(x, y)
+            return
+        want = float((x * u + y * v) / (u + v))
+    got = m(x, y)
+    assert abs(got - want) <= 4.0 * math.ulp(want), (m.name, x, y, got, want)
+
+
+_FORM_CASES = _form_cases()
+_any_positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                          st.integers(-1073, 1024))
+
+
+class TestEndpointWeightedForm:
+    """star, group_symmetry, the normal mean and phi_inverse against the 60-digit value
+    of the form they evaluate, from the same operand values."""
+
+    @pytest.mark.parametrize("case", sorted(_FORM_CASES))
+    def test_seeded_sweep(self, case):
+        m, weights = _FORM_CASES[case]
+        for x, y in _form_points():
+            _assert_form(m, weights, x, y)
+
+    @given(st.sampled_from(sorted(_FORM_CASES)), _any_positive, _any_positive)
+    @example("star(G,G)", 1e-300, 1e300)  # differences scaled by 2^k underflow here
+    @example("phi_inv(-1.0*phi(G))", 1e-300, 1e300)  # e^f overflows here
+    @example("phi_inv(1.02*phi(G))", 1e300, 1e-300)  # |f| > 700, yet e^-f is not negligible
+    def test_property(self, case, x, y):
+        m, weights = _FORM_CASES[case]
+        _assert_form(m, weights, x, y)
+        _assert_form(m, weights, y, x)
+
+    def test_zero_weight_gives_the_endpoint_exactly(self):
+        assert _endpoint_weighted("M", 1.0, 2.0, 0.0, 3.0, 1.0, 5.0, 7.0, 1.0) == 2.0
+        assert _endpoint_weighted("M", 1.0, 2.0, 5.0, 7.0, 1.0, 3.0, 0.0, 1.0) == 1.0
+        assert _endpoint_weighted("M", 1e-300, 1e300, 1e-300, 1e-300, 1.0, 0.0, 1.0, 1.0) == 1e-300
+        with pytest.raises(ms.InvalidMeanError) as err:
+            _endpoint_weighted("M", 1.0, 2.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        assert str(err.value) == "M(1.0, 2.0) is 0/0: both endpoint weights vanish"
 
 
 class TestNormalMeans:
@@ -578,40 +688,29 @@ class TestCompare:
 
 
 # The composites as they were before they called their operands' kernels: every
-# operand goes through its checked __call__. The kernels must give the same bits.
+# operand goes through its checked __call__, and the endpoint-weighted form gets the
+# weights' factors as the composite's kernel passes them. The kernels must give the
+# same bits and raise alike; the numerics are pinned against mpmath elsewhere.
 def _checked_star(m1, m2):
+    name = f"({m1.name}*{m2.name})"
+
     def fn(x, y):
         if near(x, y, _DIAG_GUARD):
-            return 0.5 * (x + y)
+            return ms.make_arithmetic()(x, y)
         a, b = m1(x, y), m2(x, y)
-        k = -math.frexp(y - x)[1]
-        w_y = math.ldexp(a - y, k) * math.ldexp(b - y, k)
-        w_x = math.ldexp(a - x, k) * math.ldexp(b - x, k)
-        return (x * w_y + y * w_x) / (w_y + w_x)
+        return _endpoint_weighted(name, x, y, a - y, b - y, 1.0, a - x, b - x, 1.0)
 
     return ms.MeanFunction("star", common_domain(m1.domain, m2.domain), fn)
 
 
 def _checked_group_symmetry(m0, m1):
+    name = f"S[{m0.name}]({m1.name})"
+
     def fn(x, y):
         if near(x, y, _DIAG_GUARD):
-            return 0.5 * (x + y)
+            return ms.make_arithmetic()(x, y)
         v0, v1 = m0(x, y), m1(x, y)
-        k = -math.frexp(y - x)[1]
-        a = math.ldexp(v1 - x, k) * math.ldexp(v0 - y, k) ** 2
-        b = math.ldexp(v0 - x, k) ** 2 * math.ldexp(v1 - y, k)
-        if all(2.2250738585072014e-308 <= abs(t) < math.inf for t in (a, b, x * a, y * b)):
-            return (x * a - y * b) / (a - b)
-        # a product or a numerator term is not normal: every factor on its own scale
-        (mx, ex), (my, ey), (mp, ep), (mq, eq), (mr, er), (ms_, es) = (
-            math.frexp(d) for d in (x, y, v1 - x, v0 - y, v0 - x, v1 - y))
-        ma, ea, mb, eb = mp * mq ** 2, ep + 2 * eq, mr ** 2 * ms_, 2 * er + es
-        if (ma == 0.0) != (mb == 0.0):  # a mean equal to an argument: x or y
-            return x if mb == 0.0 else y
-        top_num, top_den = max(ex + ea, ey + eb), max(ea, eb)
-        num = math.ldexp(mx * ma, ex + ea - top_num) - math.ldexp(my * mb, ey + eb - top_num)
-        den = math.ldexp(ma, ea - top_den) - math.ldexp(mb, eb - top_den)
-        return math.ldexp(num / den, top_num - top_den)
+        return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
 
     return ms.MeanFunction("S", common_domain(m0.domain, m1.domain), fn)
 
@@ -637,20 +736,23 @@ def _checked_phi(m):
     return ms.AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
 
 
-def _checked_phi_inverse(f):
+def _checked_phi_inverse(f, name):
     def fn(x, y):
         v = f(x, y)
-        if v > _EXP_CLIP:
-            return y
-        if v < -_EXP_CLIP:
-            return x
+        if v > 0.0:  # mirrored, so that e <= 1
+            x, y, v = y, x, -v
         e = math.exp(v)
-        return (x + y * e) / (e + 1.0)
+        if e >= 2.2250738585072014e-308:
+            return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, 1.0, 1.0)
+        h = math.exp(0.5 * v)  # e lost digits to underflow: V is h squared
+        return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, h, h, 1.0)
 
     return ms.MeanFunction("phi_inv", f.domain, fn)
 
 
 def _checked_normal(p):
+    name = f"normal({p.name})"
+
     def fn(x, y):
         px, py = p(x), p(y)
         if not (px > 0.0 and py > 0.0) or math.isinf(px) or math.isinf(py):
@@ -659,9 +761,7 @@ def _checked_normal(p):
         num = x * px + y * py
         if 2.2250738585072014e-308 <= abs(num) < math.inf:
             return num / (px + py)
-        # the numerator left the normal range: x and y on one scale, the quotient back
-        k = -max(math.frexp(x)[1], math.frexp(y)[1])
-        return math.ldexp((math.ldexp(x, k) * px + math.ldexp(y, k) * py) / (px + py), -k)
+        return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
 
     return ms.MeanFunction("normal", p.domain, fn)
 
@@ -703,14 +803,14 @@ def _composite_pairs(family):
         (ms.group_inverse(N2), _checked_group_inverse(N2)),
         (ms.make_normal_mean(weight), _checked_normal(weight)),
         (ms.make_normal_mean(signed), _checked_normal(signed)),
-        (ms.phi_inverse(ms.phi(N0)), _checked_phi_inverse(_checked_phi(N0))),
-        (ms.phi_inverse(0.5 * ms.phi(G) - 2.0 * ms.phi(power)),
+        (ms.phi_inverse(ms.phi(N0), "P0"), _checked_phi_inverse(_checked_phi(N0), "P0")),
+        (ms.phi_inverse(0.5 * ms.phi(G) - 2.0 * ms.phi(power), "P"),
          _checked_phi_inverse(_checked_combine(_checked_scale(0.5, _checked_phi(G)),
                                                _checked_scale(2.0, _checked_phi(power)),
-                                               1.0, -1.0))),
-        (ms.phi_inverse(-ms.phi(H) + ms.phi(N2)),
+                                               1.0, -1.0), "P")),
+        (ms.phi_inverse(-ms.phi(H) + ms.phi(N2), "Q"),
          _checked_phi_inverse(_checked_combine(_checked_neg(_checked_phi(H)),
-                                               _checked_phi(N2), 1.0, 1.0))),
+                                               _checked_phi(N2), 1.0, 1.0), "Q")),
     ]
 
 

@@ -73,6 +73,22 @@ class TestPointCommands:
             want = float(x * mpmath.mpf(y) * g / ((mpmath.mpf(x) + y) * g - x * mpmath.mpf(y)))
         assert p["value"] == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_eval_arithmetic_near_the_float_maximum(self):
+        assert payload(["eval", "--mean", "A", "--at", "1.6e308,1.5e308"])["value"] == 1.55e308
+
+    # both weights of the endpoint-weighted form are 0: the composite is 0/0 there
+    @pytest.mark.parametrize("argv, at", [
+        (["symmetry", "--m0", "A", "--m1", "A"], "2e-323,1.5e-323"),
+        (["star", "--m1", "A", "--m2", "G"], "2e-323,1.5e-323"),
+        (["star", "--m1", "min(x,y)", "--m2", "max(x,y)"], "1,2"),
+    ])
+    def test_undefined_form_is_user_error(self, capsys, argv, at):
+        assert main(argv + ["--at", at]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        x, y = (float(t) for t in at.split(","))
+        assert doc["diagnostics"][0].endswith(f"({x}, {y}) is 0/0: both endpoint weights vanish")
+
     def test_sigma(self):
         p = payload(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4"])
         assert p["value"] == pytest.approx(3.0, abs=1e-10)
@@ -100,6 +116,35 @@ class TestPointCommands:
         assert p["guaranteed"] is True
         assert p["guaranteed_by"] == "distance" and p["d_upper"] == 0.5
         assert "d_estimate" not in p
+
+
+_POINT_MEANS = ["A", "G", "H", "(x+y)/2", "sqrt(x*y)", "min(x,y)", "max(x,y)"]
+_EXTREME_POINTS = ["2e-323,1.5e-323", "1e-300,1e300", "1.6e308,1.5e308", "1,2"]
+
+
+def _point_argvs():
+    """Every point subcommand on built-in, parsed and min/max operands at each point."""
+    for at in _EXTREME_POINTS:
+        for m in _POINT_MEANS:
+            for cmd in ("eval", "inverse", "m-arith"):
+                yield [cmd, "--mean", m, "--at", at]
+        for w in ("1", "1/t", "t^0.146*(1+t)^0.057"):
+            yield ["normal", "--weight", w, "--at", at]
+        for m1 in _POINT_MEANS:
+            for m2 in _POINT_MEANS:
+                yield ["star", "--m1", m1, "--m2", m2, "--at", at]
+                yield ["symmetry", "--m0", m1, "--m1", m2, "--at", at]
+                yield ["sigma", "--m0", m1, "--m1", m2, "--at", at]
+                yield ["compound", "--m1", m1, "--m2", m2, "--at", at]
+
+
+def test_every_point_command_answers_with_an_envelope():
+    # a fault at an extreme point is an exit code and a diagnostic, never a traceback
+    for argv in _point_argvs():
+        result = cli_run(argv)
+        doc = json.loads(result.rendered)
+        assert (result.exit_code, doc["status"]) in ((0, "ok"), (1, "error"), (2, "error")), argv
+        assert doc["diagnostics"] or result.exit_code == 0, argv
 
 
 class TestAnalysisCommands:

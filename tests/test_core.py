@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestBuiltins:
         for kernel, scaled in ((core._geometric_eval, core._geometric_scaled),
                                (core._harmonic_eval, core._harmonic_scaled)):
             assert kernel(x, y).hex() == scaled(x, y).hex()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(1.6e308, 1.5e308)
+    @example(-1.7976931348623157e308, -1e308)
+    def test_arithmetic_is_the_rounded_midpoint(self, x, y):
+        # x + y overflows near the float maximum, where A halves first
+        assert ms.make_arithmetic()(x, y) == float((Fraction(x) + Fraction(y)) / 2)
 
     def test_domain_enforced(self, builtins):
         _, G, H = builtins

@@ -56,22 +56,25 @@ class TestAxisPoints:
     # numpy is the oracle here, in the tests only
     @given(log_windows(), st.integers(8, 512))
     def test_log_grid_is_numpy_geomspace(self, window, n):
-        pts, coords, log_spaced = _axis_points(window, n)
-        assert log_spaced and len(pts) == n
+        pts, step, to_point = _axis_points(window, n)
+        assert len(pts) == n
         assert pts[0] == window.lo and pts[-1] == window.hi
         assert all(type(p) is float and window.contains(p) for p in pts)
         assert all(a < b for a, b in zip(pts, pts[1:]))
         ref = np.geomspace(window.lo, window.hi, n)
         assert all(abs(p - r) <= 1e-12 * r for p, r in zip(pts, ref.tolist()))
-        assert coords == [math.log(p) for p in pts]
+        # refinement's coordinates pass through the grid: log2 units from lo
+        assert [to_point(i * step) for i in range(n - 1)] == pts[:-1]
+        span = math.log2(window.hi) - math.log2(window.lo)
+        assert step == pytest.approx(span / (n - 1), rel=1e-13)
 
     @given(st.floats(-1e300, 0.0), st.floats(1e-300, 1e300), st.integers(8, 512))
     def test_linear_grid_is_numpy_linspace(self, lo, width, n):
         assume(lo < lo + width)
         window = ms.Interval.closed(lo, lo + width)
-        pts, coords, log_spaced = _axis_points(window, n)
-        assert not log_spaced and coords == pts
+        pts, step, to_point = _axis_points(window, n)
         assert pts == np.linspace(window.lo, window.hi, n).tolist()
+        assert [to_point(i * step) for i in range(n - 1)] == pts[:-1]
 
     @pytest.mark.parametrize("lo, hi", [
         # inner t round up to log10(hi), and np.geomspace's points leave the window

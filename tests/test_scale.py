@@ -43,11 +43,28 @@ def test_power_of_two_scaling_is_exact(name, k, x, y):
 def test_distances_do_not_depend_on_the_window_scale(scale, m1, m2):
     unit_window = ms.Interval.closed(0.01, 100.0)
     window = ms.Interval.closed(scale / 100.0, 100.0 * scale)
-    # the values agree to rounding; the argmax is not compared, since the
-    # refinement stops at a width relative to max(1, |log x|)
+    # the values agree to rounding; the argmax is not compared, since a window
+    # scaled by a power of ten has grid points that are not exactly scaled, and
+    # the flat top of the quotient lets rounding pick where the search stops
     for estimate in (ms.distance, ms.distance_via_phi):
         want = estimate(m1, m2, unit_window, 32).value
         assert estimate(m1, m2, window, 32).value == pytest.approx(want, rel=1e-14, abs=0.0)
     want = ms.distance_to_arithmetic(m2, unit_window, 32).value
     assert ms.distance_to_arithmetic(m2, window, 32).value == pytest.approx(want, rel=1e-14,
                                                                             abs=0.0)
+
+
+@pytest.mark.parametrize("grid", [16, 64])
+def test_argmax_does_not_depend_on_a_power_of_two_scale(grid):
+    # scaled by 2^e, the window's grid and refinement points are exactly scaled, and the
+    # refinement's stop is relative in x, so the search ends at the same ratio y/x
+    runs = []
+    for e in (-900, 0, 900):
+        s = math.ldexp(1.0, e)
+        est = ms.distance(G, H, ms.Interval.closed(s * 1e-2, s * 1e2), grid)
+        runs.append((est.value, math.log(est.argmax[1] / est.argmax[0])))
+    value, ratio = runs[1]
+    assert ratio == pytest.approx(-2.1225501, rel=1e-7)
+    for v, r in runs:
+        assert v == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert r == pytest.approx(ratio, rel=1e-12, abs=0.0)
