@@ -216,11 +216,17 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
 
 
 def group_inverse(m: MeanFunction) -> MeanFunction:
-    """Inverse for the group law: the mean x + y - M with phi = -phi(M)."""
+    """Inverse for the group law: the mean x + y - M with phi = -phi(M).
+
+    Evaluated as x + (y - M) or y + (x - M), whichever adds the difference of at
+    most |x - y| / 2: it overflows nowhere and cancels nowhere near an endpoint.
+    """
     kernel = m.fn
 
     def fn(x: float, y: float) -> float:
-        return x + y - kernel(x, y)
+        v = kernel(x, y)
+        d, e = y - v, x - v
+        return x + d if abs(d) <= abs(e) else y + e
 
     return MeanFunction(f"(2A-{m.name})", m.domain, fn)
 

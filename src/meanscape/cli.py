@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     DEFAULT_SEED,
@@ -157,7 +157,7 @@ def _parse_domain(text: str) -> Interval:
 class _Resolver:
     """Turns expression arguments into means/weights, reading stdin at most once."""
 
-    def __init__(self, domain: Interval, seed: int):
+    def __init__(self, domain: Optional[Interval], seed: int):
         self.domain = domain
         self.seed = seed
         self.stdin_used = False
@@ -183,233 +183,217 @@ class _Resolver:
         return weight_from_source(self._source(text), self.domain)
 
 
+def _window(args) -> Optional[Interval]:
+    return _parse_window(args.window) if args.window else None
+
+
+# Each payload builder takes the parsed flags and the resolver; the dispatch puts
+# the command's name first in the payload.
+
+def _point_command(help_text: str, build, *operands: str) -> _Command:
+    """A command whose value is build(*operands) at --at; --weight names a weight."""
+
+    def run(args, resolver: _Resolver) -> dict:
+        names, values = {}, []
+        for flag in operands:
+            dest = flag[2:]
+            value = (resolver.weight if flag == "--weight" else resolver.mean)(vars(args)[dest])
+            names[dest] = value.name
+            values.append(value)
+        x, y = _parse_pair(args.at, "--at")
+        return {**names, "at": [x, y], "value": build(*values)(x, y)}
+
+    return _Command(help_text, run, (*operands, "--at", "--domain"))
+
+
+def _sigma(args, resolver: _Resolver) -> dict:
+    m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
+    m1 = resolver.mean(args.m1)
+    x, y = _parse_pair(args.at, "--at")
+    return {"m0": m0.name, "m1": m1.name, "at": [x, y],
+            "value": functional_symmetric(m0, m1, x, y, rel_tol=args.tol)}
+
+
+def _compare(args, resolver: _Resolver) -> dict:
+    window = _window(args)
+    p1 = resolver.weight(args.p1)
+    win = window or default_window(p1.domain)
+    if args.p2 is None:
+        relation, p2_name = classify_vs_arithmetic(p1, win, args.grid), "1"
+    else:
+        p2 = resolver.weight(args.p2)
+        relation, p2_name = compare_normal(p1, p2, win, args.grid), p2.name
+    return {"p1": p1.name, "p2": p2_name, "window": [win.lo, win.hi], "samples": args.grid,
+            "relation": relation.value}
+
+
+def _distance(args, resolver: _Resolver) -> dict:
+    window = _window(args)
+    m1 = resolver.mean(args.m1)
+    m2 = resolver.mean(args.m2)
+    win = window or default_window(common_domain(m1.domain, m2.domain))
+    est = (distance_via_phi if args.via_phi else distance)(m1, m2, win, args.grid)
+    return {"m1": m1.name, "m2": m2.name, "via_phi": args.via_phi,
+            "window": [win.lo, win.hi], "grid": est.grid_size, "value": est.value,
+            "argmax": list(est.argmax)}
+
+
+def _dist_to_a(args, resolver: _Resolver) -> dict:
+    window = _window(args)
+    m = resolver.mean(args.mean)
+    win = window or default_window(m.domain)
+    est = distance_to_arithmetic(m, win, args.grid)
+    return {"mean": m.name, "window": [win.lo, win.hi], "grid": est.grid_size,
+            "value": est.value, "sup_phi": phi(m)(*est.argmax), "argmax": list(est.argmax)}
+
+
+def _border(args, resolver: _Resolver) -> dict:
+    m = resolver.mean(args.mean)
+    windows = [_parse_window(w) for w in args.windows.split(";") if w]
+    diag = border_diagnostic(m, windows, args.grid)
+    return {"mean": m.name, "windows": [[w.lo, w.hi] for w in diag.windows_tested],
+            "sups": list(diag.sup_per_window),
+            "sup_f_estimate": diag.sup_f_estimate, "trend": diag.trend}
+
+
+def _gh_cert(args, resolver: _Resolver) -> dict:
+    cert = distance_gh_certificate()
+    return {"value": cert.value, "quartic_residual": cert.quartic_residual,
+            "argmax_t": cert.argmax_t}
+
+
+def _iterate(args, c, trace: bool = False) -> dict:
+    """The compound c at --at, with its iteration rows if trace is set."""
+    x, y = _parse_pair(args.at, "--at")
+    run = compound_trace(c.m1, c.m2, x, y, args.tol, args.max_iter,
+                         estimate_contraction=False)
+    payload = {"m1": c.m1.name, "m2": c.m2.name, "at": [x, y],
+               "tolerance": args.tol, "max_iterations": args.max_iter,
+               "value": run.limit, "iterations": run.iterations_used,
+               "converged": run.converged, "guaranteed": c.guaranteed,
+               "guaranteed_by": c.guaranteed_by, "d_upper": c.d_upper}
+    if trace:
+        payload["trace"] = [{"n": s.n, "x": s.x, "y": s.y, "gap": s.gap} for s in run.steps]
+    return payload
+
+
+def _compound(args, resolver: _Resolver) -> dict:
+    c = compound(resolver.mean(args.m1), resolver.mean(args.m2), args.tol, args.max_iter)
+    return _iterate(args, c, args.trace)
+
+
+def _m_arith(args, resolver: _Resolver) -> dict:
+    return _iterate(args, m_arithmetic(resolver.mean(args.mean), args.tol, args.max_iter))
+
+
+def _coincide(args, resolver: _Resolver) -> dict:
+    win = _window(args) or Interval.closed(0.1, 10.0)
+    m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
+    probe = coincidence_probe(m0, win, args.grid, resolver.seed)
+    return {"m0": m0.name, "window": [win.lo, win.hi], "samples": args.grid,
+            "seed": resolver.seed, "max_discrepancy": probe.max_discrepancy,
+            "worst_point": list(probe.worst_point)}
+
+
+def _verify(args, resolver: _Resolver) -> dict:
+    window = _window(args)
+    m = resolver.mean(args.mean)
+    win = window or default_window(m.domain)
+    report = verify_axioms(m, win, args.grid, resolver.seed)
+    return {"mean": m.name, "window": [win.lo, win.hi], "samples": report.samples_used,
+            "seed": resolver.seed, "axiom_i_ok": report.axiom_i_ok,
+            "axiom_ii_ok": report.axiom_ii_ok, "axiom_iii_ok": report.axiom_iii_ok,
+            "counterexamples": [list(c) for c in report.counterexamples]}
+
+
+def _counterexample(args, resolver: _Resolver) -> dict:
+    win = _window(args) or Interval.closed(1e-6, 1e6)
+    res = counterexample_check(win, args.grid, seed=resolver.seed)
+    return {"window": [win.lo, win.hi], "grid": args.grid, "seed": resolver.seed,
+            "d_estimate": res.d_estimate, "compound_is_A": res.compound_is_A}
+
+
+class _Command(NamedTuple):
+    """One row of the command table; defaults overrides the defaults of its flags."""
+
+    help: str
+    run: Callable[[argparse.Namespace, _Resolver], dict]
+    flags: tuple[str, ...]  # the flags run reads, in the order --help lists them
+    defaults: dict = {}
+
+
+_REQUIRED = {"required": True}
+_FLAGS = {  # add_argument keywords of each flag
+    "--mean": _REQUIRED, "--m0": _REQUIRED, "--m1": _REQUIRED, "--m2": _REQUIRED,
+    "--weight": _REQUIRED, "--p1": _REQUIRED, "--at": _REQUIRED,
+    "--p2": {"help": "omit to compare against the arithmetic weight 1"},
+    "--assume-monotone": {"action": "store_true",
+                          "help": "declare a parsed m0 monotone so the solver may run"},
+    "--via-phi": {"action": "store_true"},
+    "--trace": {"action": "store_true"},
+    "--windows": {"default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
+                  "help": "semicolon-separated nested windows lo,hi;lo,hi;..."},
+    "--window": {"help": "sampling window lo,hi"},
+    "--grid": {"type": int, "default": 64, "help": "grid resolution / sample count"},
+    "--tol": {"type": float, "default": DEFAULT_TOLERANCE, "help": "tolerance"},
+    "--max-iter": {"type": int, "default": DEFAULT_MAX_ITERATIONS},
+    "--domain": {"default": "pos", "help": "domain for parsed expressions: pos, reals or lo,hi"},
+    "--seed": {"type": int},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--out": {"help": "write output to a file"},
+}
+
+# read by every command: the seed is checked on every run
+_EVERY_COMMAND = ("--seed", "--format", "--out")
+
+_COMMANDS = {
+    "eval": _point_command("evaluate a mean at a point", lambda m: m, "--mean"),
+    "star": _point_command("group law of two means at a point", star, "--m1", "--m2"),
+    "inverse": _point_command("group inverse at a point", group_inverse, "--mean"),
+    "symmetry": _point_command("group reflection of m1 through m0 at a point",
+                               group_symmetry, "--m0", "--m1"),
+    "sigma": _Command("functional symmetric of m1 with respect to m0 at a point", _sigma,
+                      ("--m0", "--m1", "--at", "--assume-monotone", "--tol", "--domain"),
+                      {"tol": 1e-12}),
+    "normal": _point_command("normal mean of a weight at a point", make_normal_mean,
+                             "--weight"),
+    "compare": _Command("order of the normal means of two weights", _compare,
+                        ("--p1", "--p2", "--window", "--grid", "--domain")),
+    "distance": _Command("distance between two means", _distance,
+                         ("--m1", "--m2", "--via-phi", "--window", "--grid", "--domain")),
+    "dist-to-a": _Command("distance to the arithmetic mean", _dist_to_a,
+                          ("--mean", "--window", "--grid", "--domain")),
+    "border": _Command("border trend across nested windows", _border,
+                       ("--mean", "--windows", "--grid", "--domain")),
+    "gh-cert": _Command("certified distance between G and H with quartic residual",
+                        _gh_cert, ()),
+    "compound": _Command("compound mean at a point", _compound,
+                         ("--m1", "--m2", "--at", "--trace", "--tol", "--max-iter", "--domain")),
+    "m-arith": _Command("compound of the arithmetic mean with a given mean", _m_arith,
+                        ("--mean", "--at", "--tol", "--max-iter", "--domain")),
+    "coincide": _Command("probe agreement of the two symmetries through a mean", _coincide,
+                         ("--m0", "--assume-monotone", "--window", "--grid", "--domain")),
+    "verify": _Command("sample the mean axioms", _verify,
+                       ("--mean", "--window", "--grid", "--domain")),
+    "counterexample": _Command("distance-1 pair whose compound still converges, to A",
+                               _counterexample, ("--window", "--grid")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="meanscape", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--window", help="sampling window lo,hi")
-    common.add_argument("--grid", type=int, default=64, help="grid resolution / sample count")
-    common.add_argument("--tol", type=float, default=None, help="tolerance")
-    common.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--domain", default="pos",
-                        help="domain for parsed expressions: pos, reals or lo,hi")
-
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a mean at a point")
-    p.add_argument("--mean", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("star", parents=[common], help="group law of two means at a point")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("inverse", parents=[common], help="group inverse at a point")
-    p.add_argument("--mean", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("symmetry", parents=[common],
-                       help="group reflection of m1 through m0 at a point")
-    p.add_argument("--m0", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("sigma", parents=[common],
-                       help="functional symmetric of m1 with respect to m0 at a point")
-    p.add_argument("--m0", required=True)
-    p.add_argument("--m1", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--assume-monotone", action="store_true",
-                   help="declare a parsed m0 monotone so the solver may run")
-
-    p = sub.add_parser("normal", parents=[common], help="normal mean of a weight at a point")
-    p.add_argument("--weight", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="order of the normal means of two weights")
-    p.add_argument("--p1", required=True)
-    p.add_argument("--p2", default=None, help="omit to compare against the arithmetic weight 1")
-
-    p = sub.add_parser("distance", parents=[common], help="distance between two means")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.add_argument("--via-phi", action="store_true", dest="via_phi")
-
-    p = sub.add_parser("dist-to-a", parents=[common], help="distance to the arithmetic mean")
-    p.add_argument("--mean", required=True)
-
-    p = sub.add_parser("border", parents=[common], help="border trend across nested windows")
-    p.add_argument("--mean", required=True)
-    p.add_argument("--windows", default="0.1,10;0.01,100;0.001,1000;0.0001,10000",
-                   help="semicolon-separated nested windows lo,hi;lo,hi;...")
-
-    sub.add_parser("gh-cert", parents=[common],
-                   help="certified distance between G and H with quartic residual")
-
-    p = sub.add_parser("compound", parents=[common], help="compound mean at a point")
-    p.add_argument("--m1", required=True)
-    p.add_argument("--m2", required=True)
-    p.add_argument("--at", required=True)
-    p.add_argument("--trace", action="store_true")
-
-    p = sub.add_parser("m-arith", parents=[common],
-                       help="compound of the arithmetic mean with a given mean")
-    p.add_argument("--mean", required=True)
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("coincide", parents=[common],
-                       help="probe agreement of the two symmetries through a mean")
-    p.add_argument("--m0", required=True)
-    p.add_argument("--assume-monotone", action="store_true")
-
-    p = sub.add_parser("verify", parents=[common], help="sample the mean axioms")
-    p.add_argument("--mean", required=True)
-
-    sub.add_parser("counterexample", parents=[common],
-                   help="distance-1 pair whose compound still converges, to A")
-
+    # copying these actions into each command costs less than declaring them again
+    every = _Parser(add_help=False)
+    for flag in _EVERY_COMMAND:
+        every.add_argument(flag, **_FLAGS[flag])
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, cmd in _COMMANDS.items():
+        # no abbreviations: border's --windows would take --window, which it does not read
+        p = sub.add_parser(name, help=cmd.help, parents=[every], allow_abbrev=False)
+        for flag in cmd.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(**cmd.defaults)
     return parser
-
-
-def _dispatch(args, resolver: _Resolver, seed: int) -> dict:
-    cmd = args.command
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCE
-    window = _parse_window(args.window) if args.window else None
-
-    if cmd == "eval":
-        m = resolver.mean(args.mean)
-        x, y = _parse_pair(args.at, "--at")
-        return {"command": cmd, "mean": m.name, "at": [x, y], "value": m(x, y)}
-
-    if cmd == "star":
-        m1 = resolver.mean(args.m1)
-        m2 = resolver.mean(args.m2)
-        x, y = _parse_pair(args.at, "--at")
-        return {"command": cmd, "m1": m1.name, "m2": m2.name, "at": [x, y],
-                "value": star(m1, m2)(x, y)}
-
-    if cmd == "inverse":
-        m = resolver.mean(args.mean)
-        x, y = _parse_pair(args.at, "--at")
-        return {"command": cmd, "mean": m.name, "at": [x, y],
-                "value": group_inverse(m)(x, y)}
-
-    if cmd == "symmetry":
-        m0 = resolver.mean(args.m0)
-        m1 = resolver.mean(args.m1)
-        x, y = _parse_pair(args.at, "--at")
-        return {"command": cmd, "m0": m0.name, "m1": m1.name, "at": [x, y],
-                "value": group_symmetry(m0, m1)(x, y)}
-
-    if cmd == "sigma":
-        m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
-        m1 = resolver.mean(args.m1)
-        x, y = _parse_pair(args.at, "--at")
-        sigma_tol = args.tol if args.tol is not None else 1e-12
-        return {"command": cmd, "m0": m0.name, "m1": m1.name, "at": [x, y],
-                "value": functional_symmetric(m0, m1, x, y, rel_tol=sigma_tol)}
-
-    if cmd == "normal":
-        p = resolver.weight(args.weight)
-        m = make_normal_mean(p)
-        x, y = _parse_pair(args.at, "--at")
-        return {"command": cmd, "weight": p.name, "at": [x, y], "value": m(x, y)}
-
-    if cmd == "compare":
-        p1 = resolver.weight(args.p1)
-        win = window or default_window(p1.domain)
-        if args.p2 is None:
-            relation = classify_vs_arithmetic(p1, win, args.grid)
-            names = {"p1": p1.name, "p2": "1"}
-        else:
-            p2 = resolver.weight(args.p2)
-            relation = compare_normal(p1, p2, win, args.grid)
-            names = {"p1": p1.name, "p2": p2.name}
-        return {"command": cmd, **names, "window": [win.lo, win.hi],
-                "samples": args.grid, "relation": relation.value}
-
-    if cmd == "distance":
-        m1 = resolver.mean(args.m1)
-        m2 = resolver.mean(args.m2)
-        win = window or default_window(common_domain(m1.domain, m2.domain))
-        est = (distance_via_phi if args.via_phi else distance)(m1, m2, win, args.grid)
-        return {"command": cmd, "m1": m1.name, "m2": m2.name, "via_phi": args.via_phi,
-                "window": [win.lo, win.hi], "grid": est.grid_size, "value": est.value,
-                "argmax": list(est.argmax)}
-
-    if cmd == "dist-to-a":
-        m = resolver.mean(args.mean)
-        win = window or default_window(m.domain)
-        est = distance_to_arithmetic(m, win, args.grid)
-        sup_phi = phi(m)(*est.argmax)
-        return {"command": cmd, "mean": m.name, "window": [win.lo, win.hi],
-                "grid": est.grid_size, "value": est.value, "sup_phi": sup_phi,
-                "argmax": list(est.argmax)}
-
-    if cmd == "border":
-        m = resolver.mean(args.mean)
-        windows = [_parse_window(w) for w in args.windows.split(";") if w]
-        diag = border_diagnostic(m, windows, args.grid)
-        return {"command": cmd, "mean": m.name,
-                "windows": [[w.lo, w.hi] for w in diag.windows_tested],
-                "sups": list(diag.sup_per_window),
-                "sup_f_estimate": diag.sup_f_estimate, "trend": diag.trend}
-
-    if cmd == "gh-cert":
-        cert = distance_gh_certificate()
-        return {"command": cmd, "value": cert.value,
-                "quartic_residual": cert.quartic_residual, "argmax_t": cert.argmax_t}
-
-    if cmd in ("compound", "m-arith"):
-        if cmd == "compound":
-            c = compound(resolver.mean(args.m1), resolver.mean(args.m2), tol, args.max_iter)
-        else:
-            c = m_arithmetic(resolver.mean(args.mean), tol, args.max_iter)
-        m1, m2 = c.m1, c.m2
-        x, y = _parse_pair(args.at, "--at")
-        trace = compound_trace(m1, m2, x, y, tol, args.max_iter,
-                               estimate_contraction=False)
-        payload = {"command": cmd, "m1": m1.name, "m2": m2.name, "at": [x, y],
-                   "tolerance": tol, "max_iterations": args.max_iter,
-                   "value": trace.limit, "iterations": trace.iterations_used,
-                   "converged": trace.converged, "guaranteed": c.guaranteed,
-                   "guaranteed_by": c.guaranteed_by, "d_upper": c.d_upper}
-        if getattr(args, "trace", False):
-            payload["trace"] = [{"n": s.n, "x": s.x, "y": s.y, "gap": s.gap}
-                                for s in trace.steps]
-        return payload
-
-    if cmd == "coincide":
-        m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
-        win = window or Interval.closed(0.1, 10.0)
-        probe = coincidence_probe(m0, win, args.grid, seed)
-        return {"command": cmd, "m0": m0.name, "window": [win.lo, win.hi],
-                "samples": args.grid, "seed": seed,
-                "max_discrepancy": probe.max_discrepancy,
-                "worst_point": list(probe.worst_point)}
-
-    if cmd == "verify":
-        m = resolver.mean(args.mean)
-        win = window or default_window(m.domain)
-        report = verify_axioms(m, win, args.grid, seed)
-        return {"command": cmd, "mean": m.name, "window": [win.lo, win.hi],
-                "samples": report.samples_used, "seed": seed,
-                "axiom_i_ok": report.axiom_i_ok, "axiom_ii_ok": report.axiom_ii_ok,
-                "axiom_iii_ok": report.axiom_iii_ok,
-                "counterexamples": [list(c) for c in report.counterexamples]}
-
-    if cmd == "counterexample":
-        win = window or Interval.closed(1e-6, 1e6)
-        res = counterexample_check(win, args.grid, seed=seed)
-        return {"command": cmd, "window": [win.lo, win.hi], "grid": args.grid,
-                "seed": seed, "d_estimate": res.d_estimate,
-                "compound_is_A": res.compound_is_A}
-
-    raise _UsageError("a command is required; try --help")
 
 
 def cli_run(argv: list[str]) -> CommandResult:
@@ -417,10 +401,7 @@ def cli_run(argv: list[str]) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError(parser.format_usage())
-        if args.format == "csv" and not (args.command == "compound"
-                                         and getattr(args, "trace", False)):
+        if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")
         seed = args.seed
         if seed is None:
@@ -431,7 +412,10 @@ def cli_run(argv: list[str]) -> CommandResult:
                 raise _UsageError(f"MEANSCAPE_SEED must be an integer, got {env!r}") from None
         if seed < 0:
             raise _UsageError(f"--seed/MEANSCAPE_SEED must be a non-negative integer, got {seed}")
-        resolver = _Resolver(_parse_domain(args.domain), seed)
+        cmd = _COMMANDS[args.command]
+        # a command without --domain parses no expression
+        domain = _parse_domain(args.domain) if "--domain" in cmd.flags else None
+        resolver = _Resolver(domain, seed)
     except _UsageError as exc:
         result = CommandResult("error", {}, [str(exc)], 1)
         result.rendered = _render_json(result)
@@ -439,7 +423,7 @@ def cli_run(argv: list[str]) -> CommandResult:
 
     out_path = args.out
     try:
-        payload = _dispatch(args, resolver, seed)
+        payload = {"command": args.command, **cmd.run(args, resolver)}
         result = CommandResult("ok", payload, resolver.diagnostics, 0, out_path=out_path)
     except (_UsageError, ExpressionError, DomainError, ValueError) as exc:
         result = CommandResult("error", {"command": args.command}, [str(exc)], 1,

@@ -140,14 +140,16 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     stays in the domain. The stop test is taken from that envelope: with
     gap = hi - lo, ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
     written out. From a pair of opposite signs, which may converge to 0, the
-    gap is also compared with tol * max(|x|, |y|) of the start. The loop runs
-    only while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN;
-    it survives the clamp and goes to the checked ``m1``, which raises its
-    DomainError.
+    gap is also compared with tol * max(|x|, |y|) of the start plus 5e-324, and
+    from any other pair with 5e-324 alone: that is the least gap two floats can
+    have, and tol times a subnormal scale is less. The loop runs only while
+    x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN; it survives
+    the clamp and goes to the checked ``m1``, which raises its DomainError.
     """
     f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
-    floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
+    floor = (tol * max(abs(xn), abs(yn)) + 5e-324 if xn < 0.0 < yn or yn < 0.0 < xn
+             else 5e-324)
     steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
     while True:

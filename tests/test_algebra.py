@@ -13,6 +13,8 @@ from meanscape.algebra import (_DIAG_GUARD, OrderRelation, _classify_ratio, _end
 from meanscape.core import _PCG64, common_domain, near
 
 scaled = st.floats(min_value=1e-300, max_value=1e300)
+_any_positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                          st.integers(-1073, 1024))
 points = st.tuples(st.floats(min_value=0.1, max_value=10.0),
                    st.floats(min_value=0.1, max_value=10.0))
 
@@ -197,6 +199,18 @@ class TestGroupInverse:
             prod = ms.star(m, ms.group_inverse(m))
             for x, y in ms.sample_pairs(unit_window, 40, seed=9):
                 assert prod(x, y) == pytest.approx(A(x, y), rel=1e-12)
+
+    @given(_any_positive, _any_positive, st.sampled_from(["A", "G", "H", "min", "max"]))
+    @example(1.6e308, 1.5e308, "G")  # x + y overflows
+    @example(1e-300, 1e300, "max")  # M is y, and x + y - M cancelled to 0
+    def test_within_an_ulp_of_the_exact_value(self, x, y, which):
+        m = {"A": ms.make_arithmetic(), "G": ms.make_geometric(), "H": ms.make_harmonic(),
+             "min": ms.MeanFunction("min", ms.POSITIVE_REALS, min),
+             "max": ms.MeanFunction("max", ms.POSITIVE_REALS, max)}[which]
+        v = m(x, y)
+        with mpmath.workprec(2200):  # x + y - M of the same float M, exact, rounded once
+            exact = float(mpmath.mpf(x) + y - v)
+        assert abs(ms.group_inverse(m)(x, y) - exact) <= math.ulp(exact)
 
 
 class TestGroupSymmetry:
@@ -437,8 +451,6 @@ def _assert_form(m, weights, x, y):
 
 
 _FORM_CASES = _form_cases()
-_any_positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
-                          st.integers(-1073, 1024))
 
 
 class TestEndpointWeightedForm:
@@ -716,7 +728,12 @@ def _checked_group_symmetry(m0, m1):
 
 
 def _checked_group_inverse(m):
-    return ms.MeanFunction("inv", m.domain, lambda x, y: x + y - m(x, y))
+    def fn(x, y):
+        v = m(x, y)
+        d, e = y - v, x - v
+        return x + d if abs(d) <= abs(e) else y + e
+
+    return ms.MeanFunction("inv", m.domain, fn)
 
 
 def _checked_phi(m):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 import meanscape
-from meanscape.cli import CommandResult, cli_run, main
+from meanscape.cli import _COMMANDS, _EVERY_COMMAND, CommandResult, cli_run, main
 
 
 def run_ok(argv):
@@ -49,6 +50,12 @@ class TestPointCommands:
     def test_inverse(self):
         p = payload(["inverse", "--mean", "G", "--at", "1,4"])
         assert p["value"] == pytest.approx(3.0)
+
+    # x + y overflows at the first point; at the second M is y, and x + y - M cancelled
+    @pytest.mark.parametrize("mean, at, want", [("G", "1.6e308,1.5e308", 1.5508066615170333e308),
+                                                ("max(x,y)", "1e-300,1e300", 1e-300)])
+    def test_inverse_where_x_plus_y_overflows_or_cancels(self, mean, at, want):
+        assert payload(["inverse", "--mean", mean, "--at", at])["value"] == want
 
     def test_symmetry(self):
         p = payload(["symmetry", "--m0", "G", "--m1", "A", "--at", "1,4"])
@@ -283,6 +290,16 @@ class TestCompoundCommand:
         result = cli_run(["eval", "--mean", "A", "--at", "1,2", "--format", "csv"])
         assert result.exit_code == 1
 
+    # A rounds to x and G, H to y there: the start is a fixed point one quantum wide
+    @pytest.mark.parametrize("argv", [["compound", "--m1", "A", "--m2", "G"],
+                                      ["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)"],
+                                      ["m-arith", "--mean", "G"], ["m-arith", "--mean", "H"]],
+                             ids=" ".join)
+    def test_adjacent_subnormal_start_stops_at_once(self, argv):
+        p = payload(argv + ["--at", "2e-323,1.5e-323"])
+        assert (p["converged"], p["iterations"]) == (True, 0)
+        assert 1.5e-323 <= p["value"] <= 2e-323
+
     def test_non_convergence_is_exit_2(self):
         result = cli_run(["compound", "--m1", "A", "--m2", "G", "--at", "1,1000000",
                           "--max-iter", "2"])
@@ -422,31 +439,19 @@ class TestOutputContract:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     # a fresh interpreter per command; no command loads numpy, the grid commands included,
-    # nor the stdlib modules that only a dataclass needs (the ids keep an old False column)
-    @pytest.mark.parametrize("argv, loads_numpy", [
-        (["eval", "--mean", "sqrt(x*y)", "--at", "2,8"], False),
-        (["verify", "--mean", "sqrt(x*y)"], False),
-        (["coincide", "--m0", "G", "--grid", "20"], False),
-        (["compare", "--p1", "1/t"], False),
-        (["gh-cert"], False),
-        (["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)", "--at", "1,2", "--trace"], False),
-        (["m-arith", "--mean", "G", "--at", "1,2"], False),
-        (["distance", "--m1", "G", "--m2", "H", "--grid", "16"], False),
-        (["dist-to-a", "--mean", "G", "--grid", "16"], False),
-        (["border", "--mean", "G"], False),
-        (["counterexample", "--grid", "16"], False),
-    ], ids=lambda v: v[0] if isinstance(v, list) else None)
-    def test_numpy_loads_only_for_the_grid(self, argv, loads_numpy):
+    # nor the stdlib modules that only a dataclass needs
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_no_command_loads_heavy_modules(self, command):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys; from meanscape.cli import main; code = main(sys.argv[1:]); "
                 f"print([m for m in {_HEAVY_MODULES!r} if m in sys.modules], file=sys.stderr); "
                 "sys.exit(code)")
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", code, *_EXAMPLES[command][0]],
+                              capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["status"] == "ok"
-        assert not loads_numpy and proc.stderr.strip() == "[]"
+        assert proc.stderr.strip() == "[]"
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
@@ -475,3 +480,79 @@ class TestOutputContract:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["payload"]["value"] == 3.0
+
+
+# one valid argv per command and the keys of its payload, in order
+_EXAMPLES = {
+    "eval": (["eval", "--mean", "sqrt(x*y)", "--at", "2,8"],
+             ["command", "mean", "at", "value"]),
+    "star": (["star", "--m1", "G", "--m2", "H", "--at", "1,4"],
+             ["command", "m1", "m2", "at", "value"]),
+    "inverse": (["inverse", "--mean", "G", "--at", "1,4"],
+                ["command", "mean", "at", "value"]),
+    "symmetry": (["symmetry", "--m0", "G", "--m1", "A", "--at", "1,4"],
+                 ["command", "m0", "m1", "at", "value"]),
+    "sigma": (["sigma", "--m0", "A", "--m1", "G", "--at", "1,4"],
+              ["command", "m0", "m1", "at", "value"]),
+    "normal": (["normal", "--weight", "1/t", "--at", "1,3"],
+               ["command", "weight", "at", "value"]),
+    "compare": (["compare", "--p1", "1/t"],
+                ["command", "p1", "p2", "window", "samples", "relation"]),
+    "distance": (["distance", "--m1", "G", "--m2", "H", "--grid", "16"],
+                 ["command", "m1", "m2", "via_phi", "window", "grid", "value", "argmax"]),
+    "dist-to-a": (["dist-to-a", "--mean", "G", "--grid", "16"],
+                  ["command", "mean", "window", "grid", "value", "sup_phi", "argmax"]),
+    "border": (["border", "--mean", "G"],
+               ["command", "mean", "windows", "sups", "sup_f_estimate", "trend"]),
+    "gh-cert": (["gh-cert"],
+                ["command", "value", "quartic_residual", "argmax_t"]),
+    "compound": (["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)", "--at", "1,2", "--trace"],
+                 ["command", "m1", "m2", "at", "tolerance", "max_iterations", "value",
+                  "iterations", "converged", "guaranteed", "guaranteed_by", "d_upper", "trace"]),
+    "m-arith": (["m-arith", "--mean", "G", "--at", "1,2"],
+                ["command", "m1", "m2", "at", "tolerance", "max_iterations", "value",
+                 "iterations", "converged", "guaranteed", "guaranteed_by", "d_upper"]),
+    "coincide": (["coincide", "--m0", "G", "--grid", "20"],
+                 ["command", "m0", "window", "samples", "seed", "max_discrepancy",
+                  "worst_point"]),
+    "verify": (["verify", "--mean", "sqrt(x*y)"],
+               ["command", "mean", "window", "samples", "seed", "axiom_i_ok", "axiom_ii_ok",
+                "axiom_iii_ok", "counterexamples"]),
+    "counterexample": (["counterexample", "--grid", "16"],
+                       ["command", "window", "grid", "seed", "d_estimate", "compound_is_A"]),
+}
+
+# the flags some commands read and others do not, each with a well-formed value
+_TUNING_FLAGS = {"--window": "1,3", "--grid": "8", "--tol": "1e-3", "--max-iter": "5",
+                 "--domain": "reals"}
+
+
+class TestCommandTable:
+    def test_every_command_has_an_example(self):
+        assert list(_EXAMPLES) == list(_COMMANDS)
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_lists_the_flags_the_command_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            cli_run([command, "--help"])
+        assert stop.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *_EVERY_COMMAND, *_COMMANDS[command].flags]
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_flags_the_command_does_not_read_are_usage_errors(self, command):
+        unread = [f for f in _TUNING_FLAGS if f not in _COMMANDS[command].flags]
+        assert unread
+        for flag in unread:
+            result = cli_run(_EXAMPLES[command][0] + [flag, _TUNING_FLAGS[flag]])
+            assert (result.status, result.exit_code, result.payload) == ("error", 1, {}), flag
+            assert result.diagnostics[0].startswith(
+                f"unrecognized arguments: {flag} {_TUNING_FLAGS[flag]}\nusage: ")
+
+    def test_forty_eight_settings_are_refused(self):
+        assert sum(f not in cmd.flags for cmd in _COMMANDS.values() for f in _TUNING_FLAGS) == 48
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_payload_keys_keep_their_order(self, command):
+        argv, keys = _EXAMPLES[command]
+        assert list(payload(argv)) == keys
