@@ -317,8 +317,8 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
     """A seeded random normal mean on (0, inf), weight t^a (1+t)^b.
 
-    ``rng`` is any generator with ``uniform(low, high)``, such as numpy's ``default_rng``;
-    ``coincidence_probe`` draws from ``core._PCG64``, which gives the same numbers per seed.
+    ``rng`` is any generator with ``uniform(low, high)``; ``coincidence_probe`` passes
+    ``core._seeded(seed)``, a ``random.Random``.
     """
     a = float(rng.uniform(-1.0, 1.0))
     b = float(rng.uniform(-1.0, 1.0))

@@ -76,9 +76,24 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):  # carries the text --help asks for
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # raise instead of sys.exit so cli_run stays a function
+    # raise instead of printing and calling sys.exit, so cli_run stays a function
+    def error(self, message):
         raise _UsageError(f"{message}\n{self.format_usage()}")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a command refuses what it does not read itself, so the usage shown is its own
+        args, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return args, unread
 
 
 def _fmt_float(v: float) -> str:
@@ -397,7 +412,8 @@ def _build_parser() -> _Parser:
 
 
 def cli_run(argv: list[str]) -> CommandResult:
-    """Run one CLI invocation and return the result without printing."""
+    """Run one CLI invocation and return the result without printing (for --help,
+    ``rendered`` is the help text)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -416,6 +432,8 @@ def cli_run(argv: list[str]) -> CommandResult:
         # a command without --domain parses no expression
         domain = _parse_domain(args.domain) if "--domain" in cmd.flags else None
         resolver = _Resolver(domain, seed)
+    except _Help as text:
+        return CommandResult("ok", {}, rendered=str(text))
     except _UsageError as exc:
         result = CommandResult("error", {}, [str(exc)], 1)
         result.rendered = _render_json(result)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from typing import Callable, NamedTuple, Optional
 
 DEFAULT_SEED = 7
@@ -383,87 +384,13 @@ def default_window(domain: Interval) -> Interval:
     return Interval.closed(lo, hi)
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _PCG64:
-    """numpy's ``default_rng(seed)`` stream in pure Python, for seeds that are ints >= 0.
-
-    SeedSequence's hashmix pool turns the seed into a 128-bit state and increment for
-    PCG64 (O'Neill 2014, XSL-RR output). ``permutation`` and ``uniform`` draw as numpy's
-    Generator does: masked rejection on 32-bit draws, served in halves of a 64-bit draw,
-    and 53-bit doubles. Same seed, same bits as numpy.
-    """
-
-    def __init__(self, seed: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        const = 0x43B0D7E5
-
-        def hashmix(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * 0x931E8875 & _M32
-            value = value * const & _M32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return r ^ r >> 16
-
-        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        const, words = 0x8B51F9DD, []
-        for i in range(8):
-            value = pool[i % 4] ^ const
-            const = const * 0x58F38DED & _M32
-            value = value * const & _M32
-            words.append(value ^ value >> 16)
-        # the words read as four little-endian uint64: state is (u0, u1), sequence (u2, u3)
-        u = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
-        state = u[0] << 64 | u[1]
-        self._inc = (u[2] << 65 | u[3] << 1 | 1) & _M128
-        self._state = ((self._inc + state) * _PCG_MULT + self._inc) & _M128
-        self._half: Optional[int] = None
-
-    def _next64(self) -> int:
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        x, r = (s >> 64 ^ s) & _M64, s >> 122
-        return (x >> r | x << (64 - r)) & _M64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        x = self._next64()
-        self._half = x >> 32
-        return x & _M32
-
-    def _interval(self, hi: int) -> int:
-        """Uniform int in [0, hi], hi < 2^32: the smallest all-ones mask over hi, redrawn while above."""
-        mask = (1 << hi.bit_length()) - 1
-        while (value := self._next32() & mask) > hi:
-            pass
-        return value
-
-    def permutation(self, n: int) -> list[int]:
-        out = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self._interval(i)
-            out[i], out[j] = out[j], out[i]
-        return out
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * ((self._next64() >> 11) * (1.0 / 9007199254740992.0))
+def _seeded(seed: int) -> random.Random:
+    """The generator of every seeded draw, for an int seed >= 0. Callers read only ``random()``
+    and ``uniform()``, whose stream Python keeps across versions for an int seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
 # every parsed mean built in a process samples the same seeded block
@@ -471,18 +398,18 @@ class _PCG64:
 def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], ...]:
     """Points start..start+n-1 of the 2D Halton sequence, digits scrambled per seed.
 
-    Owen's random permutations (arXiv:1706.02808), weights b^-(j+1) by repeated division
-    and SciPy's summation order: equal to ``qmc.Halton(d=2, scramble=True, seed=seed)``.
+    Owen's random permutations (arXiv:1706.02808), one per digit position, each the digits
+    sorted on keys drawn from ``_seeded(seed)``; weights b^-(j+1) by repeated division.
     Drawn once per (seed, start, n) and returned as a tuple, which no caller can change.
     """
-    rng = _PCG64(seed)
+    rng = _seeded(seed)
     dims = []
     for base in (2, 3):
-        # one row per digit: the permuted digit values times b^-(j+1), as SciPy's products
+        # one row per digit: the permuted digit values times b^-(j+1)
         rows, weight = [], 1.0
         for _ in range(math.ceil(54 / math.log2(base)) - 1):
             weight /= base
-            rows.append([d * weight for d in rng.permutation(base)])
+            rows.append([d * weight for d in sorted(range(base), key=lambda _: rng.random())])
         coords = []
         for index in range(start, start + n):
             acc = 0.0

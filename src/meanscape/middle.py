@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    _PCG64,
     _arithmetic_eval,
     _outside_domain,
+    _seeded,
     _set,
     BUILTIN_MEANS,
     BracketError,
@@ -362,7 +362,7 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
 
 
 def _probe_family(seed: int) -> list[MeanFunction]:
-    rng = _PCG64(seed)
+    rng = _seeded(seed)
     family = [make_arithmetic(), make_geometric(), make_harmonic()]
     family += [random_normal_mean(rng) for _ in range(2)]
     return family

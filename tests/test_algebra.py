@@ -7,10 +7,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape import core, middle
+from meanscape import core
 from meanscape.algebra import (_DIAG_GUARD, OrderRelation, _classify_ratio, _endpoint_weighted,
                                _linspace)
-from meanscape.core import _PCG64, common_domain, near
+from meanscape.core import common_domain, near
 
 scaled = st.floats(min_value=1e-300, max_value=1e300)
 _any_positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
@@ -372,10 +372,24 @@ class TestReflectionOracle:
                                                                   rel=1e-14, abs=0.0)
 
 
+# the exponents of a random normal mean, weight t^0.146 (1+t)^0.057, whose numerator
+# x P(x) + y P(y) underflowed to 0 at (5.59e-291, 5.99e-291) in a coincidence probe
+_PROBE_EXPONENTS = (0.1462613138950113, 0.056982290340405584)
+
+
+class _Drawn:
+    """A stand-in generator whose ``uniform`` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self.values)
+
+
 def _probe_weight():
-    """The weight of ``coincidence_probe``'s first normal mean at seed 45, t^0.146 (1+t)^0.057."""
-    rng = _PCG64(45)
-    a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    """The weight t^0.146 (1+t)^0.057 of that probe mean."""
+    a, b = _PROBE_EXPONENTS
     return ms.WeightFunction(ms.POSITIVE_REALS, lambda t: t ** a * (1.0 + t) ** b, "probe")
 
 
@@ -532,9 +546,9 @@ class TestNormalMeans:
             assert v == pytest.approx(float(exact), rel=4e-16, abs=5e-324)
 
     def test_probe_mean_at_the_probe_point(self):
-        # the coincidence probe's first normal mean, whose numerator underflowed to 0 here
+        # the probe mean, built as random_normal_mean builds it; its numerator underflows here
         x, y = 5.59158320477008e-291, 5.988338143126397e-291
-        probe = middle._probe_family(45)[3]
+        probe = ms.random_normal_mean(_Drawn(*_PROBE_EXPONENTS))
         assert probe.name == "N[0.146,0.057]"
         assert probe(x, y) == ms.make_normal_mean(_probe_weight())(x, y)
         assert x < probe(x, y) < y

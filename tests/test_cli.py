@@ -480,6 +480,8 @@ class TestOutputContract:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["payload"]["value"] == 3.0
+        assert main(["gh-cert", "--help"]) == 0
+        assert capsys.readouterr().out == cli_run(["gh-cert", "--help"]).rendered
 
 
 # one valid argv per command and the keys of its payload, in order
@@ -533,10 +535,10 @@ class TestCommandTable:
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_help_lists_the_flags_the_command_reads(self, capsys, command):
-        with pytest.raises(SystemExit) as stop:
-            cli_run([command, "--help"])
-        assert stop.value.code == 0
-        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        result = cli_run([command, "--help"])
+        assert (result.status, result.exit_code, capsys.readouterr().out) == ("ok", 0, "")
+        assert result.rendered.startswith(f"usage: meanscape {command} [-h]")
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", result.rendered, re.M)
         assert listed == ["--help", *_EVERY_COMMAND, *_COMMANDS[command].flags]
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -547,7 +549,8 @@ class TestCommandTable:
             result = cli_run(_EXAMPLES[command][0] + [flag, _TUNING_FLAGS[flag]])
             assert (result.status, result.exit_code, result.payload) == ("error", 1, {}), flag
             assert result.diagnostics[0].startswith(
-                f"unrecognized arguments: {flag} {_TUNING_FLAGS[flag]}\nusage: ")
+                f"unrecognized arguments: {flag} {_TUNING_FLAGS[flag]}\n"
+                f"usage: meanscape {command} [-h]")
 
     def test_forty_eight_settings_are_refused(self):
         assert sum(f not in cmd.flags for cmd in _COMMANDS.values() for f in _TUNING_FLAGS) == 48

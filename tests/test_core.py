@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import meanscape as ms
 from meanscape import core
 from meanscape.algebra import _linspace
-from meanscape.core import _PCG64, _halton_block, near
+from meanscape.core import _halton_block, _seeded, near
 from meanscape.metric import _axis_points
 
 
@@ -393,33 +393,26 @@ def test_sample_pairs_golden():
     # the exact pairs of the seeded scrambled Halton sequence; any change to
     # the generator changes every seeded verify/coincide/counterexample output
     got = ms.sample_pairs(ms.Interval.closed(0.1, 10), 4, seed=7)
-    assert got == [(1.1121990685134855, 9.353514023397457),
-                   (6.062199068513485, 2.7535140233974573),
-                   (3.5871990685134856, 6.053514023397458),
-                   (8.537199068513486, 7.153514023397459)]
+    assert got == [(8.780880458099784, 0.1983558688326798),
+                   (3.830880458099783, 6.7983558688326795),
+                   (6.305880458099783, 3.4983558688326792),
+                   (1.355880458099783, 2.3983558688326796)]
 
 
 def test_halton_golden_at_nonzero_start():
     # sample_pairs draws later blocks with start > 0 when it rejects pairs
-    assert _halton_block(7, 100, 2) == ((0.23505483015287731, 0.2268794561606111),
-                                        (0.7350548301528773, 0.5602127894939446))
-
-
-@pytest.mark.parametrize("seed", [0, 7, 12345])
-def test_halton_matches_scipy(seed):
-    qmc = pytest.importorskip("scipy.stats.qmc")
-    engine = qmc.Halton(d=2, scramble=True, seed=seed)
-    head, tail = engine.random(100), engine.random(700)
-    assert np.array_equal(_halton_block(seed, 0, 100), head)
-    assert np.array_equal(_halton_block(seed, 100, 700), tail)
+    assert _halton_block(7, 100, 2) == ((0.775294111929271, 0.7465604506490174),
+                                        (0.275294111929271, 0.41322711731568396))
 
 
 def _numpy_halton(seed, start, n):
-    """The ndarray form of ``_halton_block``, kept as its oracle: numpy's generator and arrays."""
-    rng = np.random.default_rng(seed)
+    """The ndarray form of ``_halton_block``, kept as its oracle for the digit weights and
+    the summation: the same permutations, drawn from ``_seeded(seed)`` in the same order."""
+    rng = _seeded(seed)
     out = np.zeros((2, n))
     for dim, base in enumerate((2, 3)):
-        perms = [rng.permutation(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
+        perms = [np.argsort([rng.random() for _ in range(base)], kind="stable")
+                 for _ in range(math.ceil(54 / math.log2(base)) - 1)]
         index, weight = np.arange(start, start + n), 1.0
         for perm in perms:
             weight /= base
@@ -434,42 +427,21 @@ def test_halton_matches_numpy_oracle(seed, start, n):
     assert np.array_equal(_halton_block(seed, start, n), _numpy_halton(seed, start, n))
 
 
-class TestPCG64AgainstNumpy:
-    """``_PCG64`` is numpy's ``default_rng`` stream; numpy is the oracle, in tests only."""
-
-    @staticmethod
-    def assert_same_stream(seed):
-        ours, theirs = _PCG64(seed), np.random.default_rng(seed)
-        # Halton's sizes, then sizes whose rejection loop redraws, mixed with uniforms
-        for n in (2, 3, 2, 5, 7, 100, 3):
-            assert ours.permutation(n) == theirs.permutation(n).tolist()
-        for _ in range(5):
-            assert ours.uniform(-1.0, 1.0) == theirs.uniform(-1.0, 1.0)
-        for n in (3, 2, 3):
-            assert ours.permutation(n) == theirs.permutation(n).tolist()
-
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    def test_seeds_below_2_64(self, seed):
-        self.assert_same_stream(seed)
-
-    # more than four 32-bit words of entropy take SeedSequence's extra mixing loop
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 2**128, 2**200 + 1])
-    def test_fixed_seeds(self, seed):
-        self.assert_same_stream(seed)
-
-    def test_negative_seed_is_rejected_as_by_numpy(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng(-1)
-        with pytest.raises(ValueError):
-            _PCG64(-1)
-
-    def test_same_random_normal_mean(self):
-        for seed in (0, 7, 2024):
-            ours = ms.random_normal_mean(_PCG64(seed))
-            theirs = ms.random_normal_mean(np.random.default_rng(seed))
-            assert ours.name == theirs.name
-            for x, y in [(0.5, 2.0), (1.0, 3.0), (1e-3, 7.0), (4.0, 4.5), (9.0, 0.1)]:
-                assert ours(x, y) == theirs(x, y)
+@given(st.integers(min_value=0, max_value=2**70))
+def test_halton_is_a_net_for_every_seed(seed):
+    # whatever the digit permutations, the first b^k points of base b put exactly one
+    # coordinate in each cell [i/b^k, (i+1)/b^k)
+    for dim, base, k in ((0, 2, 8), (1, 3, 5)):
+        coords = [p[dim] for p in _halton_block(seed, 0, base ** k)]
+        assert sorted(math.floor(u * base ** k) for u in coords) == list(range(base ** k))
+    window = ms.Interval.closed(0.1, 10.0)
+    G = ms.make_geometric()
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        for call in (lambda: ms.sample_pairs(window, 4, seed=bad),
+                     lambda: ms.verify_axioms(G, window, 4, seed=bad),
+                     lambda: ms.coincidence_probe(G, window, 4, seed=bad)):
+            with pytest.raises(error):
+                call()
 
 
 def _frozen_values():

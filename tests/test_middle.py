@@ -312,8 +312,9 @@ class TestCoincidence:
 
     @pytest.mark.parametrize("which", ["A", "G", "H"])
     def test_tiny_window(self, which):
-        # the family's first normal mean once returned 0.0 at (5.59e-291, 5.99e-291),
-        # which left no sign change for A and a point outside the domain for G and H
+        # a normal mean of the family once returned 0.0 at (5.59e-291, 5.99e-291), which
+        # left no sign change for A and a point outside the domain for G and H; that mean
+        # is pinned by its exponents in test_algebra's TestNormalMeans
         m0 = middle.BUILTIN_MEANS[which]()
         window = ms.Interval.closed(1e-300, 1e-290)
         result = ms.coincidence_probe(m0, window, 20, seed=45)
