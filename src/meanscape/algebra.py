@@ -79,8 +79,9 @@ class AsymmetricFunction(_Frozen):
 
     def __call__(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
-        if not (self.domain.contains(x) and self.domain.contains(y)):
-            raise DomainError(f"({x}, {y}) is outside the domain {self.domain} of {self.name}")
+        d = self.domain
+        if not (d.lo < x < d.hi and d.lo < y < d.hi or d.contains(x) and d.contains(y)):
+            raise DomainError(f"({x}, {y}) is outside the domain {d} of {self.name}")
         if x == y:
             return 0.0
         return self.fn(x, y)
@@ -124,7 +125,8 @@ class WeightFunction(_Frozen):
 
     def __call__(self, t: float) -> float:
         t = float(t)
-        if not self.domain.contains(t):
+        d = self.domain
+        if not (d.lo < t < d.hi or d.contains(t)):
             raise DomainError(f"{t} is outside the domain {self.domain} of weight {self.name}")
         return self.fn(t)
 
@@ -177,18 +179,18 @@ def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFuncti
     """
     kernel = f.fn
     name = name or f"phi_inv({f.name})"
+    return MeanFunction(name, f.domain, lambda x, y: _log_ratio_value(name, x, y, kernel(x, y)))
 
-    def fn(x: float, y: float) -> float:
-        v = kernel(x, y)
-        if v > 0.0:
-            x, y, v = y, x, -v
-        e = math.exp(v)
-        h = 1.0
-        if e < _MIN_NORMAL:
-            e = h = math.exp(0.5 * v)
-        return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, h, 1.0)
 
-    return MeanFunction(name, f.domain, fn)
+def _log_ratio_value(name: str, x: float, y: float, v: float) -> float:
+    """(x + y e^v) / (1 + e^v), the mean ``name`` whose log weight ratio at (x, y) is v."""
+    if v > 0.0:
+        x, y, v = y, x, -v
+    e = math.exp(v)
+    h = 1.0
+    if e < _MIN_NORMAL:
+        e = h = math.exp(0.5 * v)
+    return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, h, 1.0)
 
 
 def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
@@ -306,25 +308,45 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
         if not (0.0 < px < _INF and 0.0 < py < _INF):
             bad = x if not 0.0 < px < _INF else y
             raise InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
-        num = x * px + y * py
-        if _MIN_NORMAL <= num < _INF or -_INF < num <= -_MIN_NORMAL:
-            return num / (px + py)
-        return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
+        return _weighted_value(name, x, y, px, py)
 
     return MeanFunction(name, p.domain, fn)
+
+
+def _weighted_value(name: str, x: float, y: float, px: float, py: float) -> float:
+    """(x px + y py) / (px + py) for positive finite weights, of the mean ``name``."""
+    num = x * px + y * py
+    if _MIN_NORMAL <= num < _INF or -_INF < num <= -_MIN_NORMAL:
+        return num / (px + py)
+    return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
 
 
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
     """A seeded random normal mean on (0, inf), weight t^a (1+t)^b.
 
+    Where both weights are normal floats the value is ``make_normal_mean``'s. Where
+    one under- or overflows, at either end of the float range, the value comes from
+    the log ratio a (log y - log x) + b (log1p y - log1p x), as ``phi_inverse`` takes it.
     ``rng`` is any generator with ``uniform(low, high)``; ``coincidence_probe`` passes
     ``core._seeded(seed)``, a ``random.Random``.
     """
     a = float(rng.uniform(-1.0, 1.0))
     b = float(rng.uniform(-1.0, 1.0))
-    weight = WeightFunction(POSITIVE_REALS, lambda t: t ** a * (1.0 + t) ** b,
-                            name=f"t^{a:.3f}(1+t)^{b:.3f}")
-    return make_normal_mean(weight, name=name or f"N[{a:.3f},{b:.3f}]")
+    name = name or f"N[{a:.3f},{b:.3f}]"
+
+    def fn(x: float, y: float) -> float:
+        try:
+            px = x ** a * (1.0 + x) ** b
+            py = y ** a * (1.0 + y) ** b
+        except OverflowError:  # a subnormal point to a power near -1
+            px = py = _INF
+        if _MIN_NORMAL <= px < _INF and _MIN_NORMAL <= py < _INF:
+            return _weighted_value(name, x, y, px, py)
+        # a weight past the normal floats: the log of P(y)/P(x) stays in range
+        f = a * (math.log(y) - math.log(x)) + b * (math.log1p(y) - math.log1p(x))
+        return _log_ratio_value(name, x, y, f)
+
+    return MeanFunction(name, POSITIVE_REALS, fn)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

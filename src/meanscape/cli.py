@@ -416,6 +416,12 @@ def cli_run(argv: list[str]) -> CommandResult:
     ``rendered`` is the help text)."""
     parser = _build_parser()
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--"):
+            # the top-level parser knows no flag but --help, so it would read the flag's
+            # value as the command
+            flag = argv[0].split("=", 1)[0]
+            raise _UsageError(f"{flag} comes before the command; flags follow the command, "
+                              f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}")
         args = parser.parse_args(argv)
         if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")

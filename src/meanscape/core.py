@@ -174,7 +174,12 @@ class Interval(_Frozen):
         return True
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        """Intersection, or None when it is empty or a single point."""
+        """Intersection, or None when it is empty or a single point; an operand that lies
+        inside the other is the intersection itself."""
+        if other.contains_interval(self):
+            return self
+        if self.contains_interval(other):
+            return other
         if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
             lo, lo_closed = self.lo, self.lo_closed
         else:
@@ -235,6 +240,24 @@ def check_window(window: Interval, *domains: tuple[Interval, str]) -> None:
             raise DomainError(f"window {window} is not inside the domain {domain} of {name}")
 
 
+@functools.lru_cache(maxsize=64)
+def _code(source: str, filename: str):
+    return compile(source, filename, "exec")
+
+
+def _generated(source: str, namespace: dict, filename: str) -> Callable:
+    """What ``factory(**namespace)`` returns, for generated ``source`` that defines ``factory``
+    with the keys of ``namespace`` as its parameters: values reach the code as arguments,
+    never as text. Code objects are cached by source text, so equal sources compile once."""
+    scope: dict = {}
+    exec(_code(source, filename), scope)
+    return scope["factory"](**namespace)
+
+
+def _indent(text: str, spaces: int) -> str:
+    return "\n".join(" " * spaces + line for line in text.splitlines())
+
+
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
     return DomainError(f"({x}, {y}) is outside the domain {domain} of {name}")
 
@@ -264,6 +287,8 @@ class MeanFunction(_Frozen):
       returns 0.0 there without calling the mean.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
+    - A parsed mean's kernel carries its statement block as ``fn.inline``;
+      ``middle.compound`` runs that block in its loop in place of a call.
     - No code may widen a domain with ``replace``; only names and flags are
       replaced.
 
@@ -290,8 +315,10 @@ class MeanFunction(_Frozen):
     def __call__(self, x: float, y: float) -> float:
         x = float(x)
         y = float(y)
-        if not (self.domain.contains(x) and self.domain.contains(y)):
-            raise _outside_domain(x, y, self.domain, self.name)
+        d = self.domain
+        # the open window first; ``contains`` settles the ends and NaN
+        if not (d.lo < x < d.hi and d.lo < y < d.hi or d.contains(x) and d.contains(y)):
+            raise _outside_domain(x, y, d, self.name)
         if x == y:
             return x
         return self.fn(x, y)

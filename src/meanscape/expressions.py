@@ -15,10 +15,11 @@ therefore yields either a tree or a positioned error, never a crash.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .core import _Frozen, _set
+from .core import _Frozen, _generated, _indent, _set
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
 from .core import BUILTIN_MEANS
@@ -397,18 +398,23 @@ except (ArithmeticError, ValueError) as exc:
 _HELPERS = {"Fault": _Fault, "EvaluationError": EvaluationError, "isfinite": math.isfinite,
             "floor": math.floor, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
             "abs": abs}
+# a tree's statements: its blocks, then the checks that turn a fault or a non-finite value
+# into EvaluationError with the variable binding {binding}(x, y)
+_CHECKED = """\
+try:
+{body}
+except Fault as fault:
+    raise EvaluationError(f'{{fault}} at {{{binding}(x, y)}}') from None
+if not isfinite({root}):
+    raise EvaluationError(f'expression produced a non-finite value at {{{binding}(x, y)}}')"""
 _FACTORY = """\
 def factory({params}):
     def fn(x, y=None):
-        try:
-{body}
-        except Fault as fault:
-            raise EvaluationError(f'{{fault}} at {{binding(x, y)}}') from None
-        if not isfinite({root}):
-            raise EvaluationError(f'expression produced a non-finite value at {{binding(x, y)}}')
+{statements}
         return {root}
     return fn
 """
+_TREES = itertools.count()  # numbers each compiled tree, whose names it prefixes
 
 
 def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable[..., float]:
@@ -419,14 +425,19 @@ def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable
     per node, children before parents and left before right, each into its own local;
     a weight tree's t takes the place of x. Constants, built-in atoms and their names
     are arguments of the factory that returns ``fn``, so the source holds only the
-    fixed templates and generated names, never text from the input.
+    fixed templates and generated names, never text from the input. Every generated
+    name carries the tree's own prefix, so the statements of two trees can run in one
+    function: ``fn.inline`` is ``(statements, result, namespace)``, the statements that
+    leave the value in the local ``result`` and the factory arguments they name.
     """
-    params, values, blocks = [*_HELPERS, "binding"], [*_HELPERS.values(), binding], []
+    prefix = f"t{next(_TREES)}_"
+    namespace = {**_HELPERS, f"{prefix}binding": binding}
+    blocks: list[str] = []
 
     def argument(value: object) -> str:
-        params.append(f"c{len(params)}")
-        values.append(value)
-        return params[-1]
+        name = f"{prefix}c{len(namespace)}"
+        namespace[name] = value
+        return name
 
     def emit(node: Expression) -> str:
         """Append the blocks that compute ``node``; return the name of its value."""
@@ -448,17 +459,18 @@ def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable
                 raise TypeError(f"not an expression node: {node!r}")
             template = _SCALAR_OPS[op]
             fields = dict(zip("ab", map(emit, args)))
-        v = f"v{len(blocks)}"
+        v = f"{prefix}v{len(blocks)}"
         blocks.append(template.format(v=v, **fields))
         return v
 
     root = emit(e)
-    body = "\n".join(" " * 12 + line for block in blocks or ["pass"]
-                     for line in block.splitlines())
-    namespace: dict = {}
-    source = _FACTORY.format(params=", ".join(params), body=body, root=root)
-    exec(compile(source, "<expression>", "exec"), namespace)
-    return namespace["factory"](*values)
+    statements = _CHECKED.format(body=_indent("\n".join(blocks) or "pass", 4),
+                                 binding=f"{prefix}binding", root=root)
+    source = _FACTORY.format(params=", ".join(namespace), statements=_indent(statements, 8),
+                             root=root)
+    fn = _generated(source, namespace, "<expression>")
+    fn.inline = (statements, root, namespace)
+    return fn
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:

@@ -19,10 +19,13 @@ never shared mutable state.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
     _arithmetic_eval,
+    _generated,
+    _indent,
     _outside_domain,
     _seeded,
     _set,
@@ -130,8 +133,8 @@ class CompoundMean(MeanFunction):
 
 
 def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
-                   tol: float, max_iter: int, record: bool):
-    """Coupled iteration with envelope clamping, on the operands' kernels.
+                   tol: float, max_iter: int):
+    """The reference coupled iteration, on the operands' kernels, with every step recorded.
 
     The start is a pair of floats in the operands' common domain: the compound's
     call and ``compound_trace`` check it. Each update lies inside the current
@@ -145,12 +148,13 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     have, and tol times a subnormal scale is less. The loop runs only while
     x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN; it survives
     the clamp and goes to the checked ``m1``, which raises its DomainError.
+    ``_COMPOUND`` runs the same steps without the record.
     """
     f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
     floor = (tol * max(abs(xn), abs(yn)) + 5e-324 if xn < 0.0 < yn or yn < 0.0 < xn
              else 5e-324)
-    steps = [TraceStep(0, xn, yn, abs(xn - yn))] if record else None
+    steps = [TraceStep(0, xn, yn, abs(xn - yn))]
     n = 0
     while True:
         lo, hi = (xn, yn) if xn < yn else (yn, xn)
@@ -166,14 +170,80 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
         xn = lo if nx < lo else hi if nx > hi else nx
         yn = lo if ny < lo else hi if ny > hi else ny
         n += 1
-        if record:
-            steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
+        steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
+
+
+# The kernel of a compound: the steps of ``_run_iteration`` with no record, from the start
+# (x0, y0). {first} and {second} set nx and ny from the iterates x and y, each by a call of
+# the operand's kernel (f1, f2) or by the statement block of a parsed operand. The loop's
+# own names are not those of any factory argument, so no local hides a block's helper.
+_COMPOUND = """\
+def factory({params}):
+    def fn(x0, y0):
+        x, y = x0, y0
+        stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
+        n = 0
+        while True:
+            if x < y:
+                lo, hi = x, y
+            else:
+                lo, hi = y, x
+            gap = hi - lo
+            if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
+                return midpoint(x, y)
+            if n >= max_iterations:
+                exhausted(x0, y0)
+            if gap != gap:
+                m1(x, y)  # NaN: the checked call raises m1's DomainError
+{first}
+{second}
+            x = lo if nx < lo else hi if nx > hi else nx
+            y = lo if ny < lo else hi if ny > hi else ny
+            n += 1
+    return fn
+"""
+
+
+def _exhausted(m1: MeanFunction, m2: MeanFunction, tol: float, max_iter: int,
+               x: float, y: float) -> None:
+    """Raise the ConvergenceError of a compound that ran out of iterations from (x, y),
+    with the trace of the reference loop."""
+    _, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tol, max_iter)
+    trace = IterationTrace(tuple(steps), False, _arithmetic_eval(xn, yn), n)
+    raise ConvergenceError(
+        f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
+        f"within {max_iter} iterations (gap {abs(xn - yn):.3e})", trace)
+
+
+def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
+                     max_iter: int) -> Callable[[float, float], float]:
+    """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
+
+    A parsed operand's statement block (``fn.inline``, see ``expressions._compile``) is
+    spliced into the loop; every other operand's kernel is called. A compound of called
+    operands has one source text, so it compiles once per process.
+    """
+    namespace = {"tol": tol, "max_iterations": max_iter, "midpoint": _arithmetic_eval,
+                 "exhausted": functools.partial(_exhausted, m1, m2, tol, max_iter), "m1": m1}
+    steps = []
+    for m, kernel, value in ((m1, "f1", "nx"), (m2, "f2", "ny")):
+        inline = getattr(m.fn, "inline", None)
+        if inline is None:
+            namespace[kernel] = m.fn
+            steps.append(f"{value} = {kernel}(x, y)")
+        else:
+            statements, result, names = inline
+            namespace.update(names)
+            steps.append(f"{statements}\n{value} = {result}")
+    first, second = (_indent(step, 12) for step in steps)
+    source = _COMPOUND.format(params=", ".join(namespace), first=first, second=second)
+    return _generated(source, namespace, "<compound>")
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
              tolerance: float = DEFAULT_TOLERANCE,
              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> CompoundMean:
-    """Compound mean of m1 and m2, built in O(1) without sampling anything.
+    """Compound mean of m1 and m2, built without sampling anything.
 
     Convergence is guaranteed by continuity when both operands are declared
     continuous, and otherwise not known (``guaranteed_by=None``): a sampled
@@ -186,23 +256,15 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     Evaluation iterates until |x_n - y_n| <= tolerance * max(|x_n|, |y_n|),
     the test of ``near`` (or, from a pair of opposite signs, a gap within
     tolerance of that pair) and returns the midpoint; running out of
-    iterations raises ConvergenceError with the trace.
+    iterations raises ConvergenceError with the trace. The kernel is one
+    generated loop (``_compound_kernel``) with the same values, messages and
+    traces as ``_run_iteration``.
     """
     dom = common_domain(m1.domain, m2.domain)
     continuous = True if m1.is_continuous and m2.is_continuous else None
-
-    def fn(x: float, y: float) -> float:
-        ok, xn, yn, n, _ = _run_iteration(m1, m2, x, y, tolerance, max_iterations, False)
-        if not ok:
-            _, _, _, _, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
-            trace = IterationTrace(tuple(steps), False, _arithmetic_eval(xn, yn), n)
-            raise ConvergenceError(
-                f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
-                f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
-        return _arithmetic_eval(xn, yn)
-
     return CompoundMean(
-        name=f"mid({m1.name},{m2.name})", domain=dom, fn=fn,
+        name=f"mid({m1.name},{m2.name})", domain=dom,
+        fn=_compound_kernel(m1, m2, tolerance, max_iterations),
         is_monotone=None, is_continuous=continuous,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
         guaranteed_by="continuity" if continuous else None)
@@ -228,7 +290,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
-    converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations, True)
+    converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations)
 
     k = envelope_ok = None
     if estimate_contraction:

@@ -545,6 +545,22 @@ class TestNormalMeans:
             # one ulp where the value is subnormal
             assert v == pytest.approx(float(exact), rel=4e-16, abs=5e-324)
 
+    @pytest.mark.parametrize("seed", [*range(12), None])
+    def test_random_normal_means_at_the_ends_of_the_float_range(self, seed):
+        # where a weight t^a (1+t)^b leaves the normal floats, the log ratio gives the value;
+        # without a seed, 5e-324^-0.99 raises OverflowError
+        rng = core._seeded(seed) if seed is not None else _Drawn(-0.99, 0.5)
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        m = ms.random_normal_mean(_Drawn(a, b))
+        for x, y in [(1e300, 1.7e308), (1.6e308, 1.79e308), (1e-300, 1e300), (5e-324, 1e-300),
+                     (3e-320, 1e-310), (2.0, 1.7e308), (1e-310, 0.5)]:
+            with mpmath.workdps(60):
+                px, py = (mpmath.mpf(t) ** a * (1 + mpmath.mpf(t)) ** b for t in (x, y))
+                exact = float((x * px + y * py) / (px + py))
+            v = m(x, y)
+            assert x <= v <= y
+            assert v == pytest.approx(exact, rel=2e-12, abs=5e-324)
+
     def test_probe_mean_at_the_probe_point(self):
         # the probe mean, built as random_normal_mean builds it; its numerator underflows here
         x, y = 5.59158320477008e-291, 5.988338143126397e-291

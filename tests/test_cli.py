@@ -213,6 +213,13 @@ class TestAnalysisCommands:
         p = payload(["coincide", "--m0", "G", "--window", "0.1,10", "--grid", "50"])
         assert p["max_discrepancy"] < 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5, 7])
+    def test_coincide_near_the_float_maximum(self, seed):
+        # a normal mean of the probe family has a weight past the float range here
+        p = payload(["coincide", "--m0", "G", "--window", "1e300,1.7e308",
+                     "--seed", str(seed)])
+        assert p["max_discrepancy"] < 1e-11 * 1.7e308
+
     def test_counterexample(self):
         p = payload(["counterexample"])
         assert p["d_estimate"] > 0.99
@@ -323,6 +330,19 @@ class TestErrorHandling:
     def test_no_command(self):
         result = cli_run([])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--grid", "8", "gh-cert"], "--grid"),
+        (["--seed=3", "eval", "--mean", "A", "--at", "1,2"], "--seed"),
+        (["--format", "json"], "--format"),
+    ])
+    def test_flag_before_the_command(self, argv, flag):
+        # the top-level parser read the flag's value as the command: invalid choice: '8'
+        result = cli_run(argv)
+        assert result.exit_code == 1
+        assert result.diagnostics[0].startswith(
+            f"{flag} comes before the command; flags follow the command, "
+            f"as in meanscape COMMAND {flag} ...\nusage: meanscape [-h] COMMAND")
 
     def test_parse_error_reports_position(self):
         result = cli_run(["eval", "--mean", "log(x", "--at", "1,2"])

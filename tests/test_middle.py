@@ -359,9 +359,11 @@ class TestCounterexample:
 # The coupled iteration with every step calling both operands through their checked
 # __call__, as compound and compound_trace ran before they called the kernels. It is
 # the reference path: the kernels must give the same values, traces and exceptions.
+# As in the kernels, a gap of at most 5e-324, the least two floats can have, stops it
+# too: toward a limit of 0 from one side the relative test never holds.
 def _checked_iteration(m1, m2, x, y, tol, max_iter, record):
     xn, yn = float(x), float(y)
-    floor = tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0
+    floor = (tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0) + 5e-324
     steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
     while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
@@ -376,16 +378,22 @@ def _checked_iteration(m1, m2, x, y, tol, max_iter, record):
     return done, xn, yn, n, steps
 
 
+def _midpoint(x, y):
+    """(x + y) / 2, halved first where x + y overflows, as the iteration's midpoint is."""
+    s = x + y
+    return 0.5 * s if math.isfinite(s) else 0.5 * x + 0.5 * y
+
+
 def _checked_compound(m1, m2, tolerance=1e-13, max_iterations=200):
     def fn(x, y):
         ok, xn, yn, n, _ = _checked_iteration(m1, m2, x, y, tolerance, max_iterations, False)
         if not ok:
             _, _, _, _, steps = _checked_iteration(m1, m2, x, y, tolerance, max_iterations, True)
-            trace = ms.IterationTrace(tuple(steps), False, 0.5 * (xn + yn), n)
+            trace = ms.IterationTrace(tuple(steps), False, _midpoint(xn, yn), n)
             raise ms.ConvergenceError(
                 f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
                 f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
-        return 0.5 * (xn + yn)
+        return _midpoint(xn, yn)
 
     return ms.MeanFunction(f"mid({m1.name},{m2.name})",
                            common_domain(m1.domain, m2.domain), fn)
@@ -398,7 +406,7 @@ def _checked_trace(m1, m2, x, y, tolerance=1e-13, max_iterations=200):
                              f"mid({m1.name},{m2.name})")
     converged, xn, yn, n, steps = _checked_iteration(m1, m2, x, y, tolerance,
                                                      max_iterations, True)
-    trace = ms.IterationTrace(tuple(steps), converged, 0.5 * (xn + yn), n)
+    trace = ms.IterationTrace(tuple(steps), converged, _midpoint(xn, yn), n)
     if not converged:
         raise ms.ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
@@ -441,14 +449,19 @@ def _nan_near_diagonal(x, y):
 @functools.cache
 def _operand_pairs():
     """Operand pairs by kind: the four compound-iter compounds, a nested compound
-    (built by the compound function under test), a reals pair, and pairs with an
-    operand that returns NaN or steps an ulp outside [min(x, y), max(x, y)]."""
+    (built by the compound function under test), a reals pair, pairs with an
+    operand that returns NaN or steps an ulp outside [min(x, y), max(x, y)], and
+    parsed operands on all of R that raise EvaluationError inside the loop."""
     A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
 
-    def parse(src):
-        return ms.mean_from_source(src).mean
+    def parse(src, domain=ms.POSITIVE_REALS):
+        return ms.mean_from_source(src, domain).mean
 
     power = parse("((x^1.778+y^1.778)/2)^(1/1.778)")
+    # on all of R these fault inside the loop: a negative product, and a negative base
+    # with a non-integer exponent, which the power template tests with its floor helper
+    root = parse("sqrt(x*y)", ms.ALL_REALS)
+    cube = parse("((x^3+y^3)/2)^(1/3)", ms.ALL_REALS)
     normal = ms.make_normal_mean(ms.weight_from_source("t^(0.371)*(1+t)^(0.471)"))
     nan_mean = ms.MeanFunction("Lnan", ms.ALL_REALS, _nan_near_diagonal)
     # an ulp past the envelope, as rounding may put a mean: the clamp takes it back
@@ -467,6 +480,8 @@ def _operand_pairs():
         "nan-first": (True, lambda c: (nan_mean, A)),
         "drift-first": (False, lambda c: (over, G)),
         "drift-second": (False, lambda c: (G, under)),
+        "fault-second": (True, lambda c: (A, root)),
+        "fault-first": (True, lambda c: (cube, A)),
     }
 
 
@@ -545,6 +560,35 @@ class TestKernelIterationMatchesCheckedReference:
         assert agm(1.0, 2.0) == ms.make_agm()(1.0, 2.0)
 
 
+class TestGeneratedCompoundKernel:
+    def test_parsed_operands_are_spliced_with_their_constants_as_arguments(self):
+        tilted = ms.mean_from_source("(1234.5*x + 1234.5*y)/2469").mean
+        power = ms.mean_from_source("((x^1.778+y^1.778)/2)^(1/1.778)").mean
+        # the block travels with the kernel through replace
+        c = ms.compound(tilted.replace(name="T"), power)
+        assert not {1234.5, 2469.0, 1.778} & set(c.fn.__code__.co_consts)
+        # the loop runs both blocks itself: no expression kernel is called
+        called = []
+        sys.setprofile(lambda frame, event, _: called.append(frame.f_code.co_filename)
+                       if event == "call" else None)
+        try:
+            value = _outcome(c, 1.0, 3.0)
+        finally:
+            sys.setprofile(None)
+        assert "<compound>" in called and "<expression>" not in called
+        assert value == _outcome(_checked_compound(tilted, power), 1.0, 3.0)
+
+    def test_the_loop_hides_no_helper_of_a_block(self):
+        cube = _operand_pairs()["fault-first"][1](ms.compound)[0]
+        code = ms.compound(cube, ms.make_arithmetic()).fn.__code__
+        assert set(code.co_varnames).isdisjoint(cube.fn.inline[2])
+        assert "floor" in code.co_freevars
+
+    def test_called_operands_compile_once(self):
+        A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+        assert ms.compound(A, G).fn.__code__ is ms.compound(G, H, 1e-8, 5).fn.__code__
+
+
 def _near_iteration(m1, m2, x, y, tol, max_iter, record):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
     taken from the sorted envelope: the oracle of ``middle._run_iteration``."""
@@ -565,6 +609,27 @@ def _near_iteration(m1, m2, x, y, tol, max_iter, record):
         if record:
             steps.append(ms.TraceStep(n, xn, yn, abs(xn - yn)))
     return done, xn, yn, n, steps
+
+
+def _near_compound(m1, m2, tol, max_iterations):
+    """compound's call as it ran on the near loop, before its kernel was generated: the
+    reference of the call half of ``_entry_outcomes``."""
+    def fn(x, y):
+        ok, xn, yn, n, _ = _near_iteration(m1, m2, x, y, tol, max_iterations, False)
+        if not ok:
+            _, _, _, _, steps = _near_iteration(m1, m2, x, y, tol, max_iterations, True)
+            trace = ms.IterationTrace(tuple(steps), False, core._arithmetic_eval(xn, yn), n)
+            raise ms.ConvergenceError(
+                f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
+                f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
+        return core._arithmetic_eval(xn, yn)
+
+    return ms.MeanFunction(f"mid({m1.name},{m2.name})", common_domain(m1.domain, m2.domain), fn)
+
+
+def _near_recorded(m1, m2, x, y, tol, max_iter):
+    """``_near_iteration`` in the place of ``middle._run_iteration``, which always records."""
+    return _near_iteration(m1, m2, x, y, tol, max_iter, True)
 
 
 def _loop_outcome(run, *args):
@@ -608,28 +673,32 @@ def loop_cases(draw):
     return kind, m1, m2, x, y, tol, max_iterations
 
 
-def _entry_outcomes(m1, m2, x, y, tol, max_iterations):
+def _entry_outcomes(m1, m2, x, y, tol, max_iterations, compound=ms.compound):
     """Outcomes of the compound's call and of its trace at one start."""
-    return (_outcome(ms.compound(m1, m2, tol, max_iterations), x, y),
+    return (_outcome(compound(m1, m2, tol, max_iterations), x, y),
             _outcome(lambda: ms.compound_trace(m1, m2, x, y, tol, max_iterations,
                                                estimate_contraction=False)))
 
 
+def _near_outcomes(m1, m2, x, y, tol, max_iterations):
+    """``_entry_outcomes`` with both halves on the near loop."""
+    with mock.patch.object(middle, "_run_iteration", _near_recorded):
+        return _entry_outcomes(m1, m2, x, y, tol, max_iterations, _near_compound)
+
+
 class TestIterationMatchesTheNearLoop:
-    @given(loop_cases(), st.booleans())
-    def test_loop_results_and_exceptions(self, case, record):
+    @given(loop_cases())
+    def test_loop_results_and_exceptions(self, case):
         _, m1, m2, x, y, tol, max_iterations = case
-        args = (m1, m2, x, y, tol, max_iterations, record)
+        args = (m1, m2, x, y, tol, max_iterations)
         assert (_loop_outcome(middle._run_iteration, *args)
-                == _loop_outcome(_near_iteration, *args))
+                == _loop_outcome(_near_recorded, *args))
 
     @given(loop_cases())
     def test_compound_values_traces_and_messages(self, case):
         kind, m1, m2, x, y, tol, max_iterations = case
         fast = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
-        with mock.patch.object(middle, "_run_iteration", _near_iteration):
-            slow = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
-        assert fast == slow
+        assert fast == _near_outcomes(m1, m2, x, y, tol, max_iterations)
         if kind == "min-max" and max_iterations == 200 and x != y:
             assert [f[0] for f in fast] == [ms.ConvergenceError] * 2
 
@@ -639,8 +708,7 @@ class TestIterationMatchesTheNearLoop:
         A = ms.make_arithmetic()
         for m1, m2, want in [(low, high, ms.ConvergenceError), (A, nan_mean, ms.DomainError)]:
             fast = _entry_outcomes(m1, m2, -1.0, 2.0, 1e-13, 200)
-            with mock.patch.object(middle, "_run_iteration", _near_iteration):
-                assert fast == _entry_outcomes(m1, m2, -1.0, 2.0, 1e-13, 200)
+            assert fast == _near_outcomes(m1, m2, -1.0, 2.0, 1e-13, 200)
             assert [f[0] for f in fast] == [want] * 2
         call, trace = _entry_outcomes(low, high, -1.0, 2.0, 1e-13, 200)
         assert call[1] == ("compound(min,max) did not converge at (-1.0, 2.0) within 200 "
