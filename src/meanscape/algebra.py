@@ -79,9 +79,8 @@ class AsymmetricFunction(_Frozen):
 
     def __call__(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
-        d = self.domain
-        if not (d.lo < x < d.hi and d.lo < y < d.hi or d.contains(x) and d.contains(y)):
-            raise DomainError(f"({x}, {y}) is outside the domain {d} of {self.name}")
+        if not (self.domain.contains(x) and self.domain.contains(y)):
+            raise DomainError(f"({x}, {y}) is outside the domain {self.domain} of {self.name}")
         if x == y:
             return 0.0
         return self.fn(x, y)
@@ -125,8 +124,7 @@ class WeightFunction(_Frozen):
 
     def __call__(self, t: float) -> float:
         t = float(t)
-        d = self.domain
-        if not (d.lo < t < d.hi or d.contains(t)):
+        if not self.domain.contains(t):
             raise DomainError(f"{t} is outside the domain {self.domain} of weight {self.name}")
         return self.fn(t)
 

@@ -24,6 +24,7 @@ from .core import (
     NumericalError,
     common_domain,
     default_window,
+    make_arithmetic,
     verify_axioms,
 )
 from .algebra import (
@@ -45,12 +46,12 @@ from .metric import (
 from .middle import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    compound,
+    _ARITHMETIC_GUARANTEE,
+    _guarantee,
     compound_trace,
     coincidence_probe,
     counterexample_check,
     functional_symmetric,
-    m_arithmetic,
 )
 from .expressions import ExpressionError, mean_from_source, weight_from_source
 
@@ -277,28 +278,32 @@ def _gh_cert(args, resolver: _Resolver) -> dict:
             "argmax_t": cert.argmax_t}
 
 
-def _iterate(args, c, trace: bool = False) -> dict:
-    """The compound c at --at, with its iteration rows if trace is set."""
+def _iterate(args, m1, m2, guaranteed_by: Optional[str], d_upper: Optional[float],
+             trace: bool = False) -> dict:
+    """The compound of m1 and m2 at --at, with its iteration rows if trace is set.
+
+    The value comes from ``compound_trace``; the compound itself is never built, since
+    building it generates a kernel that nothing here would call."""
+    common_domain(m1.domain, m2.domain)  # the operands are checked before --at, as compound()
     x, y = _parse_pair(args.at, "--at")
-    run = compound_trace(c.m1, c.m2, x, y, args.tol, args.max_iter,
-                         estimate_contraction=False)
-    payload = {"m1": c.m1.name, "m2": c.m2.name, "at": [x, y],
+    run = compound_trace(m1, m2, x, y, args.tol, args.max_iter, estimate_contraction=False)
+    payload = {"m1": m1.name, "m2": m2.name, "at": [x, y],
                "tolerance": args.tol, "max_iterations": args.max_iter,
                "value": run.limit, "iterations": run.iterations_used,
-               "converged": run.converged, "guaranteed": c.guaranteed,
-               "guaranteed_by": c.guaranteed_by, "d_upper": c.d_upper}
+               "converged": run.converged, "guaranteed": guaranteed_by is not None,
+               "guaranteed_by": guaranteed_by, "d_upper": d_upper}
     if trace:
         payload["trace"] = [{"n": s.n, "x": s.x, "y": s.y, "gap": s.gap} for s in run.steps]
     return payload
 
 
 def _compound(args, resolver: _Resolver) -> dict:
-    c = compound(resolver.mean(args.m1), resolver.mean(args.m2), args.tol, args.max_iter)
-    return _iterate(args, c, args.trace)
+    m1, m2 = resolver.mean(args.m1), resolver.mean(args.m2)
+    return _iterate(args, m1, m2, _guarantee(m1, m2), None, args.trace)
 
 
 def _m_arith(args, resolver: _Resolver) -> dict:
-    return _iterate(args, m_arithmetic(resolver.mean(args.mean), args.tol, args.max_iter))
+    return _iterate(args, make_arithmetic(), resolver.mean(args.mean), *_ARITHMETIC_GUARANTEE)
 
 
 def _coincide(args, resolver: _Resolver) -> dict:
@@ -416,13 +421,17 @@ def cli_run(argv: list[str]) -> CommandResult:
     ``rendered`` is the help text)."""
     parser = _build_parser()
     try:
-        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help", "--"):
-            # the top-level parser knows no flag but --help, so it would read the flag's
-            # value as the command
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError:
+            if not (argv and argv[0].startswith("-") and argv[0] not in ("-", "--")):
+                raise
+            # the top-level parser knows no flag but --help (and its prefixes), so it read
+            # the flag's value as the command
             flag = argv[0].split("=", 1)[0]
             raise _UsageError(f"{flag} comes before the command; flags follow the command, "
-                              f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}")
-        args = parser.parse_args(argv)
+                              f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}"
+                              ) from None
         if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")
         seed = args.seed

@@ -240,17 +240,12 @@ def check_window(window: Interval, *domains: tuple[Interval, str]) -> None:
             raise DomainError(f"window {window} is not inside the domain {domain} of {name}")
 
 
-@functools.lru_cache(maxsize=64)
-def _code(source: str, filename: str):
-    return compile(source, filename, "exec")
-
-
 def _generated(source: str, namespace: dict, filename: str) -> Callable:
     """What ``factory(**namespace)`` returns, for generated ``source`` that defines ``factory``
     with the keys of ``namespace`` as its parameters: values reach the code as arguments,
-    never as text. Code objects are cached by source text, so equal sources compile once."""
+    never as text."""
     scope: dict = {}
-    exec(_code(source, filename), scope)
+    exec(compile(source, filename, "exec"), scope)
     return scope["factory"](**namespace)
 
 

@@ -220,8 +220,7 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
     A parsed operand's statement block (``fn.inline``, see ``expressions._compile``) is
-    spliced into the loop; every other operand's kernel is called. A compound of called
-    operands has one source text, so it compiles once per process.
+    spliced into the loop; every other operand's kernel is called.
     """
     namespace = {"tol": tol, "max_iterations": max_iter, "midpoint": _arithmetic_eval,
                  "exhausted": functools.partial(_exhausted, m1, m2, tol, max_iter), "m1": m1}
@@ -261,13 +260,22 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     traces as ``_run_iteration``.
     """
     dom = common_domain(m1.domain, m2.domain)
-    continuous = True if m1.is_continuous and m2.is_continuous else None
+    guaranteed_by = _guarantee(m1, m2)
     return CompoundMean(
         name=f"mid({m1.name},{m2.name})", domain=dom,
         fn=_compound_kernel(m1, m2, tolerance, max_iterations),
-        is_monotone=None, is_continuous=continuous,
+        is_monotone=None, is_continuous=True if guaranteed_by else None,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
-        guaranteed_by="continuity" if continuous else None)
+        guaranteed_by=guaranteed_by)
+
+
+def _guarantee(m1: MeanFunction, m2: MeanFunction) -> Optional[str]:
+    """``guaranteed_by`` of compound(m1, m2), known without building its kernel."""
+    return "continuity" if m1.is_continuous and m2.is_continuous else None
+
+
+# (guaranteed_by, d_upper) of every m_arithmetic: each mean lies within 1/2 of A
+_ARITHMETIC_GUARANTEE = ("distance", 0.5)
 
 
 def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
@@ -325,8 +333,9 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
     Always applicable: every mean is within distance 1/2 of A, so the
     coupled iteration contracts with factor below 1.
     """
+    guaranteed_by, d_upper = _ARITHMETIC_GUARANTEE
     return compound(make_arithmetic(), frak_m, tolerance, max_iterations).replace(
-        d_upper=0.5, guaranteed_by="distance")
+        d_upper=d_upper, guaranteed_by=guaranteed_by)
 
 
 def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,

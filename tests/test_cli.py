@@ -270,6 +270,17 @@ class TestCompoundCommand:
         assert p["guaranteed"] is True
         assert p["guaranteed_by"] == "continuity" and p["d_upper"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ["compound", "--m1", "(x+y)/2", "--m2", "sqrt(x*y)", "--at", "1,2", "--trace"],
+        ["m-arith", "--mean", "sqrt(x*y)", "--at", "1,2"],
+    ])
+    def test_no_compound_kernel_is_generated(self, argv, monkeypatch):
+        # both evaluate through compound_trace, so a generated kernel would go uncalled
+        def refuse(*args):
+            raise AssertionError("a compound kernel was generated")
+        monkeypatch.setattr(meanscape.middle, "_compound_kernel", refuse)
+        run_ok(argv)
+
     def test_start_outside_the_domain_is_the_compound_domain_error(self):
         result = cli_run(["compound", "--m1", "A", "--m2", "G", "--at=-1,-1", "--trace"])
         assert result.exit_code == 1
@@ -343,6 +354,13 @@ class TestErrorHandling:
         assert result.diagnostics[0].startswith(
             f"{flag} comes before the command; flags follow the command, "
             f"as in meanscape COMMAND {flag} ...\nusage: meanscape [-h] COMMAND")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["--h", "eval"]])
+    def test_help_and_its_prefixes_before_the_command(self, argv):
+        # the top-level parser takes a prefix of --help for --help
+        result = cli_run(argv)
+        assert (result.status, result.exit_code) == ("ok", 0)
+        assert result.rendered.startswith("usage: meanscape [-h] COMMAND")
 
     def test_parse_error_reports_position(self):
         result = cli_run(["eval", "--mean", "log(x", "--at", "1,2"])

@@ -584,10 +584,6 @@ class TestGeneratedCompoundKernel:
         assert set(code.co_varnames).isdisjoint(cube.fn.inline[2])
         assert "floor" in code.co_freevars
 
-    def test_called_operands_compile_once(self):
-        A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
-        assert ms.compound(A, G).fn.__code__ is ms.compound(G, H, 1e-8, 5).fn.__code__
-
 
 def _near_iteration(m1, m2, x, y, tol, max_iter, record):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
