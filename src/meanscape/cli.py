@@ -3,10 +3,10 @@
 The envelope printed on stdout is always {"status", "payload",
 "diagnostics"}; numbers carry 17 significant digits so values round-trip
 through text. Exit codes: 0 ok, 1 user error (bad arguments, parse or
-domain problems), 2 numerical failure (non-convergence, lost brackets).
-CSV output is available for iteration traces only. The environment
-variable MEANSCAPE_SEED overrides the default seed; --seed overrides
-both.
+domain problems, an --out file that cannot be written), 2 numerical
+failure (non-convergence, lost brackets). CSV output is available for
+iteration traces only. The environment variable MEANSCAPE_SEED overrides
+the default seed; --seed overrides both.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import (
     DEFAULT_SEED,
-    DomainError,
     Interval,
     NumericalError,
     common_domain,
@@ -44,8 +43,10 @@ from .metric import (
     distance_via_phi,
 )
 from .middle import (
+    COUNTEREXAMPLE_WINDOW,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
+    SYMMETRIC_TOLERANCE,
     _ARITHMETIC_GUARANTEE,
     _guarantee,
     compound_trace,
@@ -53,7 +54,7 @@ from .middle import (
     counterexample_check,
     functional_symmetric,
 )
-from .expressions import ExpressionError, mean_from_source, weight_from_source
+from .expressions import mean_from_source, weight_from_source
 
 __all__ = ["CommandResult", "cli_run", "main"]
 
@@ -327,7 +328,7 @@ def _verify(args, resolver: _Resolver) -> dict:
 
 
 def _counterexample(args, resolver: _Resolver) -> dict:
-    win = _window(args) or Interval.closed(1e-6, 1e6)
+    win = _window(args) or COUNTEREXAMPLE_WINDOW
     res = counterexample_check(win, args.grid, seed=resolver.seed)
     return {"window": [win.lo, win.hi], "grid": args.grid, "seed": resolver.seed,
             "d_estimate": res.d_estimate, "compound_is_A": res.compound_is_A}
@@ -374,7 +375,7 @@ _COMMANDS = {
                                group_symmetry, "--m0", "--m1"),
     "sigma": _Command("functional symmetric of m1 with respect to m0 at a point", _sigma,
                       ("--m0", "--m1", "--at", "--assume-monotone", "--tol", "--domain"),
-                      {"tol": 1e-12}),
+                      {"tol": SYMMETRIC_TOLERANCE}),
     "normal": _point_command("normal mean of a weight at a point", make_normal_mean,
                              "--weight"),
     "compare": _Command("order of the normal means of two weights", _compare,
@@ -454,16 +455,12 @@ def cli_run(argv: list[str]) -> CommandResult:
         result.rendered = _render_json(result)
         return result
 
-    out_path = args.out
     try:
         payload = {"command": args.command, **cmd.run(args, resolver)}
-        result = CommandResult("ok", payload, resolver.diagnostics, 0, out_path=out_path)
-    except (_UsageError, ExpressionError, DomainError, ValueError) as exc:
-        result = CommandResult("error", {"command": args.command}, [str(exc)], 1,
-                               out_path=out_path)
-    except NumericalError as exc:
-        result = CommandResult("error", {"command": args.command}, [str(exc)], 2,
-                               out_path=out_path)
+        result = CommandResult("ok", payload, resolver.diagnostics, 0, out_path=args.out)
+    except (_UsageError, ValueError, NumericalError) as exc:  # parse and domain errors too
+        result = CommandResult("error", {"command": args.command}, [str(exc)],
+                               2 if isinstance(exc, NumericalError) else 1, out_path=args.out)
 
     if result.status == "ok" and args.format == "csv":
         result.rendered = _render_trace_csv(result.payload["trace"])
@@ -475,10 +472,15 @@ def cli_run(argv: list[str]) -> CommandResult:
 def main(argv: Optional[list[str]] = None) -> int:
     result = cli_run(sys.argv[1:] if argv is None else argv)
     if result.out_path:
-        with open(result.out_path, "w") as fh:
-            fh.write(result.rendered)
-    else:
-        sys.stdout.write(result.rendered)
+        try:
+            with open(result.out_path, "w") as fh:
+                fh.write(result.rendered)
+            return result.exit_code
+        except OSError as exc:  # then the envelope of that error goes to stdout
+            message = f"cannot write --out {result.out_path}: {exc.strerror or exc}"
+            result = CommandResult("error", {"command": result.payload["command"]}, [message], 1)
+            result.rendered = _render_json(result)
+    sys.stdout.write(result.rendered)
     return result.exit_code
 
 

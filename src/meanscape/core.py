@@ -240,10 +240,13 @@ def check_window(window: Interval, *domains: tuple[Interval, str]) -> None:
             raise DomainError(f"window {window} is not inside the domain {domain} of {name}")
 
 
-def _generated(source: str, namespace: dict, filename: str) -> Callable:
-    """What ``factory(**namespace)`` returns, for generated ``source`` that defines ``factory``
-    with the keys of ``namespace`` as its parameters: values reach the code as arguments,
-    never as text."""
+def _generated(signature: str, body: str, namespace: dict, filename: str) -> Callable:
+    """The function ``fn({signature})`` that runs the generated ``body``, in which the keys of
+    ``namespace`` name its values. ``fn`` is defined inside a factory whose parameters are
+    those keys, so values reach the code as arguments, never as text."""
+    source = (f"def factory({', '.join(namespace)}):\n"
+              f"    def fn({signature}):\n{_indent(body, 8)}\n"
+              f"    return fn\n")
     scope: dict = {}
     exec(compile(source, filename, "exec"), scope)
     return scope["factory"](**namespace)

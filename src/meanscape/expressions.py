@@ -407,13 +407,6 @@ except Fault as fault:
     raise EvaluationError(f'{{fault}} at {{{binding}(x, y)}}') from None
 if not isfinite({root}):
     raise EvaluationError(f'expression produced a non-finite value at {{{binding}(x, y)}}')"""
-_FACTORY = """\
-def factory({params}):
-    def fn(x, y=None):
-{statements}
-        return {root}
-    return fn
-"""
 _TREES = itertools.count()  # numbers each compiled tree, whose names it prefixes
 
 
@@ -466,9 +459,7 @@ def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable
     root = emit(e)
     statements = _CHECKED.format(body=_indent("\n".join(blocks) or "pass", 4),
                                  binding=f"{prefix}binding", root=root)
-    source = _FACTORY.format(params=", ".join(namespace), statements=_indent(statements, 8),
-                             root=root)
-    fn = _generated(source, namespace, "<expression>")
+    fn = _generated("x, y=None", f"{statements}\nreturn {root}", namespace, "<expression>")
     fn.inline = (statements, root, namespace)
     return fn
 

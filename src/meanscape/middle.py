@@ -20,6 +20,7 @@ never shared mutable state.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -67,6 +68,8 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-13
 DEFAULT_MAX_ITERATIONS = 200
+SYMMETRIC_TOLERANCE = 1e-12  # functional_symmetric's relative bracket width
+COUNTEREXAMPLE_WINDOW = Interval.closed(1e-6, 1e6)  # counterexample_check's distance window
 
 # Envelope checks allow this much multiplicative slack over k^n * gap(0).
 _ENVELOPE_SLACK = 1e-9
@@ -173,46 +176,31 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
         steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
 
 
-# The kernel of a compound: the steps of ``_run_iteration`` with no record, from the start
-# (x0, y0). {first} and {second} set nx and ny from the iterates x and y, each by a call of
-# the operand's kernel (f1, f2) or by the statement block of a parsed operand. The loop's
-# own names are not those of any factory argument, so no local hides a block's helper.
+# The kernel of a compound, ``fn(x0, y0)``: the steps of ``_run_iteration`` with no record.
+# {first} and {second} set nx and ny from the iterates x and y, each by a call of the
+# operand's kernel (f1, f2) or by the statement block of a parsed operand. The loop's own
+# names are not those of any namespace value, so no local hides a block's helper.
 _COMPOUND = """\
-def factory({params}):
-    def fn(x0, y0):
-        x, y = x0, y0
-        stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
-        n = 0
-        while True:
-            if x < y:
-                lo, hi = x, y
-            else:
-                lo, hi = y, x
-            gap = hi - lo
-            if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
-                return midpoint(x, y)
-            if n >= max_iterations:
-                exhausted(x0, y0)
-            if gap != gap:
-                m1(x, y)  # NaN: the checked call raises m1's DomainError
+x, y = x0, y0
+stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
+n = 0
+while True:
+    if x < y:
+        lo, hi = x, y
+    else:
+        lo, hi = y, x
+    gap = hi - lo
+    if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
+        return midpoint(x, y)
+    if n >= max_iterations:
+        exhausted(x0, y0)
+    if gap != gap:
+        m1(x, y)  # NaN: the checked call raises m1's DomainError
 {first}
 {second}
-            x = lo if nx < lo else hi if nx > hi else nx
-            y = lo if ny < lo else hi if ny > hi else ny
-            n += 1
-    return fn
-"""
-
-
-def _exhausted(m1: MeanFunction, m2: MeanFunction, tol: float, max_iter: int,
-               x: float, y: float) -> None:
-    """Raise the ConvergenceError of a compound that ran out of iterations from (x, y),
-    with the trace of the reference loop."""
-    _, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tol, max_iter)
-    trace = IterationTrace(tuple(steps), False, _arithmetic_eval(xn, yn), n)
-    raise ConvergenceError(
-        f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
-        f"within {max_iter} iterations (gap {abs(xn - yn):.3e})", trace)
+    x = lo if nx < lo else hi if nx > hi else nx
+    y = lo if ny < lo else hi if ny > hi else ny
+    n += 1"""
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
@@ -220,10 +208,13 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
     A parsed operand's statement block (``fn.inline``, see ``expressions._compile``) is
-    spliced into the loop; every other operand's kernel is called.
+    spliced into the loop; every other operand's kernel is called. A start that runs out
+    of iterations goes to ``compound_trace``, which raises its ConvergenceError.
     """
+    exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
+                                  max_iterations=max_iter, estimate_contraction=False)
     namespace = {"tol": tol, "max_iterations": max_iter, "midpoint": _arithmetic_eval,
-                 "exhausted": functools.partial(_exhausted, m1, m2, tol, max_iter), "m1": m1}
+                 "exhausted": exhausted, "m1": m1}
     steps = []
     for m, kernel, value in ((m1, "f1", "nx"), (m2, "f2", "ny")):
         inline = getattr(m.fn, "inline", None)
@@ -234,9 +225,9 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
             statements, result, names = inline
             namespace.update(names)
             steps.append(f"{statements}\n{value} = {result}")
-    first, second = (_indent(step, 12) for step in steps)
-    source = _COMPOUND.format(params=", ".join(namespace), first=first, second=second)
-    return _generated(source, namespace, "<compound>")
+    first, second = (_indent(step, 4) for step in steps)
+    return _generated("x0, y0", _COMPOUND.format(first=first, second=second), namespace,
+                      "<compound>")
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -259,6 +250,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     generated loop (``_compound_kernel``) with the same values, messages and
     traces as ``_run_iteration``.
     """
+    _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     guaranteed_by = _guarantee(m1, m2)
     return CompoundMean(
@@ -267,6 +259,14 @@ def compound(m1: MeanFunction, m2: MeanFunction,
         is_monotone=None, is_continuous=True if guaranteed_by else None,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
         guaranteed_by=guaranteed_by)
+
+
+def _check_iteration(tolerance: float, max_iterations: int) -> None:
+    """Refuse a tolerance that is NaN, infinite or negative, and fewer than 0 iterations."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
 
 
 def _guarantee(m1: MeanFunction, m2: MeanFunction) -> Optional[str]:
@@ -292,8 +292,10 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     every recorded step. A pass means the run is consistent with that lower
     bound; it proves no contraction, which would need an upper bound.
     A start outside the domain raises the compound's own DomainError, and
-    non-convergence a ConvergenceError carrying the partial trace.
+    non-convergence a ConvergenceError carrying the partial trace; this is the
+    one place that error is raised, for the compound's call too.
     """
+    _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
@@ -315,7 +317,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     if not converged:
         raise ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
-            f"within {max_iterations} iterations", trace)
+            f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
     return trace
 
 
@@ -339,7 +341,7 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
 
 
 def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
-                         *, rel_tol: float = 1e-12) -> float:
+                         *, rel_tol: float = SYMMETRIC_TOLERANCE) -> float:
     """The value t with m0(m1(x, y), t) = m0(x, y), solved on [min, max].
 
     Requires m0 to be declared monotone (is_monotone=True): monotonicity
@@ -492,7 +494,7 @@ def counterexample_check(window: Optional[Interval] = None, grid: int = 64,
     """
     g = make_geometric()
     partner = group_inverse(g)
-    win = window or Interval.closed(1e-6, 1e6)
+    win = window or COUNTEREXAMPLE_WINDOW
     d_est = distance(g, partner, win, grid).value
     c, a = compound(g, partner), make_arithmetic()
     is_a = all(near(c(x, y), a(x, y), 1e-9)

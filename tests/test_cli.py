@@ -319,11 +319,18 @@ class TestCompoundCommand:
         assert 1.5e-323 <= p["value"] <= 2e-323
 
     def test_non_convergence_is_exit_2(self):
-        result = cli_run(["compound", "--m1", "A", "--m2", "G", "--at", "1,1000000",
-                          "--max-iter", "2"])
-        assert result.exit_code == 2
-        assert result.status == "error"
-        assert result.diagnostics
+        A, G = meanscape.make_arithmetic(), meanscape.make_geometric()
+        for argv, library in [(["compound", "--m1", "A", "--m2", "G"],
+                               meanscape.compound(A, G, max_iterations=2)),
+                              (["m-arith", "--mean", "G"],
+                               meanscape.m_arithmetic(G, max_iterations=2))]:
+            result = cli_run(argv + ["--at", "1,1000000", "--max-iter", "2"])
+            assert result.exit_code == 2
+            assert result.status == "error"
+            # the message of the library compound's own ConvergenceError, from the same start
+            with pytest.raises(meanscape.ConvergenceError) as err:
+                library(1.0, 1e6)
+            assert result.diagnostics == [str(err.value)]
 
     def test_lost_bracket_is_exit_2(self):
         # x+y is not a mean, so the root leaves the bracket
@@ -333,6 +340,18 @@ class TestCompoundCommand:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("command", [["compound", "--m1", "A", "--m2", "G"],
+                                         ["m-arith", "--mean", "G"]], ids=" ".join)
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "nan"], "tolerance must be finite and non-negative, got nan"),
+        (["--tol", "inf"], "tolerance must be finite and non-negative, got inf"),
+        (["--tol=-1e-13"], "tolerance must be finite and non-negative, got -1e-13"),
+        (["--max-iter", "-1"], "max_iterations must be non-negative, got -1"),
+    ])
+    def test_bad_iteration_settings_are_user_errors(self, command, flags, message):
+        result = cli_run(command + ["--at", "1,2"] + flags)
+        assert (result.status, result.exit_code, result.diagnostics) == ("error", 1, [message])
+
     def test_unknown_command(self):
         result = cli_run(["frobnicate"])
         assert result.exit_code == 1
@@ -457,6 +476,14 @@ class TestOutputContract:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["status"] == "ok"
+
+    def test_out_to_a_path_that_cannot_be_written(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["eval", "--mean", "G", "--at", "1,4", "--out", str(target)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"status": "error", "payload": {"command": "eval"},
+                       "diagnostics": [f"cannot write --out {target}: No such file or directory"]}
+        assert not target.parent.exists()
 
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -533,3 +535,31 @@ _any_float = st.one_of(_edge_floats, st.floats(), st.floats(allow_subnormal=True
 @given(_any_float, _any_float, _any_float)
 def test_near_is_the_max_formula(x, y, rel):
     assert near(x, y, rel) is (abs(x - y) <= rel * max(abs(x), abs(y)))
+
+
+class _CodeRunners(ast.NodeVisitor):
+    """Each (enclosing definition, name) where a module names exec, compile or eval."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id in ("exec", "compile", "eval"):
+            self.found.add((".".join(self.scope), node.id))
+
+
+def test_only_core_generated_runs_generated_code():
+    # every back end hands core._generated its signature, body and namespace
+    found = set()
+    for path in sorted(pathlib.Path(ms.__file__).parent.glob("*.py")):
+        runners = _CodeRunners(path.stem)
+        runners.visit(ast.parse(path.read_text(), str(path)))
+        found |= runners.found
+    assert found == {("core._generated", "exec"), ("core._generated", "compile")}

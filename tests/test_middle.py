@@ -410,7 +410,7 @@ def _checked_trace(m1, m2, x, y, tolerance=1e-13, max_iterations=200):
     if not converged:
         raise ms.ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
-            f"within {max_iterations} iterations", trace)
+            f"within {max_iterations} iterations (gap {abs(xn - yn):.3e})", trace)
     return trace
 
 
@@ -712,6 +712,39 @@ class TestIterationMatchesTheNearLoop:
         assert len(trace[2][0]) == 201  # every step of the trace, the start included
         call, _ = _entry_outcomes(A, nan_mean, -1.0, 2.0, 1e-13, 200)
         assert call[1] == "(0.5, nan) is outside the domain (-inf, inf) of A"
+
+
+class TestOneExit:
+    def test_an_exhausted_compound_raises_what_compound_trace_raises(self):
+        low, high = _loop_operands()["min-max"][0]
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        for m1, m2, x, y, max_iterations in [(low, high, 1.0, 2.0, 200),
+                                             (A, G, 1.0, 1e6, 2)]:
+            call, trace = _entry_outcomes(m1, m2, x, y, 1e-13, max_iterations)
+            assert call[0] is ms.ConvergenceError
+            assert call == trace  # type, message and the trace's bits
+        assert call[1] == ("compound(A,G) did not converge at (1.0, 1000000.0) within 2 "
+                           "iterations (gap 2.281e+05)")
+
+
+class TestIterationSettings:
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-13])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        for build in (lambda: ms.compound(A, G, tolerance),
+                      lambda: ms.compound_trace(A, G, 1.0, 2.0, tolerance),
+                      lambda: ms.m_arithmetic(G, tolerance), lambda: ms.make_agm(tolerance)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == f"tolerance must be finite and non-negative, got {tolerance}"
+
+    def test_max_iterations_must_be_non_negative(self):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        for build in (lambda: ms.compound(A, G, max_iterations=-1),
+                      lambda: ms.compound_trace(A, G, 1.0, 2.0, max_iterations=-1)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "max_iterations must be non-negative, got -1"
 
 
 def _checked_functional_symmetric(m0, m1, x, y, *, rel_tol=1e-12):
