@@ -19,6 +19,7 @@ functions, together with the weight-ratio comparison test.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from typing import Callable, Optional
@@ -26,6 +27,11 @@ from typing import Callable, Optional
 from .core import (
     _Frozen,
     _arithmetic_eval,
+    _block,
+    _generated,
+    _kernel,
+    _merge,
+    _prefix,
     _set,
     DomainError,
     Interval,
@@ -215,20 +221,24 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     return MeanFunction(name, dom, fn)
 
 
+# x + (y - M) or y + (x - M), whichever adds the difference of at most |x - y| / 2, from the
+# value {v} of M at (x, y): the statements and the result of group_inverse's block
+_INVERSE = ("{p}value = {v}\n{p}d = y - {p}value\n{p}e = x - {p}value",
+            "x + {p}d if abs({p}d) <= abs({p}e) else y + {p}e")
+
+
 def group_inverse(m: MeanFunction) -> MeanFunction:
     """Inverse for the group law: the mean x + y - M with phi = -phi(M).
 
     Evaluated as x + (y - M) or y + (x - M), whichever adds the difference of at
     most |x - y| / 2: it overflows nowhere and cancels nowhere near an endpoint.
+    The kernel's block runs ``m``'s block, or a call of its kernel, then that sum.
     """
-    kernel = m.fn
-
-    def fn(x: float, y: float) -> float:
-        v = kernel(x, y)
-        d, e = y - v, x - v
-        return x + d if abs(d) <= abs(e) else y + e
-
-    return MeanFunction(f"(2A-{m.name})", m.domain, fn)
+    statements, result, names = _block(m.fn)
+    p = _prefix("i")
+    own, value = (part.format(p=p, v=result) for part in _INVERSE)
+    return MeanFunction(f"(2A-{m.name})", m.domain,
+                        _kernel((f"{statements}\n{own}", value, names), "<algebra>"))
 
 
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
@@ -290,33 +300,57 @@ def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: 
     return math.ldexp(num / den, top - top_den)
 
 
+# (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the
+# mean {name}: the statement that sets the numerator {num}, and the value, the plain formula
+# where {num} is a normal float and else the endpoint-weighted form with U = {px}, V = {py}
+_WEIGHTED = ("{num} = x * {px} + y * {py}",
+             "{num} / ({px} + {py}) if min_normal <= {num} < inf or -inf < {num} <= -min_normal"
+             " else endpoint_weighted({name}, x, y, {px}, 1.0, 1.0, {py}, 1.0, 1.0)")
+_WEIGHTED_NAMES = {"min_normal": _MIN_NORMAL, "inf": _INF, "endpoint_weighted": _endpoint_weighted}
+
+
+@functools.cache
+def _weighted_value() -> Callable[[str, float, float, float, float], float]:
+    """``_WEIGHTED`` as ``fn(name, x, y, px, py)``, generated on first use."""
+    numerator, value = (part.format(num="num", px="px", py="py", name="name")
+                        for part in _WEIGHTED)
+    return _generated("name, x, y, px, py", f"{numerator}\nreturn {value}", _WEIGHTED_NAMES,
+                      "<algebra>")
+
+
+# the statements of a normal mean's block: the weight's block {w} runs at t = x and at
+# t = y, and its result {wv} is kept after each run
+_NORMAL = """\
+t = x
+{w}
+{p}px = {wv}
+t = y
+{w}
+{p}py = {wv}
+if not (0.0 < {p}px < inf and 0.0 < {p}py < inf):
+    raise InvalidMeanError(f'weight {{{p}weight}} is not positive and finite at '
+                           f'{{x if not 0.0 < {p}px < inf else y}}')
+{numerator}"""
+
+
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
     """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight.
 
     Where the numerator is a normal float the plain formula is the value.
     Elsewhere, which takes x and y near either end of the float range, it is
-    the endpoint-weighted form with U = P(x) and V = P(y).
+    the endpoint-weighted form with U = P(x) and V = P(y). The kernel's block
+    runs the weight's block, or a call of its kernel, at x and at y.
     """
-    weight = p.fn
     name = name or f"normal({p.name})"
-
-    def fn(x: float, y: float) -> float:
-        px = weight(x)
-        py = weight(y)
-        if not (0.0 < px < _INF and 0.0 < py < _INF):
-            bad = x if not 0.0 < px < _INF else y
-            raise InvalidMeanError(f"weight {p.name} is not positive and finite at {bad}")
-        return _weighted_value(name, x, y, px, py)
-
-    return MeanFunction(name, p.domain, fn)
-
-
-def _weighted_value(name: str, x: float, y: float, px: float, py: float) -> float:
-    """(x px + y py) / (px + py) for positive finite weights, of the mean ``name``."""
-    num = x * px + y * py
-    if _MIN_NORMAL <= num < _INF or -_INF < num <= -_MIN_NORMAL:
-        return num / (px + py)
-    return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
+    statements, result, names = _block(p.fn, "t")
+    q = _prefix("n")
+    namespace = {**_WEIGHTED_NAMES, "InvalidMeanError": InvalidMeanError,
+                 f"{q}weight": p.name, f"{q}name": name}
+    _merge(namespace, names)
+    numerator, value = (part.format(num=f"{q}num", px=f"{q}px", py=f"{q}py", name=f"{q}name")
+                        for part in _WEIGHTED)
+    own = _NORMAL.format(w=statements, wv=result, p=q, numerator=numerator)
+    return MeanFunction(name, p.domain, _kernel((own, value, namespace), "<algebra>"))
 
 
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
@@ -331,6 +365,7 @@ def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
     a = float(rng.uniform(-1.0, 1.0))
     b = float(rng.uniform(-1.0, 1.0))
     name = name or f"N[{a:.3f},{b:.3f}]"
+    weighted = _weighted_value()
 
     def fn(x: float, y: float) -> float:
         try:
@@ -339,7 +374,7 @@ def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
         except OverflowError:  # a subnormal point to a power near -1
             px = py = _INF
         if _MIN_NORMAL <= px < _INF and _MIN_NORMAL <= py < _INF:
-            return _weighted_value(name, x, y, px, py)
+            return weighted(name, x, y, px, py)
         # a weight past the normal floats: the log of P(y)/P(x) stays in range
         f = a * (math.log(y) - math.log(x)) + b * (math.log1p(y) - math.log1p(x))
         return _log_ratio_value(name, x, y, f)

@@ -23,6 +23,7 @@ each entry point runs it once, before any kernel, and then calls kernels only.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -256,6 +257,50 @@ def _indent(text: str, spaces: int) -> str:
     return "\n".join(" " * spaces + line for line in text.splitlines())
 
 
+# A statement block is the one written form of a generated kernel: ``(statements, result,
+# namespace)``, statements over the input locals (x and y for a mean, t for a weight), the
+# expression ``result`` over those locals that gives the value, and the values that the keys
+# of ``namespace`` name. Whoever splices a block evaluates ``result`` once, right after the
+# statements. Every name a block makes up carries a prefix of its own (``_prefix``), so the
+# blocks of several kernels can run in one function; each reads only its inputs and its
+# own names.
+Block = tuple[str, str, dict]
+_BLOCKS = itertools.count()  # numbers each block, whose names it prefixes
+
+
+def _prefix(kind: str) -> str:
+    """A fresh prefix for the names of one block: ``kind``, a number and '_'."""
+    return f"{kind}{next(_BLOCKS)}_"
+
+
+def _kernel(block: Block, filename: str, signature: str = "x, y") -> Callable:
+    """The kernel ``fn({signature})`` that runs ``block`` and returns its result; it carries
+    the block as ``fn.inline``, so a composite can run the same statements in place of a call."""
+    statements, result, namespace = block
+    fn = _generated(signature, f"{statements}\nreturn {result}", namespace, filename)
+    fn.inline = block
+    return fn
+
+
+def _block(fn: Callable, inputs: str = "x, y") -> Block:
+    """The block of the kernel ``fn`` over the locals ``inputs``: ``fn.inline`` where it has
+    one, else a call of ``fn`` as its result."""
+    inline = getattr(fn, "inline", None)
+    if inline is not None:
+        return inline
+    p = _prefix("f")
+    return "", f"{p}kernel({inputs})", {f"{p}kernel": fn}
+
+
+def _merge(namespace: dict, names: dict) -> None:
+    """Add a spliced block's ``names`` to the ``namespace`` of a generated function. A name
+    that is already bound to another value raises ValueError: one of the two blocks that
+    name it would read the other's value."""
+    for name, value in names.items():
+        if namespace.setdefault(name, value) is not value:
+            raise ValueError(f"the generated name {name!r} is bound to two different values")
+
+
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
     return DomainError(f"({x}, {y}) is outside the domain {domain} of {name}")
 
@@ -273,8 +318,9 @@ class MeanFunction(_Frozen):
       two-variable types, never with x == y. It returns a float.
     - A composite (compound, ``star``, ``group_symmetry``, ``group_inverse``,
       ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
-      check has passed, and calls its operands' ``fn`` there. That relies on
-      ``common_domain`` keeping the composite's domain inside each operand's.
+      check has passed, and runs its operands' kernels there, by a call or by
+      their blocks (below). That relies on ``common_domain`` keeping the
+      composite's domain inside each operand's.
     - The sampled entry points (the grids of ``metric``, ``verify_axioms``,
       ``algebra.compare_normal``, ``middle.coincidence_probe``) run
       ``check_window`` once and then call kernels, at points of the closed
@@ -285,8 +331,11 @@ class MeanFunction(_Frozen):
       returns 0.0 there without calling the mean.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
-    - A parsed mean's kernel carries its statement block as ``fn.inline``;
-      ``middle.compound`` runs that block in its loop in place of a call.
+    - The kernels of the built-in A, G and H, of ``group_inverse``, of a normal
+      mean and of a parsed mean or weight are generated from their statement
+      block (``_kernel``) and carry it as ``fn.inline``. ``group_inverse``, a
+      normal mean and ``middle.compound`` run their operands' blocks in place
+      of a call; a kernel that carries none enters as one call (``_block``).
     - No code may widen a domain with ``replace``; only names and flags are
       replaced.
 
@@ -322,30 +371,6 @@ class MeanFunction(_Frozen):
         return self.fn(x, y)
 
 
-# Where both arguments lie in (2^-500, 2^500), every product, sum and quotient of the G and
-# H kernels is a normal float, so the plain formulas round exactly as the scaled forms do.
-# Elsewhere the scaled forms run. ``_sqrt`` and ``_INF`` spare the hot paths a lookup.
-_PLAIN_LO, _PLAIN_HI = 2.0 ** -500, 2.0 ** 500
-_sqrt, _INF = math.sqrt, math.inf
-
-
-def _arithmetic_eval(x: float, y: float) -> float:
-    s = x + y  # halved first only where it overflows, where the halves are exact
-    return s / 2.0 if -_INF < s < _INF else x / 2.0 + y / 2.0
-
-
-def _geometric_eval(x: float, y: float) -> float:
-    if _PLAIN_LO < x < _PLAIN_HI and _PLAIN_LO < y < _PLAIN_HI:
-        return _sqrt(x * y)
-    return _geometric_scaled(x, y)
-
-
-def _harmonic_eval(x: float, y: float) -> float:
-    if _PLAIN_LO < x < _PLAIN_HI and _PLAIN_LO < y < _PLAIN_HI:
-        return 2.0 * x * y / (x + y)
-    return _harmonic_scaled(x, y)
-
-
 def _geometric_scaled(x: float, y: float) -> float:
     # exactly x = mx 2^ex, y = my 2^ey, mx and my in [0.5, 1): mx*my cannot under- or
     # overflow and, where x*y is normal, rounds as x*y does (an odd ex+ey moves a 2 into it)
@@ -362,6 +387,23 @@ def _harmonic_scaled(x: float, y: float) -> float:
     e = max(ex, ey)
     return math.ldexp(2.0 * mx * my / (math.ldexp(mx, ex - e) + math.ldexp(my, ey - e)),
                       ex + ey - e)
+
+
+# The built-in kernels, each written once as a block. Where both arguments lie in
+# (2^-500, 2^500), every product, sum and quotient of the G and H formulas is a normal float,
+# so the plain formulas round exactly as the scaled forms do; elsewhere those are called.
+# The blocks' own names have no number: each built-in block exists once.
+_BUILTIN_NAMES = {"inf": math.inf, "plain_lo": 2.0 ** -500, "plain_hi": 2.0 ** 500,
+                  "sqrt": math.sqrt, "geometric_scaled": _geometric_scaled,
+                  "harmonic_scaled": _harmonic_scaled}
+_ARITHMETIC = ("a_sum = x + y  # halved first only where it overflows, where the halves are exact",
+               "a_sum / 2.0 if -inf < a_sum < inf else x / 2.0 + y / 2.0", _BUILTIN_NAMES)
+_PLAIN = "plain_lo < x < plain_hi and plain_lo < y < plain_hi"
+_GEOMETRIC = ("", f"sqrt(x * y) if {_PLAIN} else geometric_scaled(x, y)", _BUILTIN_NAMES)
+_HARMONIC = ("", f"2.0 * x * y / (x + y) if {_PLAIN} else harmonic_scaled(x, y)", _BUILTIN_NAMES)
+_arithmetic_eval = _kernel(_ARITHMETIC, "<core>")
+_geometric_eval = _kernel(_GEOMETRIC, "<core>")
+_harmonic_eval = _kernel(_HARMONIC, "<core>")
 
 
 def make_arithmetic() -> MeanFunction:

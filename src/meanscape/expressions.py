@@ -15,11 +15,10 @@ therefore yields either a tree or a positioned error, never a crash.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .core import _Frozen, _generated, _indent, _set
+from .core import _Frozen, _indent, _kernel, _prefix, _set
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
 from .core import BUILTIN_MEANS
@@ -399,31 +398,32 @@ _HELPERS = {"Fault": _Fault, "EvaluationError": EvaluationError, "isfinite": mat
             "floor": math.floor, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
             "abs": abs}
 # a tree's statements: its blocks, then the checks that turn a fault or a non-finite value
-# into EvaluationError with the variable binding {binding}(x, y)
+# into EvaluationError with the variable binding {binding}({inputs})
 _CHECKED = """\
 try:
 {body}
 except Fault as fault:
-    raise EvaluationError(f'{{fault}} at {{{binding}(x, y)}}') from None
+    raise EvaluationError(f'{{fault}} at {{{binding}({inputs})}}') from None
 if not isfinite({root}):
-    raise EvaluationError(f'expression produced a non-finite value at {{{binding}(x, y)}}')"""
-_TREES = itertools.count()  # numbers each compiled tree, whose names it prefixes
+    raise EvaluationError(f'expression produced a non-finite value at {{{binding}({inputs})}}')"""
 
 
-def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable[..., float]:
-    """Compile a tree once into ``fn(x, y)``, or ``fn(t)`` for a weight tree;
-    ``binding(x, y)`` is the variable binding that fault messages show.
+def _compile(e: Expression, binding: Callable[..., dict],
+             variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
+    """Compile a tree once into ``fn(x, y)``, or ``fn(t)`` for a weight tree, whose
+    ``variables`` are ("t",); ``binding(*variables)`` is the variable binding that fault
+    messages show.
 
     The tree becomes the source of one straight-line function: a block of statements
-    per node, children before parents and left before right, each into its own local;
-    a weight tree's t takes the place of x. Constants, built-in atoms and their names
+    per node, children before parents and left before right, each into its own local.
+    Each variable is the input local of its name, so a normal mean can run a weight's
+    statements at t = x and again at t = y. Constants, built-in atoms and their names
     are arguments of the factory that returns ``fn``, so the source holds only the
     fixed templates and generated names, never text from the input. Every generated
     name carries the tree's own prefix, so the statements of two trees can run in one
-    function: ``fn.inline`` is ``(statements, result, namespace)``, the statements that
-    leave the value in the local ``result`` and the factory arguments they name.
+    function: ``fn.inline`` is the tree's block (``core._kernel``).
     """
-    prefix = f"t{next(_TREES)}_"
+    prefix = _prefix("t")
     namespace = {**_HELPERS, f"{prefix}binding": binding}
     blocks: list[str] = []
 
@@ -437,7 +437,9 @@ def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable
         if isinstance(node, Num):
             return argument(node.value)
         if isinstance(node, Var):
-            return "y" if node.name == "y" else "x"
+            if node.name not in variables:  # no other name may reach the source
+                raise TypeError(f"variable {node.name!r} is not one of {variables}")
+            return node.name
         if isinstance(node, BuiltinMean):
             template = _BUILTIN_ATOM
             fields = {"mean": argument(_builtin(node.name)), "name": argument(node.name)}
@@ -457,11 +459,10 @@ def _compile(e: Expression, binding: Callable[[float, float], dict]) -> Callable
         return v
 
     root = emit(e)
+    inputs = ", ".join(variables)
     statements = _CHECKED.format(body=_indent("\n".join(blocks) or "pass", 4),
-                                 binding=f"{prefix}binding", root=root)
-    fn = _generated("x, y=None", f"{statements}\nreturn {root}", namespace, "<expression>")
-    fn.inline = (statements, root, namespace)
-    return fn
+                                 binding=f"{prefix}binding", inputs=inputs, root=root)
+    return _kernel((statements, root, namespace), "<expression>", inputs)
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:
@@ -470,7 +471,8 @@ def evaluate(e: Expression, env: dict[str, float]) -> float:
 
     Compiling costs 0.1-0.5 ms, so to evaluate many points build the mean or
     weight once (``expr_to_mean``, ``expr_to_weight``) and call it."""
-    return _compile(e, lambda x, y: env)(env.get("x", env.get("t")), env.get("y"))
+    variables = tuple(v for v in ("x", "y", "t") if v in env)
+    return _compile(e, lambda *_: env, variables)(*[env[v] for v in variables])
 
 
 class MeanBuild(NamedTuple):
@@ -505,7 +507,8 @@ def expr_to_mean(e: Expression, domain: Interval, *, seed: int = DEFAULT_SEED) -
 
 def expr_to_weight(e: Expression, domain: Interval) -> WeightFunction:
     """Wrap a parsed single-variable tree as a weight function."""
-    return WeightFunction(domain, _compile(e, lambda t, _: {"t": t}), name=format_expression(e))
+    return WeightFunction(domain, _compile(e, lambda t: {"t": t}, ("t",)),
+                          name=format_expression(e))
 
 
 def mean_from_source(src: str, domain: Optional[Interval] = None, *,

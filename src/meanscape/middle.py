@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
     _arithmetic_eval,
+    _block,
     _generated,
     _indent,
+    _merge,
     _outside_domain,
     _seeded,
     _set,
@@ -177,9 +180,9 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 
 
 # The kernel of a compound, ``fn(x0, y0)``: the steps of ``_run_iteration`` with no record.
-# {first} and {second} set nx and ny from the iterates x and y, each by a call of the
-# operand's kernel (f1, f2) or by the statement block of a parsed operand. The loop's own
-# names are not those of any namespace value, so no local hides a block's helper.
+# {first} and {second} set nx and ny from the iterates x and y, each by the block of the
+# operand's kernel; {midpoint} runs A's block at the last iterates and returns its result.
+# The loop's own names are not those of any namespace value, so no local hides a block's.
 _COMPOUND = """\
 x, y = x0, y0
 stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
@@ -191,7 +194,7 @@ while True:
         lo, hi = y, x
     gap = hi - lo
     if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
-        return midpoint(x, y)
+{midpoint}
     if n >= max_iterations:
         exhausted(x0, y0)
     if gap != gap:
@@ -207,27 +210,23 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
                      max_iter: int) -> Callable[[float, float], float]:
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
-    A parsed operand's statement block (``fn.inline``, see ``expressions._compile``) is
-    spliced into the loop; every other operand's kernel is called. A start that runs out
-    of iterations goes to ``compound_trace``, which raises its ConvergenceError.
+    Each operand's block (``core._block``: its kernel's ``fn.inline``, or one call of a
+    kernel that carries none) is spliced into the loop, and so is the block of A for the
+    midpoint, so a step calls no kernel that has a block. A start that runs out of
+    iterations goes to ``compound_trace``, which raises its ConvergenceError.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
-    namespace = {"tol": tol, "max_iterations": max_iter, "midpoint": _arithmetic_eval,
-                 "exhausted": exhausted, "m1": m1}
-    steps = []
-    for m, kernel, value in ((m1, "f1", "nx"), (m2, "f2", "ny")):
-        inline = getattr(m.fn, "inline", None)
-        if inline is None:
-            namespace[kernel] = m.fn
-            steps.append(f"{value} = {kernel}(x, y)")
-        else:
-            statements, result, names = inline
-            namespace.update(names)
-            steps.append(f"{statements}\n{value} = {result}")
-    first, second = (_indent(step, 4) for step in steps)
-    return _generated("x0, y0", _COMPOUND.format(first=first, second=second), namespace,
-                      "<compound>")
+    namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1}
+
+    def splice(kernel: Callable, spaces: int, last: str) -> str:
+        statements, result, names = _block(kernel)
+        _merge(namespace, names)
+        return _indent(f"{statements}\n{last}{result}", spaces)
+
+    body = _COMPOUND.format(first=splice(m1.fn, 4, "nx = "), second=splice(m2.fn, 4, "ny = "),
+                            midpoint=splice(_arithmetic_eval, 8, "return "))
+    return _generated("x0, y0", body, namespace, "<compound>")
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -250,7 +249,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     generated loop (``_compound_kernel``) with the same values, messages and
     traces as ``_run_iteration``.
     """
-    _check_iteration(tolerance, max_iterations)
+    max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     guaranteed_by = _guarantee(m1, m2)
     return CompoundMean(
@@ -261,12 +260,20 @@ def compound(m1: MeanFunction, m2: MeanFunction,
         guaranteed_by=guaranteed_by)
 
 
-def _check_iteration(tolerance: float, max_iterations: int) -> None:
-    """Refuse a tolerance that is NaN, infinite or negative, and fewer than 0 iterations."""
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+def _check_iteration(tolerance: float, max_iterations: int) -> int:
+    """Refuse a tolerance that is NaN, infinite or negative, a ``max_iterations`` that is
+    not an integer (TypeError) and fewer than 0 iterations; return ``max_iterations``."""
+    _check_tolerance("tolerance", tolerance)
+    max_iterations = operator.index(max_iterations)
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    return max_iterations
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Refuse a relative tolerance ``name`` that is NaN, infinite or negative."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _guarantee(m1: MeanFunction, m2: MeanFunction) -> Optional[str]:
@@ -295,7 +302,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
     """
-    _check_iteration(tolerance, max_iterations)
+    max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
@@ -350,10 +357,12 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     is narrower than rel_tol * max(|x|, |y|); the midpoint of the final
     bracket is returned. A missing sign change raises BracketError with
     the endpoint values, and a point outside a domain, on the diagonal too,
-    raises DomainError.
+    raises DomainError. A ``rel_tol`` that is NaN, infinite or negative raises
+    ValueError, as a compound's tolerance does.
     """
     if m0.is_monotone is not True:
         raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
+    _check_tolerance("rel_tol", rel_tol)
     x, y = float(x), float(y)
     target = m0(x, y)
     a = m1(x, y)  # both checked calls come first, so the diagonal is checked too

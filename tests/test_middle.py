@@ -584,6 +584,73 @@ class TestGeneratedCompoundKernel:
         assert set(code.co_varnames).isdisjoint(cube.fn.inline[2])
         assert "floor" in code.co_freevars
 
+    def test_the_workload_compounds_enter_no_frame_but_their_loop(self):
+        # the built-ins, the inverse, the normal mean and its weight run spliced, and so
+        # does the midpoint: an evaluation enters the compound's own frame and no other
+        pairs = _operand_pairs()
+        for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
+            kernel = ms.compound(*pairs[kind][1](ms.compound)).fn
+            called = []
+            sys.setprofile(lambda frame, event, _: called.append(frame.f_code.co_filename)
+                           if event == "call" else None)
+            try:
+                kernel(1.0, 3.0)
+            finally:
+                sys.setprofile(None)
+            assert called == ["<compound>"], kind
+
+    def test_a_name_bound_to_two_values_is_refused(self):
+        def kernel(x, y):
+            return math.sqrt(x * y)
+
+        mean = ms.MeanFunction("K", ms.POSITIVE_REALS, kernel)
+        G = ms.make_geometric()
+        # G's block names math.sqrt "sqrt"; this block names another function so
+        kernel.inline = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.exp})
+        with pytest.raises(ValueError) as err:
+            ms.compound(G, mean)
+        assert str(err.value) == "the generated name 'sqrt' is bound to two different values"
+        kernel.inline = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.sqrt})
+        assert ms.compound(G, mean)(1.0, 4.0) == 2.0
+
+
+class TestSplicedBlocksMatchCheckedReference:
+    """Faults raised inside a spliced block, and the built-ins' scaled branches, against
+    the iteration that calls every operand through its checked call."""
+
+    @staticmethod
+    def _outcomes(m1, m2, x, y):
+        """The compound's call and trace, after asserting that they match the reference."""
+        fast = _entry_outcomes(m1, m2, x, y, 1e-13, 200)
+        assert fast == (_outcome(_checked_compound(m1, m2), x, y),
+                        _outcome(lambda: _checked_trace(m1, m2, x, y)))
+        return fast
+
+    def test_a_weight_that_faults_at_y_names_that_t(self):
+        normal = ms.make_normal_mean(ms.weight_from_source("sqrt(3 - t)"))
+        for outcome in self._outcomes(ms.make_arithmetic(), normal, 1.0, 5.0):
+            assert outcome[:2] == (ms.EvaluationError, "sqrt of negative value -2.0 at {'t': 5.0}")
+
+    def test_a_weight_that_returns_zero_names_the_point(self):
+        normal = ms.make_normal_mean(ms.weight_from_source("max(3 - t, 0)"))
+        for outcome in self._outcomes(ms.make_arithmetic(), normal, 1.0, 5.0):
+            assert outcome[:2] == (
+                ms.InvalidMeanError, "weight max(3.0 - t, 0.0) is not positive and finite at 5.0")
+
+    def test_the_inverse_of_a_parsed_mean_that_faults_on_all_of_r(self):
+        root = ms.mean_from_source("sqrt(x*y)", ms.ALL_REALS).mean
+        for outcome in self._outcomes(ms.make_arithmetic(), ms.group_inverse(root), -1.0, 2.0):
+            assert outcome[:2] == (ms.EvaluationError,
+                                   "sqrt of negative value -2.0 at {'x': -1.0, 'y': 2.0}")
+
+    def test_starts_that_take_the_scaled_branches(self):
+        pairs = _operand_pairs()
+        operands = [pairs[k][1](ms.compound) for k in ("agm", "g-inverse", "power-normal")]
+        operands.append((ms.make_geometric(), ms.make_harmonic()))
+        for m1, m2 in operands:
+            for x, y in [(5e-324, 1.0), (1.0, 5e-324), (1e300, 1.0), (5e-324, 1e300)]:
+                self._outcomes(m1, m2, x, y)
+
 
 def _near_iteration(m1, m2, x, y, tol, max_iter, record):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
@@ -745,6 +812,22 @@ class TestIterationSettings:
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == "max_iterations must be non-negative, got -1"
+
+    def test_max_iterations_must_be_an_integer(self):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        for build in (lambda: ms.compound(A, G, max_iterations=2.5),
+                      lambda: ms.compound_trace(A, G, 1.0, 2.0, max_iterations=2.5)):
+            with pytest.raises(TypeError):
+                build()
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_functional_symmetric_refuses_the_same_tolerances(self, rel_tol):
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        with pytest.raises(ValueError) as err:
+            ms.functional_symmetric(A, G, 1.0, 4.0, rel_tol=rel_tol)
+        assert str(err.value) == f"rel_tol must be finite and non-negative, got {rel_tol}"
+        result = ms.cli_run(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4", f"--tol={rel_tol}"])
+        assert (result.exit_code, result.diagnostics) == (1, [str(err.value)])
 
 
 def _checked_functional_symmetric(m0, m1, x, y, *, rel_tol=1e-12):
