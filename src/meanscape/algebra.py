@@ -27,12 +27,11 @@ from typing import Callable, Optional
 from .core import (
     _Frozen,
     _arithmetic_eval,
-    _block,
     _generated,
     _kernel,
-    _merge,
     _prefix,
     _set,
+    _splice,
     DomainError,
     Interval,
     InvalidMeanError,
@@ -222,8 +221,8 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
 
 
 # x + (y - M) or y + (x - M), whichever adds the difference of at most |x - y| / 2, from the
-# value {v} of M at (x, y): the statements and the result of group_inverse's block
-_INVERSE = ("{p}value = {v}\n{p}d = y - {p}value\n{p}e = x - {p}value",
+# value {p}value of M at (x, y): the statements and the result of group_inverse's block
+_INVERSE = ("{p}d = y - {p}value\n{p}e = x - {p}value",
             "x + {p}d if abs({p}d) <= abs({p}e) else y + {p}e")
 
 
@@ -232,13 +231,14 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
 
     Evaluated as x + (y - M) or y + (x - M), whichever adds the difference of at
     most |x - y| / 2: it overflows nowhere and cancels nowhere near an endpoint.
-    The kernel's block runs ``m``'s block, or a call of its kernel, then that sum.
+    The kernel's block splices ``m``'s kernel (``core._splice``), then forms that sum.
     """
-    statements, result, names = _block(m.fn)
     p = _prefix("i")
-    own, value = (part.format(p=p, v=result) for part in _INVERSE)
+    namespace: dict = {}
+    value = _splice(namespace, m.fn, f"{p}value = ")
+    own, result = (part.format(p=p) for part in _INVERSE)
     return MeanFunction(f"(2A-{m.name})", m.domain,
-                        _kernel((f"{statements}\n{own}", value, names), "<algebra>"))
+                        _kernel((f"{value}\n{own}", result, namespace), "<algebra>"))
 
 
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
@@ -275,14 +275,15 @@ def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: 
     floats. Elsewhere every factor is split into mantissa and exponent, so no
     product under- or overflows, and each sum is formed on the scale of its
     larger term. U = 0 gives y and V = 0 gives x, exactly; both 0 is 0/0, and
-    InvalidMeanError names the mean ``name`` and the point.
+    InvalidMeanError names the mean ``name`` and the point. So it does where
+    U + V is 0 or the value overflows, which weights of one sign cannot give.
     """
     uu, vv = u1 * u2, v1 * v2
     u, v = uu * u3, vv * v3
     xu, yv = x * u, y * v
     num, den = xu + yv, u + v
     if (_MIN_NORMAL <= min(abs(uu), abs(u), abs(vv), abs(v), abs(xu), abs(yv), abs(num))
-            and abs(num) < _INF and abs(den) < _INF):
+            and abs(num) < _INF and 0.0 < abs(den) < _INF):
         return num / den
     (mx, ex), (my, ey), (a, ea), (b, eb), (c, ec), (d, ed), (g, eg), (h, eh) = map(
         math.frexp, (x, y, u1, u2, u3, v1, v2, v3))
@@ -297,7 +298,13 @@ def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: 
     num = math.ldexp(tx, ex - top) + math.ldexp(ty, ey - top)
     top_den = max(eu, ev)
     den = math.ldexp(mu, eu - top_den) + math.ldexp(mv, ev - top_den)
-    return math.ldexp(num / den, top - top_den)
+    try:
+        value = math.ldexp(num / den, top - top_den)
+    except (ZeroDivisionError, OverflowError):
+        value = _INF
+    if abs(value) < _INF:
+        return value
+    raise InvalidMeanError(f"{name}({x}, {y}) is undefined: its endpoint weights differ in sign")
 
 
 # (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the
@@ -318,15 +325,13 @@ def _weighted_value() -> Callable[[str, float, float, float, float], float]:
                       "<algebra>")
 
 
-# the statements of a normal mean's block: the weight's block {w} runs at t = x and at
-# t = y, and its result {wv} is kept after each run
+# the statements of a normal mean's block: {px} and {py} splice the weight's kernel at
+# t = x and at t = y, each keeping its value
 _NORMAL = """\
 t = x
-{w}
-{p}px = {wv}
+{px}
 t = y
-{w}
-{p}py = {wv}
+{py}
 if not (0.0 < {p}px < inf and 0.0 < {p}py < inf):
     raise InvalidMeanError(f'weight {{{p}weight}} is not positive and finite at '
                            f'{{x if not 0.0 < {p}px < inf else y}}')
@@ -339,17 +344,17 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
     Where the numerator is a normal float the plain formula is the value.
     Elsewhere, which takes x and y near either end of the float range, it is
     the endpoint-weighted form with U = P(x) and V = P(y). The kernel's block
-    runs the weight's block, or a call of its kernel, at x and at y.
+    splices the weight's kernel (``core._splice``) at x and at y.
     """
     name = name or f"normal({p.name})"
-    statements, result, names = _block(p.fn, "t")
     q = _prefix("n")
     namespace = {**_WEIGHTED_NAMES, "InvalidMeanError": InvalidMeanError,
                  f"{q}weight": p.name, f"{q}name": name}
-    _merge(namespace, names)
+    px = _splice(namespace, p.fn, f"{q}px = ", "t")
+    py = _splice(namespace, p.fn, f"{q}py = ", "t")
     numerator, value = (part.format(num=f"{q}num", px=f"{q}px", py=f"{q}py", name=f"{q}name")
                         for part in _WEIGHTED)
-    own = _NORMAL.format(w=statements, wv=result, p=q, numerator=numerator)
+    own = _NORMAL.format(px=px, py=py, p=q, numerator=numerator)
     return MeanFunction(name, p.domain, _kernel((own, value, namespace), "<algebra>"))
 
 
@@ -424,13 +429,21 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
     the diagonal, and symmetrically for the other direction. A constant
     ratio means the means are equal (weights are defined up to a positive
     factor), and mixed behavior returns INCOMPARABLE. The window is checked
-    once (``core.check_window``), and the grid goes to the weights' kernels.
+    once (``core.check_window``), and the grid goes to the weights' kernels; a weight
+    value that is not positive and finite raises InvalidMeanError, as in a normal mean.
     """
     if samples < 2:
         raise ValueError("need at least two samples to compare")
     check_window(window, (p1.domain, f"weight {p1.name}"), (p2.domain, f"weight {p2.name}"))
     w1, w2 = p1.fn, p2.fn
-    return _classify_ratio([w1(t) / w2(t) for t in _linspace(window.lo, window.hi, samples)])
+    ratios = []
+    for t in _linspace(window.lo, window.hi, samples):
+        v1, v2 = w1(t), w2(t)
+        if not (0.0 < v1 < _INF and 0.0 < v2 < _INF):
+            weight = p2 if 0.0 < v1 < _INF else p1
+            raise InvalidMeanError(f"weight {weight.name} is not positive and finite at {t}")
+        ratios.append(v1 / v2)
+    return _classify_ratio(ratios)
 
 
 def classify_vs_arithmetic(p: WeightFunction, window: Interval,

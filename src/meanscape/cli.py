@@ -401,26 +401,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str]) -> _Parser:
+    """The parser of a run whose first argument is ``command``: the top-level parser reads no
+    flag but --help, so that is the only command the run can invoke, and the one with flags."""
     parser = _Parser(prog="meanscape", description=__doc__.splitlines()[0])
-    # copying these actions into each command costs less than declaring them again
-    every = _Parser(add_help=False)
-    for flag in _EVERY_COMMAND:
-        every.add_argument(flag, **_FLAGS[flag])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, cmd in _COMMANDS.items():
         # no abbreviations: border's --windows would take --window, which it does not read
-        p = sub.add_parser(name, help=cmd.help, parents=[every], allow_abbrev=False)
-        for flag in cmd.flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(**cmd.defaults)
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
+        if name == command:
+            for flag in _EVERY_COMMAND + cmd.flags:
+                p.add_argument(flag, **_FLAGS[flag])
+            p.set_defaults(**cmd.defaults)
     return parser
 
 
 def cli_run(argv: list[str]) -> CommandResult:
     """Run one CLI invocation and return the result without printing (for --help,
     ``rendered`` is the help text)."""
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         try:
             args = parser.parse_args(argv)

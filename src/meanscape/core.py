@@ -260,8 +260,8 @@ def _indent(text: str, spaces: int) -> str:
 # A statement block is the one written form of a generated kernel: ``(statements, result,
 # namespace)``, statements over the input locals (x and y for a mean, t for a weight), the
 # expression ``result`` over those locals that gives the value, and the values that the keys
-# of ``namespace`` name. Whoever splices a block evaluates ``result`` once, right after the
-# statements. Every name a block makes up carries a prefix of its own (``_prefix``), so the
+# of ``namespace`` name. ``_splice`` is the one place that runs a block in another
+# function. Every name a block makes up carries a prefix of its own (``_prefix``), so the
 # blocks of several kernels can run in one function; each reads only its inputs and its
 # own names.
 Block = tuple[str, str, dict]
@@ -282,23 +282,20 @@ def _kernel(block: Block, filename: str, signature: str = "x, y") -> Callable:
     return fn
 
 
-def _block(fn: Callable, inputs: str = "x, y") -> Block:
-    """The block of the kernel ``fn`` over the locals ``inputs``: ``fn.inline`` where it has
-    one, else a call of ``fn`` as its result."""
-    inline = getattr(fn, "inline", None)
-    if inline is not None:
-        return inline
-    p = _prefix("f")
-    return "", f"{p}kernel({inputs})", {f"{p}kernel": fn}
-
-
-def _merge(namespace: dict, names: dict) -> None:
-    """Add a spliced block's ``names`` to the ``namespace`` of a generated function. A name
-    that is already bound to another value raises ValueError: one of the two blocks that
-    name it would read the other's value."""
+def _splice(namespace: dict, fn: Callable, assign: str, inputs: str = "x, y") -> str:
+    """The statements that run the kernel ``fn`` over the locals ``inputs``, then
+    ``{assign}<its value>``: its block ``fn.inline``, or one call of ``fn`` where it has none.
+    The block's names join ``namespace``; a name already bound to another value raises
+    ValueError, as one of the two blocks that name it would read the other's value."""
+    block = getattr(fn, "inline", None)
+    if block is None:
+        p = _prefix("f")
+        block = "", f"{p}kernel({inputs})", {f"{p}kernel": fn}
+    statements, result, names = block
     for name, value in names.items():
         if namespace.setdefault(name, value) is not value:
             raise ValueError(f"the generated name {name!r} is bound to two different values")
+    return f"{statements}\n{assign}{result}"
 
 
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
@@ -334,8 +331,9 @@ class MeanFunction(_Frozen):
     - The kernels of the built-in A, G and H, of ``group_inverse``, of a normal
       mean and of a parsed mean or weight are generated from their statement
       block (``_kernel``) and carry it as ``fn.inline``. ``group_inverse``, a
-      normal mean and ``middle.compound`` run their operands' blocks in place
-      of a call; a kernel that carries none enters as one call (``_block``).
+      normal mean and ``middle.compound`` splice their operands' blocks in place
+      of a call, or one call of a kernel that carries none (``_splice``). A
+      parsed block raises its own EvaluationError.
     - No code may widen a domain with ``replace``; only names and flags are
       replaced.
 

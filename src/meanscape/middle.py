@@ -26,13 +26,12 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import (
     _arithmetic_eval,
-    _block,
     _generated,
     _indent,
-    _merge,
     _outside_domain,
     _seeded,
     _set,
+    _splice,
     BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
@@ -180,8 +179,8 @@ def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 
 
 # The kernel of a compound, ``fn(x0, y0)``: the steps of ``_run_iteration`` with no record.
-# {first} and {second} set nx and ny from the iterates x and y, each by the block of the
-# operand's kernel; {midpoint} runs A's block at the last iterates and returns its result.
+# {first} and {second} set nx and ny from the iterates x and y, each by the operand's kernel
+# spliced in; {midpoint} splices A's kernel at the last iterates and returns its value.
 # The loop's own names are not those of any namespace value, so no local hides a block's.
 _COMPOUND = """\
 x, y = x0, y0
@@ -210,22 +209,17 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
                      max_iter: int) -> Callable[[float, float], float]:
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
-    Each operand's block (``core._block``: its kernel's ``fn.inline``, or one call of a
-    kernel that carries none) is spliced into the loop, and so is the block of A for the
-    midpoint, so a step calls no kernel that has a block. A start that runs out of
-    iterations goes to ``compound_trace``, which raises its ConvergenceError.
+    Each operand's kernel is spliced into the loop (``core._splice``: its block, or one
+    call of a kernel that carries none), and so is A's for the midpoint, so a step calls
+    no kernel that has a block. A start that runs out of iterations goes to
+    ``compound_trace``, which raises its ConvergenceError.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1}
-
-    def splice(kernel: Callable, spaces: int, last: str) -> str:
-        statements, result, names = _block(kernel)
-        _merge(namespace, names)
-        return _indent(f"{statements}\n{last}{result}", spaces)
-
-    body = _COMPOUND.format(first=splice(m1.fn, 4, "nx = "), second=splice(m2.fn, 4, "ny = "),
-                            midpoint=splice(_arithmetic_eval, 8, "return "))
+    body = _COMPOUND.format(first=_indent(_splice(namespace, m1.fn, "nx = "), 4),
+                            second=_indent(_splice(namespace, m2.fn, "ny = "), 4),
+                            midpoint=_indent(_splice(namespace, _arithmetic_eval, "return "), 8))
     return _generated("x0, y0", body, namespace, "<compound>")
 
 

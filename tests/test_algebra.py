@@ -581,12 +581,19 @@ class TestNormalMeans:
 
 def _checked_compare_normal(p1, p2, window, samples=256):
     """compare_normal with every grid point through the weights' checked calls, as it ran
-    before it called their kernels: the reference for results and messages."""
+    before it called their kernels: the reference for results and messages. A weight value
+    that is not positive and finite is refused, first p1's, as a normal mean refuses it."""
     if samples < 2:
         raise ValueError("need at least two samples to compare")
     core.check_window(window, (p1.domain, f"weight {p1.name}"), (p2.domain, f"weight {p2.name}"))
-    grid = _linspace(window.lo, window.hi, samples)
-    return _classify_ratio([p1(t) / p2(t) for t in grid])
+    ratios = []
+    for t in _linspace(window.lo, window.hi, samples):
+        values = p1(t), p2(t)
+        for p, v in zip((p1, p2), values):
+            if not 0.0 < v < math.inf:
+                raise ms.InvalidMeanError(f"weight {p.name} is not positive and finite at {t}")
+        ratios.append(values[0] / values[1])
+    return _classify_ratio(ratios)
 
 
 def _value_or_error(f, *args):

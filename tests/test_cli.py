@@ -8,6 +8,8 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import meanscape
 from meanscape.cli import _COMMANDS, _EVERY_COMMAND, CommandResult, cli_run, main
@@ -152,6 +154,58 @@ def test_every_point_command_answers_with_an_envelope():
         doc = json.loads(result.rendered)
         assert (result.exit_code, doc["status"]) in ((0, "ok"), (1, "error"), (2, "error")), argv
         assert doc["diagnostics"] or result.exit_code == 0, argv
+
+
+# operands that are not means, at points where their endpoint weights cancel or overflow
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--p1", "t", "--p2", "0*t", "--window", "1,2"],
+     "weight 0.0 * t is not positive and finite at 1.0"),
+    (["symmetry", "--m0", "G", "--m1", "0*x", "--at", "5e-324,1", "--domain", "reals"],
+     "S[G](0.0 * x)(5e-324, 1.0) is undefined: its endpoint weights differ in sign"),
+    (["symmetry", "--m0", "G", "--m1", "0*x", "--at", "1e-310,1e300", "--domain", "reals"],
+     "S[G](0.0 * x)(1e-310, 1e+300) is undefined: its endpoint weights differ in sign"),
+])
+def test_a_non_mean_that_divides_by_zero_or_overflows_is_user_error(capsys, argv, message):
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"status": "error", "payload": {"command": argv[0]}, "diagnostics": [message]}
+
+
+_FUZZ_MEANS = ["G", "(x+y)/2", "0*x", "x-y", "min(x,y)", "log(x)"]
+_FUZZ_WEIGHTS = ["t", "0*t", "-t", "1/t"]
+_FUZZ_PAIRS = ["1,2", "5e-324,1", "1e-310,1e300", "1e300,1.7e308", "-1,2", "0,1"]
+_FUZZ_VALUES = {  # values of every flag but --out, which writes a file
+    **dict.fromkeys(["--mean", "--m0", "--m1", "--m2"], _FUZZ_MEANS),
+    **dict.fromkeys(["--weight", "--p1", "--p2"], _FUZZ_WEIGHTS),
+    "--at": _FUZZ_PAIRS, "--window": _FUZZ_PAIRS,
+    "--windows": ["0.1,10;1,2", "5e-324,1;1e300,1.7e308"],
+    "--grid": ["2", "5"], "--tol": ["0", "0.5", "1e-300"], "--max-iter": ["0", "3"],
+    "--domain": ["pos", "reals"], "--seed": ["0", "3"],
+    "--format": ["json", "csv"],
+    **dict.fromkeys(["--assume-monotone", "--via-phi", "--trace"], [None]),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command and a random subset of its flags, each with a value from _FUZZ_VALUES."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [command]
+    for flag in _EVERY_COMMAND + _COMMANDS[command].flags:
+        if flag in _FUZZ_VALUES and draw(st.integers(0, 5)):
+            value = draw(st.sampled_from(_FUZZ_VALUES[flag]))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@seed(3)
+@settings(max_examples=300)
+@given(_fuzz_argv())
+def test_cli_run_never_raises(argv):
+    result = cli_run(argv)
+    assert result.exit_code in (0, 1, 2), argv
+    if result.exit_code:
+        assert json.loads(result.rendered)["status"] == "error", argv
 
 
 class TestAnalysisCommands:

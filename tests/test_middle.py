@@ -356,6 +356,55 @@ class TestCounterexample:
         assert narrow < wide < 1.0
 
 
+@functools.cache
+def _invariance_operands():
+    """M0 candidates, each declared monotone, and M1 candidates of the invariance identity.
+
+    No normal mean is an M0: with the normal mean of t^0.5 declared monotone, the
+    functional symmetric raises BracketError at points of [0.1, 10] for M1 = A, G and H.
+    No Lehmer mean past q = 2 is an M1: from (0.1, 10), q = 3 puts x(1) within 1e-4 of
+    10 and y(1) near 0.1, so each step nearly swaps the pair, and it takes 5111 steps.
+    """
+    A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+
+    def parse(src):
+        return ms.mean_from_source(src).mean
+
+    powers = [parse(f"((x^{p}+y^{p})/2)^(1/{p})") for p in (-2, 0.5, 3)]
+    lehmers = [parse(f"(x^{q}+y^{q})/(x^{q - 1}+y^{q - 1})") for q in (-1, 0.25, 2)]
+    m0s = [A, G, H] + [m.replace(is_monotone=True) for m in powers]
+    return m0s, [A, G, H] + powers + lehmers
+
+
+@st.composite
+def invariance_cases(draw):
+    m0s, m1s = _invariance_operands()
+    m0 = draw(st.sampled_from(m0s))
+    normal_seed = draw(st.integers(0, 2 ** 16))
+    m1 = draw(st.sampled_from(m1s + [ms.random_normal_mean(core._seeded(normal_seed))]))
+    return m0, m1, draw(st.integers(0, 2 ** 16))
+
+
+class TestInvarianceIdentity:
+    """Gauss's invariance principle: T = sigma[M0](M1) solves M0(M1, T) = M0, so the
+    compound of M1 and T, the one mean fixed by M(M1, T) = M, is M0. This checks the
+    bisection of the functional symmetric, the coupled iteration and, for a built-in M0
+    whose domain holds M1's, the group reflection of ``sigma_closed_form`` against each
+    other."""
+
+    @given(invariance_cases())
+    def test_the_compound_of_m1_and_its_functional_symmetric_is_m0(self, case):
+        m0, m1, seed = case
+        symmetrics = [ms.functional_symmetric_mean(m0, m1)]
+        if m0.name in core.BUILTIN_MEANS and m0.domain.contains_interval(m1.domain):
+            symmetrics.append(ms.sigma_closed_form(m0.name, m1))
+        # a normal mean near max(x, y), at most that of t (1 + t) at (0.1, 10), takes up to
+        # 569 steps there, for the same near swap
+        for c in [ms.compound(m1, t, max_iterations=1000) for t in symmetrics]:
+            for x, y in ms.sample_pairs(ms.Interval.closed(0.1, 10.0), 8, seed, min_gap=1e-6):
+                assert near(c(x, y), m0(x, y), 1e-9), (c.name, x, y)
+
+
 # The coupled iteration with every step calling both operands through their checked
 # __call__, as compound and compound_trace ran before they called the kernels. It is
 # the reference path: the kernels must give the same values, traces and exceptions.
@@ -1143,5 +1192,9 @@ class TestSampledEntryPointsCheckTheirWindow:
                 # inf of an overflowed bisection midpoint or value of A, by name
                 assert name == "coincidence_probe" and "inf" in str(exc), str(exc)
                 assert str(exc).endswith("is outside the domain (0, inf) of M")
+            except ms.InvalidMeanError as exc:
+                # there, too, the weight 1 + t^2 overflows, a value compare_normal refuses
+                assert name == "compare_normal", str(exc)
+                assert str(exc) == f"weight P is not positive and finite at {window.lo}"
         assert spy.calls > 1_000
         assert spy.violations == []
