@@ -36,6 +36,7 @@ from .core import (
     Interval,
     InvalidMeanError,
     MeanFunction,
+    NumericalError,
     POSITIVE_REALS,
     check_window,
     common_domain,
@@ -431,6 +432,8 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
     factor), and mixed behavior returns INCOMPARABLE. The window is checked
     once (``core.check_window``), and the grid goes to the weights' kernels; a weight
     value that is not positive and finite raises InvalidMeanError, as in a normal mean.
+    A ratio that is not a positive normal float, where it overflows to inf or underflows
+    toward 0, could not be classified and raises NumericalError.
     """
     if samples < 2:
         raise ValueError("need at least two samples to compare")
@@ -442,7 +445,11 @@ def compare_normal(p1: WeightFunction, p2: WeightFunction, window: Interval,
         if not (0.0 < v1 < _INF and 0.0 < v2 < _INF):
             weight = p2 if 0.0 < v1 < _INF else p1
             raise InvalidMeanError(f"weight {weight.name} is not positive and finite at {t}")
-        ratios.append(v1 / v2)
+        ratio = v1 / v2
+        if not _MIN_NORMAL <= ratio < _INF:
+            raise NumericalError(f"the ratio of weights {p1.name} / {p2.name} is {ratio} at "
+                                 f"{t}, outside the positive normal floats")
+        ratios.append(ratio)
     return _classify_ratio(ratios)
 
 

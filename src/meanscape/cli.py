@@ -443,6 +443,12 @@ def cli_run(argv: list[str]) -> CommandResult:
                 raise _UsageError(f"MEANSCAPE_SEED must be an integer, got {env!r}") from None
         if seed < 0:
             raise _UsageError(f"--seed/MEANSCAPE_SEED must be a non-negative integer, got {seed}")
+        # checked here too, so that the message names the flag and not the library's parameter
+        tol, max_iter = getattr(args, "tol", 0.0), getattr(args, "max_iter", 0)
+        if not 0.0 <= tol < math.inf:
+            raise _UsageError(f"--tol must be finite and non-negative, got {tol}")
+        if max_iter < 0:
+            raise _UsageError(f"--max-iter must be non-negative, got {max_iter}")
         cmd = _COMMANDS[args.command]
         # a command without --domain parses no expression
         domain = _parse_domain(args.domain) if "--domain" in cmd.flags else None

@@ -37,6 +37,7 @@ from .core import (
     ConvergenceError,
     DomainError,
     Interval,
+    InvalidMeanError,
     MeanFunction,
     DEFAULT_SEED,
     check_window,
@@ -90,12 +91,15 @@ class IterationTrace(NamedTuple):
     """Per-step record of a coupled mean iteration.
 
     Gaps are non-increasing (the min/max envelope of the iterates
-    contracts). ``limit`` is the midpoint of the final bracket, whose
-    half-width bounds the error. ``k_estimate`` is a grid lower bound on
-    the operands' distance, not an upper bound on the contraction factor;
-    when it is below 1, ``envelope_ok`` records whether gap(n) <= k^n * gap(0)
-    held with relative slack 1e-9 at every recorded step. That checks the
-    run for consistency with the lower bound and proves no contraction.
+    contracts). ``limit`` is the midpoint of the final bracket. Its
+    half-width bounds the error of the exact iterates only: how far the
+    float iterates drift from them by rounding is not bounded.
+    ``k_estimate`` is a grid lower bound on the operands' distance, not an
+    upper bound on the contraction factor; when it is below 1,
+    ``envelope_ok`` records whether gap(n) <= k^n * gap(0) held with
+    relative slack 1e-9 at every recorded step. That checks the run for
+    consistency with the lower bound and proves no contraction. None means
+    unknown for both.
     """
 
     steps: tuple[TraceStep, ...]
@@ -137,53 +141,25 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-def _run_iteration(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
-                   tol: float, max_iter: int):
-    """The reference coupled iteration, on the operands' kernels, with every step recorded.
-
-    The start is a pair of floats in the operands' common domain: the compound's
-    call and ``compound_trace`` check it. Each update lies inside the current
-    [lo, hi] envelope by the mean axioms; clamping removes half-ulp rounding
-    drift, so the envelope is monotone in floating point too and every iterate
-    stays in the domain. The stop test is taken from that envelope: with
-    gap = hi - lo, ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
-    written out. From a pair of opposite signs, which may converge to 0, the
-    gap is also compared with tol * max(|x|, |y|) of the start plus 5e-324, and
-    from any other pair with 5e-324 alone: that is the least gap two floats can
-    have, and tol times a subnormal scale is less. The loop runs only while
-    x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN; it survives
-    the clamp and goes to the checked ``m1``, which raises its DomainError.
-    ``_COMPOUND`` runs the same steps without the record.
-    """
-    f1, f2 = m1.fn, m2.fn
-    xn, yn = x, y
-    floor = (tol * max(abs(xn), abs(yn)) + 5e-324 if xn < 0.0 < yn or yn < 0.0 < xn
-             else 5e-324)
-    steps = [TraceStep(0, xn, yn, abs(xn - yn))]
-    n = 0
-    while True:
-        lo, hi = (xn, yn) if xn < yn else (yn, xn)
-        gap = hi - lo
-        if gap <= tol * (hi if hi > -lo else -lo) or gap <= floor:
-            return True, xn, yn, n, steps
-        if n >= max_iter:
-            return False, xn, yn, n, steps
-        if gap != gap:
-            m1(xn, yn)  # NaN: the checked call raises m1's DomainError
-        nx = f1(xn, yn)
-        ny = f2(xn, yn)
-        xn = lo if nx < lo else hi if nx > hi else nx
-        yn = lo if ny < lo else hi if ny > hi else ny
-        n += 1
-        steps.append(TraceStep(n, xn, yn, abs(xn - yn)))
-
-
-# The kernel of a compound, ``fn(x0, y0)``: the steps of ``_run_iteration`` with no record.
-# {first} and {second} set nx and ny from the iterates x and y, each by the operand's kernel
-# spliced in; {midpoint} splices A's kernel at the last iterates and returns its value.
+# The coupled iteration, written once and rendered twice: as each compound's kernel
+# ``fn(x0, y0)`` and as ``_run_iteration``, which records every step for ``compound_trace``.
+# The start is a pair of floats in the operands' common domain: the compound's call and
+# ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
+# mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
+# floating point too and every iterate stays in the domain. The stop test is taken from that
+# envelope: with gap = hi - lo, ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
+# written out. From a pair of opposite signs, which may converge to 0, the gap is also
+# compared with tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with
+# 5e-324 alone: that is the least gap two floats can have, and tol times a subnormal scale
+# is less. The loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the
+# gap NaN; it survives the clamp and goes to the checked ``m1``, which raises its DomainError.
+# The slots: {start} opens the function, {done} ends it at a pair that stops, and
+# {exhausted} once max_iterations steps are taken; {first} and {second} set nx and ny from
+# the iterates x and y, and {record} follows each step. A compound leaves {start} and
+# {record} empty.
 # The loop's own names are not those of any namespace value, so no local hides a block's.
 _COMPOUND = """\
-x, y = x0, y0
+{start}x, y = x0, y0
 stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
 n = 0
 while True:
@@ -193,16 +169,25 @@ while True:
         lo, hi = y, x
     gap = hi - lo
     if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
-{midpoint}
+{done}
     if n >= max_iterations:
-        exhausted(x0, y0)
+{exhausted}
     if gap != gap:
         m1(x, y)  # NaN: the checked call raises m1's DomainError
 {first}
 {second}
     x = lo if nx < lo else hi if nx > hi else nx
     y = lo if ny < lo else hi if ny > hi else ny
-    n += 1"""
+    n += 1{record}"""
+
+# ``_run_iteration(m1, m2, x, y, tol, max_iter) -> (converged, x, y, n, steps)``: the
+# iteration calling the operands' kernels, with every step a TraceStep, the start first.
+_run_iteration = _generated("m1, m2, x0, y0, tol, max_iterations", _COMPOUND.format(
+    start="f1, f2 = m1.fn, m2.fn\nsteps = [TraceStep(0, x0, y0, abs(x0 - y0))]\n",
+    done="        return True, x, y, n, steps", exhausted="        return False, x, y, n, steps",
+    first="    nx = f1(x, y)", second="    ny = f2(x, y)",
+    record="\n    steps.append(TraceStep(n, x, y, abs(x - y)))",
+), {"TraceStep": TraceStep}, "<trace>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
@@ -217,9 +202,10 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1}
-    body = _COMPOUND.format(first=_indent(_splice(namespace, m1.fn, "nx = "), 4),
+    body = _COMPOUND.format(start="", record="", exhausted="        exhausted(x0, y0)",
+                            first=_indent(_splice(namespace, m1.fn, "nx = "), 4),
                             second=_indent(_splice(namespace, m2.fn, "ny = "), 4),
-                            midpoint=_indent(_splice(namespace, _arithmetic_eval, "return "), 8))
+                            done=_indent(_splice(namespace, _arithmetic_eval, "return "), 8))
     return _generated("x0, y0", body, namespace, "<compound>")
 
 
@@ -236,12 +222,9 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     start that tends to 0 pointwise, so by Dini's theorem uniformly on compacts;
     the limit lies within that gap of x_n, so it is a uniform limit of
     continuous functions, and therefore continuous.
-    Evaluation iterates until |x_n - y_n| <= tolerance * max(|x_n|, |y_n|),
-    the test of ``near`` (or, from a pair of opposite signs, a gap within
-    tolerance of that pair) and returns the midpoint; running out of
-    iterations raises ConvergenceError with the trace. The kernel is one
-    generated loop (``_compound_kernel``) with the same values, messages and
-    traces as ``_run_iteration``.
+    Evaluation runs the coupled iteration of ``_COMPOUND`` to its stop test and
+    returns the midpoint of the last pair; running out of iterations raises
+    ConvergenceError with the trace.
     """
     max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
@@ -291,7 +274,10 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     attained values, so k is at most the true distance, up to rounding.
     When k < 1, the geometric envelope gap(n) <= k^n * gap(0) is checked at
     every recorded step. A pass means the run is consistent with that lower
-    bound; it proves no contraction, which would need an upper bound.
+    bound; it proves no contraction, which would need an upper bound. Where an
+    operand raises DomainError or InvalidMeanError on the grid, as a parsed mean
+    on R may away from the start, ``k_estimate`` and ``envelope_ok`` are None:
+    unknown, as for the flags of a mean.
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
@@ -305,7 +291,11 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
 
     k = envelope_ok = None
     if estimate_contraction:
-        k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
+        try:
+            k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
+        except (DomainError, InvalidMeanError):
+            pass  # an operand faults on the grid, so k is unknown
+    if k is not None:
         if x != y:
             k = max(k, abs(m1(x, y) - m2(x, y)) / abs(x - y))
         if k < 1.0:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -582,7 +583,8 @@ class TestNormalMeans:
 def _checked_compare_normal(p1, p2, window, samples=256):
     """compare_normal with every grid point through the weights' checked calls, as it ran
     before it called their kernels: the reference for results and messages. A weight value
-    that is not positive and finite is refused, first p1's, as a normal mean refuses it."""
+    that is not positive and finite is refused, first p1's, as a normal mean refuses it, and
+    so is a ratio below the least normal float or infinite, which no order can be read from."""
     if samples < 2:
         raise ValueError("need at least two samples to compare")
     core.check_window(window, (p1.domain, f"weight {p1.name}"), (p2.domain, f"weight {p2.name}"))
@@ -592,7 +594,11 @@ def _checked_compare_normal(p1, p2, window, samples=256):
         for p, v in zip((p1, p2), values):
             if not 0.0 < v < math.inf:
                 raise ms.InvalidMeanError(f"weight {p.name} is not positive and finite at {t}")
-        ratios.append(values[0] / values[1])
+        ratio = values[0] / values[1]
+        if not sys.float_info.min <= ratio < math.inf:
+            raise ms.NumericalError(f"the ratio of weights {p1.name} / {p2.name} is {ratio} at "
+                                    f"{t}, outside the positive normal floats")
+        ratios.append(ratio)
     return _classify_ratio(ratios)
 
 

@@ -397,14 +397,41 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command", [["compound", "--m1", "A", "--m2", "G"],
                                          ["m-arith", "--mean", "G"]], ids=" ".join)
     @pytest.mark.parametrize("flags, message", [
-        (["--tol", "nan"], "tolerance must be finite and non-negative, got nan"),
-        (["--tol", "inf"], "tolerance must be finite and non-negative, got inf"),
-        (["--tol=-1e-13"], "tolerance must be finite and non-negative, got -1e-13"),
-        (["--max-iter", "-1"], "max_iterations must be non-negative, got -1"),
+        (["--tol", "nan"], "--tol must be finite and non-negative, got nan"),
+        (["--tol", "inf"], "--tol must be finite and non-negative, got inf"),
+        (["--tol=-1e-13"], "--tol must be finite and non-negative, got -1e-13"),
+        (["--max-iter", "-1"], "--max-iter must be non-negative, got -1"),
     ])
     def test_bad_iteration_settings_are_user_errors(self, command, flags, message):
         result = cli_run(command + ["--at", "1,2"] + flags)
         assert (result.status, result.exit_code, result.diagnostics) == ("error", 1, [message])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sigma", "--m0", "A", "--m1", "G", "--at", "1,4", "--tol", "nan"],
+         "--tol must be finite and non-negative, got nan"),
+        (["compound", "--m1", "A", "--m2", "G", "--at", "1,4", "--tol", "-1"],
+         "--tol must be finite and non-negative, got -1.0"),
+        (["m-arith", "--mean", "G", "--at", "1,4", "--max-iter", "-1"],
+         "--max-iter must be non-negative, got -1"),
+    ])
+    def test_a_bad_setting_names_its_flag(self, capsys, argv, message):
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["diagnostics"]) == ("error", [message])
+
+    @pytest.mark.parametrize("p1, p2, ratio, t", [
+        ("exp(t)", "exp(-t)", "inf", "357.14285714285717"),
+        ("exp(-t)", "exp(t)", "6.161064896628e-311", "357.14285714285717"),
+    ])
+    def test_a_weight_ratio_outside_the_normal_floats_is_exit_2(self, capsys, p1, p2, ratio, t):
+        # e^(2t) rises strictly, but leaves the float range: no order can be read from it
+        argv = ["compare", "--p1", p1, "--p2", p2, "--window", "300,400", "--domain", "reals",
+                "--grid", "8"]
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"status": "error", "payload": {"command": "compare"}, "diagnostics": [
+            f"the ratio of weights {p1} / {p2} is {ratio} at {t}, outside the positive normal "
+            "floats"]}
 
     def test_unknown_command(self):
         result = cli_run(["frobnicate"])

@@ -1,12 +1,14 @@
 import functools
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
@@ -271,6 +273,15 @@ class TestCompoundTrace:
                 trace = ms.compound_trace(A, m, x, y)
                 assert trace.k_estimate is not None and trace.k_estimate < 1.0
                 assert trace.envelope_ok
+
+    def test_contraction_is_unknown_where_an_operand_faults_on_the_grid(self):
+        # sqrt(x*y) on R faults on the grid's points of opposite signs, never on the run
+        A = ms.make_arithmetic()
+        root = ms.mean_from_source("sqrt(x*y)", ms.ALL_REALS).mean
+        trace = ms.compound_trace(A, root, 1.0, 2.0)
+        assert trace.converged and (trace.k_estimate, trace.envelope_ok) == (None, None)
+        assert trace.limit == ms.compound(A, root)(1.0, 2.0) == 1.4567910310469068
+        assert trace == ms.compound_trace(A, root, 1.0, 2.0, estimate_contraction=False)
 
     def test_envelope_math(self, mean_family):
         A = ms.make_arithmetic()
@@ -703,10 +714,11 @@ class TestSplicedBlocksMatchCheckedReference:
 
 def _near_iteration(m1, m2, x, y, tol, max_iter, record):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
-    taken from the sorted envelope: the oracle of ``middle._run_iteration``."""
+    taken from the sorted envelope: the oracle of ``middle._run_iteration``. A gap of at
+    most 5e-324 stops it too, as in ``_checked_iteration``."""
     f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
-    floor = tol * max(abs(xn), abs(yn)) if xn < 0.0 < yn or yn < 0.0 < xn else 0.0
+    floor = (tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0) + 5e-324
     steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
     while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
@@ -798,8 +810,15 @@ def _near_outcomes(m1, m2, x, y, tol, max_iterations):
         return _entry_outcomes(m1, m2, x, y, tol, max_iterations, _near_compound)
 
 
+# From opposite signs at tol 0 the quartiles' iterates close to a gap of one subnormal
+# quantum near 0, where only the 5e-324 floor stops the loop.
+_SUBNORMAL_GAP = ("opposite", _quartile(True), _quartile(False),
+                  -1.0000000000000002e-300, 1e-300, 0.0, 200)
+
+
 class TestIterationMatchesTheNearLoop:
     @given(loop_cases())
+    @example(_SUBNORMAL_GAP)
     def test_loop_results_and_exceptions(self, case):
         _, m1, m2, x, y, tol, max_iterations = case
         args = (m1, m2, x, y, tol, max_iterations)
@@ -807,6 +826,7 @@ class TestIterationMatchesTheNearLoop:
                 == _loop_outcome(_near_recorded, *args))
 
     @given(loop_cases())
+    @example(_SUBNORMAL_GAP)
     def test_compound_values_traces_and_messages(self, case):
         kind, m1, m2, x, y, tol, max_iterations = case
         fast = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
@@ -843,6 +863,14 @@ class TestOneExit:
                            "iterations (gap 2.281e+05)")
 
 
+def test_the_coupled_iteration_is_written_once():
+    # the compound's kernel and _run_iteration are both rendered from _COMPOUND
+    stop = "gap <= tol * (hi if hi > -lo else -lo)"
+    sources = pathlib.Path(ms.__file__).parent.glob("*.py")
+    assert sum(path.read_text().count(stop) for path in sources) == 1
+    assert re.fullmatch(r"<\w+>", middle._run_iteration.__code__.co_filename)
+
+
 class TestIterationSettings:
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-13])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
@@ -875,8 +903,10 @@ class TestIterationSettings:
         with pytest.raises(ValueError) as err:
             ms.functional_symmetric(A, G, 1.0, 4.0, rel_tol=rel_tol)
         assert str(err.value) == f"rel_tol must be finite and non-negative, got {rel_tol}"
+        # the CLI refuses the same values, naming its flag
         result = ms.cli_run(["sigma", "--m0", "A", "--m1", "G", "--at", "1,4", f"--tol={rel_tol}"])
-        assert (result.exit_code, result.diagnostics) == (1, [str(err.value)])
+        assert (result.exit_code, result.diagnostics) == (
+            1, [f"--tol must be finite and non-negative, got {rel_tol}"])
 
 
 def _checked_functional_symmetric(m0, m1, x, y, *, rel_tol=1e-12):
