@@ -5,8 +5,12 @@ The envelope printed on stdout is always {"status", "payload",
 through text. Exit codes: 0 ok, 1 user error (bad arguments, parse or
 domain problems, an --out file that cannot be written), 2 numerical
 failure (non-convergence, lost brackets). CSV output is available for
-iteration traces only. The environment variable MEANSCAPE_SEED overrides
-the default seed; --seed overrides both.
+iteration traces only.
+
+Each command is one row of _COMMANDS and each flag one row of _FLAGS,
+whose ``type`` parses and range-checks the flag's value, so a bad value is
+a usage error raised while argparse reads the arguments. A value may start
+with "-" (``--at -1,2``). MEANSCAPE_SEED is the default of --seed.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def _render_trace_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_pair(text: str, what: str = "--at") -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError(f"{what} must be two comma-separated numbers, got {text!r}")
@@ -169,6 +173,26 @@ def _parse_domain(text: str) -> Interval:
         return Interval(lo, hi)
     except ValueError as exc:
         raise _UsageError(f"bad domain: {exc}") from None
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would not name MEANSCAPE_SEED
+        raise _UsageError(f"--seed/MEANSCAPE_SEED must be an integer, got {text!r}") from None
+
+
+def _number(kind: Callable[[str], float], flag: str, rule: str, accepts: Callable[[float], bool]):
+    """A number flag's converter; a number that ``accepts`` refuses is a usage error."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not accepts(value):
+            raise _UsageError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__  # as in "invalid float value: 'x'"
+    return convert
 
 
 class _Resolver:
@@ -200,10 +224,6 @@ class _Resolver:
         return weight_from_source(self._source(text), self.domain)
 
 
-def _window(args) -> Optional[Interval]:
-    return _parse_window(args.window) if args.window else None
-
-
 # Each payload builder takes the parsed flags and the resolver; the dispatch puts
 # the command's name first in the payload.
 
@@ -217,8 +237,7 @@ def _point_command(help_text: str, build, *operands: str) -> _Command:
             value = (resolver.weight if flag == "--weight" else resolver.mean)(vars(args)[dest])
             names[dest] = value.name
             values.append(value)
-        x, y = _parse_pair(args.at, "--at")
-        return {**names, "at": [x, y], "value": build(*values)(x, y)}
+        return {**names, "at": list(args.at), "value": build(*values)(*args.at)}
 
     return _Command(help_text, run, (*operands, "--at", "--domain"))
 
@@ -226,15 +245,13 @@ def _point_command(help_text: str, build, *operands: str) -> _Command:
 def _sigma(args, resolver: _Resolver) -> dict:
     m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
     m1 = resolver.mean(args.m1)
-    x, y = _parse_pair(args.at, "--at")
-    return {"m0": m0.name, "m1": m1.name, "at": [x, y],
-            "value": functional_symmetric(m0, m1, x, y, rel_tol=args.tol)}
+    return {"m0": m0.name, "m1": m1.name, "at": list(args.at),
+            "value": functional_symmetric(m0, m1, *args.at, rel_tol=args.tol)}
 
 
 def _compare(args, resolver: _Resolver) -> dict:
-    window = _window(args)
     p1 = resolver.weight(args.p1)
-    win = window or default_window(p1.domain)
+    win = args.window or default_window(p1.domain)
     if args.p2 is None:
         relation, p2_name = classify_vs_arithmetic(p1, win, args.grid), "1"
     else:
@@ -245,10 +262,9 @@ def _compare(args, resolver: _Resolver) -> dict:
 
 
 def _distance(args, resolver: _Resolver) -> dict:
-    window = _window(args)
     m1 = resolver.mean(args.m1)
     m2 = resolver.mean(args.m2)
-    win = window or default_window(common_domain(m1.domain, m2.domain))
+    win = args.window or default_window(common_domain(m1.domain, m2.domain))
     est = (distance_via_phi if args.via_phi else distance)(m1, m2, win, args.grid)
     return {"m1": m1.name, "m2": m2.name, "via_phi": args.via_phi,
             "window": [win.lo, win.hi], "grid": est.grid_size, "value": est.value,
@@ -256,9 +272,8 @@ def _distance(args, resolver: _Resolver) -> dict:
 
 
 def _dist_to_a(args, resolver: _Resolver) -> dict:
-    window = _window(args)
     m = resolver.mean(args.mean)
-    win = window or default_window(m.domain)
+    win = args.window or default_window(m.domain)
     est = distance_to_arithmetic(m, win, args.grid)
     return {"mean": m.name, "window": [win.lo, win.hi], "grid": est.grid_size,
             "value": est.value, "sup_phi": phi(m)(*est.argmax), "argmax": list(est.argmax)}
@@ -266,8 +281,7 @@ def _dist_to_a(args, resolver: _Resolver) -> dict:
 
 def _border(args, resolver: _Resolver) -> dict:
     m = resolver.mean(args.mean)
-    windows = [_parse_window(w) for w in args.windows.split(";") if w]
-    diag = border_diagnostic(m, windows, args.grid)
+    diag = border_diagnostic(m, args.windows, args.grid)
     return {"mean": m.name, "windows": [[w.lo, w.hi] for w in diag.windows_tested],
             "sups": list(diag.sup_per_window),
             "sup_f_estimate": diag.sup_f_estimate, "trend": diag.trend}
@@ -285,10 +299,8 @@ def _iterate(args, m1, m2, guaranteed_by: Optional[str], d_upper: Optional[float
 
     The value comes from ``compound_trace``; the compound itself is never built, since
     building it generates a kernel that nothing here would call."""
-    common_domain(m1.domain, m2.domain)  # the operands are checked before --at, as compound()
-    x, y = _parse_pair(args.at, "--at")
-    run = compound_trace(m1, m2, x, y, args.tol, args.max_iter, estimate_contraction=False)
-    payload = {"m1": m1.name, "m2": m2.name, "at": [x, y],
+    run = compound_trace(m1, m2, *args.at, args.tol, args.max_iter, estimate_contraction=False)
+    payload = {"m1": m1.name, "m2": m2.name, "at": list(args.at),
                "tolerance": args.tol, "max_iterations": args.max_iter,
                "value": run.limit, "iterations": run.iterations_used,
                "converged": run.converged, "guaranteed": guaranteed_by is not None,
@@ -308,7 +320,7 @@ def _m_arith(args, resolver: _Resolver) -> dict:
 
 
 def _coincide(args, resolver: _Resolver) -> dict:
-    win = _window(args) or Interval.closed(0.1, 10.0)
+    win = args.window or Interval.closed(0.1, 10.0)
     m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
     probe = coincidence_probe(m0, win, args.grid, resolver.seed)
     return {"m0": m0.name, "window": [win.lo, win.hi], "samples": args.grid,
@@ -317,9 +329,8 @@ def _coincide(args, resolver: _Resolver) -> dict:
 
 
 def _verify(args, resolver: _Resolver) -> dict:
-    window = _window(args)
     m = resolver.mean(args.mean)
-    win = window or default_window(m.domain)
+    win = args.window or default_window(m.domain)
     report = verify_axioms(m, win, args.grid, resolver.seed)
     return {"mean": m.name, "window": [win.lo, win.hi], "samples": report.samples_used,
             "seed": resolver.seed, "axiom_i_ok": report.axiom_i_ok,
@@ -328,7 +339,7 @@ def _verify(args, resolver: _Resolver) -> dict:
 
 
 def _counterexample(args, resolver: _Resolver) -> dict:
-    win = _window(args) or COUNTEREXAMPLE_WINDOW
+    win = args.window or COUNTEREXAMPLE_WINDOW
     res = counterexample_check(win, args.grid, seed=resolver.seed)
     return {"window": [win.lo, win.hi], "grid": args.grid, "seed": resolver.seed,
             "d_estimate": res.d_estimate, "compound_is_A": res.compound_is_A}
@@ -346,20 +357,26 @@ class _Command(NamedTuple):
 _REQUIRED = {"required": True}
 _FLAGS = {  # add_argument keywords of each flag
     "--mean": _REQUIRED, "--m0": _REQUIRED, "--m1": _REQUIRED, "--m2": _REQUIRED,
-    "--weight": _REQUIRED, "--p1": _REQUIRED, "--at": _REQUIRED,
+    "--weight": _REQUIRED, "--p1": _REQUIRED, "--at": {**_REQUIRED, "type": _parse_pair},
     "--p2": {"help": "omit to compare against the arithmetic weight 1"},
     "--assume-monotone": {"action": "store_true",
                           "help": "declare a parsed m0 monotone so the solver may run"},
     "--via-phi": {"action": "store_true"},
     "--trace": {"action": "store_true"},
-    "--windows": {"default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
+    "--windows": {"type": lambda text: [_parse_window(w) for w in text.split(";") if w],
+                  "default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
                   "help": "semicolon-separated nested windows lo,hi;lo,hi;..."},
-    "--window": {"help": "sampling window lo,hi"},
+    "--window": {"type": _parse_window, "help": "sampling window lo,hi"},
     "--grid": {"type": int, "default": 64, "help": "grid resolution / sample count"},
-    "--tol": {"type": float, "default": DEFAULT_TOLERANCE, "help": "tolerance"},
-    "--max-iter": {"type": int, "default": DEFAULT_MAX_ITERATIONS},
-    "--domain": {"default": "pos", "help": "domain for parsed expressions: pos, reals or lo,hi"},
-    "--seed": {"type": int},
+    "--tol": {"type": _number(float, "--tol", "finite and non-negative",
+                              lambda tol: 0.0 <= tol < math.inf),
+              "default": DEFAULT_TOLERANCE, "help": "tolerance"},
+    "--max-iter": {"type": _number(int, "--max-iter", "non-negative", lambda n: n >= 0),
+                   "default": DEFAULT_MAX_ITERATIONS},
+    "--domain": {"type": _parse_domain, "default": "pos",
+                 "help": "domain for parsed expressions: pos, reals or lo,hi"},
+    "--seed": {"type": _number(_integer, "--seed/MEANSCAPE_SEED", "a non-negative integer",
+                               lambda seed: seed >= 0)},
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--out": {"help": "write output to a file"},
 }
@@ -401,6 +418,22 @@ _COMMANDS = {
 }
 
 
+_TAKES_VALUE = frozenset(flag for flag, keywords in _FLAGS.items() if "action" not in keywords)
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" joined to its flag, as --at=-1,2: argparse
+    reads such a value as a flag unless it looks like -1 or -0.5."""
+    joined: list[str] = []
+    for token in argv:
+        dash_value = token.startswith("-") and not token.startswith("--")
+        if dash_value and joined and joined[-1] in _TAKES_VALUE:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _build_parser(command: Optional[str]) -> _Parser:
     """The parser of a run whose first argument is ``command``: the top-level parser reads no
     flag but --help, so that is the only command the run can invoke, and the one with flags."""
@@ -412,13 +445,14 @@ def _build_parser(command: Optional[str]) -> _Parser:
         if name == command:
             for flag in _EVERY_COMMAND + cmd.flags:
                 p.add_argument(flag, **_FLAGS[flag])
-            p.set_defaults(**cmd.defaults)
+            p.set_defaults(seed=os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults)
     return parser
 
 
 def cli_run(argv: list[str]) -> CommandResult:
     """Run one CLI invocation and return the result without printing (for --help,
     ``rendered`` is the help text)."""
+    argv = _join_dash_values(argv)
     parser = _build_parser(argv[0] if argv else None)
     try:
         try:
@@ -434,25 +468,9 @@ def cli_run(argv: list[str]) -> CommandResult:
                               ) from None
         if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")
-        seed = args.seed
-        if seed is None:
-            env = os.environ.get("MEANSCAPE_SEED")
-            try:
-                seed = int(env) if env is not None else DEFAULT_SEED
-            except ValueError:
-                raise _UsageError(f"MEANSCAPE_SEED must be an integer, got {env!r}") from None
-        if seed < 0:
-            raise _UsageError(f"--seed/MEANSCAPE_SEED must be a non-negative integer, got {seed}")
-        # checked here too, so that the message names the flag and not the library's parameter
-        tol, max_iter = getattr(args, "tol", 0.0), getattr(args, "max_iter", 0)
-        if not 0.0 <= tol < math.inf:
-            raise _UsageError(f"--tol must be finite and non-negative, got {tol}")
-        if max_iter < 0:
-            raise _UsageError(f"--max-iter must be non-negative, got {max_iter}")
         cmd = _COMMANDS[args.command]
         # a command without --domain parses no expression
-        domain = _parse_domain(args.domain) if "--domain" in cmd.flags else None
-        resolver = _Resolver(domain, seed)
+        resolver = _Resolver(getattr(args, "domain", None), args.seed)
     except _Help as text:
         return CommandResult("ok", {}, rendered=str(text))
     except _UsageError as exc:

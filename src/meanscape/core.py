@@ -425,27 +425,38 @@ def make_harmonic() -> MeanFunction:
 BUILTIN_MEANS = {"A": make_arithmetic, "G": make_geometric, "H": make_harmonic}
 
 
+def _inward(domain: Interval, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) moved inward at the open finite ends of ``domain`` they sit on: by 1e-6 of the
+    width, and by at least one float."""
+    if lo == domain.lo and not domain.lo_closed:
+        lo = max(lo + 1e-6 * (hi - lo), math.nextafter(lo, hi))
+    if hi == domain.hi and not domain.hi_closed:
+        hi = min(hi - 1e-6 * (hi - lo), math.nextafter(hi, lo))
+    return lo, hi
+
+
 def default_window(domain: Interval) -> Interval:
     """Bounded sampling window for a domain.
 
     Positive domains get [1e-6, 1e6]; domains reaching below zero get
     [-1e3, 1e3]; both are clipped into the domain, nudging inward at open
-    finite endpoints.
+    finite endpoints. A domain outside that range falls back to itself, cut
+    to a width of 1e6 at an infinite end, or of 1e-11 of its finite end
+    where rounding there leaves no window within 1e6.
     """
     if domain.lo >= 0.0:
         lo, hi = 1e-6, 1e6
     else:
         lo, hi = -1e3, 1e3
-    lo = max(lo, domain.lo)
-    hi = min(hi, domain.hi)
-    if not lo < hi:
-        # domain lies outside the target range; fall back to the domain itself
-        lo = domain.lo if math.isfinite(domain.lo) else hi - 1e6
-        hi = domain.hi if math.isfinite(domain.hi) else lo + 1e6
-    if lo == domain.lo and not domain.lo_closed:
-        lo += 1e-6 * (hi - lo)
-    if hi == domain.hi and not domain.hi_closed:
-        hi -= 1e-6 * (hi - lo)
+    lo, hi = max(lo, domain.lo), min(hi, domain.hi)
+    if lo < hi:
+        return Interval.closed(*_inward(domain, lo, hi))
+    end = domain.lo if math.isfinite(domain.lo) else domain.hi
+    for width in (1e6, 1e-11 * abs(end)):
+        lo, hi = _inward(domain, domain.lo if math.isfinite(domain.lo) else end - width,
+                         domain.hi if math.isfinite(domain.hi) else end + width)
+        if lo < hi:
+            break
     return Interval.closed(lo, hi)
 
 

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -505,6 +507,82 @@ class TestErrorHandling:
         assert len(doc["diagnostics"]) >= 1
 
 
+class TestFlagValues:
+    # argparse reads a value that starts with "-" as a flag unless it looks like -1 or -0.5
+    @pytest.mark.parametrize("argv, equals_form, exit_code", [
+        (["eval", "--mean", "A", "--at", "-1,2"], ["eval", "--mean", "A", "--at=-1,2"], 0),
+        (["distance", "--m1", "A", "--m2", "(x+y)/2", "--domain", "reals", "--window", "-1,1",
+          "--grid", "8"],
+         ["distance", "--m1", "A", "--m2", "(x+y)/2", "--domain", "reals", "--window=-1,1",
+          "--grid", "8"], 0),
+        (["eval", "--mean", "(x+y)/2", "--at", "-3,-1", "--domain", "-5,0"],
+         ["eval", "--mean", "(x+y)/2", "--at=-3,-1", "--domain=-5,0"], 0),
+        (["eval", "--mean", "-x+2*y", "--domain", "reals", "--at", "1,2"],
+         ["eval", "--mean=-x+2*y", "--domain", "reals", "--at", "1,2"], 0),
+        (["compound", "--m1", "A", "--m2", "G", "--at", "1,2", "--tol", "-1e-13"],
+         ["compound", "--m1", "A", "--m2", "G", "--at", "1,2", "--tol=-1e-13"], 1),
+    ])
+    def test_a_value_may_start_with_a_dash(self, argv, equals_form, exit_code):
+        result = cli_run(argv)
+        assert result.exit_code == exit_code, result.diagnostics
+        assert result.rendered == cli_run(equals_form).rendered
+
+    @pytest.mark.parametrize("argv", [["eval", "--mean", "A", "--at"],
+                                      ["eval", "--at", "--mean", "A"]], ids=" ".join)
+    def test_a_flag_is_no_value(self, argv):
+        result = cli_run(argv)
+        assert result.exit_code == 1
+        assert result.diagnostics[0].startswith("argument --at: expected one argument\n")
+
+    # refused while argparse reads the arguments: the expression "log(" is never parsed
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--mean", "log(", "--at", "a,b"], "--at must be numeric, got 'a,b'"),
+        (["eval", "--mean", "log(", "--at", "1"],
+         "--at must be two comma-separated numbers, got '1'"),
+        (["distance", "--m1", "log(", "--m2", "H", "--window", "1,1"],
+         "bad window: empty or degenerate interval [1.0, 1.0]"),
+        (["border", "--mean", "log(", "--windows", "1,0"],
+         "bad window: empty or degenerate interval [1.0, 0.0]"),
+        (["eval", "--mean", "log(", "--at", "1,2", "--domain", "1,0"],
+         "bad domain: empty or degenerate interval [1.0, 0.0]"),
+        (["eval", "--mean", "log(", "--at", "1,2", "--domain", "nan,1"],
+         "bad domain: interval endpoints must not be NaN"),
+        (["eval", "--mean", "log(", "--at", "1,2", "--seed", "x"],
+         "--seed/MEANSCAPE_SEED must be an integer, got 'x'"),
+    ])
+    def test_a_bad_value_is_a_usage_error(self, monkeypatch, argv, message):
+        monkeypatch.setattr("sys.stdin", None)  # nothing reads it
+        result = cli_run(argv)
+        assert (result.exit_code, result.payload, result.diagnostics) == (1, {}, [message])
+
+    def test_stdin_is_read_once(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(x+y)/2"))
+        result = cli_run(["star", "--m1", "-", "--m2", "-", "--at", "1,2"])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, {"command": "star"}, ["stdin can only be read once per invocation"])
+
+    def test_domain_lo_hi(self):
+        result = run_ok(["eval", "--mean", "(x+y)/2", "--domain", "0,1", "--at", "0.25,0.5"])
+        assert (result.payload["value"], result.diagnostics) == (0.375, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mean", "sqrt(x*y)", "--domain", "1e17,inf"],
+        ["eval", "--mean", "sqrt(x)*sqrt(y)", "--domain", "1e300,inf", "--at", "2e300,3e300"],
+    ], ids=" ".join)
+    def test_a_domain_far_from_zero(self, argv):
+        # the default window of a parsed mean stays inside the domain
+        assert run_ok(argv).diagnostics == []
+
+    def test_a_bad_seed_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("MEANSCAPE_SEED", "abc")
+        result = cli_run(["coincide", "--m0", "A", "--grid", "10"])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, {}, ["--seed/MEANSCAPE_SEED must be an integer, got 'abc'"])
+        assert run_ok(["coincide", "--m0", "A", "--grid", "10", "--seed", "3"]).payload["seed"] == 3
+        result = run_ok(["eval", "--help"])
+        assert result.rendered.startswith("usage: meanscape eval [-h]")
+
+
 class TestOutputContract:
     def test_json_envelope_parses(self):
         result = run_ok(["gh-cert"])
@@ -705,3 +783,20 @@ class TestCommandTable:
     def test_payload_keys_keep_their_order(self, command):
         argv, keys = _EXAMPLES[command]
         assert list(payload(argv)) == keys
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``meanscape ...`` line in the README's sh blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return [shlex.split(line)[1:] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines() if line.startswith("meanscape ")]
+
+
+def test_the_readme_has_examples():
+    assert len(_readme_commands()) >= 19
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv):
+    result = cli_run(argv)
+    assert result.exit_code == 0, result.diagnostics

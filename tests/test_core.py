@@ -525,6 +525,30 @@ def test_default_window():
     assert ms.default_window(small) == small
 
 
+@pytest.mark.parametrize("domain", [
+    *(ms.Interval(lo, math.inf, lo_closed) for lo in (1e16, 1e17, 1e22, 1e300, 1e308)
+      for lo_closed in (False, True)),
+    *(ms.Interval(-math.inf, hi, False, hi_closed) for hi in (-1e16, -1e30, -1e308)
+      for hi_closed in (False, True)),
+], ids=str)
+def test_default_window_far_from_zero(domain):
+    # neither the inward nudge nor the width of 1e6 is lost to rounding at the finite end
+    window = ms.default_window(domain)
+    assert domain.contains_interval(window)
+    assert window.lo < window.hi and math.isfinite(window.hi - window.lo)
+
+
+@pytest.mark.parametrize("domain, lo, hi", [
+    (ms.Interval(1e15, math.inf), 1000000000000001.0, 1000000001000000.0),
+    (ms.Interval(5e21, math.inf, True), 5e21, 5.000000000000001e21),
+    (ms.Interval(-math.inf, -1e5), -1100000.0, -100001.0),
+    (ms.Interval(-math.inf, -8e15), -8000000001000000.0, -8000000000000001.0),
+    (ms.Interval(1e16 + 2, math.inf), 1.0000000000000004e16, 1.0000000001000002e16),
+], ids=str)
+def test_default_window_outside_the_target_range(domain, lo, hi):
+    assert ms.default_window(domain) == ms.Interval.closed(lo, hi)
+
+
 # zeros and infinities of both signs, NaN, subnormals and the smallest normal
 _edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                                 2.225073858507201e-308, -2.2250738585072014e-308, 1.0])
