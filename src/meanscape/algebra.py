@@ -25,13 +25,19 @@ import sys
 from typing import Callable, Optional
 
 from .core import (
+    _BOX,
     _Frozen,
+    _add,
     _arithmetic_eval,
     _generated,
+    _guarded,
     _kernel,
+    _mul,
+    _outward,
     _prefix,
     _set,
     _splice,
+    _sub,
     DomainError,
     Interval,
     InvalidMeanError,
@@ -232,14 +238,19 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
 
     Evaluated as x + (y - M) or y + (x - M), whichever adds the difference of at
     most |x - y| / 2: it overflows nowhere and cancels nowhere near an endpoint.
-    The kernel's block splices ``m``'s kernel (``core._splice``), then forms that sum.
+    The kernel's block splices ``m``'s kernel (``core._splice``), then forms that sum;
+    its box form splices ``m``'s box form, and checks nothing of its own.
     """
     p = _prefix("i")
-    namespace: dict = {}
-    value = _splice(namespace, m.fn, f"{p}value = ")
     own, result = (part.format(p=p) for part in _INVERSE)
-    return MeanFunction(f"(2A-{m.name})", m.domain,
-                        _kernel((f"{value}\n{own}", result, namespace), "<algebra>"))
+    forms = []
+    for box in (False, True):
+        namespace: dict = {}
+        value, enclosure = _splice(namespace, m.fn, f"{p}value = ", box=box)
+        forms.append((f"{value}\n{own}", result, namespace))
+    if enclosure is not None:  # both sums lie in x + y - M
+        enclosure = _add(_BOX, _sub(_BOX, enclosure))
+    return MeanFunction(f"(2A-{m.name})", m.domain, _kernel(*forms, enclosure, "<algebra>"))
 
 
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
@@ -309,34 +320,32 @@ def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: 
 
 
 # (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the
-# mean {name}: the statement that sets the numerator {num}, and the value, the plain formula
-# where {num} is a normal float and else the endpoint-weighted form with U = {px}, V = {py}
-_WEIGHTED = ("{num} = x * {px} + y * {py}",
-             "{num} / ({px} + {py}) if min_normal <= {num} < inf or -inf < {num} <= -min_normal"
-             " else endpoint_weighted({name}, x, y, {px}, 1.0, 1.0, {py}, 1.0, 1.0)")
+# mean {name}: the statement that sets the numerator {num}, then ``core._guarded``'s parts of
+# the value, the plain formula where {num} is a normal float and else the endpoint-weighted
+# form with U = {px}, V = {py}
+_WEIGHTED = ("{num} = x * {px} + y * {py}", "{num} / ({px} + {py})",
+             "min_normal <= {num} < inf or -inf < {num} <= -min_normal",
+             "endpoint_weighted({name}, x, y, {px}, 1.0, 1.0, {py}, 1.0, 1.0)")
 _WEIGHTED_NAMES = {"min_normal": _MIN_NORMAL, "inf": _INF, "endpoint_weighted": _endpoint_weighted}
 
 
 @functools.cache
 def _weighted_value() -> Callable[[str, float, float, float, float], float]:
     """``_WEIGHTED`` as ``fn(name, x, y, px, py)``, generated on first use."""
-    numerator, value = (part.format(num="num", px="px", py="py", name="name")
-                        for part in _WEIGHTED)
-    return _generated("name, x, y, px, py", f"{numerator}\nreturn {value}", _WEIGHTED_NAMES,
-                      "<algebra>")
+    numerator, *value = (part.format(num="num", px="px", py="py", name="name")
+                         for part in _WEIGHTED)
+    return _generated("name, x, y, px, py", f"{numerator}\nreturn {_guarded(*value)}",
+                      _WEIGHTED_NAMES, "<algebra>")
 
 
 # the statements of a normal mean's block: {px} and {py} splice the weight's kernel at
-# t = x and at t = y, each keeping its value
-_NORMAL = """\
-t = x
-{px}
-t = y
-{py}
+# t = x and at t = y, each keeping its value; then the check of those values, which a box
+# form leaves out where the weight's enclosure over P is positive
+_NORMAL = "t = x\n{px}\nt = y\n{py}"
+_POSITIVE = """\
 if not (0.0 < {p}px < inf and 0.0 < {p}py < inf):
     raise InvalidMeanError(f'weight {{{p}weight}} is not positive and finite at '
-                           f'{{x if not 0.0 < {p}px < inf else y}}')
-{numerator}"""
+                           f'{{x if not 0.0 < {p}px < inf else y}}')"""
 
 
 def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
@@ -345,18 +354,30 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
     Where the numerator is a normal float the plain formula is the value.
     Elsewhere, which takes x and y near either end of the float range, it is
     the endpoint-weighted form with U = P(x) and V = P(y). The kernel's block
-    splices the weight's kernel (``core._splice``) at x and at y.
+    splices the weight's kernel (``core._splice``) at x and at y. Its box form splices
+    the weight's box form, and leaves out the weight check where the weight's enclosure
+    over P is positive, and the endpoint-weighted form where the numerator's is normal.
     """
     name = name or f"normal({p.name})"
     q = _prefix("n")
-    namespace = {**_WEIGHTED_NAMES, "InvalidMeanError": InvalidMeanError,
-                 f"{q}weight": p.name, f"{q}name": name}
-    px = _splice(namespace, p.fn, f"{q}px = ", "t")
-    py = _splice(namespace, p.fn, f"{q}py = ", "t")
-    numerator, value = (part.format(num=f"{q}num", px=f"{q}px", py=f"{q}py", name=f"{q}name")
-                        for part in _WEIGHTED)
-    own = _NORMAL.format(px=px, py=py, p=q, numerator=numerator)
-    return MeanFunction(name, p.domain, _kernel((own, value, namespace), "<algebra>"))
+    numerator, *value = (part.format(num=f"{q}num", px=f"{q}px", py=f"{q}py", name=f"{q}name")
+                         for part in _WEIGHTED)
+    forms = []
+    for box in (False, True):
+        namespace = {**_WEIGHTED_NAMES, "InvalidMeanError": InvalidMeanError,
+                     f"{q}weight": p.name, f"{q}name": name}
+        px, weight = _splice(namespace, p.fn, f"{q}px = ", "t", box)
+        py, _ = _splice(namespace, p.fn, f"{q}py = ", "t", box)
+        # over P, the weight may be positive, and then x P(x) + y P(y) may be normal
+        positive = box and weight is not None and weight[0] > 0.0
+        term = _mul(_BOX, weight) if positive else None
+        num = None if term is None else _add(term, term)
+        check = "" if positive else _POSITIVE.format(p=q) + "\n"
+        forms.append((f"{_NORMAL.format(px=px, py=py)}\n{check}{numerator}",
+                      _guarded(*value, holds=num is not None and num[0] >= _MIN_NORMAL),
+                      namespace))
+    # a mean of x and y with positive weights: over P it lies in P, up to its rounding
+    return MeanFunction(name, p.domain, _kernel(*forms, _outward(*_BOX), "<algebra>"))
 
 
 def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:

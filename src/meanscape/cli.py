@@ -155,8 +155,8 @@ def _parse_pair(text: str, what: str = "--at") -> tuple[float, float]:
         raise _UsageError(f"{what} must be numeric, got {text!r}") from None
 
 
-def _parse_window(text: str) -> Interval:
-    lo, hi = _parse_pair(text, "--window")
+def _parse_window(text: str, flag: str = "--window") -> Interval:
+    lo, hi = _parse_pair(text, flag)
     try:
         return Interval.closed(lo, hi)
     except ValueError as exc:
@@ -363,7 +363,8 @@ _FLAGS = {  # add_argument keywords of each flag
                           "help": "declare a parsed m0 monotone so the solver may run"},
     "--via-phi": {"action": "store_true"},
     "--trace": {"action": "store_true"},
-    "--windows": {"type": lambda text: [_parse_window(w) for w in text.split(";") if w],
+    "--windows": {"type": lambda text: [_parse_window(w, "--windows")
+                                        for w in text.split(";") if w],
                   "default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
                   "help": "semicolon-separated nested windows lo,hi;lo,hi;..."},
     "--window": {"type": _parse_window, "help": "sampling window lo,hi"},

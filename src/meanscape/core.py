@@ -264,8 +264,50 @@ def _indent(text: str, spaces: int) -> str:
 # function. Every name a block makes up carries a prefix of its own (``_prefix``), so the
 # blocks of several kernels can run in one function; each reads only its inputs and its
 # own names.
+#
+# Every generated kernel also has a box form: its block without the fault checks and range
+# guards that cannot fire where every input local lies in the plain box P = (2^-500, 2^500),
+# the range of G's and H's plain formulas. The block's builder shows which these are by
+# evaluating it once over P in interval arithmetic with outward rounding (Moore, Kearfott &
+# Cloud, *Introduction to Interval Analysis*, SIAM 2009). An enclosure is a pair (lo, hi) of
+# finite floats with lo <= v <= hi for every value v that the block can return there, or
+# None where none is known. A compound whose start lies in P runs its operands' box forms: its
+# clamp keeps every iterate between the start's coordinates.
 Block = tuple[str, str, dict]
+Enclosure = Optional[tuple[float, float]]
 _BLOCKS = itertools.count()  # numbers each block, whose names it prefixes
+_PLAIN = "plain_lo < {x} < plain_hi and plain_lo < {y} < plain_hi"  # the point (x, y) lies in P
+_PLAIN_NAMES = {"plain_lo": 2.0 ** -500, "plain_hi": 2.0 ** 500}
+_BOX = (math.nextafter(2.0 ** -500, 1.0), math.nextafter(2.0 ** 500, 1.0))  # the floats of P's side
+_SLACK = 2.0 ** -40  # the relative outward step of an enclosure's ends
+
+
+def _outward(lo: float, hi: float) -> Enclosure:
+    """The ends ``lo`` and ``hi`` of an operation's enclosure, computed in floats, each moved
+    outward by a relative 2^-40 and one float more: that covers its rounding, and the error
+    of a libm function, both a few ulps. None where an end is not finite."""
+    lo = math.nextafter(lo - abs(lo) * _SLACK, -math.inf)
+    hi = math.nextafter(hi + abs(hi) * _SLACK, math.inf)
+    return (lo, hi) if -math.inf < lo and hi < math.inf else None
+
+
+def _add(a: tuple[float, float], b: tuple[float, float]) -> Enclosure:
+    return _outward(a[0] + b[0], a[1] + b[1])
+
+
+def _sub(a: tuple[float, float], b: tuple[float, float]) -> Enclosure:
+    return _outward(a[0] - b[1], a[1] - b[0])
+
+
+def _corners(a: tuple[float, float], b: tuple[float, float], op: Callable) -> Enclosure:
+    """The enclosure of ``op`` over ``a`` and ``b``, for an operation that is monotone in each
+    operand, so that its extremes lie at corners."""
+    ends = [op(p, q) for p in a for q in b]
+    return _outward(min(ends), max(ends))
+
+
+def _mul(a: tuple[float, float], b: tuple[float, float]) -> Enclosure:
+    return _corners(a, b, operator.mul)
 
 
 def _prefix(kind: str) -> str:
@@ -273,29 +315,37 @@ def _prefix(kind: str) -> str:
     return f"{kind}{next(_BLOCKS)}_"
 
 
-def _kernel(block: Block, filename: str, signature: str = "x, y") -> Callable:
-    """The kernel ``fn({signature})`` that runs ``block`` and returns its result; it carries
-    the block as ``fn.inline``, so a composite can run the same statements in place of a call."""
+def _kernel(block: Block, box: Block, enclosure: Enclosure, filename: str,
+            signature: str = "x, y") -> Callable:
+    """The kernel ``fn({signature})`` that runs ``block`` and returns its result. It carries
+    ``(block, box, enclosure)`` as ``fn.inline``, so a composite can run the same statements in
+    place of a call: ``box`` is the block's box form and ``enclosure`` encloses its value where
+    every input local lies in the plain box (``_BOX``)."""
     statements, result, namespace = block
     fn = _generated(signature, f"{statements}\nreturn {result}", namespace, filename)
-    fn.inline = block
+    fn.inline = block, box, enclosure
     return fn
 
 
-def _splice(namespace: dict, fn: Callable, assign: str, inputs: str = "x, y") -> str:
+def _splice(namespace: dict, fn: Callable, assign: str, inputs: str = "x, y",
+            box: bool = False) -> tuple[str, Enclosure]:
     """The statements that run the kernel ``fn`` over the locals ``inputs``, then
-    ``{assign}<its value>``: its block ``fn.inline``, or one call of ``fn`` where it has none.
-    The block's names join ``namespace``; a name already bound to another value raises
-    ValueError, as one of the two blocks that name it would read the other's value."""
-    block = getattr(fn, "inline", None)
-    if block is None:
+    ``{assign}<its value>``, and the enclosure of that value over the plain box: its block, or
+    with ``box`` its box form, which may run only where every input local lies in the plain box;
+    or one call of ``fn``, with no enclosure, where it carries no block. The block's names join
+    ``namespace``; a name already bound to another value raises ValueError, as one of the two
+    blocks that name it would read the other's value."""
+    forms = getattr(fn, "inline", None)
+    if forms is None:
         p = _prefix("f")
-        block = "", f"{p}kernel({inputs})", {f"{p}kernel": fn}
-    statements, result, names = block
+        call = "", f"{p}kernel({inputs})", {f"{p}kernel": fn}
+        forms = call, call, None
+    checked, boxed, enclosure = forms
+    statements, result, names = boxed if box else checked
     for name, value in names.items():
         if namespace.setdefault(name, value) is not value:
             raise ValueError(f"the generated name {name!r} is bound to two different values")
-    return f"{statements}\n{assign}{result}"
+    return f"{statements}\n{assign}{result}", enclosure
 
 
 def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainError:
@@ -330,10 +380,11 @@ class MeanFunction(_Frozen):
       checked built-in, whose domain the parsed mean's need not lie in.
     - The kernels of the built-in A, G and H, of ``group_inverse``, of a normal
       mean and of a parsed mean or weight are generated from their statement
-      block (``_kernel``) and carry it as ``fn.inline``. ``group_inverse``, a
-      normal mean and ``middle.compound`` splice their operands' blocks in place
-      of a call, or one call of a kernel that carries none (``_splice``). A
-      parsed block raises its own EvaluationError.
+      block (``_kernel``) and carry it, with its box form, as ``fn.inline``.
+      ``group_inverse``, a normal mean and ``middle.compound`` splice their
+      operands' blocks in place of a call, or one call of a kernel that carries
+      none (``_splice``); a compound splices their box forms, which run only from
+      a start in the plain box. A parsed block raises its own EvaluationError.
     - No code may widen a domain with ``replace``; only names and flags are
       replaced.
 
@@ -387,21 +438,38 @@ def _harmonic_scaled(x: float, y: float) -> float:
                       ex + ey - e)
 
 
-# The built-in kernels, each written once as a block. Where both arguments lie in
-# (2^-500, 2^500), every product, sum and quotient of the G and H formulas is a normal float,
-# so the plain formulas round exactly as the scaled forms do; elsewhere those are called.
-# The blocks' own names have no number: each built-in block exists once.
-_BUILTIN_NAMES = {"inf": math.inf, "plain_lo": 2.0 ** -500, "plain_hi": 2.0 ** 500,
-                  "sqrt": math.sqrt, "geometric_scaled": _geometric_scaled,
-                  "harmonic_scaled": _harmonic_scaled}
+# The built-in kernels, each written once as ``(statements, plain, guard, fallback)``: the
+# formula ``plain`` where ``guard`` holds, else ``fallback``. Where both arguments lie in P,
+# every product, sum and quotient of the G and H formulas is a normal float, so the plain
+# formulas round exactly as the scaled forms do; elsewhere those are called. The blocks' own
+# names have no number: each built-in block exists once.
+_BUILTIN_NAMES = {"inf": math.inf, **_PLAIN_NAMES, "sqrt": math.sqrt,
+                  "geometric_scaled": _geometric_scaled, "harmonic_scaled": _harmonic_scaled}
 _ARITHMETIC = ("a_sum = x + y  # halved first only where it overflows, where the halves are exact",
-               "a_sum / 2.0 if -inf < a_sum < inf else x / 2.0 + y / 2.0", _BUILTIN_NAMES)
-_PLAIN = "plain_lo < x < plain_hi and plain_lo < y < plain_hi"
-_GEOMETRIC = ("", f"sqrt(x * y) if {_PLAIN} else geometric_scaled(x, y)", _BUILTIN_NAMES)
-_HARMONIC = ("", f"2.0 * x * y / (x + y) if {_PLAIN} else harmonic_scaled(x, y)", _BUILTIN_NAMES)
-_arithmetic_eval = _kernel(_ARITHMETIC, "<core>")
-_geometric_eval = _kernel(_GEOMETRIC, "<core>")
-_harmonic_eval = _kernel(_HARMONIC, "<core>")
+               "a_sum / 2.0", "-inf < a_sum < inf", "x / 2.0 + y / 2.0")
+_GEOMETRIC = ("", "sqrt(x * y)", _PLAIN.format(x="x", y="y"), "geometric_scaled(x, y)")
+_HARMONIC = ("", "2.0 * x * y / (x + y)", _PLAIN.format(x="x", y="y"), "harmonic_scaled(x, y)")
+
+
+def _guarded(plain: str, guard: str, fallback: str, holds: bool = False) -> str:
+    """The expression ``plain`` where ``guard`` holds and ``fallback`` elsewhere, or ``plain``
+    alone where ``holds`` shows that the guard holds wherever it runs, as in a box form."""
+    return plain if holds else f"{plain} if {guard} else {fallback}"
+
+
+def _builtin_kernel(form: tuple[str, str, str, str], holds: bool) -> Callable:
+    """The kernel of a built-in from its ``form``; its box form leaves the guard out where
+    ``holds``. A built-in is a mean, so over P its value lies in P up to its rounding."""
+    statements, plain, guard, fallback = form
+    block, box = ((statements, _guarded(plain, guard, fallback, h), _BUILTIN_NAMES)
+                  for h in (False, holds))
+    return _kernel(block, box, _outward(*_BOX), "<core>")
+
+
+# over P, A's sum is finite, and the guard of G and H is that (x, y) lies in P
+_arithmetic_eval = _builtin_kernel(_ARITHMETIC, _add(_BOX, _BOX) is not None)
+_geometric_eval = _builtin_kernel(_GEOMETRIC, True)
+_harmonic_eval = _builtin_kernel(_HARMONIC, True)
 
 
 def make_arithmetic() -> MeanFunction:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
-from .core import _Frozen, _kernel, _prefix, _set
+from .core import _BOX, _Frozen, _add, _corners, _generated, _kernel, _mul, _outward, _prefix
+from .core import _set, _sub
+from .core import Enclosure
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
 from .core import BUILTIN_MEANS
@@ -354,52 +357,175 @@ def _builtin(name: str) -> MeanFunction:
     return _BUILTIN_MEANS[name]()
 
 
-# The statements that compute each operator and function from its operands' values {a}
-# and {b} into the node's own local {v}, each fault check before its operation. A fault
-# raises EvaluationError, its message ending in {at}, the binding of the tree's input
-# locals. Unary minus is "neg". This table is the only place where the grammar meets
-# arithmetic. As Python's min and max do, the templates keep the first argument unless
-# the second is strictly smaller (larger), so NaN arguments give the same result.
-_POW = """\
-if {a} < 0.0 and not (isfinite({b}) and {b} == floor({b})):
-    raise EvaluationError(f"negative base {{{a}}} with non-integer exponent {{{b}}} at {at}")
-if {a} == 0.0 and {b} < 0.0:
-    raise EvaluationError(f"zero base with negative exponent at {at}")
-try:
-    {v} = {a} ** {b}
-except OverflowError:
-    raise EvaluationError(f"overflow in power at {at}") from None"""
+class _Test(_Frozen):
+    """A comparison of one operand, ``a`` or ``b``, that a fault check is a conjunction of:
+    its source, and whether it holds at a value. Where ``by_sign``, the sign of a finite
+    value decides it (negative, zero or positive)."""
+
+    __slots__ = ("source", "operand", "holds", "by_sign")
+
+    def __init__(self, source: str, operand: str, holds: Callable[[float], bool],
+                 by_sign: bool = True):
+        _set(self, "source", source)
+        _set(self, "operand", operand)
+        _set(self, "holds", holds)
+        _set(self, "by_sign", by_sign)
+
+    def decide(self, const: Optional[float], enclosure: Enclosure) -> Optional[bool]:
+        """Whether the test holds at every value of its operand (True), at none (False), or
+        not known (None): at the constant ``const``, or else over ``enclosure``, which
+        decides a test of the sign where it agrees at both ends and at 0 between them."""
+        if const is not None:
+            return self.holds(const)
+        if enclosure is None or not self.by_sign:
+            return None
+        lo, hi = enclosure
+        seen = {self.holds(lo), self.holds(hi), self.holds(0.0 if lo < 0.0 < hi else lo)}
+        return seen.pop() if len(seen) == 1 else None
+
+
+class _Op(_Frozen):
+    """The statement that sets an operation's local {v} from its operands' values {a} and
+    {b}; its interval rule, the enclosure of {v} from theirs (``core._outward``); the fault
+    checks, each ``(tests, message)``, raised before it where all its tests hold; and the
+    name of the operation in the message of an OverflowError that it raises."""
+
+    __slots__ = ("value", "enclose", "checks", "overflow")
+
+    def __init__(self, value: str, enclose: Optional[Callable[..., Enclosure]],
+                 checks: tuple[tuple[tuple[_Test, ...], str], ...] = (), overflow: str = ""):
+        _set(self, "value", value)
+        _set(self, "enclose", enclose)
+        _set(self, "checks", checks)
+        _set(self, "overflow", overflow)
+
+
+def _pow_rule(a: tuple[float, float], b: tuple[float, float]) -> Enclosure:
+    if a[0] <= 0.0:
+        return None
+    try:  # over a positive base, a^b is monotone in each operand
+        return _corners(a, b, operator.pow)
+    except OverflowError:
+        return None
+
+
+def _exp_rule(a: tuple[float, float]) -> Enclosure:
+    try:
+        return _outward(math.exp(a[0]), math.exp(a[1]))
+    except OverflowError:
+        return None
+
+
+def _sqrt_rule(a: tuple[float, float]) -> Enclosure:
+    return None if a[1] < 0.0 else _outward(math.sqrt(max(a[0], 0.0)), math.sqrt(a[1]))
+
+
+def _log_rule(a: tuple[float, float]) -> Enclosure:
+    # past its check, the operand is a positive float: at least 5e-324
+    return None if a[1] <= 0.0 else _outward(math.log(max(a[0], 5e-324)), math.log(a[1]))
+
+
+def _abs_rule(a: tuple[float, float]) -> Enclosure:
+    lo, hi = a
+    return a if lo >= 0.0 else (-hi, -lo) if hi <= 0.0 else (0.0, max(-lo, hi))
+
+
+_A_NEGATIVE = _Test("{a} < 0.0", "a", lambda v: v < 0.0)
+_A_ZERO = _Test("{a} == 0.0", "a", lambda v: v == 0.0)
+_A_NOT_POSITIVE = _Test("{a} <= 0.0", "a", lambda v: v <= 0.0)
+_A_NOT_FINITE = _Test("not isfinite({a})", "a", lambda v: not math.isfinite(v))
+_B_ZERO = _Test("{b} == 0.0", "b", lambda v: v == 0.0)
+_B_NEGATIVE = _Test("{b} < 0.0", "b", lambda v: v < 0.0)
+_B_FRACTIONAL = _Test("not (isfinite({b}) and {b} == floor({b}))", "b",
+                      lambda v: not (math.isfinite(v) and v == math.floor(v)), by_sign=False)
+_POW = _Op("{v} = {a} ** {b}", _pow_rule, (
+    ((_A_NEGATIVE, _B_FRACTIONAL), "negative base {{{a}}} with non-integer exponent {{{b}}}"),
+    ((_A_ZERO, _B_NEGATIVE), "zero base with negative exponent")), "power")
+# Each operator and function: unary minus is "neg". This table is the only place where the
+# grammar meets arithmetic. A fault raises EvaluationError, its message ending in the
+# binding of the tree's input locals. As Python's min and max do, the statements keep the
+# first argument unless the second is strictly smaller (larger), so NaN arguments give the
+# same result.
 _SCALAR_OPS = {
-    "+": "{v} = {a} + {b}",
-    "-": "{v} = {a} - {b}",
-    "*": "{v} = {a} * {b}",
-    "neg": "{v} = -{a}",
-    "/": 'if {b} == 0.0:\n    raise EvaluationError(f"division by zero at {at}")\n{v} = {a} / {b}',
+    "+": _Op("{v} = {a} + {b}", _add),
+    "-": _Op("{v} = {a} - {b}", _sub),
+    "*": _Op("{v} = {a} * {b}", _mul),
+    "neg": _Op("{v} = -{a}", lambda a: (-a[1], -a[0])),
+    "/": _Op("{v} = {a} / {b}",
+             lambda a, b: None if b[0] <= 0.0 <= b[1] else _corners(a, b, operator.truediv),
+             (((_B_ZERO,), "division by zero"),)),
     "^": _POW,
     "pow": _POW,
-    "exp": "try:\n    {v} = exp({a})\nexcept OverflowError:\n"
-           '    raise EvaluationError(f"overflow in exp at {at}") from None',
-    "sqrt": 'if {a} < 0.0:\n    raise EvaluationError(f"sqrt of negative value {{{a}}} at {at}")\n'
-            "{v} = sqrt({a})",
-    "log": 'if {a} <= 0.0:\n    raise EvaluationError(f"log of non-positive value {{{a}}} at {at}")'
-           "\n{v} = log({a})",
-    "abs": "{v} = abs({a})",
-    "min": "{v} = {b} if {b} < {a} else {a}",
-    "max": "{v} = {b} if {b} > {a} else {a}",
+    "exp": _Op("{v} = exp({a})", _exp_rule, overflow="exp"),
+    "sqrt": _Op("{v} = sqrt({a})", _sqrt_rule,
+                (((_A_NEGATIVE,), "sqrt of negative value {{{a}}}"),)),
+    "log": _Op("{v} = log({a})", _log_rule,
+               (((_A_NOT_POSITIVE,), "log of non-positive value {{{a}}}"),)),
+    "abs": _Op("{v} = abs({a})", _abs_rule),
+    "min": _Op("{v} = {b} if {b} < {a} else {a}", lambda a, b: (min(a[0], b[0]), min(a[1], b[1]))),
+    "max": _Op("{v} = {b} if {b} > {a} else {a}", lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
 }
+# the check of a tree's value {a}, after its blocks
+_FINITE = _Op("", None, (((_A_NOT_FINITE,), "expression produced a non-finite value"),))
+
+
+def _trying(value: str, caught: str, message: str) -> str:
+    """The statement ``value`` in a try whose handler of ``caught`` raises EvaluationError
+    with the f-string ``message``."""
+    return (f"try:\n    {value}\nexcept {caught}:\n"
+            f"    raise EvaluationError({message}) from None")
+
+
 # a built-in atom: the checked built-in {mean}, whose faults show its name {name}
-_BUILTIN_ATOM = """\
-try:
-    {v} = {mean}(x, y)
-except (ArithmeticError, ValueError) as exc:
-    raise EvaluationError(f'{{{name}}} is undefined at ({{x}}, {{y}}): {{exc}}') from None"""
-# the check of a tree's value {root}, after its blocks
-_FINITE = ('if not isfinite({root}):\n'
-           '    raise EvaluationError(f"expression produced a non-finite value at {at}")')
-# the helpers that the templates name, passed to every factory as its first arguments
+_BUILTIN_ATOM = ("{v} = {mean}(x, y)", "(ArithmeticError, ValueError) as exc",
+                 "f'{{{name}}} is undefined at ({{x}}, {{y}}): {{exc}}'")
+# the helpers that the statements name, passed to every factory as its first arguments
 _HELPERS = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
             "floor": math.floor, "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
             "abs": abs}
+
+
+class _Value(_Frozen):
+    """A node's value while a tree compiles: the local or argument that holds it (None for
+    a constant that has none yet), the constant, and its enclosure over the plain box."""
+
+    __slots__ = ("name", "const", "enclosure")
+
+    def __init__(self, name: Optional[str], const: Optional[float], enclosure: Enclosure):
+        _set(self, "name", name)
+        _set(self, "const", const)
+        _set(self, "enclosure", enclosure)
+
+
+def _statements(op: _Op, operands: dict[str, _Value], box: bool, proven: bool) -> str:
+    """``op``'s statements over the operands, still to be formatted: each fault check that
+    a constant operand does not decide against, without its tests that one decides for; in
+    a box form also without those that the operands' enclosures decide. ``proven`` leaves
+    out the OverflowError handler."""
+    lines = []
+    for tests, message in op.checks:
+        held = []
+        for test in tests:
+            operand = operands[test.operand]
+            held.append(test.decide(operand.const, operand.enclosure if box else None))
+        if False in held:
+            continue
+        kept = [t for t, h in zip(tests, held) if h is not True] or tests  # it always fires
+        lines.append(f"if {' and '.join(t.source for t in kept)}:\n"
+                     f'    raise EvaluationError(f"{message} at {{at}}")')
+    if op.value:
+        lines.append(op.value if proven or not op.overflow else _trying(
+            op.value, "OverflowError", f'f"overflow in {op.overflow} at {{at}}"'))
+    return "\n".join(lines)
+
+
+@functools.cache
+def _folded(op: str) -> Callable[..., float]:
+    """The statements of ``op`` as ``fn(a, b)``, which folds its constant operands: it
+    raises EvaluationError where one of its checks fires."""
+    unknown = dict.fromkeys("ab", _Value(None, None, None))
+    body = _statements(_SCALAR_OPS[op], unknown, False, False).format(v="v", a="a", b="b", at="")
+    return _generated("a, b=None", f"{body}\nreturn v", _HELPERS, "<expression>")
 
 
 def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
@@ -409,52 +535,82 @@ def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable
     The tree becomes the source of one straight-line function: a block of statements
     per node, children before parents and left before right, each into its own local.
     Each variable is the input local of its name, so a normal mean can run a weight's
-    statements at t = x and again at t = y. Constants, built-in atoms and their names
-    are arguments of the factory that returns ``fn``, so the source holds only the
+    statements at t = x and again at t = y. A subtree of constants that does not fault is
+    computed once, by the same statements (``_folded``). Constants, built-in atoms and their
+    names are arguments of the factory that returns ``fn``, so the source holds only the
     fixed templates and generated names, never text from the input. Every generated
     name carries the tree's own prefix, so the statements of two trees can run in one
-    function: ``fn.inline`` is the tree's block (``core._kernel``).
+    function: ``fn.inline`` is the tree's block and its box form (``core._kernel``), whose
+    enclosures each node's interval rule gives with every variable in the plain box.
     """
     prefix = _prefix("t")
     namespace = dict(_HELPERS)
     # a dict display of the input locals, inside an f-string's braces
     at = "{ {" + ", ".join(f"'{v}': {v}" for v in variables) + "} }"
     blocks: list[str] = []
+    boxed: list[str] = []
 
     def argument(value: object) -> str:
         name = f"{prefix}c{len(namespace)}"
         namespace[name] = value
         return name
 
-    def emit(node: Expression) -> str:
-        """Append the blocks that compute ``node``; return the name of its value."""
+    def constant(value: float) -> _Value:
+        return _Value(None, value, (value, value) if math.isfinite(value) else None)
+
+    def emit(op: _Op, operands: dict[str, _Value], enclosure: Enclosure, **fields) -> None:
+        """Append ``op``'s statements to both forms, its value's being ``enclosure``."""
+        for form, box in ((blocks, False), (boxed, True)):
+            form.append(_statements(op, operands, box, box and enclosure is not None).format(
+                at=at, **fields))
+
+    def value(node: Expression) -> _Value:
+        """Append the blocks that compute ``node``; return its value."""
         if isinstance(node, Num):
-            return argument(node.value)
+            return constant(node.value)
         if isinstance(node, Var):
             if node.name not in variables:  # no other name may reach the source
                 raise TypeError(f"variable {node.name!r} is not one of {variables}")
-            return node.name
+            return _Value(node.name, None, _BOX)
         if isinstance(node, BuiltinMean):
-            template = _BUILTIN_ATOM
-            fields = {"mean": argument(_builtin(node.name)), "name": argument(node.name)}
+            mean = _builtin(node.name)
+            atom, caught, message = _BUILTIN_ATOM
+            fields = {"v": f"{prefix}v{len(blocks)}", "mean": argument(mean),
+                      "name": argument(node.name)}
+            blocks.append(_trying(atom, caught, message).format(**fields))
+            # where P lies in the built-in's domain, its check passes: a mean of x and y
+            inside = mean.domain.contains(_BOX[0]) and mean.domain.contains(_BOX[1])
+            boxed.append(atom.format(**fields) if inside else blocks[-1])
+            return _Value(fields["v"], None, _outward(*_BOX))
+        if isinstance(node, Unary):
+            op, args = "neg", (node.operand,)
+        elif isinstance(node, Binary):
+            op, args = node.op, (node.left, node.right)
+        elif isinstance(node, Call):
+            op, args = node.func, node.args
         else:
-            if isinstance(node, Unary):
-                op, args = "neg", (node.operand,)
-            elif isinstance(node, Binary):
-                op, args = node.op, (node.left, node.right)
-            elif isinstance(node, Call):
-                op, args = node.func, node.args
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            template = _SCALAR_OPS[op]
-            fields = dict(zip("ab", map(emit, args)), at=at)
+            raise TypeError(f"not an expression node: {node!r}")
+        values = [value(a) for a in args]
+        if all(a.const is not None for a in values):
+            try:
+                return constant(_folded(op)(*[a.const for a in values]))
+            except EvaluationError:
+                pass  # the subtree faults: it is left to raise at evaluation
+        operands = {k: _Value(argument(a.const), a.const, a.enclosure) if a.name is None else a
+                    for k, a in zip("ab", values)}
+        enclosures = [a.enclosure for a in values]
+        enclosure = _SCALAR_OPS[op].enclose(*enclosures) if None not in enclosures else None
         v = f"{prefix}v{len(blocks)}"
-        blocks.append(template.format(v=v, **fields))
-        return v
+        emit(_SCALAR_OPS[op], operands, enclosure, v=v, **{k: a.name for k, a in operands.items()})
+        return _Value(v, None, enclosure)
 
-    root = emit(e)
-    blocks.append(_FINITE.format(root=root, at=at))
-    return _kernel(("\n".join(blocks), root, namespace), "<expression>", ", ".join(variables))
+    root = value(e)
+    if root.name is None:
+        root = _Value(argument(root.const), root.const, root.enclosure)
+    emit(_FINITE, {"a": root}, None, a=root.name)
+    return _kernel(("\n".join(filter(None, blocks)), root.name, namespace),
+                   ("\n".join(filter(None, boxed)), root.name, namespace), root.enclosure,
+                   "<expression>", ", ".join(variables))
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:

@@ -25,6 +25,8 @@ import operator
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
+    _PLAIN,
+    _PLAIN_NAMES,
     _arithmetic_eval,
     _generated,
     _indent,
@@ -141,22 +143,23 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-# The coupled iteration, written once and rendered twice: as each compound's kernel
-# ``fn(x0, y0)`` and as ``_run_iteration``, which records every step for ``compound_trace``.
+# The coupled iteration, written once and rendered three times: as each compound's kernel
+# ``fn(x0, y0)``, as ``_call_iteration``, which runs a compound from a start outside the plain
+# box P, and as ``_run_iteration``, which records every step for ``compound_trace``.
 # The start is a pair of floats in the operands' common domain: the compound's call and
 # ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
 # mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
-# floating point too and every iterate stays in the domain. The stop test is taken from that
-# envelope: with gap = hi - lo, ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
-# written out. From a pair of opposite signs, which may converge to 0, the gap is also
-# compared with tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with
-# 5e-324 alone: that is the least gap two floats can have, and tol times a subnormal scale
-# is less. The loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the
-# gap NaN; it survives the clamp and goes to the checked ``m1``, which raises its DomainError.
+# floating point too and every iterate stays in the domain, and in P where the start lies in
+# P. The stop test is taken from that envelope: with gap = hi - lo,
+# ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)`` written out. From a pair of
+# opposite signs, which may converge to 0, the gap is also compared with
+# tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with 5e-324 alone:
+# that is the least gap two floats can have, and tol times a subnormal scale is less. The
+# loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN; it
+# survives the clamp and goes to the checked ``m1``, which raises its DomainError.
 # The slots: {start} opens the function, {done} ends it at a pair that stops, and
 # {exhausted} once max_iterations steps are taken; {first} and {second} set nx and ny from
-# the iterates x and y, and {record} follows each step. A compound leaves {start} and
-# {record} empty.
+# the iterates x and y, and {record} follows each step. Only ``_run_iteration`` records.
 # The loop's own names are not those of any namespace value, so no local hides a block's.
 _COMPOUND = """\
 {start}x, y = x0, y0
@@ -179,33 +182,54 @@ while True:
     x = lo if nx < lo else hi if nx > hi else nx
     y = lo if ny < lo else hi if ny > hi else ny
     n += 1{record}"""
+_CALLS = {"first": "    nx = f1(x, y)", "second": "    ny = f2(x, y)"}
 
 # ``_run_iteration(m1, m2, x, y, tol, max_iter) -> (converged, x, y, n, steps)``: the
 # iteration calling the operands' kernels, with every step a TraceStep, the start first.
 _run_iteration = _generated("m1, m2, x0, y0, tol, max_iterations", _COMPOUND.format(
     start="f1, f2 = m1.fn, m2.fn\nsteps = [TraceStep(0, x0, y0, abs(x0 - y0))]\n",
     done="        return True, x, y, n, steps", exhausted="        return False, x, y, n, steps",
-    first="    nx = f1(x, y)", second="    ny = f2(x, y)",
-    record="\n    steps.append(TraceStep(n, x, y, abs(x - y)))",
+    record="\n    steps.append(TraceStep(n, x, y, abs(x - y)))", **_CALLS,
 ), {"TraceStep": TraceStep}, "<trace>")
+
+
+@functools.cache
+def _call_iteration() -> Callable[..., float]:
+    """``fn(m1, m2, x0, y0, tol, max_iterations, exhausted)``: the compound's value from the
+    start (x0, y0), by the iteration calling the operands' kernels, and ``exhausted(x0, y0)``
+    once it runs out of iterations; generated on first use."""
+    namespace: dict = {}
+    done, _ = _splice(namespace, _arithmetic_eval, "return ")
+    return _generated("m1, m2, x0, y0, tol, max_iterations, exhausted", _COMPOUND.format(
+        start="f1, f2 = m1.fn, m2.fn\n", done=_indent(done, 8), record="",
+        exhausted="        exhausted(x0, y0)", **_CALLS), namespace, "<compound>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
                      max_iter: int) -> Callable[[float, float], float]:
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
-    Each operand's kernel is spliced into the loop (``core._splice``: its block, or one
-    call of a kernel that carries none), and so is A's for the midpoint, so a step calls
-    no kernel that has a block. A start that runs out of iterations goes to
-    ``compound_trace``, which raises its ConvergenceError.
+    From a start in the plain box P, the loop runs the box forms of the operands' kernels
+    and of A's for the midpoint (``core._splice``), so a step calls no kernel that has a
+    block and runs no check that cannot fire in P. A start outside P goes to
+    ``_call_iteration``. A start that runs out of iterations goes to ``compound_trace``,
+    which raises its ConvergenceError.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
-    namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1}
-    body = _COMPOUND.format(start="", record="", exhausted="        exhausted(x0, y0)",
-                            first=_indent(_splice(namespace, m1.fn, "nx = "), 4),
-                            second=_indent(_splice(namespace, m2.fn, "ny = "), 4),
-                            done=_indent(_splice(namespace, _arithmetic_eval, "return "), 8))
+
+    def outside(x0: float, y0: float) -> float:
+        return _call_iteration()(m1, m2, x0, y0, tol, max_iter, exhausted)
+
+    namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
+                 "outside": outside, **_PLAIN_NAMES}
+    first, _ = _splice(namespace, m1.fn, "nx = ", box=True)
+    second, _ = _splice(namespace, m2.fn, "ny = ", box=True)
+    done, _ = _splice(namespace, _arithmetic_eval, "return ", box=True)
+    body = _COMPOUND.format(
+        start=f"if not ({_PLAIN.format(x='x0', y='y0')}):\n    return outside(x0, y0)\n",
+        done=_indent(done, 8), exhausted="        exhausted(x0, y0)", record="",
+        first=_indent(first, 4), second=_indent(second, 4))
     return _generated("x0, y0", body, namespace, "<compound>")
 
 

@@ -549,6 +549,8 @@ class TestFlagValues:
          "bad domain: interval endpoints must not be NaN"),
         (["eval", "--mean", "log(", "--at", "1,2", "--seed", "x"],
          "--seed/MEANSCAPE_SEED must be an integer, got 'x'"),
+        (["border", "--mean", "log(", "--windows", "0.1,10;a,b"],
+         "--windows must be numeric, got 'a,b'"),
     ])
     def test_a_bad_value_is_a_usage_error(self, monkeypatch, argv, message):
         monkeypatch.setattr("sys.stdin", None)  # nothing reads it

@@ -15,6 +15,7 @@ from meanscape.expressions import (
     Num,
     Unary,
     Var,
+    _HELPERS,
     _builtin,
     evaluate,
     expr_to_mean,
@@ -505,6 +506,60 @@ class TestGeneratedCode:
     @settings(max_examples=50, phases=[Phase.explicit, Phase.generate])
     def test_trees_at_the_bound_match_the_tree_walk(self, tree, x, y):
         env = {"x": x, "y": y}
+        assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+
+class TestConstantFolding:
+    """A subtree of constants is computed once, at build, where it does not fault, and a
+    constant operand decides the fault tests it can in the checked form too."""
+
+    @staticmethod
+    def _checked(src):
+        """The statements of the parsed mean's checked block, and the values of its constants."""
+        mean = expr_to_mean(parse_mean_expr(src), ms.ALL_REALS).mean
+        statements, _, namespace = mean.fn.inline[0]
+        return statements, [v for k, v in namespace.items() if k not in _HELPERS]
+
+    def test_a_subtree_of_constants_is_one_argument(self):
+        src = "((x^1.778+y^1.778)/2)^(1/1.778)"
+        statements, constants = self._checked(src)
+        assert constants == [1.778, 1.778, 2.0, 1 / 1.778]
+        for x, y in [(1.0, 3.0), (1e-300, 2.0), (-1.0, 2.0)]:
+            env = {"x": x, "y": y}
+            tree = parse_mean_expr(src)
+            assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    @pytest.mark.parametrize("src, kept, left_out", [
+        ("x / 2", [], ["division by zero"]),
+        ("x / (1 - 1 + y)", ["division by zero"], []),
+        ("x ^ 2", ["overflow in power"], ["negative base", "zero base", "floor"]),
+        ("x ^ 0.5", ["if x < 0.0:", "negative base"], ["zero base", "floor"]),
+        ("x ^ -1", ["if x == 0.0:", "zero base"], ["negative base"]),
+        ("pow(x, y)", ["floor", "zero base"], []),
+    ])
+    def test_a_constant_operand_decides_its_tests(self, src, kept, left_out):
+        statements, _ = self._checked(src)
+        assert all(text in statements for text in kept)
+        assert not any(text in statements for text in left_out)
+        tree = parse_mean_expr(src)
+        for x, y in [(2.0, 3.0), (0.0, 1.0), (-2.0, 0.0), (1e300, -1.0)]:
+            env = {"x": x, "y": y}
+            assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
+
+    @pytest.mark.parametrize("src, message", [
+        ("x + log(0)", "log of non-positive value 0.0"),
+        ("x + exp(1000)", "overflow in exp"),
+        ("x * (-8)^(1/3)", "negative base -8.0 with non-integer exponent 0.3333333333333333"),
+        ("y / (1 - 1)", "division by zero"),
+        ("0^-1 + y", "zero base with negative exponent"),
+        ("10^400 - x", "overflow in power"),
+    ])
+    def test_a_subtree_of_constants_that_faults_raises_with_its_binding(self, src, message):
+        tree = parse_mean_expr(src)
+        env = {"x": 1.0, "y": 2.0}
+        with pytest.raises(EvaluationError) as err:
+            evaluate(tree, env)
+        assert str(err.value) == f"{message} at {{'x': 1.0, 'y': 2.0}}"
         assert _outcome(evaluate, tree, env) == _outcome(oracle_evaluate, tree, env)
 
 

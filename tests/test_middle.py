@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import os
@@ -522,6 +523,8 @@ def _operand_pairs():
     # with a non-integer exponent, which the power template tests with its floor helper
     root = parse("sqrt(x*y)", ms.ALL_REALS)
     cube = parse("((x^3+y^3)/2)^(1/3)", ms.ALL_REALS)
+    # a geometric mean shifted by 1: on (0, inf) its log faults inside P too
+    shifted = parse("exp((log(x-1)+log(y-1))/2)+1")
     normal = ms.make_normal_mean(ms.weight_from_source("t^(0.371)*(1+t)^(0.471)"))
     nan_mean = ms.MeanFunction("Lnan", ms.ALL_REALS, _nan_near_diagonal)
     # an ulp past the envelope, as rounding may put a mean: the clamp takes it back
@@ -542,10 +545,35 @@ def _operand_pairs():
         "drift-second": (False, lambda c: (G, under)),
         "fault-second": (True, lambda c: (A, root)),
         "fault-first": (True, lambda c: (cube, A)),
+        "fault-in-box": (False, lambda c: (A, shifted)),
     }
 
 
 positive = st.floats(min_value=1e-300, max_value=1e300)
+# starts at the edges of the plain box P = (2^-500, 2^500)^2 and next to them, on both sides,
+# and starts that straddle an edge: a compound runs its box loop only from a start in P
+_P_LO, _P_HI = 2.0 ** -500, 2.0 ** 500
+_EDGE_STARTS = [(_P_LO, 1.0), (math.nextafter(_P_LO, 1.0), 1.0),
+                (math.nextafter(_P_LO, 0.0), 1.0), (1.0, _P_HI),
+                (3.0, math.nextafter(_P_HI, 1.0)), (math.nextafter(_P_HI, 1e308), 3.0),
+                (math.nextafter(_P_LO, 0.0), math.nextafter(_P_LO, 1.0)),
+                (math.nextafter(_P_HI, 1.0), math.nextafter(_P_HI, 1e308))]
+_POSITIVE_KINDS = ("agm", "agm-parsed", "g-inverse", "power-normal", "fault-in-box")
+
+
+def _at_the_edges(cases):
+    """The test with one explicit example for each case that ``cases(x, y)`` gives at each
+    start of ``_EDGE_STARTS``."""
+    def decorate(test):
+        for x, y in _EDGE_STARTS:
+            for case in cases(x, y):
+                test = example(case)(test)
+        return test
+
+    return decorate
+
+
+_compound_edges = _at_the_edges(lambda x, y: [(kind, x, y, 200) for kind in _POSITIVE_KINDS])
 reals = st.one_of(positive, positive.map(lambda t: -t), st.just(0.0))
 
 
@@ -565,6 +593,7 @@ def compound_cases(draw, anywhere=False):
 
 class TestKernelIterationMatchesCheckedReference:
     @given(compound_cases())
+    @_compound_edges
     def test_compound_values_and_exceptions(self, case):
         kind, x, y, max_iterations = case
         _, operands = _operand_pairs()[kind]
@@ -573,6 +602,7 @@ class TestKernelIterationMatchesCheckedReference:
         assert _outcome(fast, x, y) == _outcome(slow, x, y)
 
     @given(compound_cases(anywhere=True))
+    @_compound_edges
     def test_traces_and_exceptions(self, case):
         # compound_trace is a public entry: its start may lie outside the domain
         kind, x, y, max_iterations = case
@@ -639,10 +669,12 @@ class TestGeneratedCompoundKernel:
         assert value == _outcome(_checked_compound(tilted, power), 1.0, 3.0)
 
     def test_the_loop_hides_no_helper_of_a_block(self):
-        cube = _operand_pairs()["fault-first"][1](ms.compound)[0]
-        code = ms.compound(cube, ms.make_arithmetic()).fn.__code__
-        assert set(code.co_varnames).isdisjoint(cube.fn.inline[2])
-        assert "floor" in code.co_freevars
+        # the log of this operand can fault inside P, so its box form keeps the check: the
+        # loop reads the block's helpers, and none of its own locals has one's name
+        shifted = _operand_pairs()["fault-in-box"][1](ms.compound)[1]
+        code = ms.compound(ms.make_arithmetic(), shifted).fn.__code__
+        assert set(code.co_varnames).isdisjoint(shifted.fn.inline[1][2])
+        assert {"log", "exp", "EvaluationError"} <= set(code.co_freevars)
 
     def test_the_workload_compounds_enter_no_frame_but_their_loop(self):
         # the built-ins, the inverse, the normal mean and its weight run spliced, and so
@@ -665,13 +697,50 @@ class TestGeneratedCompoundKernel:
 
         mean = ms.MeanFunction("K", ms.POSITIVE_REALS, kernel)
         G = ms.make_geometric()
-        # G's block names math.sqrt "sqrt"; this block names another function so
-        kernel.inline = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.exp})
+        # G's block names math.sqrt "sqrt"; this block, its own box form, names another
+        # function so
+        block = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.exp})
+        kernel.inline = block, block, None
         with pytest.raises(ValueError) as err:
             ms.compound(G, mean)
         assert str(err.value) == "the generated name 'sqrt' is bound to two different values"
-        kernel.inline = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.sqrt})
+        block = ("k_mean = sqrt(x * y)", "k_mean", {"sqrt": math.sqrt})
+        kernel.inline = block, block, None
         assert ms.compound(G, mean)(1.0, 4.0) == 2.0
+
+
+class TestBoxLoop:
+    """From a start in P a compound's kernel runs its operands' box forms."""
+
+    @staticmethod
+    def _loop_source(m1, m2):
+        """The body that building compound(m1, m2) hands ``core._generated`` for its kernel."""
+        with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+            ms.compound(m1, m2)
+        (body,) = [call.args[1] for call in generate.call_args_list if call.args[0] == "x0, y0"]
+        return body
+
+    def test_the_workload_loops_check_nothing_that_cannot_fire(self):
+        pairs = _operand_pairs()
+        for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
+            start, *loop = ast.parse(self._loop_source(*pairs[kind][1](ms.compound))).body
+            # the start's test of P, then the iteration: no raise, no handler, no range test
+            assert {n.id for n in ast.walk(start.test) if isinstance(n, ast.Name)} == {
+                "plain_lo", "plain_hi", "x0", "y0"}
+            nodes = [n for statement in loop for n in ast.walk(statement)]
+            assert not [n for n in nodes if isinstance(n, (ast.Raise, ast.Try))], kind
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            assert not names & {"isfinite", "plain_lo", "plain_hi", "min_normal", "inf"}, kind
+
+    def test_a_check_that_can_fire_in_the_box_is_kept(self):
+        A, shifted = _operand_pairs()["fault-in-box"][1](ms.compound)
+        assert "log of non-positive value" in self._loop_source(A, shifted)
+        for x, y in [(0.5, 3.0), (3.0, 0.5)]:
+            for outcome in TestSplicedBlocksMatchCheckedReference._outcomes(A, shifted, x, y):
+                assert outcome[:2] == (ms.EvaluationError, f"log of non-positive value -0.5 "
+                                                           f"at {{'x': {x}, 'y': {y}}}")
+        assert TestSplicedBlocksMatchCheckedReference._outcomes(A, shifted, 2.0, 5.0)[0][0] \
+            == "value"
 
 
 class TestSplicedBlocksMatchCheckedReference:
@@ -816,9 +885,14 @@ _SUBNORMAL_GAP = ("opposite", _quartile(True), _quartile(False),
                   -1.0000000000000002e-300, 1e-300, 0.0, 200)
 
 
+_loop_edges = _at_the_edges(lambda x, y: [("positive", m1, m2, x, y, 1e-13, 200)
+                                          for m1, m2 in _loop_operands()["positive"]])
+
+
 class TestIterationMatchesTheNearLoop:
     @given(loop_cases())
     @example(_SUBNORMAL_GAP)
+    @_loop_edges
     def test_loop_results_and_exceptions(self, case):
         _, m1, m2, x, y, tol, max_iterations = case
         args = (m1, m2, x, y, tol, max_iterations)
@@ -827,6 +901,7 @@ class TestIterationMatchesTheNearLoop:
 
     @given(loop_cases())
     @example(_SUBNORMAL_GAP)
+    @_loop_edges
     def test_compound_values_traces_and_messages(self, case):
         kind, m1, m2, x, y, tol, max_iterations = case
         fast = _entry_outcomes(m1, m2, x, y, tol, max_iterations)
