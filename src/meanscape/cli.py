@@ -352,6 +352,7 @@ class _Command(NamedTuple):
     run: Callable[[argparse.Namespace, _Resolver], dict]
     flags: tuple[str, ...]  # the flags run reads, in the order --help lists them
     defaults: dict = {}
+    least_grid: int = 1  # the least --grid that run accepts, where it reads --grid
 
 
 _REQUIRED = {"required": True}
@@ -368,7 +369,7 @@ _FLAGS = {  # add_argument keywords of each flag
                   "default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
                   "help": "semicolon-separated nested windows lo,hi;lo,hi;..."},
     "--window": {"type": _parse_window, "help": "sampling window lo,hi"},
-    "--grid": {"type": int, "default": 64, "help": "grid resolution / sample count"},
+    "--grid": {"default": 64, "help": "grid resolution / sample count"},  # its type: _grid
     "--tol": {"type": _number(float, "--tol", "finite and non-negative",
                               lambda tol: 0.0 <= tol < math.inf),
               "default": DEFAULT_TOLERANCE, "help": "tolerance"},
@@ -381,6 +382,12 @@ _FLAGS = {  # add_argument keywords of each flag
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--out": {"help": "write output to a file"},
 }
+
+
+def _grid(least: int):
+    """The converter of --grid for a command that reads at least ``least`` grid points."""
+    return _number(int, "--grid", f"at least {least}", lambda grid: grid >= least)
+
 
 # read by every command: the seed is checked on every run
 _EVERY_COMMAND = ("--seed", "--format", "--out")
@@ -397,13 +404,14 @@ _COMMANDS = {
     "normal": _point_command("normal mean of a weight at a point", make_normal_mean,
                              "--weight"),
     "compare": _Command("order of the normal means of two weights", _compare,
-                        ("--p1", "--p2", "--window", "--grid", "--domain")),
+                        ("--p1", "--p2", "--window", "--grid", "--domain"), least_grid=2),
     "distance": _Command("distance between two means", _distance,
-                         ("--m1", "--m2", "--via-phi", "--window", "--grid", "--domain")),
+                         ("--m1", "--m2", "--via-phi", "--window", "--grid", "--domain"),
+                         least_grid=8),
     "dist-to-a": _Command("distance to the arithmetic mean", _dist_to_a,
-                          ("--mean", "--window", "--grid", "--domain")),
+                          ("--mean", "--window", "--grid", "--domain"), least_grid=8),
     "border": _Command("border trend across nested windows", _border,
-                       ("--mean", "--windows", "--grid", "--domain")),
+                       ("--mean", "--windows", "--grid", "--domain"), least_grid=8),
     "gh-cert": _Command("certified distance between G and H with quartic residual",
                         _gh_cert, ()),
     "compound": _Command("compound mean at a point", _compound,
@@ -415,7 +423,7 @@ _COMMANDS = {
     "verify": _Command("sample the mean axioms", _verify,
                        ("--mean", "--window", "--grid", "--domain")),
     "counterexample": _Command("distance-1 pair whose compound still converges, to A",
-                               _counterexample, ("--window", "--grid")),
+                               _counterexample, ("--window", "--grid"), least_grid=8),
 }
 
 
@@ -437,15 +445,21 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 def _build_parser(command: Optional[str]) -> _Parser:
     """The parser of a run whose first argument is ``command``: the top-level parser reads no
-    flag but --help, so that is the only command the run can invoke, and the one with flags."""
+    flag but --help, so that is the only command the run can invoke. Where it names a
+    command, the parser has that command alone, with its flags. Any other run (--help, a
+    typo, a flag first) gets every command, to list them or to refuse the first argument."""
     parser = _Parser(prog="meanscape", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, cmd in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        cmd = _COMMANDS[name]
         # no abbreviations: border's --windows would take --window, which it does not read
         p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         if name == command:
             for flag in _EVERY_COMMAND + cmd.flags:
-                p.add_argument(flag, **_FLAGS[flag])
+                keywords = _FLAGS[flag]
+                if flag == "--grid":  # its least value is the command's
+                    keywords = {**keywords, "type": _grid(cmd.least_grid)}
+                p.add_argument(flag, **keywords)
             p.set_defaults(seed=os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults)
     return parser
 

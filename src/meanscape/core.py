@@ -544,7 +544,9 @@ def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], .
 
     Owen's random permutations (arXiv:1706.02808), one per digit position, each the digits
     sorted on keys drawn from ``_seeded(seed)``; weights b^-(j+1) by repeated division.
-    Drawn once per (seed, start, n) and returned as a tuple, which no caller can change.
+    The block is drawn one digit position at a time, each point summing its rows from the
+    lowest digit up. Drawn once per (seed, start, n) and returned as a tuple, which no
+    caller can change.
     """
     rng = _seeded(seed)
     dims = []
@@ -554,13 +556,13 @@ def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], .
         for _ in range(math.ceil(54 / math.log2(base)) - 1):
             weight /= base
             rows.append([d * weight for d in sorted(range(base), key=lambda _: rng.random())])
-        coords = []
-        for index in range(start, start + n):
-            acc = 0.0
-            for row in rows:
-                index, digit = divmod(index, base)
-                acc += row[digit]
-            coords.append(acc)
+        coords, indices, top = [0.0] * n, range(start, start + n), start + n - 1
+        for row in rows:
+            if top:
+                coords = [acc + row[index % base] for acc, index in zip(coords, indices)]
+                indices, top = [index // base for index in indices], top // base
+            elif row[0]:  # past the top digit of the last index every digit is 0, and
+                coords = list(map(row[0].__add__, coords))  # adding 0.0 changes no sum
         dims.append(coords)
     return tuple(zip(*dims))
 

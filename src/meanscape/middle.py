@@ -80,6 +80,7 @@ COUNTEREXAMPLE_WINDOW = Interval.closed(1e-6, 1e6)  # counterexample_check's dis
 _ENVELOPE_SLACK = 1e-9
 # Grid of the operand distance estimated by compound_trace.
 _DISTANCE_GRID = 48
+_P_LO, _P_HI = _PLAIN_NAMES["plain_lo"], _PLAIN_NAMES["plain_hi"]  # P's side
 
 
 class TraceStep(NamedTuple):
@@ -143,54 +144,76 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-# The coupled iteration, written once and rendered three times: as each compound's kernel
+# The coupled iteration, written once and rendered four times: as each compound's kernel
 # ``fn(x0, y0)``, as ``_call_iteration``, which runs a compound from a start outside the plain
-# box P, and as ``_run_iteration``, which records every step for ``compound_trace``.
+# box P, as ``_run_iteration``, which records every step for ``compound_trace`` from such a
+# start, and as ``_box_trace``, which records them from a start in P.
 # The start is a pair of floats in the operands' common domain: the compound's call and
 # ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
 # mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
 # floating point too and every iterate stays in the domain, and in P where the start lies in
-# P. The stop test is taken from that envelope: with gap = hi - lo,
-# ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)`` written out. From a pair of
-# opposite signs, which may converge to 0, the gap is also compared with
-# tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with 5e-324 alone:
-# that is the least gap two floats can have, and tol times a subnormal scale is less. The
-# loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN; it
-# survives the clamp and goes to the checked ``m1``, which raises its DomainError.
-# The slots: {start} opens the function, {done} ends it at a pair that stops, and
-# {exhausted} once max_iterations steps are taken; {first} and {second} set nx and ny from
-# the iterates x and y, and {record} follows each step. Only ``_run_iteration`` records.
-# The loop's own names are not those of any namespace value, so no local hides a block's.
+# P. The stop test {stop} is taken from that envelope, with gap = hi - lo. For a start
+# anywhere (``_ANYWHERE``), ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
+# written out. From a pair of opposite signs, which may converge to 0, the gap is also
+# compared with tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with
+# 5e-324 alone: that is the least gap two floats can have, and tol times a subnormal scale
+# is less. For a start in P (``_IN_P``) the test is the gap against tol * hi alone, and the
+# two forms are equal there: lo > 0, so max(hi, -lo) = hi; both coordinates are positive, so
+# the floor is 5e-324; and two distinct floats in P differ by at least 2^-552, so a gap of at
+# most 5e-324 is 0, where the P form stops too. The loop runs only while x(n) != y(n), off
+# the diagonal. A NaN iterate makes the gap NaN, which stops neither form; it survives the
+# clamp, and {probe} hands it to the checked ``m1``, which raises its DomainError. A loop in
+# P leaves the probe out where both operands splice a block with an enclosure: such a block
+# returns no NaN there, and only a kernel with no block may.
+# The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
+# {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
+# taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows
+# each step. Only the traces record. The loop's own names are not those of any namespace
+# value, so no local hides a block's.
 _COMPOUND = """\
 {start}x, y = x0, y0
-stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x else 5e-324
-n = 0
+{floor}n = 0
 while True:
     if x < y:
         lo, hi = x, y
     else:
         lo, hi = y, x
     gap = hi - lo
-    if gap <= tol * (hi if hi > -lo else -lo) or gap <= stop:
+    if {stop}:
 {done}
     if n >= max_iterations:
 {exhausted}
-    if gap != gap:
-        m1(x, y)  # NaN: the checked call raises m1's DomainError
-{first}
+{probe}{first}
 {second}
     x = lo if nx < lo else hi if nx > hi else nx
     y = lo if ny < lo else hi if ny > hi else ny
     n += 1{record}"""
-_CALLS = {"first": "    nx = f1(x, y)", "second": "    ny = f2(x, y)"}
+_PROBE = """\
+    if gap != gap:
+        m1(x, y)  # NaN: the checked call raises m1's DomainError
+"""
+# The slots of a loop that runs from a start anywhere: the general stop test with its floor,
+# the probe, and calls of the operands' kernels, the locals f1 and f2.
+_ANYWHERE = {
+    "floor": "stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x "
+             "else 5e-324\n",
+    "stop": "gap <= tol * (hi if hi > -lo else -lo) or gap <= stop", "probe": _PROBE,
+    "first": "    nx = f1(x, y)", "second": "    ny = f2(x, y)"}
+_IN_P = {"floor": "", "stop": "gap <= tol * hi"}  # the stop test of a start in P
+# The traces' slots, ``f(m1, m2, x0, y0, tol, max_iterations) -> (converged, x, y, n, steps)``
+# with every step a TraceStep, the start first. ``tuple_new`` builds each step as TraceStep's
+# own ``__new__`` does, but with no Python frame.
+_TRACE = {"done": "        return True, x, y, n, steps",
+          "exhausted": "        return False, x, y, n, steps",
+          "record": "\n    steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
+_STEPS = "steps = [tuple_new(TraceStep, (0, x0, y0, abs(x0 - y0)))]\n"
+_TRACE_NAMES = {"TraceStep": TraceStep, "tuple_new": tuple.__new__}
+_TRACE_SIGNATURE = "m1, m2, x0, y0, tol, max_iterations"
 
-# ``_run_iteration(m1, m2, x, y, tol, max_iter) -> (converged, x, y, n, steps)``: the
-# iteration calling the operands' kernels, with every step a TraceStep, the start first.
-_run_iteration = _generated("m1, m2, x0, y0, tol, max_iterations", _COMPOUND.format(
-    start="f1, f2 = m1.fn, m2.fn\nsteps = [TraceStep(0, x0, y0, abs(x0 - y0))]\n",
-    done="        return True, x, y, n, steps", exhausted="        return False, x, y, n, steps",
-    record="\n    steps.append(TraceStep(n, x, y, abs(x - y)))", **_CALLS,
-), {"TraceStep": TraceStep}, "<trace>")
+# ``_run_iteration``: the trace from a start outside P, calling the operands' kernels.
+_run_iteration = _generated(_TRACE_SIGNATURE, _COMPOUND.format(
+    start=f"f1, f2 = m1.fn, m2.fn\n{_STEPS}", **_TRACE, **_ANYWHERE,
+), _TRACE_NAMES, "<trace>")
 
 
 @functools.cache
@@ -202,7 +225,29 @@ def _call_iteration() -> Callable[..., float]:
     done, _ = _splice(namespace, _arithmetic_eval, "return ")
     return _generated("m1, m2, x0, y0, tol, max_iterations, exhausted", _COMPOUND.format(
         start="f1, f2 = m1.fn, m2.fn\n", done=_indent(done, 8), record="",
-        exhausted="        exhausted(x0, y0)", **_CALLS), namespace, "<compound>")
+        exhausted="        exhausted(x0, y0)", **_ANYWHERE), namespace, "<compound>")
+
+
+def _in_box(f1: Callable, f2: Callable, namespace: dict) -> dict:
+    """The slots of a loop that runs only from a start in P: the box forms of the kernels
+    ``f1`` and ``f2`` (``core._splice``), whose names join ``namespace``, the P form of the
+    stop test, and the NaN probe only where a kernel splices no enclosure."""
+    first, first_encloses = _splice(namespace, f1, "nx = ", box=True)
+    second, second_encloses = _splice(namespace, f2, "ny = ", box=True)
+    probe = "" if first_encloses and second_encloses else _PROBE
+    return {"first": _indent(first, 4), "second": _indent(second, 4), "probe": probe, **_IN_P}
+
+
+@functools.lru_cache(maxsize=8)
+def _box_trace(f1: Callable, f2: Callable) -> Callable[..., tuple]:
+    """The trace of the kernels ``f1`` and ``f2`` from a start in P, which runs their box
+    forms: ``_COMPOUND`` rendered as the compound's kernel is, recording every step. It takes
+    the arguments of ``_run_iteration`` and gives its results. Generated on first use for each
+    pair of kernels; the last eight pairs are kept."""
+    namespace = dict(_TRACE_NAMES)
+    slots = _in_box(f1, f2, namespace)
+    return _generated(_TRACE_SIGNATURE, _COMPOUND.format(start=_STEPS, **_TRACE, **slots),
+                      namespace, "<trace>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
@@ -210,8 +255,9 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
 
     From a start in the plain box P, the loop runs the box forms of the operands' kernels
-    and of A's for the midpoint (``core._splice``), so a step calls no kernel that has a
-    block and runs no check that cannot fire in P. A start outside P goes to
+    and of A's for the midpoint (``core._splice``) under the P form of the stop test, so a
+    step calls no kernel that has a block and runs no check that cannot fire in P; the NaN
+    probe is left out where both operands splice an enclosure. A start outside P goes to
     ``_call_iteration``. A start that runs out of iterations goes to ``compound_trace``,
     which raises its ConvergenceError.
     """
@@ -223,13 +269,11 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
 
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
                  "outside": outside, **_PLAIN_NAMES}
-    first, _ = _splice(namespace, m1.fn, "nx = ", box=True)
-    second, _ = _splice(namespace, m2.fn, "ny = ", box=True)
+    slots = _in_box(m1.fn, m2.fn, namespace)
     done, _ = _splice(namespace, _arithmetic_eval, "return ", box=True)
     body = _COMPOUND.format(
         start=f"if not ({_PLAIN.format(x='x0', y='y0')}):\n    return outside(x0, y0)\n",
-        done=_indent(done, 8), exhausted="        exhausted(x0, y0)", record="",
-        first=_indent(first, 4), second=_indent(second, 4))
+        done=_indent(done, 8), exhausted="        exhausted(x0, y0)", record="", **slots)
     return _generated("x0, y0", body, namespace, "<compound>")
 
 
@@ -305,13 +349,19 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
+    From a start in the plain box P the iteration runs the operands' box forms
+    (``_box_trace``), as the compound's kernel does, and the first trace of a
+    pair of kernels compiles that loop; from any other start it calls their
+    kernels (``_run_iteration``). Both record the same steps.
     """
     max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
-    converged, xn, yn, n, steps = _run_iteration(m1, m2, x, y, tolerance, max_iterations)
+    in_box = _P_LO < x < _P_HI and _P_LO < y < _P_HI
+    run = _box_trace(m1.fn, m2.fn) if in_box else _run_iteration
+    converged, xn, yn, n, steps = run(m1, m2, x, y, tolerance, max_iterations)
 
     k = envelope_ok = None
     if estimate_contraction:

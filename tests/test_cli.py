@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import meanscape
+from meanscape import cli
 from meanscape.cli import _COMMANDS, _EVERY_COMMAND, CommandResult, cli_run, main
 
 
@@ -246,7 +248,7 @@ class TestAnalysisCommands:
         assert p["trend"] == "bounded"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--grid", "1", "--windows", "1,2"], "grid must be >= 8"),
+        (["--grid", "1", "--windows", "1,2"], "--grid must be at least 8, got 1"),
         (["--grid", "8", "--windows=1,2;-1,5"],
          "window [-1, 5] is not inside the domain (0, inf) of G"),
     ])
@@ -750,6 +752,20 @@ _EXAMPLES = {
                        ["command", "window", "grid", "seed", "d_estimate", "compound_is_A"]),
 }
 
+
+class _EveryCommand(dict):
+    """The command table as ``_build_parser`` read it when it built every command's
+    subparser on every run: no first argument names a command of it."""
+
+    def __contains__(self, name):
+        return False
+
+
+def _listed_commands(parser):
+    """The commands whose subparsers ``parser`` holds, as its help lists them."""
+    return re.findall(r"^    (\S+)(?:  |$)", parser.format_help(), re.M)
+
+
 # the flags some commands read and others do not, each with a well-formed value
 _TUNING_FLAGS = {"--window": "1,3", "--grid": "8", "--tol": "1e-3", "--max-iter": "5",
                  "--domain": "reals"}
@@ -777,6 +793,31 @@ class TestCommandTable:
             assert result.diagnostics[0].startswith(
                 f"unrecognized arguments: {flag} {_TUNING_FLAGS[flag]}\n"
                 f"usage: meanscape {command} [-h]")
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_one_command_parses_as_among_all(self, command):
+        # a run builds the subparser of the command it names alone; the help, the usage
+        # errors and the exit codes are those of the parser that holds all sixteen
+        argvs = [[command, "--help"], [command, "-h"], [command], [command, "--seed", "x"],
+                 _EXAMPLES[command][0] + ["--no-such-flag"]]
+        alone = [cli_run(argv) for argv in argvs]
+        with mock.patch.object(cli, "_COMMANDS", _EveryCommand(_COMMANDS)):
+            among_all = [cli_run(argv) for argv in argvs]
+        for argv, one, every in zip(argvs, alone, among_all):
+            assert (one.status, one.exit_code, one.payload, one.diagnostics, one.rendered) == (
+                every.status, every.exit_code, every.payload, every.diagnostics,
+                every.rendered), argv
+        assert [r.exit_code for r in alone[:2] + alone[3:]] == [0, 0, 1, 1]
+        assert _listed_commands(cli._build_parser(command)) == [command]
+        assert _listed_commands(cli._build_parser("frobnicate")) == list(_COMMANDS)
+
+    @pytest.mark.parametrize("command", [c for c in _COMMANDS if "--grid" in _COMMANDS[c].flags])
+    def test_a_grid_below_the_commands_least_is_a_usage_error(self, command):
+        least = _COMMANDS[command].least_grid
+        result = cli_run(_EXAMPLES[command][0] + ["--grid", str(least - 1)])
+        assert (result.status, result.exit_code, result.payload, result.diagnostics) == (
+            "error", 1, {}, [f"--grid must be at least {least}, got {least - 1}"])
+        assert cli_run(_EXAMPLES[command][0] + ["--grid", str(least)]).exit_code == 0
 
     def test_forty_eight_settings_are_refused(self):
         assert sum(f not in cmd.flags for cmd in _COMMANDS.values() for f in _TUNING_FLAGS) == 48

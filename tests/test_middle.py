@@ -720,17 +720,38 @@ class TestBoxLoop:
         (body,) = [call.args[1] for call in generate.call_args_list if call.args[0] == "x0, y0"]
         return body
 
+    @staticmethod
+    def _trace_source(m1, m2):
+        """The body of the trace that ``compound_trace`` runs from a start in P."""
+        with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+            middle._box_trace.__wrapped__(m1.fn, m2.fn)
+        (call,) = generate.call_args_list
+        return call.args[1]
+
     def test_the_workload_loops_check_nothing_that_cannot_fire(self):
         pairs = _operand_pairs()
         for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
-            start, *loop = ast.parse(self._loop_source(*pairs[kind][1](ms.compound))).body
+            m1, m2 = pairs[kind][1](ms.compound)
+            start, *loop = ast.parse(self._loop_source(m1, m2)).body
             # the start's test of P, then the iteration: no raise, no handler, no range test
             assert {n.id for n in ast.walk(start.test) if isinstance(n, ast.Name)} == {
                 "plain_lo", "plain_hi", "x0", "y0"}
-            nodes = [n for statement in loop for n in ast.walk(statement)]
-            assert not [n for n in nodes if isinstance(n, (ast.Raise, ast.Try))], kind
-            names = {n.id for n in nodes if isinstance(n, ast.Name)}
-            assert not names & {"isfinite", "plain_lo", "plain_hi", "min_normal", "inf"}, kind
+            # the trace's loop is the kernel's, recording every step
+            for loop in (loop, ast.parse(self._trace_source(m1, m2)).body):
+                nodes = [n for statement in loop for n in ast.walk(statement)]
+                assert not [n for n in nodes if isinstance(n, (ast.Raise, ast.Try))], kind
+                names = {n.id for n in nodes if isinstance(n, ast.Name)}
+                assert not names & {"isfinite", "plain_lo", "plain_hi", "min_normal", "inf"}, kind
+                # the P form of the stop test reads no floor, and no NaN probe calls m1
+                assert not names & {"stop", "m1"}, kind
+                assert not [n for n in nodes if isinstance(n, ast.NotEq)], kind
+
+    def test_a_kernel_with_no_block_keeps_the_nan_probe(self):
+        A = ms.make_arithmetic()
+        low = ms.MeanFunction("min", ms.ALL_REALS, min)
+        for source in (self._loop_source(A, low), self._trace_source(A, low),
+                       self._trace_source(low, A)):
+            assert "if gap != gap:\n        m1(x, y)" in source
 
     def test_a_check_that_can_fire_in_the_box_is_kept(self):
         A, shifted = _operand_pairs()["fault-in-box"][1](ms.compound)
@@ -874,9 +895,15 @@ def _entry_outcomes(m1, m2, x, y, tol, max_iterations, compound=ms.compound):
 
 
 def _near_outcomes(m1, m2, x, y, tol, max_iterations):
-    """``_entry_outcomes`` with both halves on the near loop."""
-    with mock.patch.object(middle, "_run_iteration", _near_recorded):
+    """``_entry_outcomes`` with both halves on the near loop: the trace's too, from a start in
+    P as from any other."""
+    with mock.patch.object(middle, "_run_iteration", _near_recorded), \
+            mock.patch.object(middle, "_box_trace", lambda f1, f2: _near_recorded):
         return _entry_outcomes(m1, m2, x, y, tol, max_iterations, _near_compound)
+
+
+def _in_p(x, y):
+    return _P_LO < x < _P_HI and _P_LO < y < _P_HI
 
 
 # From opposite signs at tol 0 the quartiles' iterates close to a gap of one subnormal
@@ -896,8 +923,10 @@ class TestIterationMatchesTheNearLoop:
     def test_loop_results_and_exceptions(self, case):
         _, m1, m2, x, y, tol, max_iterations = case
         args = (m1, m2, x, y, tol, max_iterations)
-        assert (_loop_outcome(middle._run_iteration, *args)
-                == _loop_outcome(_near_recorded, *args))
+        near_loop = _loop_outcome(_near_recorded, *args)
+        assert _loop_outcome(middle._run_iteration, *args) == near_loop
+        if _in_p(x, y):
+            assert _loop_outcome(middle._box_trace(m1.fn, m2.fn), *args) == near_loop
 
     @given(loop_cases())
     @example(_SUBNORMAL_GAP)
@@ -924,6 +953,16 @@ class TestIterationMatchesTheNearLoop:
         call, _ = _entry_outcomes(A, nan_mean, -1.0, 2.0, 1e-13, 200)
         assert call[1] == "(0.5, nan) is outside the domain (-inf, inf) of A"
 
+    def test_a_hand_written_nan_from_a_start_in_p_is_the_domain_error(self):
+        # the operand has no block, so the box loops keep the NaN probe
+        nan_mean = ms.MeanFunction("nan", ms.ALL_REALS, lambda x, y: math.nan)
+        A = ms.make_arithmetic()
+        for m1, m2, point in [(A, nan_mean, "(1.5, nan)"), (nan_mean, A, "(nan, 1.5)")]:
+            fast = _entry_outcomes(m1, m2, 1.0, 2.0, 1e-13, 200)
+            assert fast == _near_outcomes(m1, m2, 1.0, 2.0, 1e-13, 200)
+            message = f"{point} is outside the domain (-inf, inf) of {m1.name}"
+            assert [f[:2] for f in fast] == [(ms.DomainError, message)] * 2
+
 
 class TestOneExit:
     def test_an_exhausted_compound_raises_what_compound_trace_raises(self):
@@ -939,11 +978,47 @@ class TestOneExit:
 
 
 def test_the_coupled_iteration_is_written_once():
-    # the compound's kernel and _run_iteration are both rendered from _COMPOUND
-    stop = "gap <= tol * (hi if hi > -lo else -lo)"
-    sources = pathlib.Path(ms.__file__).parent.glob("*.py")
-    assert sum(path.read_text().count(stop) for path in sources) == 1
-    assert re.fullmatch(r"<\w+>", middle._run_iteration.__code__.co_filename)
+    # all four renderings come from _COMPOUND, and each form of its stop test is written once
+    sources = [path.read_text() for path in pathlib.Path(ms.__file__).parent.glob("*.py")]
+    for stop in ("gap <= tol * (hi if hi > -lo else -lo)", "gap <= tol * hi"):
+        assert sum(text.count(stop) for text in sources) == 1, stop
+    A, G = ms.make_arithmetic(), ms.make_geometric()
+    for fn in (ms.compound(A, G).fn, middle._call_iteration(), middle._run_iteration,
+               middle._box_trace(A.fn, G.fn)):
+        assert re.fullmatch(r"<\w+>", fn.__code__.co_filename)
+
+
+def _stop_test(slots):
+    """``stop(x, y, lo, hi, tol)``: whether the stop test of ``slots`` ends a loop started at
+    (x, y) whose envelope is [lo, hi]."""
+    return core._generated("x, y, lo, hi, tol",
+                           f"{slots['floor']}gap = hi - lo\nreturn {slots['stop']}", {}, "<stop>")
+
+
+_P_BOTTOM = math.nextafter(_P_LO, 1.0)  # the least float of P
+_floats_in_p = st.floats(min_value=_P_BOTTOM, max_value=math.nextafter(_P_HI, 0.0))
+
+
+@st.composite
+def envelopes_in_p(draw):
+    """A start in P and an envelope between its coordinates, equal or an ulp wide at times."""
+    x = draw(_floats_in_p)
+    y = draw(st.one_of(st.just(x), st.just(math.nextafter(x, 1.0)), _floats_in_p))
+    lo, hi = min(x, y), max(x, y)
+    if draw(st.booleans()):
+        lo = draw(st.one_of(st.just(hi), st.floats(min_value=lo, max_value=hi)))
+    return x, y, lo, hi, draw(st.sampled_from([0.0, 1e-13, 1e-8]))
+
+
+_P_FORM, _GENERAL_FORM = _stop_test(middle._IN_P), _stop_test(middle._ANYWHERE)
+
+
+@given(envelopes_in_p())
+@example((1.0, 1.0, 1.0, 1.0, 0.0))
+# the narrowest gap in P, 2^-552, at its bottom
+@example((math.nextafter(_P_HI, 0.0), _P_BOTTOM, _P_BOTTOM, math.nextafter(_P_BOTTOM, 1.0), 0.0))
+def test_the_p_form_of_the_stop_test_is_the_general_form_in_p(case):
+    assert _P_FORM(*case) == _GENERAL_FORM(*case)
 
 
 class TestIterationSettings:
