@@ -144,10 +144,10 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-# The coupled iteration, written once and rendered four times: as each compound's kernel
-# ``fn(x0, y0)``, as ``_call_iteration``, which runs a compound from a start outside the plain
-# box P, as ``_run_iteration``, which records every step for ``compound_trace`` from such a
-# start, and as ``_box_trace``, which records them from a start in P.
+# The coupled iteration, written once and rendered three times: as each compound's kernel
+# ``fn(x0, y0)``, as ``_box_trace``, which records every step for ``compound_trace`` from a
+# start in the plain box P, and as ``_run_iteration()``, which calls the operands' kernels
+# from any other start, for the compound's call and for ``compound_trace`` alike.
 # The start is a pair of floats in the operands' common domain: the compound's call and
 # ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
 # mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
@@ -168,8 +168,8 @@ class CompoundMean(MeanFunction):
 # The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
 # {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
 # taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows
-# each step. Only the traces record. The loop's own names are not those of any namespace
-# value, so no local hides a block's.
+# each step. The loop's own names are not those of any namespace value, so no local hides a
+# block's.
 _COMPOUND = """\
 {start}x, y = x0, y0
 {floor}n = 0
@@ -200,32 +200,24 @@ _ANYWHERE = {
     "stop": "gap <= tol * (hi if hi > -lo else -lo) or gap <= stop", "probe": _PROBE,
     "first": "    nx = f1(x, y)", "second": "    ny = f2(x, y)"}
 _IN_P = {"floor": "", "stop": "gap <= tol * hi"}  # the stop test of a start in P
-# The traces' slots, ``f(m1, m2, x0, y0, tol, max_iterations) -> (converged, x, y, n, steps)``
-# with every step a TraceStep, the start first. ``tuple_new`` builds each step as TraceStep's
-# own ``__new__`` does, but with no Python frame.
-_TRACE = {"done": "        return True, x, y, n, steps",
-          "exhausted": "        return False, x, y, n, steps",
-          "record": "\n    steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
-_STEPS = "steps = [tuple_new(TraceStep, (0, x0, y0, abs(x0 - y0)))]\n"
-_TRACE_NAMES = {"TraceStep": TraceStep, "tuple_new": tuple.__new__}
-_TRACE_SIGNATURE = "m1, m2, x0, y0, tol, max_iterations"
-
-# ``_run_iteration``: the trace from a start outside P, calling the operands' kernels.
-_run_iteration = _generated(_TRACE_SIGNATURE, _COMPOUND.format(
-    start=f"f1, f2 = m1.fn, m2.fn\n{_STEPS}", **_TRACE, **_ANYWHERE,
-), _TRACE_NAMES, "<trace>")
+# The slots of the loops ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y,
+# n)``, which append each step to ``steps`` as a TraceStep, ``_run_iteration()`` only where
+# ``steps`` is a list. ``tuple_new`` builds each step as TraceStep's own ``__new__`` does, but
+# with no Python frame.
+_RECORD = "steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"
+_LOOP = {"done": "        return True, x, y, n", "exhausted": "        return False, x, y, n"}
+_LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": tuple.__new__}
+_LOOP_SIGNATURE = "m1, m2, x0, y0, tol, max_iterations, steps"
 
 
 @functools.cache
-def _call_iteration() -> Callable[..., float]:
-    """``fn(m1, m2, x0, y0, tol, max_iterations, exhausted)``: the compound's value from the
-    start (x0, y0), by the iteration calling the operands' kernels, and ``exhausted(x0, y0)``
-    once it runs out of iterations; generated on first use."""
-    namespace: dict = {}
-    done, _ = _splice(namespace, _arithmetic_eval, "return ")
-    return _generated("m1, m2, x0, y0, tol, max_iterations, exhausted", _COMPOUND.format(
-        start="f1, f2 = m1.fn, m2.fn\n", done=_indent(done, 8), record="",
-        exhausted="        exhausted(x0, y0)", **_ANYWHERE), namespace, "<compound>")
+def _run_iteration() -> Callable[..., tuple]:
+    """The loop that calls the operands' kernels, run from a start outside P by the compound's
+    call, with ``steps`` None, and by ``compound_trace``, with a list that holds the start.
+    Generated on first use."""
+    return _generated(_LOOP_SIGNATURE, _COMPOUND.format(
+        start="f1, f2 = m1.fn, m2.fn\n", record=f"\n    if steps is not None:\n        {_RECORD}",
+        **_LOOP, **_ANYWHERE), _LOOP_NAMES, "<trace>")
 
 
 def _in_box(f1: Callable, f2: Callable, namespace: dict) -> dict:
@@ -241,13 +233,14 @@ def _in_box(f1: Callable, f2: Callable, namespace: dict) -> dict:
 @functools.lru_cache(maxsize=8)
 def _box_trace(f1: Callable, f2: Callable) -> Callable[..., tuple]:
     """The trace of the kernels ``f1`` and ``f2`` from a start in P, which runs their box
-    forms: ``_COMPOUND`` rendered as the compound's kernel is, recording every step. It takes
-    the arguments of ``_run_iteration`` and gives its results. Generated on first use for each
-    pair of kernels; the last eight pairs are kept."""
-    namespace = dict(_TRACE_NAMES)
+    forms: ``_COMPOUND`` rendered as the compound's kernel is, appending every step to
+    ``steps``. ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y, n)``, as
+    ``_run_iteration()``. Generated on first use for each pair of kernels; the last eight
+    pairs are kept."""
+    namespace = dict(_LOOP_NAMES)
     slots = _in_box(f1, f2, namespace)
-    return _generated(_TRACE_SIGNATURE, _COMPOUND.format(start=_STEPS, **_TRACE, **slots),
-                      namespace, "<trace>")
+    return _generated(_LOOP_SIGNATURE, _COMPOUND.format(
+        start="", record=f"\n    {_RECORD}", **_LOOP, **slots), namespace, "<trace>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
@@ -258,14 +251,17 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     and of A's for the midpoint (``core._splice``) under the P form of the stop test, so a
     step calls no kernel that has a block and runs no check that cannot fire in P; the NaN
     probe is left out where both operands splice an enclosure. A start outside P goes to
-    ``_call_iteration``. A start that runs out of iterations goes to ``compound_trace``,
-    which raises its ConvergenceError.
+    ``_run_iteration()``, which records nothing. A start that runs out of iterations goes to
+    ``compound_trace``, which raises its ConvergenceError.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
 
     def outside(x0: float, y0: float) -> float:
-        return _call_iteration()(m1, m2, x0, y0, tol, max_iter, exhausted)
+        converged, x, y, _ = _run_iteration()(m1, m2, x0, y0, tol, max_iter, None)
+        if not converged:
+            exhausted(x0, y0)
+        return _arithmetic_eval(x, y)
 
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
                  "outside": outside, **_PLAIN_NAMES}
@@ -352,7 +348,8 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     From a start in the plain box P the iteration runs the operands' box forms
     (``_box_trace``), as the compound's kernel does, and the first trace of a
     pair of kernels compiles that loop; from any other start it calls their
-    kernels (``_run_iteration``). Both record the same steps.
+    kernels (``_run_iteration()``), as the compound's call does. Both record
+    the same steps.
     """
     max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
@@ -360,8 +357,9 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
     in_box = _P_LO < x < _P_HI and _P_LO < y < _P_HI
-    run = _box_trace(m1.fn, m2.fn) if in_box else _run_iteration
-    converged, xn, yn, n, steps = run(m1, m2, x, y, tolerance, max_iterations)
+    run = _box_trace(m1.fn, m2.fn) if in_box else _run_iteration()
+    steps = [TraceStep(0, x, y, abs(x - y))]
+    converged, xn, yn, n = run(m1, m2, x, y, tolerance, max_iterations, steps)
 
     k = envelope_ok = None
     if estimate_contraction:

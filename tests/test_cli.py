@@ -658,6 +658,23 @@ class TestOutputContract:
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
+    def test_import_compiles_only_the_built_in_kernels(self):
+        # the loops of compounds and traces are compiled on first use, not at import
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys\n"
+                "compiled = []\n"
+                "def hook(event, args):\n"
+                "    if event == 'compile' and sys._getframe(1).f_code.co_name == '_generated':\n"
+                "        compiled.append(args[1])\n"
+                "sys.addaudithook(hook)\n"
+                "import meanscape.cli\n"
+                "print(compiled)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['<core>', '<core>', '<core>']"
+
     def test_metric_import_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)

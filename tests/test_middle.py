@@ -746,6 +746,20 @@ class TestBoxLoop:
                 assert not names & {"stop", "m1"}, kind
                 assert not [n for n in nodes if isinstance(n, ast.NotEq)], kind
 
+    def test_the_last_eight_pairs_of_kernels_are_kept(self):
+        # nine pairs from a start in P: the first pair's loop is dropped and compiled again
+        means = (ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic())
+        pairs = [(m1, m2) for m1 in means for m2 in means]
+        traces = [ms.compound_trace(m1, m2, 1.0, 3.0, estimate_contraction=False)
+                  for m1, m2 in pairs]
+        misses = middle._box_trace.cache_info().misses
+        again = ms.compound_trace(*pairs[0], 1.0, 3.0, estimate_contraction=False)
+        assert middle._box_trace.cache_info().misses == misses + 1
+        assert _bits(again) == _bits(traces[0])
+        # the last pair is still kept
+        ms.compound_trace(*pairs[-1], 1.0, 3.0, estimate_contraction=False)
+        assert middle._box_trace.cache_info().misses == misses + 1
+
     def test_a_kernel_with_no_block_keeps_the_nan_probe(self):
         A = ms.make_arithmetic()
         low = ms.MeanFunction("min", ms.ALL_REALS, min)
@@ -802,14 +816,14 @@ class TestSplicedBlocksMatchCheckedReference:
                 self._outcomes(m1, m2, x, y)
 
 
-def _near_iteration(m1, m2, x, y, tol, max_iter, record):
+def _near_iteration(m1, m2, x, y, tol, max_iter, steps):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
-    taken from the sorted envelope: the oracle of ``middle._run_iteration``. A gap of at
-    most 5e-324 stops it too, as in ``_checked_iteration``."""
+    taken from the sorted envelope: the oracle of ``middle._run_iteration()``, in its
+    protocol, appending each step to ``steps`` where that is a list. A gap of at most 5e-324
+    stops it too, as in ``_checked_iteration``."""
     f1, f2 = m1.fn, m2.fn
     xn, yn = x, y
     floor = (tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0) + 5e-324
-    steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
     while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
         if xn != xn or yn != yn:
@@ -820,18 +834,19 @@ def _near_iteration(m1, m2, x, y, tol, max_iter, record):
         xn = lo if nx < lo else hi if nx > hi else nx
         yn = lo if ny < lo else hi if ny > hi else ny
         n += 1
-        if record:
+        if steps is not None:
             steps.append(ms.TraceStep(n, xn, yn, abs(xn - yn)))
-    return done, xn, yn, n, steps
+    return done, xn, yn, n
 
 
 def _near_compound(m1, m2, tol, max_iterations):
     """compound's call as it ran on the near loop, before its kernel was generated: the
     reference of the call half of ``_entry_outcomes``."""
     def fn(x, y):
-        ok, xn, yn, n, _ = _near_iteration(m1, m2, x, y, tol, max_iterations, False)
+        ok, xn, yn, n = _near_iteration(m1, m2, x, y, tol, max_iterations, None)
         if not ok:
-            _, _, _, _, steps = _near_iteration(m1, m2, x, y, tol, max_iterations, True)
+            steps = [ms.TraceStep(0, x, y, abs(x - y))]
+            _near_iteration(m1, m2, x, y, tol, max_iterations, steps)
             trace = ms.IterationTrace(tuple(steps), False, core._arithmetic_eval(xn, yn), n)
             raise ms.ConvergenceError(
                 f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "
@@ -841,16 +856,12 @@ def _near_compound(m1, m2, tol, max_iterations):
     return ms.MeanFunction(f"mid({m1.name},{m2.name})", common_domain(m1.domain, m2.domain), fn)
 
 
-def _near_recorded(m1, m2, x, y, tol, max_iter):
-    """``_near_iteration`` in the place of ``middle._run_iteration``, which always records."""
-    return _near_iteration(m1, m2, x, y, tol, max_iter, True)
-
-
-def _loop_outcome(run, *args):
-    """``_outcome`` of one run of an iteration loop, its list of steps as a tuple."""
+def _loop_outcome(run, m1, m2, x, y, tol, max_iter, record=True):
+    """``_outcome`` of one run of an iteration loop from (x, y), with its steps as a tuple,
+    the start first, where ``record``; without ``record`` the loop is handed no list."""
     def loop():
-        done, xn, yn, n, steps = run(*args)
-        return done, xn, yn, n, None if steps is None else tuple(steps)
+        steps = [ms.TraceStep(0, x, y, abs(x - y))] if record else None
+        return *run(m1, m2, x, y, tol, max_iter, steps), None if steps is None else tuple(steps)
 
     return _outcome(loop)
 
@@ -897,8 +908,8 @@ def _entry_outcomes(m1, m2, x, y, tol, max_iterations, compound=ms.compound):
 def _near_outcomes(m1, m2, x, y, tol, max_iterations):
     """``_entry_outcomes`` with both halves on the near loop: the trace's too, from a start in
     P as from any other."""
-    with mock.patch.object(middle, "_run_iteration", _near_recorded), \
-            mock.patch.object(middle, "_box_trace", lambda f1, f2: _near_recorded):
+    with mock.patch.object(middle, "_run_iteration", lambda: _near_iteration), \
+            mock.patch.object(middle, "_box_trace", lambda f1, f2: _near_iteration):
         return _entry_outcomes(m1, m2, x, y, tol, max_iterations, _near_compound)
 
 
@@ -923,8 +934,15 @@ class TestIterationMatchesTheNearLoop:
     def test_loop_results_and_exceptions(self, case):
         _, m1, m2, x, y, tol, max_iterations = case
         args = (m1, m2, x, y, tol, max_iterations)
-        near_loop = _loop_outcome(_near_recorded, *args)
-        assert _loop_outcome(middle._run_iteration, *args) == near_loop
+        near_loop = _loop_outcome(_near_iteration, *args)
+        recorded = _loop_outcome(middle._run_iteration(), *args)
+        assert recorded == near_loop
+        # handed no list, the loop gives the same pair and count, or raises alike
+        unrecorded = _loop_outcome(middle._run_iteration(), *args, record=False)
+        if recorded[0] == "value":
+            assert unrecorded == ("value", recorded[1][:4] + (None,))
+        else:
+            assert unrecorded == recorded
         if _in_p(x, y):
             assert _loop_outcome(middle._box_trace(m1.fn, m2.fn), *args) == near_loop
 
@@ -978,13 +996,13 @@ class TestOneExit:
 
 
 def test_the_coupled_iteration_is_written_once():
-    # all four renderings come from _COMPOUND, and each form of its stop test is written once
+    # all three renderings come from _COMPOUND, and each form of its stop test is written once
     sources = [path.read_text() for path in pathlib.Path(ms.__file__).parent.glob("*.py")]
     for stop in ("gap <= tol * (hi if hi > -lo else -lo)", "gap <= tol * hi"):
         assert sum(text.count(stop) for text in sources) == 1, stop
+    assert sum(text.count("_COMPOUND.format(") for text in sources) == 3
     A, G = ms.make_arithmetic(), ms.make_geometric()
-    for fn in (ms.compound(A, G).fn, middle._call_iteration(), middle._run_iteration,
-               middle._box_trace(A.fn, G.fn)):
+    for fn in (ms.compound(A, G).fn, middle._run_iteration(), middle._box_trace(A.fn, G.fn)):
         assert re.fullmatch(r"<\w+>", fn.__code__.co_filename)
 
 
