@@ -9,16 +9,18 @@ iteration traces only.
 
 Each command is one row of _COMMANDS and each flag one row of _FLAGS,
 whose ``type`` parses and range-checks the flag's value, so a bad value is
-a usage error raised while argparse reads the arguments. A value may start
-with "-" (``--at -1,2``). MEANSCAPE_SEED is the default of --seed.
+a usage error raised while the arguments are read. A value may start with
+"-" (``--at -1,2``). MEANSCAPE_SEED is the default of --seed. A well-formed
+run is read from the two tables alone; argparse, built from the same rows,
+reads --help and every run that holds a usage error, and words its message.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -84,22 +86,6 @@ class _UsageError(Exception):
 
 class _Help(Exception):  # carries the text --help asks for
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # raise instead of printing and calling sys.exit, so cli_run stays a function
-    def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}")
-
-    def print_help(self, file=None):
-        raise _Help(self.format_help())
-
-    def parse_known_args(self, args=None, namespace=None):
-        # a command refuses what it does not read itself, so the usage shown is its own
-        args, unread = super().parse_known_args(args, namespace)
-        if unread:
-            self.error(f"unrecognized arguments: {' '.join(unread)}")
-        return args, unread
 
 
 def _fmt_float(v: float) -> str:
@@ -349,7 +335,7 @@ class _Command(NamedTuple):
     """One row of the command table; defaults overrides the defaults of its flags."""
 
     help: str
-    run: Callable[[argparse.Namespace, _Resolver], dict]
+    run: Callable[[SimpleNamespace, _Resolver], dict]
     flags: tuple[str, ...]  # the flags run reads, in the order --help lists them
     defaults: dict = {}
     least_grid: int = 1  # the least --grid that run accepts, where it reads --grid
@@ -443,12 +429,95 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _build_parser(command: Optional[str]) -> _Parser:
-    """The parser of a run whose first argument is ``command``: the top-level parser reads no
-    flag but --help, so that is the only command the run can invoke. Where it names a
-    command, the parser has that command alone, with its flags. Any other run (--help, a
-    typo, a flag first) gets every command, to list them or to refuse the first argument."""
-    parser = _Parser(prog="meanscape", description=__doc__.splitlines()[0])
+def _dest(flag: str) -> str:
+    """The attribute that holds the value of ``flag``, named as argparse names it."""
+    return flag[2:].replace("-", "_")
+
+
+def _type(flag: str, cmd: _Command) -> Callable[[str], object]:
+    """The converter of a value of ``flag`` in ``cmd``: --grid's least value is the command's."""
+    return _grid(cmd.least_grid) if flag == "--grid" else _FLAGS[flag].get("type", str)
+
+
+def _defaults(cmd: _Command) -> dict:
+    """The defaults that override those of ``cmd``'s flag rows, keyed by attribute name."""
+    return {"seed": os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults}
+
+
+def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse reads from ``argv`` where it is well-formed, read from the
+    command and flag tables alone; None where argparse must read it, to print --help or
+    to word a usage error. Every token is checked before any converter runs. The
+    converters then run in argparse's order, so the first _UsageError raised is the one
+    argparse raises: each value given, in argv order, then each string default, in the
+    order of the command's flags."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    cmd = _COMMANDS[argv[0]]
+    flags = _EVERY_COMMAND + cmd.flags
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        if flag not in flags:  # --help, an abbreviation, a stray token, "--"
+            return None
+        keywords = _FLAGS[flag]
+        if "action" in keywords:  # a switch
+            if equals:
+                return None
+            text = None
+        elif not equals:
+            text = next(tokens, None)
+            # argparse reads a token that starts with "-" as a flag unless it holds a
+            # space and no flag precedes its "="; _join_dash_values joined every "-x"
+            if text is None or text.startswith("-") and (
+                    " " not in text or text.partition("=")[0] in (*flags, "--help")):
+                return None
+        if "choices" in keywords and text not in keywords["choices"]:
+            return None
+        given.append((flag, text))
+    seen = {flag for flag, _ in given}
+    if any(_FLAGS[flag].get("required") and flag not in seen for flag in flags):
+        return None
+
+    args, defaults = {"command": argv[0]}, _defaults(cmd)
+    try:
+        for flag, text in given:
+            args[_dest(flag)] = True if text is None else _type(flag, cmd)(text)
+        for flag in flags:
+            if flag not in seen:
+                keywords = _FLAGS[flag]  # a switch is False unless given
+                value = defaults.get(_dest(flag), keywords.get(
+                    "default", False if "action" in keywords else None))
+                args[_dest(flag)] = _type(flag, cmd)(value) if isinstance(value, str) else value
+    except (ValueError, TypeError):  # argparse words these itself
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser(command: Optional[str]):
+    """The argparse parser of a run whose first argument is ``command``: the top-level
+    parser reads no flag but --help, so that is the only command the run can invoke. Where
+    it names a command, the parser has that command alone, with its flags. Any other run
+    (--help, a typo, a flag first) gets every command, to list them or to refuse the first
+    argument."""
+    import argparse  # loaded only where _read_args declines: --help and usage errors
+
+    class Parser(argparse.ArgumentParser):
+        # raise instead of printing and calling sys.exit, so cli_run stays a function
+        def error(self, message):
+            raise _UsageError(f"{message}\n{self.format_usage()}")
+
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
+
+        def parse_known_args(self, args=None, namespace=None):
+            # a command refuses what it does not read itself, so the usage shown is its own
+            args, unread = super().parse_known_args(args, namespace)
+            if unread:
+                self.error(f"unrecognized arguments: {' '.join(unread)}")
+            return args, unread
+
+    parser = Parser(prog="meanscape", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         cmd = _COMMANDS[name]
@@ -457,30 +526,38 @@ def _build_parser(command: Optional[str]) -> _Parser:
         if name == command:
             for flag in _EVERY_COMMAND + cmd.flags:
                 keywords = _FLAGS[flag]
-                if flag == "--grid":  # its least value is the command's
-                    keywords = {**keywords, "type": _grid(cmd.least_grid)}
+                if "action" not in keywords:  # a switch takes no converter
+                    keywords = {**keywords, "type": _type(flag, cmd)}
                 p.add_argument(flag, **keywords)
-            p.set_defaults(seed=os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults)
+            p.set_defaults(**_defaults(cmd))
     return parser
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace argparse reads from ``argv``; it raises the _Help or _UsageError of a
+    run that asks for help or holds a usage error."""
+    parser = _build_parser(argv[0] if argv else None)
+    try:
+        return SimpleNamespace(**vars(parser.parse_args(argv)))
+    except _UsageError:
+        if not (argv and argv[0].startswith("-") and argv[0] not in ("-", "--")):
+            raise
+        # the top-level parser knows no flag but --help (and its prefixes), so it read
+        # the flag's value as the command
+        flag = argv[0].split("=", 1)[0]
+        raise _UsageError(f"{flag} comes before the command; flags follow the command, "
+                          f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}"
+                          ) from None
 
 
 def cli_run(argv: list[str]) -> CommandResult:
     """Run one CLI invocation and return the result without printing (for --help,
     ``rendered`` is the help text)."""
     argv = _join_dash_values(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        try:
-            args = parser.parse_args(argv)
-        except _UsageError:
-            if not (argv and argv[0].startswith("-") and argv[0] not in ("-", "--")):
-                raise
-            # the top-level parser knows no flag but --help (and its prefixes), so it read
-            # the flag's value as the command
-            flag = argv[0].split("=", 1)[0]
-            raise _UsageError(f"{flag} comes before the command; flags follow the command, "
-                              f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}"
-                              ) from None
+        args = _read_args(argv)
+        if args is None:
+            args = _parse_args(argv)
         if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")
         cmd = _COMMANDS[args.command]

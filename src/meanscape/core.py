@@ -557,12 +557,19 @@ def _halton_block(seed: int, start: int, n: int) -> tuple[tuple[float, float], .
             weight /= base
             rows.append([d * weight for d in sorted(range(base), key=lambda _: rng.random())])
         coords, indices, top = [0.0] * n, range(start, start + n), start + n - 1
+        tail = []  # past the top digit of the last index every digit is 0
         for row in rows:
             if top:
                 coords = [acc + row[index % base] for acc, index in zip(coords, indices)]
                 indices, top = [index // base for index in indices], top // base
-            elif row[0]:  # past the top digit of the last index every digit is 0, and
-                coords = list(map(row[0].__add__, coords))  # adding 0.0 changes no sum
+            elif row[0]:  # adding 0.0 changes no sum
+                tail.append(row[0])
+        if base == 2 and tail:
+            # distinct powers of 2 from 2^-1 to 2^-53: every partial sum of a point's rows
+            # is exact, so one add of the tail's sum gives the bits of one add per row
+            tail = [sum(tail)]
+        for term in tail:
+            coords = list(map(term.__add__, coords))
         dims.append(coords)
     return tuple(zip(*dims))
 

@@ -212,6 +212,91 @@ def test_cli_run_never_raises(argv):
         assert json.loads(result.rendered)["status"] == "error", argv
 
 
+# values of each flag for the agreement property: well-formed ones, then ill-formed ones:
+# refused by its converter with a _UsageError, refused by argparse in its own words
+# ("invalid int value"), or read by argparse as a flag though they follow one
+_AGREEMENT_VALUES = {
+    **dict.fromkeys(["--mean", "--m0", "--m1", "--m2", "--weight", "--p1", "--p2", "--out"], (
+        ["G", "(x+y)/2", "", "x=y", "-", "-x+2*y", "--x y", "--no-flag=a b"],
+        ["--x", "--at=1 2", "--help=a b"])),
+    "--at": (["1,2", "-1,2", "nan,1"], ["1", "a,b"]),
+    "--window": (["1,3", "-1,1"], ["1,1", "a"]),
+    "--windows": (["0.1,10;1,100", ";"], ["1,0", "0.1,10;a,b"]),
+    "--grid": (["8", "64"], ["1", "0", "-3", "1.5", "x"]),
+    "--tol": (["1e-3", "0"], ["-1", "nan", "x"]),
+    "--max-iter": (["5", "0"], ["-1", "1.5"]),
+    "--domain": (["pos", "reals", "0,1", "-5,0"], ["1,0", "nan,1", "x"]),
+    "--seed": (["3", "0"], ["-5", "x", ""]),
+    "--format": (["json", "csv"], ["xml"]),
+}
+# tokens that stand where a flag or a command should
+_STRAY_TOKENS = ["stray", "-", "-1", "--", "--windo", "--no-such-flag", "--trace=1", "--help=x",
+                 "eval", "-h", "--help", "--he", *cli._FLAGS]
+
+
+@st.composite
+def _agreement_argv(draw):
+    """An argv drawn from the command table: a command, or none or an unknown one; the
+    flags it reads, the required ones and any others, in any order and either form,
+    repeated, with well-formed or ill-formed values; and at most one fault of form: a
+    flag left out, a value flag given no value or a switch given one, a stray token."""
+    command = draw(st.sampled_from([*_COMMANDS, "frobnicate", None]))
+    reads = _EVERY_COMMAND + _COMMANDS[command].flags if command in _COMMANDS else [*cli._FLAGS]
+    flags = [f for f in reads if "required" in cli._FLAGS[f] or draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(reads), max_size=2))
+    items = []  # (flag, its tokens)
+    for flag in draw(st.permutations(flags)):
+        if "action" in cli._FLAGS[flag]:
+            items.append((flag, [flag]))
+        else:
+            value = draw(st.sampled_from(_AGREEMENT_VALUES[flag][draw(st.integers(0, 9)) == 0]))
+            items.append((flag, draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))))
+    fault = draw(st.sampled_from([None, None, "left out", "no value", "switch value", "stray"]))
+    valued = [i for i, (flag, _) in enumerate(items) if "action" not in cli._FLAGS[flag]]
+    switches = [flag for flag in reads if "action" in cli._FLAGS[flag]]
+    if fault == "left out" and items:
+        items.pop(draw(st.integers(0, len(items) - 1)))
+    elif fault == "no value" and valued:
+        i = draw(st.sampled_from(valued))
+        items[i] = (items[i][0], [items[i][0]])
+    elif fault == "switch value" and switches:
+        flag = draw(st.sampled_from(switches))
+        items.insert(draw(st.integers(0, len(items))), (flag, [f"{flag}=1"]))
+    argv = ([] if command is None else [command]) + [t for _, tokens in items for t in tokens]
+    if fault == "stray":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAY_TOKENS)))
+    return argv
+
+
+def _read_as(read, argv):
+    """What ``read`` makes of ``argv``: the attributes of its namespace by name, each as its
+    repr (NaN equals itself there), None, or the _UsageError or _Help it raised."""
+    try:
+        namespace = read(argv)
+    except (cli._UsageError, cli._Help) as exc:
+        return exc
+    return None if namespace is None else {k: repr(v) for k, v in vars(namespace).items()}
+
+
+@seed(28)
+@settings(max_examples=600)
+@given(_agreement_argv(), st.sampled_from([None, "5", "abc", "-2", ""]))
+def test_the_table_reader_agrees_with_argparse(argv, env_seed):
+    argv = cli._join_dash_values(argv)
+    with mock.patch.dict(os.environ, {"MEANSCAPE_SEED": env_seed or ""}):
+        if env_seed is None:
+            del os.environ["MEANSCAPE_SEED"]
+        read = _read_as(cli._read_args, argv)
+        parsed = _read_as(lambda argv: cli._build_parser(argv[0] if argv else None)
+                          .parse_args(argv), argv)
+    if read is None:  # only a run that asks for help or holds a usage error is declined
+        assert isinstance(parsed, (cli._UsageError, cli._Help)), (argv, parsed)
+    elif isinstance(read, cli._UsageError):  # a converter's, which argparse passes on
+        assert (type(parsed), str(parsed)) == (cli._UsageError, str(read)), argv
+    else:
+        assert read == parsed, argv
+
+
 class TestAnalysisCommands:
     def test_compare(self):
         p = payload(["compare", "--p1", "1", "--p2", "1/sqrt(t)",
@@ -674,6 +759,23 @@ class TestOutputContract:
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['<core>', '<core>', '<core>']"
+
+    def test_a_well_formed_run_loads_no_parsing_modules(self):
+        # argparse, and the gettext and locale it loads, serve --help and usage errors only
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys\n"
+                "from meanscape.cli import cli_run\n"
+                "result = cli_run(sys.argv[1:])\n"
+                "print(result.exit_code, [m for m in ('argparse', 'gettext', 'locale') "
+                "if m in sys.modules])")
+        for argv, want in [(_EXAMPLES["compound"][0], "0 []"),
+                           (["eval", "--help"], "0 ['argparse', 'gettext', 'locale']"),
+                           (["eval", "--mean", "A"], "1 ['argparse', 'gettext', 'locale']")]:
+            proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                  text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == want, argv
 
     def test_metric_import_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))

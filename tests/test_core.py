@@ -429,6 +429,37 @@ def test_halton_matches_numpy_oracle(seed, start, n):
     assert np.array_equal(_halton_block(seed, start, n), _numpy_halton(seed, start, n))
 
 
+def _digit_by_digit_halton(seed, start, n):
+    """``_halton_block`` adding every digit row past the top digit of the last index to
+    each point in turn, kept as the oracle of its one add of the base-2 tail's sum."""
+    rng = _seeded(seed)
+    dims = []
+    for base in (2, 3):
+        rows, weight = [], 1.0
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            weight /= base
+            rows.append([d * weight for d in sorted(range(base), key=lambda _: rng.random())])
+        coords, indices, top = [0.0] * n, range(start, start + n), start + n - 1
+        for row in rows:
+            if top:
+                coords = [acc + row[index % base] for acc, index in zip(coords, indices)]
+                indices, top = [index // base for index in indices], top // base
+            elif row[0]:
+                coords = list(map(row[0].__add__, coords))
+        dims.append(coords)
+    return tuple(zip(*dims))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 99, 2**40 + 3, 2**128])
+def test_halton_tail_keeps_the_bits_of_the_digit_by_digit_draw(seed):
+    for start in (0, 1, 63, 64, 100, 1000, 2**20 - 5, 2**40):
+        for n in (1, 2, 3, 64, 256, 300):
+            got, want = _halton_block.__wrapped__(seed, start, n), _digit_by_digit_halton(
+                seed, start, n)
+            assert [[u.hex() for u in p] for p in got] == [[u.hex() for u in p] for p in want], (
+                start, n)
+
+
 @given(st.integers(min_value=0, max_value=2**70))
 def test_halton_is_a_net_for_every_seed(seed):
     # whatever the digit permutations, the first b^k points of base b put exactly one
