@@ -22,7 +22,7 @@ import enum
 import functools
 import math
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .core import (
     _BOX,
@@ -180,7 +180,7 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
     return AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
 
 
-def phi_inverse(f: AsymmetricFunction, name: Optional[str] = None) -> MeanFunction:
+def phi_inverse(f: AsymmetricFunction, name: str | None = None) -> MeanFunction:
     """Mean with log-ratio transform ``f``.
 
     The endpoint-weighted form with U = 1 and V = e^f, mirrored where f > 0
@@ -348,7 +348,7 @@ if not (0.0 < {p}px < inf and 0.0 < {p}py < inf):
                            f'{{x if not 0.0 < {p}px < inf else y}}')"""
 
 
-def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunction:
+def make_normal_mean(p: WeightFunction, name: str | None = None) -> MeanFunction:
     """Normal mean (x P(x) + y P(y)) / (P(x) + P(y)) for a positive weight.
 
     Where the numerator is a normal float the plain formula is the value.
@@ -380,7 +380,7 @@ def make_normal_mean(p: WeightFunction, name: Optional[str] = None) -> MeanFunct
     return MeanFunction(name, p.domain, _kernel(*forms, _outward(*_BOX), "<algebra>"))
 
 
-def random_normal_mean(rng, name: Optional[str] = None) -> MeanFunction:
+def random_normal_mean(rng, name: str | None = None) -> MeanFunction:
     """A seeded random normal mean on (0, inf), weight t^a (1+t)^b.
 
     Where both weights are normal floats the value is ``make_normal_mean``'s. Where

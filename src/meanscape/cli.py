@@ -21,12 +21,13 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
 
 from .core import (
     DEFAULT_SEED,
     Interval,
     NumericalError,
+    _Record,
     common_domain,
     default_window,
     make_arithmetic,
@@ -70,8 +71,8 @@ class CommandResult:
 
     __slots__ = ("status", "payload", "diagnostics", "exit_code", "rendered", "out_path")
 
-    def __init__(self, status: str, payload: dict, diagnostics: Optional[list[str]] = None,
-                 exit_code: int = 0, rendered: str = "", out_path: Optional[str] = None):
+    def __init__(self, status: str, payload: dict, diagnostics: list[str] | None = None,
+                 exit_code: int = 0, rendered: str = "", out_path: str | None = None):
         self.status = status
         self.payload = payload
         self.diagnostics = [] if diagnostics is None else diagnostics
@@ -184,7 +185,7 @@ def _number(kind: Callable[[str], float], flag: str, rule: str, accepts: Callabl
 class _Resolver:
     """Turns expression arguments into means/weights, reading stdin at most once."""
 
-    def __init__(self, domain: Optional[Interval], seed: int):
+    def __init__(self, domain: Interval | None, seed: int):
         self.domain = domain
         self.seed = seed
         self.stdin_used = False
@@ -279,7 +280,7 @@ def _gh_cert(args, resolver: _Resolver) -> dict:
             "argmax_t": cert.argmax_t}
 
 
-def _iterate(args, m1, m2, guaranteed_by: Optional[str], d_upper: Optional[float],
+def _iterate(args, m1, m2, guaranteed_by: str | None, d_upper: float | None,
              trace: bool = False) -> dict:
     """The compound of m1 and m2 at --at, with its iteration rows if trace is set.
 
@@ -331,7 +332,7 @@ def _counterexample(args, resolver: _Resolver) -> dict:
             "d_estimate": res.d_estimate, "compound_is_A": res.compound_is_A}
 
 
-class _Command(NamedTuple):
+class _Command(_Record):
     """One row of the command table; defaults overrides the defaults of its flags."""
 
     help: str
@@ -444,7 +445,7 @@ def _defaults(cmd: _Command) -> dict:
     return {"seed": os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults}
 
 
-def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse reads from ``argv`` where it is well-formed, read from the
     command and flag tables alone; None where argparse must read it, to print --help or
     to word a usage error. Every token is checked before any converter runs. The
@@ -494,7 +495,7 @@ def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**args)
 
 
-def _build_parser(command: Optional[str]):
+def _build_parser(command: str | None):
     """The argparse parser of a run whose first argument is ``command``: the top-level
     parser reads no flag but --help, so that is the only command the run can invoke. Where
     it names a command, the parser has that command alone, with its flags. Any other run
@@ -584,7 +585,7 @@ def cli_run(argv: list[str]) -> CommandResult:
     return result
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     result = cli_run(sys.argv[1:] if argv is None else argv)
     if result.out_path:
         try:

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
 
 DEFAULT_SEED = 7
 
@@ -125,6 +125,81 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+_tuple_new = tuple.__new__  # how a record is built from its values
+
+
+class _RecordType(type):
+    """Makes a ``_Record`` type from its class body: the annotated names, in order, are its
+    fields, and a value assigned to one is its default. The annotations are strings, read as
+    names and never evaluated."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        for i, f in enumerate(fields):
+            ns[f] = property(operator.itemgetter(i), doc=f"Alias for field number {i}")
+        n = len(fields)
+
+        def __new__(cls, *args, **kwargs):
+            # a full positional call, the form the package makes, is one length check
+            if kwargs or len(args) != n:
+                args = cls._bind(args, kwargs)
+            return _tuple_new(cls, args)
+
+        return super().__new__(mcls, name, bases, {
+            **ns, "__new__": __new__, "__slots__": (), "_fields": fields,
+            "_field_defaults": defaults, "__match_args__": fields})
+
+
+class _Record(tuple, metaclass=_RecordType):
+    """Base of the result records: a tuple with named, read-only fields that behaves as
+    ``collections.namedtuple`` with the same fields and defaults does, built with no
+    generated code."""
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The values of a call that is not fully positional, in field order."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in cls._field_defaults:
+                values.append(cls._field_defaults[f])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {f!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                            f"argument {next(iter(kwargs))!r}")
+        return values
+
+    @classmethod
+    def _make(cls, iterable):
+        record = _tuple_new(cls, iterable)
+        if len(record) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(record)}")
+        return record
+
+    def _replace(self, /, **changes):
+        record = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
 class Interval(_Frozen):
     """A nonempty, non-degenerate real interval with per-endpoint flags.
 
@@ -174,7 +249,7 @@ class Interval(_Frozen):
             return False
         return True
 
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
+    def intersect(self, other: Interval) -> Interval | None:
         """Intersection, or None when it is empty or a single point; an operand that lies
         inside the other is the intersection itself."""
         if other.contains_interval(self):
@@ -215,7 +290,8 @@ def near(x: float, y: float, rel: float) -> bool:
     """|x - y| <= rel * max(|x|, |y|): the closeness test of every band.
 
     The coupled iteration of ``middle`` does not call it: it writes the same test out
-    from its sorted envelope, as gap <= rel * max(hi, -lo).
+    from its sorted envelope, as gap <= rel * max(hi, -lo), and where it starts in the plain
+    box P, whose iterates are all positive, as gap <= rel * hi.
     """
     a, b = abs(x), abs(y)
     return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
@@ -274,7 +350,7 @@ def _indent(text: str, spaces: int) -> str:
 # None where none is known. A compound whose start lies in P runs its operands' box forms: its
 # clamp keeps every iterate between the start's coordinates.
 Block = tuple[str, str, dict]
-Enclosure = Optional[tuple[float, float]]
+Enclosure = tuple[float, float] | None
 _BLOCKS = itertools.count()  # numbers each block, whose names it prefixes
 _PLAIN = "plain_lo < {x} < plain_hi and plain_lo < {y} < plain_hi"  # the point (x, y) lies in P
 _PLAIN_NAMES = {"plain_lo": 2.0 ** -500, "plain_hi": 2.0 ** 500}
@@ -394,7 +470,7 @@ class MeanFunction(_Frozen):
     __slots__ = ("name", "domain", "fn", "is_monotone", "is_continuous")
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
-                 is_monotone: Optional[bool] = None, is_continuous: Optional[bool] = None):
+                 is_monotone: bool | None = None, is_continuous: bool | None = None):
         _set(self, "name", name)
         _set(self, "domain", domain)
         _set(self, "fn", fn)
@@ -605,7 +681,7 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     return out
 
 
-class AxiomReport(NamedTuple):
+class AxiomReport(_Record):
     """Outcome of sampling the three mean axioms.
 
     Counterexamples are (axiom, x, y, observed) tuples; a false flag always

@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
 
 from .core import _BOX, _Frozen, _add, _corners, _generated, _kernel, _mul, _outward, _prefix
-from .core import _set, _sub
+from .core import _Record, _set, _sub
 from .core import Enclosure
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
@@ -128,7 +128,7 @@ class Call(Expression):
 _SINGLE_CHAR_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
 
 
-class _Token(NamedTuple):
+class _Token(_Record):
     kind: str  # num ident op lparen rparen comma end
     text: str
     start: int
@@ -371,7 +371,7 @@ class _Test(_Frozen):
         _set(self, "holds", holds)
         _set(self, "by_sign", by_sign)
 
-    def decide(self, const: Optional[float], enclosure: Enclosure) -> Optional[bool]:
+    def decide(self, const: float | None, enclosure: Enclosure) -> bool | None:
         """Whether the test holds at every value of its operand (True), at none (False), or
         not known (None): at the constant ``const``, or else over ``enclosure``, which
         decides a test of the sign where it agrees at both ends and at 0 between them."""
@@ -392,7 +392,7 @@ class _Op(_Frozen):
 
     __slots__ = ("value", "enclose", "checks", "overflow")
 
-    def __init__(self, value: str, enclose: Optional[Callable[..., Enclosure]],
+    def __init__(self, value: str, enclose: Callable[..., Enclosure] | None,
                  checks: tuple[tuple[tuple[_Test, ...], str], ...] = (), overflow: str = ""):
         _set(self, "value", value)
         _set(self, "enclose", enclose)
@@ -491,7 +491,7 @@ class _Value(_Frozen):
 
     __slots__ = ("name", "const", "enclosure")
 
-    def __init__(self, name: Optional[str], const: Optional[float], enclosure: Enclosure):
+    def __init__(self, name: str | None, const: float | None, enclosure: Enclosure):
         _set(self, "name", name)
         _set(self, "const", const)
         _set(self, "enclosure", enclosure)
@@ -618,15 +618,16 @@ def evaluate(e: Expression, env: dict[str, float]) -> float:
     faults raise EvaluationError, and non-finite results count as faults. A fault
     message ends in the values of x, y and t that ``env`` binds, in that order.
 
-    Compiling costs 0.1-0.5 ms, so to evaluate many points build the mean or
-    weight once (``expr_to_mean``, ``expr_to_weight``) and call it."""
+    Compiling costs about 0.15-0.3 ms for ``(x+y)/2`` and 0.4-1.2 ms for a power or
+    Lehmer mean (2-core Xeon, Python 3.11), so to evaluate many points build the mean
+    or weight once (``expr_to_mean``, ``expr_to_weight``) and call it."""
     variables = tuple(v for v in ("x", "y", "t") if v in env)
     return _compile(e, variables)(*[env[v] for v in variables])
 
 
-class MeanBuild(NamedTuple):
+class MeanBuild(_Record):
     mean: MeanFunction
-    report: Optional[AxiomReport]
+    report: AxiomReport | None
     diagnostics: tuple[str, ...]
 
 
@@ -660,7 +661,7 @@ def expr_to_weight(e: Expression, domain: Interval) -> WeightFunction:
                           name=format_expression(e))
 
 
-def mean_from_source(src: str, domain: Optional[Interval] = None, *,
+def mean_from_source(src: str, domain: Interval | None = None, *,
                      seed: int = DEFAULT_SEED) -> MeanBuild:
     """Mean from source text; bare builtin names yield the exact built-ins."""
     name = src.strip()
@@ -670,6 +671,6 @@ def mean_from_source(src: str, domain: Optional[Interval] = None, *,
     return expr_to_mean(tree, domain or POSITIVE_REALS, seed=seed)
 
 
-def weight_from_source(src: str, domain: Optional[Interval] = None) -> WeightFunction:
+def weight_from_source(src: str, domain: Interval | None = None) -> WeightFunction:
     """Weight function from source text over the variable t."""
     return expr_to_weight(parse_weight_expr(src), domain or POSITIVE_REALS)

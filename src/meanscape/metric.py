@@ -18,9 +18,9 @@ which samples the closed window, then calls the kernels.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from collections.abc import Callable, Sequence
 
-from .core import DomainError, Interval, MeanFunction, check_window, near
+from .core import _Record, DomainError, Interval, MeanFunction, check_window, near
 from .algebra import _linspace, phi
 
 __all__ = [
@@ -78,7 +78,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     return best_x, best_v
 
 
-class DistanceEstimate(NamedTuple):
+class DistanceEstimate(_Record):
     """A certified lower bound for a sup over a bounded window.
 
     ``value`` lies in [0, 1]; ``argmax`` is the off-diagonal point where it
@@ -91,7 +91,7 @@ class DistanceEstimate(NamedTuple):
     grid_size: int
 
 
-class BorderDiagnostic(NamedTuple):
+class BorderDiagnostic(_Record):
     """Trend of sup phi(M) across nested windows.
 
     ``trend`` is "growing" only when the estimate strictly increased at
@@ -268,7 +268,7 @@ def border_diagnostic(m: MeanFunction, windows: Sequence[Interval],
     return BorderDiagnostic(sups[-1], tuple(windows), tuple(sups), trend)
 
 
-class GhCertificate(NamedTuple):
+class GhCertificate(_Record):
     value: float
     quartic_residual: float
     argmax_t: float

@@ -22,11 +22,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
 
 from .core import (
     _PLAIN,
     _PLAIN_NAMES,
+    _Record,
     _arithmetic_eval,
     _generated,
     _indent,
@@ -83,14 +84,14 @@ _DISTANCE_GRID = 48
 _P_LO, _P_HI = _PLAIN_NAMES["plain_lo"], _PLAIN_NAMES["plain_hi"]  # P's side
 
 
-class TraceStep(NamedTuple):
+class TraceStep(_Record):
     n: int
     x: float
     y: float
     gap: float
 
 
-class IterationTrace(NamedTuple):
+class IterationTrace(_Record):
     """Per-step record of a coupled mean iteration.
 
     Gaps are non-increasing (the min/max envelope of the iterates
@@ -109,8 +110,8 @@ class IterationTrace(NamedTuple):
     converged: bool
     limit: float
     iterations_used: int
-    k_estimate: Optional[float] = None
-    envelope_ok: Optional[bool] = None
+    k_estimate: float | None = None
+    envelope_ok: bool | None = None
 
 
 class CompoundMean(MeanFunction):
@@ -126,10 +127,10 @@ class CompoundMean(MeanFunction):
     __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by")
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
-                 is_monotone: Optional[bool] = None, is_continuous: Optional[bool] = None,
+                 is_monotone: bool | None = None, is_continuous: bool | None = None,
                  tolerance: float = DEFAULT_TOLERANCE,
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                 d_upper: Optional[float] = None, guaranteed_by: Optional[str] = None, *,
+                 d_upper: float | None = None, guaranteed_by: str | None = None, *,
                  m1: MeanFunction, m2: MeanFunction):
         super().__init__(name, domain, fn, is_monotone, is_continuous)
         _set(self, "m1", m1)
@@ -317,7 +318,7 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def _guarantee(m1: MeanFunction, m2: MeanFunction) -> Optional[str]:
+def _guarantee(m1: MeanFunction, m2: MeanFunction) -> str | None:
     """``guaranteed_by`` of compound(m1, m2), known without building its kernel."""
     return "continuity" if m1.is_continuous and m2.is_continuous else None
 
@@ -506,7 +507,7 @@ def _probe_family(seed: int) -> list[MeanFunction]:
     return family
 
 
-class CoincidenceResult(NamedTuple):
+class CoincidenceResult(_Record):
     max_discrepancy: float
     worst_point: tuple[float, float]
 
@@ -542,12 +543,12 @@ def coincidence_probe(m: MeanFunction, window: Interval, samples: int,
     return CoincidenceResult(worst, worst_point)
 
 
-class CounterexampleResult(NamedTuple):
+class CounterexampleResult(_Record):
     d_estimate: float
     compound_is_A: bool
 
 
-def counterexample_check(window: Optional[Interval] = None, grid: int = 64,
+def counterexample_check(window: Interval | None = None, grid: int = 64,
                          samples: int = 100, seed: int = DEFAULT_SEED) -> CounterexampleResult:
     """Compound of a pair at the extreme distance 1 still converges, to A.
 

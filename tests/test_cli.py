@@ -743,6 +743,16 @@ class TestOutputContract:
                               env=env, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_typing(self):
+        # -S: site's .pth files may import typing themselves
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, meanscape.cli; print('typing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_import_compiles_only_the_built_in_kernels(self):
         # the loops of compounds and traces are compiled on first use, not at import
         src = os.path.dirname(os.path.dirname(meanscape.__file__))

@@ -1,6 +1,9 @@
 import ast
+import collections
+import copy
 import math
 import pathlib
+import pickle
 import sys
 from fractions import Fraction
 
@@ -10,7 +13,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape import core
+from meanscape import cli, core, expressions, metric, middle
 from meanscape.algebra import _linspace
 from meanscape.core import _halton_block, _seeded, near
 from meanscape.metric import _axis_points
@@ -549,6 +552,114 @@ class TestValueTypes:
             ms.CompoundMean("c", G.domain, G.fn, None, True, 1e-10, 50, None, None, A, G)
 
 
+# Each record with its fields and defaults as its class body declares them: the namedtuple
+# built from these is the oracle that every record must behave as.
+_RECORDS = [
+    (cli._Command, "help run flags defaults least_grid", ({}, 1)),
+    (core.AxiomReport, "axiom_i_ok axiom_ii_ok axiom_iii_ok counterexamples samples_used", ()),
+    (expressions._Token, "kind text start end", ()),
+    (expressions.MeanBuild, "mean report diagnostics", ()),
+    (metric.DistanceEstimate, "value argmax window grid_size", ()),
+    (metric.BorderDiagnostic, "sup_f_estimate windows_tested sup_per_window trend", ()),
+    (metric.GhCertificate, "value quartic_residual argmax_t", ()),
+    (middle.TraceStep, "n x y gap", ()),
+    (middle.IterationTrace,
+     "steps converged limit iterations_used k_estimate envelope_ok", (None, None)),
+    (middle.CoincidenceResult, "max_discrepancy worst_point", ()),
+    (middle.CounterexampleResult, "d_estimate compound_is_A", ()),
+]
+
+
+def _both_raise(error, make, oracle, *args, **kwargs):
+    for build in (make, oracle):
+        with pytest.raises(error):
+            build(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+class TestRecordsMatchNamedtuple:
+    @staticmethod
+    def _oracle(cls, fields, defaults):
+        return collections.namedtuple(cls.__name__, fields, defaults=defaults)
+
+    @staticmethod
+    def _values(cls):
+        # hashable, distinct and of several types, with a nested record
+        kinds = [lambda i: 0.1 * i, lambda i: f"text {i}", lambda i: (i, -i / 3),
+                 lambda i: middle.TraceStep(i, 1.5, 2.5, 1.0), lambda i: None]
+        return tuple(kinds[i % len(kinds)](i) for i in range(len(cls._fields)))
+
+    def test_construction(self, cls, fields, defaults):
+        oracle, values = self._oracle(cls, fields, defaults), self._values(cls)
+        r = cls(*values)
+        assert type(r) is cls and tuple(r) == values
+        assert cls(**dict(zip(oracle._fields, values))) == r
+        assert cls(values[0], **dict(zip(oracle._fields[1:], values[1:]))) == r
+        required = len(values) - len(defaults)
+        assert tuple(cls(*values[:required])) == tuple(oracle(*values[:required]))
+        _both_raise(TypeError, cls, oracle, *values[:required - 1])
+        _both_raise(TypeError, cls, oracle, *values, 0)
+        _both_raise(TypeError, cls, oracle, *values, colour=0)
+        _both_raise(TypeError, cls, oracle, *values, **{oracle._fields[0]: 0})
+        _both_raise(TypeError, cls, oracle, **dict(zip(oracle._fields[1:], values[1:])))
+
+    def test_tuple_behaviour(self, cls, fields, defaults):
+        oracle, values = self._oracle(cls, fields, defaults), self._values(cls)
+        r, o = cls(*values), oracle(*values)
+        assert repr(r) == repr(o)
+        assert r == o == values and hash(r) == hash(o) == hash(values)
+        assert r != values[:-1] and r != cls(*values[:-1], "other")
+        first, *rest = r
+        assert (first, *rest) == values and r[-1] == values[-1] and r[1:] == values[1:]
+        assert isinstance(r, tuple) and len(r) == len(values)
+        assert [getattr(r, f) for f in o._fields] == list(values)
+        assert cls._fields == oracle._fields and cls.__match_args__ == oracle.__match_args__
+        assert cls._field_defaults == oracle._field_defaults
+
+    def test_helpers(self, cls, fields, defaults):
+        oracle, values = self._oracle(cls, fields, defaults), self._values(cls)
+        r, o = cls(*values), oracle(*values)
+        made = cls._make(iter(values))
+        assert type(made) is cls and made == r
+        _both_raise(TypeError, cls._make, oracle._make, values[1:])
+        change = {oracle._fields[-1]: "changed"}
+        assert type(r._replace(**change)) is cls and r._replace(**change) == o._replace(**change)
+        assert r._replace() == r
+        _both_raise(ValueError, r._replace, o._replace, colour=0)
+        assert r._asdict() == o._asdict() and list(r._asdict()) == list(o._fields)
+
+    def test_copies(self, cls, fields, defaults):
+        r = cls(*self._values(cls))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(r, protocol))
+            assert type(back) is cls and back == r
+        deep = copy.deepcopy(r)
+        assert type(deep) is cls and deep == r and copy.copy(r) == r
+
+    def test_read_only(self, cls, fields, defaults):
+        r = cls(*self._values(cls))
+        assert not hasattr(r, "__dict__") and cls.__slots__ == ()
+        for name in cls._fields + ("new_attribute",):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+
+
+def test_records_of_a_run_print_as_namedtuples():
+    oracles = {cls: collections.namedtuple(cls.__name__, fields, defaults=defaults)
+               for cls, fields, defaults in _RECORDS}
+    G = ms.make_geometric()
+    w = ms.Interval.closed(0.5, 2.0)
+    runs = [*_frozen_values(), cli._COMMANDS["eval"], expressions._tokenize("x+y")[0],
+            ms.mean_from_source("(x+y)/2"), ms.distance_gh_certificate(),
+            ms.coincidence_probe(G, w, 4), ms.counterexample_check(grid=8, samples=4)]
+    records = [r for r in runs if isinstance(r, core._Record)]
+    assert {type(r) for r in records} == set(oracles)
+    for r in records:
+        assert repr(r) == repr(oracles[type(r)]._make(r))
+
+
 def test_default_window():
     assert ms.default_window(ms.POSITIVE_REALS) == ms.Interval.closed(1e-6, 1e6)
     assert ms.default_window(ms.ALL_REALS) == ms.Interval.closed(-1e3, 1e3)
@@ -618,3 +729,21 @@ def test_only_core_generated_runs_generated_code():
         runners.visit(ast.parse(path.read_text(), str(path)))
         found |= runners.found
     assert found == {("core._generated", "exec"), ("core._generated", "compile")}
+
+
+def test_no_module_imports_typing_or_namedtuple():
+    # the records are built on core._Record; typing and namedtuple cost every process
+    # milliseconds of import
+    found = []
+    for path in sorted(pathlib.Path(ms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0], *(a.name for a in node.names)]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            found += [(path.stem, name) for name in names
+                      if name in ("typing", "NamedTuple", "namedtuple")]
+    assert found == []
