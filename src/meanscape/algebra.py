@@ -33,6 +33,7 @@ from .core import (
     _guarded,
     _kernel,
     _mul,
+    _outside_domain,
     _outward,
     _prefix,
     _set,
@@ -92,7 +93,7 @@ class AsymmetricFunction(_Frozen):
     def __call__(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
         if not (self.domain.contains(x) and self.domain.contains(y)):
-            raise DomainError(f"({x}, {y}) is outside the domain {self.domain} of {self.name}")
+            raise _outside_domain(x, y, self.domain, self.name)
         if x == y:
             return 0.0
         return self.fn(x, y)

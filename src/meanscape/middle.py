@@ -144,11 +144,20 @@ class CompoundMean(MeanFunction):
     def guaranteed(self) -> bool:
         return self.guaranteed_by is not None
 
+    def replace(self, **changes) -> "CompoundMean":
+        """``MeanFunction.replace``, but a change to a field that the kernel has baked in raises
+        ValueError: the copy would report one setting and evaluate by another."""
+        for field in ("fn", "domain", "m1", "m2", "tolerance", "max_iterations"):
+            if field in changes and changes[field] != getattr(self, field):
+                raise ValueError(f"the kernel of {self.name} has {field} baked in; "
+                                 f"build a new compound to change it")
+        return super().replace(**changes)
 
-# The coupled iteration, written once and rendered three times: as each compound's kernel
-# ``fn(x0, y0)``, as ``_box_trace``, which records every step for ``compound_trace`` from a
-# start in the plain box P, and as ``_run_iteration()``, which calls the operands' kernels
-# from any other start, for the compound's call and for ``compound_trace`` alike.
+
+# The coupled iteration, written once and rendered twice: as each compound's kernel
+# ``fn(x0, y0)``, and as ``_trace_loop``, run by ``compound_trace`` and by a compound's call from
+# a start outside the plain box P. Each splices its operands' kernels (``core._splice``): box
+# forms from a start in P, checked blocks from any other, one call of a kernel with no block.
 # The start is a pair of floats in the operands' common domain: the compound's call and
 # ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
 # mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
@@ -193,55 +202,44 @@ _PROBE = """\
     if gap != gap:
         m1(x, y)  # NaN: the checked call raises m1's DomainError
 """
-# The slots of a loop that runs from a start anywhere: the general stop test with its floor,
-# the probe, and calls of the operands' kernels, the locals f1 and f2.
+# The stop test of a start anywhere, with its floor, and of a start in P.
 _ANYWHERE = {
     "floor": "stop = tol * max(abs(x), abs(y)) + 5e-324 if x < 0.0 < y or y < 0.0 < x "
              "else 5e-324\n",
-    "stop": "gap <= tol * (hi if hi > -lo else -lo) or gap <= stop", "probe": _PROBE,
-    "first": "    nx = f1(x, y)", "second": "    ny = f2(x, y)"}
-_IN_P = {"floor": "", "stop": "gap <= tol * hi"}  # the stop test of a start in P
+    "stop": "gap <= tol * (hi if hi > -lo else -lo) or gap <= stop"}
+_IN_P = {"floor": "", "stop": "gap <= tol * hi"}
 # The slots of the loops ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y,
-# n)``, which append each step to ``steps`` as a TraceStep, ``_run_iteration()`` only where
-# ``steps`` is a list. ``tuple_new`` builds each step as TraceStep's own ``__new__`` does, but
-# with no Python frame.
-_RECORD = "steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"
-_LOOP = {"done": "        return True, x, y, n", "exhausted": "        return False, x, y, n"}
+# n)``, which append each step to ``steps`` as a TraceStep where ``steps`` is a list.
+# ``tuple_new`` builds each step as TraceStep's own ``__new__`` does, but with no Python frame.
+_LOOP = {"start": "", "done": "        return True, x, y, n",
+         "exhausted": "        return False, x, y, n",
+         "record": "\n    if steps is not None:\n"
+                   "        steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
 _LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": tuple.__new__}
-_LOOP_SIGNATURE = "m1, m2, x0, y0, tol, max_iterations, steps"
 
 
-@functools.cache
-def _run_iteration() -> Callable[..., tuple]:
-    """The loop that calls the operands' kernels, run from a start outside P by the compound's
-    call, with ``steps`` None, and by ``compound_trace``, with a list that holds the start.
-    Generated on first use."""
-    return _generated(_LOOP_SIGNATURE, _COMPOUND.format(
-        start="f1, f2 = m1.fn, m2.fn\n", record=f"\n    if steps is not None:\n        {_RECORD}",
-        **_LOOP, **_ANYWHERE), _LOOP_NAMES, "<trace>")
-
-
-def _in_box(f1: Callable, f2: Callable, namespace: dict) -> dict:
-    """The slots of a loop that runs only from a start in P: the box forms of the kernels
-    ``f1`` and ``f2`` (``core._splice``), whose names join ``namespace``, the P form of the
-    stop test, and the NaN probe only where a kernel splices no enclosure."""
-    first, first_encloses = _splice(namespace, f1, "nx = ", box=True)
-    second, second_encloses = _splice(namespace, f2, "ny = ", box=True)
-    probe = "" if first_encloses and second_encloses else _PROBE
-    return {"first": _indent(first, 4), "second": _indent(second, 4), "probe": probe, **_IN_P}
+def _operand_slots(f1: Callable, f2: Callable, box: bool, namespace: dict) -> dict:
+    """The slots that run the kernels ``f1`` and ``f2`` (``core._splice``), whose names join
+    ``namespace``. With ``box``: their box forms, which run only from a start in P, the P form
+    of the stop test, and the NaN probe only where a kernel splices no enclosure. Without:
+    their checked blocks, the general stop test and the probe."""
+    first, first_encloses = _splice(namespace, f1, "nx = ", box=box)
+    second, second_encloses = _splice(namespace, f2, "ny = ", box=box)
+    probe = "" if box and first_encloses and second_encloses else _PROBE
+    return {"first": _indent(first, 4), "second": _indent(second, 4), "probe": probe,
+            **(_IN_P if box else _ANYWHERE)}
 
 
 @functools.lru_cache(maxsize=8)
-def _box_trace(f1: Callable, f2: Callable) -> Callable[..., tuple]:
-    """The trace of the kernels ``f1`` and ``f2`` from a start in P, which runs their box
-    forms: ``_COMPOUND`` rendered as the compound's kernel is, appending every step to
-    ``steps``. ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y, n)``, as
-    ``_run_iteration()``. Generated on first use for each pair of kernels; the last eight
-    pairs are kept."""
+def _trace_loop(f1: Callable, f2: Callable, box: bool) -> Callable[..., tuple]:
+    """The loop ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y, n)`` of
+    the kernels ``f1`` and ``f2``, spliced as ``_operand_slots`` gives them: with ``box`` it
+    runs only from a start in P. ``compound_trace`` hands it a list that holds the start, and
+    a compound's call from a start outside P hands it None. Generated on first use; the last
+    eight are kept."""
     namespace = dict(_LOOP_NAMES)
-    slots = _in_box(f1, f2, namespace)
-    return _generated(_LOOP_SIGNATURE, _COMPOUND.format(
-        start="", record=f"\n    {_RECORD}", **_LOOP, **slots), namespace, "<trace>")
+    return _generated("m1, m2, x0, y0, tol, max_iterations, steps", _COMPOUND.format(
+        **_LOOP, **_operand_slots(f1, f2, box, namespace)), namespace, "<trace>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
@@ -252,21 +250,23 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
     and of A's for the midpoint (``core._splice``) under the P form of the stop test, so a
     step calls no kernel that has a block and runs no check that cannot fire in P; the NaN
     probe is left out where both operands splice an enclosure. A start outside P goes to
-    ``_run_iteration()``, which records nothing. A start that runs out of iterations goes to
-    ``compound_trace``, which raises its ConvergenceError.
+    ``_trace_loop`` of the operands' checked blocks, which records nothing; the compound
+    fetches that loop on its first such start and keeps it. A start that runs out of
+    iterations goes to ``compound_trace``, which raises its ConvergenceError.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
+    outside_loop = functools.cache(functools.partial(_trace_loop, m1.fn, m2.fn, False))
 
     def outside(x0: float, y0: float) -> float:
-        converged, x, y, _ = _run_iteration()(m1, m2, x0, y0, tol, max_iter, None)
+        converged, x, y, _ = outside_loop()(m1, m2, x0, y0, tol, max_iter, None)
         if not converged:
             exhausted(x0, y0)
         return _arithmetic_eval(x, y)
 
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
                  "outside": outside, **_PLAIN_NAMES}
-    slots = _in_box(m1.fn, m2.fn, namespace)
+    slots = _operand_slots(m1.fn, m2.fn, True, namespace)
     done, _ = _splice(namespace, _arithmetic_eval, "return ", box=True)
     body = _COMPOUND.format(
         start=f"if not ({_PLAIN.format(x='x0', y='y0')}):\n    return outside(x0, y0)\n",
@@ -346,19 +346,17 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
-    From a start in the plain box P the iteration runs the operands' box forms
-    (``_box_trace``), as the compound's kernel does, and the first trace of a
-    pair of kernels compiles that loop; from any other start it calls their
-    kernels (``_run_iteration()``), as the compound's call does. Both record
-    the same steps.
+    The iteration runs ``_trace_loop`` of the operands' kernels: from a start
+    in the plain box P their box forms, as the compound's kernel does, and from
+    any other start their checked blocks, as the compound's call does. The
+    first trace of a pair of kernels from either kind of start compiles its loop.
     """
     max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)
     x, y = float(x), float(y)
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
-    in_box = _P_LO < x < _P_HI and _P_LO < y < _P_HI
-    run = _box_trace(m1.fn, m2.fn) if in_box else _run_iteration()
+    run = _trace_loop(m1.fn, m2.fn, _P_LO < x < _P_HI and _P_LO < y < _P_HI)
     steps = [TraceStep(0, x, y, abs(x - y))]
     converged, xn, yn, n = run(m1, m2, x, y, tolerance, max_iterations, steps)
 

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -962,6 +963,16 @@ def _readme_commands() -> list[list[str]]:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return [shlex.split(line)[1:] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
             for line in block.splitlines() if line.startswith("meanscape ")]
+
+
+def test_the_readme_names_only_what_exists():
+    # every backticked `module.name` of the package's modules names a value of that module
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"`(core|middle|metric|algebra|expressions|cli)\.(\w+)", readme))
+    assert len(named) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"meanscape.{module}"), name)]
+    assert not missing
 
 
 def test_the_readme_has_examples():

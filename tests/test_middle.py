@@ -204,6 +204,48 @@ class TestCompound:
         with pytest.raises(TypeError):
             ms.CompoundMean("c", c.domain, c.fn, m2=G)
 
+    def test_replace_keeps_what_the_kernel_has_baked_in(self, builtins):
+        A, G, H = builtins
+        agm = ms.make_agm()
+        for field, value in [("fn", H.fn), ("domain", ms.ALL_REALS), ("m1", G), ("m2", H),
+                             ("tolerance", 0.5), ("max_iterations", 1)]:
+            with pytest.raises(ValueError) as err:
+                agm.replace(**{field: value})
+            assert str(err.value) == (f"the kernel of AGM has {field} baked in; "
+                                      f"build a new compound to change it")
+        # names and flags stay replaceable, and so does a baked-in field to its own value
+        c = agm.replace(name="M", is_monotone=None, is_continuous=None, d_upper=None,
+                        guaranteed_by=None, tolerance=agm.tolerance, m2=G)
+        assert (c.name, c.is_monotone, c.is_continuous, c.d_upper, c.guaranteed_by) == (
+            "M", None, None, None, None)
+        assert c(1.0, 1e6) == agm(1.0, 1e6)
+
+    def test_a_compound_keeps_its_own_loop_from_outside_p(self):
+        # nine compounds, one more than the loops _trace_loop keeps: after its first start
+        # outside P each compound runs its own loop, and nothing is compiled again
+        code = (
+            "import sys, meanscape as ms\n"
+            "compiled = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and sys._getframe(1).f_code.co_name == '_generated':\n"
+            "        compiled.append(args[1])\n"
+            "sys.addaudithook(hook)\n"
+            "means = (ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic())\n"
+            "built = [ms.compound(m1, m2) for m1 in means for m2 in means]\n"
+            "for c in built:\n"
+            "    c(1e-200, 3e-200)\n"
+            "print(compiled.count('<compound>'), compiled.count('<trace>'))\n"
+            "compiled.clear()\n"
+            "for _ in range(3):\n"
+            "    for c in built:\n"
+            "        c(1e-200, 3e-200)\n"
+            "print(compiled)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ms.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["9 9", "[]"]
+
     def test_building_loads_no_numpy(self):
         # a fresh interpreter: the test session itself has numpy loaded
         code = (
@@ -710,7 +752,8 @@ class TestGeneratedCompoundKernel:
 
 
 class TestBoxLoop:
-    """From a start in P a compound's kernel runs its operands' box forms."""
+    """From a start in P a compound's kernel runs its operands' box forms, and from any other
+    start their checked blocks."""
 
     @staticmethod
     def _loop_source(m1, m2):
@@ -724,7 +767,7 @@ class TestBoxLoop:
     def _trace_source(m1, m2):
         """The body of the trace that ``compound_trace`` runs from a start in P."""
         with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
-            middle._box_trace.__wrapped__(m1.fn, m2.fn)
+            middle._trace_loop.__wrapped__(m1.fn, m2.fn, True)
         (call,) = generate.call_args_list
         return call.args[1]
 
@@ -746,19 +789,36 @@ class TestBoxLoop:
                 assert not names & {"stop", "m1"}, kind
                 assert not [n for n in nodes if isinstance(n, ast.NotEq)], kind
 
+    def test_the_workload_loops_from_outside_p_call_no_kernel_that_has_a_block(self):
+        pairs = _operand_pairs()
+        for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
+            m1, m2 = pairs[kind][1](ms.compound)
+            with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+                middle._trace_loop.__wrapped__(m1.fn, m2.fn, False)
+            ((_, body, namespace, _),) = [call.args for call in generate.call_args_list]
+            calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
+            called = {ast.unparse(call.func) for call in calls}
+            # the operands' checked blocks are spliced in: a call is of a namespace value that
+            # carries no block, of a builtin, the step's append, or the NaN probe's m1
+            assert not [f for f in called & namespace.keys()
+                        if hasattr(namespace[f], "inline")], kind
+            assert called - namespace.keys() - {"abs", "max"} == {"steps.append", "m1"}, kind
+            probes = [ast.unparse(c) for c in calls if ast.unparse(c.func) == "m1"]
+            assert probes == ["m1(x, y)"], kind
+
     def test_the_last_eight_pairs_of_kernels_are_kept(self):
         # nine pairs from a start in P: the first pair's loop is dropped and compiled again
         means = (ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic())
         pairs = [(m1, m2) for m1 in means for m2 in means]
         traces = [ms.compound_trace(m1, m2, 1.0, 3.0, estimate_contraction=False)
                   for m1, m2 in pairs]
-        misses = middle._box_trace.cache_info().misses
+        misses = middle._trace_loop.cache_info().misses
         again = ms.compound_trace(*pairs[0], 1.0, 3.0, estimate_contraction=False)
-        assert middle._box_trace.cache_info().misses == misses + 1
+        assert middle._trace_loop.cache_info().misses == misses + 1
         assert _bits(again) == _bits(traces[0])
         # the last pair is still kept
         ms.compound_trace(*pairs[-1], 1.0, 3.0, estimate_contraction=False)
-        assert middle._box_trace.cache_info().misses == misses + 1
+        assert middle._trace_loop.cache_info().misses == misses + 1
 
     def test_a_kernel_with_no_block_keeps_the_nan_probe(self):
         A = ms.make_arithmetic()
@@ -818,7 +878,7 @@ class TestSplicedBlocksMatchCheckedReference:
 
 def _near_iteration(m1, m2, x, y, tol, max_iter, steps):
     """The kernel iteration with ``near`` as its stop test, as it ran before the test was
-    taken from the sorted envelope: the oracle of ``middle._run_iteration()``, in its
+    taken from the sorted envelope: the oracle of ``middle._trace_loop``, in its
     protocol, appending each step to ``steps`` where that is a list. A gap of at most 5e-324
     stops it too, as in ``_checked_iteration``."""
     f1, f2 = m1.fn, m2.fn
@@ -908,8 +968,7 @@ def _entry_outcomes(m1, m2, x, y, tol, max_iterations, compound=ms.compound):
 def _near_outcomes(m1, m2, x, y, tol, max_iterations):
     """``_entry_outcomes`` with both halves on the near loop: the trace's too, from a start in
     P as from any other."""
-    with mock.patch.object(middle, "_run_iteration", lambda: _near_iteration), \
-            mock.patch.object(middle, "_box_trace", lambda f1, f2: _near_iteration):
+    with mock.patch.object(middle, "_trace_loop", lambda f1, f2, box: _near_iteration):
         return _entry_outcomes(m1, m2, x, y, tol, max_iterations, _near_compound)
 
 
@@ -935,16 +994,17 @@ class TestIterationMatchesTheNearLoop:
         _, m1, m2, x, y, tol, max_iterations = case
         args = (m1, m2, x, y, tol, max_iterations)
         near_loop = _loop_outcome(_near_iteration, *args)
-        recorded = _loop_outcome(middle._run_iteration(), *args)
+        anywhere = middle._trace_loop(m1.fn, m2.fn, False)
+        recorded = _loop_outcome(anywhere, *args)
         assert recorded == near_loop
         # handed no list, the loop gives the same pair and count, or raises alike
-        unrecorded = _loop_outcome(middle._run_iteration(), *args, record=False)
+        unrecorded = _loop_outcome(anywhere, *args, record=False)
         if recorded[0] == "value":
             assert unrecorded == ("value", recorded[1][:4] + (None,))
         else:
             assert unrecorded == recorded
         if _in_p(x, y):
-            assert _loop_outcome(middle._box_trace(m1.fn, m2.fn), *args) == near_loop
+            assert _loop_outcome(middle._trace_loop(m1.fn, m2.fn, True), *args) == near_loop
 
     @given(loop_cases())
     @example(_SUBNORMAL_GAP)
@@ -996,14 +1056,19 @@ class TestOneExit:
 
 
 def test_the_coupled_iteration_is_written_once():
-    # all three renderings come from _COMPOUND, and each form of its stop test is written once
+    # both renderings come from _COMPOUND, and each form of its stop test is written once
     sources = [path.read_text() for path in pathlib.Path(ms.__file__).parent.glob("*.py")]
     for stop in ("gap <= tol * (hi if hi > -lo else -lo)", "gap <= tol * hi"):
         assert sum(text.count(stop) for text in sources) == 1, stop
-    assert sum(text.count("_COMPOUND.format(") for text in sources) == 3
+    assert sum(text.count("_COMPOUND.format(") for text in sources) == 2
     A, G = ms.make_arithmetic(), ms.make_geometric()
-    for fn in (ms.compound(A, G).fn, middle._run_iteration(), middle._box_trace(A.fn, G.fn)):
+    for fn in (ms.compound(A, G).fn, middle._trace_loop(A.fn, G.fn, False),
+               middle._trace_loop(A.fn, G.fn, True)):
         assert re.fullmatch(r"<\w+>", fn.__code__.co_filename)
+    # the renderings are the compound's kernel and _trace_loop
+    tree = ast.parse(pathlib.Path(middle.__file__).read_text())
+    assert sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and "_COMPOUND.format(" in ast.unparse(f)) == ["_compound_kernel", "_trace_loop"]
 
 
 def _stop_test(slots):
