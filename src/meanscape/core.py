@@ -336,7 +336,10 @@ def _indent(text: str, spaces: int) -> str:
 # A statement block is the one written form of a generated kernel: ``(statements, result,
 # namespace)``, statements over the input locals (x and y for a mean, t for a weight), the
 # expression ``result`` over those locals that gives the value, and the values that the keys
-# of ``namespace`` name. ``_splice`` is the one place that runs a block in another
+# of ``namespace`` name. A parsed tree's block (``expressions._compile``) sets a local only
+# where a name is needed: it writes a node that raises nothing inside its one consumer, and
+# gives it a local where a check or the template of that consumer reads it twice, so its
+# ``result`` may be a whole formula. ``_splice`` is the one place that runs a block in another
 # function. Every name a block makes up carries a prefix of its own (``_prefix``), so the
 # blocks of several kernels can run in one function; each reads only its inputs and its
 # own names.
@@ -461,13 +464,15 @@ class MeanFunction(_Frozen):
       operands' blocks in place of a call, or one call of a kernel that carries
       none (``_splice``); a compound splices their box forms, which run only from
       a start in the plain box. A parsed block raises its own EvaluationError.
-    - No code may widen a domain with ``replace``; only names and flags are
-      replaced.
+    - ``replace`` changes names and flags only: it refuses a new ``fn`` or
+      ``domain``, so no copy calls a kernel outside the domain it was built for.
 
     Metadata flags use None for "unknown".
     """
 
     __slots__ = ("name", "domain", "fn", "is_monotone", "is_continuous")
+    _baked = ("fn", "domain")  # the fields that ``replace`` refuses to change
+    _kind = "mean"
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
                  is_monotone: bool | None = None, is_continuous: bool | None = None):
@@ -479,7 +484,13 @@ class MeanFunction(_Frozen):
 
     def replace(self, **changes) -> "MeanFunction":
         """A copy with ``changes`` applied, built by this type's constructor, so its
-        checks run and an unknown or derived field raises TypeError."""
+        checks run and an unknown or derived field raises TypeError. A change to a field
+        that the kernel has baked in raises ValueError: the copy would report one setting
+        and evaluate by another, or call the kernel outside the domain it was built for."""
+        for field in self._baked:
+            if field in changes and changes[field] != getattr(self, field):
+                raise ValueError(f"the kernel of {self.name} has {field} baked in; "
+                                 f"build a new {self._kind} to change it")
         fields = {f: getattr(self, f) for f in self._fields}
         fields.update(changes)
         return type(self)(**fields)

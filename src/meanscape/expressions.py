@@ -15,6 +15,7 @@ therefore yields either a tree or a positioned error, never a crash.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Callable
@@ -56,6 +57,9 @@ _BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
 # compiled tree runs as one flat function in one frame, so every stage stays below the
 # default recursion limit and deep input errors out
 _MAX_DEPTH = 120
+# the parentheses an expression may hold before a consumer sets a local to it: Python's
+# parser nests them 200 deep at most, and a tree built by hand may be higher than _MAX_DEPTH
+_NESTING = 100
 _VERIFY_SAMPLES = 256  # seeded pairs on which a parsed mean's axioms are sampled
 
 
@@ -385,10 +389,11 @@ class _Test(_Frozen):
 
 
 class _Op(_Frozen):
-    """The statement that sets an operation's local {v} from its operands' values {a} and
-    {b}; its interval rule, the enclosure of {v} from theirs (``core._outward``); the fault
-    checks, each ``(tests, message)``, raised before it where all its tests hold; and the
-    name of the operation in the message of an OverflowError that it raises."""
+    """An operation: the expression of its value over its operands' values {a} and {b}, which
+    raises nothing past its checks but an OverflowError; its interval rule, the enclosure of
+    its value from theirs (``core._outward``); the fault checks, each ``(tests, message)``,
+    raised before it where all its tests hold; and the name of the operation in the message
+    of an OverflowError that it raises, "" where it raises none."""
 
     __slots__ = ("value", "enclose", "checks", "overflow")
 
@@ -438,7 +443,7 @@ _B_ZERO = _Test("{b} == 0.0", "b", lambda v: v == 0.0)
 _B_NEGATIVE = _Test("{b} < 0.0", "b", lambda v: v < 0.0)
 _B_FRACTIONAL = _Test("not (isfinite({b}) and {b} == floor({b}))", "b",
                       lambda v: not (math.isfinite(v) and v == math.floor(v)), by_sign=False)
-_POW = _Op("{v} = {a} ** {b}", _pow_rule, (
+_POW = _Op("{a} ** {b}", _pow_rule, (
     ((_A_NEGATIVE, _B_FRACTIONAL), "negative base {{{a}}} with non-integer exponent {{{b}}}"),
     ((_A_ZERO, _B_NEGATIVE), "zero base with negative exponent")), "power")
 # Each operator and function: unary minus is "neg". This table is the only place where the
@@ -447,23 +452,23 @@ _POW = _Op("{v} = {a} ** {b}", _pow_rule, (
 # first argument unless the second is strictly smaller (larger), so NaN arguments give the
 # same result.
 _SCALAR_OPS = {
-    "+": _Op("{v} = {a} + {b}", _add),
-    "-": _Op("{v} = {a} - {b}", _sub),
-    "*": _Op("{v} = {a} * {b}", _mul),
-    "neg": _Op("{v} = -{a}", lambda a: (-a[1], -a[0])),
-    "/": _Op("{v} = {a} / {b}",
+    "+": _Op("{a} + {b}", _add),
+    "-": _Op("{a} - {b}", _sub),
+    "*": _Op("{a} * {b}", _mul),
+    "neg": _Op("-{a}", lambda a: (-a[1], -a[0])),
+    "/": _Op("{a} / {b}",
              lambda a, b: None if b[0] <= 0.0 <= b[1] else _corners(a, b, operator.truediv),
              (((_B_ZERO,), "division by zero"),)),
     "^": _POW,
     "pow": _POW,
-    "exp": _Op("{v} = exp({a})", _exp_rule, overflow="exp"),
-    "sqrt": _Op("{v} = sqrt({a})", _sqrt_rule,
+    "exp": _Op("exp({a})", _exp_rule, overflow="exp"),
+    "sqrt": _Op("sqrt({a})", _sqrt_rule,
                 (((_A_NEGATIVE,), "sqrt of negative value {{{a}}}"),)),
-    "log": _Op("{v} = log({a})", _log_rule,
+    "log": _Op("log({a})", _log_rule,
                (((_A_NOT_POSITIVE,), "log of non-positive value {{{a}}}"),)),
-    "abs": _Op("{v} = abs({a})", _abs_rule),
-    "min": _Op("{v} = {b} if {b} < {a} else {a}", lambda a, b: (min(a[0], b[0]), min(a[1], b[1]))),
-    "max": _Op("{v} = {b} if {b} > {a} else {a}", lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
+    "abs": _Op("abs({a})", _abs_rule),
+    "min": _Op("{b} if {b} < {a} else {a}", lambda a, b: (min(a[0], b[0]), min(a[1], b[1]))),
+    "max": _Op("{b} if {b} > {a} else {a}", lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
 }
 # the check of a tree's value {a}, after its blocks
 _FINITE = _Op("", None, (((_A_NOT_FINITE,), "expression produced a non-finite value"),))
@@ -486,22 +491,28 @@ _HELPERS = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
 
 
 class _Value(_Frozen):
-    """A node's value while a tree compiles: the local or argument that holds it (None for
-    a constant that has none yet), the constant, and its enclosure over the plain box."""
+    """A node's value while a tree compiles: its text in the block and in the box form, and
+    None for a constant that has no argument yet; the constant; and its enclosure over the
+    plain box. A text is a name, of the input, argument or local that holds the value, or an
+    expression that raises nothing: in parentheses unless it is a call (``_bare``)."""
 
-    __slots__ = ("name", "const", "enclosure")
+    __slots__ = ("texts", "const", "enclosure")
 
-    def __init__(self, name: str | None, const: float | None, enclosure: Enclosure):
-        _set(self, "name", name)
+    def __init__(self, texts: tuple[str, str] | None, const: float | None, enclosure: Enclosure):
+        _set(self, "texts", texts)
         _set(self, "const", const)
         _set(self, "enclosure", enclosure)
 
 
-def _statements(op: _Op, operands: dict[str, _Value], box: bool, proven: bool) -> str:
-    """``op``'s statements over the operands, still to be formatted: each fault check that
-    a constant operand does not decide against, without its tests that one decides for; in
-    a box form also without those that the operands' enclosures decide. ``proven`` leaves
-    out the OverflowError handler."""
+def _bare(text: str) -> str:
+    """A value's text without the parentheses of an expression that is not a call."""
+    return text[1:-1] if text[0] == "(" else text
+
+
+def _checks(op: _Op, operands: dict[str, _Value], box: bool) -> list[str]:
+    """``op``'s fault checks over the operands, still to be formatted: each that a constant
+    operand does not decide against, without its tests that one decides for; in a box form
+    also without those that the operands' enclosures decide."""
     lines = []
     for tests, message in op.checks:
         held = []
@@ -513,42 +524,53 @@ def _statements(op: _Op, operands: dict[str, _Value], box: bool, proven: bool) -
         kept = [t for t, h in zip(tests, held) if h is not True] or tests  # it always fires
         lines.append(f"if {' and '.join(t.source for t in kept)}:\n"
                      f'    raise EvaluationError(f"{message} at {{at}}")')
-    if op.value:
-        lines.append(op.value if proven or not op.overflow else _trying(
-            op.value, "OverflowError", f'f"overflow in {op.overflow} at {{at}}"'))
-    return "\n".join(lines)
+    return lines
+
+
+def _statements(op: _Op, checks: list[str], proven: bool) -> str:
+    """The statements that set the local {v} to ``op``'s value: its ``checks``, then the
+    value, in its OverflowError handler unless ``proven`` leaves that out."""
+    value = f"{{v}} = {op.value}"
+    if op.overflow and not proven:
+        value = _trying(value, "OverflowError", f'f"overflow in {op.overflow} at {{at}}"')
+    return "\n".join([*checks, value])
 
 
 @functools.cache
 def _folded(op: str) -> Callable[..., float]:
     """The statements of ``op`` as ``fn(a, b)``, which folds its constant operands: it
     raises EvaluationError where one of its checks fires."""
-    unknown = dict.fromkeys("ab", _Value(None, None, None))
-    body = _statements(_SCALAR_OPS[op], unknown, False, False).format(v="v", a="a", b="b", at="")
-    return _generated("a, b=None", f"{body}\nreturn v", _HELPERS, "<expression>")
+    spec, unknown = _SCALAR_OPS[op], dict.fromkeys("ab", _Value(None, None, None))
+    body = _statements(spec, _checks(spec, unknown, False), False)
+    return _generated("a, b=None", f"{body.format(v='v', a='a', b='b', at='')}\nreturn v",
+                      _HELPERS, "<expression>")
 
 
 def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable[..., float]:
     """Compile a tree once into ``fn(x, y)``, or ``fn(t)`` for a weight tree, whose
     ``variables`` are ("t",); a fault message ends in the binding of ``variables``.
 
-    The tree becomes the source of one straight-line function: a block of statements
-    per node, children before parents and left before right, each into its own local.
-    Each variable is the input local of its name, so a normal mean can run a weight's
-    statements at t = x and again at t = y. A subtree of constants that does not fault is
-    computed once, by the same statements (``_folded``). Constants, built-in atoms and their
-    names are arguments of the factory that returns ``fn``, so the source holds only the
-    fixed templates and generated names, never text from the input. Every generated
-    name carries the tree's own prefix, so the statements of two trees can run in one
-    function: ``fn.inline`` is the tree's block and its box form (``core._kernel``), whose
-    enclosures each node's interval rule gives with every variable in the plain box.
+    The tree becomes the source of one straight-line function, children before parents and
+    left before right. A node that keeps a fault check or an OverflowError handler is a block
+    of statements that sets its own local; any other node raises nothing and is written inside
+    its one consumer, with a local only where that consumer reads it twice: in a check, as an
+    operand of min or max, or as the root that the non-finite check reads. So only the blocks
+    raise, in the order of the nodes. Each variable is the input local of its name, so a
+    normal mean can run a weight's statements at t = x and again at t = y. A subtree of
+    constants that does not fault is computed once, by the same statements (``_folded``).
+    Constants, built-in atoms and their names are arguments of the factory that returns
+    ``fn``, so the source holds only the fixed templates and generated names, never text
+    from the input. Every generated name carries the tree's own prefix, so the statements of
+    two trees can run in one function: ``fn.inline`` is the tree's block and its box form
+    (``core._kernel``), rendered by the same rule over the checks that the enclosures leave,
+    which each node's interval rule gives with every variable in the plain box.
     """
     prefix = _prefix("t")
     namespace = dict(_HELPERS)
     # a dict display of the input locals, inside an f-string's braces
     at = "{ {" + ", ".join(f"'{v}': {v}" for v in variables) + "} }"
-    blocks: list[str] = []
-    boxed: list[str] = []
+    forms: tuple[list[str], list[str]] = ([], [])  # the statements of the block and of its box form
+    numbers = itertools.count()  # of the locals
 
     def argument(value: object) -> str:
         name = f"{prefix}c{len(namespace)}"
@@ -558,30 +580,59 @@ def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable
     def constant(value: float) -> _Value:
         return _Value(None, value, (value, value) if math.isfinite(value) else None)
 
-    def emit(op: _Op, operands: dict[str, _Value], enclosure: Enclosure, **fields) -> None:
-        """Append ``op``'s statements to both forms, its value's being ``enclosure``."""
-        for form, box in ((blocks, False), (boxed, True)):
-            form.append(_statements(op, operands, box, box and enclosure is not None).format(
-                at=at, **fields))
+    def local() -> str:
+        return f"{prefix}v{next(numbers)}"
+
+    def held(form: list[str], text: str) -> str:
+        """A name of the value ``text`` in ``form``: the name itself, or a new local that
+        ``form`` sets to the expression."""
+        if text.isidentifier():
+            return text
+        v = local()
+        form.append(f"{v} = {_bare(text)}")
+        return v
+
+    def emit(op: _Op, operands: dict[str, _Value], enclosure: Enclosure) -> tuple[str, str]:
+        """Write ``op`` over ``operands`` in both forms, its value's being ``enclosure``;
+        return the text of its value in each."""
+        texts = []
+        for i, form in enumerate(forms):
+            checks = _checks(op, operands, box=i == 1)
+            proven = i == 1 and enclosure is not None
+            reads = "\n".join([*checks, op.value])
+            call = op.value[0].isalpha()  # a template that starts with a name is a call
+            names = {}
+            for k, a in operands.items():
+                text = a.texts[i]
+                if reads.count(f"{{{k}}}") > 1 or text.count("(") >= _NESTING:
+                    text = held(form, text)
+                names[k] = _bare(text) if call else text
+            if checks or op.overflow and not proven:
+                texts.append(local())
+                form.append(_statements(op, checks, proven).format(v=texts[-1], at=at, **names))
+            else:
+                text = op.value.format(**names)
+                texts.append(text if call else f"({text})")
+        return texts[0], texts[1]
 
     def value(node: Expression) -> _Value:
-        """Append the blocks that compute ``node``; return its value."""
+        """Write the statements that compute ``node``; return its value."""
         if isinstance(node, Num):
             return constant(node.value)
         if isinstance(node, Var):
             if node.name not in variables:  # no other name may reach the source
                 raise TypeError(f"variable {node.name!r} is not one of {variables}")
-            return _Value(node.name, None, _BOX)
+            return _Value((node.name, node.name), None, _BOX)
         if isinstance(node, BuiltinMean):
             mean = _builtin(node.name)
             atom, caught, message = _BUILTIN_ATOM
-            fields = {"v": f"{prefix}v{len(blocks)}", "mean": argument(mean),
-                      "name": argument(node.name)}
-            blocks.append(_trying(atom, caught, message).format(**fields))
+            fields = {"v": local(), "mean": argument(mean), "name": argument(node.name)}
+            checked = _trying(atom, caught, message).format(**fields)
             # where P lies in the built-in's domain, its check passes: a mean of x and y
             inside = mean.domain.contains(_BOX[0]) and mean.domain.contains(_BOX[1])
-            boxed.append(atom.format(**fields) if inside else blocks[-1])
-            return _Value(fields["v"], None, _outward(*_BOX))
+            forms[0].append(checked)
+            forms[1].append(atom.format(**fields) if inside else checked)
+            return _Value((fields["v"], fields["v"]), None, _outward(*_BOX))
         if isinstance(node, Unary):
             op, args = "neg", (node.operand,)
         elif isinstance(node, Binary):
@@ -596,20 +647,23 @@ def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable
                 return constant(_folded(op)(*[a.const for a in values]))
             except EvaluationError:
                 pass  # the subtree faults: it is left to raise at evaluation
-        operands = {k: _Value(argument(a.const), a.const, a.enclosure) if a.name is None else a
+        operands = {k: a if a.texts else _Value((argument(a.const),) * 2, a.const, a.enclosure)
                     for k, a in zip("ab", values)}
         enclosures = [a.enclosure for a in values]
         enclosure = _SCALAR_OPS[op].enclose(*enclosures) if None not in enclosures else None
-        v = f"{prefix}v{len(blocks)}"
-        emit(_SCALAR_OPS[op], operands, enclosure, v=v, **{k: a.name for k, a in operands.items()})
-        return _Value(v, None, enclosure)
+        return _Value(emit(_SCALAR_OPS[op], operands, enclosure), None, enclosure)
 
     root = value(e)
-    if root.name is None:
-        root = _Value(argument(root.const), root.const, root.enclosure)
-    emit(_FINITE, {"a": root}, None, a=root.name)
-    return _kernel(("\n".join(filter(None, blocks)), root.name, namespace),
-                   ("\n".join(filter(None, boxed)), root.name, namespace), root.enclosure,
+    if root.texts is None:
+        root = _Value((argument(root.const),) * 2, root.const, root.enclosure)
+    results = []
+    for i, form in enumerate(forms):
+        checks = _checks(_FINITE, {"a": root}, box=i == 1)
+        text = held(form, root.texts[i]) if checks else root.texts[i]  # the result reads it too
+        form.extend(check.format(a=text, at=at) for check in checks)
+        results.append(_bare(text))
+    return _kernel(("\n".join(forms[0]), results[0], namespace),
+                   ("\n".join(forms[1]), results[1], namespace), root.enclosure,
                    "<expression>", ", ".join(variables))
 
 

@@ -35,6 +35,7 @@ from .core import (
     _seeded,
     _set,
     _splice,
+    _tuple_new,
     BUILTIN_MEANS,
     BracketError,
     ConvergenceError,
@@ -125,6 +126,8 @@ class CompoundMean(MeanFunction):
     """
 
     __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by")
+    _baked = MeanFunction._baked + ("m1", "m2", "tolerance", "max_iterations")
+    _kind = "compound"
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
                  is_monotone: bool | None = None, is_continuous: bool | None = None,
@@ -143,15 +146,6 @@ class CompoundMean(MeanFunction):
     @property
     def guaranteed(self) -> bool:
         return self.guaranteed_by is not None
-
-    def replace(self, **changes) -> "CompoundMean":
-        """``MeanFunction.replace``, but a change to a field that the kernel has baked in raises
-        ValueError: the copy would report one setting and evaluate by another."""
-        for field in ("fn", "domain", "m1", "m2", "tolerance", "max_iterations"):
-            if field in changes and changes[field] != getattr(self, field):
-                raise ValueError(f"the kernel of {self.name} has {field} baked in; "
-                                 f"build a new compound to change it")
-        return super().replace(**changes)
 
 
 # The coupled iteration, written once and rendered twice: as each compound's kernel
@@ -210,12 +204,13 @@ _ANYWHERE = {
 _IN_P = {"floor": "", "stop": "gap <= tol * hi"}
 # The slots of the loops ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y,
 # n)``, which append each step to ``steps`` as a TraceStep where ``steps`` is a list.
-# ``tuple_new`` builds each step as TraceStep's own ``__new__`` does, but with no Python frame.
+# ``tuple_new`` (``core._tuple_new``) builds each step as TraceStep's own ``__new__`` does on a
+# full positional call, but with no Python frame.
 _LOOP = {"start": "", "done": "        return True, x, y, n",
          "exhausted": "        return False, x, y, n",
          "record": "\n    if steps is not None:\n"
                    "        steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
-_LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": tuple.__new__}
+_LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": _tuple_new}
 
 
 def _operand_slots(f1: Callable, f2: Callable, box: bool, namespace: dict) -> dict:
@@ -357,7 +352,8 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     if not (dom.contains(x) and dom.contains(y)):
         raise _outside_domain(x, y, dom, f"mid({m1.name},{m2.name})")
     run = _trace_loop(m1.fn, m2.fn, _P_LO < x < _P_HI and _P_LO < y < _P_HI)
-    steps = [TraceStep(0, x, y, abs(x - y))]
+    # the start's step and the trace are built as the loop builds each step
+    steps = [_tuple_new(TraceStep, (0, x, y, abs(x - y)))]
     converged, xn, yn, n = run(m1, m2, x, y, tolerance, max_iterations, steps)
 
     k = envelope_ok = None
@@ -375,7 +371,8 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
                 step.gap <= k ** step.n * gap0 * (1.0 + _ENVELOPE_SLACK)
                 for step in steps[1:])
 
-    trace = IterationTrace(tuple(steps), converged, _arithmetic_eval(xn, yn), n, k, envelope_ok)
+    trace = _tuple_new(IterationTrace, (tuple(steps), converged, _arithmetic_eval(xn, yn), n, k,
+                                        envelope_ok))
     if not converged:
         raise ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "

@@ -4,17 +4,22 @@ Every generated kernel carries a box form: its block without the checks that can
 when its inputs lie in P, with an enclosure of its value there (``core._splice`` with
 ``box=True``). At points of P the box form must give the kernel's value or exception, bit
 for bit, and the value must lie in the enclosure. The interval rules of the expression
-compiler are also checked alone, on enclosures anywhere in the floats.
+compiler are also checked alone, on enclosures anywhere in the floats, and so is its rule
+for which nodes become locals.
 """
 
+import ast
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import meanscape as ms
-from meanscape import core, expressions
+from meanscape import core, expressions, middle
+from test_expressions import oracle_evaluate
 
 LO, HI = 2.0 ** -500, 2.0 ** 500
 INSIDE_LO, INSIDE_HI = math.nextafter(LO, 1.0), math.nextafter(HI, 1.0)
@@ -126,7 +131,13 @@ class TestBoxFormsMatchTheirKernels:
     @given(tree=st.recursive(_leaves, _nodes, max_leaves=12), x=coordinate, y=coordinate)
     def test_random_trees(self, tree, x, y):
         fn = expressions._compile(tree)
-        _assert_box_matches(fn, _box(fn), x, y)
+        box = _box(fn)
+        _assert_box_matches(fn, box, x, y)
+        # against a walk of the tree that shares no code with either rendering: where it
+        # gives a value, the kernel and the box form each give its bits
+        want = _outcome(oracle_evaluate, tree, {"x": x, "y": y})
+        if want[0] == "value":
+            assert _outcome(fn, x, y) == want and _outcome(box[0], x, y) == want
 
     def test_the_checks_that_cannot_fire_are_left_out(self):
         for src in ["x + y", "x / y", "x ^ 1.5", "pow(x, -2)", "exp(-x)", "sqrt(x * y)",
@@ -158,6 +169,86 @@ class TestBoxFormsMatchTheirKernels:
 
         text, enclosure = core._splice({}, kernel, "v = ", box=True)
         assert enclosure is None and "kernel(x, y)" in text
+
+
+def _forms(src):
+    """The statement lines and the result of a parsed mean's block and of its box form."""
+    return [(statements.splitlines(), result) for statements, result, _ in _mean(src).fn.inline[:2]]
+
+
+def _workload_loops():
+    """The bodies of the kernel and of the trace from P of the four compound-iter compounds,
+    and of a compound whose operand reads two expressions twice, as ``min`` does."""
+    A, G = ms.make_arithmetic(), ms.make_geometric()
+    normal = ms.make_normal_mean(ms.weight_from_source("t^(0.418)*(1+t)^(0.336)"))
+    pairs = [(A, G), (_mean("(x+y)/2"), _mean("sqrt(x*y)")), (G, ms.group_inverse(G)),
+             (_mean("((x^1.778+y^1.778)/2)^(1/1.778)"), normal),
+             (A, _mean("min(sqrt(x*y), (x+y)/2)"))]
+    bodies = []
+    for m1, m2 in pairs:
+        with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+            ms.compound(m1, m2)
+            middle._trace_loop.__wrapped__(m1.fn, m2.fn, True)
+        bodies += [call.args[1] for call in generate.call_args_list]
+    return bodies
+
+
+class TestANodeGetsALocalOnlyWhereItIsReadTwice:
+    """A node with no check and no handler is an expression inside its one consumer, in
+    both forms; it gets a local where a check of its consumer reads it, where the template
+    of min or max does, and as the root that the non-finite check reads."""
+
+    @pytest.mark.parametrize("src, same_as", [
+        ("((x^1.778+y^1.778)/2)^(1/1.778)", "((x ** {0} + y ** {1}) / {2}) ** {3}"),
+        ("sqrt(x*y)", "sqrt(x * y)"),
+    ])
+    def test_a_box_form_with_no_check_is_one_expression(self, src, same_as):
+        statements, result, namespace = _mean(src).fn.inline[1]
+        assert statements == ""
+        constants = [k for k in namespace if k not in expressions._HELPERS]
+        # the operations of the formula, and no other
+        assert ast.dump(ast.parse(result)) == ast.dump(ast.parse(same_as.format(*constants)))
+
+    def test_the_operands_of_min_get_locals(self):
+        for lines, result in _forms("min(x*y, x+y)"):
+            (a, product), (b, total) = (line.split(" = ") for line in lines[:2])
+            assert (product, total) == ("x * y", "x + y")
+            # the box form returns the minimum; the block sets the root's local, and checks it
+            minimum = f"{b} if {b} < {a} else {a}"
+            assert result == minimum or lines[2] == f"{result} = {minimum}"
+
+    def test_an_operand_that_a_check_reads_gets_a_local(self):
+        for lines, _ in _forms("sqrt(x - y)"):
+            v, difference = lines[0].split(" = ")
+            assert difference == "x - y" and lines[1] == f"if {v} < 0.0:"
+
+    def test_a_root_that_the_non_finite_check_reads_gets_a_local(self):
+        for lines, result in _forms("x * y * y"):
+            assert lines[0] == f"{result} = (x * y) * y"
+            assert lines[1] == f"if not isfinite({result}):"
+
+    def test_every_local_of_the_workload_loops_is_read_twice(self):
+        seen = set()
+        for body in _workload_loops():
+            names = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Name)]
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)
+                      and re.fullmatch(r"\w+_v\d+", n.id)}
+            reads = [n.id for n in names if isinstance(n.ctx, ast.Load)]
+            assert all(reads.count(v) >= 2 for v in stored), body
+            seen |= stored
+        assert seen  # the min operand's two locals
+
+    @pytest.mark.parametrize("height", [250, 400])
+    def test_a_tree_higher_than_the_parser_allows_still_compiles(self, height):
+        # Python's parser nests parentheses 200 deep at most: a long chain of expressions
+        # is cut into locals
+        tree = expressions.Var("x")
+        for i in range(height):
+            tree = expressions.Binary("+", tree, expressions.Var("y")) if i % 2 else \
+                expressions.Unary("-", tree)
+        fn = expressions._compile(tree)
+        assert _outcome(fn, 1.0, 2.0) == _outcome(oracle_evaluate, tree, {"x": 1.0, "y": 2.0})
+        _assert_box_matches(fn, _box(fn), 1.0, 2.0)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

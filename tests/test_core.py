@@ -534,6 +534,20 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="needs a name"):
             m.replace(name="")
 
+    def test_replace_refuses_a_new_kernel_or_domain(self):
+        # G's kernel and its inverse's would run at (-1, -4) and return 2 and -7 there
+        G = ms.make_geometric()
+        for m in (G, ms.group_inverse(G)):
+            for field, value in [("domain", ms.ALL_REALS), ("domain", ms.Interval(1.0, 2.0)),
+                                 ("fn", ms.make_harmonic().fn)]:
+                with pytest.raises(ValueError) as err:
+                    m.replace(**{field: value})
+                assert str(err.value) == (f"the kernel of {m.name} has {field} baked in; "
+                                          f"build a new mean to change it")
+            assert m.replace(domain=m.domain, fn=m.fn) == m
+            with pytest.raises(ms.DomainError):
+                m.replace(name="M")(-1.0, -4.0)
+
     def test_replace_keeps_a_compound(self):
         c = ms.m_arithmetic(ms.make_harmonic())
         named = c.replace(name="AHM")
