@@ -495,12 +495,9 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _build_parser(command: str | None):
-    """The argparse parser of a run whose first argument is ``command``: the top-level
-    parser reads no flag but --help, so that is the only command the run can invoke. Where
-    it names a command, the parser has that command alone, with its flags. Any other run
-    (--help, a typo, a flag first) gets every command, to list them or to refuse the first
-    argument."""
+def _build_parser():
+    """The argparse parser of every command, each with its flags. The top-level parser reads
+    no flag but --help, so that is the only command a run can invoke before it names one."""
     import argparse  # loaded only where _read_args declines: --help and usage errors
 
     class Parser(argparse.ArgumentParser):
@@ -520,24 +517,22 @@ def _build_parser(command: str | None):
 
     parser = Parser(prog="meanscape", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        cmd = _COMMANDS[name]
+    for name, cmd in _COMMANDS.items():
         # no abbreviations: border's --windows would take --window, which it does not read
         p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
-        if name == command:
-            for flag in _EVERY_COMMAND + cmd.flags:
-                keywords = _FLAGS[flag]
-                if "action" not in keywords:  # a switch takes no converter
-                    keywords = {**keywords, "type": _type(flag, cmd)}
-                p.add_argument(flag, **keywords)
-            p.set_defaults(**_defaults(cmd))
+        for flag in _EVERY_COMMAND + cmd.flags:
+            keywords = _FLAGS[flag]
+            if "action" not in keywords:  # a switch takes no converter
+                keywords = {**keywords, "type": _type(flag, cmd)}
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**_defaults(cmd))
     return parser
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace argparse reads from ``argv``; it raises the _Help or _UsageError of a
     run that asks for help or holds a usage error."""
-    parser = _build_parser(argv[0] if argv else None)
+    parser = _build_parser()
     try:
         return SimpleNamespace(**vars(parser.parse_args(argv)))
     except _UsageError:

@@ -131,7 +131,12 @@ _tuple_new = tuple.__new__  # how a record is built from its values
 class _RecordType(type):
     """Makes a ``_Record`` type from its class body: the annotated names, in order, are its
     fields, and a value assigned to one is its default. The annotations are strings, read as
-    names and never evaluated."""
+    names and never evaluated. They are in the body's namespace, as ``__annotations__``,
+    because every module that declares a record imports ``annotations`` from ``__future__``
+    (a test checks this): under PEP 749 (Python 3.14) a body without that import holds only
+    a lazy ``__annotate__`` function there, which would have to be read through
+    ``annotationlib.get_annotate_from_class_namespace``, and every record would have no
+    fields."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
@@ -350,8 +355,9 @@ def _indent(text: str, spaces: int) -> str:
 # evaluating it once over P in interval arithmetic with outward rounding (Moore, Kearfott &
 # Cloud, *Introduction to Interval Analysis*, SIAM 2009). An enclosure is a pair (lo, hi) of
 # finite floats with lo <= v <= hi for every value v that the block can return there, or
-# None where none is known. A compound whose start lies in P runs its operands' box forms: its
-# clamp keeps every iterate between the start's coordinates.
+# None where none is known. A parsed tree is rendered once per form, its block and then its
+# box form, by the same rules (``expressions._compile``). A compound whose start lies in P runs
+# its operands' box forms: its clamp keeps every iterate between the start's coordinates.
 Block = tuple[str, str, dict]
 Enclosure = tuple[float, float] | None
 _BLOCKS = itertools.count()  # numbers each block, whose names it prefixes

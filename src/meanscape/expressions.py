@@ -22,7 +22,7 @@ from collections.abc import Callable
 
 from .core import _BOX, _Frozen, _add, _corners, _generated, _kernel, _mul, _outward, _prefix
 from .core import _Record, _set, _sub
-from .core import Enclosure
+from .core import Block, Enclosure
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
 from .core import BUILTIN_MEANS
@@ -361,19 +361,15 @@ def _builtin(name: str) -> MeanFunction:
     return _BUILTIN_MEANS[name]()
 
 
-class _Test(_Frozen):
+class _Test(_Record):
     """A comparison of one operand, ``a`` or ``b``, that a fault check is a conjunction of:
     its source, and whether it holds at a value. Where ``by_sign``, the sign of a finite
     value decides it (negative, zero or positive)."""
 
-    __slots__ = ("source", "operand", "holds", "by_sign")
-
-    def __init__(self, source: str, operand: str, holds: Callable[[float], bool],
-                 by_sign: bool = True):
-        _set(self, "source", source)
-        _set(self, "operand", operand)
-        _set(self, "holds", holds)
-        _set(self, "by_sign", by_sign)
+    source: str
+    operand: str
+    holds: Callable[[float], bool]
+    by_sign: bool = True
 
     def decide(self, const: float | None, enclosure: Enclosure) -> bool | None:
         """Whether the test holds at every value of its operand (True), at none (False), or
@@ -388,21 +384,17 @@ class _Test(_Frozen):
         return seen.pop() if len(seen) == 1 else None
 
 
-class _Op(_Frozen):
+class _Op(_Record):
     """An operation: the expression of its value over its operands' values {a} and {b}, which
     raises nothing past its checks but an OverflowError; its interval rule, the enclosure of
     its value from theirs (``core._outward``); the fault checks, each ``(tests, message)``,
     raised before it where all its tests hold; and the name of the operation in the message
     of an OverflowError that it raises, "" where it raises none."""
 
-    __slots__ = ("value", "enclose", "checks", "overflow")
-
-    def __init__(self, value: str, enclose: Callable[..., Enclosure] | None,
-                 checks: tuple[tuple[tuple[_Test, ...], str], ...] = (), overflow: str = ""):
-        _set(self, "value", value)
-        _set(self, "enclose", enclose)
-        _set(self, "checks", checks)
-        _set(self, "overflow", overflow)
+    value: str
+    enclose: Callable[..., Enclosure] | None
+    checks: tuple[tuple[tuple[_Test, ...], str], ...] = ()
+    overflow: str = ""
 
 
 def _pow_rule(a: tuple[float, float], b: tuple[float, float]) -> Enclosure:
@@ -490,18 +482,15 @@ _HELPERS = {"EvaluationError": EvaluationError, "isfinite": math.isfinite,
             "abs": abs}
 
 
-class _Value(_Frozen):
-    """A node's value while a tree compiles: its text in the block and in the box form, and
-    None for a constant that has no argument yet; the constant; and its enclosure over the
-    plain box. A text is a name, of the input, argument or local that holds the value, or an
-    expression that raises nothing: in parentheses unless it is a call (``_bare``)."""
+class _Value(_Record):
+    """A node's value while a form of a tree is rendered: its text, or None for a constant
+    that has no argument yet; the constant; and its enclosure over the plain box. A text is a
+    name, of the input, argument or local that holds the value, or an expression that raises
+    nothing: in parentheses unless it is a call (``_bare``)."""
 
-    __slots__ = ("texts", "const", "enclosure")
-
-    def __init__(self, texts: tuple[str, str] | None, const: float | None, enclosure: Enclosure):
-        _set(self, "texts", texts)
-        _set(self, "const", const)
-        _set(self, "enclosure", enclosure)
+    text: str | None
+    const: float | None
+    enclosure: Enclosure
 
 
 def _bare(text: str) -> str:
@@ -562,109 +551,108 @@ def _compile(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Callable
     ``fn``, so the source holds only the fixed templates and generated names, never text
     from the input. Every generated name carries the tree's own prefix, so the statements of
     two trees can run in one function: ``fn.inline`` is the tree's block and its box form
-    (``core._kernel``), rendered by the same rule over the checks that the enclosures leave,
-    which each node's interval rule gives with every variable in the plain box.
+    (``core._kernel``). The tree is rendered once per form, by the same rule over the checks
+    that the enclosures leave, which each node's interval rule gives with every variable in
+    the plain box; both renderings bind each argument to the same name.
     """
     prefix = _prefix("t")
     namespace = dict(_HELPERS)
     # a dict display of the input locals, inside an f-string's braces
     at = "{ {" + ", ".join(f"'{v}': {v}" for v in variables) + "} }"
-    forms: tuple[list[str], list[str]] = ([], [])  # the statements of the block and of its box form
     numbers = itertools.count()  # of the locals
-
-    def argument(value: object) -> str:
-        name = f"{prefix}c{len(namespace)}"
-        namespace[name] = value
-        return name
-
-    def constant(value: float) -> _Value:
-        return _Value(None, value, (value, value) if math.isfinite(value) else None)
 
     def local() -> str:
         return f"{prefix}v{next(numbers)}"
 
-    def held(form: list[str], text: str) -> str:
-        """A name of the value ``text`` in ``form``: the name itself, or a new local that
-        ``form`` sets to the expression."""
-        if text.isidentifier():
-            return text
-        v = local()
-        form.append(f"{v} = {_bare(text)}")
-        return v
+    def constant(value: float) -> _Value:
+        return _Value(None, value, (value, value) if math.isfinite(value) else None)
 
-    def emit(op: _Op, operands: dict[str, _Value], enclosure: Enclosure) -> tuple[str, str]:
-        """Write ``op`` over ``operands`` in both forms, its value's being ``enclosure``;
-        return the text of its value in each."""
-        texts = []
-        for i, form in enumerate(forms):
-            checks = _checks(op, operands, box=i == 1)
-            proven = i == 1 and enclosure is not None
+    def render(box: bool) -> tuple[Block, Enclosure]:
+        """The tree's block, or with ``box`` its box form, and the enclosure of its value."""
+        statements: list[str] = []
+        arguments = itertools.count(len(_HELPERS))  # named in the same order by both forms
+
+        def argument(value: object) -> str:
+            name = f"{prefix}c{next(arguments)}"
+            namespace[name] = value
+            return name
+
+        def held(text: str) -> str:
+            """A name of the value ``text``: the name itself, or a new local set to the
+            expression."""
+            if text.isidentifier():
+                return text
+            v = local()
+            statements.append(f"{v} = {_bare(text)}")
+            return v
+
+        def emit(op: _Op, operands: dict[str, _Value], enclosure: Enclosure) -> str:
+            """Write ``op`` over ``operands``, its value's being ``enclosure``; return the
+            text of its value."""
+            checks = _checks(op, operands, box)
+            proven = box and enclosure is not None
             reads = "\n".join([*checks, op.value])
             call = op.value[0].isalpha()  # a template that starts with a name is a call
             names = {}
             for k, a in operands.items():
-                text = a.texts[i]
+                text = a.text
                 if reads.count(f"{{{k}}}") > 1 or text.count("(") >= _NESTING:
-                    text = held(form, text)
+                    text = held(text)
                 names[k] = _bare(text) if call else text
             if checks or op.overflow and not proven:
-                texts.append(local())
-                form.append(_statements(op, checks, proven).format(v=texts[-1], at=at, **names))
+                v = local()
+                statements.append(_statements(op, checks, proven).format(v=v, at=at, **names))
+                return v
+            text = op.value.format(**names)
+            return text if call else f"({text})"
+
+        def value(node: Expression) -> _Value:
+            """Write the statements that compute ``node``; return its value."""
+            if isinstance(node, Num):
+                return constant(node.value)
+            if isinstance(node, Var):
+                if node.name not in variables:  # no other name may reach the source
+                    raise TypeError(f"variable {node.name!r} is not one of {variables}")
+                return _Value(node.name, None, _BOX)
+            if isinstance(node, BuiltinMean):
+                mean = _builtin(node.name)
+                atom, caught, message = _BUILTIN_ATOM
+                fields = {"v": local(), "mean": argument(mean), "name": argument(node.name)}
+                # where P lies in the built-in's domain, its check passes: a mean of x and y
+                if not (box and mean.domain.contains(_BOX[0]) and mean.domain.contains(_BOX[1])):
+                    atom = _trying(atom, caught, message)
+                statements.append(atom.format(**fields))
+                return _Value(fields["v"], None, _outward(*_BOX))
+            if isinstance(node, Unary):
+                op, args = "neg", (node.operand,)
+            elif isinstance(node, Binary):
+                op, args = node.op, (node.left, node.right)
+            elif isinstance(node, Call):
+                op, args = node.func, node.args
             else:
-                text = op.value.format(**names)
-                texts.append(text if call else f"({text})")
-        return texts[0], texts[1]
+                raise TypeError(f"not an expression node: {node!r}")
+            values = [value(a) for a in args]
+            if all(a.const is not None for a in values):
+                try:
+                    return constant(_folded(op)(*[a.const for a in values]))
+                except EvaluationError:
+                    pass  # the subtree faults: it is left to raise at evaluation
+            operands = {k: a if a.text else _Value(argument(a.const), a.const, a.enclosure)
+                        for k, a in zip("ab", values)}
+            enclosures = [a.enclosure for a in values]
+            enclosure = _SCALAR_OPS[op].enclose(*enclosures) if None not in enclosures else None
+            return _Value(emit(_SCALAR_OPS[op], operands, enclosure), None, enclosure)
 
-    def value(node: Expression) -> _Value:
-        """Write the statements that compute ``node``; return its value."""
-        if isinstance(node, Num):
-            return constant(node.value)
-        if isinstance(node, Var):
-            if node.name not in variables:  # no other name may reach the source
-                raise TypeError(f"variable {node.name!r} is not one of {variables}")
-            return _Value((node.name, node.name), None, _BOX)
-        if isinstance(node, BuiltinMean):
-            mean = _builtin(node.name)
-            atom, caught, message = _BUILTIN_ATOM
-            fields = {"v": local(), "mean": argument(mean), "name": argument(node.name)}
-            checked = _trying(atom, caught, message).format(**fields)
-            # where P lies in the built-in's domain, its check passes: a mean of x and y
-            inside = mean.domain.contains(_BOX[0]) and mean.domain.contains(_BOX[1])
-            forms[0].append(checked)
-            forms[1].append(atom.format(**fields) if inside else checked)
-            return _Value((fields["v"], fields["v"]), None, _outward(*_BOX))
-        if isinstance(node, Unary):
-            op, args = "neg", (node.operand,)
-        elif isinstance(node, Binary):
-            op, args = node.op, (node.left, node.right)
-        elif isinstance(node, Call):
-            op, args = node.func, node.args
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        values = [value(a) for a in args]
-        if all(a.const is not None for a in values):
-            try:
-                return constant(_folded(op)(*[a.const for a in values]))
-            except EvaluationError:
-                pass  # the subtree faults: it is left to raise at evaluation
-        operands = {k: a if a.texts else _Value((argument(a.const),) * 2, a.const, a.enclosure)
-                    for k, a in zip("ab", values)}
-        enclosures = [a.enclosure for a in values]
-        enclosure = _SCALAR_OPS[op].enclose(*enclosures) if None not in enclosures else None
-        return _Value(emit(_SCALAR_OPS[op], operands, enclosure), None, enclosure)
+        root = value(e)
+        if root.text is None:
+            root = _Value(argument(root.const), root.const, root.enclosure)
+        checks = _checks(_FINITE, {"a": root}, box)
+        text = held(root.text) if checks else root.text  # the result reads it too
+        statements.extend(check.format(a=text, at=at) for check in checks)
+        return ("\n".join(statements), _bare(text), namespace), root.enclosure
 
-    root = value(e)
-    if root.texts is None:
-        root = _Value((argument(root.const),) * 2, root.const, root.enclosure)
-    results = []
-    for i, form in enumerate(forms):
-        checks = _checks(_FINITE, {"a": root}, box=i == 1)
-        text = held(form, root.texts[i]) if checks else root.texts[i]  # the result reads it too
-        form.extend(check.format(a=text, at=at) for check in checks)
-        results.append(_bare(text))
-    return _kernel(("\n".join(forms[0]), results[0], namespace),
-                   ("\n".join(forms[1]), results[1], namespace), root.enclosure,
-                   "<expression>", ", ".join(variables))
+    block, enclosure = render(False)
+    return _kernel(block, render(True)[0], enclosure, "<expression>", ", ".join(variables))
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:

@@ -94,6 +94,19 @@ class TestPhi:
                 assert ms.phi(m)(x, y) == math.log(r)
 
 
+class TestCallsOutsideTheDomain:
+    def test_an_asymmetric_function_names_the_point_and_itself(self):
+        with pytest.raises(ms.DomainError) as err:
+            ms.phi(ms.make_geometric())(-1.0, 2.0)
+        assert str(err.value) == "(-1.0, 2.0) is outside the domain (0, inf) of phi(G)"
+
+    def test_a_weight_names_the_point_and_itself(self):
+        weight = ms.WeightFunction(ms.Interval(0.0, 1.0), lambda t: t, "P")
+        with pytest.raises(ms.DomainError) as err:
+            weight(2.0)
+        assert str(err.value) == "2.0 is outside the domain (0, 1) of weight P"
+
+
 class TestPhiInverse:
     def test_zero_map_gives_arithmetic(self):
         zero = ms.AsymmetricFunction(ms.ALL_REALS, lambda x, y: 0.0, "0")
@@ -626,6 +639,11 @@ class TestCompare:
         assert ms.compare_normal(one, inv_sqrt, unit_window) is OrderRelation.STRICTLY_GREATER
         assert ms.compare_normal(inv_sqrt, inv, unit_window) is OrderRelation.STRICTLY_GREATER
         assert ms.compare_normal(inv, one, unit_window) is OrderRelation.STRICTLY_LESS
+
+    def test_one_sample_is_refused(self, unit_window):
+        one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")
+        with pytest.raises(ValueError, match="^need at least two samples to compare$"):
+            ms.compare_normal(one, one, unit_window, samples=1)
 
     def test_scaling_invariance(self, unit_window):
         one = ms.WeightFunction(ms.POSITIVE_REALS, lambda t: 1.0, "1")

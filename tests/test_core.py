@@ -64,6 +64,16 @@ class TestInterval:
         assert got == ms.Interval(1.0, 2.0, lo_closed=False, hi_closed=True)
         assert a.intersect(ms.Interval.closed(5.0, 6.0)) is None
 
+    def test_intersect_of_an_interval_that_starts_and_ends_after_the_other(self):
+        assert ms.Interval(1.0, 3.0).intersect(ms.Interval(0.0, 2.0)) == ms.Interval(1.0, 2.0)
+        got = ms.Interval(1.0, 3.0, lo_closed=True).intersect(
+            ms.Interval(0.0, 2.0, hi_closed=True))
+        assert got == ms.Interval.closed(1.0, 2.0)
+
+    def test_a_closed_infinite_lower_end_is_refused(self):
+        with pytest.raises(ValueError, match="^-inf endpoint cannot be closed$"):
+            ms.Interval(-math.inf, 0.0, lo_closed=True)
+
 
 # positive floats of every binade, subnormals included, and the neighbours of the ends
 # 2^-500 and 2^500 of the G and H kernels' plain range
@@ -761,3 +771,34 @@ def test_no_module_imports_typing_or_namedtuple():
             found += [(path.stem, name) for name in names
                       if name in ("typing", "NamedTuple", "namedtuple")]
     assert found == []
+
+
+def test_every_module_that_declares_a_record_defers_its_annotations():
+    # _RecordType reads a record's fields from the class body's __annotations__, which a
+    # body holds on Python 3.14 (PEP 749) only under the __future__ import
+    declaring, deferred = set(), set()
+    for path in sorted(pathlib.Path(ms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases):
+                declaring.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "__future__" and any(
+                    a.name == "annotations" for a in node.names):
+                deferred.add(path.stem)
+    assert {"core", "expressions", "cli"} <= declaring
+    assert declaring <= deferred
+
+
+class TestRefusedCounts:
+    def test_sample_pairs_needs_a_sample(self):
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            ms.sample_pairs(ms.Interval.closed(1.0, 2.0), 0)
+
+    def test_sample_pairs_gives_up_on_a_gap_that_rejects_every_pair(self):
+        with pytest.raises(ValueError) as info:
+            ms.sample_pairs(ms.Interval.closed(1.0, 2.0), 5, min_gap=10.0)
+        assert str(info.value) == "min_gap=10.0 rejects almost every pair in [1, 2]"
+
+    def test_verify_axioms_needs_a_sample(self):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            ms.verify_axioms(ms.make_geometric(), ms.Interval.closed(1.0, 2.0), 0)

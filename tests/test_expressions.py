@@ -17,6 +17,7 @@ from meanscape.expressions import (
     Var,
     _HELPERS,
     _builtin,
+    _compile,
     evaluate,
     expr_to_mean,
     expr_to_weight,
@@ -180,6 +181,19 @@ class TestEvaluationFaults:
                 f()
             assert str(err.value) == (f"{src} is undefined at ({x}, {y}): "
                                       f"({x}, {y}) is outside the domain (0, inf) of {src}")
+
+
+class TestNotATree:
+    def test_format_and_compile_refuse_what_is_not_a_node(self):
+        with pytest.raises(TypeError, match="^not an expression node: 3$"):
+            format_expression(3)
+        with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+            _compile("x")
+
+    def test_a_binding_without_y_is_refused(self):
+        with pytest.raises(TypeError) as err:
+            evaluate(parse_mean_expr("x + y"), {"x": 1.0})
+        assert str(err.value) == "variable 'y' is not one of ('x',)"
 
 
 class TestBuiltinsInExpressions:

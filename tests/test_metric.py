@@ -25,6 +25,12 @@ class TestGoldenSection:
         x, v = golden_section_max(lambda t: t, 0.0, 3.0)
         assert v == 3.0  # endpoints are evaluated, so the bound is exact
 
+    def test_reversed_ends_search_the_same_interval(self):
+        def f(t):
+            return -(t - 1.0) ** 2
+
+        assert golden_section_max(f, 3.0, 0.0) == golden_section_max(f, 0.0, 3.0)
+
 
 class TestSup2d:
     def test_argmax_attains_value_inside_window(self):
@@ -117,6 +123,12 @@ class TestDistance:
             assert est.value == 0.0
             x, y = est.argmax
             assert x != y and unit_window.contains(x) and unit_window.contains(y)
+
+    def test_a_window_inside_the_diagonal_band_has_no_grid_point(self):
+        # every pair of the grid is near(x, y, 1e-9), so the quotient is read nowhere
+        window = ms.Interval.closed(1.0, 1.0 + 1e-12)
+        with pytest.raises(ms.DomainError, match="^no admissible grid points in the window$"):
+            ms.distance(ms.make_arithmetic(), ms.make_geometric(), window, 8)
 
     def test_equal_means_give_positive_zero(self):
         parsed = ms.mean_from_source("(x+y)/2", ms.ALL_REALS).mean
@@ -273,6 +285,17 @@ class TestBorderDiagnostic:
         with pytest.raises(ms.DomainError) as err:
             ms.border_diagnostic(G, [inner, wide], 8)
         assert str(err.value) == "window [-1, 5] is not inside the domain (0, inf) of G"
+
+    def test_estimates_that_rise_after_a_flat_step_are_inconclusive(self):
+        windows = [ms.Interval.closed(0.5, 2.0), ms.Interval.closed(0.5, 2.0),
+                   ms.Interval.closed(0.1, 10.0)]
+        diag = ms.border_diagnostic(ms.make_geometric(), windows)
+        assert diag.trend == "inconclusive"
+        assert diag.sup_per_window == pytest.approx((math.log(2.0), math.log(2.0), math.log(10.0)))
+
+    def test_no_window_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one window$"):
+            ms.border_diagnostic(ms.make_geometric(), [])
 
     def test_non_nested_windows_rejected(self):
         with pytest.raises(ms.DomainError):
