@@ -90,9 +90,11 @@ class _Frozen:
     """Base of the read-only value types.
 
     The fields are the ``__slots__`` of the class and of its bases, in that
-    order; each constructor sets them once with ``_set``. Assigning or deleting
-    an attribute raises AttributeError. Two instances are equal when they have
-    the same type and equal fields, and equal instances hash equal.
+    order; each constructor sets them once with ``_set``. A slot whose name
+    starts with '_' is not a field: it holds a value that the constructor
+    derives from the fields. Assigning or deleting an attribute raises
+    AttributeError. Two instances are equal when they have the same type and
+    equal fields, and equal instances hash equal.
     """
 
     __slots__ = ()
@@ -100,7 +102,7 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(s for s in cls.__dict__.get("__slots__", ()) if s[0] != "_")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -443,7 +445,10 @@ class MeanFunction(_Frozen):
     Calling the mean checks the point once: both arguments become floats and
     must lie in ``domain``, and exactly equal arguments return ``x`` without
     calling ``fn``, which keeps the diagonal exact. ``fn`` is the kernel
-    behind that check. Its contract, which ``algebra.AsymmetricFunction`` and
+    behind that check. A compound's kernel runs the same check itself when
+    the compound calls it, so the compound's call enters no frame of this
+    class (``middle.CompoundMean``); called as a kernel, it skips the check.
+    Its contract, which ``algebra.AsymmetricFunction`` and
     ``algebra.WeightFunction`` share, has no exceptions:
 
     - ``fn`` is only called with Python floats inside ``domain`` and, for the
@@ -675,15 +680,18 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     scaled into the window; a coordinate that rounds past hi is hi. The window's
     width must be finite (``check_window``). ``min_gap`` discards pairs with
     ``near(x, y, min_gap)``, which identity tests use to stay clear of diagonal
-    cancellation at any scale.
+    cancellation at any scale. A ``min_gap`` that rejects every pair raises ValueError
+    before any draw: |x - y| <= max(|x|, |y|) where x and y share a sign, and
+    |x - y| <= 2 max(|x|, |y|) anywhere.
     """
     check_window(window)
     if n < 1:
         raise ValueError("need at least one sample")
     lo, hi, span = window.lo, window.hi, window.hi - window.lo
+    rejects_all = min_gap >= (2.0 if lo < 0.0 < hi else 1.0)
     out, drawn = [], 0
     while len(out) < n:
-        if drawn > 1000 * (n + 64):
+        if rejects_all or drawn > 1000 * (n + 64):
             raise ValueError(f"min_gap={min_gap} rejects almost every pair in {window}")
         block = _halton_block(seed, drawn, max(n, 64))
         drawn += len(block)

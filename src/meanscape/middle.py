@@ -22,10 +22,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from collections.abc import Callable
 
 from .core import (
-    _PLAIN,
     _PLAIN_NAMES,
     _Record,
     _arithmetic_eval,
@@ -123,11 +123,20 @@ class CompoundMean(MeanFunction):
     bound on d(m1, m2), is below 1), "continuity" (both operands are declared
     continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
     The operands ``m1`` and ``m2`` are keyword-only.
+
+    Calling the compound calls ``_call``, a slot that is not a field, with no
+    Python frame in between. A kernel that declares ``fn.checks == domain``
+    (``_compound_kernel``) runs the checks of ``MeanFunction.__call__`` itself
+    when it is called with ``owner``, the compound; ``_call`` is a copy of that
+    kernel whose ``owner`` defaults to this compound, so an evaluation enters one
+    frame. Any other kernel gets ``MeanFunction.__call__`` bound to the compound.
     """
 
-    __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by")
+    __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by",
+                 "_call")
     _baked = MeanFunction._baked + ("m1", "m2", "tolerance", "max_iterations")
     _kind = "compound"
+    __call__ = property(operator.attrgetter("_call"))
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
                  is_monotone: bool | None = None, is_continuous: bool | None = None,
@@ -142,6 +151,13 @@ class CompoundMean(MeanFunction):
         _set(self, "max_iterations", max_iterations)
         _set(self, "d_upper", d_upper)
         _set(self, "guaranteed_by", guaranteed_by)
+        if getattr(fn, "checks", None) == domain:
+            call = types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, None,
+                                      fn.__closure__)
+            call.__kwdefaults__ = {"owner": self}
+        else:
+            call = types.MethodType(MeanFunction.__call__, self)
+        _set(self, "_call", call)
 
     @property
     def guaranteed(self) -> bool:
@@ -149,11 +165,11 @@ class CompoundMean(MeanFunction):
 
 
 # The coupled iteration, written once and rendered twice: as each compound's kernel
-# ``fn(x0, y0)``, and as ``_trace_loop``, run by ``compound_trace`` and by a compound's call from
-# a start outside the plain box P. Each splices its operands' kernels (``core._splice``): box
-# forms from a start in P, checked blocks from any other, one call of a kernel with no block.
-# The start is a pair of floats in the operands' common domain: the compound's call and
-# ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
+# ``fn(x0, y0, *, owner=None)``, and as ``_trace_loop``, run by ``compound_trace`` and by a
+# compound's call from a start outside the plain box P. Each splices its operands' kernels
+# (``core._splice``): box forms from a start in P, checked blocks from any other, one call of a
+# kernel with no block. The start is a pair of floats in the operands' common domain: the
+# compound's call (its kernel, given ``owner``) and ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
 # mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
 # floating point too and every iterate stays in the domain, and in P where the start lies in
 # P. The stop test {stop} is taken from that envelope, with gap = hi - lo. For a start
@@ -237,36 +253,53 @@ def _trace_loop(f1: Callable, f2: Callable, box: bool) -> Callable[..., tuple]:
         **_LOOP, **_operand_slots(f1, f2, box, namespace)), namespace, "<trace>")
 
 
-def _compound_kernel(m1: MeanFunction, m2: MeanFunction, tol: float,
+def _compound_kernel(m1: MeanFunction, m2: MeanFunction, dom: Interval, tol: float,
                      max_iter: int) -> Callable[[float, float], float]:
-    """The kernel of compound(m1, m2), generated from ``_COMPOUND``.
+    """The kernel ``fn(x0, y0, *, owner=None)`` of compound(m1, m2) on ``dom``, generated
+    from ``_COMPOUND``.
 
-    From a start in the plain box P, the loop runs the box forms of the operands' kernels
-    and of A's for the midpoint (``core._splice``) under the P form of the stop test, so a
-    step calls no kernel that has a block and runs no check that cannot fire in P; the NaN
-    probe is left out where both operands splice an enclosure. A start outside P goes to
-    ``_trace_loop`` of the operands' checked blocks, which records nothing; the compound
-    fetches that loop on its first such start and keeps it. A start that runs out of
-    iterations goes to ``compound_trace``, which raises its ConvergenceError.
+    The start becomes a pair of floats, as the checked call makes it. From a start in the
+    plain box P that lies in the open interval of ``dom`` too, the loop runs the box forms of
+    the operands' kernels and of A's for the midpoint (``core._splice``) under the P form of
+    the stop test, so a step calls no kernel that has a block and runs no check that cannot
+    fire in P; the NaN probe is left out where both operands splice an enclosure. On the
+    diagonal the loop stops at once and returns (x + x) / 2, which is x there. Any other
+    start goes to ``outside``. Given ``owner``, the compound that holds the kernel, it first
+    runs the rest of ``MeanFunction.__call__``: a start outside ``dom`` raises the domain
+    error that names ``owner``, and one on the diagonal returns x0. It then runs
+    ``_trace_loop`` of the operands' checked blocks, which records nothing; the kernel fetches
+    that loop on its first such start and keeps it. A start that runs out of iterations goes
+    to ``compound_trace``, which raises its ConvergenceError. The kernel declares
+    ``fn.checks = dom``, by which ``CompoundMean`` knows that it runs the checked call.
     """
     exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
                                   max_iterations=max_iter, estimate_contraction=False)
     outside_loop = functools.cache(functools.partial(_trace_loop, m1.fn, m2.fn, False))
 
-    def outside(x0: float, y0: float) -> float:
+    def outside(x0: float, y0: float, owner: CompoundMean | None) -> float:
+        if owner is not None:
+            if not (dom.contains(x0) and dom.contains(y0)):
+                raise _outside_domain(x0, y0, dom, owner.name)
+            if x0 == y0:
+                return x0
         converged, x, y, _ = outside_loop()(m1, m2, x0, y0, tol, max_iter, None)
         if not converged:
             exhausted(x0, y0)
         return _arithmetic_eval(x, y)
 
     namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
-                 "outside": outside, **_PLAIN_NAMES}
+                 "outside": outside, "start_lo": max(_P_LO, dom.lo),
+                 "start_hi": min(_P_HI, dom.hi)}
     slots = _operand_slots(m1.fn, m2.fn, True, namespace)
     done, _ = _splice(namespace, _arithmetic_eval, "return ", box=True)
     body = _COMPOUND.format(
-        start=f"if not ({_PLAIN.format(x='x0', y='y0')}):\n    return outside(x0, y0)\n",
+        start="x0 = float(x0)\ny0 = float(y0)\n"
+              "if not (start_lo < x0 < start_hi and start_lo < y0 < start_hi):\n"
+              "    return outside(x0, y0, owner)\n",
         done=_indent(done, 8), exhausted="        exhausted(x0, y0)", record="", **slots)
-    return _generated("x0, y0", body, namespace, "<compound>")
+    fn = _generated("x0, y0, *, owner=None", body, namespace, "<compound>")
+    fn.checks = dom
+    return fn
 
 
 def compound(m1: MeanFunction, m2: MeanFunction,
@@ -291,7 +324,7 @@ def compound(m1: MeanFunction, m2: MeanFunction,
     guaranteed_by = _guarantee(m1, m2)
     return CompoundMean(
         name=f"mid({m1.name},{m2.name})", domain=dom,
-        fn=_compound_kernel(m1, m2, tolerance, max_iterations),
+        fn=_compound_kernel(m1, m2, dom, tolerance, max_iterations),
         is_monotone=None, is_continuous=True if guaranteed_by else None,
         m1=m1, m2=m2, tolerance=tolerance, max_iterations=max_iterations,
         guaranteed_by=guaranteed_by)

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -575,6 +576,27 @@ class TestValueTypes:
         with pytest.raises(TypeError):
             ms.CompoundMean("c", G.domain, G.fn, None, True, 1e-10, 50, None, None, A, G)
 
+    def test_a_kernel_that_declares_no_checked_call_keeps_the_full_check(self):
+        # G's kernel does not check its point: the compound's call checks it first
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        c = ms.CompoundMean("c", G.domain, G.fn, m1=A, m2=G)
+        with pytest.raises(ms.DomainError) as err:
+            c(-1.0, 4.0)
+        assert str(err.value) == "(-1.0, 4.0) is outside the domain (0, inf) of c"
+        assert (c(4.0, 4.0), c("1", 4)) == (4.0, 2.0)
+        # a compound's kernel checks the domain it was built for, not another one
+        narrow = ms.CompoundMean("n", ms.Interval.closed(1.0, 2.0), ms.make_agm().fn, m1=A, m2=G)
+        with pytest.raises(ms.DomainError) as err:
+            narrow(3.0, 4.0)
+        assert str(err.value) == "(3.0, 4.0) is outside the domain [1, 2] of n"
+
+    def test_the_checked_call_is_no_field(self):
+        agm = ms.make_agm()
+        again = agm.replace()
+        assert "_call" not in ms.CompoundMean._fields and "_call" not in repr(agm)
+        assert again == agm and hash(again) == hash(agm) and again._call is not agm._call
+        assert repr(again) == repr(agm)
+
 
 # Each record with its fields and defaults as its class body declares them: the namedtuple
 # built from these is the oracle that every record must behave as.
@@ -798,6 +820,24 @@ class TestRefusedCounts:
         with pytest.raises(ValueError) as info:
             ms.sample_pairs(ms.Interval.closed(1.0, 2.0), 5, min_gap=10.0)
         assert str(info.value) == "min_gap=10.0 rejects almost every pair in [1, 2]"
+
+    @pytest.mark.parametrize("lo, hi, min_gap", [
+        (1.0, 2.0, 10.0), (1.0, 2.0, 1.0), (0.0, 1.0, 1.0), (-2.0, -1.0, 1.0),
+        (-2.0, 0.0, 1.0), (-1.0, 2.0, 2.0), (-1e300, 1e300, 2.0), (1.0, 2.0, math.inf)])
+    def test_sample_pairs_refuses_a_gap_that_rejects_every_pair_before_drawing(
+            self, lo, hi, min_gap):
+        # |x - y| <= max(|x|, |y|) for a window on one side of 0, and twice that on any
+        window = ms.Interval.closed(lo, hi)
+        with mock.patch.object(core, "_halton_block") as draw:
+            with pytest.raises(ValueError) as info:
+                ms.sample_pairs(window, 5, min_gap=min_gap)
+        draw.assert_not_called()
+        assert str(info.value) == f"min_gap={min_gap} rejects almost every pair in {window}"
+
+    def test_sample_pairs_draws_for_a_gap_that_a_pair_across_zero_passes(self):
+        # x and -x are 2 max(|x|, |y|) apart, so a gap below 2 keeps pairs across 0
+        pairs = ms.sample_pairs(ms.Interval.closed(-1.0, 1.0), 5, seed=3, min_gap=1.5)
+        assert len(pairs) == 5 and all(not near(x, y, 1.5) for x, y in pairs)
 
     def test_verify_axioms_needs_a_sample(self):
         with pytest.raises(ValueError, match="^samples must be >= 1$"):

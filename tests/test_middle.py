@@ -8,8 +8,9 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
@@ -720,18 +721,20 @@ class TestGeneratedCompoundKernel:
 
     def test_the_workload_compounds_enter_no_frame_but_their_loop(self):
         # the built-ins, the inverse, the normal mean and its weight run spliced, and so
-        # does the midpoint: an evaluation enters the compound's own frame and no other
+        # does the midpoint: an evaluation enters the compound's own frame and no other, and
+        # so does the compound's call, whose checks its kernel runs
         pairs = _operand_pairs()
         for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
-            kernel = ms.compound(*pairs[kind][1](ms.compound)).fn
-            called = []
-            sys.setprofile(lambda frame, event, _: called.append(frame.f_code.co_filename)
-                           if event == "call" else None)
-            try:
-                kernel(1.0, 3.0)
-            finally:
-                sys.setprofile(None)
-            assert called == ["<compound>"], kind
+            c = ms.compound(*pairs[kind][1](ms.compound))
+            for call in (c.fn, c):
+                called = []
+                sys.setprofile(lambda frame, event, _: called.append(frame.f_code.co_filename)
+                               if event == "call" else None)
+                try:
+                    call(1.0, 3.0)
+                finally:
+                    sys.setprofile(None)
+                assert called == ["<compound>"], kind
 
     def test_a_name_bound_to_two_values_is_refused(self):
         def kernel(x, y):
@@ -751,6 +754,79 @@ class TestGeneratedCompoundKernel:
         assert ms.compound(G, mean)(1.0, 4.0) == 2.0
 
 
+@functools.cache
+def _checked_call_compounds():
+    """Compounds by kind whose call is their kernel's, with its checks: built by each entry
+    point, renamed, nested, on all of R, on a domain inside P and on one across P's lower
+    edge, and one that runs out of iterations."""
+    A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+    inside = ms.mean_from_source("(x+y)/2", ms.Interval.closed(1.0, 4.0)).mean
+    across = ms.mean_from_source("(x+y)/2", ms.Interval.closed(2.0 ** -520, 2.0 ** -490)).mean
+    return {
+        "agm": ms.make_agm(),
+        "m-arithmetic": ms.m_arithmetic(H),
+        "renamed": ms.compound(A, G).replace(name="renamed"),
+        "nested": ms.compound(ms.compound(A, G), H),
+        "reals": ms.compound(_quartile(True), _quartile(False)),
+        "inside-p": ms.compound(inside, G),
+        "across-p": ms.compound(G, across),
+        "exhausted": ms.compound(A, G, max_iterations=2),
+    }
+
+
+_NUMBERS = st.one_of(st.floats(), reals, st.sampled_from(
+    [t for start in _EDGE_STARTS for t in start]
+    + [1.0, 4.0, 2.0 ** -520, 2.0 ** -490, 2.0 ** -495, 0.0, -0.0, math.inf, -math.inf, math.nan]))
+# the arguments a call converts with float(), as the checked call does, and one it cannot
+_ARGUMENTS = st.one_of(_NUMBERS, _NUMBERS.map(np.float64), _NUMBERS.map(repr),
+                       st.integers(-2 ** 1100, 2 ** 1100), st.booleans(), st.just("one"))
+
+
+@st.composite
+def checked_call_cases(draw):
+    kind = draw(st.sampled_from(sorted(_checked_call_compounds())))
+    x = draw(_ARGUMENTS)
+    return kind, x, draw(st.one_of(_ARGUMENTS, st.just(x)))  # the diagonal too
+
+
+class TestCheckedCall:
+    """A compound's call runs its kernel, which runs the checks of ``MeanFunction.__call__``
+    itself: the values, exceptions and messages are the checked call's."""
+
+    @seed(34)
+    @settings(max_examples=400)
+    @given(checked_call_cases())
+    @_at_the_edges(lambda x, y: [(kind, x, y) for kind in ("agm", "nested", "across-p")])
+    @example(("reals", -0.0, 0.0))
+    @example(("reals", 0.0, -0.0))
+    @example(("reals", -2.5, -2.5))
+    @example(("reals", math.inf, math.inf))
+    @example(("agm", 3, True))
+    @example(("agm", "2.5", np.float64(4.0)))
+    @example(("inside-p", 1.0, 4.0))
+    @example(("inside-p", 4.0, 4.0))
+    @example(("inside-p", 5.0, 5.0))
+    @example(("across-p", 2.0 ** -510, 2.0 ** -495))
+    @example(("across-p", 2.0 ** -497, 2.0 ** -495))
+    @example(("renamed", -1.0, -1.0))
+    @example(("exhausted", 1.0, 1e6))
+    def test_the_call_is_the_checked_call(self, case):
+        kind, x, y = case
+        c = _checked_call_compounds()[kind]
+        assert _outcome(c, x, y) == _outcome(functools.partial(ms.MeanFunction.__call__, c), x, y)
+
+    def test_the_error_names_the_compound_that_is_called(self):
+        agm = ms.make_agm()
+        for c in (agm, agm.replace(name="other")):
+            with pytest.raises(ms.DomainError) as err:
+                c(-2.0, -1.0)
+            assert str(err.value) == f"(-2.0, -1.0) is outside the domain (0, inf) of {c.name}"
+
+    def test_a_third_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            ms.make_agm()(1.0, 2.0, 3.0)
+
+
 class TestBoxLoop:
     """From a start in P a compound's kernel runs its operands' box forms, and from any other
     start their checked blocks."""
@@ -760,7 +836,8 @@ class TestBoxLoop:
         """The body that building compound(m1, m2) hands ``core._generated`` for its kernel."""
         with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
             ms.compound(m1, m2)
-        (body,) = [call.args[1] for call in generate.call_args_list if call.args[0] == "x0, y0"]
+        (body,) = [call.args[1] for call in generate.call_args_list
+                   if call.args[3] == "<compound>"]
         return body
 
     @staticmethod
@@ -775,10 +852,11 @@ class TestBoxLoop:
         pairs = _operand_pairs()
         for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
             m1, m2 = pairs[kind][1](ms.compound)
-            start, *loop = ast.parse(self._loop_source(m1, m2)).body
-            # the start's test of P, then the iteration: no raise, no handler, no range test
+            # the start's two float() conversions, its test of P and the domain, then the
+            # iteration: no raise, no handler, no range test
+            _, _, start, *loop = ast.parse(self._loop_source(m1, m2)).body
             assert {n.id for n in ast.walk(start.test) if isinstance(n, ast.Name)} == {
-                "plain_lo", "plain_hi", "x0", "y0"}
+                "start_lo", "start_hi", "x0", "y0"}
             # the trace's loop is the kernel's, recording every step
             for loop in (loop, ast.parse(self._trace_source(m1, m2)).body):
                 nodes = [n for statement in loop for n in ast.walk(statement)]
