@@ -541,6 +541,13 @@ def _harmonic_scaled(x: float, y: float) -> float:
 # every product, sum and quotient of the G and H formulas is a normal float, so the plain
 # formulas round exactly as the scaled forms do; elsewhere those are called. The blocks' own
 # names have no number: each built-in block exists once.
+# A kernel declares ``fn.between`` where its box form returns a float in [lo, hi] =
+# [min(x, y), max(x, y)] at every point of P, with no rounding past either end, so a loop that
+# splices it needs no clamp. Correct rounding is monotone, which gives it for A and G: fl(lo +
+# hi) lies in [2 lo, 2 hi], and halving is exact in P; fl(x y) lies in [fl(lo lo), fl(hi hi)],
+# and fl(sqrt(fl(a a))) = a wherever a a is normal, as it is for every a in P. H does not:
+# at the adjacent floats 2.182546028937988e-76 and 2.1825460289379884e-76 its formula returns
+# 2.1825460289379887e-76, above both.
 _BUILTIN_NAMES = {"inf": math.inf, **_PLAIN_NAMES, "sqrt": math.sqrt,
                   "geometric_scaled": _geometric_scaled, "harmonic_scaled": _harmonic_scaled}
 _ARITHMETIC = ("a_sum = x + y  # halved first only where it overflows, where the halves are exact",
@@ -555,19 +562,24 @@ def _guarded(plain: str, guard: str, fallback: str, holds: bool = False) -> str:
     return plain if holds else f"{plain} if {guard} else {fallback}"
 
 
-def _builtin_kernel(form: tuple[str, str, str, str], holds: bool) -> Callable:
+def _builtin_kernel(form: tuple[str, str, str, str], holds: bool, between: bool) -> Callable:
     """The kernel of a built-in from its ``form``; its box form leaves the guard out where
-    ``holds``. A built-in is a mean, so over P its value lies in P up to its rounding."""
+    ``holds``. A built-in is a mean, so over P its value lies in P up to its rounding; the
+    kernel declares ``fn.between``, that its box form's value lies in [min(x, y), max(x, y)]
+    at every point of P with no rounding past either end, as ``between`` says."""
     statements, plain, guard, fallback = form
     block, box = ((statements, _guarded(plain, guard, fallback, h), _BUILTIN_NAMES)
                   for h in (False, holds))
-    return _kernel(block, box, _outward(*_BOX), "<core>")
+    fn = _kernel(block, box, _outward(*_BOX), "<core>")
+    fn.between = between
+    return fn
 
 
-# over P, A's sum is finite, and the guard of G and H is that (x, y) lies in P
-_arithmetic_eval = _builtin_kernel(_ARITHMETIC, _add(_BOX, _BOX) is not None)
-_geometric_eval = _builtin_kernel(_GEOMETRIC, True)
-_harmonic_eval = _builtin_kernel(_HARMONIC, True)
+# over P, A's sum is finite, and the guard of G and H is that (x, y) lies in P; A and G round
+# between their arguments there, and H does not
+_arithmetic_eval = _builtin_kernel(_ARITHMETIC, _add(_BOX, _BOX) is not None, True)
+_geometric_eval = _builtin_kernel(_GEOMETRIC, True, True)
+_harmonic_eval = _builtin_kernel(_HARMONIC, True, False)
 
 
 def make_arithmetic() -> MeanFunction:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 import types
 from collections.abc import Callable
 
@@ -124,19 +125,19 @@ class CompoundMean(MeanFunction):
     continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
     The operands ``m1`` and ``m2`` are keyword-only.
 
-    Calling the compound calls ``_call``, a slot that is not a field, with no
-    Python frame in between. A kernel that declares ``fn.checks == domain``
-    (``_compound_kernel``) runs the checks of ``MeanFunction.__call__`` itself
-    when it is called with ``owner``, the compound; ``_call`` is a copy of that
-    kernel whose ``owner`` defaults to this compound, so an evaluation enters one
-    frame. Any other kernel gets ``MeanFunction.__call__`` bound to the compound.
+    Calling the compound calls the function in its slot ``__call__``, which is not
+    a field, with no Python frame in between. A kernel that declares
+    ``fn.checks == domain`` (``_compound_kernel``) runs the checks of
+    ``MeanFunction.__call__`` itself when it is called with ``owner``, the
+    compound; the slot holds a copy of that kernel whose ``owner`` defaults to
+    this compound, so an evaluation enters one frame. Any other kernel gets
+    ``MeanFunction.__call__`` bound to the compound.
     """
 
     __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by",
-                 "_call")
+                 "__call__")
     _baked = MeanFunction._baked + ("m1", "m2", "tolerance", "max_iterations")
     _kind = "compound"
-    __call__ = property(operator.attrgetter("_call"))
 
     def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
                  is_monotone: bool | None = None, is_continuous: bool | None = None,
@@ -157,34 +158,39 @@ class CompoundMean(MeanFunction):
             call.__kwdefaults__ = {"owner": self}
         else:
             call = types.MethodType(MeanFunction.__call__, self)
-        _set(self, "_call", call)
+        _set(self, "__call__", call)
 
     @property
     def guaranteed(self) -> bool:
         return self.guaranteed_by is not None
 
 
-# The coupled iteration, written once and rendered twice: as each compound's kernel
-# ``fn(x0, y0, *, owner=None)``, and as ``_trace_loop``, run by ``compound_trace`` and by a
-# compound's call from a start outside the plain box P. Each splices its operands' kernels
+# The coupled iteration, written once and rendered twice: as each compound's kernel ``fn(x0,
+# y0, *, owner=None)``, and as ``_trace_loop``, run by ``compound_trace`` and by a compound's
+# call from a start outside the plain box P. Each splices its operands' kernels
 # (``core._splice``): box forms from a start in P, checked blocks from any other, one call of a
 # kernel with no block. The start is a pair of floats in the operands' common domain: the
-# compound's call (its kernel, given ``owner``) and ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the
-# mean axioms; clamping removes half-ulp rounding drift, so the envelope is monotone in
-# floating point too and every iterate stays in the domain, and in P where the start lies in
-# P. The stop test {stop} is taken from that envelope, with gap = hi - lo. For a start
-# anywhere (``_ANYWHERE``), ``gap <= tol * max(hi, -lo)`` is ``near(x(n), y(n), tol)``
-# written out. From a pair of opposite signs, which may converge to 0, the gap is also
-# compared with tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with
-# 5e-324 alone: that is the least gap two floats can have, and tol times a subnormal scale
-# is less. For a start in P (``_IN_P``) the test is the gap against tol * hi alone, and the
-# two forms are equal there: lo > 0, so max(hi, -lo) = hi; both coordinates are positive, so
-# the floor is 5e-324; and two distinct floats in P differ by at least 2^-552, so a gap of at
-# most 5e-324 is 0, where the P form stops too. The loop runs only while x(n) != y(n), off
-# the diagonal. A NaN iterate makes the gap NaN, which stops neither form; it survives the
-# clamp, and {probe} hands it to the checked ``m1``, which raises its DomainError. A loop in
-# P leaves the probe out where both operands splice a block with an enclosure: such a block
-# returns no NaN there, and only a kernel with no block may.
+# compound's call (its kernel, given ``owner``) and ``compound_trace`` check it. Each update
+# lies inside the current [lo, hi] envelope by the mean axioms; clamping ({keep_x} and
+# {keep_y}) removes half-ulp rounding drift, so the envelope is monotone in floating point too
+# and every iterate stays in the domain, and in P where the start lies in P. A box loop takes
+# the value of an operand that declares ``fn.between`` (``core._builtin_kernel``: A and G) as
+# it is, since that value already lies in [lo, hi] at every point of P, and clamps every other
+# operand's; a loop from any other start clamps both. For A, fl(lo + hi) lies in [2 lo, 2 hi]
+# and halving is exact in P; for G, fl(x y) lies in [fl(lo lo), fl(hi hi)] and fl(sqrt(fl(a
+# a))) = a where a a is normal, as it is for every a in P. The stop test {stop} is taken from
+# that envelope, with gap = hi - lo. For a start anywhere (``_ANYWHERE``), ``gap <= tol *
+# max(hi, -lo)`` is ``near(x(n), y(n), tol)`` written out. From a pair of opposite signs, which
+# may converge to 0, the gap is also compared with tol * max(|x|, |y|) of the start plus
+# 5e-324, and from any other pair with 5e-324 alone: that is the least gap two floats can have,
+# and tol times a subnormal scale is less. For a start in P (``_IN_P``) the test is the gap
+# against tol * hi alone, and the two forms are equal there: lo > 0, so max(hi, -lo) = hi; both
+# coordinates are positive, so the floor is 5e-324; and two distinct floats in P differ by at
+# least 2^-552, so a gap of at most 5e-324 is 0, where the P form stops too. The loop runs only
+# while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN, which stops neither
+# form; it survives the clamp, and {probe} hands it to the checked ``m1``, which raises its
+# DomainError. A loop in P leaves the probe out where both operands splice a block with an
+# enclosure: such a block returns no NaN there, and only a kernel with no block may.
 # The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
 # {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
 # taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows
@@ -205,9 +211,13 @@ while True:
 {exhausted}
 {probe}{first}
 {second}
-    x = lo if nx < lo else hi if nx > hi else nx
-    y = lo if ny < lo else hi if ny > hi else ny
+{keep_x}
+{keep_y}
     n += 1{record}"""
+# An iterate's clamp into the envelope, and what a box loop writes in its place for an operand
+# that declares ``fn.between``.
+_CLAMP = "    {0} = lo if n{0} < lo else hi if n{0} > hi else n{0}"
+_BETWEEN = "    {0} = n{0}"
 _PROBE = """\
     if gap != gap:
         m1(x, y)  # NaN: the checked call raises m1's DomainError
@@ -232,13 +242,44 @@ _LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": _tuple_new}
 def _operand_slots(f1: Callable, f2: Callable, box: bool, namespace: dict) -> dict:
     """The slots that run the kernels ``f1`` and ``f2`` (``core._splice``), whose names join
     ``namespace``. With ``box``: their box forms, which run only from a start in P, the P form
-    of the stop test, and the NaN probe only where a kernel splices no enclosure. Without:
-    their checked blocks, the general stop test and the probe."""
+    of the stop test, the NaN probe only where a kernel splices no enclosure, and no clamp on
+    the value of a kernel that declares ``fn.between``. Without: their checked blocks, the
+    general stop test, the probe and both clamps. Either way a value that both splices compute
+    is computed once (``_shared``)."""
     first, first_encloses = _splice(namespace, f1, "nx = ", box=box)
     second, second_encloses = _splice(namespace, f2, "ny = ", box=box)
     probe = "" if box and first_encloses and second_encloses else _PROBE
-    return {"first": _indent(first, 4), "second": _indent(second, 4), "probe": probe,
-            **(_IN_P if box else _ANYWHERE)}
+    keep = {f"keep_{v}": (_BETWEEN if box and getattr(f, "between", False) else _CLAMP).format(v)
+            for v, f in (("x", f1), ("y", f2))}
+    return {"first": _indent(first, 4), "second": _indent(_shared(first, second, namespace), 4),
+            "probe": probe, **keep, **(_IN_P if box else _ANYWHERE)}
+
+
+# a name in an expression: not an attribute, and not the exponent of a number; and the
+# keywords of an expression that binds no name (a lambda or a comprehension is not shared)
+_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_KEYWORDS = frozenset({"if", "else", "and", "or", "not", "is", "in", "None", "True", "False"})
+
+
+def _shared(first: str, second: str, namespace: dict) -> str:
+    """The splice ``second`` with each statement ``N = R`` written ``N = nx``, where the splice
+    ``first`` ends in ``nx = R`` with the same text R, and R reads only x, y and names of
+    ``namespace``. Those hold one value each (``core._splice`` refuses a name bound to two) and
+    no block assigns x or y, so R gives nx's value again unless an earlier statement of
+    ``second`` assigns a name R reads: the rewriting stops at the first that does. A block
+    assigns one name a statement, ``name = value``, and a top-level one has no indent."""
+    value = first.rpartition("\nnx = ")[2]
+    reads = set(_NAME.findall(value)) - _KEYWORDS
+    if value not in second or not reads <= {"x", "y"} | namespace.keys():
+        return second
+    lines = second.split("\n")
+    for i, line in enumerate(lines):
+        name, _, rest = line.partition(" = ")
+        if rest == value and name.isidentifier():
+            lines[i] = f"{name} = nx"
+        if name.strip() in reads:
+            break
+    return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,7 +14,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import meanscape as ms
@@ -169,6 +169,72 @@ class TestBoxFormsMatchTheirKernels:
 
         text, enclosure = core._splice({}, kernel, "v = ", box=True)
         assert enclosure is None and "kernel(x, y)" in text
+
+
+def _step(v: float, k: int) -> float:
+    """``v`` moved ``k`` floats, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.inf if k > 0 else 0.0)
+    return v
+
+
+# significands just below a power of two: 2^e less one to four ulps, all in P
+_below_a_power = st.builds(lambda e, k: _step(math.ldexp(1.0, e), -k), st.integers(-499, 500),
+                           st.integers(1, 4))
+
+
+@st.composite
+def between_points(draw):
+    """Points of P: adjacent floats and floats two to four apart, significands just below a
+    power of two, and ratios up to 2^998."""
+    x = draw(coordinate | _below_a_power)
+    kind = draw(st.sampled_from(["near", "ratio", "any"]))
+    if kind == "near":
+        y = _step(x, draw(st.integers(-4, 4).filter(bool)))
+    elif kind == "ratio":
+        mantissa, e = math.frexp(x)
+        y = math.ldexp(mantissa, min(max(e + draw(st.integers(-998, 998)), -500), 501))
+    else:
+        y = draw(coordinate | _below_a_power)
+    return x, min(max(y, INSIDE_LO), INSIDE_HI)
+
+
+# a pair where the harmonic mean's formula rounds above both arguments
+_H_ABOVE = (2.182546028937988e-76, 2.1825460289379884e-76)
+
+
+@pytest.fixture(scope="module")
+def declared(composites, parsed):
+    """The box form of every kernel here that declares ``fn.between``."""
+    return {fn: _box(fn)[0] for fn in composites + [fn for fn, _ in parsed]
+            if getattr(fn, "between", False)}
+
+
+class TestBetweenness:
+    """A kernel declares ``fn.between`` where its box form's value lies in [min(x, y),
+    max(x, y)] at every point of P: a box loop takes that value with no clamp."""
+
+    def test_a_and_g_declare_it(self, declared):
+        assert set(declared) == {core._arithmetic_eval, core._geometric_eval}
+
+    @seed(35)
+    @settings(max_examples=1500)
+    @given(point=between_points())
+    @example(point=_H_ABOVE)
+    @example(point=(INSIDE_LO, math.nextafter(INSIDE_LO, 1.0)))
+    @example(point=(INSIDE_HI, math.nextafter(INSIDE_HI, 0.0)))
+    @example(point=(INSIDE_LO, INSIDE_HI))
+    @example(point=(math.ldexp(INSIDE_LO, 998), INSIDE_LO))
+    @example(point=(_step(2.0, -1), _step(2.0, -2)))
+    def test_a_declared_value_lies_between_the_arguments(self, declared, point):
+        x, y = point
+        for fn, box in declared.items():
+            assert min(x, y) <= box(x, y) <= max(x, y), fn
+
+    def test_the_harmonic_mean_does_not_declare_it(self):
+        x, y = _H_ABOVE
+        assert _box(core._harmonic_eval)[0](x, y) == 2.1825460289379887e-76 > max(x, y)
+        assert not getattr(core._harmonic_eval, "between", False)
 
 
 def _forms(src):

@@ -593,8 +593,8 @@ class TestValueTypes:
     def test_the_checked_call_is_no_field(self):
         agm = ms.make_agm()
         again = agm.replace()
-        assert "_call" not in ms.CompoundMean._fields and "_call" not in repr(agm)
-        assert again == agm and hash(again) == hash(agm) and again._call is not agm._call
+        assert "__call__" not in ms.CompoundMean._fields and "__call__" not in repr(agm)
+        assert again == agm and hash(again) == hash(agm) and again.__call__ is not agm.__call__
         assert repr(again) == repr(agm)
 
 

@@ -841,12 +841,66 @@ class TestBoxLoop:
         return body
 
     @staticmethod
-    def _trace_source(m1, m2):
-        """The body of the trace that ``compound_trace`` runs from a start in P."""
+    def _trace_source(m1, m2, box=True):
+        """The body of the trace that ``compound_trace`` runs from a start in P, or with
+        ``box`` false from any other start."""
         with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
-            middle._trace_loop.__wrapped__(m1.fn, m2.fn, True)
+            middle._trace_loop.__wrapped__(m1.fn, m2.fn, box)
         (call,) = generate.call_args_list
         return call.args[1]
+
+    @classmethod
+    def _box_loops(cls, kind):
+        """The kernel's and the trace's box loops of the operand pair ``kind``."""
+        m1, m2 = _operand_pairs()[kind][1](ms.compound)
+        return cls._loop_source(m1, m2), cls._trace_source(m1, m2)
+
+    @staticmethod
+    def _updates(source):
+        """The statements of a loop that set the iterates x and y from nx and ny."""
+        return [line.strip() for line in source.splitlines()
+                if re.fullmatch(r"    [xy] = .*\bn[xy]\b.*", line)]
+
+    _CLAMPS = [f"{v} = lo if n{v} < lo else hi if n{v} > hi else n{v}" for v in "xy"]
+
+    def test_an_operand_that_declares_between_is_not_clamped_in_the_box(self):
+        clamp_x, clamp_y = self._CLAMPS
+        # A and G declare it; the parsed operands and the drifting ones keep their clamp
+        for kind, updates in [("agm", ["x = nx", "y = ny"]),
+                              ("g-inverse", ["x = nx", clamp_y]),
+                              ("agm-parsed", [clamp_x, clamp_y]),
+                              ("power-normal", [clamp_x, clamp_y]),
+                              ("drift-first", [clamp_x, "y = ny"]),
+                              ("drift-second", ["x = nx", clamp_y])]:
+            for source in self._box_loops(kind):
+                assert self._updates(source) == updates, kind
+
+    def test_every_checked_loop_keeps_both_clamps(self):
+        for kind, (_, pair) in _operand_pairs().items():
+            m1, m2 = pair(ms.compound)
+            assert self._updates(self._trace_source(m1, m2, box=False)) == self._CLAMPS, kind
+
+    def test_a_value_both_operands_compute_is_computed_once(self):
+        G = ms.make_geometric()
+        m1, m2 = _operand_pairs()["g-inverse"][1](ms.compound)
+        for source in (*self._box_loops("g-inverse"), self._trace_source(m1, m2, box=False)):
+            calls = [n for n in ast.walk(ast.parse(source))
+                     if isinstance(n, ast.Call) and ast.unparse(n.func) == "sqrt"]
+            assert len(calls) == 1
+            assert re.search(r"\n    i\d+_value = nx\n", source)
+        assert "ny = nx" in self._loop_source(G, G)
+        # A's value reads its local a_sum, so the inverse of A computes its own
+        A = ms.make_arithmetic()
+        assert self._loop_source(A, ms.group_inverse(A)).count("a_sum / 2.0") == 3
+
+    def test_the_shared_value_is_not_read_past_a_statement_that_assigns_its_names(self):
+        first = "\nnx = sqrt(x * y)"
+        second = "k_a = sqrt(x * y)\nsqrt = k_f\nk_b = sqrt(x * y)\nny = k_a + k_b"
+        assert middle._shared(first, second, {"sqrt": math.sqrt, "k_f": math.exp}) == \
+            "k_a = nx\nsqrt = k_f\nk_b = sqrt(x * y)\nny = k_a + k_b"
+        # a value that reads a local of its block is not shared
+        assert middle._shared("a_s = x + y\nnx = a_s / 2.0", "a_s = x + y\nny = a_s / 2.0",
+                              {}) == "a_s = x + y\nny = a_s / 2.0"
 
     def test_the_workload_loops_check_nothing_that_cannot_fire(self):
         pairs = _operand_pairs()
