@@ -53,7 +53,7 @@ __all__ = [
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
 _BUILTIN_MEANS = {**BUILTIN_MEANS, "AGM": make_agm}
 # bounds the parser's nesting and the height of the tree it builds; parsing costs up to
-# five interpreter frames per level, formatting a tree or generating its code one, and a
+# four interpreter frames per level, formatting a tree or generating its code one, and a
 # compiled tree runs as one flat function in one frame, so every stage stays below the
 # default recursion limit and deep input errors out
 _MAX_DEPTH = 120
@@ -139,6 +139,13 @@ class _Token(_Record):
     end: int
 
 
+def _digits(src: str, j: int) -> int:
+    """The index past the run of digits that starts at ``j``."""
+    while j < len(src) and src[j].isdigit():
+        j += 1
+    return j
+
+
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -148,37 +155,24 @@ def _tokenize(src: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(_Token("num", src[i:j], i, j))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        if c.isdigit() or c == "." and src[i + 1:i + 2].isdigit():
+            kind, j = "num", _digits(src, i)
+            if src[j:j + 1] == ".":
+                j = _digits(src, j + 1)
+            if src[j:j + 1] in ("e", "E"):
+                k = j + 2 if src[j + 1:j + 2] in ("+", "-") else j + 1
+                if src[k:k + 1].isdigit():  # else the exponent is not part of the literal
+                    j = _digits(src, k)
+        elif c.isalpha() or c == "_":  # a letter is alphanumeric too
+            kind, j = "ident", i + 1
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", src[i:j], i, j))
-            i = j
-            continue
-        if c in _SINGLE_CHAR_TOKENS:
-            tokens.append(_Token(_SINGLE_CHAR_TOKENS[c], c, i, i + 1))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", (i, i + 1))
+        elif c in _SINGLE_CHAR_TOKENS:
+            kind, j = _SINGLE_CHAR_TOKENS[c], i + 1
+        else:
+            raise ExpressionError(f"unexpected character {c!r}", (i, i + 1))
+        tokens.append(_Token(kind, src[i:j], i, j))
+        i = j
     tokens.append(_Token("end", "", n, n))
     return tokens
 
@@ -195,24 +189,24 @@ class _Parser:
         self.allow_builtins = allow_builtins
         self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def take(self, kind: str, texts: str = "") -> _Token | None:
+        """The next token, consumed, where it is of ``kind`` and, given ``texts``, one of
+        those characters; else None, and nothing is consumed."""
         tok = self.tokens[self.pos]
+        if tok.kind != kind or texts and tok.text not in texts:
+            return None
         self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.current
+        tok = self.take(kind) or self.tokens[self.pos]  # the token taken, or the one in its place
         if tok.kind != kind:
             raise ExpressionError(f"expected {what}", (tok.start, tok.end))
-        return self.advance()
+        return tok
 
     def parse(self) -> Expression:
         tree, _ = self.sum()
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             raise ExpressionError(f"unexpected {tok.text!r}", (tok.start, tok.end))
         return tree
@@ -231,10 +225,9 @@ class _Parser:
         return height
 
     def sum(self) -> tuple[Expression, int]:
-        self._enter(self.current)
+        self._enter(self.tokens[self.pos])
         node, h = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            tok = self.advance()
+        while tok := self.take("op", "+-"):
             right, rh = self.term()
             node, h = Binary(tok.text, node, right), self._height(tok, h, rh)
         self.depth -= 1
@@ -242,35 +235,32 @@ class _Parser:
 
     def term(self) -> tuple[Expression, int]:
         node, h = self.unary()
-        while self.current.kind == "op" and self.current.text in "*/":
-            tok = self.advance()
+        while tok := self.take("op", "*/"):
             right, rh = self.unary()
             node, h = Binary(tok.text, node, right), self._height(tok, h, rh)
         return node, h
 
     def unary(self) -> tuple[Expression, int]:
-        if self.current.kind == "op" and self.current.text == "-":
-            tok = self.advance()
-            self._enter(tok)
-            operand, h = self.unary()
-            self.depth -= 1
-            return Unary("-", operand), self._height(tok, h)
-        return self.power()
-
-    def power(self) -> tuple[Expression, int]:
-        node, h = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            tok = self.advance()
-            self._enter(tok)
-            exponent, eh = self.unary()  # right-associative; may carry a unary minus
-            self.depth -= 1
-            node, h = Binary("^", node, exponent), self._height(tok, h, eh)
-        return node, h
+        """A unary minus, or an atom with an optional power: both operators parse their
+        right operand by this rule one level deeper, so ^ associates right and its
+        exponent may carry a unary minus."""
+        tok = self.take("op", "-")
+        if tok is None:
+            node, h = self.atom()
+            tok = self.take("op", "^")
+            if tok is None:
+                return node, h
+        self._enter(tok)
+        right, rh = self.unary()
+        self.depth -= 1
+        if tok.text == "-":
+            return Unary("-", right), self._height(tok, rh)
+        return Binary("^", node, right), self._height(tok, h, rh)
 
     def atom(self) -> tuple[Expression, int]:
-        tok = self.current
+        tok = self.tokens[self.pos]
+        self.pos += 1  # every atom consumes its first token, and an error ends the parse
         if tok.kind == "num":
-            self.advance()
             try:
                 # isdigit() admits unicode digits that float() rejects
                 value = float(tok.text)
@@ -281,18 +271,15 @@ class _Parser:
                 raise ExpressionError("number literal out of range", (tok.start, tok.end))
             return Num(value), 1
         if tok.kind == "lparen":
-            self.advance()
             parsed = self.sum()
             self.expect("rparen", "')'")
             return parsed
         if tok.kind == "ident":
-            self.advance()
             name = tok.text
             if name in _FUNCTIONS:
                 self.expect("lparen", f"'(' after {name}")
                 args = [self.sum()]
-                while self.current.kind == "comma":
-                    self.advance()
+                while self.take("comma"):
                     args.append(self.sum())
                 self.expect("rparen", "')'")
                 arity = _FUNCTIONS[name]

@@ -8,9 +8,13 @@ around the arithmetic mean. A mean sits on the border of that ball exactly
 when its log-ratio transform is unbounded above.
 
 Sups over a continuum are not computable, so every estimator here reports
-a certified lower bound: the best value actually evaluated on a coarse
-grid over a bounded window, sharpened by coordinate-wise golden-section
-refinement around the best cell. The window is always part of the result.
+a lower bound: the best value actually evaluated on a coarse grid over a
+bounded window, sharpened by coordinate-wise golden-section refinement
+around the best cell. The window is always part of the result. It is a
+lower bound up to the rounding of the value at the point where it was
+attained, which can lie above the exact value there: ``distance`` of min
+and A over [0.1, 10] at grid 16 reports 0.5000000000000004, 2 ulps above
+d = 1/2.
 Each entry point checks its window once (``core.check_window``); the grid,
 which samples the closed window, then calls the kernels.
 """
@@ -79,7 +83,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
 
 
 class DistanceEstimate(_Record):
-    """A certified lower bound for a sup over a bounded window.
+    """A lower bound, up to the rounding of its value, for a sup over a bounded window.
 
     ``value`` lies in [0, 1]; ``argmax`` is the off-diagonal point where it
     was attained; ``grid_size`` is the number of grid points per axis.
@@ -198,22 +202,15 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
     return DistanceEstimate(value, arg, window, grid)
 
 
-def _logistic(f: float) -> float:
-    """1 / (1 + e^f), computed without overflow."""
-    if f >= 0.0:
-        t = math.exp(-f)
-        return t / (1.0 + t)
-    return 1.0 / (1.0 + math.exp(f))
-
-
 def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
                      grid: int = 64) -> DistanceEstimate:
     """Distance estimate through the log-ratio transforms of the operands.
 
-    The difference quotient of two means rewrites exactly as
+    Each mean's quotient over A is (A - M)/(x - y) = tanh(phi(M)/2)/2, the map that
+    ``distance_to_arithmetic`` applies too, so the difference quotient
+    (M2 - M1)/(x - y) of two means rewrites exactly as
 
-        (e^f1 - e^f2) / ((e^f1 + 1)(e^f2 + 1))
-            = 1/(1 + e^f2) - 1/(1 + e^f1),
+        (tanh(f1/2) - tanh(f2/2)) / 2 = 1/(1 + e^f2) - 1/(1 + e^f1),
 
     with f1, f2 the transforms of the operands; the sup of this expression
     over the square window is the same distance, with no diagonal
@@ -224,7 +221,9 @@ def distance_via_phi(m1: MeanFunction, m2: MeanFunction, window: Interval,
     f1, f2 = phi(m1).fn, phi(m2).fn
 
     def integrand(x: float, y: float) -> float:
-        return _logistic(f2(x, y)) - _logistic(f1(x, y))
+        # f2 is evaluated first, so where both operands fault its error is the one raised;
+        # -t2 + t1 has the bits of t1 - t2
+        return 0.5 * (-math.tanh(0.5 * f2(x, y)) + math.tanh(0.5 * f1(x, y)))
 
     value, arg = _sup2d(integrand, window, grid)
     return DistanceEstimate(value, arg, window, grid)

@@ -332,6 +332,15 @@ class TestRoundTrip:
             with pytest.raises(ExpressionError):
                 parse_mean_expr(src)
 
+    def test_tokens_follow_the_unicode_classes_of_str(self):
+        # a digit that float() reads is a number; a numeric character that is no digit is
+        # not a token; a digit that float() rejects is a bad literal
+        assert parse_mean_expr("٣+x") == Binary("+", Num(3.0), Var("x"))
+        with pytest.raises(ExpressionError, match="unexpected character '½' at position 1$"):
+            parse_mean_expr("½")
+        with pytest.raises(ExpressionError, match="bad number literal '²' at position 1$"):
+            parse_mean_expr("²")
+
 
 def _oracle_power(a, b, env):
     if a < 0.0 and (math.isnan(b) or math.isinf(b) or b != math.floor(b)):

@@ -216,6 +216,17 @@ class TestAgreement:
                                   unit_window, 32)
         assert est.value == pytest.approx(0.0, abs=1e-15)
 
+    def test_both_phi_estimators_refuse_a_non_mean(self, unit_window):
+        # min is not strictly between its arguments: its quotient over A is defined, but
+        # phi is not, so an estimator that swept the quotient would return a value here
+        low = ms.MeanFunction("min", ms.POSITIVE_REALS, min)
+        a = ms.make_arithmetic()
+        assert ms.distance(low, a, unit_window, 16).value == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(ms.InvalidMeanError):
+            ms.distance_via_phi(low, a, unit_window, 16)
+        with pytest.raises(ms.InvalidMeanError):
+            ms.distance_to_arithmetic(low, unit_window, 16)
+
 
 class TestDistanceToArithmetic:
     def test_arithmetic_itself(self, unit_window):
