@@ -21,14 +21,16 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from collections.abc import Callable
 
 from .core import (
     _BOX,
     _Frozen,
+    _INF,
+    _MIN_NORMAL,
     _add,
     _arithmetic_eval,
+    _endpoint_weighted,
     _generated,
     _guarded,
     _kernel,
@@ -48,7 +50,6 @@ from .core import (
     check_window,
     common_domain,
     make_arithmetic,
-    near,
 )
 
 __all__ = [
@@ -69,10 +70,6 @@ __all__ = [
 # Relative half-width of the diagonal band of phi and of the closed forms
 # whose factors vanish on the diagonal.
 _DIAG_GUARD = 1e-12
-
-# The smallest positive normal float; a ratio below it has lost digits to underflow.
-_MIN_NORMAL = sys.float_info.min
-_INF = math.inf
 
 
 class AsymmetricFunction(_Frozen):
@@ -164,7 +161,7 @@ def phi(m: MeanFunction) -> AsymmetricFunction:
     kernel = m.fn
 
     def fn(x: float, y: float) -> float:
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return 0.0
         v = kernel(x, y)
         p = v - x
@@ -219,7 +216,7 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     name = f"({m1.name}*{m2.name})"
 
     def fn(x: float, y: float) -> float:
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return _arithmetic_eval(x, y)
         a = f1(x, y)
         b = f2(x, y)
@@ -271,53 +268,13 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     name = f"S[{m0.name}]({m1.name})"
 
     def fn(x: float, y: float) -> float:
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return _arithmetic_eval(x, y)
         v0 = f0(x, y)
         v1 = f1(x, y)
         return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
 
     return MeanFunction(name, dom, fn)
-
-
-def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: float,
-                       v1: float, v2: float, v3: float) -> float:
-    """(x U + y V) / (U + V) for the weights U = u1 u2 u3 and V = v1 v2 v3 of one sign.
-
-    The plain formula where every product, both terms and both sums are normal
-    floats. Elsewhere every factor is split into mantissa and exponent, so no
-    product under- or overflows, and each sum is formed on the scale of its
-    larger term. U = 0 gives y and V = 0 gives x, exactly; both 0 is 0/0, and
-    InvalidMeanError names the mean ``name`` and the point. So it does where
-    U + V is 0 or the value overflows, which weights of one sign cannot give.
-    """
-    uu, vv = u1 * u2, v1 * v2
-    u, v = uu * u3, vv * v3
-    xu, yv = x * u, y * v
-    num, den = xu + yv, u + v
-    if (_MIN_NORMAL <= min(abs(uu), abs(u), abs(vv), abs(v), abs(xu), abs(yv), abs(num))
-            and abs(num) < _INF and 0.0 < abs(den) < _INF):
-        return num / den
-    (mx, ex), (my, ey), (a, ea), (b, eb), (c, ec), (d, ed), (g, eg), (h, eh) = map(
-        math.frexp, (x, y, u1, u2, u3, v1, v2, v3))
-    mu, eu, mv, ev = a * b * c, ea + eb + ec, d * g * h, ed + eg + eh
-    if not (mu and mv):
-        if mu or mv:
-            return x if mu else y
-        raise InvalidMeanError(f"{name}({x}, {y}) is 0/0: both endpoint weights vanish")
-    tx, ty, ex, ey = mx * mu, my * mv, ex + eu, ey + ev
-    # a zero term has no scale; the other one sets it
-    top = max(ex, ey) if tx and ty else ex if tx else ey
-    num = math.ldexp(tx, ex - top) + math.ldexp(ty, ey - top)
-    top_den = max(eu, ev)
-    den = math.ldexp(mu, eu - top_den) + math.ldexp(mv, ev - top_den)
-    try:
-        value = math.ldexp(num / den, top - top_den)
-    except (ZeroDivisionError, OverflowError):
-        value = _INF
-    if abs(value) < _INF:
-        return value
-    raise InvalidMeanError(f"{name}({x}, {y}) is undefined: its endpoint weights differ in sign")
 
 
 # (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the

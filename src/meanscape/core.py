@@ -34,6 +34,10 @@ DEFAULT_SEED = 7
 # Floating-point slack of the sampled axiom checks in verify_axioms.
 _STRICT_EPS, _SYMMETRY_TOL, _BETWEENNESS_SLACK = 1e-10, 1e-9, 1e-12
 
+# The smallest positive normal float; a product or ratio below it has lost digits to underflow.
+_MIN_NORMAL = 2.0 ** -1022
+_INF = math.inf
+
 __all__ = [
     "DEFAULT_SEED",
     "DomainError",
@@ -45,7 +49,6 @@ __all__ = [
     "POSITIVE_REALS",
     "ALL_REALS",
     "common_domain",
-    "near",
     "diagonal_safe",
     "check_window",
     "MeanFunction",
@@ -276,9 +279,11 @@ class Interval(_Frozen):
         return Interval(lo, hi, lo_closed, hi_closed)
 
     def __str__(self) -> str:
+        # each end in :g form where that reads back as the same float, else its repr
+        lo, hi = (f"{t:g}" if float(f"{t:g}") == t else repr(t) for t in (self.lo, self.hi))
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo:g}, {self.hi:g}{right}"
+        return f"{left}{lo}, {hi}{right}"
 
 
 POSITIVE_REALS = Interval(0.0, math.inf)
@@ -291,17 +296,6 @@ def common_domain(a: Interval, b: Interval) -> Interval:
     if dom is None:
         raise DomainError(f"domains {a} and {b} do not overlap")
     return dom
-
-
-def near(x: float, y: float, rel: float) -> bool:
-    """|x - y| <= rel * max(|x|, |y|): the closeness test of every band.
-
-    The coupled iteration of ``middle`` does not call it: it writes the same test out
-    from its sorted envelope, as gap <= rel * max(hi, -lo), and where it starts in the plain
-    box P, whose iterates are all positive, as gap <= rel * hi.
-    """
-    a, b = abs(x), abs(y)
-    return abs(x - y) <= rel * (b if b > a else a)  # max(a, b), NaN too, without a call
 
 
 def diagonal_safe(fn: Callable[[float, float], float]) -> Callable[[float, float], float]:
@@ -527,19 +521,53 @@ def _geometric_scaled(x: float, y: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(mx * my, e & 1)), e >> 1)
 
 
-def _harmonic_scaled(x: float, y: float) -> float:
-    # as in _geometric_scaled; the sum, scaled by the larger exponent, rounds as x + y does
-    mx, ex = math.frexp(x)
-    my, ey = math.frexp(y)
-    e = max(ex, ey)
-    return math.ldexp(2.0 * mx * my / (math.ldexp(mx, ex - e) + math.ldexp(my, ey - e)),
-                      ex + ey - e)
+def _endpoint_weighted(name: str, x: float, y: float, u1: float, u2: float, u3: float,
+                       v1: float, v2: float, v3: float) -> float:
+    """(x U + y V) / (U + V) for the weights U = u1 u2 u3 and V = v1 v2 v3 of one sign.
+
+    The plain formula where every product, both terms and both sums are normal
+    floats. Elsewhere every factor is split into mantissa and exponent, so no
+    product under- or overflows, and each sum is formed on the scale of its
+    larger term. U = 0 gives y and V = 0 gives x, exactly; both 0 is 0/0, and
+    InvalidMeanError names the mean ``name`` and the point. So it does where
+    U + V is 0 or the value overflows, which weights of one sign cannot give.
+    H = 2xy/(x + y) is this form with U = y and V = x: its plain formula is H's,
+    as doubling is exact, and it is the built-in H's range-safe form.
+    """
+    uu, vv = u1 * u2, v1 * v2
+    u, v = uu * u3, vv * v3
+    xu, yv = x * u, y * v
+    num, den = xu + yv, u + v
+    if (_MIN_NORMAL <= min(abs(uu), abs(u), abs(vv), abs(v), abs(xu), abs(yv), abs(num))
+            and abs(num) < _INF and 0.0 < abs(den) < _INF):
+        return num / den
+    (mx, ex), (my, ey), (a, ea), (b, eb), (c, ec), (d, ed), (g, eg), (h, eh) = map(
+        math.frexp, (x, y, u1, u2, u3, v1, v2, v3))
+    mu, eu, mv, ev = a * b * c, ea + eb + ec, d * g * h, ed + eg + eh
+    if not (mu and mv):
+        if mu or mv:
+            return x if mu else y
+        raise InvalidMeanError(f"{name}({x}, {y}) is 0/0: both endpoint weights vanish")
+    tx, ty, ex, ey = mx * mu, my * mv, ex + eu, ey + ev
+    # a zero term has no scale; the other one sets it
+    top = max(ex, ey) if tx and ty else ex if tx else ey
+    num = math.ldexp(tx, ex - top) + math.ldexp(ty, ey - top)
+    top_den = max(eu, ev)
+    den = math.ldexp(mu, eu - top_den) + math.ldexp(mv, ev - top_den)
+    try:
+        value = math.ldexp(num / den, top - top_den)
+    except (ZeroDivisionError, OverflowError):
+        value = _INF
+    if abs(value) < _INF:
+        return value
+    raise InvalidMeanError(f"{name}({x}, {y}) is undefined: its endpoint weights differ in sign")
 
 
 # The built-in kernels, each written once as ``(statements, plain, guard, fallback)``: the
 # formula ``plain`` where ``guard`` holds, else ``fallback``. Where both arguments lie in P,
 # every product, sum and quotient of the G and H formulas is a normal float, so the plain
-# formulas round exactly as the scaled forms do; elsewhere those are called. The blocks' own
+# formulas round exactly as the range-safe forms do (``_geometric_scaled``, and for H
+# ``_endpoint_weighted`` with U = y, V = x); elsewhere those are called. The blocks' own
 # names have no number: each built-in block exists once.
 # A kernel declares ``fn.between`` where its box form returns a float in [lo, hi] =
 # [min(x, y), max(x, y)] at every point of P, with no rounding past either end, so a loop that
@@ -549,11 +577,12 @@ def _harmonic_scaled(x: float, y: float) -> float:
 # at the adjacent floats 2.182546028937988e-76 and 2.1825460289379884e-76 its formula returns
 # 2.1825460289379887e-76, above both.
 _BUILTIN_NAMES = {"inf": math.inf, **_PLAIN_NAMES, "sqrt": math.sqrt,
-                  "geometric_scaled": _geometric_scaled, "harmonic_scaled": _harmonic_scaled}
+                  "geometric_scaled": _geometric_scaled, "endpoint_weighted": _endpoint_weighted}
 _ARITHMETIC = ("a_sum = x + y  # halved first only where it overflows, where the halves are exact",
                "a_sum / 2.0", "-inf < a_sum < inf", "x / 2.0 + y / 2.0")
 _GEOMETRIC = ("", "sqrt(x * y)", _PLAIN.format(x="x", y="y"), "geometric_scaled(x, y)")
-_HARMONIC = ("", "2.0 * x * y / (x + y)", _PLAIN.format(x="x", y="y"), "harmonic_scaled(x, y)")
+_HARMONIC = ("", "2.0 * x * y / (x + y)", _PLAIN.format(x="x", y="y"),
+             'endpoint_weighted("H", x, y, y, 1.0, 1.0, x, 1.0, 1.0)')
 
 
 def _guarded(plain: str, guard: str, fallback: str, holds: bool = False) -> str:
@@ -691,14 +720,16 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
     The pairs are a Halton sequence with seeded digit permutations (``_halton_block``),
     scaled into the window; a coordinate that rounds past hi is hi. The window's
     width must be finite (``check_window``). ``min_gap`` discards pairs with
-    ``near(x, y, min_gap)``, which identity tests use to stay clear of diagonal
-    cancellation at any scale. A ``min_gap`` that rejects every pair raises ValueError
-    before any draw: |x - y| <= max(|x|, |y|) where x and y share a sign, and
-    |x - y| <= 2 max(|x|, |y|) anywhere.
+    ``math.isclose(x, y, rel_tol=min_gap)``, which identity tests use to stay clear of
+    diagonal cancellation at any scale. A negative or NaN ``min_gap`` raises ValueError
+    before any draw, and so does one that rejects every pair: |x - y| <= max(|x|, |y|)
+    where x and y share a sign, and |x - y| <= 2 max(|x|, |y|) anywhere.
     """
     check_window(window)
     if n < 1:
         raise ValueError("need at least one sample")
+    if not min_gap >= 0.0:
+        raise ValueError(f"min_gap must be non-negative, got {min_gap}")
     lo, hi, span = window.lo, window.hi, window.hi - window.lo
     rejects_all = min_gap >= (2.0 if lo < 0.0 < hi else 1.0)
     out, drawn = [], 0
@@ -711,7 +742,7 @@ def sample_pairs(window: Interval, n: int, seed: int = DEFAULT_SEED,
             x, y = lo + span * u, lo + span * v  # never below lo, as u, v >= 0
             if x > hi or y > hi:
                 x, y = min(x, hi), min(y, hi)
-            if not near(x, y, min_gap):
+            if not math.isclose(x, y, rel_tol=min_gap):
                 out.append((x, y))
                 if len(out) == n:
                     break
@@ -742,7 +773,8 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
 
     This is a sampled verifier, not a proof: the betweenness and symmetry
     checks allow slack relative to max(|x|, |y|), and the strictness check
-    flags ``near(M(x,y), x, _STRICT_EPS)`` only off ``near(x, y, 100 * _STRICT_EPS)``.
+    flags ``math.isclose(M(x,y), x, rel_tol=_STRICT_EPS)`` only off
+    ``math.isclose(x, y, rel_tol=100 * _STRICT_EPS)``.
     Results are deterministic for a fixed seed. The window is checked once
     (``check_window``) and the samples go to ``m``'s kernel through ``diagonal_safe``.
     """
@@ -770,8 +802,9 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
         if mxy < lo - _BETWEENNESS_SLACK * scale or mxy > hi + _BETWEENNESS_SLACK * scale:
             ii_ok = False
             note("ii", x, y, mxy)
-        if not near(x, y, 100.0 * _STRICT_EPS):
-            if near(mxy, x, _STRICT_EPS) or near(mxy, y, _STRICT_EPS):
+        if not math.isclose(x, y, rel_tol=100.0 * _STRICT_EPS):
+            if (math.isclose(mxy, x, rel_tol=_STRICT_EPS)
+                    or math.isclose(mxy, y, rel_tol=_STRICT_EPS)):
                 iii_ok = False
                 note("iii", x, y, mxy)
     return AxiomReport(i_ok, ii_ok, iii_ok, tuple(counterexamples), len(pairs))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .core import _Record, DomainError, Interval, MeanFunction, check_window, near
+from .core import _Record, DomainError, Interval, MeanFunction, check_window
 from .algebra import _linspace, phi
 
 __all__ = [
@@ -187,14 +187,14 @@ def distance(m1: MeanFunction, m2: MeanFunction, window: Interval,
 
     The signed quotient (M1 - M2)/(x - y) suffices: it is asymmetric, so
     its sup over the square window equals the sup of its absolute value.
-    Points with ``near(x, y, 1e-9)`` are excluded, a band relative to the
-    arguments, so the estimate does not depend on the scale of the window.
+    Points with ``math.isclose(x, y, rel_tol=1e-9)`` are excluded, a band relative
+    to the arguments, so the estimate does not depend on the scale of the window.
     """
     _check_window(window, grid, m1, m2)
     f1, f2 = m1.fn, m2.fn
 
     def quotient(x: float, y: float) -> float:
-        if near(x, y, _DIAG_BAND):
+        if math.isclose(x, y, rel_tol=_DIAG_BAND):
             return -math.inf
         return (f1(x, y) - f2(x, y)) / (x - y)
 

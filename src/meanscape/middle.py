@@ -52,7 +52,6 @@ from .core import (
     make_arithmetic,
     make_geometric,
     make_harmonic,
-    near,
     sample_pairs,
 )
 from .algebra import group_inverse, group_symmetry, random_normal_mean
@@ -180,17 +179,18 @@ class CompoundMean(MeanFunction):
 # and halving is exact in P; for G, fl(x y) lies in [fl(lo lo), fl(hi hi)] and fl(sqrt(fl(a
 # a))) = a where a a is normal, as it is for every a in P. The stop test {stop} is taken from
 # that envelope, with gap = hi - lo. For a start anywhere (``_ANYWHERE``), ``gap <= tol *
-# max(hi, -lo)`` is ``near(x(n), y(n), tol)`` written out. From a pair of opposite signs, which
-# may converge to 0, the gap is also compared with tol * max(|x|, |y|) of the start plus
-# 5e-324, and from any other pair with 5e-324 alone: that is the least gap two floats can have,
-# and tol times a subnormal scale is less. For a start in P (``_IN_P``) the test is the gap
-# against tol * hi alone, and the two forms are equal there: lo > 0, so max(hi, -lo) = hi; both
-# coordinates are positive, so the floor is 5e-324; and two distinct floats in P differ by at
-# least 2^-552, so a gap of at most 5e-324 is 0, where the P form stops too. The loop runs only
-# while x(n) != y(n), off the diagonal. A NaN iterate makes the gap NaN, which stops neither
-# form; it survives the clamp, and {probe} hands it to the checked ``m1``, which raises its
-# DomainError. A loop in P leaves the probe out where both operands splice a block with an
-# enclosure: such a block returns no NaN there, and only a kernel with no block may.
+# max(hi, -lo)`` is ``math.isclose(x(n), y(n), rel_tol=tol)`` written out. From a pair of
+# opposite signs, which may converge to 0, the gap is also compared with tol * max(|x|, |y|) of
+# the start plus 5e-324, and from any other pair with 5e-324 alone: that is the least gap two
+# floats can have, and tol times a subnormal scale is less. For a start in P (``_IN_P``) the
+# test is the gap against tol * hi alone, and the two forms are equal there: lo > 0, so
+# max(hi, -lo) = hi; both coordinates are positive, so the floor is 5e-324; and two distinct
+# floats in P differ by at least 2^-552, so a gap of at most 5e-324 is 0, where the P form
+# stops too. The loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the
+# gap NaN, which stops neither form; it survives the clamp, and {probe} hands it to the checked
+# ``m1``, which raises its DomainError. A loop in P leaves the probe out where both operands
+# splice a block with an enclosure: such a block returns no NaN there, and only a kernel with
+# no block may.
 # The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
 # {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
 # taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows
@@ -566,7 +566,7 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     g = make_geometric()
     reference = agm(x, y)
     shifted = agm(a(x, y), g(x, y))
-    return near(shifted, reference, tolerance)
+    return math.isclose(shifted, reference, rel_tol=tolerance)
 
 
 def _probe_family(seed: int) -> list[MeanFunction]:
@@ -632,6 +632,6 @@ def counterexample_check(window: Interval | None = None, grid: int = 64,
     win = window or COUNTEREXAMPLE_WINDOW
     d_est = distance(g, partner, win, grid).value
     c, a = compound(g, partner), make_arithmetic()
-    is_a = all(near(c(x, y), a(x, y), 1e-9)
+    is_a = all(math.isclose(c(x, y), a(x, y), rel_tol=1e-9)
                for x, y in sample_pairs(Interval.closed(0.1, 10.0), samples, seed))
     return CounterexampleResult(d_est, is_a)

@@ -11,7 +11,7 @@ import meanscape as ms
 from meanscape import core
 from meanscape.algebra import (_DIAG_GUARD, OrderRelation, _classify_ratio, _endpoint_weighted,
                                _linspace)
-from meanscape.core import common_domain, near
+from meanscape.core import common_domain
 
 scaled = st.floats(min_value=1e-300, max_value=1e300)
 _any_positive = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
@@ -86,7 +86,7 @@ class TestPhi:
     @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
     def test_normal_ratio_keeps_its_bits(self, x, y):
         for m in (ms.make_geometric(), ms.make_harmonic()):
-            if near(x, y, _DIAG_GUARD):
+            if math.isclose(x, y, rel_tol=_DIAG_GUARD):
                 continue
             v = m(x, y)
             r = -(v - x) / (v - y)
@@ -331,7 +331,7 @@ class TestReflectionOracle:
         # a scaled product or a numerator term leaves the normal range here, mostly
         builtins = {"A": ms.make_arithmetic, "G": ms.make_geometric, "H": ms.make_harmonic}
         m0, m1 = builtins[which0](), builtins[which1]()
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return
         for p, q in ((x, y), (y, x)):
             v0, v1 = m0(p, q), m1(p, q)
@@ -459,7 +459,7 @@ def _assert_form(m, weights, x, y):
     """m(x, y) is within 4 ulps of the form at 60 digits, 4 * 2^-1074 where that is
     subnormal, wherever the operand values lie between x and y; both weights 0 raise,
     and so does a fault of an operand."""
-    if near(x, y, _DIAG_GUARD):
+    if math.isclose(x, y, rel_tol=_DIAG_GUARD):
         return
     with mpmath.workdps(60):
         try:
@@ -768,7 +768,7 @@ def _checked_star(m1, m2):
     name = f"({m1.name}*{m2.name})"
 
     def fn(x, y):
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return ms.make_arithmetic()(x, y)
         a, b = m1(x, y), m2(x, y)
         return _endpoint_weighted(name, x, y, a - y, b - y, 1.0, a - x, b - x, 1.0)
@@ -780,7 +780,7 @@ def _checked_group_symmetry(m0, m1):
     name = f"S[{m0.name}]({m1.name})"
 
     def fn(x, y):
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return ms.make_arithmetic()(x, y)
         v0, v1 = m0(x, y), m1(x, y)
         return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
@@ -799,7 +799,7 @@ def _checked_group_inverse(m):
 
 def _checked_phi(m):
     def fn(x, y):
-        if near(x, y, _DIAG_GUARD):
+        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
             return 0.0
         v = m(x, y)
         p, q = v - x, v - y

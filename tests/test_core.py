@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import meanscape as ms
 from meanscape import cli, core, expressions, metric, middle
 from meanscape.algebra import _linspace
-from meanscape.core import _halton_block, _seeded, near
+from meanscape.core import _halton_block, _seeded
 from meanscape.metric import _axis_points
 
 
@@ -88,6 +88,11 @@ _kernel_floats = st.one_of(
     st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
 
 
+def _harmonic_weighted(x, y):
+    """H's range-safe form: the endpoint-weighted form with U = y and V = x."""
+    return core._endpoint_weighted("H", x, y, y, 1.0, 1.0, x, 1.0, 1.0)
+
+
 class TestBuiltins:
     def test_textbook_values(self, builtins):
         A, G, H = builtins
@@ -116,9 +121,9 @@ class TestBuiltins:
     @given(_kernel_floats, _kernel_floats)
     def test_plain_range_gives_the_scaled_bits(self, x, y):
         # inside (2^-500, 2^500) the kernels take the plain formulas, elsewhere the
-        # scaled forms: both must give the same bits everywhere
+        # range-safe forms: both must give the same bits everywhere
         for kernel, scaled in ((core._geometric_eval, core._geometric_scaled),
-                               (core._harmonic_eval, core._harmonic_scaled)):
+                               (core._harmonic_eval, _harmonic_weighted)):
             assert kernel(x, y).hex() == scaled(x, y).hex()
             assert kernel(y, x).hex() == scaled(y, x).hex()
 
@@ -131,7 +136,7 @@ class TestBuiltins:
         # where a product of the plain formulas would leave the normal range
         x, y = math.ldexp(mx, side * (500 + d)), math.ldexp(my, side * (500 + d) + dy)
         for kernel, scaled in ((core._geometric_eval, core._geometric_scaled),
-                               (core._harmonic_eval, core._harmonic_scaled)):
+                               (core._harmonic_eval, _harmonic_weighted)):
             assert kernel(x, y).hex() == scaled(x, y).hex()
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -185,6 +190,13 @@ class TestVerifyAxioms:
         assert not report.axiom_iii_ok
         assert report.axiom_i_ok and report.axiom_ii_ok
         assert any(c[0] == "iii" for c in report.counterexamples)
+
+    def test_an_infinite_value_fails_betweenness_only(self):
+        # inf is close to no finite argument, so strictness holds; betweenness flags it
+        fake = ms.MeanFunction("inf", ms.POSITIVE_REALS, lambda x, y: math.inf)
+        report = ms.verify_axioms(fake, ms.Interval.closed(1.0, 4.0), 8)
+        assert report.axiom_iii_ok and not report.axiom_ii_ok
+        assert not any(c[0] == "iii" for c in report.counterexamples)
 
     def test_max_fails_strictness(self):
         fake = ms.MeanFunction("max", ms.ALL_REALS, lambda x, y: max(x, y))
@@ -240,8 +252,9 @@ def _checked_verify_axioms(m, window, samples, seed=ms.DEFAULT_SEED):
                 or mxy > hi + core._BETWEENNESS_SLACK * scale):
             ii_ok = False
             note("ii", x, y, mxy)
-        if not near(x, y, 100.0 * core._STRICT_EPS):
-            if near(mxy, x, core._STRICT_EPS) or near(mxy, y, core._STRICT_EPS):
+        if not math.isclose(x, y, rel_tol=100.0 * core._STRICT_EPS):
+            if (math.isclose(mxy, x, rel_tol=core._STRICT_EPS)
+                    or math.isclose(mxy, y, rel_tol=core._STRICT_EPS)):
                 iii_ok = False
                 note("iii", x, y, mxy)
     return ms.AxiomReport(i_ok, ii_ok, iii_ok, tuple(counterexamples), len(pairs))
@@ -371,6 +384,17 @@ def test_samples_and_grid_points_lie_in_the_closed_window(window, n, seed):
     points = [t for pair in ms.sample_pairs(window, n, seed) for t in pair]
     points += _axis_points(window, n)[0] + _linspace(lo, hi, n)
     assert all(lo <= t <= hi for t in points)
+
+
+def test_interval_text_reads_back_as_its_ends():
+    # each end in :g form where that reads back, else its repr
+    assert str(ms.Interval.closed(1.0000001, 2.0)) == "[1.0000001, 2]"
+    assert str(ms.default_window(ms.Interval(0.0, 1.0))) == "[1e-06, 0.999999000001]"
+    with pytest.raises(ms.DomainError) as err:
+        core.check_window(ms.Interval.closed(1.0000001, 2.0),
+                          (ms.Interval(1.0000002, 3.0), "(x + y) / 2.0"))
+    assert str(err.value) == ("window [1.0000001, 2] is not inside the domain "
+                              "(1.0000002, 3) of (x + y) / 2.0")
 
 
 def test_check_window_wants_a_finite_width_and_both_ends_in_each_domain():
@@ -737,18 +761,6 @@ def test_default_window_outside_the_target_range(domain, lo, hi):
     assert ms.default_window(domain) == ms.Interval.closed(lo, hi)
 
 
-# zeros and infinities of both signs, NaN, subnormals and the smallest normal
-_edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-                                2.225073858507201e-308, -2.2250738585072014e-308, 1.0])
-_any_float = st.one_of(_edge_floats, st.floats(), st.floats(allow_subnormal=True,
-                                                            max_value=1e-300, min_value=-1e-300))
-
-
-@given(_any_float, _any_float, _any_float)
-def test_near_is_the_max_formula(x, y, rel):
-    assert near(x, y, rel) is (abs(x - y) <= rel * max(abs(x), abs(y)))
-
-
 class _CodeRunners(ast.NodeVisitor):
     """Each (enclosing definition, name) where a module names exec, compile or eval."""
 
@@ -834,10 +846,17 @@ class TestRefusedCounts:
         draw.assert_not_called()
         assert str(info.value) == f"min_gap={min_gap} rejects almost every pair in {window}"
 
+    @pytest.mark.parametrize("min_gap", [-1.0, math.nan])
+    def test_sample_pairs_refuses_a_negative_or_nan_gap_before_drawing(self, min_gap):
+        with mock.patch.object(core, "_halton_block", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError) as info:
+                ms.sample_pairs(ms.Interval.closed(1.0, 2.0), 5, min_gap=min_gap)
+        assert str(info.value) == f"min_gap must be non-negative, got {min_gap}"
+
     def test_sample_pairs_draws_for_a_gap_that_a_pair_across_zero_passes(self):
         # x and -x are 2 max(|x|, |y|) apart, so a gap below 2 keeps pairs across 0
         pairs = ms.sample_pairs(ms.Interval.closed(-1.0, 1.0), 5, seed=3, min_gap=1.5)
-        assert len(pairs) == 5 and all(not near(x, y, 1.5) for x, y in pairs)
+        assert len(pairs) == 5 and all(not math.isclose(x, y, rel_tol=1.5) for x, y in pairs)
 
     def test_verify_axioms_needs_a_sample(self):
         with pytest.raises(ValueError, match="^samples must be >= 1$"):

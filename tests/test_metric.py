@@ -125,7 +125,8 @@ class TestDistance:
             assert x != y and unit_window.contains(x) and unit_window.contains(y)
 
     def test_a_window_inside_the_diagonal_band_has_no_grid_point(self):
-        # every pair of the grid is near(x, y, 1e-9), so the quotient is read nowhere
+        # every pair of the grid is math.isclose(x, y, rel_tol=1e-9), so the quotient is read
+        # nowhere
         window = ms.Interval.closed(1.0, 1.0 + 1e-12)
         with pytest.raises(ms.DomainError, match="^no admissible grid points in the window$"):
             ms.distance(ms.make_arithmetic(), ms.make_geometric(), window, 8)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import meanscape as ms
 from meanscape import core, middle
-from meanscape.core import common_domain, near
+from meanscape.core import common_domain
 
 # Reference values frozen from a 60-digit run of the classical coupled
 # iteration, independent of the code under test.
@@ -457,7 +457,7 @@ class TestInvarianceIdentity:
         # 569 steps there, for the same near swap
         for c in [ms.compound(m1, t, max_iterations=1000) for t in symmetrics]:
             for x, y in ms.sample_pairs(ms.Interval.closed(0.1, 10.0), 8, seed, min_gap=1e-6):
-                assert near(c(x, y), m0(x, y), 1e-9), (c.name, x, y)
+                assert math.isclose(c(x, y), m0(x, y), rel_tol=1e-9), (c.name, x, y)
 
 
 # The coupled iteration with every step calling both operands through their checked
@@ -470,7 +470,8 @@ def _checked_iteration(m1, m2, x, y, tol, max_iter, record):
     floor = (tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0) + 5e-324
     steps = [ms.TraceStep(0, xn, yn, abs(xn - yn))] if record else None
     n = 0
-    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
+    while (not (done := math.isclose(xn, yn, rel_tol=tol) or abs(xn - yn) <= floor)
+           and n < max_iter):
         lo, hi = min(xn, yn), max(xn, yn)
         nx = m1(xn, yn)
         ny = m2(xn, yn)
@@ -547,7 +548,7 @@ def _quartile(lower: bool):
 
 def _nan_near_diagonal(x, y):
     # the lower quartile mean, until the gap is relatively small; then NaN
-    return math.nan if near(x, y, 1e-6) else (3 * min(x, y) + max(x, y)) / 4
+    return math.nan if math.isclose(x, y, rel_tol=1e-6) else (3 * min(x, y) + max(x, y)) / 4
 
 
 @functools.cache
@@ -1009,7 +1010,7 @@ class TestSplicedBlocksMatchCheckedReference:
 
 
 def _near_iteration(m1, m2, x, y, tol, max_iter, steps):
-    """The kernel iteration with ``near`` as its stop test, as it ran before the test was
+    """The kernel iteration with ``math.isclose`` as its stop test, as it ran before the test was
     taken from the sorted envelope: the oracle of ``middle._trace_loop``, in its
     protocol, appending each step to ``steps`` where that is a list. A gap of at most 5e-324
     stops it too, as in ``_checked_iteration``."""
@@ -1017,7 +1018,8 @@ def _near_iteration(m1, m2, x, y, tol, max_iter, steps):
     xn, yn = x, y
     floor = (tol * max(abs(xn), abs(yn)) if min(xn, yn) < 0.0 < max(xn, yn) else 0.0) + 5e-324
     n = 0
-    while not (done := near(xn, yn, tol) or abs(xn - yn) <= floor) and n < max_iter:
+    while (not (done := math.isclose(xn, yn, rel_tol=tol) or abs(xn - yn) <= floor)
+           and n < max_iter):
         if xn != xn or yn != yn:
             m1(xn, yn)  # NaN: the checked call raises m1's DomainError
         lo, hi = (xn, yn) if xn < yn else (yn, xn)
