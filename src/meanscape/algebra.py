@@ -38,7 +38,6 @@ from .core import (
     _outside_domain,
     _outward,
     _prefix,
-    _set,
     _splice,
     _sub,
     DomainError,
@@ -75,17 +74,14 @@ _DIAG_GUARD = 1e-12
 class AsymmetricFunction(_Frozen):
     """An evaluable map with f(x, y) = -f(y, x) on a square domain.
 
-    Calling it checks the point and returns 0.0 on the diagonal. ``fn`` keeps
-    the kernel contract of ``core.MeanFunction``: Python floats inside
-    ``domain``, never x == y. The combinators call their operands' ``fn``.
+    Fields: ``domain``, ``fn``, ``name="f"``. Calling it checks the point and
+    returns 0.0 on the diagonal. ``fn`` keeps the kernel contract of
+    ``core.MeanFunction``: Python floats inside ``domain``, never x == y. The
+    combinators call their operands' ``fn``.
     """
 
     __slots__ = ("domain", "fn", "name")
-
-    def __init__(self, domain: Interval, fn: Callable[[float, float], float], name: str = "f"):
-        _set(self, "domain", domain)
-        _set(self, "fn", fn)
-        _set(self, "name", name)
+    _field_defaults = {"name": "f"}
 
     def __call__(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
@@ -120,17 +116,14 @@ class AsymmetricFunction(_Frozen):
 class WeightFunction(_Frozen):
     """A positive function of one variable; defines a normal mean.
 
-    Calling it checks the point. ``fn`` keeps the kernel contract of
-    ``core.MeanFunction``: it is only called with a Python float inside
-    ``domain``, and a normal mean calls it directly.
+    Fields: ``domain``, ``fn``, ``name="P"``. Calling it checks the point.
+    ``fn`` keeps the kernel contract of ``core.MeanFunction``: it is only
+    called with a Python float inside ``domain``, and a normal mean calls it
+    directly.
     """
 
     __slots__ = ("domain", "fn", "name")
-
-    def __init__(self, domain: Interval, fn: Callable[[float], float], name: str = "P"):
-        _set(self, "domain", domain)
-        _set(self, "fn", fn)
-        _set(self, "name", name)
+    _field_defaults = {"name": "P"}
 
     def __call__(self, t: float) -> float:
         t = float(t)

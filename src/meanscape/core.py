@@ -49,7 +49,6 @@ __all__ = [
     "POSITIVE_REALS",
     "ALL_REALS",
     "common_domain",
-    "diagonal_safe",
     "check_window",
     "MeanFunction",
     "AxiomReport",
@@ -86,26 +85,57 @@ class BracketError(NumericalError):
     """A bracketing solver found no sign change over its bracket."""
 
 
-_set = object.__setattr__  # how a constructor sets the fields of a _Frozen
+_set = object.__setattr__  # how ``_Frozen.__init__`` sets a field
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """The values of a call to the constructor of ``cls`` that is not fully positional, in
+    the order of ``cls._fields``, each from ``args``, ``kwargs`` or ``cls._field_defaults``."""
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
+                        f"but {len(args)} were given")
+    values = list(args)
+    for f in fields[len(args):]:
+        if f in kwargs:
+            values.append(kwargs.pop(f))
+        elif f in cls._field_defaults:
+            values.append(cls._field_defaults[f])
+        else:
+            raise TypeError(f"{cls.__name__}() missing required argument {f!r}")
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                        f"argument {next(iter(kwargs))!r}")
+    return values
 
 
 class _Frozen:
     """Base of the read-only value types.
 
     The fields are the ``__slots__`` of the class and of its bases, in that
-    order; each constructor sets them once with ``_set``. A slot whose name
-    starts with '_' is not a field: it holds a value that the constructor
-    derives from the fields. Assigning or deleting an attribute raises
-    AttributeError. Two instances are equal when they have the same type and
-    equal fields, and equal instances hash equal.
+    order, and ``_field_defaults`` maps a field to its default. A slot whose
+    name starts with '_' is not a field: it holds a value that the constructor
+    derives from the fields. The constructor binds its arguments as a record's
+    does: a fully positional call sets the fields in order, and any other call
+    is bound by ``_bind``. A type writes ``__init__`` only to check or convert
+    its values, and passes them on to this one. Assigning or deleting an
+    attribute raises AttributeError. Two instances are equal when they have
+    the same type and equal fields, and equal instances hash equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _field_defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields += tuple(s for s in cls.__dict__.get("__slots__", ()) if s[0] != "_")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(type(self), args, kwargs)
+        for f, value in zip(self._fields, args):
+            _set(self, f, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -153,7 +183,7 @@ class _RecordType(type):
         def __new__(cls, *args, **kwargs):
             # a full positional call, the form the package makes, is one length check
             if kwargs or len(args) != n:
-                args = cls._bind(args, kwargs)
+                args = _bind(cls, args, kwargs)
             return _tuple_new(cls, args)
 
         return super().__new__(mcls, name, bases, {
@@ -164,27 +194,8 @@ class _RecordType(type):
 class _Record(tuple, metaclass=_RecordType):
     """Base of the result records: a tuple with named, read-only fields that behaves as
     ``collections.namedtuple`` with the same fields and defaults does, built with no
-    generated code."""
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The values of a call that is not fully positional, in field order."""
-        fields = cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
-                            f"but {len(args)} were given")
-        values = list(args)
-        for f in fields[len(args):]:
-            if f in kwargs:
-                values.append(kwargs.pop(f))
-            elif f in cls._field_defaults:
-                values.append(cls._field_defaults[f])
-            else:
-                raise TypeError(f"{cls.__name__}() missing required argument {f!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
-                            f"argument {next(iter(kwargs))!r}")
-        return values
+    generated code. A call that is not fully positional is bound by ``_bind``, as a
+    ``_Frozen`` constructor's is."""
 
     @classmethod
     def _make(cls, iterable):
@@ -213,8 +224,9 @@ class _Record(tuple, metaclass=_RecordType):
 class Interval(_Frozen):
     """A nonempty, non-degenerate real interval with per-endpoint flags.
 
-    ``lo``/``hi`` may be ``-inf``/``+inf``; infinite endpoints must be open.
-    Point intervals are rejected at construction.
+    Fields: ``lo``, ``hi``, ``lo_closed=False``, ``hi_closed=False``. The ends
+    become floats. ``lo``/``hi`` may be ``-inf``/``+inf``; infinite endpoints
+    must be open. Point intervals are rejected at construction.
     """
 
     __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
@@ -229,10 +241,7 @@ class Interval(_Frozen):
             raise ValueError("-inf endpoint cannot be closed")
         if math.isinf(hi) and hi_closed:
             raise ValueError("+inf endpoint cannot be closed")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "lo_closed", lo_closed)
-        _set(self, "hi_closed", hi_closed)
+        super().__init__(lo, hi, lo_closed, hi_closed)
 
     @staticmethod
     def closed(lo: float, hi: float) -> "Interval":
@@ -245,8 +254,6 @@ class Interval(_Frozen):
     def contains(self, t: float) -> bool:
         if self.lo < t < self.hi:
             return True
-        if math.isnan(t):
-            return False
         lo_ok = t > self.lo or (self.lo_closed and t == self.lo)
         hi_ok = t < self.hi or (self.hi_closed and t == self.hi)
         return lo_ok and hi_ok
@@ -296,12 +303,6 @@ def common_domain(a: Interval, b: Interval) -> Interval:
     if dom is None:
         raise DomainError(f"domains {a} and {b} do not overlap")
     return dom
-
-
-def diagonal_safe(fn: Callable[[float, float], float]) -> Callable[[float, float], float]:
-    """A mean kernel for points that are already checked, with the diagonal the checked call
-    gives: x == y returns x, as ``MeanFunction.__call__`` does; elsewhere ``fn`` is called."""
-    return lambda x, y: x if x == y else fn(x, y)
 
 
 def check_window(window: Interval, *domains: tuple[Interval, str]) -> None:
@@ -436,12 +437,14 @@ def _outside_domain(x: float, y: float, domain: Interval, name: str) -> DomainEr
 class MeanFunction(_Frozen):
     """An evaluable symmetric two-variable function on a square domain.
 
-    Calling the mean checks the point once: both arguments become floats and
-    must lie in ``domain``, and exactly equal arguments return ``x`` without
-    calling ``fn``, which keeps the diagonal exact. ``fn`` is the kernel
-    behind that check. A compound's kernel runs the same check itself when
-    the compound calls it, so the compound's call enters no frame of this
-    class (``middle.CompoundMean``); called as a kernel, it skips the check.
+    Fields: ``name``, ``domain``, ``fn``, ``is_monotone=None``,
+    ``is_continuous=None``. Calling the mean checks the point once: both
+    arguments become floats and must lie in ``domain``, and exactly equal
+    arguments return ``x`` without calling ``fn``, which keeps the diagonal
+    exact. ``fn`` is the kernel behind that check. A compound's kernel runs
+    the same check itself when the compound calls it, so the compound's call
+    enters no frame of this class (``middle.CompoundMean``); called as a
+    kernel, it skips the check.
     Its contract, which ``algebra.AsymmetricFunction`` and
     ``algebra.WeightFunction`` share, has no exceptions:
 
@@ -455,11 +458,12 @@ class MeanFunction(_Frozen):
     - The sampled entry points (the grids of ``metric``, ``verify_axioms``,
       ``algebra.compare_normal``, ``middle.coincidence_probe``) run
       ``check_window`` once and then call kernels, at points of the closed
-      window. ``middle.functional_symmetric`` checks its point and the value
-      of m1 there, then bisects on m0's kernel. Where such a call can land on
-      the diagonal, ``diagonal_safe`` returns there what the checked call would;
-      the grids pass ``phi``'s kernel on as it is, since its diagonal band
-      returns 0.0 there without calling the mean.
+      window, none of them on the diagonal: ``sample_pairs`` drops every pair
+      with x == y, and the grids pass ``phi``'s kernel on as it is, since its
+      diagonal band returns 0.0 there without calling the mean.
+      ``middle.functional_symmetric`` checks its point and the value a of m1
+      there, then bisects on m0's kernel at (a, t), returning a itself at
+      t == a, as the checked call would.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
     - The kernels of the built-in A, G and H, of ``group_inverse``, of a normal
@@ -476,16 +480,9 @@ class MeanFunction(_Frozen):
     """
 
     __slots__ = ("name", "domain", "fn", "is_monotone", "is_continuous")
+    _field_defaults = {"is_monotone": None, "is_continuous": None}
     _baked = ("fn", "domain")  # the fields that ``replace`` refuses to change
     _kind = "mean"
-
-    def __init__(self, name: str, domain: Interval, fn: Callable[[float, float], float],
-                 is_monotone: bool | None = None, is_continuous: bool | None = None):
-        _set(self, "name", name)
-        _set(self, "domain", domain)
-        _set(self, "fn", fn)
-        _set(self, "is_monotone", is_monotone)
-        _set(self, "is_continuous", is_continuous)
 
     def replace(self, **changes) -> "MeanFunction":
         """A copy with ``changes`` applied, built by this type's constructor, so its
@@ -776,13 +773,14 @@ def verify_axioms(m: MeanFunction, window: Interval, samples: int,
     flags ``math.isclose(M(x,y), x, rel_tol=_STRICT_EPS)`` only off
     ``math.isclose(x, y, rel_tol=100 * _STRICT_EPS)``.
     Results are deterministic for a fixed seed. The window is checked once
-    (``check_window``) and the samples go to ``m``'s kernel through ``diagonal_safe``.
+    (``check_window``) and the samples go to ``m``'s kernel: ``sample_pairs`` draws
+    no pair on the diagonal.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_window(window, (m.domain, m.name))
     pairs = sample_pairs(window, samples, seed)
-    mean = diagonal_safe(m.fn)
+    mean = m.fn
     i_ok = ii_ok = iii_ok = True
     counterexamples: list = []
     cap = 8  # per axiom, keeps reports small

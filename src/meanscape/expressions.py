@@ -21,7 +21,7 @@ import operator
 from collections.abc import Callable
 
 from .core import _BOX, _Frozen, _add, _corners, _generated, _kernel, _mul, _outward, _prefix
-from .core import _Record, _set, _sub
+from .core import _Record, _sub
 from .core import Block, Enclosure
 from .core import DomainError, Interval, MeanFunction, POSITIVE_REALS, verify_axioms
 from .core import AxiomReport, default_window, DEFAULT_SEED
@@ -78,55 +78,46 @@ class EvaluationError(DomainError):
 
 class Expression(_Frozen):
     """A node of a parsed tree: read-only, equal to a node of the same type with
-    equal fields, so ``Var("G") != BuiltinMean("G")``, and hashable."""
+    equal fields, so ``Var("G") != BuiltinMean("G")``, and hashable. Each node type
+    names its fields, in order, in its docstring; none has a default."""
 
     __slots__ = ()
 
 
 class Num(Expression):
-    __slots__ = ("value",)
+    """A number literal. Fields: ``value``, a float."""
 
-    def __init__(self, value: float):
-        _set(self, "value", value)
+    __slots__ = ("value",)
 
 
 class Var(Expression):
-    __slots__ = ("name",)
+    """A variable. Fields: ``name``: x or y in a mean, t in a weight."""
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    __slots__ = ("name",)
 
 
 class BuiltinMean(Expression):
-    __slots__ = ("name",)
+    """A built-in mean atom. Fields: ``name``: A, G, H or AGM."""
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    __slots__ = ("name",)
 
 
 class Unary(Expression):
-    __slots__ = ("op", "operand")
+    """A unary operation. Fields: ``op`` ("-"), ``operand``."""
 
-    def __init__(self, op: str, operand: Expression):
-        _set(self, "op", op)
-        _set(self, "operand", operand)
+    __slots__ = ("op", "operand")
 
 
 class Binary(Expression):
-    __slots__ = ("op", "left", "right")
+    """A binary operation. Fields: ``op`` (one of + - * / ^), ``left``, ``right``."""
 
-    def __init__(self, op: str, left: Expression, right: Expression):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("op", "left", "right")
 
 
 class Call(Expression):
-    __slots__ = ("func", "args")
+    """A function call. Fields: ``func``, ``args``, a tuple of nodes."""
 
-    def __init__(self, func: str, args: tuple[Expression, ...]):
-        _set(self, "func", func)
-        _set(self, "args", args)
+    __slots__ = ("func", "args")
 
 
 _SINGLE_CHAR_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}

@@ -48,7 +48,6 @@ from .core import (
     check_window,
     common_domain,
     default_window,
-    diagonal_safe,
     make_arithmetic,
     make_geometric,
     make_harmonic,
@@ -122,7 +121,9 @@ class CompoundMean(MeanFunction):
     theorem that makes the iteration converge: "distance" (``d_upper``, an upper
     bound on d(m1, m2), is below 1), "continuity" (both operands are declared
     continuous) or None; ``d_upper`` is None when no theorem bounds d(m1, m2).
-    The operands ``m1`` and ``m2`` are keyword-only.
+    The operands ``m1`` and ``m2`` are keyword-only. The fields, in order, are
+    those of ``MeanFunction``, then ``m1``, ``m2``, ``tolerance``,
+    ``max_iterations``, ``d_upper`` and ``guaranteed_by``.
 
     Calling the compound calls the function in its slot ``__call__``, which is not
     a field, with no Python frame in between. A kernel that declares
@@ -144,13 +145,8 @@ class CompoundMean(MeanFunction):
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
                  d_upper: float | None = None, guaranteed_by: str | None = None, *,
                  m1: MeanFunction, m2: MeanFunction):
-        super().__init__(name, domain, fn, is_monotone, is_continuous)
-        _set(self, "m1", m1)
-        _set(self, "m2", m2)
-        _set(self, "tolerance", tolerance)
-        _set(self, "max_iterations", max_iterations)
-        _set(self, "d_upper", d_upper)
-        _set(self, "guaranteed_by", guaranteed_by)
+        super().__init__(name, domain, fn, is_monotone, is_continuous, m1, m2, tolerance,
+                         max_iterations, d_upper, guaranteed_by)
         if getattr(fn, "checks", None) == domain:
             call = types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, None,
                                       fn.__closure__)
@@ -497,10 +493,11 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
     lo, hi = min(x, y), max(x, y)
     # the one checked call with a; every later finite t lies in [lo, hi], inside m0's domain
     g_lo = m0(a, lo) - target
-    a, kernel = float(a), diagonal_safe(m0.fn)
+    a, kernel = float(a), m0.fn
 
     def g(t: float) -> float:
-        return kernel(a, t) - target
+        # the checked call's value a on the diagonal, where t is a itself
+        return (a if t == a else kernel(a, t)) - target
 
     g_hi = g(hi)
     if g_lo == 0.0:
@@ -557,10 +554,13 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     """Whether AGM(A(x,y), G(x,y)) equals AGM(x,y) to a relative tolerance.
 
     The coupled iteration started from (A(x,y), G(x,y)) is the original
-    one shifted by a step, so equality is exact in real arithmetic.
+    one shifted by a step, so equality is exact in real arithmetic. A
+    ``tolerance`` that is NaN, infinite or negative raises ValueError, as a
+    compound's does.
     """
     if not (x > 0.0 and y > 0.0):
         raise DomainError("AGM arguments must be positive")
+    _check_tolerance("tolerance", tolerance)
     agm = make_agm()
     a = make_arithmetic()
     g = make_geometric()

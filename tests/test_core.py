@@ -386,6 +386,24 @@ def test_samples_and_grid_points_lie_in_the_closed_window(window, n, seed):
     assert all(lo <= t <= hi for t in points)
 
 
+@pytest.mark.parametrize("window", [
+    ms.Interval.closed(1.0, math.nextafter(1.0, 2.0)), ms.Interval.closed(0.0, 5e-324),
+    ms.Interval.closed(0.1, 10.0)], ids=str)
+def test_sample_pairs_draw_no_pair_on_the_diagonal(window):
+    # verify_axioms hands every pair to the mean's kernel, which is never called on x == y
+    pairs = ms.sample_pairs(window, 256, seed=3)
+    assert len(pairs) == 256 and all(x != y for x, y in pairs)
+    G = ms.make_geometric()
+
+    def kernel(x, y):
+        assert x != y
+        return G.fn(x, y)
+
+    if window.lo > 0.0:
+        m = ms.MeanFunction("G", G.domain, kernel)
+        assert ms.verify_axioms(m, window, 256, 3).samples_used == 256
+
+
 def test_interval_text_reads_back_as_its_ends():
     # each end in :g form where that reads back, else its repr
     assert str(ms.Interval.closed(1.0000001, 2.0)) == "[1.0000001, 2]"
@@ -714,6 +732,82 @@ class TestRecordsMatchNamedtuple:
                 setattr(r, name, 0)
             with pytest.raises(AttributeError):
                 delattr(r, name)
+
+
+def _value_types():
+    """Each value type with one full positional argument tuple and its declared defaults."""
+    G, E = ms.make_geometric(), expressions
+    return [
+        (ms.MeanFunction, ("m", ms.POSITIVE_REALS, G.fn, True, False),
+         {"is_monotone": None, "is_continuous": None}),
+        (ms.AsymmetricFunction, (ms.POSITIVE_REALS, ms.phi(G).fn, "g"), {"name": "f"}),
+        (ms.WeightFunction, (ms.POSITIVE_REALS, math.sqrt, "w"), {"name": "P"}),
+        (ms.Interval, (1.0, 2.0, True, False), {"lo_closed": False, "hi_closed": False}),
+        (E.Num, (2.5,), {}),
+        (E.Var, ("x",), {}),
+        (E.BuiltinMean, ("G",), {}),
+        (E.Unary, ("-", E.Num(1.0)), {}),
+        (E.Binary, ("+", E.Var("x"), E.Num(2.0)), {}),
+        (E.Call, ("max", (E.Var("x"), E.Var("y"))), {}),
+    ]
+
+
+@pytest.mark.parametrize("cls, values, defaults", _value_types(),
+                         ids=[t[0].__name__ for t in _value_types()])
+class TestValueTypesBindAsRecords:
+    # a value type's constructor binds its arguments by the records' rule (core._bind)
+    def test_positional_keyword_and_mixed_calls_agree(self, cls, values, defaults):
+        # Call(func=..., args=...) too: the constructor's own *args hides no field
+        fields = cls._fields
+        assert len(fields) == len(values)
+        made = cls(*values)
+        assert type(made) is cls and tuple(getattr(made, f) for f in fields) == values
+        for built in (cls(**dict(zip(fields, values))),
+                      cls(*values[:1], **dict(zip(fields[1:], values[1:]))),
+                      cls(*values[:-1], **{fields[-1]: values[-1]})):
+            assert type(built) is cls and built == made and hash(built) == hash(made)
+
+    def test_an_omitted_default_takes_the_declared_value(self, cls, values, defaults):
+        required = len(values) - len(defaults)
+        assert tuple(cls._fields[required:]) == tuple(defaults)
+        made = cls(*values[:required])
+        assert {f: getattr(made, f) for f in defaults} == defaults
+
+    def test_bad_calls_raise_type_error(self, cls, values, defaults):
+        fields, required = cls._fields, len(values) - len(defaults)
+        for args, kwargs in [(values + (0,), {}),  # too many
+                             (values[:required - 1], {}),  # missing
+                             (values, {"colour": 0}),  # unknown
+                             (values, {fields[0]: values[0]}),  # repeated
+                             ((), dict(zip(fields[1:], values[1:])))]:  # the first missing
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_the_docstring_names_the_fields_in_order(self, cls, values, defaults):
+        text = cls.__doc__.partition("Fields:")[2]
+        places = [text.find(f"``{f}") for f in cls._fields]
+        assert -1 not in places and places == sorted(places)
+
+
+def test_a_bad_constructor_call_names_the_type_and_the_argument():
+    G = ms.make_geometric()
+    with pytest.raises(TypeError) as err:
+        ms.MeanFunction("m")
+    assert str(err.value) == "MeanFunction() missing required argument 'domain'"
+    with pytest.raises(TypeError) as err:
+        expressions.Num(1.0, value=1.0)
+    assert str(err.value) == "Num() got an unexpected or repeated argument 'value'"
+    with pytest.raises(TypeError) as err:
+        ms.WeightFunction(G.domain, math.sqrt, "w", 0)
+    assert str(err.value) == "WeightFunction() takes 3 arguments but 4 were given"
+
+
+def test_replace_round_trips_the_mean_types():
+    G = ms.make_geometric()
+    for m in (ms.MeanFunction("m", G.domain, G.fn), G, ms.make_agm(), ms.group_inverse(G)):
+        assert m.replace() == m and hash(m.replace()) == hash(m)
+        assert m.replace(name="other", is_monotone=None).replace(
+            name=m.name, is_monotone=m.is_monotone) == m
 
 
 def test_records_of_a_run_print_as_namedtuples():

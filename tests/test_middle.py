@@ -350,6 +350,13 @@ class TestAgmFixedPoint:
         with pytest.raises(ms.DomainError):
             ms.agm_fixed_point_check(-1.0, 2.0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_a_nan_infinite_or_negative_tolerance_is_refused_by_name(self, tolerance):
+        # as a compound's tolerance is: NaN and inf would call every value close
+        with pytest.raises(ValueError) as err:
+            ms.agm_fixed_point_check(1.0, 4.0, tolerance)
+        assert str(err.value) == f"tolerance must be finite and non-negative, got {tolerance}"
+
 
 class TestCoincidence:
     @pytest.mark.parametrize("which", ["A", "G", "H"])

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts: each runs in a fresh process on the source tree."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -36,3 +37,17 @@ def test_agm_convergence_prints_the_compound_limit():
     assert proc.returncode == 0, proc.stderr
     limit = repr(ms.make_agm()(1.0, 2.0))
     assert f"AGM(1, 2): limit = {limit} after " in proc.stdout
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments_nor_blank_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = ('"""A module\ndocstring."""\n\n# a comment\nx = 1  # and a comment\n'
+              's = """a string\nof two lines"""\n\n\nclass C:\n    """Doc."""\n\n'
+              '    def f(self):\n        return (1,\n                2)\n')
+    # x = 1; both lines of s; class C; def f; both lines of the return
+    assert module.code_lines(source) == 7
+    proc = _run(ROOT / "scripts" / "code_lines.py")
+    counts = {name: int(n) for name, n in (line.split() for line in proc.stdout.splitlines())}
+    assert counts.pop("total") == sum(counts.values()) and "core.py" in counts
