@@ -53,7 +53,6 @@ from .middle import (
     COUNTEREXAMPLE_WINDOW,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    SYMMETRIC_TOLERANCE,
     _ARITHMETIC_GUARANTEE,
     _guarantee,
     compound_trace,
@@ -233,7 +232,7 @@ def _sigma(args, resolver: _Resolver) -> dict:
     m0 = resolver.mean(args.m0, monotone=args.assume_monotone)
     m1 = resolver.mean(args.m1)
     return {"m0": m0.name, "m1": m1.name, "at": list(args.at),
-            "value": functional_symmetric(m0, m1, *args.at, rel_tol=args.tol)}
+            "value": functional_symmetric(m0, m1, *args.at)}
 
 
 def _compare(args, resolver: _Resolver) -> dict:
@@ -333,12 +332,11 @@ def _counterexample(args, resolver: _Resolver) -> dict:
 
 
 class _Command(_Record):
-    """One row of the command table; defaults overrides the defaults of its flags."""
+    """One row of the command table."""
 
     help: str
     run: Callable[[SimpleNamespace, _Resolver], dict]
     flags: tuple[str, ...]  # the flags run reads, in the order --help lists them
-    defaults: dict = {}
     least_grid: int = 1  # the least --grid that run accepts, where it reads --grid
 
 
@@ -386,8 +384,7 @@ _COMMANDS = {
     "symmetry": _point_command("group reflection of m1 through m0 at a point",
                                group_symmetry, "--m0", "--m1"),
     "sigma": _Command("functional symmetric of m1 with respect to m0 at a point", _sigma,
-                      ("--m0", "--m1", "--at", "--assume-monotone", "--tol", "--domain"),
-                      {"tol": SYMMETRIC_TOLERANCE}),
+                      ("--m0", "--m1", "--at", "--assume-monotone", "--domain")),
     "normal": _point_command("normal mean of a weight at a point", make_normal_mean,
                              "--weight"),
     "compare": _Command("order of the normal means of two weights", _compare,
@@ -440,9 +437,10 @@ def _type(flag: str, cmd: _Command) -> Callable[[str], object]:
     return _grid(cmd.least_grid) if flag == "--grid" else _FLAGS[flag].get("type", str)
 
 
-def _defaults(cmd: _Command) -> dict:
-    """The defaults that override those of ``cmd``'s flag rows, keyed by attribute name."""
-    return {"seed": os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED), **cmd.defaults}
+def _defaults() -> dict:
+    """The defaults that the flag rows cannot hold, keyed by attribute name: --seed's is read
+    from the environment on each run."""
+    return {"seed": os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED)}
 
 
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
@@ -480,7 +478,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     if any(_FLAGS[flag].get("required") and flag not in seen for flag in flags):
         return None
 
-    args, defaults = {"command": argv[0]}, _defaults(cmd)
+    args, defaults = {"command": argv[0]}, _defaults()
     try:
         for flag, text in given:
             args[_dest(flag)] = True if text is None else _type(flag, cmd)(text)
@@ -525,7 +523,7 @@ def _build_parser():
             if "action" not in keywords:  # a switch takes no converter
                 keywords = {**keywords, "type": _type(flag, cmd)}
             p.add_argument(flag, **keywords)
-        p.set_defaults(**_defaults(cmd))
+        p.set_defaults(**_defaults())
     return parser
 
 

@@ -74,7 +74,6 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-13
 DEFAULT_MAX_ITERATIONS = 200
-SYMMETRIC_TOLERANCE = 1e-12  # functional_symmetric's relative bracket width
 COUNTEREXAMPLE_WINDOW = Interval.closed(1e-6, 1e6)  # counterexample_check's distance window
 
 # Envelope checks allow this much multiplicative slack over k^n * gap(0).
@@ -253,7 +252,7 @@ def _operand_slots(f1: Callable, f2: Callable, box: bool, namespace: dict) -> di
 
 # a name in an expression: not an attribute, and not the exponent of a number; and the
 # keywords of an expression that binds no name (a lambda or a comprehension is not shared)
-_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_NAME = r"(?<![\w.])[A-Za-z_]\w*"  # compiled on first use, and cached, by re
 _KEYWORDS = frozenset({"if", "else", "and", "or", "not", "is", "in", "None", "True", "False"})
 
 
@@ -265,7 +264,7 @@ def _shared(first: str, second: str, namespace: dict) -> str:
     ``second`` assigns a name R reads: the rewriting stops at the first that does. A block
     assigns one name a statement, ``name = value``, and a top-level one has no indent."""
     value = first.rpartition("\nnx = ")[2]
-    reads = set(_NAME.findall(value)) - _KEYWORDS
+    reads = set(re.findall(_NAME, value)) - _KEYWORDS
     if value not in second or not reads <= {"x", "y"} | namespace.keys():
         return second
     lines = second.split("\n")
@@ -469,22 +468,21 @@ def m_arithmetic(frak_m: MeanFunction, tolerance: float = DEFAULT_TOLERANCE,
         d_upper=d_upper, guaranteed_by=guaranteed_by)
 
 
-def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
-                         *, rel_tol: float = SYMMETRIC_TOLERANCE) -> float:
+def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float) -> float:
     """The value t with m0(m1(x, y), t) = m0(x, y), solved on [min, max].
 
     Requires m0 to be declared monotone (is_monotone=True): monotonicity
     both guarantees the root is unique and puts it inside the bracket
-    [min(x,y), max(x,y)]. The root is found by bisection until the bracket
-    is narrower than rel_tol * max(|x|, |y|); the midpoint of the final
-    bracket is returned. A missing sign change raises BracketError with
+    [min(x,y), max(x,y)]. The root is found by bisection until the bracket's
+    ends are adjacent floats, so that its midpoint rounds to one of them, and
+    that end is returned. Each step replaces one end with a float strictly
+    between them, so a bracket that spans the whole float range takes at
+    most about 2100 steps. A missing sign change raises BracketError with
     the endpoint values, and a point outside a domain, on the diagonal too,
-    raises DomainError. A ``rel_tol`` that is NaN, infinite or negative raises
-    ValueError, as a compound's tolerance does.
+    raises DomainError.
     """
     if m0.is_monotone is not True:
         raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
-    _check_tolerance("rel_tol", rel_tol)
     x, y = float(x), float(y)
     target = m0(x, y)
     a = m1(x, y)  # both checked calls come first, so the diagonal is checked too
@@ -510,11 +508,7 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
             f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
 
     increasing = g_hi > 0.0
-    tol = rel_tol * max(abs(lo), abs(hi))
-    for _ in range(256):
-        if hi - lo <= tol:
-            break
-        mid = _arithmetic_eval(lo, hi)
+    while lo < (mid := _arithmetic_eval(lo, hi)) < hi:
         gm = g(mid)
         if gm == 0.0:
             return mid
@@ -522,7 +516,7 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float,
             hi = mid
         else:
             lo = mid
-    return _arithmetic_eval(lo, hi)
+    return mid
 
 
 def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:

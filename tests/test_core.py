@@ -643,7 +643,7 @@ class TestValueTypes:
 # Each record with its fields and defaults as its class body declares them: the namedtuple
 # built from these is the oracle that every record must behave as.
 _RECORDS = [
-    (cli._Command, "help run flags defaults least_grid", ({}, 1)),
+    (cli._Command, "help run flags least_grid", (1,)),
     (core.AxiomReport, "axiom_i_ok axiom_ii_ok axiom_iii_ok counterexamples samples_used", ()),
     (expressions._Token, "kind text start end", ()),
     (expressions.MeanBuild, "mean report diagnostics", ()),
