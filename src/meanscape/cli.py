@@ -9,14 +9,15 @@ iteration traces only.
 
 Each command is one row of _COMMANDS and each flag one row of _FLAGS,
 whose ``type`` parses and range-checks the flag's value, so a bad value is
-a usage error raised while the arguments are read. A value may start with
-"-" (``--at -1,2``). MEANSCAPE_SEED is the default of --seed. A well-formed
-run is read from the two tables alone; argparse, built from the same rows,
-reads --help and every run that holds a usage error, and words its message.
+a usage error raised while the arguments are read. One reader reads every
+run from the two tables, left to right, and stops at the first malformed
+token; --help is rendered from the same rows. A value may start with "-"
+(``--at -1,2``). MEANSCAPE_SEED is the default of --seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -96,6 +97,11 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
+# every character JSON forbids raw in a string: the controls, '"' and the backslash
+_ESCAPES = {**{c: f"\\u{c:04x}" for c in range(0x20)}, ord('"'): '\\"', ord("\\"): "\\\\",
+            ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+
+
 def _to_json(obj) -> str:
     if obj is None:
         return "null"
@@ -106,9 +112,7 @@ def _to_json(obj) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        out = out.replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return f'"{obj.translate(_ESCAPES)}"'
     if isinstance(obj, dict):
         items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -161,23 +165,26 @@ def _parse_domain(text: str) -> Interval:
         raise _UsageError(f"bad domain: {exc}") from None
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # argparse's own message would not name MEANSCAPE_SEED
-        raise _UsageError(f"--seed/MEANSCAPE_SEED must be an integer, got {text!r}") from None
+def _parse_windows(text: str) -> list[Interval]:
+    windows = [_parse_window(w, "--windows") for w in text.split(";") if w]
+    if not windows:
+        raise _UsageError(f"--windows must hold at least one window, got {text!r}")
+    return windows
 
 
 def _number(kind: Callable[[str], float], flag: str, rule: str, accepts: Callable[[float], bool]):
-    """A number flag's converter; a number that ``accepts`` refuses is a usage error."""
+    """A number flag's converter; a text that is no number, or a number that ``accepts``
+    refuses, is a usage error."""
 
     def convert(text: str):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:
+            raise _UsageError(f"{flag} must be {rule}, got {text!r}") from None
         if not accepts(value):
             raise _UsageError(f"{flag} must be {rule}, got {value}")
         return value
 
-    convert.__name__ = kind.__name__  # as in "invalid float value: 'x'"
     return convert
 
 
@@ -341,17 +348,17 @@ class _Command(_Record):
 
 
 _REQUIRED = {"required": True}
-_FLAGS = {  # add_argument keywords of each flag
+_SWITCH = {"switch": True, "default": False}  # a flag that takes no value
+# each flag's row: whether it is required or a switch, its converter ("type", str if none),
+# its default (converted where it is a string), the values it allows and its --help line
+_FLAGS = {
     "--mean": _REQUIRED, "--m0": _REQUIRED, "--m1": _REQUIRED, "--m2": _REQUIRED,
     "--weight": _REQUIRED, "--p1": _REQUIRED, "--at": {**_REQUIRED, "type": _parse_pair},
     "--p2": {"help": "omit to compare against the arithmetic weight 1"},
-    "--assume-monotone": {"action": "store_true",
-                          "help": "declare a parsed m0 monotone so the solver may run"},
-    "--via-phi": {"action": "store_true"},
-    "--trace": {"action": "store_true"},
-    "--windows": {"type": lambda text: [_parse_window(w, "--windows")
-                                        for w in text.split(";") if w],
-                  "default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
+    "--assume-monotone": {**_SWITCH, "help": "declare a parsed m0 monotone so the solver may run"},
+    "--via-phi": _SWITCH,
+    "--trace": _SWITCH,
+    "--windows": {"type": _parse_windows, "default": "0.1,10;0.01,100;0.001,1000;0.0001,10000",
                   "help": "semicolon-separated nested windows lo,hi;lo,hi;..."},
     "--window": {"type": _parse_window, "help": "sampling window lo,hi"},
     "--grid": {"default": 64, "help": "grid resolution / sample count"},  # its type: _grid
@@ -362,9 +369,10 @@ _FLAGS = {  # add_argument keywords of each flag
                    "default": DEFAULT_MAX_ITERATIONS},
     "--domain": {"type": _parse_domain, "default": "pos",
                  "help": "domain for parsed expressions: pos, reals or lo,hi"},
-    "--seed": {"type": _number(_integer, "--seed/MEANSCAPE_SEED", "a non-negative integer",
+    "--seed": {"type": _number(int, "--seed/MEANSCAPE_SEED", "a non-negative integer",
                                lambda seed: seed >= 0)},
-    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--format": {"choices": ("json", "csv"), "default": "json",
+                 "help": "json, or csv for compound --trace"},
     "--out": {"help": "write output to a file"},
 }
 
@@ -411,24 +419,8 @@ _COMMANDS = {
 }
 
 
-_TAKES_VALUE = frozenset(flag for flag, keywords in _FLAGS.items() if "action" not in keywords)
-
-
-def _join_dash_values(argv: list[str]) -> list[str]:
-    """argv with each value that starts with "-" joined to its flag, as --at=-1,2: argparse
-    reads such a value as a flag unless it looks like -1 or -0.5."""
-    joined: list[str] = []
-    for token in argv:
-        dash_value = token.startswith("-") and not token.startswith("--")
-        if dash_value and joined and joined[-1] in _TAKES_VALUE:
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
 def _dest(flag: str) -> str:
-    """The attribute that holds the value of ``flag``, named as argparse names it."""
+    """The attribute that holds the value of ``flag``."""
     return flag[2:].replace("-", "_")
 
 
@@ -437,121 +429,87 @@ def _type(flag: str, cmd: _Command) -> Callable[[str], object]:
     return _grid(cmd.least_grid) if flag == "--grid" else _FLAGS[flag].get("type", str)
 
 
-def _defaults() -> dict:
-    """The defaults that the flag rows cannot hold, keyed by attribute name: --seed's is read
-    from the environment on each run."""
-    return {"seed": os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED)}
+def _shape(flag: str) -> str:
+    """``flag`` as usage and --help show it: with its value's name unless it is a switch."""
+    return flag if "switch" in _FLAGS[flag] else f"{flag} {_dest(flag).upper()}"
 
 
-def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse reads from ``argv`` where it is well-formed, read from the
-    command and flag tables alone; None where argparse must read it, to print --help or
-    to word a usage error. Every token is checked before any converter runs. The
-    converters then run in argparse's order, so the first _UsageError raised is the one
-    argparse raises: each value given, in argv order, then each string default, in the
-    order of the command's flags."""
+def _usage(command: str, flags: tuple[str, ...] = ()) -> str:
+    shapes = (_shape(f) if "required" in _FLAGS[f] else f"[{_shape(f)}]" for f in flags)
+    return " ".join(("usage: meanscape", command, "[-h]", *shapes))
+
+
+def _help(usage: str, about: str, rows) -> str:
+    """--help's text: the usage line, what the command does, then a line per (name, help)."""
+    lines = [usage, "", about, ""] + [f"  {name:<21} {text}".rstrip() for name, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of the run ``argv`` names, read left to right from the command and flag
+    tables. It raises _Help with the text -h or --help asks for, and _UsageError at the first
+    malformed token: each value goes through its converter as it is read; then come the
+    required flags left out, then each string default, in the order of the command's flags."""
     if not argv or argv[0] not in _COMMANDS:
-        return None
+        top = _usage("COMMAND")
+        if argv and argv[0] in ("-h", "--help"):
+            raise _Help(_help(top, __doc__.splitlines()[0],
+                              [(name, cmd.help) for name, cmd in _COMMANDS.items()]))
+        if not argv:
+            raise _UsageError(f"a command is required\n{top}")
+        flag = argv[0].partition("=")[0]
+        if flag.startswith("-"):
+            raise _UsageError(f"{flag} comes before the command; flags follow the command, "
+                              f"as in meanscape COMMAND {flag} ...\n{top}")
+        raise _UsageError(f"unknown command {argv[0]!r}; meanscape --help lists them\n{top}")
     cmd = _COMMANDS[argv[0]]
     flags = _EVERY_COMMAND + cmd.flags
-    given, tokens = [], iter(argv[1:])
+    usage = _usage(argv[0], flags)
+
+    def names_flag(token: str) -> bool:
+        return token in ("-h", "--help") or token.partition("=")[0] in flags
+
+    args, tokens = {"command": argv[0]}, iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Help(_help(usage, cmd.help, [("-h, --help", "show this help and exit")] + [
+                (_shape(f), _FLAGS[f].get("help", "")) for f in flags]))
         flag, equals, text = token.partition("=")
-        if flag not in flags:  # --help, an abbreviation, a stray token, "--"
-            return None
-        keywords = _FLAGS[flag]
-        if "action" in keywords:  # a switch
+        if flag not in flags:  # with the tokens after it up to the next flag, its values
+            unread = itertools.takewhile(lambda t: not names_flag(t), tokens)
+            raise _UsageError(f"unrecognized arguments: {' '.join([token, *unread])}\n{usage}")
+        row = _FLAGS[flag]
+        if "switch" in row:
             if equals:
-                return None
-            text = None
-        elif not equals:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {text!r}\n{usage}")
+            args[_dest(flag)] = True
+            continue
+        if not equals:
             text = next(tokens, None)
-            # argparse reads a token that starts with "-" as a flag unless it holds a
-            # space and no flag precedes its "="; _join_dash_values joined every "-x"
-            if text is None or text.startswith("-") and (
-                    " " not in text or text.partition("=")[0] in (*flags, "--help")):
-                return None
-        if "choices" in keywords and text not in keywords["choices"]:
-            return None
-        given.append((flag, text))
-    seen = {flag for flag, _ in given}
-    if any(_FLAGS[flag].get("required") and flag not in seen for flag in flags):
-        return None
+            if text is None or names_flag(text):
+                raise _UsageError(f"argument {flag}: expected one argument\n{usage}")
+        if text not in row.get("choices", (text,)):
+            choices = ", ".join(map(repr, row["choices"]))
+            raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})"
+                              f"\n{usage}")
+        args[_dest(flag)] = _type(flag, cmd)(text)
 
-    args, defaults = {"command": argv[0]}, _defaults()
-    try:
-        for flag, text in given:
-            args[_dest(flag)] = True if text is None else _type(flag, cmd)(text)
-        for flag in flags:
-            if flag not in seen:
-                keywords = _FLAGS[flag]  # a switch is False unless given
-                value = defaults.get(_dest(flag), keywords.get(
-                    "default", False if "action" in keywords else None))
-                args[_dest(flag)] = _type(flag, cmd)(value) if isinstance(value, str) else value
-    except (ValueError, TypeError):  # argparse words these itself
-        return None
+    missing = [f for f in flags if "required" in _FLAGS[f] and _dest(f) not in args]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}\n{usage}")
+    for flag in flags:
+        if _dest(flag) not in args:
+            default = (os.environ.get("MEANSCAPE_SEED", DEFAULT_SEED) if flag == "--seed"
+                       else _FLAGS[flag].get("default"))
+            args[_dest(flag)] = _type(flag, cmd)(default) if isinstance(default, str) else default
     return SimpleNamespace(**args)
-
-
-def _build_parser():
-    """The argparse parser of every command, each with its flags. The top-level parser reads
-    no flag but --help, so that is the only command a run can invoke before it names one."""
-    import argparse  # loaded only where _read_args declines: --help and usage errors
-
-    class Parser(argparse.ArgumentParser):
-        # raise instead of printing and calling sys.exit, so cli_run stays a function
-        def error(self, message):
-            raise _UsageError(f"{message}\n{self.format_usage()}")
-
-        def print_help(self, file=None):
-            raise _Help(self.format_help())
-
-        def parse_known_args(self, args=None, namespace=None):
-            # a command refuses what it does not read itself, so the usage shown is its own
-            args, unread = super().parse_known_args(args, namespace)
-            if unread:
-                self.error(f"unrecognized arguments: {' '.join(unread)}")
-            return args, unread
-
-    parser = Parser(prog="meanscape", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, cmd in _COMMANDS.items():
-        # no abbreviations: border's --windows would take --window, which it does not read
-        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
-        for flag in _EVERY_COMMAND + cmd.flags:
-            keywords = _FLAGS[flag]
-            if "action" not in keywords:  # a switch takes no converter
-                keywords = {**keywords, "type": _type(flag, cmd)}
-            p.add_argument(flag, **keywords)
-        p.set_defaults(**_defaults())
-    return parser
-
-
-def _parse_args(argv: list[str]) -> SimpleNamespace:
-    """The namespace argparse reads from ``argv``; it raises the _Help or _UsageError of a
-    run that asks for help or holds a usage error."""
-    parser = _build_parser()
-    try:
-        return SimpleNamespace(**vars(parser.parse_args(argv)))
-    except _UsageError:
-        if not (argv and argv[0].startswith("-") and argv[0] not in ("-", "--")):
-            raise
-        # the top-level parser knows no flag but --help (and its prefixes), so it read
-        # the flag's value as the command
-        flag = argv[0].split("=", 1)[0]
-        raise _UsageError(f"{flag} comes before the command; flags follow the command, "
-                          f"as in meanscape COMMAND {flag} ...\n{parser.format_usage()}"
-                          ) from None
 
 
 def cli_run(argv: list[str]) -> CommandResult:
     """Run one CLI invocation and return the result without printing (for --help,
     ``rendered`` is the help text)."""
-    argv = _join_dash_values(argv)
     try:
         args = _read_args(argv)
-        if args is None:
-            args = _parse_args(argv)
         if args.format == "csv" and not (args.command == "compound" and args.trace):
             raise _UsageError("csv output is only available for compound --trace")
         cmd = _COMMANDS[args.command]

@@ -405,7 +405,8 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     every recorded step. A pass means the run is consistent with that lower
     bound; it proves no contraction, which would need an upper bound. Where an
     operand raises DomainError or InvalidMeanError on the grid, as a parsed mean
-    on R may away from the start, ``k_estimate`` and ``envelope_ok`` are None:
+    on R may away from the start, or BracketError, as a σ whose root lies within
+    rounding of an end may, ``k_estimate`` and ``envelope_ok`` are None:
     unknown, as for the flags of a mean.
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
@@ -429,7 +430,7 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     if estimate_contraction:
         try:
             k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
-        except (DomainError, InvalidMeanError):
+        except (DomainError, InvalidMeanError, BracketError):
             pass  # an operand faults on the grid, so k is unknown
     if k is not None:
         if x != y:
