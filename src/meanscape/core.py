@@ -120,7 +120,8 @@ class _Frozen:
     is bound by ``_bind``. A type writes ``__init__`` only to check or convert
     its values, and passes them on to this one. Assigning or deleting an
     attribute raises AttributeError. Two instances are equal when they have
-    the same type and equal fields, and equal instances hash equal.
+    the same type and equal fields, and equal instances hash equal. A copy,
+    deep copy or unpickled value is built by the constructor from the fields.
     """
 
     __slots__ = ()
@@ -154,10 +155,19 @@ class _Frozen:
     def __hash__(self):
         return hash(self._values())
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild by the constructor, which derives the '_' slots
+        return _rebuilt, (type(self), dict(zip(self._fields, self._values())))
+
     def __repr__(self) -> str:
         # a kernel is a closure and prints no value, so ``fn`` is left out
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f != "fn")
         return f"{type(self).__name__}({fields})"
+
+
+def _rebuilt(cls, fields: dict):
+    """The value of type ``cls`` with ``fields``, built by its constructor (``__reduce__``)."""
+    return cls(**fields)
 
 
 _tuple_new = tuple.__new__  # how a record is built from its values
@@ -226,10 +236,14 @@ class Interval(_Frozen):
 
     Fields: ``lo``, ``hi``, ``lo_closed=False``, ``hi_closed=False``. The ends
     become floats. ``lo``/``hi`` may be ``-inf``/``+inf``; infinite endpoints
-    must be open. Point intervals are rejected at construction.
+    must be open. Point intervals are rejected at construction. Each end is
+    also kept as a comparison key, ``_lo = (lo, 0 or 1)`` and ``_hi = (hi, 0 or
+    -1)`` with 0 for a closed end, so that t lies in the interval exactly where
+    ``_lo <= (t, 0) <= _hi``: one ordering decides membership, containment and
+    the ends of an intersection.
     """
 
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed", "_lo", "_hi")
 
     def __init__(self, lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False):
         lo, hi = float(lo), float(hi)
@@ -242,6 +256,8 @@ class Interval(_Frozen):
         if math.isinf(hi) and hi_closed:
             raise ValueError("+inf endpoint cannot be closed")
         super().__init__(lo, hi, lo_closed, hi_closed)
+        _set(self, "_lo", (lo, 0 if lo_closed else 1))
+        _set(self, "_hi", (hi, 0 if hi_closed else -1))
 
     @staticmethod
     def closed(lo: float, hi: float) -> "Interval":
@@ -252,19 +268,11 @@ class Interval(_Frozen):
         return Interval(lo, hi)
 
     def contains(self, t: float) -> bool:
-        if self.lo < t < self.hi:
-            return True
-        lo_ok = t > self.lo or (self.lo_closed and t == self.lo)
-        hi_ok = t < self.hi or (self.hi_closed and t == self.hi)
-        return lo_ok and hi_ok
+        return self.lo < t < self.hi or self._lo <= (t, 0) <= self._hi
 
     def contains_interval(self, other: "Interval") -> bool:
         """Whether every point of ``other`` lies in this interval."""
-        if other.lo < self.lo or (other.lo == self.lo and other.lo_closed and not self.lo_closed):
-            return False
-        if other.hi > self.hi or (other.hi == self.hi and other.hi_closed and not self.hi_closed):
-            return False
-        return True
+        return self._lo <= other._lo and other._hi <= self._hi
 
     def intersect(self, other: Interval) -> Interval | None:
         """Intersection, or None when it is empty or a single point; an operand that lies
@@ -273,17 +281,10 @@ class Interval(_Frozen):
             return self
         if self.contains_interval(other):
             return other
-        if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
-            lo, lo_closed = self.lo, self.lo_closed
-        else:
-            lo, lo_closed = other.lo, other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and not self.hi_closed):
-            hi, hi_closed = self.hi, self.hi_closed
-        else:
-            hi, hi_closed = other.hi, other.hi_closed
+        (lo, lo_open), (hi, hi_open) = max(self._lo, other._lo), min(self._hi, other._hi)
         if not lo < hi:
             return None
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return Interval(lo, hi, not lo_open, not hi_open)
 
     def __str__(self) -> str:
         # each end in :g form where that reads back as the same float, else its repr
@@ -441,10 +442,11 @@ class MeanFunction(_Frozen):
     ``is_continuous=None``. Calling the mean checks the point once: both
     arguments become floats and must lie in ``domain``, and exactly equal
     arguments return ``x`` without calling ``fn``, which keeps the diagonal
-    exact. ``fn`` is the kernel behind that check. A compound's kernel runs
-    the same check itself when the compound calls it, so the compound's call
-    enters no frame of this class (``middle.CompoundMean``); called as a
-    kernel, it skips the check.
+    exact. ``fn`` is the kernel behind that check. A compound's kernel, when
+    the compound calls it, passes a start in the plain box P by its own range
+    test, so that call enters no frame of this class, and hands any other start
+    to this check (``middle.CompoundMean``); called as a kernel, it skips the
+    check.
     Its contract, which ``algebra.AsymmetricFunction`` and
     ``algebra.WeightFunction`` share, has no exceptions:
 

@@ -126,11 +126,12 @@ class CompoundMean(MeanFunction):
 
     Calling the compound calls the function in its slot ``__call__``, which is not
     a field, with no Python frame in between. A kernel that declares
-    ``fn.checks == domain`` (``_compound_kernel``) runs the checks of
-    ``MeanFunction.__call__`` itself when it is called with ``owner``, the
-    compound; the slot holds a copy of that kernel whose ``owner`` defaults to
-    this compound, so an evaluation enters one frame. Any other kernel gets
-    ``MeanFunction.__call__`` bound to the compound.
+    ``fn.checks == domain`` (``_compound_kernel``), called with ``owner``, the
+    compound, runs a start in the plain box P that lies in the open domain
+    itself, and hands any other start to ``MeanFunction.__call__`` of ``owner``;
+    the slot holds a copy of that kernel whose ``owner`` defaults to this
+    compound, so an evaluation from such a start enters one frame. Any other
+    kernel gets ``MeanFunction.__call__`` bound to the compound.
     """
 
     __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by",
@@ -300,9 +301,10 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, dom: Interval, tol: flo
     the stop test, so a step calls no kernel that has a block and runs no check that cannot
     fire in P; the NaN probe is left out where both operands splice an enclosure. On the
     diagonal the loop stops at once and returns (x + x) / 2, which is x there. Any other
-    start goes to ``outside``. Given ``owner``, the compound that holds the kernel, it first
-    runs the rest of ``MeanFunction.__call__``: a start outside ``dom`` raises the domain
-    error that names ``owner``, and one on the diagonal returns x0. It then runs
+    start goes to ``outside``. Given ``owner``, the compound that holds the kernel, it returns
+    ``MeanFunction.__call__(owner, x0, y0)``: a start outside ``dom`` raises the domain error
+    that names ``owner``, one on the diagonal returns x0, and any other calls the kernel
+    again with no owner. With no owner it runs
     ``_trace_loop`` of the operands' checked blocks, which records nothing; the kernel fetches
     that loop on its first such start and keeps it. A start that runs out of iterations goes
     to ``compound_trace``, which raises its ConvergenceError. The kernel declares
@@ -314,10 +316,7 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, dom: Interval, tol: flo
 
     def outside(x0: float, y0: float, owner: CompoundMean | None) -> float:
         if owner is not None:
-            if not (dom.contains(x0) and dom.contains(y0)):
-                raise _outside_domain(x0, y0, dom, owner.name)
-            if x0 == y0:
-                return x0
+            return MeanFunction.__call__(owner, x0, y0)
         converged, x, y, _ = outside_loop()(m1, m2, x0, y0, tol, max_iter, None)
         if not converged:
             exhausted(x0, y0)
@@ -405,9 +404,9 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     every recorded step. A pass means the run is consistent with that lower
     bound; it proves no contraction, which would need an upper bound. Where an
     operand raises DomainError or InvalidMeanError on the grid, as a parsed mean
-    on R may away from the start, or BracketError, as a σ whose root lies within
-    rounding of an end may, ``k_estimate`` and ``envelope_ok`` are None:
-    unknown, as for the flags of a mean.
+    on R may away from the start, or BracketError, as a σ may where a mean rounds
+    its root past an end by more than g's rounding, ``k_estimate`` and
+    ``envelope_ok`` are None: unknown, as for the flags of a mean.
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
@@ -478,9 +477,12 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float)
     ends are adjacent floats, so that its midpoint rounds to one of them, and
     that end is returned. Each step replaces one end with a float strictly
     between them, so a bracket that spans the whole float range takes at
-    most about 2100 steps. A missing sign change raises BracketError with
-    the endpoint values, and a point outside a domain, on the diagonal too,
-    raises DomainError.
+    most about 2100 steps. Where g = m0(a, t) - m0(x, y) has no sign change
+    over the bracket but one end's |g| lies within g's rounding there
+    (``_within_rounding``), that end is returned (the one with the smaller |g|,
+    lo on a tie); any other missing sign change raises BracketError with the
+    endpoint values. A point outside a domain, on the diagonal too, raises
+    DomainError.
     """
     if m0.is_monotone is not True:
         raise ValueError(f"{m0.name} is not declared monotone (is_monotone=True required)")
@@ -504,6 +506,12 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float)
     if g_hi == 0.0:
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
+        # an end within g's rounding is a root that rounding moved past it: the nearer end,
+        # lo on a tie
+        if _within_rounding(g_lo, target) and not abs(g_hi) < abs(g_lo):
+            return lo
+        if _within_rounding(g_hi, target):
+            return hi
         raise BracketError(
             f"no sign change for the functional symmetric of {m1.name} with respect to "
             f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
@@ -518,6 +526,19 @@ def functional_symmetric(m0: MeanFunction, m1: MeanFunction, x: float, y: float)
         else:
             lo = mid
     return mid
+
+
+def _within_rounding(g: float, target: float) -> bool:
+    """Whether g = m0(a, t) - target is within the rounding of its two m0 values.
+
+    Where each lies within one ulp of its exact value, the exact g lies within
+    ulp(m0(a, t)) + ulp(target) of g; within that, the exact g may have either
+    sign, so the root may lie at t. A value a of m1 that rounds past the bracket
+    moves m0(a, t) by about as much for the means of the package (half an ulp for
+    G, whose square root halves a's error). A larger error of either mean is no
+    root and raises BracketError.
+    """
+    return abs(g) <= math.ulp(target + g) + math.ulp(target) < math.inf
 
 
 def functional_symmetric_mean(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:

@@ -75,6 +75,60 @@ class TestInterval:
         with pytest.raises(ValueError, match="^-inf endpoint cannot be closed$"):
             ms.Interval(-math.inf, 0.0, lo_closed=True)
 
+    def test_the_key_ordering_is_the_flag_formulas(self):
+        # every interval over these ends, with every flag an end may have: infinite ends,
+        # shared ends, the adjacent ends 1 and 1 + 2^-52, and -0.0 beside 0.0
+        ends = [-math.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0),
+                2.0, math.inf]
+        ivs = [ms.Interval(lo, hi, lc, hc) for lo in ends for hi in ends if lo < hi
+               for lc in (False, True) for hc in (False, True)
+               if not (lc and math.isinf(lo) or hc and math.isinf(hi))]
+        points = ends + [math.nan, math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0), 0.5]
+        for a in ivs:
+            for t in points:
+                assert a.contains(t) is _flag_contains(a, t), (a, t)
+            for b in ivs:
+                assert a.contains_interval(b) is _flag_contains_interval(a, b), (a, b)
+                got, want = a.intersect(b), _flag_intersect(a, b)
+                # the same operand where one lies inside the other, and -0.0 kept as it is
+                assert (got is a, got is b, repr(got)) == (want is a, want is b, repr(want))
+
+
+# The flag formulas of ``Interval`` before its ends became comparison keys: the reference that
+# ``contains``, ``contains_interval`` and ``intersect`` are held to.
+def _flag_contains(iv, t):
+    if iv.lo < t < iv.hi:
+        return True
+    lo_ok = t > iv.lo or (iv.lo_closed and t == iv.lo)
+    hi_ok = t < iv.hi or (iv.hi_closed and t == iv.hi)
+    return lo_ok and hi_ok
+
+
+def _flag_contains_interval(iv, other):
+    if other.lo < iv.lo or (other.lo == iv.lo and other.lo_closed and not iv.lo_closed):
+        return False
+    if other.hi > iv.hi or (other.hi == iv.hi and other.hi_closed and not iv.hi_closed):
+        return False
+    return True
+
+
+def _flag_intersect(iv, other):
+    if _flag_contains_interval(other, iv):
+        return iv
+    if _flag_contains_interval(iv, other):
+        return other
+    if iv.lo > other.lo or (iv.lo == other.lo and not iv.lo_closed):
+        lo, lo_closed = iv.lo, iv.lo_closed
+    else:
+        lo, lo_closed = other.lo, other.lo_closed
+    if iv.hi < other.hi or (iv.hi == other.hi and not iv.hi_closed):
+        hi, hi_closed = iv.hi, iv.hi_closed
+    else:
+        hi, hi_closed = other.hi, other.hi_closed
+    if not lo < hi:
+        return None
+    return ms.Interval(lo, hi, lo_closed, hi_closed)
+
 
 # positive floats of every binade, subnormals included, and the neighbours of the ends
 # 2^-500 and 2^500 of the G and H kernels' plain range
@@ -638,6 +692,43 @@ class TestValueTypes:
         assert "__call__" not in ms.CompoundMean._fields and "__call__" not in repr(agm)
         assert again == agm and hash(again) == hash(agm) and again.__call__ is not agm.__call__
         assert repr(again) == repr(agm)
+
+    def test_values_round_trip_through_pickle_and_copy(self):
+        w = ms.Interval.closed(1.0, 4.0)
+        A, G = ms.make_arithmetic(), ms.make_geometric()
+        values = [cls(*args) for cls, args, _ in _value_types()
+                  if cls is ms.Interval or issubclass(cls, expressions.Expression)]
+        values += [ms.Interval(-math.inf, -0.0, False, False), ms.Interval(0.0, 1.0, True),
+                   ms.parse_mean_expr("-min(x, y) + A ^ 2.0"), ms.distance(A, G, w, 16),
+                   ms.border_diagnostic(G, [w, ms.Interval(0.5, 8.0, hi_closed=True)], 8)]
+        copies = [copy.copy, copy.deepcopy]
+        copies += [lambda v, p=p: pickle.loads(pickle.dumps(v, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for value in values:
+            for copied in copies:
+                back = copied(value)
+                assert type(back) is type(value) and back == value and repr(back) == repr(value)
+        # a copied interval derives its comparison keys again, as the constructor does
+        back = pickle.loads(pickle.dumps(ms.Interval(0.0, 1.0, True)))
+        assert back.contains(0.0) and not back.contains(1.0)
+        assert back.intersect(ms.Interval.closed(0.5, 2.0)) == ms.Interval(0.5, 1.0, True)
+
+    def test_copies_of_the_mean_types_are_equal_and_evaluate_equal(self):
+        for value in _frozen_values()[1:5]:
+            for copied in (copy.copy, copy.deepcopy):
+                back = copied(value)
+                assert type(back) is type(value) and back == value
+        agm = ms.make_agm()
+        for named in (agm, agm.replace(name="M")):
+            deep = copy.deepcopy(named)
+            assert deep == named and deep.__call__ is not named.__call__
+            # in P, outside it, on the diagonal, and as strings
+            for x, y in [(1.0, 4.0), (1e-300, 1e300), (2.0 ** -600, 3.0), (2.5, 2.5),
+                         ("1", "4")]:
+                assert _bits(deep(x, y)) == _bits(named(x, y))
+            with pytest.raises(ms.DomainError) as err:
+                deep(-1.0, 4.0)
+            assert str(err.value) == f"(-1.0, 4.0) is outside the domain (0, inf) of {named.name}"
 
 
 # Each record with its fields and defaults as its class body declares them: the namedtuple

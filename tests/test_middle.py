@@ -88,13 +88,60 @@ class TestSolvedToTheFloat:
 
     def test_a_compound_with_a_sigma_operand_is_its_invariant_mean(self):
         # G(L3, sigma[G](L3)) = G, so the compound of L3 and sigma[G](L3) is G: 1 at (0.1, 10).
-        # On the contraction estimate's grid sigma[G](L3) has no bracket at points where L3
-        # rounds the root just below min(x, y), so k is unknown there.
+        # On the contraction estimate's grid sigma[G](L3) = xy/L3 is near min(x, y) where L3
+        # is near max(x, y), so k is 1 up to rounding and no envelope is checked; where L3
+        # rounds the root past min(x, y) sigma returns that end.
         l3 = ms.mean_from_source("(x^3+y^3)/(x^2+y^2)").mean
         sigma = ms.functional_symmetric_mean(ms.make_geometric(), l3)
         trace = ms.compound_trace(l3, sigma, 0.1, 10.0, max_iterations=10000)
         assert (trace.converged, trace.limit) == (True, 1.0)
-        assert trace.k_estimate is None and trace.envelope_ok is None
+        assert trace.k_estimate == pytest.approx(1.0, abs=1e-15) and trace.envelope_ok is None
+
+    @pytest.mark.parametrize("y, ulps", [(1e-6, 1), (1.1488747248658057e-06, 2)])
+    def test_a_root_that_rounds_past_an_end_is_that_end(self, y, ulps):
+        # sigma[G](L3) at (143.21361833097615, y): L3 rounds one ulp above x, which puts the
+        # root just below y, and g(lo) = G(L3, y) - G(x, y) at +1 and +2 ulps of G(x, y), the
+        # sign of g(hi): within the rounding of g's two G values
+        src = "(x^3+y^3)/(x^2+y^2)"
+        l3, G = ms.mean_from_source(src).mean, ms.make_geometric()
+        x = 143.21361833097615
+        target = G(x, y)
+        assert l3(x, y) == math.nextafter(x, math.inf)
+        assert G(l3(x, y), y) - target == ulps * math.ulp(target)
+        assert ms.functional_symmetric(G, l3, x, y) == y
+        result = ms.cli_run(["sigma", "--m0", "G", "--m1", src, "--at", f"{x!r},{y!r}"])
+        assert (result.exit_code, result.payload["value"]) == (0, y)
+
+    @pytest.mark.parametrize("ulps, want", [(2, 2.0), (3, None)])
+    def test_an_end_past_the_rounding_of_g_is_no_root(self, ulps, want):
+        # m1's value a = 1 - ulps 2^-51 puts g(hi) = A(a, 2) - 1.5 at -ulps ulps of 1.5, and
+        # g(lo) at about -0.5: g's two A values round by an ulp each, so the hi end is the
+        # root at 2 ulps, and none at 3
+        a = 1.0 - ulps * 2.0 ** -51
+        m1 = ms.MeanFunction("c", ms.ALL_REALS, lambda x, y: a)
+        A = ms.make_arithmetic()
+        assert A(a, 2.0) - 1.5 == -ulps * math.ulp(1.5)
+        if want is not None:
+            assert ms.functional_symmetric(A, m1, 1.0, 2.0) == want
+        else:
+            with pytest.raises(ms.BracketError, match="endpoints -5.000000e-01, -6.661338e-16"):
+                ms.functional_symmetric(A, m1, 1.0, 2.0)
+
+    def test_an_end_whose_g_is_nan_is_no_root(self):
+        # g(lo) is -1 ulp of 1.5 and g(hi) is NaN: lo is the nearer end
+        a = 2.0 - 2.0 ** -51
+        m0 = ms.MeanFunction("m", ms.ALL_REALS, lambda x, y: math.nan if (x, y) == (a, 2.0)
+                             else (x + y) / 2, is_monotone=True)
+        m1 = ms.MeanFunction("c", ms.ALL_REALS, lambda x, y: a)
+        assert ms.functional_symmetric(m0, m1, 1.0, 2.0) == 1.0
+
+    def test_ends_whose_g_is_infinite_are_no_root(self):
+        # m0(a, t) overflows at both ends, so g is +inf there: no rounding reaches it
+        m0 = ms.MeanFunction("m", ms.ALL_REALS, lambda x, y: math.inf if x == 1.5
+                             else (x + y) / 2, is_monotone=True)
+        m1 = ms.MeanFunction("c", ms.ALL_REALS, lambda x, y: 1.5)
+        with pytest.raises(ms.BracketError, match="endpoints inf, inf"):
+            ms.functional_symmetric(m0, m1, 1.0, 2.0)
 
 
 class TestSigmaClosedForm:
@@ -1319,6 +1366,13 @@ def _checked_functional_symmetric(m0, m1, x, y):
     if g_hi == 0.0:
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
+        def near(g):  # within the rounding of g's two m0 values, each within one ulp
+            return abs(g) <= math.ulp(target + g) + math.ulp(target) < math.inf
+
+        if near(g_lo) and not abs(g_hi) < abs(g_lo):
+            return lo
+        if near(g_hi):
+            return hi
         raise ms.BracketError(
             f"no sign change for the functional symmetric of {m1.name} with respect to "
             f"{m0.name} on [{lo}, {hi}]: endpoints {g_lo:.6e}, {g_hi:.6e}")
