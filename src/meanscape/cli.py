@@ -281,9 +281,7 @@ def _border(args, resolver: _Resolver) -> dict:
 
 
 def _gh_cert(args, resolver: _Resolver) -> dict:
-    cert = distance_gh_certificate()
-    return {"value": cert.value, "quartic_residual": cert.quartic_residual,
-            "argmax_t": cert.argmax_t}
+    return distance_gh_certificate()._asdict()
 
 
 def _iterate(args, m1, m2, guaranteed_by: str | None, d_upper: float | None,
@@ -299,7 +297,7 @@ def _iterate(args, m1, m2, guaranteed_by: str | None, d_upper: float | None,
                "converged": run.converged, "guaranteed": guaranteed_by is not None,
                "guaranteed_by": guaranteed_by, "d_upper": d_upper}
     if trace:
-        payload["trace"] = [{"n": s.n, "x": s.x, "y": s.y, "gap": s.gap} for s in run.steps]
+        payload["trace"] = [step._asdict() for step in run.steps]
     return payload
 
 
@@ -334,8 +332,7 @@ def _verify(args, resolver: _Resolver) -> dict:
 def _counterexample(args, resolver: _Resolver) -> dict:
     win = args.window or COUNTEREXAMPLE_WINDOW
     res = counterexample_check(win, args.grid, seed=resolver.seed)
-    return {"window": [win.lo, win.hi], "grid": args.grid, "seed": resolver.seed,
-            "d_estimate": res.d_estimate, "compound_is_A": res.compound_is_A}
+    return {"window": [win.lo, win.hi], "grid": args.grid, "seed": resolver.seed, **res._asdict()}
 
 
 class _Command(_Record):

@@ -303,8 +303,13 @@ def parse_weight_expr(src: str) -> Expression:
 def format_expression(e: Expression) -> str:
     """Source form with parentheses only where precedence or associativity needs them.
 
-    Reparsing yields an identical tree. Every node adds at most one level of the
-    parser's nesting, so the text nests no deeper than the tree is high.
+    Reparsing yields an identical tree for every tree the parser builds, whose
+    numbers are finite with no minus sign: a parsed ``-1`` is
+    ``Unary('-', Num(1.0))``. A hand-built tree need not round-trip: a number
+    prints as its ``repr``, so ``Num(-1.0)`` prints ``-1.0``, which reparses as
+    that ``Unary``, and ``Num(math.inf)`` prints ``inf``, an unknown identifier.
+    Every node adds at most one level of the parser's nesting, so the text
+    nests no deeper than the tree is high.
     """
     return _format(e, _SUM)
 

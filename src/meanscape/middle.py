@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import re
 import types
 from collections.abc import Callable
 
@@ -247,35 +246,27 @@ def _operand_slots(f1: Callable, f2: Callable, box: bool, namespace: dict) -> di
     probe = "" if box and first_encloses and second_encloses else _PROBE
     keep = {f"keep_{v}": (_BETWEEN if box and getattr(f, "between", False) else _CLAMP).format(v)
             for v, f in (("x", f1), ("y", f2))}
-    return {"first": _indent(first, 4), "second": _indent(_shared(first, second, namespace), 4),
+    return {"first": _indent(first, 4), "second": _indent(_shared(first, second), 4),
             "probe": probe, **keep, **(_IN_P if box else _ANYWHERE)}
 
 
-# a name in an expression: not an attribute, and not the exponent of a number; and the
-# keywords of an expression that binds no name (a lambda or a comprehension is not shared)
-_NAME = r"(?<![\w.])[A-Za-z_]\w*"  # compiled on first use, and cached, by re
-_KEYWORDS = frozenset({"if", "else", "and", "or", "not", "is", "in", "None", "True", "False"})
-
-
-def _shared(first: str, second: str, namespace: dict) -> str:
-    """The splice ``second`` with each statement ``N = R`` written ``N = nx``, where the splice
-    ``first`` ends in ``nx = R`` with the same text R, and R reads only x, y and names of
-    ``namespace``. Those hold one value each (``core._splice`` refuses a name bound to two) and
-    no block assigns x or y, so R gives nx's value again unless an earlier statement of
-    ``second`` assigns a name R reads: the rewriting stops at the first that does. A block
-    assigns one name a statement, ``name = value``, and a top-level one has no indent."""
+def _shared(first: str, second: str) -> str:
+    """The splice ``second`` with each top-level statement ``N = R`` written ``N = nx``, where
+    the splice ``first`` ends in ``nx = R`` with the same text R. The names R reads are its
+    identifier tokens. A block binds a name past its statement only by ``name = value`` (a
+    handler's ``exc`` is unbound as it ends); where such a statement of either splice assigns
+    a name R reads, ``second`` is returned as it is. Otherwise nothing between ``nx = R`` and
+    a statement of ``second`` assigns a name R reads, so R gives nx's value again. A token
+    that is no name (an attribute, a keyword, a word of a string literal) can only keep a
+    value from being shared."""
     value = first.rpartition("\nnx = ")[2]
-    reads = set(re.findall(_NAME, value)) - _KEYWORDS
-    if value not in second or not reads <= {"x", "y"} | namespace.keys():
-        return second
+    reads = "".join(c if c.isalnum() or c == "_" else " " for c in value).split()
     lines = second.split("\n")
-    for i, line in enumerate(lines):
-        name, _, rest = line.partition(" = ")
-        if rest == value and name.isidentifier():
-            lines[i] = f"{name} = nx"
-        if name.strip() in reads:
-            break
-    return "\n".join(lines)
+    assigned = {line.partition(" = ")[0].strip() for line in first.split("\n") + lines}
+    if value not in second or not assigned.isdisjoint(reads):
+        return second
+    return "\n".join(f"{name} = nx" if rest == value and name.isidentifier() else line
+                     for line in lines for name, _, rest in [line.partition(" = ")])
 
 
 @functools.lru_cache(maxsize=8)
@@ -570,17 +561,15 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     """Whether AGM(A(x,y), G(x,y)) equals AGM(x,y) to a relative tolerance.
 
     The coupled iteration started from (A(x,y), G(x,y)) is the original
-    one shifted by a step, so equality is exact in real arithmetic. A
-    ``tolerance`` that is NaN, infinite or negative raises ValueError, as a
-    compound's does.
+    one shifted by a step, so equality is exact in real arithmetic. A point
+    outside (0, inf) raises the AGM's DomainError; then a ``tolerance`` that
+    is NaN, infinite or negative raises ValueError, as a compound's does.
     """
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError("AGM arguments must be positive")
-    _check_tolerance("tolerance", tolerance)
     agm = make_agm()
+    reference = agm(x, y)
+    _check_tolerance("tolerance", tolerance)
     a = make_arithmetic()
     g = make_geometric()
-    reference = agm(x, y)
     shifted = agm(a(x, y), g(x, y))
     return math.isclose(shifted, reference, rel_tol=tolerance)
 

@@ -848,24 +848,20 @@ class TestOutputContract:
         assert proc.stdout.strip() == "['<core>', '<core>', '<core>']"
 
     def test_import_compiles_no_pattern(self):
-        # only a compound's loop reads middle's name pattern, so re compiles it there
+        # middle._shared reads a value's names without a pattern, so neither the import nor
+        # a compound's loop loads re; -S keeps out site, whose .pth files may load it
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import re\n"
-                "compiled, compile_pattern = [], re._compile\n"
-                "def counted(pattern, flags):\n"
-                "    compiled.append(pattern)\n"
-                "    return compile_pattern(pattern, flags)\n"
-                "re._compile = counted\n"
-                "import meanscape as ms\n"
+        code = ("import sys\n"
                 "import meanscape.cli\n"
-                "print(len(compiled))\n"
-                "ms.compound(ms.make_arithmetic(), ms.make_geometric())\n"
-                "print(len(compiled) > 0)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
+                "import meanscape as ms\n"
+                "G = ms.make_geometric()\n"
+                "ms.compound(G, ms.group_inverse(G))(1.0, 4.0)\n"
+                "print('re' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "True"]
+        assert proc.stdout.split() == ["False"]
 
     def test_no_run_loads_parsing_modules(self):
         # the CLI reads its arguments itself: argparse, with the gettext and locale it loads,

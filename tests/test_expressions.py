@@ -278,6 +278,14 @@ class TestTreeValues:
         assert again == tree and hash(again) == hash(tree)
         assert len({tree, again}) == 1
 
+    def test_a_hand_built_negative_or_infinite_number_does_not_round_trip(self):
+        # the parser builds neither: its numbers are finite with no minus sign
+        assert format_expression(Num(-1.0)) == "-1.0"
+        assert parse_mean_expr("-1.0") == Unary("-", Num(1.0))
+        assert format_expression(Num(math.inf)) == "inf"
+        with pytest.raises(ExpressionError):
+            parse_mean_expr("inf")
+
     def test_nodes_are_read_only(self):
         tree = parse_mean_expr("-min(x, y) + sqrt(A) * 2.0 ^ G")
         nodes = [tree, tree.left, tree.left.operand, tree.right, tree.right.left,
