@@ -370,17 +370,21 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (i * step if step else i / div * delta) for i in range(div)] + [hi]
 
 
-def _classify_ratio(values: list[float], rel_tol: float = 1e-10) -> OrderRelation:
+# relative width of the band within which two consecutive weight ratios count as flat
+_FLAT_BAND = 1e-10
+
+
+def _classify_ratio(values: list[float]) -> OrderRelation:
     """Monotonicity class of a sampled sequence, with a flatness band.
 
-    Consecutive differences within rel_tol (relative to the larger
+    Consecutive differences within _FLAT_BAND (relative to the larger
     neighbour) count as flat; mixed rising and falling beyond the band is
     INCOMPARABLE. The sequence is read as the weight ratio P1/P2, so a
     falling ratio means the first mean is the smaller one.
     """
     up = down = flat = False
     for a, b in zip(values, values[1:]):
-        diff, band = b - a, rel_tol * max(1e-300, abs(a), abs(b))
+        diff, band = b - a, _FLAT_BAND * max(1e-300, abs(a), abs(b))
         up |= diff > band
         down |= diff < -band
         flat |= abs(diff) <= band

@@ -646,9 +646,11 @@ def default_window(domain: Interval) -> Interval:
 
     Positive domains get [1e-6, 1e6]; domains reaching below zero get
     [-1e3, 1e3]; both are clipped into the domain, nudging inward at open
-    finite endpoints. A domain outside that range falls back to itself, cut
-    to a width of 1e6 at an infinite end, or of 1e-11 of its finite end
-    where rounding there leaves no window within 1e6.
+    finite endpoints. Where that leaves no window, the domain falls back to
+    itself, cut to a width of 1e6 at an infinite end, or of 1e-11 of its
+    finite end where rounding there leaves no window within 1e6. A domain
+    that holds no two floats past the nudge holds no window and raises
+    DomainError.
     """
     if domain.lo >= 0.0:
         lo, hi = 1e-6, 1e6
@@ -656,14 +658,16 @@ def default_window(domain: Interval) -> Interval:
         lo, hi = -1e3, 1e3
     lo, hi = max(lo, domain.lo), min(hi, domain.hi)
     if lo < hi:
-        return Interval.closed(*_inward(domain, lo, hi))
+        lo, hi = _inward(domain, lo, hi)
+        if lo < hi:
+            return Interval.closed(lo, hi)
     end = domain.lo if math.isfinite(domain.lo) else domain.hi
     for width in (1e6, 1e-11 * abs(end)):
         lo, hi = _inward(domain, domain.lo if math.isfinite(domain.lo) else end - width,
                          domain.hi if math.isfinite(domain.hi) else end + width)
         if lo < hi:
-            break
-    return Interval.closed(lo, hi)
+            return Interval.closed(lo, hi)
+    raise DomainError(f"domain {domain} holds no window")
 
 
 def _seeded(seed: int) -> random.Random:

@@ -30,6 +30,7 @@ from .algebra import _linspace, phi
 __all__ = [
     "DistanceEstimate",
     "BorderDiagnostic",
+    "GhCertificate",
     "distance",
     "distance_via_phi",
     "distance_to_arithmetic",
@@ -44,9 +45,12 @@ _DIAG_BAND = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# a cap on golden-section steps: 200 shrink [a, b] by about 1e-42, past any rel_tol in use
+_GOLDEN_MAX_STEPS = 200
+
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       rel_tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
+                       rel_tol: float = 1e-10) -> tuple[float, float]:
     """Maximize a unimodal function on [a, b] by golden-section search.
 
     Returns (x, f(x)) for the best point actually evaluated, endpoints
@@ -62,7 +66,7 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_STEPS):
         if fc > best_v:
             best_x, best_v = c, fc
         if fd > best_v:

@@ -59,6 +59,8 @@ __all__ = [
     "TraceStep",
     "IterationTrace",
     "CompoundMean",
+    "CoincidenceResult",
+    "CounterexampleResult",
     "functional_symmetric",
     "functional_symmetric_mean",
     "sigma_closed_form",
@@ -557,6 +559,10 @@ def sigma_closed_form(which: str, m: MeanFunction) -> MeanFunction:
     return group_symmetry(base, m).replace(name=f"sigma[{which}]({m.name})")
 
 
+# the AGM of every agm_fixed_point_check, built on the first: each build compiles a kernel
+_agm = functools.cache(make_agm)
+
+
 def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     """Whether AGM(A(x,y), G(x,y)) equals AGM(x,y) to a relative tolerance.
 
@@ -565,7 +571,7 @@ def agm_fixed_point_check(x: float, y: float, tolerance: float = 1e-10) -> bool:
     outside (0, inf) raises the AGM's DomainError; then a ``tolerance`` that
     is NaN, infinite or negative raises ValueError, as a compound's does.
     """
-    agm = make_agm()
+    agm = _agm()
     reference = agm(x, y)
     _check_tolerance("tolerance", tolerance)
     a = make_arithmetic()

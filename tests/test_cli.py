@@ -46,6 +46,14 @@ class TestPointCommands:
         p = payload(["eval", "--mean", "G", "--at", "1,4"])
         assert p["value"] == 2.0 and p["mean"] == "G"
 
+    def test_eval_on_a_domain_that_holds_no_window(self):
+        # the value is read; the axioms, with no window to sample, are not
+        result = run_ok(["eval", "--mean", "x+0*y", "--domain", "1,1.0000000000000004",
+                         "--at", "1.0000000000000002,1.0000000000000002"])
+        assert result.payload["value"] == 1.0000000000000002
+        assert result.diagnostics == [
+            "axiom sampling aborted: domain (1, 1.0000000000000004) holds no window"]
+
     def test_star(self):
         p = payload(["star", "--m1", "G", "--m2", "H", "--at", "1,4"])
         assert p["value"] == pytest.approx(4.0 / 3.0, rel=1e-14)
@@ -924,6 +932,32 @@ class TestOutputContract:
 
     def test_package_exposes_cli_run(self):
         assert meanscape.cli_run is cli_run
+
+    def test_package_names_are_its_modules_all(self):
+        # each module's __all__ is the one list of its public names
+        modules = [importlib.import_module(f"meanscape.{name}")
+                   for name in ("core", "algebra", "metric", "middle", "expressions")]
+        names = [name for module in modules for name in module.__all__]
+        assert meanscape.__all__ == names
+        assert len(set(names)) == len(names)
+        assert not [name for name in names if name.startswith("_")]
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(meanscape, name) is getattr(module, name), name
+
+    def test_star_import_loads_no_cli(self):
+        # cli_run is no name of __all__: it loads on first use, as runpy needs
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys\n"
+                "from meanscape import *\n"
+                "print('meanscape.cli' in sys.modules)\n"
+                "import meanscape\n"
+                "print(meanscape.cli_run.__module__)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "meanscape.cli"]
 
     def test_main_prints_to_stdout(self, capsys):
         code = main(["eval", "--mean", "A", "--at", "2,4"])

@@ -941,9 +941,24 @@ def test_default_window_far_from_zero(domain):
     (ms.Interval(-math.inf, -1e5), -1100000.0, -100001.0),
     (ms.Interval(-math.inf, -8e15), -8000000001000000.0, -8000000000000001.0),
     (ms.Interval(1e16 + 2, math.inf), 1.0000000000000004e16, 1.0000000001000002e16),
+    # the nudge at the open end leaves no window within the target range
+    (ms.Interval(math.nextafter(1e6, 0.0), math.inf), 1000000.9999999999, 2e6),
+    (ms.Interval(-math.inf, math.nextafter(-1e3, 0.0)), -1001000.0, -1000.9999999999999),
 ], ids=str)
 def test_default_window_outside_the_target_range(domain, lo, hi):
     assert ms.default_window(domain) == ms.Interval.closed(lo, hi)
+
+
+@pytest.mark.parametrize("domain", [
+    ms.Interval(1.0, 1.0000000000000004),  # one float inside
+    ms.Interval(1.0, 1.0000000000000002),  # none
+    ms.Interval(0.0, 1e-323),
+    ms.Interval(math.nextafter(1e3, 0.0), 1e3, True),
+], ids=str)
+def test_default_window_of_a_domain_that_holds_none(domain):
+    with pytest.raises(ms.DomainError) as err:
+        ms.default_window(domain)
+    assert str(err.value) == f"domain {domain} holds no window"
 
 
 class _CodeRunners(ast.NodeVisitor):

@@ -432,6 +432,22 @@ class TestAgmFixedPoint:
             ms.agm_fixed_point_check(1.0, 4.0, tolerance)
         assert str(err.value) == f"tolerance must be finite and non-negative, got {tolerance}"
 
+    def test_the_agm_is_built_once(self):
+        # building an AGM compiles its kernel; a check after the first compiles nothing
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ms.__file__)))
+        code = ("import sys\n"
+                "import meanscape as ms\n"
+                "compiled = []\n"
+                "sys.addaudithook(lambda event, args: event == 'compile' and compiled.append(1))\n"
+                "ms.agm_fixed_point_check(1.0, 2.0)\n"
+                "first = len(compiled)\n"
+                "ms.agm_fixed_point_check(3.0, 7.0)\n"
+                "print(first > 0, len(compiled) - first)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "0"]
+
 
 class TestCoincidence:
     @pytest.mark.parametrize("which", ["A", "G", "H"])
