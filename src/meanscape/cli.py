@@ -13,10 +13,16 @@ a usage error raised while the arguments are read. One reader reads every
 run from the two tables, left to right, and stops at the first malformed
 token; --help is rendered from the same rows. A value may start with "-"
 (``--at -1,2``). MEANSCAPE_SEED is the default of --seed.
+
+Run as a program (``main()`` with no argv), the CLI freezes the garbage
+collector before the run: the objects alive when the command starts live
+until exit, so no collection needs to walk them. ``main(argv)`` and
+``cli_run`` leave the collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
@@ -534,7 +540,15 @@ def cli_run(argv: list[str]) -> CommandResult:
 
 
 def main(argv: list[str] | None = None) -> int:
-    result = cli_run(sys.argv[1:] if argv is None else argv)
+    """Run one invocation, write its output and return its exit code. With no ``argv`` it
+    runs ``sys.argv[1:]`` as the program, and first freezes the garbage collector: what is
+    alive when the command starts lives until exit, so no collection during the run or at
+    shutdown needs to walk it. Called with a list, it leaves the collector alone. Where
+    stdout's reader has gone, it says so on stderr and returns 1."""
+    if argv is None:
+        gc.freeze()  # the interpreter's and the package's objects outlive the run
+        argv = sys.argv[1:]
+    result = cli_run(argv)
     if result.out_path:
         try:
             with open(result.out_path, "w") as fh:
@@ -544,7 +558,14 @@ def main(argv: list[str] | None = None) -> int:
             message = f"cannot write --out {result.out_path}: {exc.strerror or exc}"
             result = CommandResult("error", {"command": result.payload["command"]}, [message], 1)
             result.rendered = _render_json(result)
-    sys.stdout.write(result.rendered)
+    try:
+        sys.stdout.write(result.rendered)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # stdout's reader has gone
+        # the recipe of the signal module's note on SIGPIPE: shutdown flushes stdout again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return result.exit_code
 
 

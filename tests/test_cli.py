@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -911,15 +912,64 @@ class TestOutputContract:
         assert json.loads(proc.stdout)["status"] == "ok"
         assert proc.stderr.strip() == "[]"
 
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, tmp_path):
         src = os.path.dirname(os.path.dirname(meanscape.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        # the package must not import meanscape.cli, or runpy warns before running it
-        for entry in (["-m", "meanscape"], ["-W", "error", "-m", "meanscape.cli"]):
-            proc = subprocess.run([sys.executable] + entry + ["eval", "--mean", "A", "--at", "2,4"],
-                                  capture_output=True, text=True, env=env, timeout=60)
-            assert proc.returncode == 0 and proc.stderr == "", entry
-            assert json.loads(proc.stdout)["payload"]["value"] == 3.0
+        out = tmp_path / "out.json"
+        # an ok run, a usage error, a numerical failure, --help and --out: the program writes
+        # what cli_run renders, to stdout or to the --out file, and exits with its code
+        for argv in (["eval", "--mean", "A", "--at", "2,4"], ["eval", "--mean", "A"],
+                     ["compound", "--m1", "A", "--m2", "G", "--at", "1,2", "--max-iter", "0"],
+                     ["eval", "--help"], ["gh-cert", "--out", str(out)]):
+            want = cli_run(argv)
+            # the package must not import meanscape.cli, or runpy warns before running it
+            for entry in (["-m", "meanscape"], ["-W", "error", "-m", "meanscape.cli"],
+                          ["-c", "import sys; from meanscape.cli import main; sys.exit(main())"]):
+                proc = subprocess.run([sys.executable] + entry + argv, capture_output=True,
+                                      env=env, timeout=60)
+                assert (proc.returncode, proc.stderr) == (want.exit_code, b""), (argv, entry)
+                if want.out_path:
+                    assert proc.stdout == b"", entry
+                    assert out.read_bytes() == want.rendered.encode(), entry
+                    out.unlink()
+                else:
+                    assert proc.stdout == want.rendered.encode(), (argv, entry)
+
+    def test_the_program_freezes_the_collector(self):
+        # what is alive when the command starts lives until exit: no collection walks it
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import gc, sys\n"
+                "from meanscape.cli import main\n"
+                "code = main()\n"
+                "print(gc.get_freeze_count(), file=sys.stderr)\n"
+                "sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, "eval", "--mean", "A", "--at", "2,4"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) > 0
+
+    def test_in_process_runs_leave_the_collector_alone(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        for argv in (["eval", "--mean", "A", "--at", "2,4"], ["eval", "--mean", "A"],
+                     ["eval", "--help"], ["gh-cert", "--out", str(tmp_path / "out.json")]):
+            main(argv)
+            cli_run(argv)
+            assert gc.get_freeze_count() == frozen, argv
+
+    def test_a_closed_stdout_pipe(self):
+        # the reader is gone before the program writes: one line on stderr, exit 1, and no
+        # traceback from the write or from shutdown's flush
+        src = os.path.dirname(os.path.dirname(meanscape.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "meanscape", "gh-cert"], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "cannot write the output: Broken pipe\n")
 
     def test_command_result_defaults(self):
         first, second = CommandResult("ok", {}), CommandResult("ok", {})

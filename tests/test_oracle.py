@@ -6,7 +6,8 @@ float walk ``oracle_evaluate`` of the expression tests. On well-conditioned mean
 kernel and the box form of each must lie within its family's ``BOUND`` of it, in ulps, at points
 of [1e-100, 1e100]^2, inside the plain box P where the box form may run. ``functional_symmetric``
 through A, G and H must lie within ``SIGMA_BOUND`` of its closed forms at the exact M1, at points
-of [1e-300, 1e300]^2.
+of [1e-300, 1e300]^2. The four compounds of the compound-iter benchmark must lie within
+``COMPOUND_BOUND`` of their limits at 50 digits, from starts in [0.01, 100]^2.
 """
 
 import math
@@ -222,3 +223,56 @@ def test_random_normal_means_with_a_subnormal_term_agree_with_the_oracle(draw):
         with mpmath.workdps(_DIGITS):
             want = (x * mpmath.mpf(px) + y * mpmath.mpf(py)) / (mpmath.mpf(px) + py)
         assert ulps(m(x, y), want) <= NORMAL_BOUND, (a, b, x, y)
+
+
+# The four compounds of the compound-iter benchmark, against their limits at 50 digits:
+# mpmath.agm for A with G, built-in and parsed; (x+y)/2 for G with 2A-G, whose steps keep x + y;
+# and for a power mean with a normal mean the coupled iteration itself, each step's means in
+# mpmath from the exact exponents and weights. The worst distance from the limit, in ulps of it,
+# over 9600 seeded points (150 draws of 64, the benchmark's bands) was 2.48 for both AGMs, 2.06
+# for G with 2A-G and 10.25 for the power with the normal mean, whose iteration stops at a gap
+# of 1e-13 and whose power mean folds its exponent 1/p to a float (see BOUND). Each bound is its
+# worst rounded up.
+COMPOUND_BOUND = {"agm": 2.5, "arithmetic": 2.1, "between": 10.3}
+
+
+def _coupled(m1, m2, x, y):
+    """The limit of x, y <- m1(x, y), m2(x, y) from (x, y), at 50 digits."""
+    with mpmath.workdps(_DIGITS):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        for _ in range(100):
+            if abs(x - y) <= abs(x) * mpmath.mpf(10) ** -48:
+                return x
+            x, y = m1(x, y), m2(x, y)
+    raise AssertionError("the 50-digit iteration did not converge")
+
+
+@pytest.mark.parametrize("draw", range(4))
+def test_compound_values_agree_with_the_oracle(draw):
+    # the benchmark's bands: exponent p in [1.6, 1.9], weight t^a (1+t)^b with a, b in
+    # [0.3, 0.5], and starts in [0.01, 100]^2, inside the plain box P
+    rng = random.Random(draw)
+    p, a, b = (round(rng.uniform(lo, hi), 3) for lo, hi in ((1.6, 1.9), (0.3, 0.5), (0.3, 0.5)))
+    power, weight = power_src(p), f"t^({a!r})*(1+t)^({b!r})"
+    tree, weight_tree = parse_mean_expr(power), parse_weight_expr(weight)
+
+    def normal(x, y):
+        px, py = _walk(weight_tree, {"t": x}), _walk(weight_tree, {"t": y})
+        return (x * px + y * py) / (px + py)
+
+    A, G = ms.make_arithmetic(), ms.make_geometric()
+    compounds = [
+        ("agm", ms.compound(A, G), mpmath.agm),
+        ("agm", ms.compound(ms.mean_from_source("(x+y)/2").mean,
+                            ms.mean_from_source("sqrt(x*y)").mean), mpmath.agm),
+        ("arithmetic", ms.compound(G, ms.group_inverse(G)), lambda x, y: (x + y) / 2),
+        ("between", ms.compound(ms.mean_from_source(power).mean,
+                                ms.make_normal_mean(ms.weight_from_source(weight))),
+         lambda x, y: _coupled(lambda u, v: _walk(tree, {"x": u, "y": v}), normal, x, y)),
+    ]
+    for _ in range(64):
+        x, y = (10.0 ** rng.uniform(-2.0, 2.0) for _ in range(2))
+        for kind, c, limit in compounds:
+            with mpmath.workdps(_DIGITS):
+                want = limit(mpmath.mpf(x), mpmath.mpf(y))
+            assert ulps(c(x, y), want) <= COMPOUND_BOUND[kind], (c.name, x, y)
