@@ -77,8 +77,6 @@ DEFAULT_TOLERANCE = 1e-13
 DEFAULT_MAX_ITERATIONS = 200
 COUNTEREXAMPLE_WINDOW = Interval.closed(1e-6, 1e6)  # counterexample_check's distance window
 
-# Envelope checks allow this much multiplicative slack over k^n * gap(0).
-_ENVELOPE_SLACK = 1e-9
 # Grid of the operand distance estimated by compound_trace.
 _DISTANCE_GRID = 48
 _P_LO, _P_HI = _PLAIN_NAMES["plain_lo"], _PLAIN_NAMES["plain_hi"]  # P's side
@@ -98,12 +96,11 @@ class IterationTrace(_Record):
     contracts). ``limit`` is the midpoint of the final bracket. Its
     half-width bounds the error of the exact iterates only: how far the
     float iterates drift from them by rounding is not bounded.
-    ``k_estimate`` is a grid lower bound on the operands' distance, not an
-    upper bound on the contraction factor; when it is below 1,
-    ``envelope_ok`` records whether gap(n) <= k^n * gap(0) held with
-    relative slack 1e-9 at every recorded step. That checks the run for
-    consistency with the lower bound and proves no contraction. None means
-    unknown for both.
+    ``k_estimate`` is a grid lower bound on the operands' distance
+    d(m1, m2), or the start's difference quotient where that is larger, and
+    None where unknown. It is not an upper bound on the contraction factor,
+    so no envelope gap(n) <= k^n * gap(0) rests on it: a proven envelope
+    waits for an upper bound on d, which the package does not compute yet.
     """
 
     steps: tuple[TraceStep, ...]
@@ -111,7 +108,6 @@ class IterationTrace(_Record):
     limit: float
     iterations_used: int
     k_estimate: float | None = None
-    envelope_ok: bool | None = None
 
 
 class CompoundMean(MeanFunction):
@@ -392,14 +388,12 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     With ``estimate_contraction``, k is a grid lower bound on the distance
     of the operands over the default window, or the difference quotient
     |M1 - M2| / |x - y| at the starting point if that is larger; both are
-    attained values, so k is at most the true distance, up to rounding.
-    When k < 1, the geometric envelope gap(n) <= k^n * gap(0) is checked at
-    every recorded step. A pass means the run is consistent with that lower
-    bound; it proves no contraction, which would need an upper bound. Where an
-    operand raises DomainError or InvalidMeanError on the grid, as a parsed mean
-    on R may away from the start, or BracketError, as a σ may where a mean rounds
-    its root past an end by more than g's rounding, ``k_estimate`` and
-    ``envelope_ok`` are None: unknown, as for the flags of a mean.
+    attained values, so k is at most the true distance, up to rounding. A
+    proven envelope gap(n) <= d^n * gap(0) waits for an upper bound on d.
+    Where an operand raises DomainError or InvalidMeanError on the grid, as a
+    parsed mean on R may away from the start, or BracketError, as a σ may where
+    a mean rounds its root past an end by more than g's rounding, ``k_estimate``
+    is None: unknown, as for the flags of a mean.
     A start outside the domain raises the compound's own DomainError, and
     non-convergence a ConvergenceError carrying the partial trace; this is the
     one place that error is raised, for the compound's call too.
@@ -418,23 +412,16 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     steps = [_tuple_new(TraceStep, (0, x, y, abs(x - y)))]
     converged, xn, yn, n = run(m1, m2, x, y, tolerance, max_iterations, steps)
 
-    k = envelope_ok = None
+    k = None
     if estimate_contraction:
         try:
             k = distance(m1, m2, default_window(dom), _DISTANCE_GRID).value
         except (DomainError, InvalidMeanError, BracketError):
             pass  # an operand faults on the grid, so k is unknown
-    if k is not None:
-        if x != y:
-            k = max(k, abs(m1(x, y) - m2(x, y)) / abs(x - y))
-        if k < 1.0:
-            gap0 = steps[0].gap
-            envelope_ok = all(
-                step.gap <= k ** step.n * gap0 * (1.0 + _ENVELOPE_SLACK)
-                for step in steps[1:])
+    if k is not None and x != y:
+        k = max(k, abs(m1(x, y) - m2(x, y)) / abs(x - y))
 
-    trace = _tuple_new(IterationTrace, (tuple(steps), converged, _arithmetic_eval(xn, yn), n, k,
-                                        envelope_ok))
+    trace = _tuple_new(IterationTrace, (tuple(steps), converged, _arithmetic_eval(xn, yn), n, k))
     if not converged:
         raise ConvergenceError(
             f"compound({m1.name},{m2.name}) did not converge at ({x}, {y}) "

@@ -742,8 +742,7 @@ _RECORDS = [
     (metric.BorderDiagnostic, "sup_f_estimate windows_tested sup_per_window trend", ()),
     (metric.GhCertificate, "value quartic_residual argmax_t", ()),
     (middle.TraceStep, "n x y gap", ()),
-    (middle.IterationTrace,
-     "steps converged limit iterations_used k_estimate envelope_ok", (None, None)),
+    (middle.IterationTrace, "steps converged limit iterations_used k_estimate", (None,)),
     (middle.CoincidenceResult, "max_discrepancy worst_point", ()),
     (middle.CounterexampleResult, "d_estimate compound_is_A", ()),
 ]

@@ -89,13 +89,13 @@ class TestSolvedToTheFloat:
     def test_a_compound_with_a_sigma_operand_is_its_invariant_mean(self):
         # G(L3, sigma[G](L3)) = G, so the compound of L3 and sigma[G](L3) is G: 1 at (0.1, 10).
         # On the contraction estimate's grid sigma[G](L3) = xy/L3 is near min(x, y) where L3
-        # is near max(x, y), so k is 1 up to rounding and no envelope is checked; where L3
-        # rounds the root past min(x, y) sigma returns that end.
+        # is near max(x, y), so k is 1 up to rounding; where L3 rounds the root past
+        # min(x, y) sigma returns that end.
         l3 = ms.mean_from_source("(x^3+y^3)/(x^2+y^2)").mean
         sigma = ms.functional_symmetric_mean(ms.make_geometric(), l3)
         trace = ms.compound_trace(l3, sigma, 0.1, 10.0, max_iterations=10000)
         assert (trace.converged, trace.limit) == (True, 1.0)
-        assert trace.k_estimate == pytest.approx(1.0, abs=1e-15) and trace.envelope_ok is None
+        assert trace.k_estimate == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("y, ulps", [(1e-6, 1), (1.1488747248658057e-06, 2)])
     def test_a_root_that_rounds_past_an_end_is_that_end(self, y, ulps):
@@ -387,15 +387,17 @@ class TestCompoundTrace:
         for m in mean_family[3:]:
             for x, y in [(0.5, 9.0), (0.2, 3.0), (1.0, 7.7)]:
                 trace = ms.compound_trace(A, m, x, y)
-                assert trace.k_estimate is not None and trace.k_estimate < 1.0
-                assert trace.envelope_ok
+                k, gap0 = trace.k_estimate, trace.steps[0].gap
+                assert k is not None and k < 1.0
+                assert all(step.gap <= k ** step.n * gap0 * (1.0 + 1e-9)
+                           for step in trace.steps[1:])
 
     def test_contraction_is_unknown_where_an_operand_faults_on_the_grid(self):
         # sqrt(x*y) on R faults on the grid's points of opposite signs, never on the run
         A = ms.make_arithmetic()
         root = ms.mean_from_source("sqrt(x*y)", ms.ALL_REALS).mean
         trace = ms.compound_trace(A, root, 1.0, 2.0)
-        assert trace.converged and (trace.k_estimate, trace.envelope_ok) == (None, None)
+        assert trace.converged and trace.k_estimate is None
         assert trace.limit == ms.compound(A, root)(1.0, 2.0) == 1.4567910310469068
         assert trace == ms.compound_trace(A, root, 1.0, 2.0, estimate_contraction=False)
 
@@ -406,6 +408,24 @@ class TestCompoundTrace:
         k, gap0 = trace.k_estimate, trace.steps[0].gap
         for step in trace.steps[1:]:
             assert step.gap <= k ** step.n * gap0 * (1.0 + 1e-9)
+
+    # d(A, M) over [lo, hi]^2 in closed form, with r = hi/lo: (A - G)/(y - x) is
+    # (t - 1)/(2(t + 1)) with t = sqrt(y/x), and (A - H)/(y - x) is (s - 1)/(2(s + 1)) with
+    # s = y/x, each increasing in the ratio, so the sup is at the corner of the square
+    @pytest.mark.parametrize("make, sup", [
+        (ms.make_geometric, lambda r: (math.sqrt(r) - 1.0) / (2.0 * (math.sqrt(r) + 1.0))),
+        (ms.make_harmonic, lambda r: (r - 1.0) / (2.0 * (r + 1.0))),
+    ], ids=["G", "H"])
+    def test_k_estimate_is_a_lower_bound_on_the_distance(self, make, sup):
+        # k is a grid value over the default window [1e-6, 1e6] or the start's own quotient,
+        # each a value of the quotient over the hull of that window and the start
+        A, m = ms.make_arithmetic(), make()
+        rng = np.random.default_rng(46)
+        for x, y in 10.0 ** rng.uniform(-9.0, 9.0, size=(12, 2)):
+            x, y = float(x), float(y)
+            k = ms.compound_trace(A, m, x, y).k_estimate
+            d = sup(max(1e6, x, y) / min(1e-6, x, y))
+            assert abs(A(x, y) - m(x, y)) / abs(x - y) <= k <= d + 4 * math.ulp(d), (x, y)
 
 
 class TestAgmFixedPoint:

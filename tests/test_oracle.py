@@ -7,7 +7,8 @@ kernel and the box form of each must lie within its family's ``BOUND`` of it, in
 of [1e-100, 1e100]^2, inside the plain box P where the box form may run. ``functional_symmetric``
 through A, G and H must lie within ``SIGMA_BOUND`` of its closed forms at the exact M1, at points
 of [1e-300, 1e300]^2. The four compounds of the compound-iter benchmark must lie within
-``COMPOUND_BOUND`` of their limits at 50 digits, from starts in [0.01, 100]^2.
+``COMPOUND_BOUND`` of their limits at 50 digits, from starts in [0.01, 100]^2. The phi-based
+distances must lie within ``PHI_ROUTE_BOUND`` of the exact difference quotient at their argmax.
 """
 
 import math
@@ -276,3 +277,39 @@ def test_compound_values_agree_with_the_oracle(draw):
             with mpmath.workdps(_DIGITS):
                 want = limit(mpmath.mpf(x), mpmath.mpf(y))
             assert ulps(c(x, y), want) <= COMPOUND_BOUND[kind], (c.name, x, y)
+
+
+# distance_via_phi's value is (M2 - M1)/(x - y) at its argmax, and distance_to_arithmetic's is
+# (A - M)/(x - y), each through tanh of phi, well below saturation on [0.01, 100]. An error of one
+# ulp of max(x, y) in a mean moves that quotient by ulp(max(x, y)) / |x - y|, and the bound is in
+# those units, so it holds near the diagonal too, where ulps of the value grow without limit.
+# The worst seen at the argmax, for these pairs and for each of their operands against A, over
+# 60 seeded windows within [0.01, 100] at grids 16, 32 and 64, was 3.04 (the power-3 mean
+# against Lehmer-2), and the bound is that rounded up. On [0.01, 100] at grid 64 the worst is
+# 0.87 of these units, 5.3 ulps of the value (G against H).
+PHI_ROUTE_BOUND = 3.1
+PHI_ROUTE_PAIRS = [("(x+y)/2", "sqrt(x*y)"), ("sqrt(x*y)", "2*x*y/(x+y)"),
+                   (power_src(3.0), lehmer_src(2.0))]
+
+
+def _quotient_error(got, want, x, y):
+    """How far ``got`` lies from the exact quotient ``want`` at (x, y), in units of
+    ulp(max(x, y)) / |x - y|."""
+    return float(abs(mpmath.mpf(got) - want) * abs(x - y) / math.ulp(max(x, y)))
+
+
+@pytest.mark.parametrize("src1, src2", PHI_ROUTE_PAIRS, ids=["A-G", "G-H", "power3-lehmer2"])
+def test_the_phi_route_distances_agree_with_the_oracle(src1, src2):
+    window = ms.Interval.closed(0.01, 100.0)
+    (m1, t1), (m2, t2) = ((ms.mean_from_source(s).mean, parse_mean_expr(s)) for s in (src1, src2))
+    est = ms.distance_via_phi(m1, m2, window, 64)
+    (x, y), env = est.argmax, dict(zip("xy", est.argmax))
+    with mpmath.workdps(_DIGITS):
+        want = (exact(t2, env) - exact(t1, env)) / (mpmath.mpf(x) - y)
+    assert _quotient_error(est.value, want, x, y) <= PHI_ROUTE_BOUND, (est.value, est.argmax)
+    for m, tree in ((m1, t1), (m2, t2)):
+        est = ms.distance_to_arithmetic(m, window, 64)
+        (x, y), env = est.argmax, dict(zip("xy", est.argmax))
+        with mpmath.workdps(_DIGITS):
+            want = ((mpmath.mpf(x) + y) / 2 - exact(tree, env)) / (mpmath.mpf(x) - y)
+        assert _quotient_error(est.value, want, x, y) <= PHI_ROUTE_BOUND, (m.name, est.argmax)
