@@ -31,9 +31,12 @@ from types import SimpleNamespace
 from collections.abc import Callable
 
 from .core import (
+    ALL_REALS,
     DEFAULT_SEED,
+    POSITIVE_REALS,
     Interval,
     NumericalError,
+    _BETWEENNESS_SLACK,
     _Record,
     common_domain,
     default_window,
@@ -161,9 +164,9 @@ def _parse_window(text: str, flag: str = "--window") -> Interval:
 
 def _parse_domain(text: str) -> Interval:
     if text == "pos":
-        return Interval(0.0, math.inf)
+        return POSITIVE_REALS
     if text == "reals":
-        return Interval(-math.inf, math.inf)
+        return ALL_REALS
     lo, hi = _parse_pair(text, "--domain")
     try:
         return Interval(lo, hi)
@@ -227,7 +230,9 @@ class _Resolver:
 # the command's name first in the payload.
 
 def _point_command(help_text: str, build, *operands: str) -> _Command:
-    """A command whose value is build(*operands) at --at; --weight names a weight."""
+    """A command whose value is build(*operands) at --at; --weight names a weight. A value
+    that is NaN or lies outside [min(x, y), max(x, y)] by more than the relative slack of
+    ``verify_axioms`` gets a diagnostic, as no mean's value does."""
 
     def run(args, resolver: _Resolver) -> dict:
         names, values = {}, []
@@ -236,7 +241,12 @@ def _point_command(help_text: str, build, *operands: str) -> _Command:
             value = (resolver.weight if flag == "--weight" else resolver.mean)(vars(args)[dest])
             names[dest] = value.name
             values.append(value)
-        return {**names, "at": list(args.at), "value": build(*values)(*args.at)}
+        value, lo, hi = build(*values)(*args.at), min(args.at), max(args.at)
+        if not lo - _BETWEENNESS_SLACK * abs(lo) <= value <= hi + _BETWEENNESS_SLACK * abs(hi):
+            resolver.diagnostics.append(
+                f"the value {value} lies outside [min(x, y), max(x, y)] = [{lo}, {hi}], where "
+                f"a mean's values lie, by more than the relative slack {_BETWEENNESS_SLACK}")
+        return {**names, "at": list(args.at), "value": value}
 
     return _Command(help_text, run, (*operands, "--at", "--domain"))
 

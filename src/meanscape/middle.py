@@ -125,10 +125,12 @@ class CompoundMean(MeanFunction):
     a field, with no Python frame in between. A kernel that declares
     ``fn.checks == domain`` (``_compound_kernel``), called with ``owner``, the
     compound, runs a start in the plain box P that lies in the open domain
-    itself, and hands any other start to ``MeanFunction.__call__`` of ``owner``;
-    the slot holds a copy of that kernel whose ``owner`` defaults to this
-    compound, so an evaluation from such a start enters one frame. Any other
-    kernel gets ``MeanFunction.__call__`` bound to the compound.
+    itself, and hands any other start to ``MeanFunction.__call__`` of ``owner``,
+    which checks it and calls the kernel again with no owner; the kernel then
+    runs its own checked loop, rendered on its first such start and kept. The
+    slot holds a copy of that kernel whose ``owner`` defaults to this compound,
+    so an evaluation from a start in P enters one frame. Any other kernel gets
+    ``MeanFunction.__call__`` bound to the compound.
     """
 
     __slots__ = ("m1", "m2", "tolerance", "max_iterations", "d_upper", "guaranteed_by",
@@ -157,33 +159,33 @@ class CompoundMean(MeanFunction):
         return self.guaranteed_by is not None
 
 
-# The coupled iteration, written once and rendered twice: as each compound's kernel ``fn(x0,
-# y0, *, owner=None)``, and as ``_trace_loop``, run by ``compound_trace`` and by a compound's
-# call from a start outside the plain box P. Each splices its operands' kernels
-# (``core._splice``): box forms from a start in P, checked blocks from any other, one call of a
-# kernel with no block. The start is a pair of floats in the operands' common domain: the
-# compound's call (its kernel, given ``owner``) and ``compound_trace`` check it. Each update
-# lies inside the current [lo, hi] envelope by the mean axioms; clamping ({keep_x} and
-# {keep_y}) removes half-ulp rounding drift, so the envelope is monotone in floating point too
-# and every iterate stays in the domain, and in P where the start lies in P. A box loop takes
-# the value of an operand that declares ``fn.between`` (``core._builtin_kernel``: A and G) as
-# it is, since that value already lies in [lo, hi] at every point of P, and clamps every other
-# operand's; a loop from any other start clamps both. For A, fl(lo + hi) lies in [2 lo, 2 hi]
-# and halving is exact in P; for G, fl(x y) lies in [fl(lo lo), fl(hi hi)] and fl(sqrt(fl(a
-# a))) = a where a a is normal, as it is for every a in P. The stop test {stop} is taken from
-# that envelope, with gap = hi - lo. For a start anywhere (``_ANYWHERE``), ``gap <= tol *
-# max(hi, -lo)`` is ``math.isclose(x(n), y(n), rel_tol=tol)`` written out. From a pair of
-# opposite signs, which may converge to 0, the gap is also compared with tol * max(|x|, |y|) of
-# the start plus 5e-324, and from any other pair with 5e-324 alone: that is the least gap two
-# floats can have, and tol times a subnormal scale is less. For a start in P (``_IN_P``) the
-# test is the gap against tol * hi alone, and the two forms are equal there: lo > 0, so
-# max(hi, -lo) = hi; both coordinates are positive, so the floor is 5e-324; and two distinct
-# floats in P differ by at least 2^-552, so a gap of at most 5e-324 is 0, where the P form
-# stops too. The loop runs only while x(n) != y(n), off the diagonal. A NaN iterate makes the
-# gap NaN, which stops neither form; it survives the clamp, and {probe} hands it to the checked
-# ``m1``, which raises its DomainError. A loop in P leaves the probe out where both operands
-# splice a block with an enclosure: such a block returns no NaN there, and only a kernel with
-# no block may.
+# The coupled iteration, written once and rendered by two functions: ``_compound_kernel``
+# renders each compound's kernel ``fn(x0, y0, *, owner=None)`` and, on its first start outside
+# the plain box P, its checked loop; ``_trace_loop`` renders the loops of ``compound_trace``.
+# Each splices its operands' kernels (``core._splice``): box forms from a start in P, checked
+# blocks from any other, one call of a kernel with no block. The start is a pair of floats in
+# the operands' common domain: the compound's call (its kernel, given ``owner``) and
+# ``compound_trace`` check it. Each update lies inside the current [lo, hi] envelope by the mean
+# axioms; clamping ({keep_x} and {keep_y}) removes half-ulp rounding drift, so the envelope is
+# monotone in floating point too and every iterate stays in the domain, and in P where the start
+# lies in P. A box loop takes the value of an operand that declares ``fn.between``
+# (``core._builtin_kernel``: A and G) as it is, since that value already lies in [lo, hi] at
+# every point of P, and clamps every other operand's; a loop from any other start clamps both.
+# For A, fl(lo + hi) lies in [2 lo, 2 hi] and halving is exact in P; for G, fl(x y) lies in
+# [fl(lo lo), fl(hi hi)] and fl(sqrt(fl(a a))) = a where a a is normal, as it is for every a in
+# P. The stop test {stop} is taken from that envelope, with gap = hi - lo. For a start anywhere
+# (``_ANYWHERE``), ``gap <= tol * max(hi, -lo)`` is ``math.isclose(x(n), y(n), rel_tol=tol)``
+# written out. From a pair of opposite signs, which may converge to 0, the gap is also compared
+# with tol * max(|x|, |y|) of the start plus 5e-324, and from any other pair with 5e-324 alone:
+# that is the least gap two floats can have, and tol times a subnormal scale is less. For a
+# start in P (``_IN_P``) the test is the gap against tol * hi alone, and the two forms are equal
+# there: lo > 0, so max(hi, -lo) = hi; both coordinates are positive, so the floor is 5e-324;
+# and two distinct floats in P differ by at least 2^-552, so a gap of at most 5e-324 is 0, where
+# the P form stops too. The loop runs only while x(n) != y(n), off the diagonal. A NaN iterate
+# makes the gap NaN, which stops neither form; it survives the clamp, and {probe} hands it to
+# the checked ``m1``, which raises its DomainError. A loop in P leaves the probe out where both
+# operands splice a block with an enclosure: such a block returns no NaN there, and only a
+# kernel with no block may.
 # The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
 # {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
 # taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows
@@ -222,13 +224,12 @@ _ANYWHERE = {
     "stop": "gap <= tol * (hi if hi > -lo else -lo) or gap <= stop"}
 _IN_P = {"floor": "", "stop": "gap <= tol * hi"}
 # The slots of the loops ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y,
-# n)``, which append each step to ``steps`` as a TraceStep where ``steps`` is a list.
-# ``tuple_new`` (``core._tuple_new``) builds each step as TraceStep's own ``__new__`` does on a
-# full positional call, but with no Python frame.
+# n)``, which append each step to the list ``steps`` as a TraceStep. ``tuple_new``
+# (``core._tuple_new``) builds each step as TraceStep's own ``__new__`` does on a full
+# positional call, but with no Python frame.
 _LOOP = {"start": "", "done": "        return True, x, y, n",
          "exhausted": "        return False, x, y, n",
-         "record": "\n    if steps is not None:\n"
-                   "        steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
+         "record": "\n    steps.append(tuple_new(TraceStep, (n, x, y, abs(x - y))))"}
 _LOOP_NAMES = {"TraceStep": TraceStep, "tuple_new": _tuple_new}
 
 
@@ -271,18 +272,18 @@ def _shared(first: str, second: str) -> str:
 def _trace_loop(f1: Callable, f2: Callable, box: bool) -> Callable[..., tuple]:
     """The loop ``f(m1, m2, x0, y0, tol, max_iterations, steps) -> (converged, x, y, n)`` of
     the kernels ``f1`` and ``f2``, spliced as ``_operand_slots`` gives them: with ``box`` it
-    runs only from a start in P. ``compound_trace`` hands it a list that holds the start, and
-    a compound's call from a start outside P hands it None. Generated on first use; the last
-    eight are kept."""
+    runs only from a start in P. ``compound_trace``, its one caller, hands it a list that
+    holds the start, and the loop appends each step. Generated on first use; the last eight
+    are kept."""
     namespace = dict(_LOOP_NAMES)
     return _generated("m1, m2, x0, y0, tol, max_iterations, steps", _COMPOUND.format(
         **_LOOP, **_operand_slots(f1, f2, box, namespace)), namespace, "<trace>")
 
 
 def _compound_kernel(m1: MeanFunction, m2: MeanFunction, dom: Interval, tol: float,
-                     max_iter: int) -> Callable[[float, float], float]:
+                     max_iter: int, box: bool = True) -> Callable[[float, float], float]:
     """The kernel ``fn(x0, y0, *, owner=None)`` of compound(m1, m2) on ``dom``, generated
-    from ``_COMPOUND``.
+    from ``_COMPOUND``; without ``box``, the kernel's checked loop, which reads no ``owner``.
 
     The start becomes a pair of floats, as the checked call makes it. From a start in the
     plain box P that lies in the open interval of ``dom`` too, the loop runs the box forms of
@@ -293,36 +294,34 @@ def _compound_kernel(m1: MeanFunction, m2: MeanFunction, dom: Interval, tol: flo
     start goes to ``outside``. Given ``owner``, the compound that holds the kernel, it returns
     ``MeanFunction.__call__(owner, x0, y0)``: a start outside ``dom`` raises the domain error
     that names ``owner``, one on the diagonal returns x0, and any other calls the kernel
-    again with no owner. With no owner it runs
-    ``_trace_loop`` of the operands' checked blocks, which records nothing; the kernel fetches
-    that loop on its first such start and keeps it. A start that runs out of iterations goes
-    to ``compound_trace``, which raises its ConvergenceError. The kernel declares
-    ``fn.checks = dom``, by which ``CompoundMean`` knows that it runs the checked call.
+    again with no owner. With no owner it runs the checked loop, rendered by this function
+    without ``box`` on the first such start and kept: the operands' checked blocks and A's
+    for the midpoint, under the general stop test, with the probe and both clamps. Either
+    loop hands a start that runs out of iterations to ``compound_trace``, which raises its
+    ConvergenceError. The kernel declares ``fn.checks = dom``, by which ``CompoundMean``
+    knows that it runs the checked call; the checked loop declares None.
     """
-    exhausted = functools.partial(compound_trace, m1, m2, tolerance=tol,
-                                  max_iterations=max_iter, estimate_contraction=False)
-    outside_loop = functools.cache(functools.partial(_trace_loop, m1.fn, m2.fn, False))
+    namespace = {"tol": tol, "max_iterations": max_iter, "m1": m1, "exhausted": functools.partial(
+        compound_trace, m1, m2, tolerance=tol, max_iterations=max_iter, estimate_contraction=False)}
+    start = ""
+    if box:
+        checked = functools.cache(functools.partial(_compound_kernel, m1, m2, dom, tol,
+                                                    max_iter, False))
 
-    def outside(x0: float, y0: float, owner: CompoundMean | None) -> float:
-        if owner is not None:
-            return MeanFunction.__call__(owner, x0, y0)
-        converged, x, y, _ = outside_loop()(m1, m2, x0, y0, tol, max_iter, None)
-        if not converged:
-            exhausted(x0, y0)
-        return _arithmetic_eval(x, y)
+        def outside(x0: float, y0: float, owner: CompoundMean | None) -> float:
+            return checked()(x0, y0) if owner is None else MeanFunction.__call__(owner, x0, y0)
 
-    namespace = {"tol": tol, "max_iterations": max_iter, "exhausted": exhausted, "m1": m1,
-                 "outside": outside, "start_lo": max(_P_LO, dom.lo),
-                 "start_hi": min(_P_HI, dom.hi)}
-    slots = _operand_slots(m1.fn, m2.fn, True, namespace)
-    done, _ = _splice(namespace, _arithmetic_eval, "return ", box=True)
-    body = _COMPOUND.format(
-        start="x0 = float(x0)\ny0 = float(y0)\n"
-              "if not (start_lo < x0 < start_hi and start_lo < y0 < start_hi):\n"
-              "    return outside(x0, y0, owner)\n",
-        done=_indent(done, 8), exhausted="        exhausted(x0, y0)", record="", **slots)
+        namespace.update(outside=outside, start_lo=max(_P_LO, dom.lo),
+                         start_hi=min(_P_HI, dom.hi))
+        start = ("x0 = float(x0)\ny0 = float(y0)\n"
+                 "if not (start_lo < x0 < start_hi and start_lo < y0 < start_hi):\n"
+                 "    return outside(x0, y0, owner)\n")
+    slots = _operand_slots(m1.fn, m2.fn, box, namespace)
+    done, _ = _splice(namespace, _arithmetic_eval, "return ", box=box)
+    body = _COMPOUND.format(start=start, done=_indent(done, 8),
+                            exhausted="        exhausted(x0, y0)", record="", **slots)
     fn = _generated("x0, y0, *, owner=None", body, namespace, "<compound>")
-    fn.checks = dom
+    fn.checks = dom if box else None
     return fn
 
 
@@ -399,8 +398,9 @@ def compound_trace(m1: MeanFunction, m2: MeanFunction, x: float, y: float,
     one place that error is raised, for the compound's call too.
     The iteration runs ``_trace_loop`` of the operands' kernels: from a start
     in the plain box P their box forms, as the compound's kernel does, and from
-    any other start their checked blocks, as the compound's call does. The
-    first trace of a pair of kernels from either kind of start compiles its loop.
+    any other start their checked blocks, as the compound's checked loop does.
+    The first trace of a pair of kernels from either kind of start compiles its
+    loop, and always records every step.
     """
     max_iterations = _check_iteration(tolerance, max_iterations)
     dom = common_domain(m1.domain, m2.domain)

@@ -161,13 +161,46 @@ def _point_argvs():
                 yield ["compound", "--m1", m1, "--m2", m2, "--at", at]
 
 
+def _outside_message(value, lo, hi):
+    """The diagnostic of a point value outside [lo, hi] = [min(x, y), max(x, y)]."""
+    return (f"the value {value} lies outside [min(x, y), max(x, y)] = [{lo}, {hi}], where a "
+            f"mean's values lie, by more than the relative slack 1e-12")
+
+
 def test_every_point_command_answers_with_an_envelope():
-    # a fault at an extreme point is an exit code and a diagnostic, never a traceback
+    # a fault at an extreme point is an exit code and a diagnostic, never a traceback; a value
+    # lies in [min(x, y), max(x, y)] up to the slack of axiom (ii), or carries a diagnostic
+    slack = meanscape.core._BETWEENNESS_SLACK
     for argv in _point_argvs():
         result = cli_run(argv)
         doc = json.loads(result.rendered)
         assert (result.exit_code, doc["status"]) in ((0, "ok"), (1, "error"), (2, "error")), argv
         assert doc["diagnostics"] or result.exit_code == 0, argv
+        if result.status == "ok":
+            (lo, hi), value = sorted(result.payload["at"]), result.payload["value"]
+            assert (lo - slack * abs(lo) <= value <= hi + slack * abs(hi)
+                    or _outside_message(value, lo, hi) in result.diagnostics), argv
+
+
+# a parsed G whose product underflows, a reflection through it, and a logarithmic mean that
+# cancels: each value leaves [min(x, y), max(x, y)], with exit 0
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mean", "sqrt(x*y)", "--at", "1e-200,1e-300"],
+    ["symmetry", "--m0", "G", "--m1", "sqrt(x*y)", "--at", "1e-200,1e-320"],
+    ["eval", "--mean", "(x-y)/(log(x)-log(y))", "--at", "4.489618163283976,4.489618163650204"],
+])
+def test_a_point_value_outside_the_arguments_is_flagged(argv):
+    result = run_ok(argv)
+    (lo, hi), value = sorted(result.payload["at"]), result.payload["value"]
+    assert not lo <= value <= hi
+    assert result.diagnostics == [_outside_message(value, lo, hi)]
+
+
+def test_an_excursion_within_the_slack_is_not_flagged():
+    # H's formula rounds one ulp above both of these adjacent arguments
+    result = run_ok(["eval", "--mean", "H", "--at", "0.7420588876428118,0.7420588876428119"])
+    assert result.payload["value"] > max(result.payload["at"])
+    assert result.diagnostics == []
 
 
 # operands that are not means, at points where their endpoint weights cancel or overflow

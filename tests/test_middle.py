@@ -294,8 +294,9 @@ class TestCompound:
         assert c(1.0, 1e6) == agm(1.0, 1e6)
 
     def test_a_compound_keeps_its_own_loop_from_outside_p(self):
-        # nine compounds, one more than the loops _trace_loop keeps: after its first start
-        # outside P each compound runs its own loop, and nothing is compiled again
+        # nine compounds, one more than the loops _trace_loop keeps: on its first start outside
+        # P each compound compiles its own checked loop, no trace loop, and runs that loop
+        # from then on, so nothing is compiled again
         code = (
             "import sys, meanscape as ms\n"
             "compiled = []\n"
@@ -317,7 +318,7 @@ class TestCompound:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["9 9", "[]"]
+        assert proc.stdout.split("\n")[:2] == ["18 0", "[]"]
 
     def test_building_loads_no_numpy(self):
         # a fresh interpreter: the test session itself has numpy loaded
@@ -1156,18 +1157,23 @@ class TestBoxLoop:
         pairs = _operand_pairs()
         for kind in ("agm", "agm-parsed", "g-inverse", "power-normal"):
             m1, m2 = pairs[kind][1](ms.compound)
+            dom = common_domain(m1.domain, m2.domain)
             with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
                 middle._trace_loop.__wrapped__(m1.fn, m2.fn, False)
-            ((_, body, namespace, _),) = [call.args for call in generate.call_args_list]
-            calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
-            called = {ast.unparse(call.func) for call in calls}
-            # the operands' checked blocks are spliced in: a call is of a namespace value that
-            # carries no block, of a builtin, the step's append, or the NaN probe's m1
-            assert not [f for f in called & namespace.keys()
-                        if hasattr(namespace[f], "inline")], kind
-            assert called - namespace.keys() - {"abs", "max"} == {"steps.append", "m1"}, kind
-            probes = [ast.unparse(c) for c in calls if ast.unparse(c.func) == "m1"]
-            assert probes == ["m1(x, y)"], kind
+                middle._compound_kernel(m1, m2, dom, 1e-13, 200, box=False)
+            loops = [call.args for call in generate.call_args_list]
+            assert [filename for *_, filename in loops] == ["<trace>", "<compound>"], kind
+            # the trace's loop takes m1 as an argument; the compound's checked loop names it
+            for (_, body, namespace, _), free in zip(loops, ({"steps.append", "m1"}, set())):
+                calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
+                called = {ast.unparse(call.func) for call in calls}
+                # the operands' checked blocks are spliced in: a call is of a namespace value
+                # that carries no block, of a builtin, the step's append, or the NaN probe's m1
+                assert not [f for f in called & namespace.keys()
+                            if hasattr(namespace[f], "inline")], kind
+                assert called - namespace.keys() - {"abs", "max"} == free, kind
+                probes = [ast.unparse(c) for c in calls if ast.unparse(c.func) == "m1"]
+                assert probes == ["m1(x, y)"], kind
 
     def test_the_last_eight_pairs_of_kernels_are_kept(self):
         # nine pairs from a start in P: the first pair's loop is dropped and compiled again
@@ -1182,6 +1188,20 @@ class TestBoxLoop:
         # the last pair is still kept
         ms.compound_trace(*pairs[-1], 1.0, 3.0, estimate_contraction=False)
         assert middle._trace_loop.cache_info().misses == misses + 1
+
+    def test_compounds_from_outside_p_keep_the_traced_loops(self):
+        # eight traced pairs fill the kept loops; nine compounds started outside P compile
+        # loops of their own, so the same eight traces compile nothing again
+        means = (ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic())
+        pairs = [(m1, m2) for m1 in means for m2 in means]
+        for m1, m2 in pairs[:8]:
+            ms.compound_trace(m1, m2, 1.0, 3.0, estimate_contraction=False)
+        for m1, m2 in pairs:
+            ms.compound(m1, m2)(1e-200, 3e-200)
+        misses = middle._trace_loop.cache_info().misses
+        for m1, m2 in pairs[:8]:
+            ms.compound_trace(m1, m2, 1.0, 3.0, estimate_contraction=False)
+        assert middle._trace_loop.cache_info().misses == misses
 
     def test_a_kernel_with_no_block_keeps_the_nan_probe(self):
         A = ms.make_arithmetic()
@@ -1280,12 +1300,12 @@ def _near_compound(m1, m2, tol, max_iterations):
     return ms.MeanFunction(f"mid({m1.name},{m2.name})", common_domain(m1.domain, m2.domain), fn)
 
 
-def _loop_outcome(run, m1, m2, x, y, tol, max_iter, record=True):
+def _loop_outcome(run, m1, m2, x, y, tol, max_iter):
     """``_outcome`` of one run of an iteration loop from (x, y), with its steps as a tuple,
-    the start first, where ``record``; without ``record`` the loop is handed no list."""
+    the start first."""
     def loop():
-        steps = [ms.TraceStep(0, x, y, abs(x - y))] if record else None
-        return *run(m1, m2, x, y, tol, max_iter, steps), None if steps is None else tuple(steps)
+        steps = [ms.TraceStep(0, x, y, abs(x - y))]
+        return *run(m1, m2, x, y, tol, max_iter, steps), tuple(steps)
 
     return _outcome(loop)
 
@@ -1361,12 +1381,17 @@ class TestIterationMatchesTheNearLoop:
         anywhere = middle._trace_loop(m1.fn, m2.fn, False)
         recorded = _loop_outcome(anywhere, *args)
         assert recorded == near_loop
-        # handed no list, the loop gives the same pair and count, or raises alike
-        unrecorded = _loop_outcome(anywhere, *args, record=False)
-        if recorded[0] == "value":
-            assert unrecorded == ("value", recorded[1][:4] + (None,))
-        else:
-            assert unrecorded == recorded
+
+        def stopped():  # A's midpoint of the recorded loop's last pair, or its exception
+            converged, xn, yn, _ = anywhere(*args, [])
+            if not converged:
+                ms.compound_trace(*args, estimate_contraction=False)
+            return core._arithmetic_eval(xn, yn)
+
+        # the compound's own checked loop returns that midpoint or raises alike
+        own = middle._compound_kernel(m1, m2, common_domain(m1.domain, m2.domain), tol,
+                                      max_iterations, box=False)
+        assert _outcome(own, x, y) == _outcome(stopped)
         if _in_p(x, y):
             assert _loop_outcome(middle._trace_loop(m1.fn, m2.fn, True), *args) == near_loop
 
