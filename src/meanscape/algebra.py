@@ -33,6 +33,7 @@ from .core import (
     _endpoint_weighted,
     _generated,
     _guarded,
+    _indent,
     _kernel,
     _mul,
     _outside_domain,
@@ -77,7 +78,9 @@ class AsymmetricFunction(_Frozen):
     Fields: ``domain``, ``fn``, ``name="f"``. Calling it checks the point and
     returns 0.0 on the diagonal. ``fn`` keeps the kernel contract of
     ``core.MeanFunction``: Python floats inside ``domain``, never x == y. The
-    combinators call their operands' ``fn``.
+    combinators ``+``, ``-``, unary ``-`` and ``c * f`` build their kernels from blocks that
+    splice their operands' kernels (``_group_kernel``); ``+`` and ``-`` refuse an operand
+    that is not an AsymmetricFunction, so Python raises TypeError.
     """
 
     __slots__ = ("domain", "fn", "name")
@@ -91,26 +94,28 @@ class AsymmetricFunction(_Frozen):
             return 0.0
         return self.fn(x, y)
 
-    def _combine(self, other: "AsymmetricFunction", cx: float, co: float,
-                 name: str) -> "AsymmetricFunction":
+    def _combine(self, other: "AsymmetricFunction", cx: float, co: float, op: str):
+        if not isinstance(other, AsymmetricFunction):
+            return NotImplemented
         dom = common_domain(self.domain, other.domain)
-        f, g = self.fn, other.fn
-        return AsymmetricFunction(dom, lambda x, y: cx * f(x, y) + co * g(x, y), name)
+        fn = _group_kernel("c", ("", "{p}cx * {p}f + {p}co * {p}g", {}),
+                           {"f": self.fn, "g": other.fn}, cx=cx, co=co)
+        return AsymmetricFunction(dom, fn, f"({self.name}{op}{other.name})")
 
     def __add__(self, other: "AsymmetricFunction") -> "AsymmetricFunction":
-        return self._combine(other, 1.0, 1.0, f"({self.name}+{other.name})")
+        return self._combine(other, 1.0, 1.0, "+")
 
     def __sub__(self, other: "AsymmetricFunction") -> "AsymmetricFunction":
-        return self._combine(other, 1.0, -1.0, f"({self.name}-{other.name})")
+        return self._combine(other, 1.0, -1.0, "-")
 
     def __neg__(self) -> "AsymmetricFunction":
-        f = self.fn
-        return AsymmetricFunction(self.domain, lambda x, y: -f(x, y), f"(-{self.name})")
+        fn = _group_kernel("c", ("", "-{p}f", {}), {"f": self.fn})
+        return AsymmetricFunction(self.domain, fn, f"(-{self.name})")
 
     def __rmul__(self, c: float) -> "AsymmetricFunction":
-        f = self.fn
         c = float(c)
-        return AsymmetricFunction(self.domain, lambda x, y: c * f(x, y), f"({c:g}*{self.name})")
+        fn = _group_kernel("c", ("", "{p}c * {p}f", {}), {"f": self.fn}, c=c)
+        return AsymmetricFunction(self.domain, fn, f"({c:g}*{self.name})")
 
 
 class WeightFunction(_Frozen):
@@ -141,48 +146,6 @@ class OrderRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def phi(m: MeanFunction) -> AsymmetricFunction:
-    """Log-ratio transform of a mean into an asymmetric map.
-
-    Off the diagonal the mean axioms make -(M - x)/(M - y) strictly
-    positive; a value of M equal to x or y (or outside [min, max]) is an
-    axiom violation and raises InvalidMeanError. Within a relative band of
-    1e-12 around the diagonal the value 0 is returned without evaluating M.
-    Where the ratio leaves the normal float range, which takes M - x and M - y
-    far apart in scale, the log is log|M - x| - log|M - y|.
-    """
-    kernel = m.fn
-
-    def fn(x: float, y: float) -> float:
-        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
-            return 0.0
-        v = kernel(x, y)
-        p = v - x
-        q = v - y
-        if p == 0.0 or q == 0.0 or (p > 0.0) == (q > 0.0):
-            raise InvalidMeanError(
-                f"{m.name}({x}, {y}) = {v} is not strictly between its arguments")
-        r = -p / q
-        if _MIN_NORMAL <= r < math.inf:
-            return math.log(r)
-        # p and q differ by more than the float range, so the ratio over- or underflowed
-        return math.log(abs(p)) - math.log(abs(q))
-
-    return AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
-
-
-def phi_inverse(f: AsymmetricFunction, name: str | None = None) -> MeanFunction:
-    """Mean with log-ratio transform ``f``.
-
-    The endpoint-weighted form with U = 1 and V = e^f, mirrored where f > 0
-    (x and y swap, f changes sign), so e^f <= 1 and nothing overflows. An e^f
-    that is not a normal float goes in as e^(f/2) squared, which keeps its digits.
-    """
-    kernel = f.fn
-    name = name or f"phi_inv({f.name})"
-    return MeanFunction(name, f.domain, lambda x, y: _log_ratio_value(name, x, y, kernel(x, y)))
-
-
 def _log_ratio_value(name: str, x: float, y: float, v: float) -> float:
     """(x + y e^v) / (1 + e^v), the mean ``name`` whose log weight ratio at (x, y) is v."""
     if v > 0.0:
@@ -194,6 +157,99 @@ def _log_ratio_value(name: str, x: float, y: float, v: float) -> float:
     return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, h, 1.0)
 
 
+# the namespace values that the own blocks of phi, phi_inverse, star and group_symmetry name,
+# with the two that their diagonal band reads
+_HELPERS = dict(isclose=math.isclose, diag_guard=_DIAG_GUARD, log=math.log, inf=_INF,
+                min_normal=_MIN_NORMAL, InvalidMeanError=InvalidMeanError,
+                endpoint_weighted=_endpoint_weighted, log_ratio_value=_log_ratio_value)
+# The near and the far side of the diagonal band of a block that ``_group_kernel`` builds with
+# ``near``: each sets the block's value {p}result. Its test reads ``isclose`` and ``diag_guard``,
+# which the operation's own names bring (``_HELPERS``).
+_NEAR = "if isclose(x, y, rel_tol=diag_guard):\n{near}\nelse:\n{far}\n    {p}result = {result}"
+
+
+def _group_kernel(kind: str, own: tuple, operands: dict, near: Callable | str | None = None,
+                  enclose: Callable = lambda *enclosures: None, **values) -> Callable:
+    """The kernel of a group operation, generated from its statement block (``core._kernel``).
+
+    The block's names carry a prefix ``p`` of ``kind`` (``core._prefix``). The block splices
+    each kernel of ``operands`` (``core._splice``), whose value it keeps as ``{p}<key>``, then
+    runs the operation's own ``(statements, result, names)``: templates over ``{p}``, and the
+    namespace values the templates name. Each of ``values`` is the namespace value
+    ``{p}<key>``, so no constant is written into the source. Given ``near``, the value within
+    the relative band _DIAG_GUARD of the diagonal is instead ``near``'s: A's kernel, spliced,
+    or a template over ``{p}`` that reads a value. The box form splices the operands' box
+    forms. Where every operand's value has an enclosure over the plain box, ``enclose`` maps
+    them to the value's; by default, and elsewhere, it is unknown.
+    """
+    p = _prefix(kind)
+    statements, result = (part.format(p=p) for part in own[:2])
+    forms = []
+    for box in (False, True):
+        namespace = {**own[2], **{p + key: value for key, value in values.items()}}
+        splices, enclosures = zip(*[_splice(namespace, fn, f"{p}{key} = ", box=box)
+                                    for key, fn in operands.items()])
+        block = ("\n".join([*splices, statements]), result, namespace)
+        if near is not None:
+            diag = (_splice(namespace, near, f"{p}result = ", box=box)[0] if callable(near)
+                    else f"{p}result = {near.format(p=p)}")
+            block = (_NEAR.format(near=_indent(diag, 4), far=_indent(block[0], 4), p=p,
+                                  result=result), f"{p}result", namespace)
+        forms.append(block)
+    return _kernel(*forms, None if None in enclosures else enclose(*enclosures), "<algebra>")
+
+
+# phi's own block, from the value {p}v of M at (x, y): M - x and M - y, which must have
+# opposite signs, their ratio, and its log, or the difference of the logs where the ratio
+# leaves the normal floats
+_PHI = ("""\
+{p}p = {p}v - x
+{p}q = {p}v - y
+if {p}p == 0.0 or {p}q == 0.0 or ({p}p > 0.0) == ({p}q > 0.0):
+    raise InvalidMeanError(f'{{{p}name}}({{x}}, {{y}}) = {{{p}v}} is not strictly between '
+                           'its arguments')
+{p}r = -{p}p / {p}q""",
+        "log({p}r) if min_normal <= {p}r < inf else log(abs({p}p)) - log(abs({p}q))", _HELPERS)
+
+
+def phi(m: MeanFunction) -> AsymmetricFunction:
+    """Log-ratio transform of a mean into an asymmetric map.
+
+    Off the diagonal the mean axioms make -(M - x)/(M - y) strictly
+    positive; a value of M equal to x or y (or outside [min, max]) is an
+    axiom violation and raises InvalidMeanError. Within a relative band of
+    1e-12 around the diagonal the value 0 is returned without evaluating M.
+    Where the ratio leaves the normal float range, which takes M - x and M - y
+    far apart in scale, the log is log|M - x| - log|M - y|. The kernel's block
+    splices M's kernel (``_group_kernel``).
+    """
+    fn = _group_kernel("h", _PHI, {"v": m.fn}, near="{p}zero", name=m.name, zero=0.0)
+    return AsymmetricFunction(m.domain, fn, name=f"phi({m.name})")
+
+
+def phi_inverse(f: AsymmetricFunction, name: str | None = None) -> MeanFunction:
+    """Mean with log-ratio transform ``f``.
+
+    The endpoint-weighted form with U = 1 and V = e^f, mirrored where f > 0
+    (x and y swap, f changes sign), so e^f <= 1 and nothing overflows. An e^f
+    that is not a normal float goes in as e^(f/2) squared, which keeps its digits.
+    The kernel's block splices f's kernel (``_group_kernel``).
+    """
+    name = name or f"phi_inv({f.name})"
+    own = ("", "log_ratio_value({p}name, x, y, {p}f)", _HELPERS)
+    return MeanFunction(name, f.domain, _group_kernel("r", own, {"f": f.fn}, name=name))
+
+
+def _pair_mean(name: str, m1: MeanFunction, m2: MeanFunction, factors: str) -> MeanFunction:
+    """The mean ``name`` on the common domain of ``m1`` and ``m2`` whose block splices both
+    kernels, their values {p}a and {p}b, and passes ``factors``, the three factors of each
+    weight U and V, to one call of the endpoint-weighted form; A's value in the diagonal band
+    (``_group_kernel``). The form of ``star`` and ``group_symmetry``."""
+    own = ("", f"endpoint_weighted({{p}}name, x, y, {factors})", _HELPERS)
+    fn = _group_kernel("s", own, {"a": m1.fn, "b": m2.fn}, near=_arithmetic_eval, name=name)
+    return MeanFunction(name, common_domain(m1.domain, m2.domain), fn)
+
+
 def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
     """Group law on means: phi_inverse(phi(m1) + phi(m2)).
 
@@ -202,26 +258,16 @@ def star(m1: MeanFunction, m2: MeanFunction) -> MeanFunction:
         U = (M1-y)(M2-y),   V = (M1-x)(M2-x),
 
     which are both positive off the diagonal, so no cancellation occurs.
-    Both operands are evaluated once per point.
+    Both operands are evaluated once per point, by their blocks (``_pair_mean``).
     """
-    dom = common_domain(m1.domain, m2.domain)
-    f1, f2 = m1.fn, m2.fn
-    name = f"({m1.name}*{m2.name})"
-
-    def fn(x: float, y: float) -> float:
-        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
-            return _arithmetic_eval(x, y)
-        a = f1(x, y)
-        b = f2(x, y)
-        return _endpoint_weighted(name, x, y, a - y, b - y, 1.0, a - x, b - x, 1.0)
-
-    return MeanFunction(name, dom, fn)
+    return _pair_mean(f"({m1.name}*{m2.name})", m1, m2,
+                      "{p}a - y, {p}b - y, 1.0, {p}a - x, {p}b - x, 1.0")
 
 
 # x + (y - M) or y + (x - M), whichever adds the difference of at most |x - y| / 2, from the
 # value {p}value of M at (x, y): the statements and the result of group_inverse's block
 _INVERSE = ("{p}d = y - {p}value\n{p}e = x - {p}value",
-            "x + {p}d if abs({p}d) <= abs({p}e) else y + {p}e")
+            "x + {p}d if abs({p}d) <= abs({p}e) else y + {p}e", {})
 
 
 def group_inverse(m: MeanFunction) -> MeanFunction:
@@ -229,19 +275,12 @@ def group_inverse(m: MeanFunction) -> MeanFunction:
 
     Evaluated as x + (y - M) or y + (x - M), whichever adds the difference of at
     most |x - y| / 2: it overflows nowhere and cancels nowhere near an endpoint.
-    The kernel's block splices ``m``'s kernel (``core._splice``), then forms that sum;
-    its box form splices ``m``'s box form, and checks nothing of its own.
+    The kernel's block splices ``m``'s kernel (``_group_kernel``), then forms that sum;
+    its box form splices ``m``'s box form, and checks nothing of its own. Both sums lie
+    in x + y - M, which gives its enclosure over the plain box from ``m``'s.
     """
-    p = _prefix("i")
-    own, result = (part.format(p=p) for part in _INVERSE)
-    forms = []
-    for box in (False, True):
-        namespace: dict = {}
-        value, enclosure = _splice(namespace, m.fn, f"{p}value = ", box=box)
-        forms.append((f"{value}\n{own}", result, namespace))
-    if enclosure is not None:  # both sums lie in x + y - M
-        enclosure = _add(_BOX, _sub(_BOX, enclosure))
-    return MeanFunction(f"(2A-{m.name})", m.domain, _kernel(*forms, enclosure, "<algebra>"))
+    fn = _group_kernel("i", _INVERSE, {"value": m.fn}, enclose=lambda e: _add(_BOX, _sub(_BOX, e)))
+    return MeanFunction(f"(2A-{m.name})", m.domain, fn)
 
 
 def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
@@ -254,20 +293,10 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
     which have the same sign off the diagonal, so no cancellation occurs.
     With m0 = A, G or H it reduces to x + y - M, xy/M and
     xyM/((x+y)M - xy). Where |x - y| is within 1e-12 of max(|x|, |y|) the
-    midpoint is returned.
+    midpoint is returned. Both operands are evaluated by their blocks (``_pair_mean``).
     """
-    dom = common_domain(m0.domain, m1.domain)
-    f0, f1 = m0.fn, m1.fn
-    name = f"S[{m0.name}]({m1.name})"
-
-    def fn(x: float, y: float) -> float:
-        if math.isclose(x, y, rel_tol=_DIAG_GUARD):
-            return _arithmetic_eval(x, y)
-        v0 = f0(x, y)
-        v1 = f1(x, y)
-        return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
-
-    return MeanFunction(name, dom, fn)
+    return _pair_mean(f"S[{m0.name}]({m1.name})", m0, m1,
+                      "{p}a - y, {p}a - y, {p}b - x, {p}a - x, {p}a - x, y - {p}b")
 
 
 # (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the

@@ -453,10 +453,10 @@ class MeanFunction(_Frozen):
     - ``fn`` is only called with Python floats inside ``domain`` and, for the
       two-variable types, never with x == y. It returns a float.
     - A composite (compound, ``star``, ``group_symmetry``, ``group_inverse``,
-      ``phi``, ``phi_inverse``, a normal mean) runs only at points its own
-      check has passed, and runs its operands' kernels there, by a call or by
-      their blocks (below). That relies on ``common_domain`` keeping the
-      composite's domain inside each operand's.
+      ``phi``, ``phi_inverse``, a combinator of asymmetric maps, a normal mean)
+      runs only at points its own check has passed, and runs its operands'
+      kernels there, by a call or by their blocks (below). That relies on
+      ``common_domain`` keeping the composite's domain inside each operand's.
     - The sampled entry points (the grids of ``metric``, ``verify_axioms``,
       ``algebra.compare_normal``, ``middle.coincidence_probe``) run
       ``check_window`` once and then call kernels, at points of the closed
@@ -468,13 +468,17 @@ class MeanFunction(_Frozen):
       t == a, as the checked call would.
     - A parsed expression's ``A``, ``G``, ``H`` or ``AGM`` atom calls the
       checked built-in, whose domain the parsed mean's need not lie in.
-    - The kernels of the built-in A, G and H, of ``group_inverse``, of a normal
-      mean and of a parsed mean or weight are generated from their statement
-      block (``_kernel``) and carry it, with its box form, as ``fn.inline``.
-      ``group_inverse``, a normal mean and ``middle.compound`` splice their
-      operands' blocks in place of a call, or one call of a kernel that carries
-      none (``_splice``); a compound splices their box forms, which run only from
-      a start in the plain box. A parsed block raises its own EvaluationError.
+    - The kernels of the built-in A, G and H, of the group layer (``phi``,
+      ``phi_inverse``, ``star``, ``group_inverse``, ``group_symmetry`` and the
+      combinators, all built by ``algebra._group_kernel``), of a normal mean and
+      of a parsed mean or weight are generated from their statement block
+      (``_kernel``) and carry it, with its box form, as ``fn.inline``. Only
+      ``algebra.random_normal_mean``'s kernel, a compound's and a hand-written
+      function carry none. The group layer, a normal mean and ``middle.compound``
+      splice their operands' blocks in place of a call, or one call of a kernel
+      that carries none (``_splice``). A box form splices its operands' box
+      forms, and only a compound runs box forms, from a start in the plain box
+      P. A parsed block raises its own EvaluationError.
     - ``replace`` changes names and flags only: it refuses a new ``fn`` or
       ``domain``, so no copy calls a kernel outside the domain it was built for.
 

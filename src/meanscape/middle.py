@@ -185,7 +185,7 @@ class CompoundMean(MeanFunction):
 # makes the gap NaN, which stops neither form; it survives the clamp, and {probe} hands it to
 # the checked ``m1``, which raises its DomainError. A loop in P leaves the probe out where both
 # operands splice a block with an enclosure: such a block returns no NaN there, and only a
-# kernel with no block may.
+# kernel with no enclosure may.
 # The other slots: {start} opens the function, {floor} sets the floor the stop test reads,
 # {done} ends the function at a pair that stops, and {exhausted} once max_iterations steps are
 # taken; {first} and {second} set nx and ny from the iterates x and y, and {record} follows

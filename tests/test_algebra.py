@@ -1,4 +1,6 @@
+import ast
 import math
+import random
 import sys
 
 import mpmath
@@ -773,7 +775,7 @@ def _checked_star(m1, m2):
         a, b = m1(x, y), m2(x, y)
         return _endpoint_weighted(name, x, y, a - y, b - y, 1.0, a - x, b - x, 1.0)
 
-    return ms.MeanFunction("star", common_domain(m1.domain, m2.domain), fn)
+    return ms.MeanFunction(name, common_domain(m1.domain, m2.domain), fn)
 
 
 def _checked_group_symmetry(m0, m1):
@@ -785,7 +787,7 @@ def _checked_group_symmetry(m0, m1):
         v0, v1 = m0(x, y), m1(x, y)
         return _endpoint_weighted(name, x, y, v0 - y, v0 - y, v1 - x, v0 - x, v0 - x, y - v1)
 
-    return ms.MeanFunction("S", common_domain(m0.domain, m1.domain), fn)
+    return ms.MeanFunction(name, common_domain(m0.domain, m1.domain), fn)
 
 
 def _checked_group_inverse(m):
@@ -867,12 +869,32 @@ def _outcome(m, x, y):
 
 def _composite_pairs(family):
     """(kernel form, checked form) of each composite, on the built-ins, seeded normal
-    means, a parsed power mean and a weight that is not positive everywhere."""
+    means, a parsed power mean and a weight that is not positive everywhere; on operands
+    whose kernels carry no block, a compound, a random normal mean and ``min``, whose phi
+    raises InvalidMeanError; and nested composites. The checked star and reflection carry
+    their composite's name, which a nested composite's fault message shows."""
     A, G, H, N0, N1, N2 = family
     power = ms.mean_from_source("((x^1.778+y^1.778)/2)^(1/1.778)").mean
     weight = ms.weight_from_source("t^(0.371)*(1+t)^(0.471)")
     signed = ms.WeightFunction(ms.ALL_REALS, lambda t: t, "t")
+    agm, drawn = ms.compound(A, G), ms.random_normal_mean(random.Random(3))
+    lower = ms.MeanFunction("mn", ms.POSITIVE_REALS, min)
     return [
+        (ms.star(agm, H), _checked_star(agm, H)),
+        (ms.group_symmetry(drawn, power), _checked_group_symmetry(drawn, power)),
+        (ms.group_inverse(agm), _checked_group_inverse(agm)),
+        (ms.star(lower, G), _checked_star(lower, G)),
+        (ms.phi_inverse(ms.phi(lower), "L"), _checked_phi_inverse(_checked_phi(lower), "L")),
+        (ms.phi_inverse(ms.phi(drawn) + ms.phi(agm), "C"),
+         _checked_phi_inverse(_checked_combine(_checked_phi(drawn), _checked_phi(agm),
+                                               1.0, 1.0), "C")),
+        (ms.phi_inverse(ms.phi(ms.star(G, power)), "F"),
+         _checked_phi_inverse(_checked_phi(_checked_star(G, power)), "F")),
+        (ms.star(ms.group_symmetry(G, H), N0),
+         _checked_star(_checked_group_symmetry(G, H), N0)),
+        (ms.phi_inverse(ms.phi(G) - ms.phi(N1), "D"),
+         _checked_phi_inverse(_checked_combine(_checked_phi(G), _checked_phi(N1),
+                                               1.0, -1.0), "D")),
         (ms.star(G, N0), _checked_star(G, N0)),
         (ms.star(power, H), _checked_star(power, H)),
         (ms.star(A, ms.star(N1, G)), _checked_star(A, _checked_star(N1, G))),
@@ -903,3 +925,65 @@ class TestKernelCompositesMatchCheckedForms:
             slow = slow.replace(name=fast.name)
             assert _outcome(fast, x, y) == _outcome(slow, x, y)
             assert _outcome(fast, y, x) == _outcome(slow, y, x)
+
+
+class TestGroupLayerIsBuiltFromBlocks:
+    @staticmethod
+    def _constructed(family):
+        """The kernel of each algebra constructor, by name, on blocks and on a compound."""
+        A, G, H, N0, *_ = family
+        agm = ms.compound(A, G)
+        f = ms.phi(G)
+        return {
+            "phi": f.fn, "phi_inverse": ms.phi_inverse(f).fn, "star": ms.star(G, agm).fn,
+            "group_inverse": ms.group_inverse(agm).fn,
+            "group_symmetry": ms.group_symmetry(agm, H).fn,
+            "normal": ms.make_normal_mean(ms.WeightFunction(ms.POSITIVE_REALS, math.sqrt)).fn,
+            "+": (f + ms.phi(agm)).fn, "-": (f - ms.phi(N0)).fn, "neg": (-f).fn,
+            "scale": (0.5 * f).fn,
+        }
+
+    def test_every_kernel_but_the_random_normal_means_carries_its_block(self, mean_family):
+        for name, fn in self._constructed(mean_family).items():
+            # generated from its block, no closure of the module
+            assert fn.__code__.co_filename == "<algebra>", name
+            block, box, _ = fn.inline
+            assert len(block) == len(box) == 3, name
+        assert not hasattr(ms.random_normal_mean(random.Random(3)).fn, "inline")
+
+    def test_only_the_inverse_keeps_an_enclosure_in_the_group_layer(self, mean_family):
+        G = mean_family[1]
+        assert ms.group_inverse(G).fn.inline[2] is not None
+        assert ms.group_inverse(ms.compound(mean_family[0], G)).fn.inline[2] is None
+        for name, fn in self._constructed(mean_family).items():
+            if name not in ("group_inverse", "normal"):
+                assert fn.inline[2] is None, name
+
+    def test_a_composite_splices_its_operands_and_calls_a_kernel_with_no_block(self):
+        G, H = ms.make_geometric(), ms.make_harmonic()
+        agm = ms.compound(ms.make_arithmetic(), G)
+        for form in ms.star(ms.star(G, H), agm).fn.inline[:2]:
+            statements, result, namespace = form
+            calls = [n for n in ast.walk(ast.parse(f"{statements}\n{result}"))
+                     if isinstance(n, ast.Call)]
+            called = {ast.unparse(call.func) for call in calls} & namespace.keys()
+            # the compound is called, and every kernel that has a block runs as statements
+            assert [name for name in called if hasattr(namespace[name], "inline")] == []
+            assert [name for name in called if namespace[name] is agm.fn] != []
+            assert "sqrt(x * y)" in statements and "2.0 * x * y / (x + y)" in statements
+
+    def test_constants_are_namespace_values(self):
+        f = ms.phi(ms.make_geometric())
+        for g, constant in ((0.37 * f, 0.37), (f - f, -1.0)):
+            assert constant not in g.fn.__code__.co_consts
+            assert constant in g.fn.inline[0][2].values()
+
+    @pytest.mark.parametrize("operand", [ms.make_geometric(), 1, 2.5, None])
+    def test_combinators_refuse_an_operand_that_is_not_asymmetric(self, operand):
+        f = ms.phi(ms.make_harmonic())
+        with pytest.raises(TypeError):
+            f + operand
+        with pytest.raises(TypeError):
+            f - operand
+        assert f._combine(operand, 1.0, 1.0, "+") is NotImplemented
+

@@ -1175,6 +1175,25 @@ class TestBoxLoop:
                 probes = [ast.unparse(c) for c in calls if ast.unparse(c.func) == "m1"]
                 assert probes == ["m1(x, y)"], kind
 
+    @given(st.floats(min_value=2.0 ** -499, max_value=2.0 ** 499),
+           st.floats(min_value=2.0 ** -499, max_value=2.0 ** 499))
+    def test_a_group_composite_runs_spliced_in_the_box_loop(self, x, y):
+        A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
+        m1 = ms.star(G, H)
+        with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+            c = ms.compound(m1, A)
+        (body, namespace), = [call.args[1:3] for call in generate.call_args_list
+                              if call.args[3] == "<compound>"]
+        # star's block, and G's, H's and A's in it, run as statements: a call is of a
+        # helper, never of a kernel that has a block
+        calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
+        called = {ast.unparse(call.func) for call in calls} & namespace.keys()
+        assert not [f for f in called if hasattr(namespace[f], "inline")]
+        assert {"endpoint_weighted", "isclose"} <= called
+        # far apart the iteration may run out of steps: both raise the same error then
+        assert _outcome(c, x, y) == _outcome(
+            lambda: ms.compound_trace(m1, A, x, y, estimate_contraction=False).limit)
+
     def test_the_last_eight_pairs_of_kernels_are_kept(self):
         # nine pairs from a start in P: the first pair's loop is dropped and compiled again
         means = (ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic())
