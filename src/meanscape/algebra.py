@@ -19,7 +19,6 @@ functions, together with the weight-ratio comparison test.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Callable
 
@@ -31,7 +30,6 @@ from .core import (
     _add,
     _arithmetic_eval,
     _endpoint_weighted,
-    _generated,
     _guarded,
     _indent,
     _kernel,
@@ -41,6 +39,7 @@ from .core import (
     _prefix,
     _splice,
     _sub,
+    ALL_REALS,
     DomainError,
     Interval,
     InvalidMeanError,
@@ -49,7 +48,6 @@ from .core import (
     POSITIVE_REALS,
     check_window,
     common_domain,
-    make_arithmetic,
 )
 
 __all__ = [
@@ -299,23 +297,14 @@ def group_symmetry(m0: MeanFunction, m1: MeanFunction) -> MeanFunction:
                       "{p}a - y, {p}a - y, {p}b - x, {p}a - x, {p}a - x, y - {p}b")
 
 
-# (x {px} + y {py}) / ({px} + {py}) for the positive finite weights {px} and {py} of the
-# mean {name}: the statement that sets the numerator {num}, then ``core._guarded``'s parts of
-# the value, the plain formula where {num} is a normal float and else the endpoint-weighted
-# form with U = {px}, V = {py}
-_WEIGHTED = ("{num} = x * {px} + y * {py}", "{num} / ({px} + {py})",
-             "min_normal <= {num} < inf or -inf < {num} <= -min_normal",
-             "endpoint_weighted({name}, x, y, {px}, 1.0, 1.0, {py}, 1.0, 1.0)")
+# (x {q}px + y {q}py) / ({q}px + {q}py) for the positive finite weights {q}px and {q}py of the
+# mean {q}name: the statement that sets the numerator {q}num, then ``core._guarded``'s parts of
+# the value, the plain formula where {q}num is a normal float and else the endpoint-weighted
+# form with U = {q}px, V = {q}py
+_WEIGHTED = ("{q}num = x * {q}px + y * {q}py", "{q}num / ({q}px + {q}py)",
+             "min_normal <= {q}num < inf or -inf < {q}num <= -min_normal",
+             "endpoint_weighted({q}name, x, y, {q}px, 1.0, 1.0, {q}py, 1.0, 1.0)")
 _WEIGHTED_NAMES = {"min_normal": _MIN_NORMAL, "inf": _INF, "endpoint_weighted": _endpoint_weighted}
-
-
-@functools.cache
-def _weighted_value() -> Callable[[str, float, float, float, float], float]:
-    """``_WEIGHTED`` as ``fn(name, x, y, px, py)``, generated on first use."""
-    numerator, *value = (part.format(num="num", px="px", py="py", name="name")
-                         for part in _WEIGHTED)
-    return _generated("name, x, y, px, py", f"{numerator}\nreturn {_guarded(*value)}",
-                      _WEIGHTED_NAMES, "<algebra>")
 
 
 # the statements of a normal mean's block: {px} and {py} splice the weight's kernel at
@@ -340,8 +329,7 @@ def make_normal_mean(p: WeightFunction, name: str | None = None) -> MeanFunction
     """
     name = name or f"normal({p.name})"
     q = _prefix("n")
-    numerator, *value = (part.format(num=f"{q}num", px=f"{q}px", py=f"{q}py", name=f"{q}name")
-                         for part in _WEIGHTED)
+    numerator, *value = (part.format(q=q) for part in _WEIGHTED)
     forms = []
     for box in (False, True):
         namespace = {**_WEIGHTED_NAMES, "InvalidMeanError": InvalidMeanError,
@@ -360,6 +348,22 @@ def make_normal_mean(p: WeightFunction, name: str | None = None) -> MeanFunction
     return MeanFunction(name, p.domain, _kernel(*forms, _outward(*_BOX), "<algebra>"))
 
 
+# the block of a random normal mean, weight t^{q}a (1+t)^{q}b: its weights at x and at y, then
+# where both are normal floats _WEIGHTED's {numerator} and {value}, and elsewhere the log ratio's
+_RANDOM = """\
+try:
+    {q}px = x ** {q}a * (1.0 + x) ** {q}b
+    {q}py = y ** {q}a * (1.0 + y) ** {q}b
+except OverflowError:  # a subnormal point to a power near -1
+    {q}px = {q}py = inf
+if min_normal <= {q}px < inf and min_normal <= {q}py < inf:
+    {numerator}
+    {q}value = {value}
+else:  # a weight past the normal floats: the log of P(y)/P(x) stays in range
+    {q}value = log_ratio_value({q}name, x, y, {q}a * (log(y) - log(x))
+                               + {q}b * (log1p(y) - log1p(x)))"""
+
+
 def random_normal_mean(rng, name: str | None = None) -> MeanFunction:
     """A seeded random normal mean on (0, inf), weight t^a (1+t)^b.
 
@@ -367,26 +371,18 @@ def random_normal_mean(rng, name: str | None = None) -> MeanFunction:
     one under- or overflows, at either end of the float range, the value comes from
     the log ratio a (log y - log x) + b (log1p y - log1p x), as ``phi_inverse`` takes it.
     ``rng`` is any generator with ``uniform(low, high)``; ``coincidence_probe`` passes
-    ``core._seeded(seed)``, a ``random.Random``.
+    ``core._seeded(seed)``, a ``random.Random``. The kernel is generated from its block
+    (``core._kernel``), which a composite splices; a, b and the name are namespace values.
+    The block is its own box form, and its value has no enclosure.
     """
     a = float(rng.uniform(-1.0, 1.0))
     b = float(rng.uniform(-1.0, 1.0))
     name = name or f"N[{a:.3f},{b:.3f}]"
-    weighted = _weighted_value()
-
-    def fn(x: float, y: float) -> float:
-        try:
-            px = x ** a * (1.0 + x) ** b
-            py = y ** a * (1.0 + y) ** b
-        except OverflowError:  # a subnormal point to a power near -1
-            px = py = _INF
-        if _MIN_NORMAL <= px < _INF and _MIN_NORMAL <= py < _INF:
-            return weighted(name, x, y, px, py)
-        # a weight past the normal floats: the log of P(y)/P(x) stays in range
-        f = a * (math.log(y) - math.log(x)) + b * (math.log1p(y) - math.log1p(x))
-        return _log_ratio_value(name, x, y, f)
-
-    return MeanFunction(name, POSITIVE_REALS, fn)
+    q = _prefix("n")
+    numerator, *value = (part.format(q=q) for part in _WEIGHTED)
+    block = (_RANDOM.format(q=q, numerator=numerator, value=_guarded(*value)), f"{q}value",
+             {**_HELPERS, "log1p": math.log1p, f"{q}a": a, f"{q}b": b, f"{q}name": name})
+    return MeanFunction(name, POSITIVE_REALS, _kernel(block, block, None, "<algebra>"))
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -466,5 +462,5 @@ def classify_vs_arithmetic(p: WeightFunction, window: Interval,
     against the weight 1: a decreasing p gives a strictly sub-arithmetic
     mean, an increasing p a strictly super-arithmetic one.
     """
-    one = WeightFunction(make_arithmetic().domain, lambda t: 1.0, name="1")
+    one = WeightFunction(ALL_REALS, lambda t: 1.0, name="1")
     return compare_normal(p, one, window, samples)

@@ -160,7 +160,7 @@ class _Frozen:
         return _rebuilt, (type(self), dict(zip(self._fields, self._values())))
 
     def __repr__(self) -> str:
-        # a kernel is a closure and prints no value, so ``fn`` is left out
+        # a kernel is a function and prints no value, so ``fn`` is left out
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if f != "fn")
         return f"{type(self).__name__}({fields})"
 
@@ -470,15 +470,15 @@ class MeanFunction(_Frozen):
       checked built-in, whose domain the parsed mean's need not lie in.
     - The kernels of the built-in A, G and H, of the group layer (``phi``,
       ``phi_inverse``, ``star``, ``group_inverse``, ``group_symmetry`` and the
-      combinators, all built by ``algebra._group_kernel``), of a normal mean and
-      of a parsed mean or weight are generated from their statement block
-      (``_kernel``) and carry it, with its box form, as ``fn.inline``. Only
-      ``algebra.random_normal_mean``'s kernel, a compound's and a hand-written
-      function carry none. The group layer, a normal mean and ``middle.compound``
-      splice their operands' blocks in place of a call, or one call of a kernel
-      that carries none (``_splice``). A box form splices its operands' box
-      forms, and only a compound runs box forms, from a start in the plain box
-      P. A parsed block raises its own EvaluationError.
+      combinators, all built by ``algebra._group_kernel``), of a normal mean
+      (``make_normal_mean`` and ``random_normal_mean``) and of a parsed mean or
+      weight are generated from their statement block (``_kernel``) and carry
+      it, with its box form, as ``fn.inline``. Only a compound's kernel and a
+      hand-written function carry none. The group layer, a normal mean and
+      ``middle.compound`` splice their operands' blocks in place of a call, or
+      one call of a kernel that carries none (``_splice``). A box form splices
+      its operands' box forms, and only a compound runs box forms, from a start
+      in the plain box P. A parsed block raises its own EvaluationError.
     - ``replace`` changes names and flags only: it refuses a new ``fn`` or
       ``domain``, so no copy calls a kernel outside the domain it was built for.
 

@@ -393,6 +393,11 @@ class TestReflectionOracle:
 _PROBE_EXPONENTS = (0.1462613138950113, 0.056982290340405584)
 
 
+# points near the ends of the float range, where a weight t^a (1+t)^b may leave the normal floats
+_FLOAT_ENDS = [(1e300, 1.7e308), (1.6e308, 1.79e308), (1e-300, 1e300), (5e-324, 1e-300),
+               (3e-320, 1e-310), (2.0, 1.7e308), (1e-310, 0.5)]
+
+
 class _Drawn:
     """A stand-in generator whose ``uniform`` returns the given values in turn."""
 
@@ -568,8 +573,7 @@ class TestNormalMeans:
         rng = core._seeded(seed) if seed is not None else _Drawn(-0.99, 0.5)
         a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         m = ms.random_normal_mean(_Drawn(a, b))
-        for x, y in [(1e300, 1.7e308), (1.6e308, 1.79e308), (1e-300, 1e300), (5e-324, 1e-300),
-                     (3e-320, 1e-310), (2.0, 1.7e308), (1e-310, 0.5)]:
+        for x, y in _FLOAT_ENDS:
             with mpmath.workdps(60):
                 px, py = (mpmath.mpf(t) ** a * (1 + mpmath.mpf(t)) ** b for t in (x, y))
                 exact = float((x * px + y * py) / (px + py))
@@ -846,6 +850,33 @@ def _checked_normal(p):
     return ms.MeanFunction("normal", p.domain, fn)
 
 
+def _checked_random_normal_mean(a, b, name):
+    """random_normal_mean's kernel as the closure it was before it was a block, with the
+    normal mean's formula and the log ratio's written out."""
+    least = sys.float_info.min
+
+    def fn(x, y):
+        try:
+            px = x ** a * (1.0 + x) ** b
+            py = y ** a * (1.0 + y) ** b
+        except OverflowError:  # a subnormal point to a power near -1
+            px = py = math.inf
+        if least <= px < math.inf and least <= py < math.inf:
+            num = x * px + y * py
+            if least <= abs(num) < math.inf:
+                return num / (px + py)
+            return _endpoint_weighted(name, x, y, px, 1.0, 1.0, py, 1.0, 1.0)
+        v = a * (math.log(y) - math.log(x)) + b * (math.log1p(y) - math.log1p(x))
+        if v > 0.0:  # mirrored, so that e <= 1
+            x, y, v = y, x, -v
+        e, h = math.exp(v), 1.0
+        if e < least:  # e lost digits to underflow: V is h squared
+            e = h = math.exp(0.5 * v)
+        return _endpoint_weighted(name, x, y, 1.0, 1.0, 1.0, e, h, 1.0)
+
+    return fn
+
+
 def _checked_combine(f, g, cx, co):
     return ms.AsymmetricFunction(common_domain(f.domain, g.domain),
                                  lambda x, y: cx * f(x, y) + co * g(x, y))
@@ -927,10 +958,49 @@ class TestKernelCompositesMatchCheckedForms:
             assert _outcome(fast, y, x) == _outcome(slow, y, x)
 
 
+# the draws of random normal means whose kernels are held to the closure: seeded draws, one
+# whose weight raises OverflowError at 5e-324, and a numpy generator
+_RANDOM_DRAWS = [*(lambda seed=seed: core._seeded(seed) for seed in range(12)),
+                 lambda: _Drawn(-0.99, 0.5), lambda: np.random.default_rng(7)]
+
+
+def _random_mean_points(a, rng):
+    """Points for the weight t^a (1+t)^b: the ends of the float range, both ways round; pairs
+    with a term x P(x) subnormal, drawn from x P(x) ~ x^(1 + a) for tiny x, the other term
+    normal or subnormal too; adjacent floats; and pairs log-uniform on [1e-300, 1e300]."""
+    points = _FLOAT_ENDS + [(y, x) for x, y in _FLOAT_ENDS]
+    for _ in range(300):
+        term, other = (sys.float_info.min * rng.uniform(*span)
+                       for span in ((2.0 ** -50, 1.0), (2.0 ** -8, 8.0)))
+        x, y = (math.exp(math.log(t) / (1.0 + a)) for t in (term, other))
+        points += [(x, y), (y, x)] if 0.0 < x < y else []
+    for _ in range(300):
+        x = 10.0 ** rng.uniform(-300.0, 300.0)
+        points += [(x, math.nextafter(x, math.inf)), (10.0 ** rng.uniform(-300.0, 300.0), x)]
+    return points
+
+
+class TestRandomNormalMeanMatchesItsClosure:
+    @pytest.mark.parametrize("draw", range(len(_RANDOM_DRAWS)))
+    def test_values_and_exceptions_bit_for_bit(self, draw):
+        m, twin = ms.random_normal_mean(_RANDOM_DRAWS[draw]()), _RANDOM_DRAWS[draw]()
+        a, b = float(twin.uniform(-1.0, 1.0)), float(twin.uniform(-1.0, 1.0))
+        assert m.name == f"N[{a:.3f},{b:.3f}]"
+        closure = _checked_random_normal_mean(a, b, m.name)
+        points = _random_mean_points(a, random.Random(draw))
+        for x, y in points:
+            assert _outcome(m.fn, x, y) == _outcome(closure, x, y), (x, y)
+        if a > 0.0:  # then a term x P(x) ~ x^(1 + a) is subnormal at points with a normal sum
+            terms = [(x * x ** a * (1.0 + x) ** b, y * y ** a * (1.0 + y) ** b)
+                     for x, y in points]
+            assert any(min(t) < sys.float_info.min <= sum(t) < math.inf for t in terms)
+
+
 class TestGroupLayerIsBuiltFromBlocks:
     @staticmethod
     def _constructed(family):
-        """The kernel of each algebra constructor, by name, on blocks and on a compound."""
+        """The kernel of each algebra constructor, by name, on blocks and on a compound, and a
+        random normal mean's."""
         A, G, H, N0, *_ = family
         agm = ms.compound(A, G)
         f = ms.phi(G)
@@ -940,16 +1010,15 @@ class TestGroupLayerIsBuiltFromBlocks:
             "group_symmetry": ms.group_symmetry(agm, H).fn,
             "normal": ms.make_normal_mean(ms.WeightFunction(ms.POSITIVE_REALS, math.sqrt)).fn,
             "+": (f + ms.phi(agm)).fn, "-": (f - ms.phi(N0)).fn, "neg": (-f).fn,
-            "scale": (0.5 * f).fn,
+            "scale": (0.5 * f).fn, "random": ms.random_normal_mean(random.Random(3)).fn,
         }
 
-    def test_every_kernel_but_the_random_normal_means_carries_its_block(self, mean_family):
+    def test_every_kernel_carries_its_block(self, mean_family):
         for name, fn in self._constructed(mean_family).items():
             # generated from its block, no closure of the module
             assert fn.__code__.co_filename == "<algebra>", name
             block, box, _ = fn.inline
             assert len(block) == len(box) == 3, name
-        assert not hasattr(ms.random_normal_mean(random.Random(3)).fn, "inline")
 
     def test_only_the_inverse_keeps_an_enclosure_in_the_group_layer(self, mean_family):
         G = mean_family[1]

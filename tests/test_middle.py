@@ -3,6 +3,7 @@ import functools
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -1179,20 +1180,23 @@ class TestBoxLoop:
            st.floats(min_value=2.0 ** -499, max_value=2.0 ** 499))
     def test_a_group_composite_runs_spliced_in_the_box_loop(self, x, y):
         A, G, H = ms.make_arithmetic(), ms.make_geometric(), ms.make_harmonic()
-        m1 = ms.star(G, H)
-        with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
-            c = ms.compound(m1, A)
-        (body, namespace), = [call.args[1:3] for call in generate.call_args_list
-                              if call.args[3] == "<compound>"]
-        # star's block, and G's, H's and A's in it, run as statements: a call is of a
-        # helper, never of a kernel that has a block
-        calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
-        called = {ast.unparse(call.func) for call in calls} & namespace.keys()
-        assert not [f for f in called if hasattr(namespace[f], "inline")]
-        assert {"endpoint_weighted", "isclose"} <= called
-        # far apart the iteration may run out of steps: both raise the same error then
-        assert _outcome(c, x, y) == _outcome(
-            lambda: ms.compound_trace(m1, A, x, y, estimate_contraction=False).limit)
+        N = ms.random_normal_mean(random.Random(3))
+        for m1, m2, helpers in ((ms.star(G, H), A, {"endpoint_weighted", "isclose"}),
+                                (N, G, {"endpoint_weighted", "log_ratio_value"})):
+            with mock.patch.object(middle, "_generated", wraps=middle._generated) as generate:
+                c = ms.compound(m1, m2)
+            (body, namespace), = [call.args[1:3] for call in generate.call_args_list
+                                  if call.args[3] == "<compound>"]
+            # star's block with G's, H's and A's in it, or N's block, runs as statements: a
+            # call is of a helper, never of a kernel that has a block
+            calls = [n for n in ast.walk(ast.parse(body)) if isinstance(n, ast.Call)]
+            called = {ast.unparse(call.func) for call in calls} & namespace.keys()
+            assert not [f for f in called if hasattr(namespace[f], "inline")]
+            assert helpers <= called
+            assert N.fn not in namespace.values()
+            # far apart the iteration may run out of steps: both raise the same error then
+            assert _outcome(c, x, y) == _outcome(
+                lambda: ms.compound_trace(m1, m2, x, y, estimate_contraction=False).limit)
 
     def test_the_last_eight_pairs_of_kernels_are_kept(self):
         # nine pairs from a start in P: the first pair's loop is dropped and compiled again
