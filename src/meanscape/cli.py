@@ -38,6 +38,7 @@ from .core import (
     NumericalError,
     _BETWEENNESS_SLACK,
     _Record,
+    _between,
     common_domain,
     default_window,
     make_arithmetic,
@@ -231,8 +232,9 @@ class _Resolver:
 
 def _point_command(help_text: str, build, *operands: str) -> _Command:
     """A command whose value is build(*operands) at --at; --weight names a weight. A value
-    that is NaN or lies outside [min(x, y), max(x, y)] by more than the relative slack of
-    ``verify_axioms`` gets a diagnostic, as no mean's value does."""
+    that fails ``_between``, the betweenness rule of ``verify_axioms`` (NaN, or outside
+    [min(x, y), max(x, y)] by more than the relative slack times that end's magnitude),
+    gets a diagnostic, as no mean's value does."""
 
     def run(args, resolver: _Resolver) -> dict:
         names, values = {}, []
@@ -241,8 +243,9 @@ def _point_command(help_text: str, build, *operands: str) -> _Command:
             value = (resolver.weight if flag == "--weight" else resolver.mean)(vars(args)[dest])
             names[dest] = value.name
             values.append(value)
-        value, lo, hi = build(*values)(*args.at), min(args.at), max(args.at)
-        if not lo - _BETWEENNESS_SLACK * abs(lo) <= value <= hi + _BETWEENNESS_SLACK * abs(hi):
+        value = build(*values)(*args.at)
+        if not _between(value, *args.at):
+            lo, hi = min(args.at), max(args.at)
             resolver.diagnostics.append(
                 f"the value {value} lies outside [min(x, y), max(x, y)] = [{lo}, {hi}], where "
                 f"a mean's values lie, by more than the relative slack {_BETWEENNESS_SLACK}")

@@ -31,7 +31,7 @@ from collections.abc import Callable
 
 DEFAULT_SEED = 7
 
-# Floating-point slack of the sampled axiom checks in verify_axioms.
+# Floating-point slack of the sampled axiom checks in verify_axioms and _between.
 _STRICT_EPS, _SYMMETRY_TOL, _BETWEENNESS_SLACK = 1e-10, 1e-9, 1e-12
 
 # The smallest positive normal float; a product or ratio below it has lost digits to underflow.
@@ -774,45 +774,50 @@ class AxiomReport(_Record):
         return self.axiom_i_ok and self.axiom_ii_ok and self.axiom_iii_ok
 
 
+def _between(value: float, x: float, y: float) -> bool:
+    """Axiom (ii) with its sampled slack: ``value`` lies in [min(x, y), max(x, y)] widened
+    by _BETWEENNESS_SLACK times the magnitude of each end. False for NaN."""
+    lo, hi = min(x, y), max(x, y)
+    return lo - _BETWEENNESS_SLACK * abs(lo) <= value <= hi + _BETWEENNESS_SLACK * abs(hi)
+
+
 def verify_axioms(m: MeanFunction, window: Interval, samples: int,
                   seed: int = DEFAULT_SEED) -> AxiomReport:
     """Check the three mean axioms on seeded quasi-random pairs in ``window``^2.
 
-    This is a sampled verifier, not a proof: the betweenness and symmetry
-    checks allow slack relative to max(|x|, |y|), and the strictness check
-    flags ``math.isclose(M(x,y), x, rel_tol=_STRICT_EPS)`` only off
-    ``math.isclose(x, y, rel_tol=100 * _STRICT_EPS)``.
+    This is a sampled verifier, not a proof. Symmetry allows a difference of
+    _SYMMETRY_TOL times max(|x|, |y|); betweenness is ``_between``, the rule the
+    CLI's point commands apply, with slack relative to each end; a NaN value fails
+    both. The strictness check flags ``math.isclose(M(x,y), x, rel_tol=_STRICT_EPS)``
+    only off ``math.isclose(x, y, rel_tol=100 * _STRICT_EPS)``.
     Results are deterministic for a fixed seed. The window is checked once
     (``check_window``) and the samples go to ``m``'s kernel: ``sample_pairs`` draws
-    no pair on the diagonal.
+    no pair on the diagonal. At most eight counterexamples per axiom are kept.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_window(window, (m.domain, m.name))
     pairs = sample_pairs(window, samples, seed)
     mean = m.fn
-    i_ok = ii_ok = iii_ok = True
     counterexamples: list = []
-    cap = 8  # per axiom, keeps reports small
+    failed = dict.fromkeys(("i", "ii", "iii"), 0)
 
     def note(axiom: str, x: float, y: float, observed: float) -> None:
-        if sum(1 for c in counterexamples if c[0] == axiom) < cap:
+        if failed[axiom] < 8:  # keeps reports small
             counterexamples.append((axiom, x, y, observed))
+        failed[axiom] += 1
 
     for x, y in pairs:
         mxy = mean(x, y)
         myx = mean(y, x)
-        scale = max(abs(x), abs(y))
-        if abs(mxy - myx) > _SYMMETRY_TOL * scale:
-            i_ok = False
+        # each test states what must hold, so a NaN fails it
+        if not (mxy == myx or abs(mxy - myx) <= _SYMMETRY_TOL * max(abs(x), abs(y))):
             note("i", x, y, mxy - myx)
-        lo, hi = min(x, y), max(x, y)
-        if mxy < lo - _BETWEENNESS_SLACK * scale or mxy > hi + _BETWEENNESS_SLACK * scale:
-            ii_ok = False
+        if not (x <= mxy <= y or y <= mxy <= x or _between(mxy, x, y)):
             note("ii", x, y, mxy)
         if not math.isclose(x, y, rel_tol=100.0 * _STRICT_EPS):
             if (math.isclose(mxy, x, rel_tol=_STRICT_EPS)
                     or math.isclose(mxy, y, rel_tol=_STRICT_EPS)):
-                iii_ok = False
                 note("iii", x, y, mxy)
-    return AxiomReport(i_ok, ii_ok, iii_ok, tuple(counterexamples), len(pairs))
+    return AxiomReport(not failed["i"], not failed["ii"], not failed["iii"],
+                       tuple(counterexamples), len(pairs))

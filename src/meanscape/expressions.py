@@ -61,6 +61,8 @@ _MAX_DEPTH = 120
 # parser nests them 200 deep at most, and a tree built by hand may be higher than _MAX_DEPTH
 _NESTING = 100
 _VERIFY_SAMPLES = 256  # seeded pairs on which a parsed mean's axioms are sampled
+# the diagnostic's name of each axiom, in the order of AxiomReport's flags
+_AXIOM_RULES = ("symmetry (axiom i)", "betweenness (axiom ii)", "strictness (axiom iii)")
 
 
 class ExpressionError(ValueError):
@@ -669,12 +671,8 @@ def expr_to_mean(e: Expression, domain: Interval, *, seed: int = DEFAULT_SEED) -
     report = None
     try:
         report = verify_axioms(mean, default_window(domain), _VERIFY_SAMPLES, seed)
-        if not report.axiom_i_ok:
-            diagnostics.append(f"symmetry (axiom i) fails for {src}")
-        if not report.axiom_ii_ok:
-            diagnostics.append(f"betweenness (axiom ii) fails for {src}")
-        if not report.axiom_iii_ok:
-            diagnostics.append(f"strictness (axiom iii) fails for {src}")
+        diagnostics += [f"{rule} fails for {src}"
+                        for rule, ok in zip(_AXIOM_RULES, report) if not ok]
     except DomainError as exc:
         diagnostics.append(f"axiom sampling aborted: {exc}")
     return MeanBuild(mean, report, tuple(diagnostics))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -201,6 +202,30 @@ def test_an_excursion_within_the_slack_is_not_flagged():
     result = run_ok(["eval", "--mean", "H", "--at", "0.7420588876428118,0.7420588876428119"])
     assert result.payload["value"] > max(result.payload["at"])
     assert result.diagnostics == []
+
+
+def test_verify_and_the_point_commands_share_the_betweenness_rule():
+    # 5e-13 * max(x, y) below min(x, y) lies within a slack of max(|x|, |y|) but not of the
+    # smaller end, where x and y differ by more than a factor of 2: both commands flag it
+    mean = "min(x,y) - 5e-13*max(x,y)"
+    result = run_ok(["eval", "--mean", mean, "--at", "1,4"])
+    assert _outside_message(result.payload["value"], 1.0, 4.0) in result.diagnostics
+    assert payload(["verify", "--mean", mean])["axiom_ii_ok"] is False
+
+
+@pytest.mark.parametrize("mean", ["min(x,y) - 5e-13*max(x,y)", "max(x,y) + 2e-12*min(x,y)",
+                                  "(x-y)/(log(x)-log(y))"])
+def test_the_point_diagnostic_fires_exactly_where_between_is_false(mean):
+    # the ratio y/x crosses 2, where the first two means cross the per-end slack, and goes
+    # down to adjacent floats, where the logarithmic mean cancels
+    draw = random.Random(5)
+    for _ in range(40):
+        x = draw.uniform(0.5, 8.0)
+        y = x * draw.choice((draw.uniform(1.0, 4.0), 1.0 + draw.uniform(1, 1e6) * 2.0 ** -52))
+        result = run_ok(["eval", "--mean", mean, "--at", f"{x!r},{y!r}"])
+        value = result.payload["value"]
+        flagged = _outside_message(value, min(x, y), max(x, y)) in result.diagnostics
+        assert flagged == (not meanscape.core._between(value, x, y)), (x, y, value)
 
 
 # operands that are not means, at points where their endpoint weights cancel or overflow

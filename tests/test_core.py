@@ -263,6 +263,13 @@ class TestVerifyAxioms:
         assert not report.axiom_i_ok
         assert any(c[0] == "i" for c in report.counterexamples)
 
+    def test_a_nan_value_fails_symmetry_and_betweenness(self):
+        fake = ms.MeanFunction("nan", ms.POSITIVE_REALS, lambda x, y: math.nan)
+        report = ms.verify_axioms(fake, ms.Interval.closed(0.1, 10.0), 16)
+        assert not report.axiom_i_ok and not report.axiom_ii_ok and report.axiom_iii_ok
+        assert {c[0] for c in report.counterexamples} == {"i", "ii"}
+        assert all(math.isnan(c[3]) for c in report.counterexamples)
+
     def test_outside_betweenness_flagged(self):
         fake = ms.MeanFunction("sum", ms.ALL_REALS, lambda x, y: x + y)
         report = ms.verify_axioms(fake, ms.Interval.closed(1, 10), 200, 7)
@@ -297,13 +304,13 @@ def _checked_verify_axioms(m, window, samples, seed=ms.DEFAULT_SEED):
     for x, y in pairs:
         mxy = m(x, y)
         myx = m(y, x)
-        scale = max(abs(x), abs(y))
-        if abs(mxy - myx) > core._SYMMETRY_TOL * scale:
+        # the conditions that must hold, so a NaN fails both; the slack of (ii) is per end
+        if not (mxy == myx or abs(mxy - myx) <= core._SYMMETRY_TOL * max(abs(x), abs(y))):
             i_ok = False
             note("i", x, y, mxy - myx)
         lo, hi = min(x, y), max(x, y)
-        if (mxy < lo - core._BETWEENNESS_SLACK * scale
-                or mxy > hi + core._BETWEENNESS_SLACK * scale):
+        slack = core._BETWEENNESS_SLACK
+        if not lo - slack * abs(lo) <= mxy <= hi + slack * abs(hi):
             ii_ok = False
             note("ii", x, y, mxy)
         if not math.isclose(x, y, rel_tol=100.0 * core._STRICT_EPS):
